@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .grid import VoltageGrid, CellState, N_BINS
 from .channel import BinHistogram
-from .models import (fit_static, fit_dynamic, predict_static, pooled_kl,
-                     model_density, models_to_dict, save_models_json)
+from .models import (dynamic_to_dict, fit_static, fit_dynamic, predict_static,
+                     pooled_kl, model_density, models_to_dict, save_models_json)
 from .models.tables import default_tables
 from .degradation import RetentionModel3D
 from . import urt as urt_mod
@@ -126,9 +126,7 @@ def cmd_fit(args):
             print(f"predicted model at pec={args.predict}"
                   + (" (clamped)" if clamped else ""))
         with open(os.path.join(out_dir, "dynamic.json"), "w") as fh:
-            json.dump({f"{st}.{name}": [p.a, p.b, p.c]
-                       for (st, name), p in dynamic.items()},
-                      fh, indent=2, sort_keys=True)
+            json.dump(dynamic_to_dict(dynamic), fh, indent=2, sort_keys=True)
         return EXIT_OK
 
     hist = _load_histogram(args.inputs[0])

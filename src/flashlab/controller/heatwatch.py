@@ -1,8 +1,9 @@
 """Thermal-aware read-policy experiment.
 
-Replays a trace once under a temperature profile, collecting for each
-read the wall-clock data age, the exact room-equivalent (temperature-
-integrated) age, and the controller's logarithmic-history estimate of it.
+Replays a trace under a temperature profile, collecting for a spread of
+its reads the wall-clock data age, the exact room-equivalent
+(temperature-integrated) age, and the controller's logarithmic-history
+estimate of it.
 Each read policy is then scored analytically: ground-truth Gaussian state
 models come from the unified calculator at the exact effective age, the
 policy picks references from what it is allowed to know, and the
@@ -44,12 +45,16 @@ class HeatwatchConfig:
 
 
 def collect_samples(events, cfg, params=None):
-    """One pass over the trace: per-read thermal bookkeeping.
+    """Per-read thermal bookkeeping for at most cfg.max_samples reads.
 
-    The exact effective age integrates the acceleration factor over the
-    temperature profile (trapezoidal, one point per tick); the estimate
-    comes from an AccelLog fed the same ticks, queried over the sample's
-    own window.
+    Two passes. The first walks the trace and lists the eligible reads
+    (page written before, data at least min_age_s old); eligibility never
+    depends on the thermal estimate. When there are more than max_samples
+    of them, an evenly spaced subset is kept. The second pass feeds an
+    AccelLog the temperature ticks up to each kept read in turn and makes
+    the estimate only there, querying the read's own window. The exact
+    effective age integrates the acceleration factor over the temperature
+    profile (trapezoidal, one point per tick).
     """
     if params is None:
         params = urt_mod.URTParams(pvm={}, srrm={})
@@ -61,31 +66,32 @@ def collect_samples(events, cfg, params=None):
     # cumulative exact effective time at each tick boundary
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (afs[1:] + afs[:-1]) * cfg.tick_s)])
 
-    log = urt_mod.AccelLog()
-    ticked = 0
     write_time = {}
-    samples = []
+    reads = []  # (now, age, write time) of each eligible read
     spp = cfg.page_size // SECTOR_BYTES
     for e in events:
         now = e.timestamp_us / 1e6
-        while (ticked + 1) * cfg.tick_s <= now:
-            log.update(float(afs[ticked]), cfg.tick_s)
-            ticked += 1
         page = e.lba // spp
         if e.op == "W":
             write_time[page] = now
         elif page in write_time:
             age = now - write_time[page]
-            if age < cfg.min_age_s:
-                continue
-            i0 = int(write_time[page] / cfg.tick_s)
-            i1 = int(now / cfg.tick_s)
-            eff_exact = float(cum[i1] - cum[i0])
-            eff_est = log.effective_time(min(age, log.elapsed))
-            samples.append(ReadSample(age, eff_exact, eff_est))
-    if len(samples) > cfg.max_samples:
-        idx = np.linspace(0, len(samples) - 1, cfg.max_samples).astype(int)
-        samples = [samples[i] for i in idx]
+            if age >= cfg.min_age_s:
+                reads.append((now, age, write_time[page]))
+    if len(reads) > cfg.max_samples:
+        idx = np.linspace(0, len(reads) - 1, cfg.max_samples).astype(int)
+        reads = [reads[i] for i in idx]
+
+    log = urt_mod.AccelLog()
+    ticked = 0
+    samples = []
+    for now, age, written in reads:
+        while (ticked + 1) * cfg.tick_s <= now:
+            log.update(float(afs[ticked]), cfg.tick_s)
+            ticked += 1
+        eff_exact = float(cum[int(now / cfg.tick_s)] - cum[int(written / cfg.tick_s)])
+        eff_est = log.effective_time(min(age, log.elapsed))
+        samples.append(ReadSample(age, eff_exact, eff_est))
     return samples
 
 

@@ -3,6 +3,8 @@ RBER estimation, optimal read reference prediction, lifetime estimation,
 and soft-decision LLRs.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,29 +61,80 @@ def _density(models, state, v, tables, h=0.25):
     return (hi - lo) / (2.0 * h)
 
 
-def _intersect(models, lo_state, hi_state, tables, tol=1e-3):
-    """Bisect for the voltage where the neighboring PDFs cross."""
-    a, b = models[lo_state].mu, models[hi_state].mu
+@functools.lru_cache(maxsize=16)
+def _step_table(grid):
+    """Voltages of reference steps 1..VC_SEARCH_MAX, and of the half-way
+    points between neighboring steps."""
+    steps = grid.value(np.arange(1, VC_SEARCH_MAX + 1))
+    halves = (steps[:-1] + steps[1:]) / 2.0
+    steps.flags.writeable = halves.flags.writeable = False
+    return steps, halves
 
-    def gap(v):
-        return float(_density(models, lo_state, v, tables)
-                     - _density(models, hi_state, v, tables))
 
-    ga, gb = gap(a), gap(b)
-    if ga <= 0 or gb >= 0:
+def _round_to_step(voltage, grid):
+    """Nearest reference step to a voltage; a tie goes to the lower step."""
+    steps, _ = _step_table(grid)
+    j = int(np.searchsorted(steps, voltage))
+    if j == len(steps) or (j > 0 and abs(steps[j - 1] - voltage) <= abs(steps[j] - voltage)):
+        j -= 1
+    return j + 1
+
+
+def _gaussian_crossing(lo, hi):
+    """Voltage between the means where two Gaussian PDFs cross, or None.
+
+    With y = v - mu_lo and d = mu_hi - mu_lo, equal log-densities give
+    A y^2 + B y + C = 0 with A = s_hi^2 - s_lo^2, B = 2 d s_lo^2 and
+    C = s_lo^2 (2 s_hi^2 ln(s_lo/s_hi) - d^2). The lower density exceeds
+    the upper at mu_lo iff C < 0, and falls below it at mu_hi iff
+    d^2 > 2 s_lo^2 ln(s_hi/s_lo); then exactly one root lies between the
+    means, and it is C/q with q = -(B + sqrt(B^2 - 4AC))/2.
+    """
+    d = hi.mu - lo.mu
+    s1, s2 = lo.sigma * lo.sigma, hi.sigma * hi.sigma
+    log_ratio = math.log(lo.sigma / hi.sigma)
+    if d * d <= 2.0 * s2 * log_ratio or d * d <= -2.0 * s1 * log_ratio:
         return None
-    while b - a > tol:
-        mid = (a + b) / 2.0
-        if gap(mid) > 0:
-            a = mid
-        else:
-            b = mid
-    return (a + b) / 2.0
+    if s1 == s2:
+        return (lo.mu + hi.mu) / 2.0
+    a, b, c = s2 - s1, 2.0 * d * s1, s1 * (2.0 * s2 * log_ratio - d * d)
+    q = -0.5 * (b + math.sqrt(b * b - 4.0 * a * c))
+    return lo.mu + c / q
+
+
+def _scanned_step(models, lo, hi, grid, tables):
+    """Rounded step of the density crossing between two means, or None.
+
+    The density gap is evaluated once, at the means and at every half-way
+    voltage between them. A crossing from the lower state's side to the
+    upper's rounds to step k exactly when it lies past the half-way
+    voltage below step k and not past the one above it. Where the gap
+    changes sign that way more than once (a tail wiggle), the crossing
+    whose step misreads the least mass wins.
+    """
+    steps, halves = _step_table(grid)
+    a, b = models[lo].mu, models[hi].mu
+    first = int(np.searchsorted(halves, a, side="right"))
+    last = int(np.searchsorted(halves, b, side="left"))
+    v = np.concatenate(([a], halves[first:last], [b]))
+    gap = _density(models, lo, v, tables) - _density(models, hi, v, tables)
+    if gap[0] <= 0 or gap[-1] >= 0:
+        return None
+    ks = first + np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
+    k = ks[0]
+    if len(ks) > 1:
+        vs = steps[ks]
+        miss = (1.0 - state_cdf(models, lo, vs, tables)) + state_cdf(models, hi, vs, tables)
+        k = ks[np.argmin(miss)]
+    return int(k) + 1
 
 
 def predict_vopt(models, method="pdf_intersection", grid=None, tables=None):
     """Predict optimal read references.
 
+    pdf_intersection puts each reference where the two neighboring state
+    densities cross: in closed form when both states are pure Gaussians,
+    otherwise by one vectorized scan of the density gap between the means.
     Returns (ReadRefs, flags); flags lists the boundaries that fell back
     to the mean midpoint because the densities never crossed.
     """
@@ -96,24 +149,26 @@ def predict_vopt(models, method="pdf_intersection", grid=None, tables=None):
     flags = []
     steps = []
     for i, name in enumerate(("va", "vb", "vc")):
+        lo, hi = CellState(i), CellState(i + 1)
         midpoint = (mus[i] + mus[i + 1]) / 2.0
         if method == "mean_midpoint":
-            v = midpoint
+            steps.append(_round_to_step(midpoint, grid))
+            continue
+        if all(models[st].family == "gaussian" and models[st].lam == 0.0
+               for st in (lo, hi)):
+            v = _gaussian_crossing(models[lo], models[hi])
+            step = None if v is None else _round_to_step(v, grid)
         else:
-            v = _intersect(models, CellState(i), CellState(i + 1), tables)
-            if v is None:
-                v, flags = midpoint, flags + [name]
-        steps.append(_round_to_step(v, grid))
+            step = _scanned_step(models, lo, hi, grid, tables)
+        if step is None:
+            step = _round_to_step(midpoint, grid)
+            flags.append(name)
+        steps.append(step)
 
     # Keep the ordering strict after rounding.
     steps[1] = max(steps[1], steps[0] + 1)
     steps[2] = max(steps[2], steps[1] + 1)
     return ReadRefs(*steps), flags
-
-
-def _round_to_step(voltage, grid):
-    ks = np.arange(1, VC_SEARCH_MAX + 1)
-    return int(ks[np.argmin(np.abs(grid.value(ks) - voltage))])
 
 
 def sweep_vopt(models, grid=None, tables=None):
@@ -125,14 +180,13 @@ def sweep_vopt(models, grid=None, tables=None):
     """
     grid = grid or VoltageGrid()
     tables = tables or default_tables()
+    vs, _ = _step_table(grid)
     best = []
     for i in range(3):
         lo, hi = CellState(i), CellState(i + 1)
-        ks = np.arange(1, VC_SEARCH_MAX + 1)
-        vs = grid.value(ks)
         # Mass of the lower state above the boundary + upper state below.
         miss = (1.0 - state_cdf(models, lo, vs, tables)) + state_cdf(models, hi, vs, tables)
-        best.append(int(ks[np.argmin(miss)]))
+        best.append(int(np.argmin(miss)) + 1)
     best[1] = max(best[1], best[0] + 1)
     best[2] = max(best[2], best[1] + 1)
     return ReadRefs(*best)

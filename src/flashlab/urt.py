@@ -126,6 +126,9 @@ class AccelLog:
     A binary-counter cascade keeps one partial accumulator at level 0 and,
     per level, the current (pending) and previous (last completed) chunk:
     at most 52 stored reals. Two completions of level k-1 rebuild level k.
+
+    An update costs O(levels) whatever its length: whole 0.5 s chunks are
+    carried up in bulk, level by level, as a run of identical values.
     """
 
     def __init__(self, n_levels=N_LOG_LEVELS, base_seconds=LOG_BASE_SECONDS):
@@ -139,29 +142,64 @@ class AccelLog:
         self.clamped = False
 
     def update(self, af_value, tick_seconds):
-        """Accumulate af * dt, cascading completed chunks upward."""
-        remaining = float(tick_seconds)
-        while remaining > 1e-12:
-            room = self.base - self.level0_real
-            dt = min(remaining, room)
-            self.cur[0] += af_value * dt
-            self.level0_real += dt
-            self.elapsed += dt
-            remaining -= dt
-            if self.level0_real >= self.base - 1e-12:
-                self._complete(0)
-                self.level0_real = 0.0
+        """Accumulate af * dt, cascading completed chunks upward.
 
-    def _complete(self, k):
-        value = self.cur[k]
-        self.prev[k] = value
-        self.cur[k] = 0.0
-        self.pending[k] = 0
-        if k + 1 < self.n_levels:
-            self.cur[k + 1] += value
-            self.pending[k + 1] += 1
-            if self.pending[k + 1] == 2:
-                self._complete(k + 1)
+        Finishes the partial level-0 chunk, adds the run of whole chunks
+        in one carry, then starts a new partial chunk with the remainder.
+        The stored chunks are those of adding one chunk at a time; so is
+        elapsed while every tick is a whole number of chunks (otherwise it
+        may differ in the last bit, being summed in fewer steps).
+        """
+        remaining = float(tick_seconds)
+        if self.level0_real > 0.0 and remaining > 1e-12:
+            remaining = self._fill(af_value, remaining)
+        whole = int(remaining // self.base) if remaining > 1e-12 else 0
+        if whole:
+            chunk = af_value * self.base
+            self.elapsed += whole * self.base
+            remaining -= whole * self.base
+            self._carry(chunk, chunk, whole)
+        while remaining > 1e-12:
+            remaining = self._fill(af_value, remaining)
+
+    def _fill(self, af_value, remaining):
+        """Add up to one chunk's room at level 0; returns what is left."""
+        dt = min(remaining, self.base - self.level0_real)
+        self.cur[0] += af_value * dt
+        self.level0_real += dt
+        self.elapsed += dt
+        if self.level0_real >= self.base - 1e-12:
+            self._carry(self.cur[0], self.cur[0], 1)
+        return remaining - dt
+
+    def _carry(self, first, rest, n):
+        """Complete level 0 n times, with value `first` and then `rest`.
+
+        Each level turns a run of n incoming values into (held + n) // 2
+        outgoing ones: the first pairs with the held value (or with the
+        next incoming one), the rest pair among themselves (rest + rest),
+        and an odd one out stays held. Sums are formed in the order the
+        one-chunk-at-a-time cascade forms them, so the result is the same.
+        """
+        self.cur[0] = 0.0
+        self.level0_real = 0.0
+        for k in range(self.n_levels):
+            self.prev[k] = first if n == 1 else rest
+            if k + 1 == self.n_levels:
+                return
+            held = int(self.pending[k + 1])
+            n_out = (held + n) // 2
+            if n_out == 0:
+                self.cur[k + 1] += first
+                self.pending[k + 1] = 1
+                return
+            first = self.cur[k + 1] + first
+            if not held:
+                first += rest
+            odd = (held + n) % 2
+            self.cur[k + 1] = rest if odd else 0.0
+            self.pending[k + 1] = odd
+            rest, n = rest + rest, n_out
 
     def effective_time(self, window_seconds):
         """Effective seconds accumulated over the last window_seconds.

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ndtr
+from scipy.stats import norm
 
 from flashlab.channel import measure_rber, sample_page
 from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs, VoltageGrid
-from flashlab.models.applications import (RBEREstimate, estimate_lifetime,
-                                          estimate_rber, llr, predict_vopt,
-                                          region_masses, sweep_vopt)
+from flashlab.models.applications import (VC_SEARCH_MAX, RBEREstimate,
+                                          _gaussian_crossing, _round_to_step,
+                                          estimate_lifetime, estimate_rber,
+                                          llr, predict_vopt, region_masses,
+                                          sweep_vopt)
 from flashlab.models.cdf import StateModel, enforce_constraints
 from flashlab.models.fitting import PowerLawParams
 
@@ -126,6 +130,92 @@ class TestPredictVopt:
         r_inter = estimate_rber(models, inter).total
         r_mid = estimate_rber(models, mid).total
         assert r_inter <= r_mid
+
+
+class TestGaussianCrossing:
+    def test_equal_sigmas_cross_at_the_exact_midpoint(self):
+        for mu_lo, mu_hi, sigma in ((20.0, 100.0, 8.0), (13.7, 58.1, 11.3),
+                                    (101.25, 180.5, 0.7)):
+            v = _gaussian_crossing(StateModel("gaussian", mu_lo, sigma),
+                                   StateModel("gaussian", mu_hi, sigma))
+            assert v == (mu_lo + mu_hi) / 2.0
+
+    def test_root_matches_brentq_on_exact_pdfs(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            mu_lo, mu_hi = np.sort(rng.uniform(10, 290, size=2))
+            s_lo, s_hi = rng.uniform(3, 20, size=2)
+            lo = StateModel("gaussian", mu_lo, s_lo)
+            hi = StateModel("gaussian", mu_hi, s_hi)
+
+            def gap(v):
+                return norm.pdf(v, mu_lo, s_lo) - norm.pdf(v, mu_hi, s_hi)
+
+            v = _gaussian_crossing(lo, hi)
+            if gap(mu_lo) <= 0 or gap(mu_hi) >= 0:
+                assert v is None
+                continue
+            want = brentq(gap, mu_lo, mu_hi, xtol=1e-13, rtol=1e-15)
+            assert v == pytest.approx(want, abs=1e-9)
+
+    def test_flags_pairs_whose_densities_never_cross(self):
+        # A wide lower state outweighs a narrow upper one even at mu_hi.
+        models = gauss_models(mus=(20, 100, 110, 260), sigmas=(8, 8, 40, 8))
+        refs, flags = predict_vopt(models)
+        assert flags == ["vb"]
+        assert refs.vb == 105
+
+
+class TestScannedCrossing:
+    def test_heavy_tailed_channels_track_the_sweep(self):
+        # Normal-Laplace densities can wiggle in the tails, so the density
+        # gap may change sign more than once between two means; the scan
+        # must keep the crossing that misreads least.
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(150):
+            mus = np.sort(rng.uniform(10, 290, size=4))
+            while np.min(np.diff(mus)) < 25:
+                mus = np.sort(rng.uniform(10, 290, size=4))
+            sig = rng.uniform(4, 16, size=4)
+            alpha, beta = rng.uniform(0.05, 1, 4), rng.uniform(0.05, 1, 4)
+            lam = rng.uniform(0, 0.05, 4)
+            models = enforce_constraints({
+                st: StateModel("normal_laplace", mus[i], sig[i], alpha[i],
+                               beta[i], lam[i])
+                for i, st in enumerate(CellState)})
+            pred, _ = predict_vopt(models)
+            r_pred = estimate_rber(models, pred).total
+            r_best = estimate_rber(models, sweep_vopt(models)).total
+            worst = max(worst, r_pred / r_best)
+        assert worst <= 1.1
+
+
+def _argmin_round(voltage, grid):
+    """The nearest-step rule as a full scan: first minimum wins ties."""
+    ks = np.arange(1, VC_SEARCH_MAX + 1)
+    return int(ks[np.argmin(np.abs(grid.value(ks) - voltage))])
+
+
+class TestRoundToStep:
+    @pytest.mark.parametrize("grid", [
+        VoltageGrid(), VoltageGrid(gap_after_101=7.5),
+        VoltageGrid(gap_after_202=0.3), VoltageGrid(gap_after_101=2.25,
+                                                    gap_after_202=11.0)])
+    def test_matches_argmin_scan(self, grid):
+        rng = np.random.default_rng(3)
+        steps = grid.value(np.arange(1, VC_SEARCH_MAX + 1))
+        halves = (steps[:-1] + steps[1:]) / 2.0
+        voltages = np.concatenate([rng.uniform(-50, steps[-1] + 50, 2000),
+                                   steps, halves, np.nextafter(halves, np.inf),
+                                   np.nextafter(halves, -np.inf),
+                                   [-1e9, 0.0, 1e9]])
+        for v in voltages:
+            assert _round_to_step(v, grid) == _argmin_round(v, grid), v
+
+    def test_ties_go_to_the_lower_step(self):
+        assert _round_to_step(60.5, GRID) == 60
+        assert _round_to_step(60.5000001, GRID) == 61
 
 
 class TestSweepVopt:

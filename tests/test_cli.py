@@ -8,6 +8,8 @@ from flashlab.channel import bin_cells, export_histogram_csv, sample_page
 from flashlab.cli import main
 from flashlab.grid import CellState
 from flashlab.models.cdf import StateModel
+from flashlab.models.fitting import (dynamic_from_dict, load_models_json,
+                                     predict_static)
 from flashlab.raid_ecc import EccConfig, ecc_failure_rate
 from flashlab.trace import synth_hot, write_canonical
 
@@ -56,6 +58,25 @@ class TestFit:
         rc = main(["--out", str(tmp_path / "out"), "fit", str(hist),
                    "--dynamic"])
         assert rc == 2
+
+    def test_dynamic_json_loads_back_and_predicts_same_models(self, tmp_path):
+        # Gaussian channels drifting with wear; dynamic.json must round-trip
+        # through dynamic_from_dict and give the models the CLI predicted.
+        paths = []
+        for i, pec in enumerate((1000, 3000, 6000)):
+            drift = 0.002 * pec
+            models = {st: StateModel("gaussian", MEANS[k] - drift, 8.0 + drift / 4)
+                      for k, st in enumerate(CellState)}
+            paths.append(tmp_path / f"h{pec}.csv")
+            write_histogram(paths[-1], models, n_cells=20_000, seed=i)
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "fit", *map(str, paths), "--dynamic",
+                   "--family", "gaussian", "--predict", "4500"])
+        assert rc == 0
+        dynamic = dynamic_from_dict(json.loads((out / "dynamic.json").read_text()))
+        assert {st for st, _ in dynamic} == {st.name for st in CellState}
+        models, _ = predict_static(dynamic, 4500, "gaussian")
+        assert models == load_models_json(str(out / "model.json"))
 
     def test_bad_header_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -11,6 +11,8 @@ from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, Drive,
                                  adaptive_period, in_refresh_phase,
                                  run_lifetime, run_refresh)
 from flashlab.controller.ftl import CLOSED, FREE, OPEN
+from flashlab.controller.heatwatch import (HeatwatchConfig, ReadSample,
+                                           collect_samples)
 from flashlab.controller.policies import (DecodeOutcome, ReadContext,
                                           ReMARState, disparity_vref_search,
                                           heatwatch_refs, policy_refs,
@@ -19,8 +21,9 @@ from flashlab.degradation import RetentionModel3D, retention_refs
 from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs, VoltageGrid
 from flashlab.models.applications import sweep_vopt
 from flashlab.models.cdf import StateModel
-from flashlab.trace import synth_hot
-from flashlab.urt import calibration_pack_from_retention
+from flashlab.trace import SECTOR_BYTES, synth_hot
+from flashlab.urt import (AccelLog, TempTrace, af, calibration_pack_from_retention,
+                          celsius_to_kelvin, temp_generate)
 
 DAY = 86400.0
 
@@ -354,6 +357,62 @@ class TestPolicies:
         refs = heatwatch_refs(pack, self.ctx(pec=60000, age_s=365 * DAY,
                                              eff_retention_s=3650 * DAY))
         assert 1 <= refs.va < refs.vb < refs.vc
+
+
+def single_pass_collect_samples(events, cfg, params):
+    """Reference: estimates every eligible read, then keeps a spread."""
+    end_s = events[-1].timestamp_us / 1e6 if events else 0.0
+    n_ticks = int(end_s / cfg.tick_s) + 2
+    tick_t = np.arange(n_ticks) * cfg.tick_s
+    temps = np.array([temp_generate(cfg.temp, t) for t in tick_t])
+    afs = af(celsius_to_kelvin(temps), params)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (afs[1:] + afs[:-1]) * cfg.tick_s)])
+    log = AccelLog()
+    ticked = 0
+    write_time = {}
+    samples = []
+    spp = cfg.page_size // SECTOR_BYTES
+    for e in events:
+        now = e.timestamp_us / 1e6
+        while (ticked + 1) * cfg.tick_s <= now:
+            log.update(float(afs[ticked]), cfg.tick_s)
+            ticked += 1
+        page = e.lba // spp
+        if e.op == "W":
+            write_time[page] = now
+        elif page in write_time:
+            age = now - write_time[page]
+            if age < cfg.min_age_s:
+                continue
+            i0 = int(write_time[page] / cfg.tick_s)
+            i1 = int(now / cfg.tick_s)
+            eff_exact = float(cum[i1] - cum[i0])
+            eff_est = log.effective_time(min(age, log.elapsed))
+            samples.append(ReadSample(age, eff_exact, eff_est))
+    if len(samples) > cfg.max_samples:
+        idx = np.linspace(0, len(samples) - 1, cfg.max_samples).astype(int)
+        samples = [samples[i] for i in idx]
+    return samples
+
+
+class TestCollectSamples:
+    EVENTS = synth_hot(DAY / 2, 0.1, 0.02, 0.9, footprint_bytes=1 << 26,
+                       seed=4, read_fraction=0.5)
+    PACK = calibration_pack_from_retention(RET)
+
+    # The trace has about 1500 eligible reads: 25 keeps a spread of them,
+    # 100k keeps them all.
+    @pytest.mark.parametrize("max_samples", [25, 100_000])
+    def test_matches_single_pass(self, max_samples):
+        cfg = HeatwatchConfig(temp=TempTrace(noise_sigma_c=3.0, seed=2),
+                              max_samples=max_samples)
+        want = single_pass_collect_samples(self.EVENTS, cfg, self.PACK)
+        got = collect_samples(self.EVENTS, cfg, self.PACK)
+        if max_samples == 25:
+            assert len(want) == 25
+        else:
+            assert 25 < len(want) < max_samples
+        assert got == want
 
 
 def ladder_population():

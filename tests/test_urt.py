@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from flashlab.degradation import RetentionModel3D
-from flashlab.urt import (AccelLog, DwellTracker, TempTrace, URTParams, af,
-                          calibration_pack_from_retention, celsius_to_kelvin,
-                          fine_tune, fit_ea, fit_pvm, fit_srrm,
+from flashlab.urt import (N_LOG_LEVELS, AccelLog, DwellTracker, TempTrace,
+                          URTParams, af, calibration_pack_from_retention,
+                          celsius_to_kelvin, fine_tune, fit_ea, fit_pvm, fit_srrm,
                           load_calibration_json, pvm_predict,
                           save_calibration_json, srrm_delta, temp_generate,
                           urt_predict)
@@ -187,6 +189,79 @@ class TestAccelLog:
             log.update(float(rng.uniform(0.5, 50.0)), 2.0)
         vals = [log.effective_time(w) for w in np.linspace(1, 1600, 40)]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+class ChunkwiseAccelLog(AccelLog):
+    """Reference: adds one 0.5 s chunk at a time, cascading each completion."""
+
+    def update(self, af_value, tick_seconds):
+        remaining = float(tick_seconds)
+        while remaining > 1e-12:
+            dt = min(remaining, self.base - self.level0_real)
+            self.cur[0] += af_value * dt
+            self.level0_real += dt
+            self.elapsed += dt
+            remaining -= dt
+            if self.level0_real >= self.base - 1e-12:
+                self._complete(0)
+                self.level0_real = 0.0
+
+    def _complete(self, k):
+        value = self.cur[k]
+        self.prev[k] = value
+        self.cur[k] = 0.0
+        self.pending[k] = 0
+        if k + 1 < self.n_levels:
+            self.cur[k + 1] += value
+            self.pending[k + 1] += 1
+            if self.pending[k + 1] == 2:
+                self._complete(k + 1)
+
+
+afs = hst.floats(0.01, 500.0)
+# Few levels make the top level overflow within a short history.
+levels = hst.sampled_from([2, 5, N_LOG_LEVELS])
+
+
+def _replay(ticks, n_levels=N_LOG_LEVELS):
+    bulk, ref = AccelLog(n_levels), ChunkwiseAccelLog(n_levels)
+    for af_value, tick in ticks:
+        bulk.update(af_value, tick)
+        ref.update(af_value, tick)
+    return bulk, ref
+
+
+class TestAccelLogBulkUpdate:
+    @settings(max_examples=80, deadline=None)
+    @given(hst.lists(hst.tuples(afs, hst.integers(0, 1000).map(lambda n: 0.5 * n)),
+                     min_size=1, max_size=20), levels)
+    def test_whole_chunk_ticks_are_bit_identical(self, ticks, n_levels):
+        bulk, ref = _replay(ticks, n_levels)
+        for name in ("cur", "prev", "pending"):
+            assert np.array_equal(getattr(bulk, name), getattr(ref, name)), name
+        assert bulk.level0_real == ref.level0_real
+        assert bulk.elapsed == ref.elapsed
+
+    @settings(max_examples=80, deadline=None)
+    @given(hst.lists(hst.tuples(afs, hst.one_of(
+        hst.sampled_from([0.25, 0.7, 13.3, 1e3]), hst.floats(0.0, 500.0))),
+        min_size=1, max_size=20),
+        hst.lists(hst.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_any_ticks_give_the_same_estimates(self, ticks, fractions):
+        bulk, ref = _replay(ticks)
+        assert bulk.elapsed == pytest.approx(ref.elapsed, rel=1e-12)
+        for frac in fractions + [1.0]:
+            window = frac * ref.elapsed
+            assert bulk.effective_time(window) == pytest.approx(
+                ref.effective_time(window), rel=1e-12, abs=1e-300)
+
+    def test_long_tick_reaches_high_levels(self):
+        bulk, ref = _replay([(5.0, 0.3), (7.0, 2.0**16 + 0.1), (2.0, 60.0)])
+        assert np.count_nonzero(ref.prev) == 18
+        assert np.array_equal(bulk.prev, ref.prev)
+        assert np.array_equal(bulk.cur, ref.cur)
+        assert np.array_equal(bulk.pending, ref.pending)
+        assert bulk.effective_time(1e5) == pytest.approx(ref.effective_time(1e5), rel=1e-12)
 
 
 class TestDwellTracker:
