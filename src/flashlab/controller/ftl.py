@@ -5,6 +5,11 @@ block id. Cold garbage collection is greedy (fewest valid pages, ties to
 the lowest block id) and triggers when the free list drops to 2% of all
 blocks. Hot-pool reclamation is strictly in write order: the oldest hot
 block is demoted, its surviving pages rewritten cold.
+
+Reclaim rule: only host writes reclaim. A block allocated for a host
+write may first run demotion and GC; a block allocated for a gc, refresh
+or demotion write never does, so reclaim cannot nest. Every relocation
+(GC, demotion, hot-pool rotation, refresh) goes through _migrate_block.
 """
 
 import heapq
@@ -43,7 +48,6 @@ class Drive:
         self.refresh_writes_by_pool = {COLD: 0, HOT: 0}
         self.erases = 0
         self.reads = 0
-        self._in_reclaim = False
 
     # --- bookkeeping -------------------------------------------------------
 
@@ -82,7 +86,7 @@ class Drive:
     # --- programming path --------------------------------------------------
 
     def _program(self, lba_page, pool, kind):
-        ppn = self._next_page(pool)
+        ppn = self._next_page(pool, kind)
         old = self.map[lba_page]
         if old >= 0:
             self.valid[old] = False
@@ -97,10 +101,10 @@ class Drive:
         if kind == "refresh":
             self.refresh_writes_by_pool[pool] += 1
 
-    def _next_page(self, pool):
+    def _next_page(self, pool, kind):
         blk = self.open_block[pool]
         if blk is None:
-            blk = self._allocate(pool)
+            blk = self._allocate(pool, kind)
         ppn = blk * self.geom.pages_per_block + self.write_ptr[blk]
         self.write_ptr[blk] += 1
         if self.write_ptr[blk] == self.geom.pages_per_block:
@@ -110,8 +114,8 @@ class Drive:
                 self.warm.on_block_closed(blk, pool)
         return ppn
 
-    def _allocate(self, pool):
-        if not self._in_reclaim:
+    def _allocate(self, pool, kind):
+        if kind == "host":  # the reclaim rule: only host writes reclaim
             if pool == HOT and self.warm:
                 while (self.pool_block_count(HOT) >= self.warm.hot_budget_blocks
                        and self.warm.hot_closed):
@@ -123,7 +127,12 @@ class Drive:
             if self.open_block[pool] is not None:
                 return self.open_block[pool]
         if not self.free:
-            raise RuntimeError("no free blocks: drive over-committed")
+            geom = self.geom
+            raise ValueError(
+                f"no free blocks: drive over-committed (capacity_bytes "
+                f"{geom.capacity_bytes}, {geom.total_blocks} blocks, "
+                f"over-provisioning op_fraction {geom.op_fraction}); "
+                "give it more capacity or over-provisioning")
         blk = heapq.heappop(self.free)
         self.state[blk] = OPEN
         self.pool[blk] = pool
@@ -156,24 +165,17 @@ class Drive:
     # --- garbage collection --------------------------------------------------
 
     def _collect_garbage(self):
-        self._in_reclaim = True
-        try:
-            while len(self.free) <= self.gc_threshold:
-                victim = self._pick_cold_victim()
-                if victim is None or (
-                        self.valid_count[victim] >= self.geom.pages_per_block):
-                    # cold pool has nothing reclaimable; the invalid space
-                    # must be sitting in hot blocks, so demote one
-                    if self.warm and self.warm.hot_closed:
-                        blk = self.warm.hot_closed[0]
-                        n_live = int(self.valid_count[blk])
-                        self._migrate_block(blk, COLD, "demotion")
-                        self.warm.demotions += n_live
-                        continue
-                    break
-                self._migrate_block(victim, COLD, "gc")
-        finally:
-            self._in_reclaim = False
+        while len(self.free) <= self.gc_threshold:
+            victim = self._pick_cold_victim()
+            if victim is None or (
+                    self.valid_count[victim] >= self.geom.pages_per_block):
+                # cold pool has nothing reclaimable; the invalid space
+                # must be sitting in hot blocks, so demote one
+                if self.warm and self.warm.hot_closed:
+                    self._demote_oldest_hot()
+                    continue
+                break
+            self._migrate_block(victim, COLD, "gc")
 
     def _pick_cold_victim(self):
         mask = (self.state == CLOSED) & (self.pool == COLD)
@@ -184,48 +186,41 @@ class Drive:
         return int(ids[np.argmin(self.valid_count[ids].astype(np.int64) * nb + ids)])
 
     def _demote_oldest_hot(self):
-        self._in_reclaim = True
-        try:
-            blk = self.warm.hot_closed[0]
-            n_live = int(self.valid_count[blk])
-            self._migrate_block(blk, COLD, "demotion")
-            self.warm.demotions += n_live
-        finally:
-            self._in_reclaim = False
+        blk = self.warm.hot_closed[0]
+        n_live = int(self.valid_count[blk])
+        self._migrate_block(blk, COLD, "demotion")
+        self.warm.demotions += n_live
 
     def rotate_hot_pool(self):
         """Move hot-pool contents onto fresh low-wear blocks."""
-        self._in_reclaim = True
-        try:
-            for blk in list(self.warm.hot_closed):
-                self._migrate_block(blk, HOT, "gc")
-        finally:
-            self._in_reclaim = False
+        for blk in list(self.warm.hot_closed):
+            self._migrate_block(blk, HOT, "gc")
         self.warm.hot_erases_since_rotation = 0
 
     # --- refresh --------------------------------------------------------------
 
     def refresh_sweep(self, now, period_s, include_hot=False):
-        """Rewrite-in-place every closed block older than period_s.
+        """Rewrite-in-place every closed block older than its period.
 
-        Hot-pool blocks are exempt unless include_hot: their data turns
-        over faster than any refresh period, so refreshing them only
-        burns cycles.
+        period_s is one period for all blocks or one per block (seconds;
+        inf means never). Returns blocks refreshed. Hot-pool blocks are
+        exempt unless include_hot: their data turns over faster than any
+        refresh period, so refreshing them only burns cycles.
+
+        The blocks are chosen up front. That equals checking each block
+        at its turn: the pass erases only blocks it has already visited,
+        in ascending id order, and its own writes never reclaim, so no
+        block still to come changes state, age, wear or valid count.
         """
         self.now = now
         mask = (self.state == CLOSED) & (self.valid_count > 0)
         mask &= (now - self.program_epoch) >= period_s
         if not include_hot:
             mask &= self.pool == COLD
-        refreshed = 0
-        self._in_reclaim = True
-        try:
-            for blk in np.flatnonzero(mask):
-                self._migrate_block(int(blk), int(self.pool[blk]), "refresh")
-                refreshed += 1
-        finally:
-            self._in_reclaim = False
-        return refreshed
+        blocks = np.flatnonzero(mask)
+        for blk in blocks:
+            self._migrate_block(int(blk), int(self.pool[blk]), "refresh")
+        return int(blocks.size)
 
     # --- audit -----------------------------------------------------------------
 

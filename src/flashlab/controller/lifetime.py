@@ -17,7 +17,7 @@ from ..trace import SECTOR_BYTES
 from ..degradation import RetentionModel3D
 from .geometry import Geometry, EnduranceMap, SECONDS_PER_DAY, THREE_YEARS_S
 from .ftl import Drive, CLOSED
-from .refresh import RefreshConfig, run_refresh
+from .refresh import ADAPTIVE_TIERS_S, RefreshConfig, run_refresh
 from .warm import WarmManager, WarmConfig, COLD, HOT
 
 
@@ -82,18 +82,19 @@ class LifetimeReport:
         return out.getvalue()
 
 
+def _page_rber(model, pec, age_s):
+    """RBER of a wordline's page pair: the mean of its MSB and LSB RBERs."""
+    return 0.5 * (math.exp(model.eval("log_rber_msb", pec, age_s))
+                  + math.exp(model.eval("log_rber_lsb", pec, age_s)))
+
+
 def _series_rber(drive, model, age_s):
     """Mean and worst block-level RBER at the assumed data age."""
     mask = (drive.state == CLOSED) & (drive.valid_count > 0)
     ids = np.flatnonzero(mask)
     if model is None or ids.size == 0:
         return 0.0, 0.0
-    rbers = []
-    for blk in ids:
-        pec = float(drive.pec[blk])
-        r = 0.5 * (math.exp(model.eval("log_rber_msb", pec, age_s))
-                   + math.exp(model.eval("log_rber_lsb", pec, age_s)))
-        rbers.append(r)
+    rbers = [_page_rber(model, float(drive.pec[blk]), age_s) for blk in ids]
     return float(np.mean(rbers)), float(np.max(rbers))
 
 
@@ -171,7 +172,6 @@ def _pool_endurance(cfg, warm, pool):
     if cfg.refresh.mode == "fcr":
         return cfg.endurance.endurance_at(cfg.refresh.period_s)
     if cfg.refresh.mode == "adaptive":
-        from .refresh import ADAPTIVE_TIERS_S
         return cfg.endurance.endurance_at(min(ADAPTIVE_TIERS_S))
     return cfg.endurance.endurance_at(cfg.refresh.native_retention_s)
 
@@ -203,9 +203,7 @@ def _direct_lifetime(drive, cfg, duration_days):
         return math.inf
 
     def worst_rber(day):
-        pec = cfg.initial_pec + pec_rate * day
-        return 0.5 * (math.exp(model.eval("log_rber_msb", pec, age_s))
-                      + math.exp(model.eval("log_rber_lsb", pec, age_s)))
+        return _page_rber(model, cfg.initial_pec + pec_rate * day, age_s)
 
     lo, hi = 0.0, 365.0 * 200
     if worst_rber(hi) <= cfg.ecc_limit:

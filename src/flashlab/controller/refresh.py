@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SECONDS_PER_DAY, THREE_YEARS_S
-from .warm import COLD
-from .ftl import CLOSED
 
 ADAPTIVE_TIERS_S = (90 * SECONDS_PER_DAY, 21 * SECONDS_PER_DAY, 3 * SECONDS_PER_DAY)
 
@@ -36,7 +34,8 @@ def in_refresh_phase(pec, endurance_map, native_retention_s=THREE_YEARS_S):
     """True once wear exceeds what native retention can absorb.
 
     Below this point the cell holds data for the full native retention
-    without help and refresh only burns cycles.
+    without help and refresh only burns cycles. pec may be a scalar or an
+    array of per-block P/E counts.
     """
     return pec >= endurance_map.endurance_at(native_retention_s)
 
@@ -44,42 +43,31 @@ def in_refresh_phase(pec, endurance_map, native_retention_s=THREE_YEARS_S):
 def adaptive_period(pec, endurance_map, tiers_s=ADAPTIVE_TIERS_S):
     """Longest refresh period (seconds) this wear level supports.
 
-    Returns None when no refresh is needed (native retention suffices)
-    and the shortest tier when even the second-shortest cannot hold.
+    Gives the shortest tier when no tier can hold; whether refresh is
+    needed at all is in_refresh_phase's decision. pec may be a scalar
+    (returns a float) or an array (returns one period per entry).
     """
-    for period in sorted(tiers_s, reverse=True):
-        if pec < endurance_map.endurance_at(period):
-            return period
-    return min(tiers_s)
+    pec = np.asarray(pec, dtype=np.float64)
+    period = np.full(pec.shape, float(min(tiers_s)))
+    for tier in sorted(tiers_s):  # longer tiers the wear supports win
+        period[pec < endurance_map.endurance_at(tier)] = tier
+    return period if period.ndim else float(period)
 
 
 def run_refresh(drive, now, cfg, endurance_map=None):
-    """One refresh pass over the drive; returns blocks refreshed."""
+    """One refresh pass over the drive; returns blocks refreshed.
+
+    With an endurance map, blocks whose wear native retention still
+    covers are skipped.
+    """
     if cfg.mode == "none":
         return 0
-    drive.now = now
-    mask = (drive.state == CLOSED) & (drive.valid_count > 0)
-    if not cfg.include_hot:
-        mask &= drive.pool == COLD
-    refreshed = 0
-    for blk in np.flatnonzero(mask):
-        if drive.state[blk] != CLOSED:  # reclaimed earlier in this pass
-            continue
-        pec = float(drive.pec[blk])
-        if endurance_map is not None and not in_refresh_phase(
-                pec, endurance_map, cfg.native_retention_s):
-            continue
-        if cfg.mode == "fcr":
-            period = cfg.period_s
-        else:
-            if endurance_map is None:
-                raise ValueError("adaptive refresh needs an endurance map")
-            period = adaptive_period(pec, endurance_map)
-        if period is not None and now - drive.program_epoch[blk] >= period:
-            drive._in_reclaim = True
-            try:
-                drive._migrate_block(int(blk), int(drive.pool[blk]), "refresh")
-            finally:
-                drive._in_reclaim = False
-            refreshed += 1
-    return refreshed
+    if cfg.mode == "adaptive" and endurance_map is None:
+        raise ValueError("adaptive refresh needs an endurance map")
+    period = (cfg.period_s if cfg.mode == "fcr"
+              else adaptive_period(drive.pec, endurance_map))
+    if endurance_map is not None:
+        period = np.where(in_refresh_phase(drive.pec, endurance_map,
+                                           cfg.native_retention_s),
+                          period, np.inf)
+    return drive.refresh_sweep(now, period, cfg.include_hot)

@@ -222,3 +222,19 @@ class TestSimulate:
         rc = main(["--out", str(tmp_path / "out"), "simulate",
                    "--config", str(cfg), "--trace", str(tr)])
         assert rc == 2
+
+    def test_over_committed_drive_is_config_error(self, tmp_path, capsys):
+        # 8 blocks cannot hold a 6.9 MB footprint with WARM's hot pool and
+        # the GC reserve; the drive runs out of free blocks mid-replay.
+        tr = tmp_path / "t.csv"
+        write_canonical(synth_hot(400, 100, 0.05, 0.9,
+                                  footprint_bytes=int(6.9e6), seed=3), str(tr))
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"policies": [
+            {"name": "run", "capacity_bytes": 8 << 20, "warm": True}]}))
+        rc = main(["--out", str(tmp_path / "out"), "simulate",
+                   "--config", str(cfg), "--trace", str(tr)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "over-committed" in err
+        assert "capacity_bytes 8388608" in err and "op_fraction" in err

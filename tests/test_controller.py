@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as hst
 
 from flashlab.channel import sample_page
 from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, Drive,
@@ -271,6 +273,12 @@ class TestRefresh:
         with pytest.raises(ValueError):
             run_refresh(d, end, RefreshConfig(mode="adaptive"))
 
+    def test_adaptive_needs_endurance_map_on_empty_drive(self):
+        d = Drive(small_geom())
+        with pytest.raises(ValueError, match="endurance map"):
+            run_refresh(d, 10 * DAY, RefreshConfig(mode="adaptive"))
+        assert d.now == 0.0
+
     def test_hot_pool_exempt_by_default(self):
         geom = small_geom()
         warm = WarmManager(geom)
@@ -294,6 +302,132 @@ class TestRefresh:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             RefreshConfig(mode="eager")
+
+
+def reference_refresh(drive, now, cfg, endurance_map):
+    """Per-block refresh pass: the scalar rule of the pass that preceded
+    Drive.refresh_sweep's per-block periods. Each block that is due gets a
+    sweep of its own, with its period and inf for every other block."""
+    drive.now = now
+    mask = (drive.state == CLOSED) & (drive.valid_count > 0)
+    if not cfg.include_hot:
+        mask &= drive.pool == COLD
+    refreshed = 0
+    for blk in np.flatnonzero(mask):
+        if drive.state[blk] != CLOSED:
+            continue
+        pec = float(drive.pec[blk])
+        if endurance_map is not None and not (
+                pec >= endurance_map.endurance_at(cfg.native_retention_s)):
+            continue
+        if cfg.mode == "fcr":
+            period = cfg.period_s
+        else:
+            period = next((t for t in sorted(ADAPTIVE_TIERS_S, reverse=True)
+                           if pec < endurance_map.endurance_at(t)),
+                          min(ADAPTIVE_TIERS_S))
+        if now - drive.program_epoch[blk] >= period:
+            only = np.full(drive.geom.total_blocks, np.inf)
+            only[blk] = period
+            n = drive.refresh_sweep(now, only, cfg.include_hot)
+            assert n == 1, f"block {blk} was due but not refreshed"
+            refreshed += n
+    return refreshed
+
+
+def drive_state(d):
+    arrays = {k: getattr(d, k).copy() for k in (
+        "map", "rmap", "valid", "valid_count", "pec", "program_epoch",
+        "read_count", "pool", "state", "write_ptr")}
+    scalars = (d.now, list(d.free), dict(d.open_block), dict(d.writes),
+               dict(d.pool_writes), dict(d.refresh_writes_by_pool),
+               d.erases, d.reads)
+    if d.warm is not None:
+        w = d.warm
+        scalars += (list(w.hot_closed), list(w.cold_closed), w.h, w.window,
+                    w.demotions, w.promotions, w.hot_erases_since_rotation)
+    return arrays, scalars
+
+
+_EMAP = EnduranceMap()
+# wear levels at and around every tier edge, where per-block periods part
+_EDGES = [3 * 365 * DAY, *ADAPTIVE_TIERS_S]
+_PEC = hst.one_of(
+    hst.integers(0, 160_000),
+    hst.builds(lambda t, k: max(0, int(_EMAP.endurance_at(t)) + k),
+               hst.sampled_from(_EDGES), hst.integers(-12, 3)))
+_STEP = hst.one_of(
+    hst.tuples(hst.just("write"), hst.integers(0, 1 << 20), hst.integers(1, 40)),
+    hst.tuples(hst.just("read"), hst.integers(0, 1 << 20), hst.just(1)),
+    hst.tuples(hst.just("pass"),
+               hst.sampled_from([0.0, 0.25, 1.0, 3.0, 4.0, 22.0, 91.0, 400.0]),
+               hst.just(0)))
+
+
+class TestRefreshPassProperty:
+    """run_refresh (per-block periods, one sweep) against reference_refresh
+    (one sweep per due block) on identical drives fed identical steps."""
+
+    @settings(max_examples=200)
+    @given(n_blocks=hst.integers(4, 24),
+           op=hst.sampled_from([0.1, 0.25, 0.5, 0.9]),
+           footprint=hst.floats(0.05, 1.0),
+           warm=hst.booleans(),
+           mode=hst.sampled_from(["fcr", "adaptive"]),
+           period_days=hst.sampled_from([0.5, 3.0, 10.0]),
+           use_map=hst.booleans(),
+           include_hot=hst.booleans(),
+           initial_pec=_PEC,
+           steps=hst.lists(_STEP, min_size=1, max_size=80))
+    def test_one_sweep_matches_per_block_reference(
+            self, n_blocks, op, footprint, warm, mode, period_days, use_map,
+            include_hot, initial_pec, steps):
+        geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
+                        op_fraction=op)
+        cfg = RefreshConfig(mode=mode, period_s=period_days * DAY,
+                            include_hot=include_hot)
+        emap = _EMAP if (use_map or mode == "adaptive") else None
+        drives = [Drive(geom, warm=WarmManager(geom) if warm else None,
+                        initial_pec=initial_pec) for _ in range(2)]
+        passes = [lambda d, now: run_refresh(d, now, cfg, emap),
+                  lambda d, now: reference_refresh(d, now, cfg, emap)]
+        span = max(1, int(footprint * geom.logical_pages))
+        now = 0.0
+        for kind, x, count in steps:
+            if kind == "pass":
+                now += x * DAY
+            outcomes = []
+            for d, refresh in zip(drives, passes):
+                try:
+                    if kind == "write":
+                        for i in range(count):
+                            d.host_write((x + i) % span, now + i)
+                        outcomes.append(None)
+                    elif kind == "read":
+                        outcomes.append(d.host_read(x % span, now))
+                    else:
+                        outcomes.append(refresh(d, now))
+                except ValueError as exc:
+                    # the documented over-commit: too little spare space
+                    assert "over-committed" in str(exc)
+                    outcomes.append("over-committed")
+            if kind == "write":
+                now += count
+            assert outcomes[0] == outcomes[1]
+            states = [drive_state(d) for d in drives]
+            assert states[0][1] == states[1][1]
+            for k, a in states[0][0].items():
+                assert np.array_equal(a, states[1][0][k]), k
+            if outcomes[0] == "over-committed":
+                event("over-committed")
+                return
+            if kind == "pass":
+                event(f"pass refreshed {min(outcomes[0], 2)}")
+            d = drives[0]
+            if kind == "pass":
+                assert d.audit()
+            assert d.erases == int((d.pec - initial_pec).sum())
+        assert drives[0].audit()
 
 
 RET = RetentionModel3D()
