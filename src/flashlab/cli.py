@@ -162,12 +162,18 @@ def _parse_refresh(spec):
 def _one_lifetime(item):
     name, cfg_doc, trace_path, seed = item
     events, _ = trace_mod.parse_canonical(trace_path)
-    geom = Geometry(int(cfg_doc.get("capacity_bytes", 1 << 30)))
+    try:
+        capacity = int(cfg_doc.get("capacity_bytes", 1 << 30))
+        geom_kw = ({"op_fraction": float(cfg_doc["op_fraction"])}
+                   if "op_fraction" in cfg_doc else {})
+        initial_pec = int(cfg_doc.get("initial_pec", 0))
+    except TypeError as exc:   # null, a list or an object for a number
+        raise ConfigError(f"policy {name!r}: {exc}") from exc
     cfg = LifetimeConfig(
-        geometry=geom,
+        geometry=Geometry(capacity, **geom_kw),
         warm=bool(cfg_doc.get("warm", False)),
         refresh=_parse_refresh(cfg_doc.get("refresh")),
-        initial_pec=int(cfg_doc.get("initial_pec", 0)),
+        initial_pec=initial_pec,
         mode=cfg_doc.get("mode", "analytic"),
         ecc_limit=cfg_doc.get("ecc_limit"),
         retention_model=(RetentionModel3D()
@@ -308,11 +314,12 @@ def cmd_trace_stats(args):
         events, skipped = trace_mod.parse_msr(args.trace)
     else:
         events, skipped = trace_mod.parse_canonical(args.trace)
-    writes = sum(1 for e in events if e.op == "W")
+    writes = int(np.count_nonzero(events.is_write))
     reads = len(events) - writes
-    dur_s = ((events[-1].timestamp_us - events[0].timestamp_us) / 1e6
-             if len(events) > 1 else 0.0)
-    bytes_w = sum(e.size_bytes for e in events if e.op == "W")
+    ts = events.timestamp_us
+    dur_s = (int(ts[-1]) - int(ts[0])) / 1e6 if len(events) > 1 else 0.0
+    # a Python sum, exact where an int64 total could wrap
+    bytes_w = sum(events.size_bytes[events.is_write].tolist())
     print(f"events={len(events)} reads={reads} writes={writes}"
           f" skipped={skipped} duration_s={dur_s:.1f}"
           f" written_bytes={bytes_w}")

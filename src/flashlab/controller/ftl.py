@@ -10,6 +10,13 @@ Reclaim rule: only host writes reclaim. A block allocated for a host
 write may first run demotion and GC; a block allocated for a gc, refresh
 or demotion write never does, so reclaim cannot nest. Every relocation
 (GC, demotion, hot-pool rotation, refresh) goes through _migrate_block.
+
+Batched migration: _migrate_block moves a block's live pages with one
+vectorized remap per destination block. Destination pages are taken in
+the same order as one page write per live page, in ascending offset
+order, would take them, and blocks close (firing on_block_closed) at the
+same points. No reclaim runs inside it, because its writes are never
+host writes.
 """
 
 import heapq
@@ -27,6 +34,8 @@ class Drive:
     def __init__(self, geom, warm=None, initial_pec=0):
         self.geom = geom
         nb, ppb = geom.total_blocks, geom.pages_per_block
+        self.pages_per_block = ppb
+        self.page_size = geom.page_size
         self.map = np.full(geom.logical_pages, -1, dtype=np.int64)
         self.rmap = np.full(nb * ppb, -1, dtype=np.int64)
         self.valid = np.zeros(nb * ppb, dtype=bool)
@@ -48,11 +57,13 @@ class Drive:
         self.refresh_writes_by_pool = {COLD: 0, HOT: 0}
         self.erases = 0
         self.reads = 0
+        self._pool_blocks = {COLD: 0, HOT: 0}   # blocks not FREE, per pool
 
     # --- bookkeeping -------------------------------------------------------
 
     def pool_block_count(self, pool):
-        return int(np.count_nonzero((self.state != FREE) & (self.pool == pool)))
+        """Blocks of the pool that are open or closed."""
+        return self._pool_blocks[pool]
 
     @property
     def write_amplification(self):
@@ -65,59 +76,63 @@ class Drive:
 
     def host_write(self, lba_page, now):
         self.now = now
-        pool = self.warm.route(self, lba_page) if self.warm else COLD
-        self._program(lba_page, pool, "host")
-        if self.warm:
-            self.warm.after_host_write(self, self.geom.page_size, now)
-            if self.warm.rotation_due():
-                self.rotate_hot_pool()
+        warm = self.warm
+        if warm is None:
+            self._program(lba_page, COLD, "host")
+            return
+        self._program(lba_page, warm.route(self, lba_page), "host")
+        warm.after_host_write(self, self.page_size, now)
+        if warm.rotation_due():
+            self.rotate_hot_pool()
 
     def host_read(self, lba_page, now):
         """Returns (ppn, block age in seconds) or None if never written."""
         self.now = now
-        ppn = self.map[lba_page]
+        ppn = self.map.item(lba_page)
         if ppn < 0:
             return None
-        blk = ppn // self.geom.pages_per_block
+        blk = ppn // self.pages_per_block
         self.read_count[blk] += 1
         self.reads += 1
-        return int(ppn), float(now - self.program_epoch[blk])
+        return ppn, float(now - self.program_epoch[blk])
 
     # --- programming path --------------------------------------------------
 
     def _program(self, lba_page, pool, kind):
-        ppn = self._next_page(pool, kind)
-        old = self.map[lba_page]
+        """Write one page at the pool's next free page."""
+        ppb = self.pages_per_block
+        blk = self.open_block[pool]
+        if blk is None:
+            blk = self._allocate(pool, kind)
+        ptr = self.write_ptr.item(blk)   # .item(): a Python int, cheaper here
+        ppn = blk * ppb + ptr
+        self.write_ptr[blk] = ptr + 1
+        if ptr + 1 == ppb:
+            self._close(blk, pool)
+        old = self.map.item(lba_page)
         if old >= 0:
             self.valid[old] = False
-            self.valid_count[old // self.geom.pages_per_block] -= 1
+            self.valid_count[old // ppb] -= 1
             self.rmap[old] = -1
         self.map[lba_page] = ppn
         self.rmap[ppn] = lba_page
         self.valid[ppn] = True
-        self.valid_count[ppn // self.geom.pages_per_block] += 1
+        self.valid_count[blk] += 1
         self.writes[kind] += 1
         self.pool_writes[pool] += 1
         if kind == "refresh":
             self.refresh_writes_by_pool[pool] += 1
 
-    def _next_page(self, pool, kind):
-        blk = self.open_block[pool]
-        if blk is None:
-            blk = self._allocate(pool, kind)
-        ppn = blk * self.geom.pages_per_block + self.write_ptr[blk]
-        self.write_ptr[blk] += 1
-        if self.write_ptr[blk] == self.geom.pages_per_block:
-            self.state[blk] = CLOSED
-            self.open_block[pool] = None
-            if self.warm:
-                self.warm.on_block_closed(blk, pool)
-        return ppn
+    def _close(self, blk, pool):
+        self.state[blk] = CLOSED
+        self.open_block[pool] = None
+        if self.warm:
+            self.warm.on_block_closed(blk, pool)
 
     def _allocate(self, pool, kind):
         if kind == "host":  # the reclaim rule: only host writes reclaim
             if pool == HOT and self.warm:
-                while (self.pool_block_count(HOT) >= self.warm.hot_budget_blocks
+                while (self._pool_blocks[HOT] >= self.warm.hot_budget_blocks
                        and self.warm.hot_closed):
                     self._demote_oldest_hot()
             if len(self.free) <= self.gc_threshold:
@@ -140,26 +155,52 @@ class Drive:
         self.program_epoch[blk] = self.now
         self.read_count[blk] = 0
         self.open_block[pool] = blk
+        self._pool_blocks[pool] += 1
         return blk
 
     def _erase(self, blk):
-        live = np.flatnonzero(self.valid[blk * self.geom.pages_per_block:
-                                         (blk + 1) * self.geom.pages_per_block])
-        if live.size:
+        if self.valid_count[blk]:
             raise RuntimeError("erasing a block with valid pages")
         pool = int(self.pool[blk])
         self.pec[blk] += 1
         self.state[blk] = FREE
         self.write_ptr[blk] = 0
         self.erases += 1
+        self._pool_blocks[pool] -= 1
         heapq.heappush(self.free, int(blk))
         if self.warm:
             self.warm.on_block_erased(blk, pool)
 
     def _migrate_block(self, blk, dest_pool, kind):
-        base = blk * self.geom.pages_per_block
-        for off in np.flatnonzero(self.valid[base:base + self.geom.pages_per_block]):
-            self._program(int(self.rmap[base + off]), dest_pool, kind)
+        """Rewrite blk's live pages into dest_pool, then erase blk; one
+        remap per destination block (see "Batched migration" above)."""
+        ppb = self.pages_per_block
+        src = blk * ppb + np.flatnonzero(self.valid[blk * ppb:(blk + 1) * ppb])
+        done, n = 0, src.size
+        while done < n:
+            dest = self.open_block[dest_pool]
+            if dest is None:
+                dest = self._allocate(dest_pool, kind)
+            ptr = self.write_ptr.item(dest)
+            take = min(n - done, ppb - ptr)
+            old = src[done:done + take]
+            moved = self.rmap[old]
+            new = np.arange(dest * ppb + ptr, dest * ppb + ptr + take)
+            self.valid[old] = False
+            self.rmap[old] = -1
+            self.valid_count[blk] -= take
+            self.map[moved] = new
+            self.rmap[new] = moved
+            self.valid[new] = True
+            self.valid_count[dest] += take
+            self.write_ptr[dest] = ptr + take
+            self.writes[kind] += take
+            self.pool_writes[dest_pool] += take
+            if kind == "refresh":
+                self.refresh_writes_by_pool[dest_pool] += take
+            if ptr + take == ppb:
+                self._close(dest, dest_pool)
+            done += take
         self._erase(blk)
 
     # --- garbage collection --------------------------------------------------
@@ -168,7 +209,7 @@ class Drive:
         while len(self.free) <= self.gc_threshold:
             victim = self._pick_cold_victim()
             if victim is None or (
-                    self.valid_count[victim] >= self.geom.pages_per_block):
+                    self.valid_count[victim] >= self.pages_per_block):
                 # cold pool has nothing reclaimable; the invalid space
                 # must be sitting in hot blocks, so demote one
                 if self.warm and self.warm.hot_closed:
@@ -225,7 +266,7 @@ class Drive:
     # --- audit -----------------------------------------------------------------
 
     def audit(self):
-        ppb = self.geom.pages_per_block
+        ppb = self.pages_per_block
         live = np.flatnonzero(self.map >= 0)
         assert np.array_equal(self.rmap[self.map[live]], live), "map/rmap mismatch"
         assert self.valid[self.map[live]].all(), "mapped page not valid"
@@ -236,4 +277,9 @@ class Drive:
         open_ids = set(np.flatnonzero(self.state == OPEN).tolist())
         assert open_ids == {b for b in self.open_block.values() if b is not None}, \
             "orphaned open blocks"
+        for pool, n in self._pool_blocks.items():
+            assert n == np.count_nonzero((self.state != FREE) & (self.pool == pool)), \
+                "pool block count drift"
+        assert (self.write_ptr[self.state == CLOSED] == ppb).all(), \
+            "closed block not full"
         return True

@@ -21,7 +21,7 @@ from ..models.cdf import StateModel, enforce_constraints
 from ..models.applications import estimate_rber, sweep_vopt
 from ..degradation import retention_refs
 from .. import urt as urt_mod
-from ..trace import SECTOR_BYTES
+from ..trace import SECTOR_BYTES, Trace
 from .policies import ReadContext, policy_refs, ReMARState
 
 HEATWATCH_POLICIES = ("fixed", "retention_only", "remar", "heatwatch", "oracle")
@@ -58,7 +58,8 @@ def collect_samples(events, cfg, params=None):
     """
     if params is None:
         params = urt_mod.URTParams(pvm={}, srrm={})
-    end_s = events[-1].timestamp_us / 1e6 if events else 0.0
+    trace = Trace.of(events)
+    end_s = int(trace.timestamp_us[-1]) / 1e6 if len(trace) else 0.0
     n_ticks = int(end_s / cfg.tick_s) + 2
     tick_t = np.arange(n_ticks) * cfg.tick_s
     temps = np.array([urt_mod.temp_generate(cfg.temp, t) for t in tick_t])
@@ -69,10 +70,10 @@ def collect_samples(events, cfg, params=None):
     write_time = {}
     reads = []  # (now, age, write time) of each eligible read
     spp = cfg.page_size // SECTOR_BYTES
-    for e in events:
-        now = e.timestamp_us / 1e6
-        page = e.lba // spp
-        if e.op == "W":
+    for ts, is_write, lba, _ in zip(*trace.columns()):
+        now = ts / 1e6
+        page = lba // spp
+        if is_write:
             write_time[page] = now
         elif page in write_time:
             age = now - write_time[page]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..trace import SECTOR_BYTES
+from ..trace import SECTOR_BYTES, Trace
 from ..degradation import RetentionModel3D
 from .geometry import Geometry, EnduranceMap, SECONDS_PER_DAY, THREE_YEARS_S
 from .ftl import Drive, CLOSED
@@ -101,15 +101,18 @@ def _series_rber(drive, model, age_s):
 def replay(events, drive, cfg):
     """Drive the FTL through a trace; returns the daily series."""
     geom = cfg.geometry
-    spp = geom.page_size // SECTOR_BYTES
+    page_size = geom.page_size
+    n_logical = geom.logical_pages
+    spp = page_size // SECTOR_BYTES
     age_s = cfg.series_age_s if cfg.series_age_s is not None else cfg.refresh.period_s
     series = []
     next_refresh = cfg.refresh_check_s
     next_day = SECONDS_PER_DAY
     day = 0
     last = {"host": 0, "gc": 0, "refresh": 0}
-    for e in events:
-        now = e.timestamp_us / 1e6
+    host_write, host_read = drive.host_write, drive.host_read
+    for ts, is_write, lba, size in zip(*Trace.of(events).columns()):
+        now = ts / 1e6
         while now >= next_refresh:
             run_refresh(drive, next_refresh, cfg.refresh, cfg.endurance)
             next_refresh += cfg.refresh_check_s
@@ -123,12 +126,12 @@ def replay(events, drive, cfg):
             last = {k: drive.writes[k] for k in last}
             day += 1
             next_day += SECONDS_PER_DAY
-        page = (e.lba // spp) % geom.logical_pages
-        if e.op == "W":
-            for p in range(max(e.size_bytes // geom.page_size, 1)):
-                drive.host_write((page + p) % geom.logical_pages, now)
+        page = (lba // spp) % n_logical
+        if is_write:
+            for p in range(max(size // page_size, 1)):
+                host_write((page + p) % n_logical, now)
         else:
-            drive.host_read(page, now)
+            host_read(page, now)
     avg, worst = _series_rber(drive, cfg.retention_model, age_s)
     series.append((day, avg, worst,
                    drive.writes["host"] - last["host"],
@@ -139,12 +142,13 @@ def replay(events, drive, cfg):
 
 
 def run_lifetime(events, cfg):
+    trace = Trace.of(events)
     warm = WarmManager(cfg.geometry, cfg.warm_config) if cfg.warm else None
     drive = Drive(cfg.geometry, warm=warm, initial_pec=cfg.initial_pec)
-    series = replay(events, drive, cfg)
+    series = replay(trace, drive, cfg)
 
-    duration_s = max((events[-1].timestamp_us - events[0].timestamp_us) / 1e6,
-                     1e-9) if events else 1e-9
+    ts = trace.timestamp_us
+    duration_s = max((int(ts[-1]) - int(ts[0])) / 1e6, 1e-9) if len(trace) else 1e-9
     duration_days = duration_s / SECONDS_PER_DAY
 
     if cfg.mode == "analytic":

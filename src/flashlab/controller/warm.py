@@ -31,6 +31,8 @@ class WarmManager:
     def __init__(self, geom, config=None):
         self.cfg = config or WarmConfig()
         self.geom = geom
+        self._logical_bytes = geom.logical_bytes
+        self._total_blocks = geom.total_blocks
         w = self.cfg.initial_window
         if w < _W_MIN or w > _W_MAX or w & (w - 1):
             raise ValueError("window must be a power of two in [1, 128]")
@@ -55,16 +57,29 @@ class WarmManager:
         self.tune_count = 0
 
     @property
+    def h(self):
+        """Hot-pool size as a fraction of all blocks."""
+        return self._h
+
+    @h.setter
+    def h(self, value):
+        # the budget and the rotation threshold follow h; derive them here,
+        # once per change, not on every write
+        self._h = value
+        self._hot_budget = max(1, int(value * self._total_blocks))
+        self._rotation_threshold = self.cfg.rotation_pec * self._hot_budget
+
+    @property
     def hot_budget_blocks(self):
-        return max(1, int(self.h * self.geom.total_blocks))
+        return self._hot_budget
 
     # --- routing --------------------------------------------------------
 
     def route(self, drive, lba):
-        ppn = drive.map[lba]
+        ppn = drive.map.item(lba)
         if ppn >= 0:
-            blk = ppn // drive.geom.pages_per_block
-            if drive.pool[blk] == HOT:
+            blk = ppn // drive.pages_per_block
+            if drive.pool.item(blk) == HOT:
                 self.hot_hits += 1
                 self.hot_writes += 1
                 return HOT
@@ -103,7 +118,7 @@ class WarmManager:
 
     def after_host_write(self, drive, nbytes, now):
         self._epoch_host_bytes += nbytes
-        if self._epoch_host_bytes >= self.geom.logical_bytes:
+        if self._epoch_host_bytes >= self._logical_bytes:
             self.tune(drive, now)
 
     def tune(self, drive, now):
@@ -115,21 +130,20 @@ class WarmManager:
         # The hot pool must fill no faster than its retention guarantee:
         # a block written now is only guaranteed readable for
         # hot_retention_s, so the pool must turn over within that time.
-        pool_bytes = self.hot_budget_blocks * self.geom.block_size
         if hot_rate <= 0:
             h_cap = _H_MIN
         else:
             h_cap = (hot_rate * self.cfg.hot_retention_s
-                     / (self.geom.total_blocks * self.geom.block_size))
+                     / (self._total_blocks * self.geom.block_size))
 
         metric = (self._cold_pool_blocks(drive)
                   / max(self.cold_writes, 1))
         if self._last_metric is not None and metric < self._last_metric:
             self._h_dir = -self._h_dir
         self._last_metric = metric
-        self.h += self._h_dir * _H_STEP
-        self.h = min(self.h, self.geom.op_fraction, max(h_cap, _H_MIN))
-        self.h = max(self.h, _H_MIN)
+        h = self.h + self._h_dir * _H_STEP
+        h = min(h, self.geom.op_fraction, max(h_cap, _H_MIN))
+        self.h = max(h, _H_MIN)
 
         utility = self.hot_hits - self.demotions
         if self._last_utility is not None and utility < self._last_utility:
@@ -148,5 +162,4 @@ class WarmManager:
         return int((drive.pool_block_count(COLD)) + len(drive.free))
 
     def rotation_due(self):
-        return (self.hot_erases_since_rotation
-                >= self.cfg.rotation_pec * self.hot_budget_blocks)
+        return self.hot_erases_since_rotation >= self._rotation_threshold

@@ -1,7 +1,8 @@
 """Workload traces: MSR-Cambridge ingestion, canonical CSV, synthesis.
 
 Canonical event: (timestamp_us, op, lba, size_bytes) with lba counted in
-512-byte sectors and op in {"R", "W"}.
+512-byte sectors and op in {"R", "W"}. A trace is held as columns
+(``Trace``); ``TraceEvent`` is one row of it.
 """
 
 import csv
@@ -11,6 +12,8 @@ import numpy as np
 
 SECTOR_BYTES = 512
 
+CANONICAL_HEADER = ["timestamp_us", "op", "lba", "size_bytes"]
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -18,6 +21,74 @@ class TraceEvent:
     op: str
     lba: int
     size_bytes: int
+
+
+class Trace:
+    """A trace as a struct of arrays, one entry per event.
+
+    Columns: int64 ``timestamp_us``, ``lba`` and ``size_bytes``, and bool
+    ``is_write`` (op "W"; False is "R"). ``len``, integer indexing and
+    iteration give ``TraceEvent`` rows, and a trace equals a list of the
+    same rows.
+    """
+
+    __slots__ = ("timestamp_us", "is_write", "lba", "size_bytes")
+
+    def __init__(self, timestamp_us, is_write, lba, size_bytes):
+        try:
+            self.timestamp_us = np.asarray(timestamp_us, dtype=np.int64)
+            self.lba = np.asarray(lba, dtype=np.int64)
+            self.size_bytes = np.asarray(size_bytes, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("trace timestamp, lba and size must fit in "
+                             "64-bit signed integers") from None
+        self.is_write = np.asarray(is_write, dtype=bool)
+        if not (self.timestamp_us.shape == self.is_write.shape
+                == self.lba.shape == self.size_bytes.shape
+                and self.lba.ndim == 1):
+            raise ValueError("trace columns must be 1-D and of equal length")
+
+    @classmethod
+    def of(cls, events):
+        """``events`` itself if it is a Trace, else its rows as columns."""
+        if isinstance(events, cls):
+            return events
+        events = list(events)
+        if any(e.op not in ("R", "W") for e in events):
+            raise ValueError('trace op must be "R" or "W"')
+        return cls([e.timestamp_us for e in events],
+                   [e.op == "W" for e in events],
+                   [e.lba for e in events],
+                   [e.size_bytes for e in events])
+
+    def columns(self):
+        """The four columns as Python lists, in row order: timestamp_us,
+        is_write, lba, size_bytes. Iterating these is the fast way
+        through a trace."""
+        return (self.timestamp_us.tolist(), self.is_write.tolist(),
+                self.lba.tolist(), self.size_bytes.tolist())
+
+    def __len__(self):
+        return self.lba.size
+
+    def __getitem__(self, i):
+        return TraceEvent(int(self.timestamp_us[i]),
+                          "W" if self.is_write[i] else "R",
+                          int(self.lba[i]), int(self.size_bytes[i]))
+
+    def __iter__(self):
+        for ts, w, lba, size in zip(*self.columns()):
+            yield TraceEvent(ts, "W" if w else "R", lba, size)
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return all(np.array_equal(getattr(self, c), getattr(other, c))
+                       for c in self.__slots__)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 def fold_lba(lba, drive_sectors):
@@ -30,10 +101,11 @@ def parse_msr(path):
 
     Columns: Timestamp (100 ns ticks), Hostname, DiskNumber, Type
     (Read/Write), Offset (bytes), Size (bytes), ResponseTime. Timestamps
-    are rebased so the first event is 0. Returns (events, skipped) where
-    skipped counts malformed rows.
+    are rebased so the first event is 0. Returns (Trace, skipped) where
+    skipped counts malformed rows. A timestamp, lba or size outside int64
+    is a ValueError.
     """
-    events, skipped = [], 0
+    ts, is_write, lbas, sizes, skipped = [], [], [], [], 0
     base = None
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -52,40 +124,47 @@ def parse_msr(path):
                 continue
             if base is None:
                 base = ticks
-            events.append(TraceEvent(
-                timestamp_us=(ticks - base) // 10,
-                op="R" if kind == "read" else "W",
-                lba=offset // SECTOR_BYTES,
-                size_bytes=size,
-            ))
-    return events, skipped
+            ts.append((ticks - base) // 10)
+            is_write.append(kind == "write")
+            lbas.append(offset // SECTOR_BYTES)
+            sizes.append(size)
+    return Trace(ts, is_write, lbas, sizes), skipped
 
 
 def write_canonical(events, path):
+    trace = Trace.of(events)
+    ts, is_write, lba, size = trace.columns()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["timestamp_us", "op", "lba", "size_bytes"])
-        for e in events:
-            w.writerow([e.timestamp_us, e.op, e.lba, e.size_bytes])
+        w.writerow(CANONICAL_HEADER)
+        w.writerows(zip(ts, ["W" if x else "R" for x in is_write], lba, size))
 
 
 def parse_canonical(path):
-    events, skipped = [], 0
+    """Read a canonical trace; returns (Trace, skipped).
+
+    Rows with a bad op, size <= 0, lba < 0, too few fields or a field
+    int() rejects are skipped and counted. A timestamp, lba or size
+    outside int64 is a ValueError.
+    """
+    ts, is_write, lbas, sizes, skipped = [], [], [], [], 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["timestamp_us", "op", "lba", "size_bytes"]:
+        if next(reader, None) != CANONICAL_HEADER:
             raise ValueError("not a canonical trace: bad header")
         for row in reader:
             try:
-                ts, op, lba, size = int(row[0]), row[1], int(row[2]), int(row[3])
+                t, op, lba, size = int(row[0]), row[1], int(row[2]), int(row[3])
                 if op not in ("R", "W") or size <= 0 or lba < 0:
                     raise ValueError
             except (ValueError, IndexError):
                 skipped += 1
                 continue
-            events.append(TraceEvent(ts, op, lba, size))
-    return events, skipped
+            ts.append(t)
+            is_write.append(op == "W")
+            lbas.append(lba)
+            sizes.append(size)
+    return Trace(ts, is_write, lbas, sizes), skipped
 
 
 def synth_hot(duration_s, rate_per_s, hot_fraction, hot_share,
@@ -122,8 +201,8 @@ def synth_hot(duration_s, rate_per_s, hot_fraction, hot_share,
 
     is_read = rng.random(n_events) < read_fraction
     sectors_per_page = page_size // SECTOR_BYTES
-    return [TraceEvent(int(t), "R" if r else "W", int(p) * sectors_per_page, page_size)
-            for t, r, p in zip(times, is_read, pages)]
+    return Trace(times, ~is_read, pages * sectors_per_page,
+                 np.full(n_events, page_size))
 
 
 def hotness_cdf(events, page_size=8192):
@@ -131,19 +210,28 @@ def hotness_cdf(events, page_size=8192):
 
     Returns (page_fraction, write_fraction): after sorting pages by write
     count descending, the cumulative share of writes absorbed by the
-    hottest x fraction of written pages.
+    hottest x fraction of written pages. A write event covers pages
+    lba // (page_size // 512) up to, not including,
+    ceil((lba * 512 + size_bytes) / page_size).
     """
-    sectors_per_page = page_size // SECTOR_BYTES
-    counts = {}
-    for e in events:
-        if e.op != "W":
-            continue
-        for pg in range(e.lba // sectors_per_page,
-                        (e.lba * SECTOR_BYTES + e.size_bytes + page_size - 1) // page_size):
-            counts[pg] = counts.get(pg, 0) + 1
-    if not counts:
+    spp = page_size // SECTOR_BYTES
+    if spp < 1:
+        raise ValueError(f"page_size must be at least {SECTOR_BYTES} bytes")
+    trace = Trace.of(events)
+    lba = trace.lba[trace.is_write]
+    size = trace.size_bytes[trace.is_write]
+    first = lba // spp
+    # the ceiling above, split so that no term overflows int64
+    hi, lo = np.divmod(lba, page_size)
+    stop = (SECTOR_BYTES * hi + size // page_size
+            + (SECTOR_BYTES * lo + size % page_size + page_size - 1) // page_size)
+    span = np.maximum(stop - first, 0)
+    pages = np.repeat(first, span)
+    pages += np.arange(pages.size) - np.repeat(np.cumsum(span) - span, span)
+    counts = np.unique(pages, return_counts=True)[1]
+    if not counts.size:
         return np.array([]), np.array([])
-    writes = np.sort(np.fromiter(counts.values(), dtype=float))[::-1]
+    writes = np.sort(counts.astype(float))[::-1]
     frac_pages = np.arange(1, len(writes) + 1) / len(writes)
     frac_writes = np.cumsum(writes) / writes.sum()
     return frac_pages, frac_writes

@@ -238,3 +238,39 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "over-committed" in err
         assert "capacity_bytes 8388608" in err and "op_fraction" in err
+
+    @staticmethod
+    def run_policy(tmp_path, policy, trace_writer):
+        tr = tmp_path / "t.csv"
+        if not tr.exists():
+            trace_writer(tr)
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"policies": [policy]}))
+        return main(["--out", str(tmp_path / "out"), "simulate",
+                     "--config", str(cfg), "--trace", str(tr)])
+
+    @staticmethod
+    def over_commit_trace(path):
+        write_canonical(synth_hot(400, 100, 0.05, 0.9,
+                                  footprint_bytes=int(6.9e6), seed=3), str(path))
+
+    def test_op_fraction_sets_over_provisioning(self, tmp_path, capsys):
+        # the over-committed drive above runs once it has half its logical
+        # capacity again as spare blocks
+        policy = {"name": "run", "capacity_bytes": 8 << 20, "warm": True}
+        rc = self.run_policy(tmp_path, dict(policy, op_fraction=0.3),
+                             self.over_commit_trace)
+        assert rc == 2
+        assert "op_fraction 0.3" in capsys.readouterr().err
+        rc = self.run_policy(tmp_path, dict(policy, op_fraction=0.5),
+                             self.over_commit_trace)
+        assert rc == 0
+        assert "run: lifetime_days=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("op_fraction", [0.0, 1.0, -0.1, 1.5, "many", None])
+    def test_out_of_range_op_fraction_is_config_error(self, tmp_path, capsys,
+                                                      op_fraction):
+        rc = self.run_policy(tmp_path, {"name": "x", "capacity_bytes": 32 << 20,
+                                        "op_fraction": op_fraction}, write_trace)
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err

@@ -430,6 +430,92 @@ class TestRefreshPassProperty:
         assert drives[0].audit()
 
 
+class PerPageMigrationDrive(Drive):
+    """The relocation that preceded the batched _migrate_block: one
+    _program call per live page, in ascending offset order, then the
+    erase."""
+
+    def _migrate_block(self, blk, dest_pool, kind):
+        base = blk * self.geom.pages_per_block
+        for off in np.flatnonzero(self.valid[base:base + self.geom.pages_per_block]):
+            self._program(int(self.rmap[base + off]), dest_pool, kind)
+        self._erase(blk)
+
+
+_MIGRATION_STEP = hst.one_of(
+    hst.tuples(hst.just("write"), hst.integers(0, 1 << 20), hst.integers(1, 60)),
+    # rewrites of a few low pages: they get promoted and fill hot blocks
+    hst.tuples(hst.just("write"), hst.integers(0, 7), hst.integers(8, 60)),
+    hst.tuples(hst.just("sweep"), hst.sampled_from([0.0, 0.5, 2.0, 10.0]),
+               hst.sampled_from([0.0, 1.0, 3.0])),
+    hst.tuples(hst.just("rotate"), hst.just(0), hst.just(0)))
+
+
+class TestBatchedMigrationProperty:
+    """Drive (batched _migrate_block) against PerPageMigrationDrive on
+    identical drives fed identical host writes, refresh sweeps and hot-pool
+    rotations."""
+
+    @settings(max_examples=200)
+    @given(n_blocks=hst.integers(4, 24),
+           op=hst.sampled_from([0.1, 0.25, 0.5, 0.9]),
+           footprint=hst.floats(0.05, 1.0),
+           warm=hst.booleans(),
+           rotation_pec=hst.sampled_from([1, 2, 1000]),
+           include_hot=hst.booleans(),
+           steps=hst.lists(_MIGRATION_STEP, min_size=1, max_size=60))
+    def test_batched_matches_per_page(self, n_blocks, op, footprint, warm,
+                                      rotation_pec, include_hot, steps):
+        geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
+                        op_fraction=op)
+        drives = [cls(geom, warm=(WarmManager(geom, WarmConfig(
+                      rotation_pec=rotation_pec)) if warm else None))
+                  for cls in (Drive, PerPageMigrationDrive)]
+        span = max(1, int(footprint * geom.logical_pages))
+        now = 0.0
+        hot_erases = 0
+        for kind, a, b in steps:
+            if kind == "sweep":
+                now += a * DAY
+            outcomes = []
+            for d in drives:
+                try:
+                    if kind == "write":
+                        for i in range(b):
+                            d.host_write((a + i) % span, now + i)
+                        outcomes.append(None)
+                    elif kind == "sweep":
+                        outcomes.append(d.refresh_sweep(now, b * DAY, include_hot))
+                    else:
+                        outcomes.append(len(d.warm.hot_closed) if d.warm else 0)
+                        if d.warm:
+                            d.rotate_hot_pool()
+                except ValueError as exc:
+                    # the documented over-commit: too little spare space
+                    assert "over-committed" in str(exc)
+                    outcomes.append("over-committed")
+            if kind == "write":
+                now += b
+            assert outcomes[0] == outcomes[1]
+            states = [drive_state(d) for d in drives]
+            assert states[0][1] == states[1][1]
+            for k, arr in states[0][0].items():
+                assert np.array_equal(arr, states[1][0][k]), k
+            if outcomes[0] == "over-committed":
+                event("over-committed")
+                return
+            if kind == "rotate" and outcomes[0]:
+                event("rotate step moved hot blocks")
+            if kind == "sweep" and outcomes[0]:
+                event("sweep refreshed blocks")
+            if warm:
+                # the count only falls when a rotation resets it
+                if drives[0].warm.hot_erases_since_rotation < hot_erases:
+                    event("host write ran a rotation")
+                hot_erases = drives[0].warm.hot_erases_since_rotation
+            assert drives[0].audit() and drives[1].audit()
+
+
 RET = RetentionModel3D()
 
 

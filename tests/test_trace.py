@@ -1,6 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as hst
 
+from flashlab.cli import main
 from flashlab.trace import (SECTOR_BYTES, TraceEvent, fold_lba, hotness_cdf,
                             parse_canonical, parse_msr, synth_hot,
                             write_canonical)
@@ -141,3 +146,240 @@ class TestHotnessCdf:
         events = [TraceEvent(0, "R", 0, 8192)]
         fp, fw = hotness_cdf(events)
         assert fp.size == 0 and fw.size == 0
+
+
+def reference_parse_canonical(path):
+    """The per-row canonical reader that preceded the columnar Trace."""
+    events, skipped = [], 0
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["timestamp_us", "op", "lba", "size_bytes"]:
+            raise ValueError("not a canonical trace: bad header")
+        for row in reader:
+            try:
+                ts, op, lba, size = int(row[0]), row[1], int(row[2]), int(row[3])
+                if op not in ("R", "W") or size <= 0 or lba < 0:
+                    raise ValueError
+            except (ValueError, IndexError):
+                skipped += 1
+                continue
+            events.append(TraceEvent(ts, op, lba, size))
+    return events, skipped
+
+
+def reference_parse_msr(path):
+    """The per-row MSR reader that preceded the columnar Trace."""
+    events, skipped = [], 0
+    base = None
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if len(row) < 6:
+                skipped += 1
+                continue
+            try:
+                ticks = int(row[0])
+                kind = row[3].strip().lower()
+                offset = int(row[4])
+                size = int(row[5])
+                if kind not in ("read", "write") or offset < 0 or size <= 0:
+                    raise ValueError
+            except ValueError:
+                skipped += 1
+                continue
+            if base is None:
+                base = ticks
+            events.append(TraceEvent((ticks - base) // 10,
+                                     "R" if kind == "read" else "W",
+                                     offset // SECTOR_BYTES, size))
+    return events, skipped
+
+
+# Integer fields, plain and in the spellings int() accepts or rejects. All
+# values fit int64, the columns' range, which is tested on its own below.
+_INT = hst.integers(-(1 << 63), (1 << 63) - 1)
+_NONNEG = hst.one_of(hst.integers(0, 10 ** 6), hst.integers(0, (1 << 63) - 1))
+
+
+def _spelled(ints):
+    return hst.one_of(
+        ints.map(str), ints.map(str), ints.map(str),
+        ints.map(lambda v: f" {v}"), ints.map(lambda v: f"{v}\t "),
+        ints.map(lambda v: f"+{v}"), ints.map(lambda v: f"{v:_}"),
+        ints.map(lambda v: f"00{v}" if v >= 0 else str(v)),
+        ints.map(lambda v: f'"{v}"'),
+        hst.sampled_from(["", "x", "1.5", "0x10", "1e3", "-", "+", "٣",
+                          "12 34", "-0"]))
+
+
+_OP = hst.one_of(hst.sampled_from(["R", "W"]), hst.sampled_from(["R", "W"]),
+                 hst.sampled_from(["X", "w", "r", "", " W", "RW", '"R"']))
+_CANON_ROW = hst.one_of(
+    # plain valid rows
+    hst.tuples(_INT, hst.sampled_from(["R", "W"]), _NONNEG,
+               hst.integers(1, 1 << 20)).map(lambda r: ",".join(map(str, r))),
+    hst.tuples(_spelled(_INT), _OP, _spelled(_NONNEG),
+               _spelled(hst.integers(-3, 1 << 20))).map(",".join),
+    hst.tuples(_spelled(_INT), _OP, _spelled(hst.integers(-50, -1)),
+               _spelled(hst.integers(1, 99))).map(",".join),
+    hst.lists(_spelled(_NONNEG), min_size=0, max_size=6).map(",".join),
+    hst.tuples(hst.integers(0, 99), _OP, hst.integers(0, 99), hst.integers(1, 99),
+               hst.text("ab ,", max_size=4)).map(lambda r: ",".join(map(str, r))))
+
+
+def _lines(rows, newline, trailing):
+    return newline.join(rows) + (newline if trailing and rows else "")
+
+
+class TestParseProperty:
+    """The readers against the per-row readers they replaced, on random
+    files mixing valid rows with malformed ones."""
+
+    @settings(max_examples=300)
+    @given(rows=hst.lists(_CANON_ROW, max_size=30),
+           newline=hst.sampled_from(["\n", "\n", "\r\n", "\r"]),
+           trailing=hst.booleans())
+    def test_canonical_matches_per_row_reader(self, tmp_path_factory, rows,
+                                              newline, trailing):
+        path = tmp_path_factory.mktemp("canon") / "t.csv"
+        path.write_text("timestamp_us,op,lba,size_bytes" + newline
+                        + _lines(rows, newline, trailing), newline="")
+        events, skipped = parse_canonical(path)
+        assert (list(events), skipped) == reference_parse_canonical(path)
+        event(f"skipped {min(skipped, 2)}")
+
+    @settings(max_examples=200)
+    @given(rows=hst.lists(hst.one_of(
+               hst.tuples(_spelled(_NONNEG), hst.sampled_from(["web", "", "h"]),
+                          hst.sampled_from(["0", "1"]),
+                          hst.sampled_from(["Read", "Write", "READ", " write ",
+                                            "Hopscotch", ""]),
+                          _spelled(hst.integers(-4096, 1 << 40)),
+                          _spelled(hst.integers(-2, 1 << 20)),
+                          hst.integers(0, 999).map(str)).map(",".join),
+               hst.lists(_spelled(_NONNEG), max_size=6).map(",".join)),
+               max_size=30),
+           newline=hst.sampled_from(["\n", "\r\n"]))
+    def test_msr_matches_per_row_reader(self, tmp_path_factory, rows, newline):
+        path = tmp_path_factory.mktemp("msr") / "t.csv"
+        path.write_text(_lines(rows, newline, True), newline="")
+        events, skipped = parse_msr(path)
+        assert (list(events), skipped) == reference_parse_msr(path)
+
+    def test_bad_header_raises_on_both(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("timestamp_us,op,lba\n0,W,0,8192\n")
+        with pytest.raises(ValueError):
+            parse_canonical(path)
+        with pytest.raises(ValueError):
+            reference_parse_canonical(path)
+
+    @pytest.mark.parametrize("row", [
+        f"{1 << 63},W,0,8192", f"{-(1 << 63) - 1},W,0,8192",
+        f"0,W,{1 << 63},8192", f"0,R,{10 ** 19},8192", f"0,W,0,{1 << 63}"])
+    def test_field_beyond_int64_raises(self, tmp_path, row):
+        # the one difference from the per-row reader: the int64 columns
+        # cannot hold such a field, so the trace is rejected, not shortened
+        path = tmp_path / "t.csv"
+        path.write_text(f"timestamp_us,op,lba,size_bytes\n{row}\n5,R,7,8192\n")
+        with pytest.raises(ValueError, match="64-bit"):
+            parse_canonical(path)
+
+    def test_field_beyond_int64_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text(f"timestamp_us,op,lba,size_bytes\n0,W,{1 << 63},8192\n")
+        assert main(["trace-stats", str(path)]) == 2
+        assert "64-bit" in capsys.readouterr().err
+
+    def test_msr_field_beyond_int64_raises(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"0,web,0,Write,{1 << 72},4096,10\n")
+        with pytest.raises(ValueError, match="64-bit"):
+            parse_msr(path)
+
+
+def reference_hotness_counts(events, page_size):
+    """Writes per written page, by the per-event loop hotness_cdf replaced."""
+    sectors_per_page = page_size // SECTOR_BYTES
+    counts = {}
+    for e in events:
+        if e.op != "W":
+            continue
+        for pg in range(e.lba // sectors_per_page,
+                        (e.lba * SECTOR_BYTES + e.size_bytes + page_size - 1) // page_size):
+            counts[pg] = counts.get(pg, 0) + 1
+    return counts
+
+
+def reference_hotness_cdf(events, page_size):
+    counts = reference_hotness_counts(events, page_size)
+    if not counts:
+        return np.array([]), np.array([])
+    writes = np.sort(np.fromiter(counts.values(), dtype=float))[::-1]
+    return (np.arange(1, len(writes) + 1) / len(writes),
+            np.cumsum(writes) / writes.sum())
+
+
+class TestHotnessCdfProperty:
+    @settings(max_examples=200)
+    @given(events=hst.lists(hst.builds(
+               TraceEvent, hst.integers(0, 10 ** 6), hst.sampled_from("RWW"),
+               hst.one_of(hst.integers(0, 200), hst.integers(0, 1 << 60)),
+               hst.integers(1, 70_000)), max_size=40),
+           page_size=hst.sampled_from([512, 3000, 4096, 8192, 16384]))
+    def test_matches_per_event_loop(self, events, page_size):
+        got = hotness_cdf(events, page_size)
+        want = reference_hotness_cdf(events, page_size)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_page_smaller_than_sector_rejected(self):
+        with pytest.raises(ValueError):
+            hotness_cdf([TraceEvent(0, "W", 0, 512)], page_size=256)
+
+
+def reference_write_canonical(events, path):
+    """The per-row canonical writer that preceded the columnar Trace."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["timestamp_us", "op", "lba", "size_bytes"])
+        for e in events:
+            w.writerow([e.timestamp_us, e.op, e.lba, e.size_bytes])
+
+
+def reference_trace_stats(events, skipped, page_size):
+    """trace-stats' standard output, by the per-event code it replaced."""
+    writes = sum(1 for e in events if e.op == "W")
+    reads = len(events) - writes
+    dur_s = ((events[-1].timestamp_us - events[0].timestamp_us) / 1e6
+             if len(events) > 1 else 0.0)
+    bytes_w = sum(e.size_bytes for e in events if e.op == "W")
+    out = [f"events={len(events)} reads={reads} writes={writes}"
+           f" skipped={skipped} duration_s={dur_s:.1f}"
+           f" written_bytes={bytes_w}"]
+    frac_pages, frac_writes = reference_hotness_cdf(events, page_size)
+    if frac_pages.size:
+        for pct in (0.01, 0.05, 0.20):
+            share = float(np.interp(pct, frac_pages, frac_writes))
+            out.append(f"hottest {pct:.0%} of pages absorb {share:.1%} of writes")
+    return "\n".join(out) + "\n"
+
+
+class TestTraceStatsOutput:
+    @pytest.mark.parametrize("page_size", [4096, 8192, 16384])
+    def test_byte_identical_to_per_event_code(self, tmp_path, capsys, page_size):
+        # 24 KiB events: each spans several pages, and straddles page
+        # boundaries at 16 KiB
+        trace = tmp_path / "t.csv"
+        write_canonical(synth_hot(300, 40, 0.05, 0.9, 1 << 24, seed=5,
+                                  page_size=24576, read_fraction=0.3), trace)
+        events, skipped = reference_parse_canonical(trace)
+        canon = tmp_path / "canon.csv"
+        rc = main(["trace-stats", str(trace), "--page-size", str(page_size),
+                   "--canonical-out", str(canon)])
+        assert rc == 0
+        assert capsys.readouterr().out == reference_trace_stats(
+            events, skipped, page_size)
+        want = tmp_path / "want.csv"
+        reference_write_canonical(events, want)
+        assert canon.read_bytes() == want.read_bytes()
+        assert trace.read_bytes() == want.read_bytes()
