@@ -3,29 +3,26 @@
 Three CDF families over the normalized voltage axis:
   gaussian        Phi(Z) from the z-table
   normal_laplace  Gaussian convolved with an asymmetric Laplace; evaluated
-                  through Mills' ratio
-  student_t       two-sided Student's t with separate tail weights
+                  exactly through Mills' ratio (scipy.special, no tables)
+  student_t       two-sided Student's t with separate tail weights, from the
+                  interpolated t-tables
 
 Each wordline carries four state distributions (ER, P1, P2, P3); ER and P1
 additionally mix in a misprogram component that reuses the target state's
 own parameters (ER -> P3, P1 -> P2).
 """
 
+import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 
 from ..grid import N_BINS, CellState, MISPROGRAM_TARGET
 from .tables import default_tables
 
 FAMILIES = ("gaussian", "normal_laplace", "student_t")
-
-# Central-difference half-width for the Gaussian PDF used inside ncdf.
-PHI_DELTA = 1e-3
-
-# Beyond this |x| the tabulated Mills' ratio loses precision and the
-# asymptotic forms take over.
-_MILLS_SWITCH = 6.0
 
 _overshoot_count = 0
 
@@ -75,50 +72,36 @@ def gcdf(v, mu, sigma, tables=None):
     return tables.phi((np.asarray(v, dtype=float) - mu) / sigma)
 
 
-def _phi_pdf(z, tables):
-    """Spec'd central-difference approximation of the normal PDF."""
-    return (tables.phi(z + PHI_DELTA) - tables.phi(z - PHI_DELTA)) / (2 * PHI_DELTA)
-
-
-def _phi_times_mills(z, x, tables):
+def _phi_times_mills(z, x):
     """phi(z) * R(x) with R the Mills ratio (1-Phi(x))/phi(x), elementwise.
 
-    Direct evaluation breaks down in the tails: for x > 6 the table
-    difference underflows (asymptotic series instead), and for x < -6 the
-    ratio overflows (the product is finite, so fold the exponentials).
+    For x >= 0, R(x) = sqrt(pi/2) * erfcx(x/sqrt(2)). erfcx overflows for
+    large negative x, so there the exponentials fold instead:
+    phi(z)/phi(x) = exp((x^2 - z^2)/2), where ncdf's arguments always have
+    |z| > |x|, so the product is tiny but finite.
     """
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    out = np.empty(np.broadcast(z, x).shape)
-    z, x = np.broadcast_arrays(z, x)
-
-    mid = np.abs(x) <= _MILLS_SWITCH
-    hi = x > _MILLS_SWITCH
-    lo = x < -_MILLS_SWITCH
-
-    if mid.any():
-        xm = x[mid]
-        r = (1.0 - tables.phi(xm)) / _phi_pdf(xm, tables)
-        out[mid] = _phi_pdf(z[mid], tables) * r
-    if hi.any():
-        xh = x[hi]
-        r = 1.0 / xh - 1.0 / xh**3 + 3.0 / xh**5
-        out[hi] = _phi_pdf(z[hi], tables) * r
-    if lo.any():
-        # phi(z)/phi(x) = exp((x^2 - z^2)/2); here |z| > |x| always, so
-        # the exponent is negative and the product is tiny but finite.
-        out[lo] = np.exp((x[lo] ** 2 - z[lo] ** 2) / 2.0) * (1.0 - tables.phi(x[lo]))
+    z, x = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(x, dtype=float))
+    out = np.empty(z.shape)
+    pos = x >= 0.0
+    neg = ~pos
+    zp, xp = z[pos], x[pos]
+    out[pos] = 0.5 * np.exp(-0.5 * zp * zp) * special.erfcx(xp / math.sqrt(2.0))
+    zn, xn = z[neg], x[neg]
+    out[neg] = 0.5 * np.exp(0.5 * (xn - zn) * (xn + zn)) * special.erfc(xn / math.sqrt(2.0))
     return out
 
 
 def ncdf(v, mu, sigma, alpha, beta, tables=None):
-    """Normal-Laplace CDF via Mills' ratio."""
+    """Normal-Laplace CDF via Mills' ratio, evaluated exactly.
+
+    ``tables`` is accepted for a signature shared with the other families;
+    no table is read.
+    """
     global _overshoot_count
-    tables = tables or default_tables()
     z = (np.asarray(v, dtype=float) - mu) / sigma
-    t1 = beta * _phi_times_mills(z, alpha * sigma - z, tables)
-    t2 = alpha * _phi_times_mills(z, beta * sigma + z, tables)
-    raw = tables.phi(z) - (t1 - t2) / (alpha + beta)
+    t1 = beta * _phi_times_mills(z, alpha * sigma - z)
+    t2 = alpha * _phi_times_mills(z, beta * sigma + z)
+    raw = special.ndtr(z) - (t1 - t2) / (alpha + beta)
     if np.any(raw < -1e-9) or np.any(raw > 1 + 1e-9):
         _overshoot_count += 1
     return np.clip(raw, 0.0, 1.0)
@@ -128,6 +111,8 @@ def tcdf(v, mu, sigma, alpha, beta, tables=None):
     """Two-sided Student's t CDF: left half uses nu=beta, right nu=alpha."""
     tables = tables or default_tables()
     z = (np.asarray(v, dtype=float) - mu) / sigma
+    if alpha == beta:
+        return tables.t_cdf(z, alpha)
     left = tables.t_cdf(z, beta)
     right = tables.t_cdf(z, alpha)
     return np.where(z <= 0.0, left, right)
@@ -158,28 +143,56 @@ def enforce_constraints(models):
     return out
 
 
+def mix(model, own, target):
+    """A state's mixture CDF from its own component CDF and its misprogram
+    target's (``target``, at the same voltages; unread when lam is 0)."""
+    if model.lam == 0.0:
+        return own
+    return (1.0 - model.lam) * own + model.lam * target
+
+
 def state_cdf(models, state, v, tables=None):
     """Mixture CDF for an intended state, including misprogram mass."""
     m = models[state]
     own = component_cdf(m, v, tables)
     if m.lam == 0.0 or state not in MISPROGRAM_TARGET:
         return own
-    tgt = models[MISPROGRAM_TARGET[state]]
-    return (1.0 - m.lam) * own + m.lam * component_cdf(tgt, v, tables)
+    return mix(m, own, component_cdf(models[MISPROGRAM_TARGET[state]], v, tables))
+
+
+@functools.lru_cache(maxsize=16)
+def grid_boundaries(grid):
+    """``grid.boundaries()``, computed once per (frozen) grid; read-only."""
+    b = grid.boundaries()
+    b.flags.writeable = False
+    return b
+
+
+def bin_masses(c):
+    """Bin probability masses from mixture-CDF values at the grid
+    boundaries (last axis). Mass beyond the grid accrues to bins 0 and
+    303, so each row sums to exactly 1."""
+    out = np.empty(c.shape[:-1] + (N_BINS,))
+    out[..., 0] = c[..., 0]
+    np.subtract(c[..., 1:], c[..., :-1], out=out[..., 1:-1])
+    out[..., -1] = 1.0 - c[..., -1]
+    return out
 
 
 def model_density(models, grid, tables=None):
-    """Per-state bin probability masses, shape (4, 304).
+    """Per-state bin probability masses, shape (4, 304); see bin_masses.
 
-    Bin k mass is the mixture-CDF difference across the bin; mass beyond
-    the grid accrues to bins 0 and 303, so each row sums to exactly 1.
+    Each state's component CDF is evaluated once and shared with the state
+    that misprograms into it, so row s equals the masses of
+    ``state_cdf(models, s, ...)`` bit for bit.
     """
-    b = grid.boundaries()
-    out = np.empty((4, N_BINS))
-    for state in CellState:
-        c = state_cdf(models, state, b, tables)
-        out[state] = np.diff(np.concatenate(([0.0], c, [1.0])))
-    return out
+    b = grid_boundaries(grid)
+    own = [component_cdf(models[s], b, tables) for s in CellState]
+    c = np.empty((4, b.size))
+    for s in CellState:
+        tgt = MISPROGRAM_TARGET.get(s)
+        c[s] = own[s] if tgt is None else mix(models[s], own[s], own[tgt])
+    return bin_masses(c)
 
 
 def kl_divergence(p, q, eps=1e-12):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..grid import MISPROGRAM_TARGET, CellState, VoltageGrid
-from .cdf import StateModel, enforce_constraints, model_density, pooled_kl
+from .cdf import (StateModel, bin_masses, component_cdf, enforce_constraints,
+                  grid_boundaries, mix, model_density, pooled_kl)
 from .simplex import nelder_mead
 from .tables import default_tables
 
@@ -144,34 +145,39 @@ def default_init(hist, family):
 
 
 def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000, tables=None):
-    """Fit a 4-state model to a binned histogram by KL minimization."""
+    """Fit a 4-state model to a binned histogram by KL minimization.
+
+    A stage objective evaluates only the fitted state's own component, mixed
+    for ER and P1 with the target's, which stays fixed through the stage.
+    Every float operation runs as in ``kl_divergence`` of ``model_density``,
+    so the objective values, and the fit, equal theirs bit for bit.
+    """
     tables = tables or default_tables()
     grid = hist.grid
+    b = grid_boundaries(grid)
     measured = hist.densities()
     models = dict(init) if init is not None else default_init(hist, family)
     init_kl = pooled_kl(measured, model_density(models, grid, tables))
 
+    seen = measured > 0
+    p_seen = [measured[s][seen[s]] for s in CellState]
+
+    def state_kl(state, masses):
+        q = np.maximum(masses[seen[state]], 1e-12)
+        return float(np.sum(p_seen[state] * np.log(p_seen[state] / q)))
+
     total_iters = 0
     converged = True
 
-    def state_kl(ms, state):
-        dens = model_density(ms, grid, tables)
-        return float(
-            np.sum(
-                measured[state][measured[state] > 0]
-                * np.log(
-                    measured[state][measured[state] > 0]
-                    / np.maximum(dens[state][measured[state] > 0], 1e-12)
-                )
-            )
-        )
-
     # Stage 1: per-state fits, misprogram targets first.
     for st in _STAGE_ORDER:
-        def objective(vec, st=st):
-            trial = dict(models)
-            trial[st] = _unpack_state(vec, family, st)
-            return state_kl(trial, st)
+        tgt = MISPROGRAM_TARGET.get(st)
+        tgt_cdf = None if tgt is None else component_cdf(models[tgt], b, tables)
+
+        def objective(vec, st=st, tgt_cdf=tgt_cdf):
+            m = _unpack_state(vec, family, st)
+            own = component_cdf(m, b, tables)
+            return state_kl(st, bin_masses(own if tgt_cdf is None else mix(m, own, tgt_cdf)))
 
         x0 = np.array(_pack_state(models[st], family, st))
         x, _, iters, ok = nelder_mead(objective, x0, tol=tol, max_iter=max_iter)
@@ -181,7 +187,8 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000, tables=None):
 
     # Stage 2: joint polish over the full parameter vector.
     def joint_objective(vec):
-        return pooled_kl(measured, model_density(_unpack_all(vec, family), grid, tables))
+        dens = model_density(_unpack_all(vec, family), grid, tables)
+        return float(np.mean([state_kl(s, dens[s]) for s in CellState]))
 
     x0 = _pack_all(models, family)
     x, kl, iters, ok = nelder_mead(joint_objective, x0, tol=tol, max_iter=max_iter)

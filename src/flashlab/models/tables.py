@@ -1,7 +1,9 @@
 """Precomputed CDF lookup tables.
 
-All runtime CDF evaluation goes through these tables with linear
-interpolation; the heavy special functions run once at construction.
+Run-time Gaussian and Student's t CDF evaluation goes through these tables
+with linear interpolation; the heavy special functions run once at
+construction. The normal-Laplace CDF reads no table: ``cdf.ncdf`` evaluates
+it exactly with ``scipy.special``.
 """
 
 import numpy as np
