@@ -1,8 +1,9 @@
 """Synthetic voltage-domain flash channel.
 
 Holds ground-truth cells (intended state + continuous threshold voltage),
-applies distribution shifts, performs reads at arbitrary reference
-voltages, and measures raw bit error rates against ground truth.
+performs reads at arbitrary reference voltages, measures raw bit error
+rates against ground truth, and bins cells into 304-bin histograms. It
+owns the histogram CSV format that ``fit`` reads.
 
 Continuous vth is kept even though hardware observes only 304 bins;
 binning is a view, so degradation models can act in voltage space before
@@ -24,7 +25,6 @@ from .grid import (
     VoltageGrid,
     classify_regions,
 )
-from .models.cdf import StateModel  # noqa: F401  (re-export for callers)
 from .models.tables import default_tables
 
 TRANSITION_KEYS = ("ER-P1", "P1-P2", "P2-P3", "multi")
@@ -48,9 +48,9 @@ class ChannelState:
 
     true_state is the intended state; shape_state is the state whose
     distribution the cell's vth was actually drawn from (differs from
-    true_state only for misprogrammed cells). mu_ref/sigma_ref track the
-    current location/scale of each state distribution so shifts can widen
-    while preserving each cell's quantile.
+    true_state only for misprogrammed cells). layer is each cell's layer
+    index; wl_neighbor_state is its wordline neighbor's state, or -1 when
+    not sampled.
     """
 
     grid: VoltageGrid
@@ -59,8 +59,6 @@ class ChannelState:
     vth: np.ndarray
     layer: np.ndarray
     wl_neighbor_state: np.ndarray
-    mu_ref: np.ndarray
-    sigma_ref: np.ndarray
     seed: int = 0
 
     @property
@@ -150,10 +148,7 @@ def sample_page(models, n_cells, layer_profile=None, seed=0, grid=None,
     if layer_profile is not None:
         vth += layer_profile.vth_offset(layer, shape_state)
 
-    mu_ref = np.array([models[CellState(s)].mu for s in range(4)])
-    sigma_ref = np.array([models[CellState(s)].sigma for s in range(4)])
-    return ChannelState(grid, true_state, shape_state, vth, layer, nbr,
-                        mu_ref, sigma_ref, seed)
+    return ChannelState(grid, true_state, shape_state, vth, layer, nbr, seed)
 
 
 def read_cell(vth, vref, noise=None, rng=None):
@@ -234,49 +229,6 @@ def bin_cells(state):
     return BinHistogram(counts=counts, grid=state.grid)
 
 
-def apply_shift(state, dmu, dsigma=None):
-    """Shift and widen each state distribution in place.
-
-    dmu/dsigma map state index -> delta (dict, sequence, or scalar).
-    Widening rescales each cell about its distribution's current mean, so
-    per-cell quantiles are preserved and pure mean shifts compose exactly.
-    """
-    dmu = _per_state(dmu)
-    dsig = _per_state(dsigma) if dsigma is not None else np.zeros(4)
-    new_sigma = state.sigma_ref + dsig
-    if np.any(new_sigma <= 0):
-        raise ValueError("shift would make a state's sigma non-positive")
-    for st in range(4):
-        sel = state.shape_state == st
-        if not sel.any():
-            continue
-        mu, sg = state.mu_ref[st], state.sigma_ref[st]
-        state.vth[sel] = mu + dmu[st] + (state.vth[sel] - mu) * (new_sigma[st] / sg)
-    state.mu_ref += dmu
-    state.sigma_ref = new_sigma
-    return state
-
-
-def _per_state(spec):
-    if spec is None:
-        return np.zeros(4)
-    if np.isscalar(spec):
-        return np.full(4, float(spec))
-    if isinstance(spec, dict):
-        return np.array([float(spec.get(CellState(s), spec.get(s, 0.0))) for s in range(4)])
-    return np.asarray(spec, dtype=float)
-
-
-def export_cells_csv(state, path):
-    bins = state.grid.bin_of(state.vth)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["state", "vth", "layer", "bin"])
-        for i in range(state.n_cells):
-            w.writerow([CellState(state.true_state[i]).name,
-                        f"{state.vth[i]:.6f}", int(state.layer[i]), int(bins[i])])
-
-
 def export_histogram_csv(hist, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -284,3 +236,24 @@ def export_histogram_csv(hist, path):
         for st in range(4):
             for b in range(N_BINS):
                 w.writerow([CellState(st).name, b, int(hist.counts[st, b])])
+
+
+def load_histogram_csv(path, grid=None):
+    """Read a histogram in the format of export_histogram_csv.
+
+    Counts of a repeated (state, bin) row add up. A row without three
+    fields, or with an unknown state, a bin outside [0, N_BINS) or a
+    negative count, is a ValueError.
+    """
+    counts = np.zeros((4, N_BINS), dtype=np.int64)
+    names = {st.name: st.value for st in CellState}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != ["state", "bin", "count"]:
+            raise ValueError(f"{path}: expected header state,bin,count")
+        for row in reader:
+            if (len(row) != 3 or row[0] not in names
+                    or not 0 <= int(row[1]) < N_BINS or int(row[2]) < 0):
+                raise ValueError(f"{path}:{reader.line_num}: bad row {row!r}")
+            counts[names[row[0]], int(row[1])] += int(row[2])
+    return BinHistogram(counts=counts, grid=grid or VoltageGrid())

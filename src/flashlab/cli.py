@@ -7,7 +7,6 @@ error, 3 non-convergence, 4 uncorrectable data or infeasible layout.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -18,10 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .grid import VoltageGrid, CellState, N_BINS
-from .channel import BinHistogram
+from .channel import load_histogram_csv
 from .models import (dynamic_to_dict, fit_static, fit_dynamic, predict_static,
-                     pooled_kl, model_density, models_to_dict, save_models_json)
+                     save_models_json)
 from .models.tables import default_tables
 from .degradation import RetentionModel3D
 from . import urt as urt_mod
@@ -30,8 +28,8 @@ from .raid_ecc import (EccConfig, ParityConfig, ecc_failure_rate, lb_fail,
                        parity_fail, op_fraction, lifetime_years,
                        multirate_lifetime, li_raid_layout, conventional_layout,
                        export_layout_csv, InfeasibleLayout)
-from .controller import (Geometry, EnduranceMap, WarmConfig, RefreshConfig,
-                         LifetimeConfig, run_lifetime, SECONDS_PER_DAY)
+from .controller import (Geometry, RefreshConfig, LifetimeConfig, run_lifetime,
+                         SECONDS_PER_DAY)
 from .controller.heatwatch import HeatwatchConfig, run_experiment
 
 EXIT_OK = 0
@@ -59,20 +57,6 @@ def _write_manifest(out_dir, command, config_obj, seed):
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def _load_histogram(path, grid=None):
-    grid = grid or VoltageGrid()
-    counts = np.zeros((4, N_BINS), dtype=np.int64)
-    names = {st.name: st.value for st in CellState}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["state", "bin", "count"]:
-            raise ConfigError(f"{path}: expected header state,bin,count")
-        for row in reader:
-            counts[names[row[0]], int(row[1])] += int(row[2])
-    return BinHistogram(counts=counts, grid=grid)
 
 
 # --- fit --------------------------------------------------------------
@@ -114,7 +98,7 @@ def cmd_fit(args):
         family = families[0]
         fits = []
         for pec, path in sorted(zip(pecs, args.inputs)):
-            fr = fit_static(_load_histogram(path), family, tables=tables)
+            fr = fit_static(load_histogram_csv(path), family, tables=tables)
             if _nonconverged(fr):
                 return EXIT_NONCONVERGENCE
             fits.append((pec, fr))
@@ -129,7 +113,7 @@ def cmd_fit(args):
             json.dump(dynamic_to_dict(dynamic), fh, indent=2, sort_keys=True)
         return EXIT_OK
 
-    hist = _load_histogram(args.inputs[0])
+    hist = load_histogram_csv(args.inputs[0])
     results = {}
     for family in families:
         fr = fit_static(hist, family, tables=tables)

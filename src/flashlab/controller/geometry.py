@@ -1,7 +1,7 @@
 """Drive geometry and the retention/endurance trade-off curve."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SECONDS_PER_DAY = 86400.0
 THREE_YEARS_S = 3 * 365 * SECONDS_PER_DAY

@@ -11,15 +11,13 @@ resulting RBER decides how many P/E cycles the drive survives before the
 worst read exceeds the ECC limit.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..grid import CellState, VoltageGrid
-from ..models.cdf import StateModel, enforce_constraints
-from ..models.applications import estimate_rber, sweep_vopt
-from ..degradation import retention_refs
+from ..grid import VoltageGrid
+from ..models.cdf import gaussian_states
+from ..models.applications import estimate_rber
 from .. import urt as urt_mod
 from ..trace import SECTOR_BYTES, Trace
 from .policies import ReadContext, policy_refs, ReMARState
@@ -100,13 +98,8 @@ def truth_models(pack, pec, eff_retention_s, temp_program_c=25.0):
     """Ground-truth Gaussian state models from the unified calculator."""
     tp = urt_mod.celsius_to_kelvin(temp_program_c)
     t_r = max(eff_retention_s, 1.0)
-    models = {}
-    for st in CellState:
-        mu = urt_mod.urt_predict(pack, f"mu_{st.name}", pec, tp, t_r, 0.0)
-        sigma = max(urt_mod.urt_predict(pack, f"sigma_{st.name}", pec, tp, t_r, 0.0),
-                    1e-3)
-        models[st] = StateModel("gaussian", mu, sigma)
-    return enforce_constraints(models)
+    return gaussian_states(
+        lambda row: urt_mod.urt_predict(pack, row, pec, tp, t_r, 0.0))
 
 
 def policy_worst_rber(policy, samples, pack, retention_model, pec,

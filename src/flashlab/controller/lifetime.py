@@ -15,7 +15,7 @@ import numpy as np
 
 from ..trace import SECTOR_BYTES, Trace
 from ..degradation import RetentionModel3D
-from .geometry import Geometry, EnduranceMap, SECONDS_PER_DAY, THREE_YEARS_S
+from .geometry import Geometry, EnduranceMap, SECONDS_PER_DAY
 from .ftl import Drive, CLOSED
 from .refresh import ADAPTIVE_TIERS_S, RefreshConfig, run_refresh
 from .warm import WarmManager, WarmConfig, COLD, HOT

@@ -14,7 +14,7 @@ from ..grid import DEFAULT_READ_REFS, ReadRefs, CellState
 from ..channel import measure_rber, decode_states, MSB_OF_STATE, LSB_OF_STATE
 from ..degradation import retention_refs
 from ..models.applications import predict_vopt, sweep_vopt
-from ..models.cdf import StateModel, enforce_constraints
+from ..models.cdf import gaussian_states
 from .. import urt as urt_mod
 
 POLICIES = ("fixed", "retention_only", "lavar", "remar", "heatwatch", "oracle")
@@ -65,16 +65,11 @@ def heatwatch_refs(calibration, ctx, grid=None):
     eff_ret = max(ctx.eff_retention_s if ctx.eff_retention_s is not None
                   else ctx.age_s, 1.0)
     tp = urt_mod.celsius_to_kelvin(ctx.temp_program_c)
-    models = {}
-    for st in CellState:
-        mu = urt_mod.urt_predict(calibration, f"mu_{st.name}", ctx.pec, tp,
-                                 eff_ret, ctx.eff_read_s)
-        sigma = max(urt_mod.urt_predict(calibration, f"sigma_{st.name}",
-                                        ctx.pec, tp, eff_ret, ctx.eff_read_s),
-                    1e-3)
-        models[st] = StateModel("gaussian", mu, sigma)
+    models = gaussian_states(
+        lambda row: urt_mod.urt_predict(calibration, row, ctx.pec, tp,
+                                        eff_ret, ctx.eff_read_s))
     try:
-        refs, _ = predict_vopt(enforce_constraints(models), grid=grid)
+        refs, _ = predict_vopt(models, grid=grid)
         return refs
     except ValueError:
         # extreme-wear extrapolation can cross the predicted means;
@@ -203,61 +198,3 @@ def _subset(state, mask):
         wl_neighbor_state=(state.wl_neighbor_state[mask]
                            if state.wl_neighbor_state is not None else None),
     )
-
-
-# --- online reference discovery ------------------------------------------
-
-def disparity_vref_search(state, page, grid, max_probes=9):
-    """Locate a reference from the read-ones fraction alone.
-
-    The fraction of cells reading 1 rises monotonically with the
-    reference, so a binary search pins the point where it crosses the
-    page's expected disparity: 50% for the LSB reference, 25% / 75% for
-    the two MSB references. Returns the located step; uses at most
-    max_probes reads.
-    """
-    targets = {"va": 0.25, "vb": 0.50, "vc": 0.75}
-    target = targets[page]
-    lo, hi = 1, grid.step_count + 97  # cover the post-grid extrapolation
-    for _ in range(max_probes):
-        mid = (lo + hi) // 2
-        frac = float(np.mean(state.vth < grid.value(mid)))
-        if frac < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def ror_vopt_discovery(state, refs, which, grid, delta=1, max_probes=32):
-    """Descend a reference while raw errors are non-increasing.
-
-    Walks downward in delta-sized steps as long as the error count does
-    not rise, then probes one step upward from the start; ties keep the
-    current (lower-read-cost) position.
-    """
-    idx = {"va": 0, "vb": 1, "vc": 2}[which]
-
-    def with_ref(v):
-        vals = [refs.va, refs.vb, refs.vc]
-        vals[idx] = v
-        vals[1] = max(vals[1], vals[0] + 1)
-        vals[2] = max(vals[2], vals[1] + 1)
-        return ReadRefs(*vals)
-
-    cur = (refs.va, refs.vb, refs.vc)[idx]
-    cur_err = _bit_errors(state, with_ref(cur))
-    probes = 1
-    while probes < max_probes:
-        nxt_err = _bit_errors(state, with_ref(cur - delta))
-        probes += 1
-        if nxt_err <= cur_err:
-            cur, cur_err = cur - delta, nxt_err
-        else:
-            break
-    if probes < max_probes:
-        up_err = _bit_errors(state, with_ref(cur + delta))
-        probes += 1
-        if up_err < cur_err:
-            cur, cur_err = cur + delta, up_err
-    return cur, cur_err, probes

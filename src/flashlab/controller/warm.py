@@ -10,7 +10,7 @@ every full logical-drive write.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 COLD, HOT = 0, 1
 

@@ -1,9 +1,11 @@
 """Parametric degradation models for 3D MLC NAND.
 
-Covers retention loss (the 3D retention model), P/E-cycling linear
-trends, layer-to-layer variation, program interference, retention
-interference, and read disturb. These evolve channel ground truth and
-parameterize the controller's read-reference predictions.
+Covers retention loss (the 3D retention model, with the Gaussian state
+models and read references it implies) and layer-to-layer variation
+(per-layer read-reference droop and gamma-distributed RBER multipliers).
+Retention drives the controller's read-reference policies and the
+lifetime replay's RBER series; a layer profile offsets the cells that
+``channel.sample_page`` draws.
 """
 
 import json
@@ -12,10 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import CellState, ReadRefs
-from .models.cdf import StateModel, enforce_constraints
-
-SECONDS_24_DAYS = 24 * 86400.0
+from .grid import ReadRefs
+from .models.cdf import gaussian_states
 
 # Retention-loss regression: Variable = (alpha*PEC + beta)*ln(t) +
 # gamma*PEC + delta, t in seconds. The read-reference row for Va carries
@@ -64,18 +64,9 @@ class RetentionModel3D:
                     for k, r in recs.items()})
 
 
-def retention_eval(model, variable, pec, t_seconds):
-    return model.eval(variable, pec, t_seconds)
-
-
 def retention_state_models(model, pec, t_seconds):
     """Gaussian state models implied by the retention regression."""
-    models = {}
-    for st in CellState:
-        mu = model.eval(f"mu_{st.name}", pec, t_seconds)
-        sigma = max(model.eval(f"sigma_{st.name}", pec, t_seconds), 1e-3)
-        models[st] = StateModel("gaussian", mu, sigma)
-    return enforce_constraints(models)
+    return gaussian_states(lambda row: model.eval(row, pec, t_seconds))
 
 
 def retention_refs(model, pec, t_seconds):
@@ -86,27 +77,6 @@ def retention_refs(model, pec, t_seconds):
     vb = max(vb, va + 1)
     vc = max(vc, vb + 1)
     return ReadRefs(va, vb, vc)
-
-
-@dataclass(frozen=True)
-class PECyclingConfig:
-    """Linear mean/stddev drift per 1000 P/E cycles, in voltage steps.
-
-    Calibrated, not measured: the hardware study publishes directions
-    (ER/P1 up, P2/P3 down, all sigma up, ER moving most), not slopes.
-    """
-
-    mu_slopes: tuple = (3.0, 0.6, -0.4, -0.9)
-    sigma_slopes: tuple = (1.1, 0.25, 0.25, 0.3)
-
-
-def pe_cycle_trend(config, pec):
-    """Per-state (delta mu, delta sigma) after pec program/erase cycles."""
-    if pec < 0:
-        raise ValueError("pec must be non-negative")
-    scale = pec / 1000.0
-    return (np.asarray(config.mu_slopes) * scale,
-            np.asarray(config.sigma_slopes) * scale)
 
 
 @dataclass(frozen=True)
@@ -179,59 +149,3 @@ def fit_gamma(samples):
     if var <= 0:
         raise ValueError("zero-variance samples cannot be gamma-fit")
     return GammaParams(shape=mean**2 / var, scale=var / mean)
-
-
-# Capacitive-coupling strength by aggressor position relative to the
-# victim. Next-wordline coupling dominates by ~30x.
-DEFAULT_COUPLING = {"next_wl": 0.027, "prev_wl": 0.0008}
-
-
-@dataclass(frozen=True)
-class InterferenceModel:
-    coupling: dict = field(default_factory=lambda: dict(DEFAULT_COUPLING))
-    retention_offset_cap: float = 2.0
-
-    def __post_init__(self):
-        for k, v in self.coupling.items():
-            if not (0.0 <= v < 1.0):
-                raise ValueError(f"coupling {k} outside [0, 1)")
-
-
-def program_interference(dv_aggressor, position, model=None):
-    """Victim voltage shift induced by programming a neighbor."""
-    model = model or InterferenceModel()
-    if position not in model.coupling:
-        raise ValueError(f"unknown neighbor position {position!r}")
-    return model.coupling[position] * dv_aggressor
-
-
-def retention_interference_offset(victim_state, neighbor_state, t_seconds,
-                                  model=None):
-    """Neighbor-dependent component of the victim's retention shift.
-
-    Linear in the neighbor's state index and decreasing in it (a
-    higher-voltage neighbor lowers the victim's apparent shift), anchored
-    at the full table value for 24 days of retention, magnitude capped.
-    """
-    model = model or InterferenceModel()
-    CellState(victim_state)
-    n = int(CellState(neighbor_state))
-    cap = model.retention_offset_cap
-    base = cap * (1.5 - n) / 1.5
-    scale = math.log(max(t_seconds, 1.0)) / math.log(SECONDS_24_DAYS)
-    return float(np.clip(base * scale, -cap, cap))
-
-
-@dataclass(frozen=True)
-class ReadDisturbConfig:
-    """Voltage-step shift per state after reads_ref reads of a block."""
-
-    slopes: tuple = (8.0, 2.5, 1.5, -0.5)
-    reads_ref: float = 900e3
-
-
-def read_disturb_shift(read_count, config=None):
-    config = config or ReadDisturbConfig()
-    if read_count < 0:
-        raise ValueError("read_count must be non-negative")
-    return np.asarray(config.slopes) * (read_count / config.reads_ref)

@@ -24,17 +24,6 @@ from .tables import default_tables
 
 FAMILIES = ("gaussian", "normal_laplace", "student_t")
 
-_overshoot_count = 0
-
-
-def ncdf_overshoot_count():
-    return _overshoot_count
-
-
-def reset_ncdf_overshoot_count():
-    global _overshoot_count
-    _overshoot_count = 0
-
 
 @dataclass(frozen=True)
 class StateModel:
@@ -97,14 +86,10 @@ def ncdf(v, mu, sigma, alpha, beta, tables=None):
     ``tables`` is accepted for a signature shared with the other families;
     no table is read.
     """
-    global _overshoot_count
     z = (np.asarray(v, dtype=float) - mu) / sigma
     t1 = beta * _phi_times_mills(z, alpha * sigma - z)
     t2 = alpha * _phi_times_mills(z, beta * sigma + z)
-    raw = special.ndtr(z) - (t1 - t2) / (alpha + beta)
-    if np.any(raw < -1e-9) or np.any(raw > 1 + 1e-9):
-        _overshoot_count += 1
-    return np.clip(raw, 0.0, 1.0)
+    return np.clip(special.ndtr(z) - (t1 - t2) / (alpha + beta), 0.0, 1.0)
 
 
 def tcdf(v, mu, sigma, alpha, beta, tables=None):
@@ -141,6 +126,21 @@ def enforce_constraints(models):
     out[CellState.P2] = replace(out[CellState.P2], lam=0.0)
     out[CellState.P3] = replace(out[CellState.P3], lam=0.0)
     return out
+
+
+def gaussian_states(row):
+    """Constrained Gaussian models of the four states from a regression.
+
+    ``row(name)`` evaluates one regression output, ``"mu_P1"`` or
+    ``"sigma_P1"``; it is called for each state in order, mean first.
+    Each sigma is floored at 1e-3.
+    """
+    models = {}
+    for st in CellState:
+        mu = row(f"mu_{st.name}")
+        sigma = max(row(f"sigma_{st.name}"), 1e-3)
+        models[st] = StateModel("gaussian", mu, sigma)
+    return enforce_constraints(models)
 
 
 def mix(model, own, target):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid import MISPROGRAM_TARGET, CellState, VoltageGrid
+from ..grid import MISPROGRAM_TARGET, CellState
 from .cdf import (StateModel, bin_masses, component_cdf, enforce_constraints,
                   grid_boundaries, mix, model_density, pooled_kl)
 from .simplex import nelder_mead

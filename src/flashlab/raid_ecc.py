@@ -7,8 +7,7 @@ comparator.
 """
 
 import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc

@@ -10,9 +10,8 @@ Orientation: af(T) >= 1 above room temperature and
 effective time = real time * af(T).
 """
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .models.simplex import nelder_mead
 KB_EV_PER_K = 8.62e-5  # Boltzmann constant
 DEFAULT_EA_EV = 1.04
 DEFAULT_T_ROOM_K = 293.15
-DEFAULT_DWELL_S = 0.5
 
 N_LOG_LEVELS = 26
 LOG_BASE_SECONDS = 0.5
@@ -258,33 +256,6 @@ class AccelLog:
         return total
 
 
-class DwellTracker:
-    """Tracks full-drive-write cadence to estimate per-cell dwell time."""
-
-    def __init__(self, drive_bytes, window=20):
-        self.drive_bytes = float(drive_bytes)
-        self.window = window
-        self.bytes_acc = 0.0
-        self.stamps = []
-
-    def record_write(self, n_bytes, now):
-        self.bytes_acc += n_bytes
-        while self.bytes_acc >= self.drive_bytes:
-            self.bytes_acc -= self.drive_bytes
-            self.stamps.append(now)
-            if len(self.stamps) > self.window:
-                self.stamps.pop(0)
-
-    def dwell_effective(self, now, accel_log=None, default=DEFAULT_DWELL_S):
-        if not self.stamps:
-            return default
-        span = max(now - self.stamps[0], 0.0)
-        count = len(self.stamps)
-        if accel_log is not None:
-            span = accel_log.effective_time(span)
-        return span / count if span > 0 else default
-
-
 @dataclass(frozen=True)
 class TempTrace:
     """Daily sinusoid plus Gaussian noise, deterministic per (seed, t)."""
@@ -351,25 +322,3 @@ def fine_tune(params, observations):
         a, b, c, d = pvm[out]
         pvm[out] = (a, b, c, d + float(np.mean(res)))
     return replace(params, pvm=pvm)
-
-
-def save_calibration_json(params, path):
-    rec = {
-        "ea": params.ea,
-        "t_room": params.t_room,
-        "pvm": {k: list(v) for k, v in params.pvm.items()},
-        "srrm": {k: list(v) for k, v in params.srrm.items()},
-    }
-    with open(path, "w") as fh:
-        json.dump(rec, fh, indent=2, sort_keys=True)
-
-
-def load_calibration_json(path):
-    with open(path) as fh:
-        rec = json.load(fh)
-    return URTParams(
-        pvm={k: tuple(v) for k, v in rec["pvm"].items()},
-        srrm={k: tuple(v) for k, v in rec["srrm"].items()},
-        ea=rec["ea"],
-        t_room=rec["t_room"],
-    )

@@ -84,6 +84,16 @@ class TestFit:
         rc = main(["--out", str(tmp_path / "out"), "fit", str(bad)])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad_row", ["ER,-1,100000", "P1,99999,5", "ER,3",
+                                         "P2,5,-3", "P4,5,3"])
+    def test_bad_histogram_row_is_config_error(self, tmp_path, bad_row):
+        hist = tmp_path / "h.csv"
+        write_histogram(hist, heavy_tail_models(), n_cells=20_000)
+        with open(hist, "a") as fh:
+            fh.write(bad_row + "\n")
+        rc = main(["--out", str(tmp_path / "out"), "fit", str(hist)])
+        assert rc == 2
+
     def test_missing_file_is_config_error(self, tmp_path):
         rc = main(["--out", str(tmp_path / "out"), "fit",
                    str(tmp_path / "nope.csv")])

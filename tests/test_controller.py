@@ -14,14 +14,13 @@ from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, Drive,
                                  run_lifetime, run_refresh)
 from flashlab.controller.ftl import CLOSED, FREE, OPEN
 from flashlab.controller.heatwatch import (HeatwatchConfig, ReadSample,
-                                           collect_samples)
+                                           collect_samples, truth_models)
 from flashlab.controller.policies import (DecodeOutcome, ReadContext,
-                                          ReMARState, disparity_vref_search,
-                                          heatwatch_refs, policy_refs,
-                                          read_flow, ror_vopt_discovery)
+                                          ReMARState, heatwatch_refs,
+                                          policy_refs, read_flow)
 from flashlab.degradation import RetentionModel3D, retention_refs
-from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs, VoltageGrid
-from flashlab.models.applications import sweep_vopt
+from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs
+from flashlab.models.applications import predict_vopt, sweep_vopt
 from flashlab.models.cdf import StateModel
 from flashlab.trace import SECTOR_BYTES, synth_hot
 from flashlab.urt import (AccelLog, TempTrace, af, calibration_pack_from_retention,
@@ -572,6 +571,16 @@ class TestPolicies:
         assert cool.va < cool.vb < cool.vc
         assert hot.vc < cool.vc  # more effective retention, lower window
 
+    def test_heatwatch_reads_at_predicted_vopt_of_truth_models(self):
+        # without read-disturb exposure, the policy's state models are the
+        # experiment's ground truth at the same effective age
+        pack = calibration_pack_from_retention(RET)
+        for pec, eff in ((0, 1.0), (3000, 7 * DAY), (9000, 90 * DAY),
+                         (15000, 400 * DAY)):
+            ctx = self.ctx(pec=pec, eff_retention_s=eff, eff_read_s=0.0)
+            want, _ = predict_vopt(truth_models(pack, pec, eff, 25.0))
+            assert heatwatch_refs(pack, ctx) == want
+
     def test_heatwatch_survives_extrapolated_mean_crossings(self):
         pack = calibration_pack_from_retention(RET)
         refs = heatwatch_refs(pack, self.ctx(pec=60000, age_s=365 * DAY,
@@ -678,46 +687,6 @@ class TestReadFlow:
         state = sample_page(models, 2000, seed=0)
         o = read_flow(state, ReadRefs(60, 140, 220), ecc_budget_bits=0)
         assert o.stage == "policy" and o.errors == 0
-
-
-class TestReferenceDiscovery:
-    def test_disparity_search_finds_quantile_boundaries(self):
-        models = {st: StateModel("gaussian", [20, 100, 180, 260][i], 6.0)
-                  for i, st in enumerate(CellState)}
-        state = sample_page(models, 40000, seed=5)
-        grid = VoltageGrid()
-        va = disparity_vref_search(state, "va", grid)
-        vb = disparity_vref_search(state, "vb", grid)
-        vc = disparity_vref_search(state, "vc", grid)
-        # each reference must land in the valley between its two states:
-        # any point there matches the target disparity, so require >3 sigma
-        # clearance from both neighboring means and near-zero raw errors
-        assert 20 + 3 * 6.0 < va < 100 - 3 * 6.0
-        assert 100 + 3 * 6.0 < vb < 180 - 3 * 6.0
-        assert 180 + 3 * 6.0 < vc < 260 - 3 * 6.0
-        assert va < vb < vc
-        from flashlab.controller.policies import _bit_errors
-        assert _bit_errors(state, ReadRefs(va, vb, vc)) <= 5
-
-    def test_disparity_probe_budget(self):
-        models = {st: StateModel("gaussian", [20, 100, 180, 260][i], 6.0)
-                  for i, st in enumerate(CellState)}
-        state = sample_page(models, 1000, seed=5)
-        grid = VoltageGrid()
-        # 9 probes must bisect the 400-step range exactly
-        assert disparity_vref_search(state, "vb", grid, max_probes=9) >= 1
-
-    def test_ror_descends_to_lower_error_reference(self):
-        models = {st: StateModel("gaussian", [20, 100, 180, 260][i], 10.0)
-                  for i, st in enumerate(CellState)}
-        state = sample_page(models, 20000, seed=6)
-        grid = VoltageGrid()
-        start = ReadRefs(60, 151, 220)  # vb starts 11 steps high
-        from flashlab.controller.policies import _bit_errors
-        v, err, probes = ror_vopt_discovery(state, start, "vb", grid)
-        assert v < 151
-        assert err <= _bit_errors(state, start)
-        assert probes <= 32
 
 
 class TestLifetimeReplay:

@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 
-from flashlab.degradation import (GammaParams, InterferenceModel, LayerProfile,
-                                  OffsetShape, PECyclingConfig,
-                                  ReadDisturbConfig, RetentionModel3D,
-                                  SECONDS_24_DAYS, fit_gamma,
-                                  pe_cycle_trend, program_interference,
-                                  read_disturb_shift, retention_eval,
-                                  retention_interference_offset,
-                                  retention_refs, retention_state_models,
-                                  sample_layer_profile)
+from flashlab.degradation import (GammaParams, LayerProfile, OffsetShape,
+                                  RetentionModel3D, fit_gamma, retention_refs,
+                                  retention_state_models, sample_layer_profile)
 from flashlab.grid import CellState, VoltageGrid
 from flashlab.models.applications import estimate_rber, predict_vopt
+from flashlab.models.cdf import gaussian_states
 
 MODEL = RetentionModel3D()
 DAY = 86400.0
@@ -50,6 +45,11 @@ class TestRetentionModel:
         for m in (early, late):
             mus = [m[st].mu for st in CellState]
             assert mus == sorted(mus)
+
+    def test_state_models_from_the_shared_builder(self):
+        for pec, t in ((0, 1.0), (5000, DAY), (15000, 400 * DAY)):
+            assert retention_state_models(MODEL, pec, t) == gaussian_states(
+                lambda r: MODEL.eval(r, pec, t))
 
     def test_rejects_sub_second_times(self):
         with pytest.raises(ValueError):
@@ -93,33 +93,6 @@ class TestRetentionModel:
         MODEL.to_json(path)
         back = RetentionModel3D.from_json(path)
         assert back.coeffs == MODEL.coeffs
-
-    def test_eval_helper_matches_method(self):
-        assert retention_eval(MODEL, "mu_P2", 2500, DAY) == MODEL.eval("mu_P2", 2500, DAY)
-
-
-class TestPECyclingTrend:
-    def test_directions(self):
-        dmu, dsig = pe_cycle_trend(PECyclingConfig(), 5000)
-        assert dmu[CellState.ER] > 0 and dmu[CellState.P1] > 0
-        assert dmu[CellState.P2] < 0 and dmu[CellState.P3] < 0
-        assert np.all(dsig > 0)
-        assert dmu[CellState.ER] == max(abs(dmu))
-
-    def test_linear_in_pec(self):
-        cfg = PECyclingConfig()
-        dmu1, dsig1 = pe_cycle_trend(cfg, 1000)
-        dmu3, dsig3 = pe_cycle_trend(cfg, 3000)
-        assert np.allclose(dmu3, 3 * dmu1)
-        assert np.allclose(dsig3, 3 * dsig1)
-
-    def test_zero_pec_is_zero(self):
-        dmu, dsig = pe_cycle_trend(PECyclingConfig(), 0)
-        assert not np.any(dmu) and not np.any(dsig)
-
-    def test_negative_pec_rejected(self):
-        with pytest.raises(ValueError):
-            pe_cycle_trend(PECyclingConfig(), -1)
 
 
 class TestGammaFit:
@@ -188,71 +161,3 @@ class TestLayerProfile:
         assert (off[1] + off[2]) / 2 == pytest.approx(prof.vb_offset[100])
         assert (off[2] + off[3]) / 2 == pytest.approx(0.0)
         assert off[3] == 0.0
-
-
-class TestProgramInterference:
-    def test_scales_with_aggressor_swing(self):
-        assert program_interference(100.0, "next_wl") == pytest.approx(2.7)
-        assert program_interference(100.0, "prev_wl") == pytest.approx(0.08)
-        assert program_interference(0.0, "next_wl") == 0.0
-
-    def test_next_wordline_dominates(self):
-        m = InterferenceModel()
-        assert m.coupling["next_wl"] / m.coupling["prev_wl"] > 10
-
-    def test_unknown_position_rejected(self):
-        with pytest.raises(ValueError):
-            program_interference(10.0, "diagonal")
-
-    def test_coupling_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            InterferenceModel(coupling={"next_wl": 1.5})
-
-
-class TestRetentionInterference:
-    def test_anchor_values_at_24_days(self):
-        got = [retention_interference_offset(1, n, SECONDS_24_DAYS)
-               for n in range(4)]
-        assert got == pytest.approx([2.0, 2.0 / 3, -2.0 / 3, -2.0], abs=1e-9)
-
-    def test_decreasing_in_neighbor_state(self):
-        for t in (3600.0, 5 * DAY, 100 * DAY):
-            vals = [retention_interference_offset(2, n, t) for n in range(4)]
-            assert vals == sorted(vals, reverse=True)
-
-    def test_magnitude_capped(self):
-        off = retention_interference_offset(0, 3, 400 * DAY)
-        assert abs(off) <= 2.0
-
-    def test_grows_with_log_time(self):
-        a = retention_interference_offset(1, 0, DAY)
-        b = retention_interference_offset(1, 0, 12 * DAY)
-        assert 0 < a < b
-
-    def test_invalid_state_rejected(self):
-        with pytest.raises(ValueError):
-            retention_interference_offset(5, 0, DAY)
-
-
-class TestReadDisturb:
-    def test_slopes_reached_at_reference_count(self):
-        shift = read_disturb_shift(900_000)
-        assert np.allclose(shift, [8.0, 2.5, 1.5, -0.5])
-
-    def test_linear_and_zero_at_origin(self):
-        assert not np.any(read_disturb_shift(0))
-        assert np.allclose(read_disturb_shift(450_000),
-                           np.array([8.0, 2.5, 1.5, -0.5]) / 2)
-
-    def test_erased_state_most_disturbed(self):
-        shift = read_disturb_shift(300_000)
-        assert shift[CellState.ER] == max(shift)
-        assert shift[CellState.P3] < 0
-
-    def test_custom_config(self):
-        cfg = ReadDisturbConfig(slopes=(1.0, 1.0, 1.0, 1.0), reads_ref=100.0)
-        assert np.allclose(read_disturb_shift(50, cfg), 0.5)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            read_disturb_shift(-1)

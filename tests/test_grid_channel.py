@@ -4,9 +4,10 @@ import pytest
 from flashlab.grid import (CellState, DEFAULT_READ_REFS, MSB_OF_STATE,
                            LSB_OF_STATE, N_BINS, N_STEPS, ReadRefs,
                            VoltageGrid, classify_regions)
-from flashlab.channel import (ChannelState, ReadNoise, apply_shift, bin_cells,
+from flashlab.channel import (ChannelState, ReadNoise, bin_cells,
                               decode_states, export_histogram_csv,
-                              measure_rber, read_page, sample_page)
+                              load_histogram_csv, measure_rber, read_page,
+                              sample_page)
 from flashlab.models.cdf import StateModel
 
 
@@ -133,29 +134,6 @@ class TestReads:
         assert noisy > clean
 
 
-class TestShift:
-    def test_mean_shift_composes_exactly(self):
-        st = sample_page(t_models(lam=0.0), 50_000, seed=11)
-        before = st.vth.copy()
-        apply_shift(st, {CellState.ER: 5.0})
-        apply_shift(st, {CellState.ER: -5.0})
-        assert np.allclose(st.vth, before)
-
-    def test_widening_preserves_quantiles(self):
-        st = sample_page(t_models(lam=0.0), 50_000, seed=12)
-        sel = st.shape_state == CellState.P1
-        order_before = np.argsort(st.vth[sel])
-        apply_shift(st, 0.0, {CellState.P1: 4.0})
-        order_after = np.argsort(st.vth[sel])
-        assert np.array_equal(order_before, order_after)
-        assert np.std(st.vth[sel]) > 11.0  # widened
-
-    def test_nonpositive_sigma_rejected(self):
-        st = sample_page(t_models(lam=0.0), 1000, seed=13)
-        with pytest.raises(ValueError):
-            apply_shift(st, 0.0, {CellState.P1: -999.0})
-
-
 class TestHistogram:
     def test_counts_complete_and_reloadable(self, tmp_path):
         st = sample_page(t_models(), 40_000, seed=14)
@@ -167,3 +145,4 @@ class TestHistogram:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "state,bin,count"
         assert len(rows) == 1 + 4 * N_BINS
+        assert np.array_equal(load_histogram_csv(path).counts, hist.counts)

@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from flashlab.grid import CellState, VoltageGrid
 from flashlab.channel import bin_cells, sample_page
-from flashlab.models.cdf import (StateModel, enforce_constraints, gcdf,
-                                 kl_divergence, model_density, ncdf,
+from flashlab.models.cdf import (StateModel, enforce_constraints, gaussian_states,
+                                 gcdf, kl_divergence, model_density, ncdf,
                                  pooled_kl, state_cdf, tcdf)
 from flashlab.models.fitting import (PowerLawParams, default_init, fit_dynamic,
                                      fit_power_law, fit_static,
@@ -142,6 +142,22 @@ class TestDensity:
         assert ms[CellState.P3].lam == 0.0
         assert ms[CellState.ER].beta == ms[CellState.ER].alpha
         assert ms[CellState.P3].alpha == ms[CellState.P3].beta
+
+
+class TestGaussianStates:
+    def test_reads_rows_in_state_order_and_floors_sigma(self):
+        calls = []
+
+        def row(name):
+            calls.append(name)
+            return -2.0 if name == "sigma_P2" else float(len(calls))
+
+        models = gaussian_states(row)
+        assert calls == [f"{q}_{st.name}" for st in CellState
+                         for q in ("mu", "sigma")]
+        assert models[CellState.P2] == StateModel("gaussian", 5.0, 1e-3)
+        assert models[CellState.P3] == StateModel("gaussian", 7.0, 8.0)
+        assert models == enforce_constraints(models)
 
 
 class TestNelderMead:

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from flashlab.degradation import RetentionModel3D
-from flashlab.urt import (N_LOG_LEVELS, AccelLog, DwellTracker, TempTrace,
-                          URTParams, af, calibration_pack_from_retention,
-                          celsius_to_kelvin, fine_tune, fit_ea, fit_pvm, fit_srrm,
-                          load_calibration_json, pvm_predict,
-                          save_calibration_json, srrm_delta, temp_generate,
-                          urt_predict)
+from flashlab.urt import (N_LOG_LEVELS, AccelLog, TempTrace, URTParams, af,
+                          calibration_pack_from_retention, celsius_to_kelvin,
+                          fine_tune, fit_ea, fit_pvm, fit_srrm, pvm_predict,
+                          srrm_delta, temp_generate, urt_predict)
 
 KB = 8.62e-5
 DAY = 86400.0
@@ -264,36 +262,6 @@ class TestAccelLogBulkUpdate:
         assert bulk.effective_time(1e5) == pytest.approx(ref.effective_time(1e5), rel=1e-12)
 
 
-class TestDwellTracker:
-    def test_default_before_any_full_write(self):
-        t = DwellTracker(drive_bytes=1e9)
-        t.record_write(1e8, now=10.0)
-        assert t.dwell_effective(now=20.0) == 0.5
-
-    def test_steady_cadence(self):
-        t = DwellTracker(drive_bytes=1000.0, window=20)
-        for i in range(1, 11):
-            t.record_write(1000.0, now=100.0 * i)
-        # 10 stamps spanning [100, 1000]; at now=1000 span 900 over 10.
-        assert t.dwell_effective(now=1000.0) == pytest.approx(90.0)
-
-    def test_window_caps_history(self):
-        t = DwellTracker(drive_bytes=1.0, window=5)
-        for i in range(50):
-            t.record_write(1.0, now=float(i))
-        assert len(t.stamps) == 5
-        assert t.dwell_effective(now=49.0) == pytest.approx((49 - 45) / 5)
-
-    def test_accel_log_converts_span(self):
-        log = AccelLog()
-        for _ in range(100):
-            log.update(4.0, 1.0)
-        t = DwellTracker(drive_bytes=1.0, window=10)
-        t.record_write(1.0, now=50.0)
-        # span 50 real seconds -> 200 effective at constant af=4
-        assert t.dwell_effective(now=100.0, accel_log=log) == pytest.approx(200.0, rel=1e-6)
-
-
 class TestTempTrace:
     def test_deterministic_per_seed_and_time(self):
         cfg = TempTrace(seed=3)
@@ -347,16 +315,6 @@ class TestCalibrationPack:
         assert got == pytest.approx(want, rel=1e-12)
         # untouched outputs keep their coefficients
         assert tuned.pvm["va"] == pack.pvm["va"]
-
-    def test_json_round_trip(self, tmp_path):
-        pack = calibration_pack_from_retention(RetentionModel3D(), ea=0.9)
-        path = tmp_path / "pack.json"
-        save_calibration_json(pack, path)
-        back = load_calibration_json(path)
-        assert back.ea == pack.ea
-        assert back.t_room == pack.t_room
-        assert back.pvm == pack.pvm
-        assert back.srrm == pack.srrm
 
     def test_srrm_t0_must_be_positive(self):
         with pytest.raises(ValueError):
