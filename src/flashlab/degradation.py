@@ -64,6 +64,10 @@ class RetentionModel3D:
                     for k, r in recs.items()})
 
 
+def retention_eval(model, variable, pec, t_seconds):
+    return model.eval(variable, pec, t_seconds)
+
+
 def retention_state_models(model, pec, t_seconds):
     """Gaussian state models implied by the retention regression."""
     return gaussian_states(lambda row: model.eval(row, pec, t_seconds))

@@ -1,6 +1,6 @@
 """Controller-facing applications of the fitted distribution models:
-RBER estimation, optimal read reference prediction and lifetime
-estimation.
+RBER estimation, optimal read reference prediction, lifetime estimation,
+and soft-decision LLRs.
 """
 
 import functools
@@ -209,3 +209,10 @@ def estimate_lifetime(dynamic, family, ecc_limit, pec_step=100, pec_max=200000,
             return pec, True
         pec += pec_step
     return pec_max, False
+
+
+def llr(y, mu0, mu1, sigma):
+    """AWGN log-likelihood ratio for a cell read in a known voltage bin."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    return (mu1**2 - mu0**2) / (2.0 * sigma**2) + y * (mu0 - mu1) / sigma**2

@@ -91,6 +91,11 @@ class Trace:
     __hash__ = None
 
 
+def fold_lba(lba, drive_sectors):
+    """Map an arbitrary trace LBA into the simulated drive by modulo."""
+    return lba % drive_sectors
+
+
 def parse_msr(path):
     """Parse an MSR-Cambridge block trace.
 

@@ -5,8 +5,9 @@ import pytest
 from scipy.stats import gamma as gamma_dist
 
 from flashlab.degradation import (GammaParams, LayerProfile, OffsetShape,
-                                  RetentionModel3D, fit_gamma, retention_refs,
-                                  retention_state_models, sample_layer_profile)
+                                  RetentionModel3D, fit_gamma, retention_eval,
+                                  retention_refs, retention_state_models,
+                                  sample_layer_profile)
 from flashlab.grid import CellState, VoltageGrid
 from flashlab.models.applications import estimate_rber, predict_vopt
 from flashlab.models.cdf import gaussian_states
@@ -93,6 +94,9 @@ class TestRetentionModel:
         MODEL.to_json(path)
         back = RetentionModel3D.from_json(path)
         assert back.coeffs == MODEL.coeffs
+
+    def test_eval_helper_matches_method(self):
+        assert retention_eval(MODEL, "mu_P2", 2500, DAY) == MODEL.eval("mu_P2", 2500, DAY)
 
 
 class TestGammaFit:

@@ -6,7 +6,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 from flashlab.cli import main
-from flashlab.trace import (SECTOR_BYTES, TraceEvent, hotness_cdf,
+from flashlab.trace import (SECTOR_BYTES, TraceEvent, fold_lba, hotness_cdf,
                             parse_canonical, parse_msr, synth_hot,
                             write_canonical)
 
@@ -70,6 +70,12 @@ class TestCanonical:
                         "9,R,100\n")
         events, skipped = parse_canonical(path)
         assert len(events) == 1 and skipped == 2
+
+
+class TestFoldLba:
+    def test_modulo_fold(self):
+        assert fold_lba(1005, 1000) == 5
+        assert fold_lba(999, 1000) == 999
 
 
 class TestSynthHot:
