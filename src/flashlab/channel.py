@@ -243,10 +243,12 @@ def load_histogram_csv(path, grid=None):
 
     Counts of a repeated (state, bin) row add up. A row without three
     fields, or with an unknown state, a bin outside [0, N_BINS) or a
-    negative count, is a ValueError.
+    negative count, is a ValueError; so is a file whose counts add up past
+    int64, which would wrap a bin or a state total.
     """
     counts = np.zeros((4, N_BINS), dtype=np.int64)
     names = {st.name: st.value for st in CellState}
+    total = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != ["state", "bin", "count"]:
@@ -255,5 +257,9 @@ def load_histogram_csv(path, grid=None):
             if (len(row) != 3 or row[0] not in names
                     or not 0 <= int(row[1]) < N_BINS or int(row[2]) < 0):
                 raise ValueError(f"{path}:{reader.line_num}: bad row {row!r}")
+            total += int(row[2])
+            if total > np.iinfo(np.int64).max:
+                raise ValueError(f"{path}:{reader.line_num}: counts add up "
+                                 "past int64")
             counts[names[row[0]], int(row[1])] += int(row[2])
     return BinHistogram(counts=counts, grid=grid or VoltageGrid())

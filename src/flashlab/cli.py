@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -196,6 +195,7 @@ def cmd_simulate(args):
         raise ConfigError("config needs a 'policies' list")
     items = [(p["name"], p, args.trace, args.seed) for p in policies]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = dict(pool.map(_one_lifetime, items))
     else:

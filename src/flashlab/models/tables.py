@@ -1,13 +1,13 @@
 """Precomputed CDF lookup tables.
 
 Run-time Gaussian and Student's t CDF evaluation goes through these tables
-with linear interpolation; the heavy special functions run once at
-construction. The normal-Laplace CDF reads no table: ``cdf.ncdf`` evaluates
-it exactly with ``scipy.special``.
+with linear interpolation. They are built once from ``scipy.special``:
+``ndtr`` for the Gaussian, ``stdtr`` for each Student's t. The normal-Laplace
+CDF reads no table: ``cdf.ncdf`` evaluates it exactly with ``scipy.special``.
 """
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 # Degrees-of-freedom grid for the Student's t tables. np.inf is the
 # Gaussian limit (its table equals the standard-normal CDF).
@@ -35,7 +35,7 @@ class LookupTables:
             if np.isinf(nu):
                 self.t_cdfs[i] = special.ndtr(self.t_z_grid)
             else:
-                self.t_cdfs[i] = stats.t.cdf(self.t_z_grid, df=nu)
+                self.t_cdfs[i] = special.stdtr(nu, self.t_z_grid)
         self.nu_clamp_count = 0
 
     def phi(self, z):

@@ -26,7 +26,7 @@ from flashlab.grid import CellState, VoltageGrid
 from flashlab.models import (fit_dynamic, fit_static, model_density,
                              pooled_kl, predict_static)
 from flashlab.models.applications import estimate_rber, predict_vopt, sweep_vopt
-from flashlab.models.cdf import StateModel, enforce_constraints
+from flashlab.models.cdf import StateModel
 from flashlab.models.fitting import FitResult, PowerLawParams
 from flashlab.models.tables import default_tables
 from flashlab.raid_ecc import (EccConfig, conventional_layout,

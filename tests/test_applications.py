@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 from flashlab.channel import measure_rber, sample_page
 from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs, VoltageGrid
-from flashlab.models.applications import (VC_SEARCH_MAX, RBEREstimate,
+from flashlab.models.applications import (VC_SEARCH_MAX,
                                           _gaussian_crossing, _round_to_step,
                                           estimate_lifetime, estimate_rber,
                                           llr, predict_vopt, region_masses,

@@ -1,7 +1,5 @@
 import json
-import os
 
-import numpy as np
 import pytest
 
 from flashlab.channel import bin_cells, export_histogram_csv, sample_page
@@ -84,8 +82,13 @@ class TestFit:
         rc = main(["--out", str(tmp_path / "out"), "fit", str(bad)])
         assert rc == 2
 
-    @pytest.mark.parametrize("bad_row", ["ER,-1,100000", "P1,99999,5", "ER,3",
-                                         "P2,5,-3", "P4,5,3"])
+    @pytest.mark.parametrize("bad_row", [
+        "ER,-1,100000", "P1,99999,5", "ER,3", "P2,5,-3", "P4,5,3",
+        "ER,5,99999999999999999999",
+        pytest.param("ER,5,9000000000000000000\nER,5,9000000000000000000",
+                     id="bin-sum-past-int64"),
+        pytest.param("P1,5,9000000000000000000\nP1,6,9000000000000000000",
+                     id="state-sum-past-int64")])
     def test_bad_histogram_row_is_config_error(self, tmp_path, bad_row):
         hist = tmp_path / "h.csv"
         write_histogram(hist, heavy_tail_models(), n_cells=20_000)
@@ -213,6 +216,28 @@ class TestSimulate:
         assert rc1 == rc2 == 0
         for name in ("baseline.json", "baseline_series.csv"):
             assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
+
+    def test_parallel_jobs_write_the_same_artifacts(self, tmp_path):
+        tr = tmp_path / "t.csv"
+        write_trace(tr)
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"policies": [
+            {"name": "baseline", "capacity_bytes": 32 << 20,
+             "refresh": "fcr:3d"},
+            {"name": "warm", "capacity_bytes": 32 << 20, "warm": True,
+             "refresh": "fcr:3d"},
+        ]}))
+        outs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            rc = main(["--seed", "5", "--out", str(out), "simulate",
+                       "--config", str(cfg), "--trace", str(tr),
+                       "--jobs", str(jobs)])
+            assert rc == 0
+            outs.append(out)
+        for name in ("baseline.json", "baseline_series.csv", "warm.json",
+                     "warm_series.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_bad_refresh_spec_is_config_error(self, tmp_path):
         tr = tmp_path / "t.csv"

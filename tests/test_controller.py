@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,10 +11,10 @@ from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, Drive,
                                  RefreshConfig, WarmConfig, WarmManager,
                                  adaptive_period, in_refresh_phase,
                                  run_lifetime, run_refresh)
-from flashlab.controller.ftl import CLOSED, FREE, OPEN
+from flashlab.controller.ftl import CLOSED
 from flashlab.controller.heatwatch import (HeatwatchConfig, ReadSample,
                                            collect_samples, truth_models)
-from flashlab.controller.policies import (DecodeOutcome, ReadContext,
+from flashlab.controller.policies import (ReadContext,
                                           ReMARState, heatwatch_refs,
                                           policy_refs, read_flow)
 from flashlab.degradation import RetentionModel3D, retention_refs

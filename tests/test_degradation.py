@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import gamma as gamma_dist
 
-from flashlab.degradation import (GammaParams, LayerProfile, OffsetShape,
+from flashlab.degradation import (GammaParams, OffsetShape,
                                   RetentionModel3D, fit_gamma, retention_eval,
                                   retention_refs, retention_state_models,
                                   sample_layer_profile)
-from flashlab.grid import CellState, VoltageGrid
+from flashlab.grid import CellState
 from flashlab.models.applications import estimate_rber, predict_vopt
 from flashlab.models.cdf import gaussian_states
 

@@ -4,7 +4,7 @@ import pytest
 from flashlab.grid import (CellState, DEFAULT_READ_REFS, MSB_OF_STATE,
                            LSB_OF_STATE, N_BINS, N_STEPS, ReadRefs,
                            VoltageGrid, classify_regions)
-from flashlab.channel import (ChannelState, ReadNoise, bin_cells,
+from flashlab.channel import (ReadNoise, bin_cells,
                               decode_states, export_histogram_csv,
                               load_histogram_csv, measure_rber, read_page,
                               sample_page)

@@ -1,13 +1,19 @@
-"""Source hygiene: no library module imports a name it never uses.
+"""Source hygiene: no library or test module imports a name it never uses,
+and the CLI starts up without ``scipy.stats``.
 
 Package ``__init__.py`` files are exempt, since importing a name there is
 how it is re-exported.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "flashlab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "flashlab"
+TESTS = ROOT / "tests"
 
 
 def unused_imports(source):
@@ -31,10 +37,32 @@ def test_detector_flags_unused_and_passes_used():
     assert unused_imports(src) == [(1, "math"), (3, "a")]
 
 
-def test_no_unused_imports_in_library_modules():
-    modules = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+def unused_imports_under(tree, pattern):
+    """``unused_imports`` of every non-``__init__`` module ``pattern`` finds
+    under ``tree``, as ``path:line: name``."""
+    modules = sorted(p for p in tree.glob(pattern) if p.name != "__init__.py")
     assert modules
-    found = [f"{p.relative_to(SRC)}:{line}: {name}"
-             for p in modules
-             for line, name in unused_imports(p.read_text())]
-    assert found == []
+    return [f"{p.relative_to(tree)}:{line}: {name}"
+            for p in modules
+            for line, name in unused_imports(p.read_text())]
+
+
+def test_no_unused_imports_in_library_modules():
+    assert unused_imports_under(SRC, "**/*.py") == []
+
+
+def test_no_unused_imports_in_test_modules():
+    assert unused_imports_under(TESTS, "*.py") == []
+
+
+def test_cli_start_up_does_not_import_scipy_stats():
+    # A fresh interpreter: the test process itself has scipy.stats loaded.
+    code = ("import sys, flashlab.cli\n"
+            "from flashlab.models.tables import default_tables\n"
+            "default_tables()\n"
+            "print('scipy.stats' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -10,14 +10,14 @@ from flashlab.grid import CellState, VoltageGrid
 from flashlab.channel import bin_cells, sample_page
 from flashlab.models.cdf import (StateModel, enforce_constraints, gaussian_states,
                                  gcdf, kl_divergence, model_density, ncdf,
-                                 pooled_kl, state_cdf, tcdf)
-from flashlab.models.fitting import (PowerLawParams, default_init, fit_dynamic,
+                                 pooled_kl, tcdf)
+from flashlab.models.fitting import (PowerLawParams, default_init,
                                      fit_power_law, fit_static,
                                      load_models_json, models_from_dict,
                                      models_to_dict, predict_static,
                                      save_models_json)
 from flashlab.models.simplex import NanObjective, nelder_mead
-from flashlab.models.tables import default_tables
+from flashlab.models.tables import NU_GRID, default_tables
 
 
 TAB = default_tables()
@@ -95,6 +95,14 @@ class TestTcdf:
             z = np.linspace(-30, 32, 200)
             expect = student_t.cdf((z - 1.0) / 4.0, df=nu)
             assert np.allclose(tcdf(m, z, TAB), expect, atol=3e-4), nu
+
+    def test_tables_equal_scipy_stats_bit_for_bit(self):
+        # The tables are built with scipy.special.stdtr; exact equality with
+        # scipy.stats.t.cdf keeps every fit and artifact as it was.
+        for i, nu in enumerate(NU_GRID):
+            if np.isfinite(nu):
+                expect = student_t.cdf(TAB.t_z_grid, df=nu)
+                assert np.array_equal(TAB.t_cdfs[i], expect), nu
 
     def test_interpolates_between_grid_nus(self):
         m = StateModel("student_t", 0.0, 1.0, 4.0, 4.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flashlab.raid_ecc import (BLANK, LSB, MSB, EccConfig, InfeasibleLayout,
-                               ParityConfig, RaidLayout, conventional_layout,
+                               ParityConfig, conventional_layout,
                                ecc_failure_rate, export_layout_csv, lb_fail,
                                li_raid_layout, lifetime_years,
                                layout_worst_group, multirate_lifetime,
