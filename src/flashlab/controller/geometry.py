@@ -48,10 +48,6 @@ class Geometry:
     def logical_bytes(self):
         return self.logical_pages * self.page_size
 
-    @property
-    def sectors(self):
-        return self.logical_bytes // 512
-
 
 @dataclass(frozen=True)
 class EnduranceMap:

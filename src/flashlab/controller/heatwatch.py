@@ -19,7 +19,7 @@ from ..grid import VoltageGrid
 from ..models.cdf import gaussian_states
 from ..models.applications import estimate_rber
 from .. import urt as urt_mod
-from ..trace import SECTOR_BYTES, Trace
+from ..trace import Trace
 from .policies import ReadContext, policy_refs, ReMARState
 
 HEATWATCH_POLICIES = ("fixed", "retention_only", "remar", "heatwatch", "oracle")
@@ -45,14 +45,16 @@ class HeatwatchConfig:
 def collect_samples(events, cfg, params=None):
     """Per-read thermal bookkeeping for at most cfg.max_samples reads.
 
-    Two passes. The first walks the trace and lists the eligible reads
-    (page written before, data at least min_age_s old); eligibility never
-    depends on the thermal estimate. When there are more than max_samples
-    of them, an evenly spaced subset is kept. The second pass feeds an
-    AccelLog the temperature ticks up to each kept read in turn and makes
-    the estimate only there, querying the read's own window. The exact
-    effective age integrates the acceleration factor over the temperature
-    profile (trapezoidal, one point per tick).
+    Two passes. The first walks the trace and lists the eligible reads:
+    each page of a read's span (``Trace.page_spans``) is one candidate,
+    eligible if the page was written before and its data is at least
+    min_age_s old; a write stamps every page of its span. Eligibility
+    never depends on the thermal estimate. When there are more than
+    max_samples of them, an evenly spaced subset is kept. The second pass
+    feeds an AccelLog the temperature ticks up to each kept read in turn
+    and makes the estimate only there, querying the read's own window.
+    The exact effective age integrates the acceleration factor over the
+    temperature profile (trapezoidal, one point per tick).
     """
     if params is None:
         params = urt_mod.URTParams(pvm={}, srrm={})
@@ -66,17 +68,19 @@ def collect_samples(events, cfg, params=None):
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (afs[1:] + afs[:-1]) * cfg.tick_s)])
 
     write_time = {}
-    reads = []  # (now, age, write time) of each eligible read
-    spp = cfg.page_size // SECTOR_BYTES
-    for ts, is_write, lba, _ in zip(*trace.columns()):
+    reads = []  # (now, age, write time) of each eligible page read
+    first, count = trace.page_spans(cfg.page_size)
+    for ts, is_write, page, n in zip(trace.timestamp_us.tolist(),
+                                     trace.is_write.tolist(),
+                                     first.tolist(), count.tolist()):
         now = ts / 1e6
-        page = lba // spp
-        if is_write:
-            write_time[page] = now
-        elif page in write_time:
-            age = now - write_time[page]
-            if age >= cfg.min_age_s:
-                reads.append((now, age, write_time[page]))
+        for p in range(page, page + n):
+            if is_write:
+                write_time[p] = now
+            elif p in write_time:
+                age = now - write_time[p]
+                if age >= cfg.min_age_s:
+                    reads.append((now, age, write_time[p]))
     if len(reads) > cfg.max_samples:
         idx = np.linspace(0, len(reads) - 1, cfg.max_samples).astype(int)
         reads = [reads[i] for i in idx]

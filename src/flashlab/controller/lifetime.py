@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..trace import SECTOR_BYTES, Trace
+from ..trace import Trace
 from ..degradation import RetentionModel3D
 from .geometry import Geometry, EnduranceMap, SECONDS_PER_DAY
 from .ftl import Drive, CLOSED
-from .refresh import ADAPTIVE_TIERS_S, RefreshConfig, run_refresh
+from .refresh import RefreshConfig, run_refresh
 from .warm import WarmManager, WarmConfig, COLD, HOT
+
+REFRESH_CHECK_S = 3600.0            # replay runs a refresh pass this often
 
 
 @dataclass
@@ -32,8 +34,6 @@ class LifetimeConfig:
     mode: str = "analytic"          # "analytic" | "direct"
     ecc_limit: float = None         # RBER the ECC can absorb (direct mode)
     retention_model: RetentionModel3D = None
-    refresh_check_s: float = 3600.0
-    series_age_s: float = None      # data age assumed for series RBER
     seed: int = 0
 
     def __post_init__(self):
@@ -99,45 +99,42 @@ def _series_rber(drive, model, age_s):
 
 
 def replay(events, drive, cfg):
-    """Drive the FTL through a trace; returns the daily series."""
-    geom = cfg.geometry
-    page_size = geom.page_size
-    n_logical = geom.logical_pages
-    spp = page_size // SECTOR_BYTES
-    age_s = cfg.series_age_s if cfg.series_age_s is not None else cfg.refresh.period_s
+    """Drive the FTL through a trace; returns the daily series.
+
+    Each event reads or writes every page of its span
+    (``Trace.page_spans``), folded into the drive's logical pages.
+    """
+    trace = Trace.of(events)
+    first, count = trace.page_spans(cfg.geometry.page_size)
+    n_logical = cfg.geometry.logical_pages
     series = []
-    next_refresh = cfg.refresh_check_s
+    last = dict.fromkeys(("host", "gc", "refresh"), 0)
+
+    def close_day():
+        avg, worst = _series_rber(drive, cfg.retention_model,
+                                  cfg.refresh.retention_s)
+        series.append((len(series), avg, worst,
+                       *(drive.writes[k] - last[k] for k in last),
+                       float(drive.pec.mean())))
+        last.update((k, drive.writes[k]) for k in last)
+
+    next_refresh = REFRESH_CHECK_S
     next_day = SECONDS_PER_DAY
-    day = 0
-    last = {"host": 0, "gc": 0, "refresh": 0}
     host_write, host_read = drive.host_write, drive.host_read
-    for ts, is_write, lba, size in zip(*Trace.of(events).columns()):
+    for ts, is_write, page, n in zip(trace.timestamp_us.tolist(),
+                                     trace.is_write.tolist(),
+                                     first.tolist(), count.tolist()):
         now = ts / 1e6
         while now >= next_refresh:
             run_refresh(drive, next_refresh, cfg.refresh, cfg.endurance)
-            next_refresh += cfg.refresh_check_s
+            next_refresh += REFRESH_CHECK_S
         while now >= next_day:
-            avg, worst = _series_rber(drive, cfg.retention_model, age_s)
-            series.append((day, avg, worst,
-                           drive.writes["host"] - last["host"],
-                           drive.writes["gc"] - last["gc"],
-                           drive.writes["refresh"] - last["refresh"],
-                           float(drive.pec.mean())))
-            last = {k: drive.writes[k] for k in last}
-            day += 1
+            close_day()
             next_day += SECONDS_PER_DAY
-        page = (lba // spp) % n_logical
-        if is_write:
-            for p in range(max(size // page_size, 1)):
-                host_write((page + p) % n_logical, now)
-        else:
-            host_read(page, now)
-    avg, worst = _series_rber(drive, cfg.retention_model, age_s)
-    series.append((day, avg, worst,
-                   drive.writes["host"] - last["host"],
-                   drive.writes["gc"] - last["gc"],
-                   drive.writes["refresh"] - last["refresh"],
-                   float(drive.pec.mean())))
+        access = host_write if is_write else host_read
+        for p in range(page, page + n):
+            access(p % n_logical, now)
+    close_day()
     return series
 
 
@@ -173,11 +170,7 @@ def run_lifetime(events, cfg):
 def _pool_endurance(cfg, warm, pool):
     if pool == HOT and warm is not None:
         return cfg.endurance.endurance_at(warm.cfg.hot_retention_s)
-    if cfg.refresh.mode == "fcr":
-        return cfg.endurance.endurance_at(cfg.refresh.period_s)
-    if cfg.refresh.mode == "adaptive":
-        return cfg.endurance.endurance_at(min(ADAPTIVE_TIERS_S))
-    return cfg.endurance.endurance_at(cfg.refresh.native_retention_s)
+    return cfg.endurance.endurance_at(cfg.refresh.retention_s)
 
 
 def _analytic_lifetime(drive, warm, cfg, duration_days):
@@ -199,9 +192,7 @@ def _analytic_lifetime(drive, warm, cfg, duration_days):
 def _direct_lifetime(drive, cfg, duration_days):
     """First day the worst-case block RBER exceeds the ECC limit."""
     model = cfg.retention_model
-    age_s = (cfg.series_age_s if cfg.series_age_s is not None
-             else (cfg.refresh.period_s if cfg.refresh.mode != "none"
-                   else cfg.refresh.native_retention_s))
+    age_s = cfg.refresh.retention_s
     pec_rate = (drive.pec.max() - cfg.initial_pec) / duration_days
     if pec_rate <= 0:
         return math.inf

@@ -75,10 +75,9 @@ def heatwatch_refs(calibration, ctx, grid=None):
         # extreme-wear extrapolation can cross the predicted means;
         # degrade to ordered midpoints rather than refuse to read
         mus = sorted(models[st].mu for st in CellState)
-        va = int(round((mus[0] + mus[1]) / 2))
-        vb = max(int(round((mus[1] + mus[2]) / 2)), va + 1)
-        vc = max(int(round((mus[2] + mus[3]) / 2)), vb + 1)
-        return ReadRefs(max(va, 1), vb, vc)
+        va, vb, vc = (int(round((lo + hi) / 2))
+                      for lo, hi in zip(mus, mus[1:]))
+        return ReadRefs.ordered(max(va, 1), vb, vc)
 
 
 def policy_refs(policy, ctx, retention_model=None, calibration=None,
@@ -90,14 +89,12 @@ def policy_refs(policy, ctx, retention_model=None, calibration=None,
         return retention_refs(retention_model, ctx.pec, max(ctx.age_s, 1.0))
     if policy == "lavar":
         base = retention_refs(retention_model, ctx.pec, max(ctx.age_s, 1.0))
-        return ReadRefs(base.va + ctx.layer_va_offset,
-                        max(base.vb + ctx.layer_vb_offset,
-                            base.va + ctx.layer_va_offset + 1),
-                        max(base.vc, base.vb + ctx.layer_vb_offset + 1))
+        return ReadRefs.ordered(base.va + ctx.layer_va_offset,
+                                base.vb + ctx.layer_vb_offset, base.vc)
     if policy == "remar":
         return remar_state.refs(ctx)
     if policy == "heatwatch":
-        return heatwatch_refs(calibration, ctx)
+        return heatwatch_refs(calibration, ctx, grid=grid)
     if policy == "oracle":
         return sweep_vopt(true_models, grid)
     raise ValueError(f"unknown policy {policy!r}")
@@ -119,10 +116,7 @@ class DecodeOutcome:
 
 
 def _shift_refs(refs, d):
-    va = refs.va + d[0]
-    vb = max(refs.vb + d[1], va + 1)
-    vc = max(refs.vc + d[2], vb + 1)
-    return ReadRefs(va, vb, vc)
+    return ReadRefs.ordered(refs.va + d[0], refs.vb + d[1], refs.vc + d[2])
 
 
 def _bit_errors(state, refs):

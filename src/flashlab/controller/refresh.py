@@ -29,6 +29,18 @@ class RefreshConfig:
         if self.mode not in ("none", "fcr", "adaptive"):
             raise ValueError(f"unknown refresh mode {self.mode!r}")
 
+    @property
+    def retention_s(self):
+        """Retention the mode guarantees, which sets the endurance it
+        buys and the data age its RBER is judged at: the FCR period, the
+        shortest adaptive tier, or native retention when nothing
+        refreshes."""
+        if self.mode == "fcr":
+            return self.period_s
+        if self.mode == "adaptive":
+            return min(ADAPTIVE_TIERS_S)
+        return self.native_retention_s
+
 
 def in_refresh_phase(pec, endurance_map, native_retention_s=THREE_YEARS_S):
     """True once wear exceeds what native retention can absorb.

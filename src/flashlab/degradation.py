@@ -64,10 +64,6 @@ class RetentionModel3D:
                     for k, r in recs.items()})
 
 
-def retention_eval(model, variable, pec, t_seconds):
-    return model.eval(variable, pec, t_seconds)
-
-
 def retention_state_models(model, pec, t_seconds):
     """Gaussian state models implied by the retention regression."""
     return gaussian_states(lambda row: model.eval(row, pec, t_seconds))
@@ -75,12 +71,8 @@ def retention_state_models(model, pec, t_seconds):
 
 def retention_refs(model, pec, t_seconds):
     """Predicted optimal read references from the regression rows."""
-    va = int(round(model.eval("va", pec, t_seconds)))
-    vb = int(round(model.eval("vb", pec, t_seconds)))
-    vc = int(round(model.eval("vc", pec, t_seconds)))
-    vb = max(vb, va + 1)
-    vc = max(vc, vb + 1)
-    return ReadRefs(va, vb, vc)
+    return ReadRefs.ordered(*(int(round(model.eval(row, pec, t_seconds)))
+                              for row in ("va", "vb", "vc")))
 
 
 @dataclass(frozen=True)

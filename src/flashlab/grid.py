@@ -88,6 +88,13 @@ class ReadRefs:
         if not (self.va < self.vb < self.vc):
             raise ValueError("read references must satisfy va < vb < vc")
 
+    @classmethod
+    def ordered(cls, va, vb, vc):
+        """References with vb, then vc, raised just enough to keep
+        va < vb < vc."""
+        vb = max(vb, va + 1)
+        return cls(va, vb, max(vc, vb + 1))
+
     def voltages(self, grid):
         return (grid.value(self.va), grid.value(self.vb), grid.value(self.vc))
 

@@ -2,7 +2,6 @@ from .applications import (
     RBEREstimate,
     estimate_lifetime,
     estimate_rber,
-    llr,
     predict_vopt,
     sweep_vopt,
 )
@@ -35,7 +34,7 @@ from .simplex import nelder_mead
 from .tables import NU_GRID, LookupTables, default_tables
 
 __all__ = [
-    "RBEREstimate", "estimate_lifetime", "estimate_rber", "llr",
+    "RBEREstimate", "estimate_lifetime", "estimate_rber",
     "predict_vopt", "sweep_vopt", "StateModel", "enforce_constraints",
     "gcdf", "kl_divergence", "model_density", "ncdf", "pooled_kl",
     "state_cdf", "tcdf", "FitResult", "PowerLawParams", "default_init",

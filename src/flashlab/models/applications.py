@@ -1,6 +1,6 @@
 """Controller-facing applications of the fitted distribution models:
-RBER estimation, optimal read reference prediction, lifetime estimation,
-and soft-decision LLRs.
+RBER estimation, optimal read reference prediction and lifetime
+estimation.
 """
 
 import functools
@@ -166,9 +166,7 @@ def predict_vopt(models, method="pdf_intersection", grid=None, tables=None):
         steps.append(step)
 
     # Keep the ordering strict after rounding.
-    steps[1] = max(steps[1], steps[0] + 1)
-    steps[2] = max(steps[2], steps[1] + 1)
-    return ReadRefs(*steps), flags
+    return ReadRefs.ordered(*steps), flags
 
 
 def sweep_vopt(models, grid=None, tables=None):
@@ -187,9 +185,7 @@ def sweep_vopt(models, grid=None, tables=None):
         # Mass of the lower state above the boundary + upper state below.
         miss = (1.0 - state_cdf(models, lo, vs, tables)) + state_cdf(models, hi, vs, tables)
         best.append(int(np.argmin(miss)) + 1)
-    best[1] = max(best[1], best[0] + 1)
-    best[2] = max(best[2], best[1] + 1)
-    return ReadRefs(*best)
+    return ReadRefs.ordered(*best)
 
 
 def estimate_lifetime(dynamic, family, ecc_limit, pec_step=100, pec_max=200000,
@@ -209,10 +205,3 @@ def estimate_lifetime(dynamic, family, ecc_limit, pec_step=100, pec_max=200000,
             return pec, True
         pec += pec_step
     return pec_max, False
-
-
-def llr(y, mu0, mu1, sigma):
-    """AWGN log-likelihood ratio for a cell read in a known voltage bin."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return (mu1**2 - mu0**2) / (2.0 * sigma**2) + y * (mu0 - mu1) / sigma**2

@@ -3,6 +3,13 @@
 Canonical event: (timestamp_us, op, lba, size_bytes) with lba counted in
 512-byte sectors and op in {"R", "W"}. A trace is held as columns
 (``Trace``); ``TraceEvent`` is one row of it.
+
+Page-span rule: with P-byte pages, an event touches every page from
+lba // (P // 512) up to, not including, ceil((lba * 512 + size_bytes) / P):
+the pages a page-mapped FTL reads for a read and rewrites for a write,
+read-modify-writing a page the write covers only in part. ``Trace.page_spans`` is the only place the rule
+is written down; replay, HeatWatch sampling and trace statistics all
+count pages through it.
 """
 
 import csv
@@ -90,10 +97,20 @@ class Trace:
 
     __hash__ = None
 
-
-def fold_lba(lba, drive_sectors):
-    """Map an arbitrary trace LBA into the simulated drive by modulo."""
-    return lba % drive_sectors
+    def page_spans(self, page_size):
+        """(first_page, page_count) of every event, as int64 arrays, by
+        the page-span rule of the module docstring."""
+        spp = page_size // SECTOR_BYTES
+        if spp < 1:
+            raise ValueError(f"page_size must be at least {SECTOR_BYTES} bytes")
+        first = self.lba // spp
+        # the ceiling less first, summed so that no partial sum overflows
+        # int64 (512 * (lba // page_size) never exceeds first)
+        hi, lo = np.divmod(self.lba, page_size)
+        count = (SECTOR_BYTES * hi - first + self.size_bytes // page_size
+                 + (SECTOR_BYTES * lo + self.size_bytes % page_size
+                    + page_size - 1) // page_size)
+        return first, np.maximum(count, 0)
 
 
 def parse_msr(path):
@@ -210,22 +227,12 @@ def hotness_cdf(events, page_size=8192):
 
     Returns (page_fraction, write_fraction): after sorting pages by write
     count descending, the cumulative share of writes absorbed by the
-    hottest x fraction of written pages. A write event covers pages
-    lba // (page_size // 512) up to, not including,
-    ceil((lba * 512 + size_bytes) / page_size).
+    hottest x fraction of written pages. A write counts once on every
+    page of its span (``Trace.page_spans``).
     """
-    spp = page_size // SECTOR_BYTES
-    if spp < 1:
-        raise ValueError(f"page_size must be at least {SECTOR_BYTES} bytes")
     trace = Trace.of(events)
-    lba = trace.lba[trace.is_write]
-    size = trace.size_bytes[trace.is_write]
-    first = lba // spp
-    # the ceiling above, split so that no term overflows int64
-    hi, lo = np.divmod(lba, page_size)
-    stop = (SECTOR_BYTES * hi + size // page_size
-            + (SECTOR_BYTES * lo + size % page_size + page_size - 1) // page_size)
-    span = np.maximum(stop - first, 0)
+    first, span = trace.page_spans(page_size)
+    first, span = first[trace.is_write], span[trace.is_write]
     pages = np.repeat(first, span)
     pages += np.arange(pages.size) - np.repeat(np.cumsum(span) - span, span)
     counts = np.unique(pages, return_counts=True)[1]

@@ -11,7 +11,7 @@ from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs, VoltageGrid
 from flashlab.models.applications import (VC_SEARCH_MAX,
                                           _gaussian_crossing, _round_to_step,
                                           estimate_lifetime, estimate_rber,
-                                          llr, predict_vopt, region_masses,
+                                          predict_vopt, region_masses,
                                           sweep_vopt)
 from flashlab.models.cdf import StateModel, enforce_constraints
 from flashlab.models.fitting import PowerLawParams
@@ -288,26 +288,3 @@ class TestEstimateLifetime:
         with pytest.raises(ValueError):
             estimate_lifetime(_symmetric_dynamic(), "gaussian", 0.0)
 
-
-class TestLlr:
-    def test_zero_at_midpoint(self):
-        assert llr(110.0, 100.0, 120.0, 10.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_positive_at_mu0(self):
-        assert llr(100.0, 100.0, 120.0, 10.0) > 0
-
-    def test_hand_computed_case(self):
-        assert llr(105.0, 100.0, 120.0, 10.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_gaussian_log_ratio(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            mu0, mu1 = sorted(rng.uniform(-50, 50, size=2))
-            sigma = rng.uniform(0.5, 20)
-            y = rng.uniform(-80, 80)
-            direct = (-(y - mu0) ** 2 + (y - mu1) ** 2) / (2 * sigma**2)
-            assert llr(y, mu0, mu1, sigma) == pytest.approx(direct, rel=1e-12, abs=1e-12)
-
-    def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            llr(0.0, 0.0, 1.0, 0.0)

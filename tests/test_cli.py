@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from flashlab.channel import bin_cells, export_histogram_csv, sample_page
@@ -9,7 +10,7 @@ from flashlab.models.cdf import StateModel
 from flashlab.models.fitting import (dynamic_from_dict, load_models_json,
                                      predict_static)
 from flashlab.raid_ecc import EccConfig, ecc_failure_rate
-from flashlab.trace import synth_hot, write_canonical
+from flashlab.trace import TraceEvent, hotness_cdf, synth_hot, write_canonical
 
 MEANS = (20.0, 100.0, 180.0, 260.0)
 
@@ -309,3 +310,17 @@ class TestSimulate:
                                         "op_fraction": op_fraction}, write_trace)
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_multi_page_writes_count_every_page_they_touch(self, tmp_path):
+        # 12 KiB at lba 0 touches 8 KiB pages 0-1; 8 KiB at lba 40 (byte
+        # 20480) straddles pages 2-3
+        events = [TraceEvent(0, "W", 0, 12288), TraceEvent(1, "W", 40, 8192)]
+        rc = self.run_policy(tmp_path, {"name": "run", "capacity_bytes": 32 << 20},
+                             lambda path: write_canonical(events, str(path)))
+        assert rc == 0
+        rep = json.loads((tmp_path / "out" / "run.json").read_text())
+        # trace-stats' curve: four pages, one write each
+        frac_pages, frac_writes = hotness_cdf(events)
+        assert frac_pages.size == 4
+        assert np.allclose(frac_writes, [0.25, 0.5, 0.75, 1.0])
+        assert rep["writes"]["host"] == 4

@@ -6,11 +6,12 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 from flashlab.channel import sample_page
-from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, Drive,
-                                 EnduranceMap, Geometry, LifetimeConfig,
-                                 RefreshConfig, WarmConfig, WarmManager,
-                                 adaptive_period, in_refresh_phase,
-                                 run_lifetime, run_refresh)
+from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, THREE_YEARS_S,
+                                 Drive, EnduranceMap, Geometry,
+                                 LifetimeConfig, RefreshConfig, WarmConfig,
+                                 WarmManager, adaptive_period,
+                                 in_refresh_phase, replay, run_lifetime,
+                                 run_refresh)
 from flashlab.controller.ftl import CLOSED
 from flashlab.controller.heatwatch import (HeatwatchConfig, ReadSample,
                                            collect_samples, truth_models)
@@ -18,10 +19,10 @@ from flashlab.controller.policies import (ReadContext,
                                           ReMARState, heatwatch_refs,
                                           policy_refs, read_flow)
 from flashlab.degradation import RetentionModel3D, retention_refs
-from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs
+from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs, VoltageGrid
 from flashlab.models.applications import predict_vopt, sweep_vopt
 from flashlab.models.cdf import StateModel
-from flashlab.trace import SECTOR_BYTES, synth_hot
+from flashlab.trace import SECTOR_BYTES, Trace, TraceEvent, synth_hot
 from flashlab.urt import (AccelLog, TempTrace, af, calibration_pack_from_retention,
                           celsius_to_kelvin, temp_generate)
 
@@ -580,6 +581,18 @@ class TestPolicies:
             want, _ = predict_vopt(truth_models(pack, pec, eff, 25.0))
             assert heatwatch_refs(pack, ctx) == want
 
+    def test_heatwatch_policy_reads_on_the_given_grid(self):
+        # a gap after step 101 moves the voltage of every step above it,
+        # so the crossings round to other steps than on the plain grid
+        pack = calibration_pack_from_retention(RET)
+        grid = VoltageGrid(gap_after_101=6)
+        ctx = self.ctx(pec=3000, eff_retention_s=7 * DAY)
+        got = policy_refs("heatwatch", ctx, calibration=pack, grid=grid)
+        assert got == heatwatch_refs(pack, ctx, grid=grid)
+        assert got == sweep_vopt(truth_models(pack, 3000, 7 * DAY), grid)
+        assert (got.vb, got.vc) == (138, 207)
+        assert heatwatch_refs(pack, ctx) == ReadRefs(62, 144, 213)
+
     def test_heatwatch_survives_extrapolated_mean_crossings(self):
         pack = calibration_pack_from_retention(RET)
         refs = heatwatch_refs(pack, self.ctx(pec=60000, age_s=365 * DAY,
@@ -641,6 +654,21 @@ class TestCollectSamples:
         else:
             assert 25 < len(want) < max_samples
         assert got == want
+
+    def test_read_of_a_later_page_of_a_multi_page_write_is_sampled(self):
+        # a 24 KiB write stamps pages 0-2; an hour later an 8 KiB read
+        # of page 1 finds data an hour old
+        events = [TraceEvent(0, "W", 0, 24576),
+                  TraceEvent(3600 * 10**6, "R", 16, 8192)]
+        samples = collect_samples(events, HeatwatchConfig(), self.PACK)
+        assert [s.age_s for s in samples] == [3600.0]
+
+    def test_each_page_of_a_read_is_one_candidate(self):
+        # the read spans pages 1-3 unaligned; page 3 was never written
+        events = [TraceEvent(0, "W", 0, 24576),
+                  TraceEvent(3600 * 10**6, "R", 20, 16384)]
+        samples = collect_samples(events, HeatwatchConfig(), self.PACK)
+        assert [s.age_s for s in samples] == [3600.0, 3600.0]
 
 
 def ladder_population():
@@ -716,3 +744,64 @@ class TestLifetimeReplay:
     def test_direct_mode_requires_inputs(self):
         with pytest.raises(ValueError):
             LifetimeConfig(geometry=small_geom(), mode="direct")
+
+    @pytest.mark.parametrize("refresh, age_s", [
+        (RefreshConfig(mode="none"), THREE_YEARS_S),
+        (RefreshConfig(mode="fcr", period_s=3 * DAY), 3 * DAY),
+        (RefreshConfig(mode="adaptive"), min(ADAPTIVE_TIERS_S)),
+    ])
+    def test_series_judges_rber_at_the_retention_refresh_guarantees(
+            self, refresh, age_s):
+        # 1000 writes close 7 blocks of a 32 MB drive without an erase, so
+        # every written block is still at the initial wear
+        geom = small_geom(mb=32)
+        events = synth_hot(10, 100, 0.02, 0.9,
+                           footprint_bytes=geom.logical_bytes, seed=3)
+        cfg = LifetimeConfig(geometry=geom, mode="direct", ecc_limit=2e-3,
+                             retention_model=RET, initial_pec=3000,
+                             refresh=refresh)
+        assert refresh.retention_s == age_s
+        rep = run_lifetime(events, cfg)
+        want = 0.5 * (math.exp(RET.eval("log_rber_msb", 3000, age_s))
+                      + math.exp(RET.eval("log_rber_lsb", 3000, age_s)))
+        assert rep.series[0][1:3] == pytest.approx((want, want), rel=1e-12)
+
+
+def reference_replay_counts(events, page_size, n_logical):
+    """(host writes, host reads of written pages), page by page, from the
+    span rule written out on Python ints."""
+    spp = page_size // SECTOR_BYTES
+    written, writes, reads = set(), 0, 0
+    for e in events:
+        stop = -(-(e.lba * SECTOR_BYTES + e.size_bytes) // page_size)
+        for page in range(e.lba // spp, stop):
+            page %= n_logical
+            if e.op == "W":
+                written.add(page)
+                writes += 1
+            elif page in written:
+                reads += 1
+    return writes, reads
+
+
+class TestReplayPageSpansProperty:
+    @settings(max_examples=100)
+    @given(rows=hst.lists(hst.tuples(hst.sampled_from("RWW"),
+                                     hst.integers(0, 4000),
+                                     hst.integers(1, 40_000)),
+                          min_size=1, max_size=60),
+           warm=hst.booleans())
+    def test_host_writes_are_the_write_spans(self, rows, warm):
+        geom = Geometry(capacity_bytes=32 << 16, block_size=1 << 16,
+                        op_fraction=0.5)
+        events = [TraceEvent(i * 10**6, op, lba, size)
+                  for i, (op, lba, size) in enumerate(rows)]
+        drive = Drive(geom, warm=WarmManager(geom) if warm else None)
+        replay(Trace.of(events), drive, LifetimeConfig(geometry=geom))
+        writes, reads = reference_replay_counts(events, geom.page_size,
+                                                geom.logical_pages)
+        write_events = sum(op == "W" for op, _, _ in rows)
+        event(f"multi-page writes: {writes > write_events}")
+        assert drive.writes["host"] == writes
+        assert drive.reads == reads
+        assert drive.audit()

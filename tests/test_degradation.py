@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flashlab.degradation import (GammaParams, OffsetShape,
-                                  RetentionModel3D, fit_gamma, retention_eval,
+                                  RetentionModel3D, fit_gamma,
                                   retention_refs, retention_state_models,
                                   sample_layer_profile)
 from flashlab.grid import CellState
@@ -93,9 +93,6 @@ class TestRetentionModel:
         MODEL.to_json(path)
         back = RetentionModel3D.from_json(path)
         assert back.coeffs == MODEL.coeffs
-
-    def test_eval_helper_matches_method(self):
-        assert retention_eval(MODEL, "mu_P2", 2500, DAY) == MODEL.eval("mu_P2", 2500, DAY)
 
 
 class TestGammaFit:

@@ -52,6 +52,18 @@ class TestVoltageGrid:
             ReadRefs(100, 90, 200)
 
 
+class TestReadRefsOrdered:
+    @pytest.mark.parametrize("raw, want", [
+        ((10, 20, 30), (10, 20, 30)),     # already ordered: unchanged
+        ((10, 5, 30), (10, 11, 30)),      # vb raised past va
+        ((10, 20, 15), (10, 20, 21)),     # vc raised past vb
+        ((10, 5, 8), (10, 11, 12)),       # vc raised past the raised vb
+        ((-3, -3, -3), (-3, -2, -1)),
+    ])
+    def test_raises_vb_then_vc_just_enough(self, raw, want):
+        assert ReadRefs.ordered(*raw) == ReadRefs(*want)
+
+
 class TestGrayMapping:
     def test_bit_tables(self):
         # ER=(1,1), P1=(0,1), P2=(0,0), P3=(1,0)

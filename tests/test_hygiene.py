@@ -1,5 +1,6 @@
 """Source hygiene: no library or test module imports a name it never uses,
-and the CLI starts up without ``scipy.stats``.
+the CLI starts up without ``scipy.stats``, and only ``trace.py`` turns
+sectors into pages.
 
 Package ``__init__.py`` files are exempt, since importing a name there is
 how it is re-exported.
@@ -8,6 +9,7 @@ how it is re-exported.
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -66,3 +68,11 @@ def test_cli_start_up_does_not_import_scipy_stats():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_only_the_trace_module_names_sector_bytes():
+    # Trace.page_spans is the one page-span rule; a second module that
+    # converts sectors to pages would be a second rule
+    naming = sorted(str(p.relative_to(SRC)) for p in SRC.glob("**/*.py")
+                    if re.search(r"\bSECTOR_BYTES\b", p.read_text()))
+    assert naming == ["trace.py"]

@@ -6,7 +6,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 from flashlab.cli import main
-from flashlab.trace import (SECTOR_BYTES, TraceEvent, fold_lba, hotness_cdf,
+from flashlab.trace import (SECTOR_BYTES, Trace, TraceEvent, hotness_cdf,
                             parse_canonical, parse_msr, synth_hot,
                             write_canonical)
 
@@ -70,12 +70,6 @@ class TestCanonical:
                         "9,R,100\n")
         events, skipped = parse_canonical(path)
         assert len(events) == 1 and skipped == 2
-
-
-class TestFoldLba:
-    def test_modulo_fold(self):
-        assert fold_lba(1005, 1000) == 5
-        assert fold_lba(999, 1000) == 999
 
 
 class TestSynthHot:
@@ -335,6 +329,34 @@ class TestHotnessCdfProperty:
     def test_page_smaller_than_sector_rejected(self):
         with pytest.raises(ValueError):
             hotness_cdf([TraceEvent(0, "W", 0, 512)], page_size=256)
+
+
+class TestPageSpans:
+    def test_aligned_and_straddling_writes(self):
+        trace = Trace.of([TraceEvent(0, "W", 0, 12288),
+                          TraceEvent(1, "R", 40, 8192),
+                          TraceEvent(2, "W", 16, 8192)])
+        first, count = trace.page_spans(8192)
+        assert first.dtype == count.dtype == np.int64
+        assert first.tolist() == [0, 2, 1]
+        assert count.tolist() == [2, 2, 1]
+
+    @settings(max_examples=200)
+    @given(events=hst.lists(hst.builds(
+               TraceEvent, hst.just(0), hst.sampled_from("RW"),
+               hst.one_of(hst.integers(0, 200), hst.integers(0, (1 << 63) - 1)),
+               hst.one_of(hst.integers(1, 70_000),
+                          hst.integers(1, (1 << 63) - 1))), max_size=40),
+           page_size=hst.sampled_from([512, 3000, 4096, 8192, 16384]))
+    def test_matches_the_rule_on_python_ints(self, events, page_size):
+        first, count = Trace.of(events).page_spans(page_size)
+        spp = page_size // SECTOR_BYTES
+        want_first = [e.lba // spp for e in events]
+        want_stop = [-(-(e.lba * SECTOR_BYTES + e.size_bytes) // page_size)
+                     for e in events]
+        assert first.tolist() == want_first
+        assert count.tolist() == [max(s - f, 0)
+                                  for f, s in zip(want_first, want_stop)]
 
 
 def reference_write_canonical(events, path):
