@@ -87,17 +87,14 @@ class RBERReport:
     n_cells: int = 0
 
 
-def _sample_component(model, n, rng, tables):
+def _sample_component(model, n, rng):
     """Draw n threshold voltages from one pure state distribution."""
     if model.family == "gaussian":
         return rng.normal(model.mu, model.sigma, n)
     if model.family == "student_t":
+        t_quantile = default_tables().t_quantile
         u = rng.random(n)
-        z = np.where(
-            u <= 0.5,
-            tables.t_quantile(u, model.beta),
-            tables.t_quantile(u, model.alpha),
-        )
+        z = np.where(u <= 0.5, t_quantile(u, model.beta), t_quantile(u, model.alpha))
         return model.mu + model.sigma * z
     # normal_laplace: Gaussian core plus an asymmetric Laplace component.
     base = rng.normal(model.mu, model.sigma, n)
@@ -111,7 +108,7 @@ def _sample_component(model, n, rng, tables):
 
 
 def sample_page(models, n_cells, layer_profile=None, seed=0, grid=None,
-                neighbor_states=False, tables=None):
+                neighbor_states=False):
     """Sample a cell population from a 4-state model.
 
     Intended states are assigned in equal quarters. Each ER/P1 cell is
@@ -121,7 +118,6 @@ def sample_page(models, n_cells, layer_profile=None, seed=0, grid=None,
     if n_cells <= 0:
         raise ValueError("n_cells must be positive")
     grid = grid or VoltageGrid()
-    tables = tables or default_tables()
     rng = np.random.default_rng(seed)
 
     true_state = (np.arange(n_cells) % 4).astype(np.int8)
@@ -137,7 +133,7 @@ def sample_page(models, n_cells, layer_profile=None, seed=0, grid=None,
     for st in CellState:
         idx = np.flatnonzero(shape_state == st)
         if idx.size:
-            vth[idx] = _sample_component(models[st], idx.size, rng, tables)
+            vth[idx] = _sample_component(models[st], idx.size, rng)
 
     layer = rng.integers(0, 101, n_cells).astype(np.int16)
     if neighbor_states:

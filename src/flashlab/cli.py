@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -19,7 +20,6 @@ from . import __version__
 from .channel import load_histogram_csv
 from .models import (dynamic_to_dict, fit_static, fit_dynamic, predict_static,
                      save_models_json)
-from .models.tables import default_tables
 from .degradation import RetentionModel3D
 from . import urt as urt_mod
 from . import trace as trace_mod
@@ -85,7 +85,6 @@ def cmd_fit(args):
     families = (args.compare.split(",") if args.compare else [args.family])
     out_dir = args.out
     _write_manifest(out_dir, "fit", vars(args), args.seed)
-    tables = default_tables()
 
     if args.dynamic:
         if len(args.inputs) < 3:
@@ -97,7 +96,7 @@ def cmd_fit(args):
         family = families[0]
         fits = []
         for pec, path in sorted(zip(pecs, args.inputs)):
-            fr = fit_static(load_histogram_csv(path), family, tables=tables)
+            fr = fit_static(load_histogram_csv(path), family)
             if _nonconverged(fr):
                 return EXIT_NONCONVERGENCE
             fits.append((pec, fr))
@@ -115,7 +114,7 @@ def cmd_fit(args):
     hist = load_histogram_csv(args.inputs[0])
     results = {}
     for family in families:
-        fr = fit_static(hist, family, tables=tables)
+        fr = fit_static(hist, family)
         results[family] = fr
         print(f"{family}: kl={fr.kl_error:.6f} iters={fr.iterations}"
               f" converged={fr.converged}")
@@ -142,6 +141,33 @@ def _parse_refresh(spec):
     raise ConfigError(f"unknown refresh spec {spec!r}")
 
 
+_POLICY_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
+
+
+def _check_policies(policies):
+    """Reject a bad policy entry before any policy runs: a name must be a
+    plain file stem, unique and not ``manifest``, since it names the
+    policy's artifacts; ``refresh`` is a string, ``warm`` a JSON boolean
+    and ``ecc_limit`` a positive number."""
+    if not isinstance(policies, list) or not policies:
+        raise ConfigError("config needs a 'policies' list")
+    seen = set()
+    for p in policies:
+        name = p.get("name") if isinstance(p, dict) else None
+        if (not isinstance(name, str) or not _POLICY_NAME.fullmatch(name)
+                or name == "manifest" or name in seen):
+            raise ConfigError(f"policy name {name!r} must be a unique plain"
+                              " file stem other than 'manifest'")
+        seen.add(name)
+        lim = p.get("ecc_limit", 1.0)
+        if (not isinstance(p.get("refresh", ""), str)
+                or not isinstance(p.get("warm", False), bool)
+                or isinstance(lim, bool) or not isinstance(lim, (int, float))
+                or not 0 < lim < math.inf):
+            raise ConfigError(f"policy {name!r}: refresh must be a string, warm"
+                              " true or false and ecc_limit a positive number")
+
+
 def _one_lifetime(item):
     name, cfg_doc, trace_path, seed = item
     events, _ = trace_mod.parse_canonical(trace_path)
@@ -154,7 +180,7 @@ def _one_lifetime(item):
         raise ConfigError(f"policy {name!r}: {exc}") from exc
     cfg = LifetimeConfig(
         geometry=Geometry(capacity, **geom_kw),
-        warm=bool(cfg_doc.get("warm", False)),
+        warm=cfg_doc.get("warm", False),
         refresh=_parse_refresh(cfg_doc.get("refresh")),
         initial_pec=initial_pec,
         mode=cfg_doc.get("mode", "analytic"),
@@ -191,8 +217,7 @@ def cmd_simulate(args):
         return EXIT_OK
 
     policies = doc.get("policies")
-    if not policies:
-        raise ConfigError("config needs a 'policies' list")
+    _check_policies(policies)
     items = [(p["name"], p, args.trace, args.seed) for p in policies]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -294,6 +319,7 @@ def cmd_layout(args):
 
 
 def cmd_trace_stats(args):
+    trace_mod.check_page_size(args.page_size)
     if args.msr:
         events, skipped = trace_mod.parse_msr(args.trace)
     else:

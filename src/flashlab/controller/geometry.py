@@ -3,6 +3,8 @@
 import math
 from dataclasses import dataclass
 
+from ..trace import check_page_size
+
 SECONDS_PER_DAY = 86400.0
 THREE_YEARS_S = 3 * 365 * SECONDS_PER_DAY
 THREE_DAYS_S = 3 * SECONDS_PER_DAY
@@ -16,6 +18,7 @@ class Geometry:
     op_fraction: float = 0.15
 
     def __post_init__(self):
+        check_page_size(self.page_size)
         if self.block_size % self.page_size:
             raise ValueError("block size must be a multiple of page size")
         if self.capacity_bytes < 2 * self.block_size:

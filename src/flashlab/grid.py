@@ -68,13 +68,6 @@ class VoltageGrid:
         """Bin index 0..303 for a threshold voltage: bin k iff V_k <= vth < V_{k+1}."""
         return np.searchsorted(self.boundaries(), np.asarray(vth, dtype=float), side="right")
 
-    def bin_edges(self):
-        """Per-bin (left, right) voltage edges; bins 0 and 303 are half-open."""
-        b = self.boundaries()
-        left = np.concatenate(([-np.inf], b))
-        right = np.concatenate((b, [np.inf]))
-        return left, right
-
 
 @dataclass(frozen=True)
 class ReadRefs:

@@ -32,14 +32,3 @@ from .fitting import (
 )
 from .simplex import nelder_mead
 from .tables import NU_GRID, LookupTables, default_tables
-
-__all__ = [
-    "RBEREstimate", "estimate_lifetime", "estimate_rber",
-    "predict_vopt", "sweep_vopt", "StateModel", "enforce_constraints",
-    "gcdf", "kl_divergence", "model_density", "ncdf", "pooled_kl",
-    "state_cdf", "tcdf", "FitResult", "PowerLawParams", "default_init",
-    "dynamic_to_dict", "fit_dynamic", "fit_power_law", "fit_static",
-    "load_models_json", "models_from_dict", "models_to_dict",
-    "predict_static", "save_models_json",
-    "nelder_mead", "NU_GRID", "LookupTables", "default_tables",
-]

@@ -11,7 +11,6 @@ import numpy as np
 
 from ..grid import LSB_OF_STATE, MSB_OF_STATE, CellState, ReadRefs, VoltageGrid
 from .cdf import state_cdf
-from .tables import default_tables
 
 # Vopt search range for the top reference extends past the binning grid,
 # matching the stock vc.
@@ -25,24 +24,23 @@ class RBEREstimate:
     lsb: float
 
 
-def region_masses(models, refs, grid=None, tables=None):
+def region_masses(models, refs, grid=None):
     """Probability mass of each intended state in each decode region.
 
     Returns shape (4 states, 4 regions); rows sum to 1.
     """
     grid = grid or VoltageGrid()
-    tables = tables or default_tables()
     va, vb, vc = refs.voltages(grid)
     out = np.empty((4, 4))
     for st in CellState:
-        c = state_cdf(models, st, np.array([va, vb, vc]), tables)
+        c = state_cdf(models, st, np.array([va, vb, vc]))
         out[st] = (c[0], c[1] - c[0], c[2] - c[1], 1.0 - c[2])
     return out
 
 
-def estimate_rber(models, refs, grid=None, tables=None):
+def estimate_rber(models, refs, grid=None):
     """Analytic RBER at the given references, states weighted equally."""
-    masses = region_masses(models, refs, grid, tables)
+    masses = region_masses(models, refs, grid)
     msb = lsb = 0.0
     for st in range(4):
         for region in range(4):
@@ -55,9 +53,9 @@ def estimate_rber(models, refs, grid=None, tables=None):
     return RBEREstimate(total=(msb + lsb) / 2.0, msb=msb, lsb=lsb)
 
 
-def _density(models, state, v, tables, h=0.25):
-    lo = state_cdf(models, state, np.asarray(v, dtype=float) - h, tables)
-    hi = state_cdf(models, state, np.asarray(v, dtype=float) + h, tables)
+def _density(models, state, v, h=0.25):
+    lo = state_cdf(models, state, np.asarray(v, dtype=float) - h)
+    hi = state_cdf(models, state, np.asarray(v, dtype=float) + h)
     return (hi - lo) / (2.0 * h)
 
 
@@ -102,7 +100,7 @@ def _gaussian_crossing(lo, hi):
     return lo.mu + c / q
 
 
-def _scanned_step(models, lo, hi, grid, tables):
+def _scanned_step(models, lo, hi, grid):
     """Rounded step of the density crossing between two means, or None.
 
     The density gap is evaluated once, at the means and at every half-way
@@ -117,19 +115,19 @@ def _scanned_step(models, lo, hi, grid, tables):
     first = int(np.searchsorted(halves, a, side="right"))
     last = int(np.searchsorted(halves, b, side="left"))
     v = np.concatenate(([a], halves[first:last], [b]))
-    gap = _density(models, lo, v, tables) - _density(models, hi, v, tables)
+    gap = _density(models, lo, v) - _density(models, hi, v)
     if gap[0] <= 0 or gap[-1] >= 0:
         return None
     ks = first + np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
     k = ks[0]
     if len(ks) > 1:
         vs = steps[ks]
-        miss = (1.0 - state_cdf(models, lo, vs, tables)) + state_cdf(models, hi, vs, tables)
+        miss = (1.0 - state_cdf(models, lo, vs)) + state_cdf(models, hi, vs)
         k = ks[np.argmin(miss)]
     return int(k) + 1
 
 
-def predict_vopt(models, method="pdf_intersection", grid=None, tables=None):
+def predict_vopt(models, method="pdf_intersection", grid=None):
     """Predict optimal read references.
 
     pdf_intersection puts each reference where the two neighboring state
@@ -141,7 +139,6 @@ def predict_vopt(models, method="pdf_intersection", grid=None, tables=None):
     if method not in ("pdf_intersection", "mean_midpoint"):
         raise ValueError(f"unknown method {method!r}")
     grid = grid or VoltageGrid()
-    tables = tables or default_tables()
     mus = [models[st].mu for st in CellState]
     if not (mus[0] < mus[1] < mus[2] < mus[3]):
         raise ValueError("state means must be ordered ER < P1 < P2 < P3")
@@ -159,7 +156,7 @@ def predict_vopt(models, method="pdf_intersection", grid=None, tables=None):
             v = _gaussian_crossing(models[lo], models[hi])
             step = None if v is None else _round_to_step(v, grid)
         else:
-            step = _scanned_step(models, lo, hi, grid, tables)
+            step = _scanned_step(models, lo, hi, grid)
         if step is None:
             step = _round_to_step(midpoint, grid)
             flags.append(name)
@@ -169,7 +166,7 @@ def predict_vopt(models, method="pdf_intersection", grid=None, tables=None):
     return ReadRefs.ordered(*steps), flags
 
 
-def sweep_vopt(models, grid=None, tables=None):
+def sweep_vopt(models, grid=None):
     """Exhaustive per-boundary sweep minimizing misread mass.
 
     Total misread mass separates per boundary once the region order is
@@ -177,19 +174,18 @@ def sweep_vopt(models, grid=None, tables=None):
     oracle that predict_vopt is judged against.
     """
     grid = grid or VoltageGrid()
-    tables = tables or default_tables()
     vs, _ = _step_table(grid)
     best = []
     for i in range(3):
         lo, hi = CellState(i), CellState(i + 1)
         # Mass of the lower state above the boundary + upper state below.
-        miss = (1.0 - state_cdf(models, lo, vs, tables)) + state_cdf(models, hi, vs, tables)
+        miss = (1.0 - state_cdf(models, lo, vs)) + state_cdf(models, hi, vs)
         best.append(int(np.argmin(miss)) + 1)
     return ReadRefs.ordered(*best)
 
 
 def estimate_lifetime(dynamic, family, ecc_limit, pec_step=100, pec_max=200000,
-                      method="pdf_intersection", grid=None, tables=None):
+                      method="pdf_intersection", grid=None):
     """Smallest PEC (scanned in pec_step increments) where the RBER at the
     predicted Vopt exceeds the ECC limit. Returns (pec, exceeded)."""
     from .fitting import predict_static
@@ -200,8 +196,8 @@ def estimate_lifetime(dynamic, family, ecc_limit, pec_step=100, pec_max=200000,
     pec = 0
     while pec <= pec_max:
         models, _ = predict_static(dynamic, pec, family)
-        refs, _ = predict_vopt(models, method, grid, tables)
-        if estimate_rber(models, refs, grid, tables).total > ecc_limit:
+        refs, _ = predict_vopt(models, method, grid)
+        if estimate_rber(models, refs, grid).total > ecc_limit:
             return pec, True
         pec += pec_step
     return pec_max, False

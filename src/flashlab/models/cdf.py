@@ -1,11 +1,11 @@
 """Threshold-voltage distribution families and their bin densities.
 
 Three CDF families over the normalized voltage axis:
-  gaussian        Phi(Z) from the z-table
-  normal_laplace  Gaussian convolved with an asymmetric Laplace; evaluated
-                  exactly through Mills' ratio (scipy.special, no tables)
-  student_t       two-sided Student's t with separate tail weights, from the
-                  interpolated t-tables
+  gaussian        Phi(Z), exact through scipy.special.ndtr
+  normal_laplace  Gaussian convolved with an asymmetric Laplace; exact
+                  through ndtr and Mills' ratio
+  student_t       two-sided Student's t with separate tail weights; the only
+                  family that reads a table (the interpolated t-tables)
 
 Each wordline carries four state distributions (ER, P1, P2, P3); ER and P1
 additionally mix in a misprogram component that reuses the target state's
@@ -55,10 +55,9 @@ class StateModel:
                 raise ValueError("tail parameters must be positive")
 
 
-def gcdf(v, mu, sigma, tables=None):
-    """Gaussian CDF via z-table lookup."""
-    tables = tables or default_tables()
-    return tables.phi((np.asarray(v, dtype=float) - mu) / sigma)
+def gcdf(v, mu, sigma):
+    """Gaussian CDF, exact through ``special.ndtr``."""
+    return special.ndtr((np.asarray(v, dtype=float) - mu) / sigma)
 
 
 def _phi_times_mills(z, x):
@@ -80,36 +79,30 @@ def _phi_times_mills(z, x):
     return out
 
 
-def ncdf(v, mu, sigma, alpha, beta, tables=None):
-    """Normal-Laplace CDF via Mills' ratio, evaluated exactly.
-
-    ``tables`` is accepted for a signature shared with the other families;
-    no table is read.
-    """
+def ncdf(v, mu, sigma, alpha, beta):
+    """Normal-Laplace CDF via Mills' ratio, evaluated exactly."""
     z = (np.asarray(v, dtype=float) - mu) / sigma
     t1 = beta * _phi_times_mills(z, alpha * sigma - z)
     t2 = alpha * _phi_times_mills(z, beta * sigma + z)
     return np.clip(special.ndtr(z) - (t1 - t2) / (alpha + beta), 0.0, 1.0)
 
 
-def tcdf(v, mu, sigma, alpha, beta, tables=None):
+def tcdf(v, mu, sigma, alpha, beta):
     """Two-sided Student's t CDF: left half uses nu=beta, right nu=alpha."""
-    tables = tables or default_tables()
+    t_cdf = default_tables().t_cdf
     z = (np.asarray(v, dtype=float) - mu) / sigma
     if alpha == beta:
-        return tables.t_cdf(z, alpha)
-    left = tables.t_cdf(z, beta)
-    right = tables.t_cdf(z, alpha)
-    return np.where(z <= 0.0, left, right)
+        return t_cdf(z, alpha)
+    return np.where(z <= 0.0, t_cdf(z, beta), t_cdf(z, alpha))
 
 
-def component_cdf(model, v, tables=None):
+def component_cdf(model, v):
     """CDF of one pure state component (no misprogram mixing)."""
     if model.family == "gaussian":
-        return gcdf(v, model.mu, model.sigma, tables)
+        return gcdf(v, model.mu, model.sigma)
     if model.family == "normal_laplace":
-        return ncdf(v, model.mu, model.sigma, model.alpha, model.beta, tables)
-    return tcdf(v, model.mu, model.sigma, model.alpha, model.beta, tables)
+        return ncdf(v, model.mu, model.sigma, model.alpha, model.beta)
+    return tcdf(v, model.mu, model.sigma, model.alpha, model.beta)
 
 
 def enforce_constraints(models):
@@ -151,13 +144,13 @@ def mix(model, own, target):
     return (1.0 - model.lam) * own + model.lam * target
 
 
-def state_cdf(models, state, v, tables=None):
+def state_cdf(models, state, v):
     """Mixture CDF for an intended state, including misprogram mass."""
     m = models[state]
-    own = component_cdf(m, v, tables)
+    own = component_cdf(m, v)
     if m.lam == 0.0 or state not in MISPROGRAM_TARGET:
         return own
-    return mix(m, own, component_cdf(models[MISPROGRAM_TARGET[state]], v, tables))
+    return mix(m, own, component_cdf(models[MISPROGRAM_TARGET[state]], v))
 
 
 @functools.lru_cache(maxsize=16)
@@ -179,7 +172,7 @@ def bin_masses(c):
     return out
 
 
-def model_density(models, grid, tables=None):
+def model_density(models, grid):
     """Per-state bin probability masses, shape (4, 304); see bin_masses.
 
     Each state's component CDF is evaluated once and shared with the state
@@ -187,7 +180,7 @@ def model_density(models, grid, tables=None):
     ``state_cdf(models, s, ...)`` bit for bit.
     """
     b = grid_boundaries(grid)
-    own = [component_cdf(models[s], b, tables) for s in CellState]
+    own = [component_cdf(models[s], b) for s in CellState]
     c = np.empty((4, b.size))
     for s in CellState:
         tgt = MISPROGRAM_TARGET.get(s)

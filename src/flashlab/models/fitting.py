@@ -19,7 +19,6 @@ from ..grid import MISPROGRAM_TARGET, CellState
 from .cdf import (StateModel, bin_masses, component_cdf, enforce_constraints,
                   grid_boundaries, mix, model_density, pooled_kl)
 from .simplex import nelder_mead
-from .tables import default_tables
 
 # Fit order: misprogram targets first so their parameters are available.
 _STAGE_ORDER = (CellState.P3, CellState.P2, CellState.ER, CellState.P1)
@@ -82,8 +81,20 @@ def _pack_state(model, family, state):
     return out
 
 
+def _state_model(family, state, kw):
+    """One state's model from its free parameters (``_state_param_names``):
+    the tied tail is copied in as ``enforce_constraints`` ties it, ER's
+    beta := alpha and P3's alpha := beta."""
+    if family != "gaussian":
+        if state == CellState.ER:
+            kw["beta"] = kw["alpha"]
+        if state == CellState.P3:
+            kw["alpha"] = kw["beta"]
+    return StateModel(family, **kw)
+
+
 def _unpack_state(vec, family, state):
-    kw = {"family": family}
+    kw = {}
     for name, x in zip(_state_param_names(family, state), vec):
         if name == "mu":
             kw["mu"] = float(x)
@@ -91,12 +102,7 @@ def _unpack_state(vec, family, state):
             kw["lam"] = _expit(float(x))
         else:
             kw[name] = math.exp(min(float(x), 30.0))
-    if family != "gaussian":
-        if state == CellState.ER:
-            kw["beta"] = kw["alpha"]
-        if state == CellState.P3:
-            kw["alpha"] = kw["beta"]
-    return StateModel(**kw)
+    return _state_model(family, state, kw)
 
 
 def _pack_all(models, family):
@@ -144,7 +150,7 @@ def default_init(hist, family):
     return enforce_constraints(models)
 
 
-def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000, tables=None):
+def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000):
     """Fit a 4-state model to a binned histogram by KL minimization.
 
     A stage objective evaluates only the fitted state's own component, mixed
@@ -152,12 +158,11 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000, tables=None):
     Every float operation runs as in ``kl_divergence`` of ``model_density``,
     so the objective values, and the fit, equal theirs bit for bit.
     """
-    tables = tables or default_tables()
     grid = hist.grid
     b = grid_boundaries(grid)
     measured = hist.densities()
     models = dict(init) if init is not None else default_init(hist, family)
-    init_kl = pooled_kl(measured, model_density(models, grid, tables))
+    init_kl = pooled_kl(measured, model_density(models, grid))
 
     seen = measured > 0
     p_seen = [measured[s][seen[s]] for s in CellState]
@@ -172,11 +177,11 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000, tables=None):
     # Stage 1: per-state fits, misprogram targets first.
     for st in _STAGE_ORDER:
         tgt = MISPROGRAM_TARGET.get(st)
-        tgt_cdf = None if tgt is None else component_cdf(models[tgt], b, tables)
+        tgt_cdf = None if tgt is None else component_cdf(models[tgt], b)
 
         def objective(vec, st=st, tgt_cdf=tgt_cdf):
             m = _unpack_state(vec, family, st)
-            own = component_cdf(m, b, tables)
+            own = component_cdf(m, b)
             return state_kl(st, bin_masses(own if tgt_cdf is None else mix(m, own, tgt_cdf)))
 
         x0 = np.array(_pack_state(models[st], family, st))
@@ -187,7 +192,7 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000, tables=None):
 
     # Stage 2: joint polish over the full parameter vector.
     def joint_objective(vec):
-        dens = model_density(_unpack_all(vec, family), grid, tables)
+        dens = model_density(_unpack_all(vec, family), grid)
         return float(np.mean([state_kl(s, dens[s]) for s in CellState]))
 
     x0 = _pack_all(models, family)
@@ -197,7 +202,7 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000, tables=None):
     if kl <= init_kl:
         models, final_kl = polished, kl
     else:
-        final_kl = pooled_kl(measured, model_density(models, grid, tables))
+        final_kl = pooled_kl(measured, model_density(models, grid))
     models = enforce_constraints(models)
     return FitResult(models, float(final_kl), total_iters, converged and ok)
 
@@ -267,7 +272,7 @@ def predict_static(dynamic, pec, family):
     models = {}
     x = max(float(pec), 1e-12)
     for st in CellState:
-        kw = {"family": family}
+        kw = {}
         for name in _state_param_names(family, st):
             val = float(dynamic[(st.name, name)].predict(x))
             if name == "sigma" and val <= 0:
@@ -277,13 +282,8 @@ def predict_static(dynamic, pec, family):
             if name == "lam":
                 val = float(np.clip(val, 0.0, 1.0))
             kw[name] = val
-        if family != "gaussian":
-            if st == CellState.ER:
-                kw["beta"] = kw["alpha"]
-            if st == CellState.P3:
-                kw["alpha"] = kw["beta"]
-        models[st] = StateModel(**kw)
-    return enforce_constraints(models), clamped
+        models[st] = _state_model(family, st, kw)
+    return models, clamped
 
 
 def models_to_dict(models):

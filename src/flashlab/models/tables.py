@@ -1,9 +1,10 @@
-"""Precomputed CDF lookup tables.
+"""Precomputed Student's t CDF lookup tables.
 
-Run-time Gaussian and Student's t CDF evaluation goes through these tables
-with linear interpolation. They are built once from ``scipy.special``:
-``ndtr`` for the Gaussian, ``stdtr`` for each Student's t. The normal-Laplace
-CDF reads no table: ``cdf.ncdf`` evaluates it exactly with ``scipy.special``.
+Only the Student's t family reads a table: its CDF is evaluated by linear
+interpolation in one table per degrees of freedom, built once with
+``scipy.special.stdtr``. The Gaussian and normal-Laplace CDFs read no
+table; ``cdf.gcdf`` and ``cdf.ncdf`` evaluate them exactly through
+``scipy.special.ndtr``.
 """
 
 import numpy as np
@@ -23,30 +24,22 @@ def _t_z_grid():
 
 
 class LookupTables:
-    """Standard-normal z-table plus one Student's t table per nu."""
+    """One Student's t CDF table per nu of ``NU_GRID``."""
 
-    def __init__(self, z_step=0.01, z_max=8.0):
-        self.z_grid = np.arange(-z_max, z_max + 1e-12, z_step)
-        self.z_cdf = special.ndtr(self.z_grid)
+    def __init__(self):
         self.t_z_grid = _t_z_grid()
-        self.nu_grid = NU_GRID
         self.t_cdfs = np.empty((len(NU_GRID), len(self.t_z_grid)))
         for i, nu in enumerate(NU_GRID):
             if np.isinf(nu):
                 self.t_cdfs[i] = special.ndtr(self.t_z_grid)
             else:
                 self.t_cdfs[i] = special.stdtr(nu, self.t_z_grid)
-        self.nu_clamp_count = 0
-
-    def phi(self, z):
-        """Standard-normal CDF via table + linear interpolation."""
-        return np.interp(z, self.z_grid, self.z_cdf)
 
     def _t_table(self, nu):
-        """Blended t-CDF table for an arbitrary nu (log-interpolated)."""
-        grid = self.nu_grid
+        """Blended t-CDF table for an arbitrary nu (log-interpolated); a nu
+        below the grid reads the lowest table."""
+        grid = NU_GRID
         if nu < grid[0]:
-            self.nu_clamp_count += 1
             return self.t_cdfs[0]
         if np.isinf(nu) or nu >= 1e6:
             return self.t_cdfs[-1]

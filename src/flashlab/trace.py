@@ -22,6 +22,14 @@ SECTOR_BYTES = 512
 CANONICAL_HEADER = ["timestamp_us", "op", "lba", "size_bytes"]
 
 
+def check_page_size(page_size):
+    """Raise ValueError unless a page is a positive whole number of sectors;
+    with any other size the page-span rule can put a write on no page."""
+    if page_size <= 0 or page_size % SECTOR_BYTES:
+        raise ValueError(f"page size must be a positive multiple of "
+                         f"{SECTOR_BYTES} bytes, not {page_size}")
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     timestamp_us: int

@@ -28,7 +28,6 @@ from flashlab.models import (fit_dynamic, fit_static, model_density,
 from flashlab.models.applications import estimate_rber, predict_vopt, sweep_vopt
 from flashlab.models.cdf import StateModel
 from flashlab.models.fitting import FitResult, PowerLawParams
-from flashlab.models.tables import default_tables
 from flashlab.raid_ecc import (EccConfig, conventional_layout,
                                ecc_failure_rate, layout_worst_group,
                                li_raid_layout, multirate_lifetime,
@@ -57,9 +56,8 @@ class TestStaticFitRecovery:
                                lam=(1e-3 if i < 2 else 0.0))
                 for i, st in enumerate(CellState)}
         hist = bin_cells(sample_page(true, 1_000_000, seed=11))
-        tables = default_tables()
-        fit_t = fit_static(hist, "student_t", tables=tables)
-        fit_g = fit_static(hist, "gaussian", tables=tables)
+        fit_t = fit_static(hist, "student_t")
+        fit_g = fit_static(hist, "gaussian")
         for st in CellState:
             assert abs(fit_t.params[st].mu - true[st].mu) <= 1.0
         assert fit_t.kl_error <= 0.01

@@ -186,6 +186,18 @@ class TestTraceStats:
         rc = main(["trace-stats", str(tmp_path / "nope.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("page_size", ["3000", "100", "0", "-512"])
+    def test_page_size_not_whole_sectors_is_config_error(self, tmp_path, capsys,
+                                                         page_size):
+        # a 3000-byte page would leave this 100-byte write on no page
+        tr = tmp_path / "t.csv"
+        write_canonical([TraceEvent(0, "W", 5, 100)], str(tr))
+        rc = main(["trace-stats", str(tr), "--page-size", page_size])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "multiple of 512" in err
+
 
 class TestSimulate:
     @staticmethod
@@ -324,3 +336,29 @@ class TestSimulate:
         assert frac_pages.size == 4
         assert np.allclose(frac_writes, [0.25, 0.5, 0.75, 1.0])
         assert rep["writes"]["host"] == 4
+
+    @pytest.mark.parametrize("policies", [
+        [{"name": "../evil"}],
+        [{"name": "manifest"}],
+        [{"name": "twin"}, {"name": "twin", "warm": True}],
+        [{"name": "x", "refresh": 3}],
+        [{"name": "x", "warm": "false"}],
+        [{"name": "x", "mode": "direct", "ecc_limit": -1}],
+        [{"name": "x", "mode": "direct", "ecc_limit": "2e-3"}],
+    ], ids=["path-name", "manifest-name", "repeated-name", "refresh-number",
+            "warm-string", "ecc-limit-negative", "ecc-limit-string"])
+    def test_bad_policy_entry_is_config_error(self, tmp_path, capsys, policies):
+        tr = tmp_path / "t.csv"
+        write_trace(tr, duration_s=20)
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"policies": [
+            dict(p, capacity_bytes=32 << 20) for p in policies]}))
+        rc = main(["--out", str(tmp_path / "runs" / "out"), "simulate",
+                   "--config", str(cfg), "--trace", str(tr)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        # checked before any policy ran: only the manifest was written
+        runs = tmp_path / "runs"
+        written = sorted(str(p.relative_to(runs))
+                         for p in runs.rglob("*") if p.is_file())
+        assert written == ["out/manifest.json"]

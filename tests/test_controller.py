@@ -61,6 +61,13 @@ class TestGeometry:
         with pytest.raises(ValueError):
             Geometry(capacity_bytes=1 << 26, op_fraction=0.0)
 
+    @pytest.mark.parametrize("page_size", [1000, 0, -512])
+    def test_page_size_must_be_whole_sectors(self, page_size):
+        # 1000 divides the block, but a page must be whole 512-byte sectors
+        with pytest.raises(ValueError, match="multiple of 512"):
+            Geometry(capacity_bytes=1 << 26, page_size=page_size,
+                     block_size=128000)
+
 
 class TestEnduranceMap:
     def test_anchor_values_exact(self):

@@ -1,6 +1,6 @@
 """Source hygiene: no library or test module imports a name it never uses,
-the CLI starts up without ``scipy.stats``, and only ``trace.py`` turns
-sectors into pages.
+the CLI starts up without ``scipy.stats``, only ``trace.py`` turns
+sectors into pages, and no library function takes a ``tables`` argument.
 
 Package ``__init__.py`` files are exempt, since importing a name there is
 how it is re-exported.
@@ -76,3 +76,33 @@ def test_only_the_trace_module_names_sector_bytes():
     naming = sorted(str(p.relative_to(SRC)) for p in SRC.glob("**/*.py")
                     if re.search(r"\bSECTOR_BYTES\b", p.read_text()))
     assert naming == ["trace.py"]
+
+
+def parameters_named(source, name):
+    """Functions and lambdas in ``source`` with a parameter ``name``, as
+    ``line: function``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            if any(p.arg == name for p in params):
+                hits.append(f"{node.lineno}: {getattr(node, 'name', 'lambda')}")
+    return hits
+
+
+def test_parameter_detector_finds_every_kind():
+    src = ("def f(a, tables=None): pass\n"
+           "def g(*, tables): pass\n"
+           "h = lambda tables: 0\n"
+           "def k(tab, **kw): pass\n")
+    assert parameters_named(src, "tables") == ["1: f", "2: g", "3: lambda"]
+
+
+def test_no_library_function_takes_tables():
+    # the models layer evaluates each family one way: the Student's t
+    # kernels read default_tables() themselves
+    hits = [f"{p.relative_to(SRC)}:{hit}" for p in sorted(SRC.glob("**/*.py"))
+            for hit in parameters_named(p.read_text(), "tables")]
+    assert hits == []

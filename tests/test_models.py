@@ -17,7 +17,7 @@ from flashlab.models.fitting import (PowerLawParams, default_init,
                                      models_to_dict, predict_static,
                                      save_models_json)
 from flashlab.models.simplex import NanObjective, nelder_mead
-from flashlab.models.tables import NU_GRID, default_tables
+from flashlab.models.tables import NU_GRID, LookupTables, default_tables
 
 
 TAB = default_tables()
@@ -25,16 +25,16 @@ TAB = default_tables()
 _gcdf, _ncdf, _tcdf = gcdf, ncdf, tcdf
 
 
-def gcdf(m, v, tables=None):
-    return _gcdf(v, m.mu, m.sigma, tables)
+def gcdf(m, v):
+    return _gcdf(v, m.mu, m.sigma)
 
 
-def ncdf(m, v, tables=None):
-    return _ncdf(v, m.mu, m.sigma, m.alpha, m.beta, tables)
+def ncdf(m, v):
+    return _ncdf(v, m.mu, m.sigma, m.alpha, m.beta)
 
 
-def tcdf(m, v, tables=None):
-    return _tcdf(v, m.mu, m.sigma, m.alpha, m.beta, tables)
+def tcdf(m, v):
+    return _tcdf(v, m.mu, m.sigma, m.alpha, m.beta)
 
 
 class TestGcdf:
@@ -42,7 +42,14 @@ class TestGcdf:
         m = StateModel("gaussian", 12.0, 7.0)
         z = np.linspace(-40, 60, 300)
         expect = ndtr((z - 12.0) / 7.0)
-        assert np.allclose(gcdf(m, z, TAB), expect, atol=2e-5)
+        assert np.allclose(gcdf(m, z), expect, atol=2e-5)
+
+    def test_equals_ndtr_bit_for_bit(self):
+        # exact everywhere, also far past |z| = 8
+        z = np.linspace(-40.0, 40.0, 8001)
+        assert np.array_equal(_gcdf(z, 0.0, 1.0), ndtr(z))
+        v = 12.0 + 7.0 * z
+        assert np.array_equal(_gcdf(v, 12.0, 7.0), ndtr((v - 12.0) / 7.0))
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -68,22 +75,22 @@ class TestNcdf:
         dens = self.nl_density(m)
         for lo, hi in [(-8.0, -2.0), (-2.0, 3.0), (3.0, 9.0)]:
             mass = quad(dens, lo, hi, limit=200)[0]
-            got = float((ncdf(m, np.array([hi]), TAB) - ncdf(m, np.array([lo]), TAB))[0])
+            got = float((ncdf(m, np.array([hi])) - ncdf(m, np.array([lo])))[0])
             assert got == pytest.approx(mass, abs=2e-3)
 
     def test_median_at_mu_when_symmetric(self):
         m = StateModel("normal_laplace", 3.0, 4.0, 0.5, 0.5)
-        assert float(ncdf(m, np.array([3.0]), TAB)[0]) == pytest.approx(0.5, abs=1e-3)
+        assert float(ncdf(m, np.array([3.0]))[0]) == pytest.approx(0.5, abs=1e-3)
 
     def test_gaussian_limit(self):
         m = StateModel("normal_laplace", 0.0, 5.0, 50.0, 50.0)
         z = np.linspace(-20, 20, 41)
-        assert np.allclose(ncdf(m, z, TAB), ndtr(z / 5.0), atol=1e-4)
+        assert np.allclose(ncdf(m, z), ndtr(z / 5.0), atol=1e-4)
 
     def test_monotone_and_bounded(self):
         m = StateModel("normal_laplace", 0.0, 3.0, 0.2, 1.5)
         z = np.linspace(-60, 60, 500)
-        c = ncdf(m, z, TAB)
+        c = ncdf(m, z)
         assert np.all(np.diff(c) >= -1e-12)
         assert np.all((c >= 0) & (c <= 1))
 
@@ -94,7 +101,7 @@ class TestTcdf:
             m = StateModel("student_t", 1.0, 4.0, nu, nu)
             z = np.linspace(-30, 32, 200)
             expect = student_t.cdf((z - 1.0) / 4.0, df=nu)
-            assert np.allclose(tcdf(m, z, TAB), expect, atol=3e-4), nu
+            assert np.allclose(tcdf(m, z), expect, atol=3e-4), nu
 
     def test_tables_equal_scipy_stats_bit_for_bit(self):
         # The tables are built with scipy.special.stdtr; exact equality with
@@ -104,11 +111,19 @@ class TestTcdf:
                 expect = student_t.cdf(TAB.t_z_grid, df=nu)
                 assert np.array_equal(TAB.t_cdfs[i], expect), nu
 
+    def test_tables_keep_no_counter(self):
+        # a nu below the grid reads the lowest table and counts nothing
+        tables = LookupTables()
+        before = set(vars(tables))
+        assert np.array_equal(tables.t_cdf(tables.t_z_grid, 0.1), tables.t_cdfs[0])
+        assert "nu_clamp_count" not in before
+        assert set(vars(tables)) == before
+
     def test_interpolates_between_grid_nus(self):
         m = StateModel("student_t", 0.0, 1.0, 4.0, 4.0)
         z = np.linspace(-6, 6, 50)
         expect = student_t.cdf(z, df=4.0)
-        assert np.allclose(tcdf(m, z, TAB), expect, atol=5e-3)
+        assert np.allclose(tcdf(m, z), expect, atol=5e-3)
 
     def test_asymmetric_tail_selection(self):
         # below mu the beta dof applies, above mu the alpha dof
@@ -129,18 +144,18 @@ class TestDensity:
         }
 
     def test_rows_sum_to_one(self):
-        dens = model_density(self.models(), VoltageGrid(), TAB)
+        dens = model_density(self.models(), VoltageGrid())
         assert dens.shape == (4, 304)
         assert np.allclose(dens.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_sampled_histogram(self):
         st = sample_page(self.models(), 500_000, seed=21)
         hist = bin_cells(st)
-        dens = model_density(self.models(), VoltageGrid(), TAB)
+        dens = model_density(self.models(), VoltageGrid())
         assert pooled_kl(hist.densities(), dens) < 2e-3
 
     def test_kl_zero_iff_identical(self):
-        dens = model_density(self.models(), VoltageGrid(), TAB)
+        dens = model_density(self.models(), VoltageGrid())
         assert kl_divergence(dens[0], dens[0]) == pytest.approx(0.0, abs=1e-12)
         assert kl_divergence(dens[0], dens[1]) > 0.1
 
