@@ -1,18 +1,19 @@
 """Synthetic voltage-domain flash channel.
 
 Holds ground-truth cells (intended state + continuous threshold voltage),
-performs reads at arbitrary reference voltages, measures raw bit error
-rates against ground truth, and bins cells into 304-bin histograms. It
-owns the histogram CSV format that ``fit`` reads.
+decodes them at arbitrary reference voltages, measures raw bit error rates
+against ground truth, and bins cells into 304-bin histograms. It is the
+Monte Carlo reference the analytic RBER is checked against, and it owns
+the histogram CSV format that ``fit`` reads.
 
 Continuous vth is kept even though hardware observes only 304 bins;
 binning is a view, so degradation models can act in voltage space before
-quantization. ER-state vth may be negative; the comparator and the binning
-still handle it (such cells land in bin 0).
+quantization. ER-state vth may be negative; decoding and binning still
+handle it (such cells land in bin 0).
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,20 +28,6 @@ from .grid import (
 )
 from .models.tables import default_tables
 
-TRANSITION_KEYS = ("ER-P1", "P1-P2", "P2-P3", "multi")
-
-
-@dataclass(frozen=True)
-class ReadNoise:
-    """Comparator noise: flip probability decays exponentially with the
-    distance between the reference and the cell's threshold voltage."""
-
-    p0: float = 0.01
-    d: float = 3.0
-
-    def flip_probability(self, vth, vref):
-        return self.p0 * np.exp(-np.abs(vref - np.asarray(vth, dtype=float)) / self.d)
-
 
 @dataclass
 class ChannelState:
@@ -49,8 +36,7 @@ class ChannelState:
     true_state is the intended state; shape_state is the state whose
     distribution the cell's vth was actually drawn from (differs from
     true_state only for misprogrammed cells). layer is each cell's layer
-    index; wl_neighbor_state is its wordline neighbor's state, or -1 when
-    not sampled.
+    index.
     """
 
     grid: VoltageGrid
@@ -58,7 +44,6 @@ class ChannelState:
     shape_state: np.ndarray
     vth: np.ndarray
     layer: np.ndarray
-    wl_neighbor_state: np.ndarray
     seed: int = 0
 
     @property
@@ -83,7 +68,6 @@ class RBERReport:
     total: float
     msb: float
     lsb: float
-    transitions: dict = field(default_factory=dict)
     n_cells: int = 0
 
 
@@ -107,8 +91,7 @@ def _sample_component(model, n, rng):
     return base + w
 
 
-def sample_page(models, n_cells, layer_profile=None, seed=0, grid=None,
-                neighbor_states=False):
+def sample_page(models, n_cells, layer_profile=None, seed=0, grid=None):
     """Sample a cell population from a 4-state model.
 
     Intended states are assigned in equal quarters. Each ER/P1 cell is
@@ -136,80 +119,23 @@ def sample_page(models, n_cells, layer_profile=None, seed=0, grid=None,
             vth[idx] = _sample_component(models[st], idx.size, rng)
 
     layer = rng.integers(0, 101, n_cells).astype(np.int16)
-    if neighbor_states:
-        nbr = rng.integers(0, 4, n_cells).astype(np.int8)
-    else:
-        nbr = np.full(n_cells, -1, dtype=np.int8)
-
     if layer_profile is not None:
         vth += layer_profile.vth_offset(layer, shape_state)
 
-    return ChannelState(grid, true_state, shape_state, vth, layer, nbr, seed)
+    return ChannelState(grid, true_state, shape_state, vth, layer, seed)
 
 
-def read_cell(vth, vref, noise=None, rng=None):
-    """Comparator read: 1 iff vth < vref, optionally flipped by noise."""
-    bit = (np.asarray(vth, dtype=float) < vref).astype(np.int8)
-    if noise is not None:
-        rng = rng or np.random.default_rng()
-        flips = rng.random(bit.shape) < noise.flip_probability(vth, vref)
-        bit = bit ^ flips
-    return bit
-
-
-def read_page(state, refs, page, noise=None, rng=None):
-    """Read the LSB or MSB page of the population.
-
-    LSB needs one comparison (vb). MSB needs two (va and vc): the bit is 1
-    when the cell lies below va (ER) or at/above vc (P3). Noise, when
-    enabled, applies independently per comparison.
-    """
-    va, vb, vc = refs.voltages(state.grid)
-    if page == "lsb":
-        return read_cell(state.vth, vb, noise, rng)
-    if page != "msb":
-        raise ValueError("page must be 'lsb' or 'msb'")
-    below_va = read_cell(state.vth, va, noise, rng)
-    below_vc = read_cell(state.vth, vc, noise, rng)
-    return (below_va | (1 - below_vc)).astype(np.int8)
-
-
-def decode_states(state, refs, noise=None, rng=None):
-    """Full decode of every cell into a state index via both pages."""
-    if noise is None:
-        return classify_regions(state.vth, state.grid, refs)
-    msb = read_page(state, refs, "msb", noise, rng)
-    lsb = read_page(state, refs, "lsb", noise, rng)
-    # Gray decode: (1,1)->ER, (0,1)->P1, (0,0)->P2, (1,0)->P3
-    return np.select(
-        [(msb == 1) & (lsb == 1), (msb == 0) & (lsb == 1), (msb == 0) & (lsb == 0)],
-        [0, 1, 2],
-        default=3,
-    ).astype(np.int8)
-
-
-def measure_rber(state, refs, noise=None, rng=None):
-    """Compare decoded states against ground truth."""
-    decoded = decode_states(state, refs, noise, rng)
+def measure_rber(state, refs):
+    """Compare the states decoded at refs against ground truth."""
+    decoded = classify_regions(state.vth, state.grid, refs)
     true = state.true_state
     n = state.n_cells
     msb_err = int(np.sum(MSB_OF_STATE[decoded] != MSB_OF_STATE[true]))
     lsb_err = int(np.sum(LSB_OF_STATE[decoded] != LSB_OF_STATE[true]))
-
-    diff = decoded.astype(int) - true.astype(int)
-    wrong = diff != 0
-    lo = np.minimum(decoded, true)
-    trans = {k: 0 for k in TRANSITION_KEYS}
-    adjacent = wrong & (np.abs(diff) == 1)
-    for pair, key in ((0, "ER-P1"), (1, "P1-P2"), (2, "P2-P3")):
-        trans[key] = int(np.sum(adjacent & (lo == pair)))
-    trans["multi"] = int(np.sum(wrong & (np.abs(diff) > 1)))
-
     return RBERReport(
         total=(msb_err + lsb_err) / (2 * n),
         msb=msb_err / n,
         lsb=lsb_err / n,
-        transitions=trans,
         n_cells=n,
     )
 

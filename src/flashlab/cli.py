@@ -7,6 +7,7 @@ error, 3 non-convergence, 4 uncorrectable data or infeasible layout.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -144,54 +145,85 @@ def _parse_refresh(spec):
 _POLICY_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
 
-def _check_policies(policies):
-    """Reject a bad policy entry before any policy runs: a name must be a
-    plain file stem, unique and not ``manifest``, since it names the
-    policy's artifacts; ``refresh`` is a string, ``warm`` a JSON boolean
-    and ``ecc_limit`` a positive number."""
+def _finite_number(x):
+    """A JSON number other than true/false, NaN or an infinity."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _check_policies(policies, seed):
+    """Check every policy entry and build its LifetimeConfig before any
+    policy runs; returns [(name, config)]. A name must be a plain file
+    stem, unique and not ``manifest``, since it names the policy's
+    artifacts; ``refresh`` is a string, ``warm`` a JSON boolean and
+    ``ecc_limit`` a positive number; the geometry, initial P/E count and
+    mode must make a valid config."""
     if not isinstance(policies, list) or not policies:
         raise ConfigError("config needs a 'policies' list")
-    seen = set()
+    configs = []
     for p in policies:
         name = p.get("name") if isinstance(p, dict) else None
         if (not isinstance(name, str) or not _POLICY_NAME.fullmatch(name)
-                or name == "manifest" or name in seen):
+                or name == "manifest" or name in dict(configs)):
             raise ConfigError(f"policy name {name!r} must be a unique plain"
                               " file stem other than 'manifest'")
-        seen.add(name)
         lim = p.get("ecc_limit", 1.0)
         if (not isinstance(p.get("refresh", ""), str)
                 or not isinstance(p.get("warm", False), bool)
-                or isinstance(lim, bool) or not isinstance(lim, (int, float))
-                or not 0 < lim < math.inf):
+                or not (_finite_number(lim) and lim > 0)):
             raise ConfigError(f"policy {name!r}: refresh must be a string, warm"
                               " true or false and ecc_limit a positive number")
+        try:
+            geom_kw = ({"op_fraction": float(p["op_fraction"])}
+                       if "op_fraction" in p else {})
+            cfg = LifetimeConfig(
+                geometry=Geometry(int(p.get("capacity_bytes", 1 << 30)),
+                                  **geom_kw),
+                warm=p.get("warm", False),
+                refresh=_parse_refresh(p.get("refresh")),
+                initial_pec=int(p.get("initial_pec", 0)),
+                mode=p.get("mode", "analytic"),
+                ecc_limit=p.get("ecc_limit"),
+                retention_model=(RetentionModel3D()
+                                 if p.get("mode") == "direct"
+                                 or p.get("series_rber") else None),
+                seed=seed,
+            )
+        except (TypeError, ValueError) as exc:  # TypeError: null or a list
+            raise ConfigError(f"policy {name!r}: {exc}") from exc
+        configs.append((name, cfg))
+    return configs
 
 
 def _one_lifetime(item):
-    name, cfg_doc, trace_path, seed = item
+    name, cfg, trace_path = item
     events, _ = trace_mod.parse_canonical(trace_path)
-    try:
-        capacity = int(cfg_doc.get("capacity_bytes", 1 << 30))
-        geom_kw = ({"op_fraction": float(cfg_doc["op_fraction"])}
-                   if "op_fraction" in cfg_doc else {})
-        initial_pec = int(cfg_doc.get("initial_pec", 0))
-    except TypeError as exc:   # null, a list or an object for a number
-        raise ConfigError(f"policy {name!r}: {exc}") from exc
-    cfg = LifetimeConfig(
-        geometry=Geometry(capacity, **geom_kw),
-        warm=cfg_doc.get("warm", False),
-        refresh=_parse_refresh(cfg_doc.get("refresh")),
-        initial_pec=initial_pec,
-        mode=cfg_doc.get("mode", "analytic"),
-        ecc_limit=cfg_doc.get("ecc_limit"),
-        retention_model=(RetentionModel3D()
-                         if cfg_doc.get("mode") == "direct"
-                         or cfg_doc.get("series_rber") else None),
-        seed=seed,
-    )
-    report = run_lifetime(events, cfg)
-    return name, report
+    return name, run_lifetime(events, cfg)
+
+
+_TEMP_KEYS = {f.name for f in dataclasses.fields(urt_mod.TempTrace)} - {"seed"}
+
+
+def _heatwatch_config(doc, seed):
+    """The heatwatch experiment's HeatwatchConfig and ECC limit: ``temp``
+    maps TempTrace fields other than ``seed`` to numbers, ``max_samples``
+    is a positive integer and ``ecc_limit`` a positive number."""
+    temp = doc.get("temp", {})
+    max_samples = doc.get("max_samples", 300)
+    ecc_limit = doc.get("ecc_limit", 2e-3)
+    if (not isinstance(temp, dict) or not set(temp) <= _TEMP_KEYS
+            or not all(map(_finite_number, temp.values()))):
+        raise ConfigError(f"temp must map some of {sorted(_TEMP_KEYS)} to"
+                          f" numbers, not {temp!r}")
+    if (isinstance(max_samples, bool) or not isinstance(max_samples, int)
+            or max_samples < 1):
+        raise ConfigError(f"max_samples {max_samples!r} must be a positive"
+                          " integer")
+    if not (_finite_number(ecc_limit) and ecc_limit > 0):
+        raise ConfigError(f"ecc_limit {ecc_limit!r} must be a positive number")
+    cfg = HeatwatchConfig(temp=urt_mod.TempTrace(seed=seed, **temp),
+                          max_samples=max_samples)
+    return cfg, float(ecc_limit)
 
 
 def cmd_simulate(args):
@@ -201,24 +233,18 @@ def cmd_simulate(args):
     _write_manifest(out_dir, "simulate", doc, args.seed)
 
     if doc.get("experiment") == "heatwatch":
+        hw_cfg, ecc_limit = _heatwatch_config(doc, args.seed)
         events, _ = trace_mod.parse_canonical(args.trace)
         rm = RetentionModel3D()
         pack = urt_mod.calibration_pack_from_retention(rm)
-        temp_doc = doc.get("temp", {})
-        hw_cfg = HeatwatchConfig(
-            temp=urt_mod.TempTrace(seed=args.seed, **temp_doc),
-            max_samples=int(doc.get("max_samples", 300)),
-        )
-        res = run_experiment(events, pack, rm,
-                             float(doc.get("ecc_limit", 2e-3)), cfg=hw_cfg)
+        res = run_experiment(events, pack, rm, ecc_limit, cfg=hw_cfg)
         with open(os.path.join(out_dir, "heatwatch.json"), "w") as fh:
             json.dump(res, fh, indent=2, sort_keys=True)
         print(json.dumps(res, sort_keys=True))
         return EXIT_OK
 
-    policies = doc.get("policies")
-    _check_policies(policies)
-    items = [(p["name"], p, args.trace, args.seed) for p in policies]
+    items = [(name, cfg, args.trace)
+             for name, cfg in _check_policies(doc.get("policies"), args.seed)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

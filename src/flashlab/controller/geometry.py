@@ -31,10 +31,6 @@ class Geometry:
         return self.block_size // self.page_size
 
     @property
-    def wordlines_per_block(self):
-        return self.pages_per_block // 2  # one MSB + one LSB page per wordline
-
-    @property
     def total_blocks(self):
         return self.capacity_bytes // self.block_size
 

@@ -82,10 +82,15 @@ class LifetimeReport:
         return out.getvalue()
 
 
-def _page_rber(model, pec, age_s):
+def _page_log_rbers(model, pec, age_s):
+    """Log RBERs of a wordline's MSB and LSB pages."""
+    return (model.eval("log_rber_msb", pec, age_s),
+            model.eval("log_rber_lsb", pec, age_s))
+
+
+def _page_rber(logs):
     """RBER of a wordline's page pair: the mean of its MSB and LSB RBERs."""
-    return 0.5 * (math.exp(model.eval("log_rber_msb", pec, age_s))
-                  + math.exp(model.eval("log_rber_lsb", pec, age_s)))
+    return 0.5 * (math.exp(logs[0]) + math.exp(logs[1]))
 
 
 def _series_rber(drive, model, age_s):
@@ -94,7 +99,8 @@ def _series_rber(drive, model, age_s):
     ids = np.flatnonzero(mask)
     if model is None or ids.size == 0:
         return 0.0, 0.0
-    rbers = [_page_rber(model, float(drive.pec[blk]), age_s) for blk in ids]
+    rbers = [_page_rber(_page_log_rbers(model, float(drive.pec[blk]), age_s))
+             for blk in ids]
     return float(np.mean(rbers)), float(np.max(rbers))
 
 
@@ -197,17 +203,22 @@ def _direct_lifetime(drive, cfg, duration_days):
     if pec_rate <= 0:
         return math.inf
 
-    def worst_rber(day):
-        return _page_rber(model, cfg.initial_pec + pec_rate * day, age_s)
+    log_cap = math.log(2.0 * cfg.ecc_limit)
+
+    def over_limit(day):
+        logs = _page_log_rbers(model, cfg.initial_pec + pec_rate * day, age_s)
+        # above log_cap one page's half alone passes the limit; deciding
+        # that first keeps math.exp from overflowing
+        return max(logs) > log_cap or _page_rber(logs) > cfg.ecc_limit
 
     lo, hi = 0.0, 365.0 * 200
-    if worst_rber(hi) <= cfg.ecc_limit:
+    if not over_limit(hi):
         return math.inf
-    if worst_rber(lo) > cfg.ecc_limit:
+    if over_limit(lo):
         return 0.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if worst_rber(mid) > cfg.ecc_limit:
+        if over_limit(mid):
             hi = mid
         else:
             lo = mid

@@ -1,23 +1,16 @@
-"""Read-reference policies and the staged read-recovery ladder.
+"""Read-reference policies.
 
 Policies turn what the controller knows (wear, data age, thermal history,
-layer) into the three read references. The recovery ladder escalates from
-the policy's guess through a retry sweep, neighbor-conditioned re-reads,
-and finally superpage parity.
+layer) into the three read references.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..grid import DEFAULT_READ_REFS, ReadRefs, CellState
-from ..channel import measure_rber, decode_states, MSB_OF_STATE, LSB_OF_STATE
 from ..degradation import retention_refs
 from ..models.applications import predict_vopt, sweep_vopt
 from ..models.cdf import gaussian_states
 from .. import urt as urt_mod
-
-POLICIES = ("fixed", "retention_only", "lavar", "remar", "heatwatch", "oracle")
 
 
 @dataclass
@@ -99,96 +92,3 @@ def policy_refs(policy, ctx, retention_model=None, calibration=None,
         return sweep_vopt(true_models, grid)
     raise ValueError(f"unknown policy {policy!r}")
 
-
-# --- read recovery ladder ------------------------------------------------
-
-RETRY_OFFSETS = ((-1, -1, -1), (1, 1, 1), (-2, -2, -2), (2, 2, 2),
-                 (0, -1, 0), (0, 1, 0), (0, -2, 0), (0, 2, 0),
-                 (-2, 0, 2), (2, 0, -2))  # 10 attempts, widening
-
-
-@dataclass
-class DecodeOutcome:
-    stage: str            # policy | retry | nac | parity | fail
-    refs: ReadRefs
-    errors: int
-    reads: int            # comparator passes spent
-
-
-def _shift_refs(refs, d):
-    return ReadRefs.ordered(refs.va + d[0], refs.vb + d[1], refs.vc + d[2])
-
-
-def _bit_errors(state, refs):
-    rep = measure_rber(state, refs)
-    return int(round(rep.total * 2 * state.n_cells))
-
-
-def read_flow(state, refs, ecc_budget_bits, neighbor_window=3,
-              siblings_decode=None):
-    """Escalating decode of one sampled page population.
-
-    1. decode at the policy's references;
-    2. retry sweep: up to 10 re-reads within +/-2 steps;
-    3. neighbor-conditioned re-read: each neighbor-state group gets its
-       own small reference offset (requires the population to carry
-       wordline-neighbor states);
-    4. superpage parity: succeeds only if every sibling page decoded.
-    """
-    reads = 1
-    errs = _bit_errors(state, refs)
-    if errs <= ecc_budget_bits:
-        return DecodeOutcome("policy", refs, errs, reads)
-
-    best_refs, best = refs, errs
-    for d in RETRY_OFFSETS:
-        cand = _shift_refs(refs, d)
-        reads += 1
-        e = _bit_errors(state, cand)
-        if e < best:
-            best_refs, best = cand, e
-        if best <= ecc_budget_bits:
-            return DecodeOutcome("retry", best_refs, best, reads)
-
-    if state.wl_neighbor_state is not None and np.any(state.wl_neighbor_state >= 0):
-        errs_nac, reads_nac = _nac_decode(state, best_refs, neighbor_window)
-        reads += reads_nac
-        if errs_nac <= ecc_budget_bits:
-            return DecodeOutcome("nac", best_refs, errs_nac, reads)
-        best = min(best, errs_nac)
-
-    if siblings_decode is not None and all(siblings_decode):
-        return DecodeOutcome("parity", best_refs, best, reads)
-    return DecodeOutcome("fail", best_refs, best, reads)
-
-
-def _nac_decode(state, refs, window):
-    """Re-read each neighbor-state group at its own best offset."""
-    total_errs = 0
-    reads = 0
-    for s in np.unique(state.wl_neighbor_state):
-        mask = state.wl_neighbor_state == s
-        sub_true = state.true_state[mask]
-        best = None
-        for d in range(-window, window + 1):
-            cand = _shift_refs(refs, (d, d, d))
-            decoded = decode_states(_subset(state, mask), cand)
-            reads += 1
-            e = int(np.sum(MSB_OF_STATE[decoded] != MSB_OF_STATE[sub_true])
-                    + np.sum(LSB_OF_STATE[decoded] != LSB_OF_STATE[sub_true]))
-            best = e if best is None else min(best, e)
-        total_errs += best
-    return total_errs, reads
-
-
-def _subset(state, mask):
-    import dataclasses
-    return dataclasses.replace(
-        state,
-        true_state=state.true_state[mask],
-        shape_state=state.shape_state[mask],
-        vth=state.vth[mask],
-        layer=state.layer[mask] if state.layer is not None else None,
-        wl_neighbor_state=(state.wl_neighbor_state[mask]
-                           if state.wl_neighbor_state is not None else None),
-    )

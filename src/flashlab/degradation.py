@@ -1,21 +1,19 @@
 """Parametric degradation models for 3D MLC NAND.
 
-Covers retention loss (the 3D retention model, with the Gaussian state
-models and read references it implies) and layer-to-layer variation
-(per-layer read-reference droop and gamma-distributed RBER multipliers).
+Covers retention loss (the 3D retention model, with the read references
+it implies) and layer-to-layer variation (per-layer read-reference droop
+and gamma-distributed RBER multipliers).
 Retention drives the controller's read-reference policies and the
 lifetime replay's RBER series; a layer profile offsets the cells that
 ``channel.sample_page`` draws.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import ReadRefs
-from .models.cdf import gaussian_states
 
 # Retention-loss regression: Variable = (alpha*PEC + beta)*ln(t) +
 # gamma*PEC + delta, t in seconds. The read-reference row for Va carries
@@ -49,24 +47,6 @@ class RetentionModel3D:
         if alpha is not None:
             value += (alpha * pec + beta) * math.log(t_seconds)
         return value
-
-    def to_json(self, path):
-        recs = {k: {"alpha": a, "beta": b, "gamma": g, "delta": d}
-                for k, (a, b, g, d) in self.coeffs.items()}
-        with open(path, "w") as fh:
-            json.dump(recs, fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            recs = json.load(fh)
-        return cls({k: (r["alpha"], r["beta"], r["gamma"], r["delta"])
-                    for k, r in recs.items()})
-
-
-def retention_state_models(model, pec, t_seconds):
-    """Gaussian state models implied by the retention regression."""
-    return gaussian_states(lambda row: model.eval(row, pec, t_seconds))
 
 
 def retention_refs(model, pec, t_seconds):

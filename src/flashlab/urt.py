@@ -137,7 +137,6 @@ class AccelLog:
         self.pending = np.zeros(n_levels, dtype=np.int8)
         self.level0_real = 0.0
         self.elapsed = 0.0
-        self.clamped = False
 
     def update(self, af_value, tick_seconds):
         """Accumulate af * dt, cascading completed chunks upward.
@@ -213,7 +212,6 @@ class AccelLog:
         """
         window = float(window_seconds)
         if window > self.elapsed + 1e-9:
-            self.clamped = True
             window = self.elapsed
         target = self.elapsed - window
 
@@ -252,7 +250,6 @@ class AccelLog:
                     return total
             else:
                 return total + avail_value * (p - target) / avail_span
-        self.clamped = True
         return total
 
 

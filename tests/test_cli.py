@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from flashlab.channel import bin_cells, export_histogram_csv, sample_page
 from flashlab.cli import main
+from flashlab.controller import THREE_YEARS_S
+from flashlab.degradation import RetentionModel3D
 from flashlab.grid import CellState
 from flashlab.models.cdf import StateModel
 from flashlab.models.fitting import (dynamic_from_dict, load_models_json,
@@ -362,3 +365,75 @@ class TestSimulate:
         written = sorted(str(p.relative_to(runs))
                          for p in runs.rglob("*") if p.is_file())
         assert written == ["out/manifest.json"]
+
+    @pytest.mark.parametrize("bad", [
+        {"capacity_bytes": "lots"},
+        {"op_fraction": 1.5},
+        {"initial_pec": "many"},
+        {"mode": "sideways"},
+        {"mode": "direct"},
+    ], ids=["capacity-bytes", "op-fraction", "initial-pec", "mode",
+            "direct-without-ecc-limit"])
+    def test_bad_later_policy_fails_before_any_replay(self, tmp_path, capsys,
+                                                      monkeypatch, bad):
+        def no_replay(*args):
+            raise AssertionError("a policy replayed")
+        monkeypatch.setattr("flashlab.cli.run_lifetime", no_replay)
+        tr = tmp_path / "t.csv"
+        write_trace(tr, duration_s=20)
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"policies": [
+            {"name": "a", "capacity_bytes": 32 << 20},
+            dict({"name": "b", "capacity_bytes": 32 << 20}, **bad)]}))
+        rc = main(["--out", str(tmp_path / "runs" / "out"), "simulate",
+                   "--config", str(cfg), "--trace", str(tr)])
+        assert rc == 2
+        assert "config error: policy 'b'" in capsys.readouterr().err
+        runs = tmp_path / "runs"
+        written = sorted(str(p.relative_to(runs))
+                         for p in runs.rglob("*") if p.is_file())
+        assert written == ["out/manifest.json"]
+
+    def test_fast_wearing_drive_in_direct_mode_exits_zero(self, tmp_path):
+        # about 2000 P/E a day: the lifetime search extrapolates to P/E
+        # counts whose page RBER overflows a float
+        rc = self.run_policy(tmp_path, {"name": "fast", "capacity_bytes": 32 << 20,
+                                        "mode": "direct", "ecc_limit": 2e-3},
+                             write_trace)
+        assert rc == 0
+        rep = json.loads((tmp_path / "out" / "fast.json").read_text())
+        # the page RBER reaches the limit on the reported day
+        pec = rep["pec_max"] / rep["duration_days"] * rep["lifetime_days"]
+        model = RetentionModel3D()
+        rber = 0.5 * sum(math.exp(model.eval(row, pec, THREE_YEARS_S))
+                         for row in ("log_rber_msb", "log_rber_lsb"))
+        assert rber == pytest.approx(2e-3, rel=1e-6)
+
+    @pytest.mark.parametrize("bad", [
+        {"temp": {"bogus_c": 1.0}},
+        {"temp": {"seed": 3}},
+        {"temp": {"mean_c": "hot"}},
+        {"temp": [35.0]},
+        {"max_samples": 0},
+        {"max_samples": 2.5},
+        {"max_samples": "300"},
+        {"ecc_limit": 0},
+        {"ecc_limit": -2e-3},
+        {"ecc_limit": math.inf},
+    ], ids=["temp-unknown-key", "temp-seed", "temp-string", "temp-list",
+            "max-samples-zero", "max-samples-fraction", "max-samples-string",
+            "ecc-limit-zero", "ecc-limit-negative", "ecc-limit-infinite"])
+    def test_bad_heatwatch_config_is_config_error(self, tmp_path, capsys,
+                                                  monkeypatch, bad):
+        def no_experiment(*args, **kw):
+            raise AssertionError("the experiment ran")
+        monkeypatch.setattr("flashlab.cli.run_experiment", no_experiment)
+        tr = tmp_path / "t.csv"
+        write_trace(tr, duration_s=20)
+        cfg = tmp_path / "hw.json"
+        cfg.write_text(json.dumps(dict({"experiment": "heatwatch"}, **bad)))
+        rc = main(["--out", str(tmp_path / "out"), "simulate",
+                   "--config", str(cfg), "--trace", str(tr)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "heatwatch.json").exists()

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
-from flashlab.channel import sample_page
 from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, THREE_YEARS_S,
                                  Drive, EnduranceMap, Geometry,
                                  LifetimeConfig, RefreshConfig, WarmConfig,
@@ -17,7 +16,7 @@ from flashlab.controller.heatwatch import (HeatwatchConfig, ReadSample,
                                            collect_samples, truth_models)
 from flashlab.controller.policies import (ReadContext,
                                           ReMARState, heatwatch_refs,
-                                          policy_refs, read_flow)
+                                          policy_refs)
 from flashlab.degradation import RetentionModel3D, retention_refs
 from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs, VoltageGrid
 from flashlab.models.applications import predict_vopt, sweep_vopt
@@ -48,7 +47,6 @@ class TestGeometry:
         g = small_geom(mb=16, op=0.25)
         assert g.total_blocks == 16
         assert g.pages_per_block == 128
-        assert g.wordlines_per_block == 64
         assert g.total_pages == 2048
         assert g.logical_pages == int(2048 / 1.25)
         assert g.logical_bytes == g.logical_pages * 8192
@@ -676,51 +674,6 @@ class TestCollectSamples:
                   TraceEvent(3600 * 10**6, "R", 20, 16384)]
         samples = collect_samples(events, HeatwatchConfig(), self.PACK)
         assert [s.age_s for s in samples] == [3600.0, 3600.0]
-
-
-def ladder_population():
-    models = {st: StateModel("gaussian", [20, 100, 180, 260][i], 12.0)
-              for i, st in enumerate(CellState)}
-    state = sample_page(models, 4000, seed=2, neighbor_states=True)
-    # distinct per-neighbor-group drift that no single global offset fixes
-    state.vth += np.array([-6.0, -6.0, 6.0, 6.0])[state.wl_neighbor_state]
-    return state
-
-
-class TestReadFlow:
-    REFS = ReadRefs(60, 140, 220)
-
-    def test_stage_escalation(self):
-        o = read_flow(ladder_population(), self.REFS, ecc_budget_bits=9)
-        assert o.stage == "policy" and o.reads == 1
-        o = read_flow(ladder_population(), self.REFS, ecc_budget_bits=7)
-        assert o.stage == "retry" and o.errors <= 7
-        o = read_flow(ladder_population(), self.REFS, ecc_budget_bits=4)
-        assert o.stage == "nac"
-        assert o.errors <= 4
-        o = read_flow(ladder_population(), self.REFS, ecc_budget_bits=0)
-        assert o.stage == "fail"
-
-    def test_each_stage_costs_more_reads(self):
-        o_policy = read_flow(ladder_population(), self.REFS, 9)
-        o_retry = read_flow(ladder_population(), self.REFS, 7)
-        o_nac = read_flow(ladder_population(), self.REFS, 4)
-        assert o_policy.reads < o_retry.reads < o_nac.reads
-
-    def test_parity_requires_all_siblings(self):
-        ok = read_flow(ladder_population(), self.REFS, 0,
-                       siblings_decode=[True, True, True])
-        assert ok.stage == "parity"
-        bad = read_flow(ladder_population(), self.REFS, 0,
-                        siblings_decode=[True, False, True])
-        assert bad.stage == "fail"
-
-    def test_clean_page_decodes_first_try(self):
-        models = {st: StateModel("gaussian", [20, 100, 180, 260][i], 3.0)
-                  for i, st in enumerate(CellState)}
-        state = sample_page(models, 2000, seed=0)
-        o = read_flow(state, ReadRefs(60, 140, 220), ecc_budget_bits=0)
-        assert o.stage == "policy" and o.errors == 0
 
 
 class TestLifetimeReplay:

@@ -5,14 +5,18 @@ import pytest
 
 from flashlab.degradation import (GammaParams, OffsetShape,
                                   RetentionModel3D, fit_gamma,
-                                  retention_refs, retention_state_models,
-                                  sample_layer_profile)
+                                  retention_refs, sample_layer_profile)
 from flashlab.grid import CellState
 from flashlab.models.applications import estimate_rber, predict_vopt
 from flashlab.models.cdf import gaussian_states
 
 MODEL = RetentionModel3D()
 DAY = 86400.0
+
+
+def retention_states(pec, t):
+    """Gaussian state models the retention regression implies."""
+    return gaussian_states(lambda r: MODEL.eval(r, pec, t))
 
 
 class TestRetentionModel:
@@ -38,18 +42,13 @@ class TestRetentionModel:
 
     def test_state_means_converge_with_retention(self):
         # Retention loss shrinks the window: ER drifts up, P3 down.
-        early = retention_state_models(MODEL, 5000, 3600)
-        late = retention_state_models(MODEL, 5000, 90 * DAY)
+        early = retention_states(5000, 3600)
+        late = retention_states(5000, 90 * DAY)
         assert late[CellState.ER].mu > early[CellState.ER].mu
         assert late[CellState.P3].mu < early[CellState.P3].mu
         for m in (early, late):
             mus = [m[st].mu for st in CellState]
             assert mus == sorted(mus)
-
-    def test_state_models_from_the_shared_builder(self):
-        for pec, t in ((0, 1.0), (5000, DAY), (15000, 400 * DAY)):
-            assert retention_state_models(MODEL, pec, t) == gaussian_states(
-                lambda r: MODEL.eval(r, pec, t))
 
     def test_rejects_sub_second_times(self):
         with pytest.raises(ValueError):
@@ -70,7 +69,7 @@ class TestRetentionModel:
         # same device; the predicted optimum from the state models should
         # land near the tabulated references.
         for pec, t in ((1000, DAY), (8000, 30 * DAY)):
-            models = retention_state_models(MODEL, pec, t)
+            models = retention_states(pec, t)
             table = retention_refs(MODEL, pec, t)
             pred, _ = predict_vopt(models)
             assert abs(pred.vb - table.vb) <= 8
@@ -81,18 +80,12 @@ class TestRetentionModel:
         # regressed independently, so they agree only to order of
         # magnitude; hold them to within a factor of 8.
         for pec, t in ((3000, 7 * DAY), (10000, 30 * DAY)):
-            models = retention_state_models(MODEL, pec, t)
+            models = retention_states(pec, t)
             refs = retention_refs(MODEL, pec, t)
             implied = estimate_rber(models, refs).total
             table = (math.exp(MODEL.eval("log_rber_msb", pec, t))
                      + math.exp(MODEL.eval("log_rber_lsb", pec, t))) / 2
             assert abs(math.log(implied / table)) <= math.log(8.0)
-
-    def test_json_round_trip(self, tmp_path):
-        path = tmp_path / "retention.json"
-        MODEL.to_json(path)
-        back = RetentionModel3D.from_json(path)
-        assert back.coeffs == MODEL.coeffs
 
 
 class TestGammaFit:

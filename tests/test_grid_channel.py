@@ -4,10 +4,8 @@ import pytest
 from flashlab.grid import (CellState, DEFAULT_READ_REFS, MSB_OF_STATE,
                            LSB_OF_STATE, N_BINS, N_STEPS, ReadRefs,
                            VoltageGrid, classify_regions)
-from flashlab.channel import (ReadNoise, bin_cells,
-                              decode_states, export_histogram_csv,
-                              load_histogram_csv, measure_rber, read_page,
-                              sample_page)
+from flashlab.channel import (bin_cells, export_histogram_csv,
+                              load_histogram_csv, measure_rber, sample_page)
 from flashlab.models.cdf import StateModel
 
 
@@ -111,39 +109,12 @@ class TestSampling:
 
 
 class TestReads:
-    def test_read_page_oracle(self):
-        # oracle: direct comparison against the reference voltages
-        st = sample_page(t_models(lam=0.0), 50_000, seed=5)
-        refs = DEFAULT_READ_REFS
-        g = st.grid
-        lsb = read_page(st, refs, "lsb")
-        assert np.array_equal(lsb, (st.vth < g.value(refs.vb)).astype(np.int8))
-        msb = read_page(st, refs, "msb")
-        below_va = st.vth < g.value(refs.va)
-        below_vc = st.vth < g.value(refs.vc)
-        assert np.array_equal(msb, (below_va | ~below_vc).astype(np.int8))
-
-    def test_decode_matches_regions_when_noiseless(self):
-        st = sample_page(t_models(lam=0.0), 20_000, seed=6)
-        dec = decode_states(st, DEFAULT_READ_REFS)
-        assert np.array_equal(dec, classify_regions(st.vth, st.grid, DEFAULT_READ_REFS))
-
     def test_rber_definition(self):
         st = sample_page(t_models(), 100_000, seed=7)
         refs = ReadRefs(45, 147, 222)  # midpoints of the test means
         rep = measure_rber(st, refs)
         assert rep.total == pytest.approx((rep.msb + rep.lsb) / 2)
         assert 0 < rep.total < 0.05
-        assert sum(rep.transitions.values()) > 0
-
-    def test_comparator_noise_increases_errors(self):
-        st = sample_page(t_models(lam=0.0), 100_000, seed=8)
-        refs = ReadRefs(45, 147, 222)
-        clean = measure_rber(st, refs).total
-        noisy = measure_rber(st, refs,
-                             noise=ReadNoise(p0=0.05, d=10.0),
-                             rng=np.random.default_rng(1)).total
-        assert noisy > clean
 
 
 class TestHistogram:

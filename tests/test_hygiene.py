@@ -1,9 +1,11 @@
 """Source hygiene: no library or test module imports a name it never uses,
 the CLI starts up without ``scipy.stats``, only ``trace.py`` turns
-sectors into pages, and no library function takes a ``tables`` argument.
+sectors into pages, no library function takes a ``tables`` argument, and
+every library function, class and method is reached from a CLI workflow
+or is a named reference that the tests check other code against.
 
-Package ``__init__.py`` files are exempt, since importing a name there is
-how it is re-exported.
+Package ``__init__.py`` files are exempt from the import check, since
+importing a name there is how it is re-exported.
 """
 
 import ast
@@ -106,3 +108,148 @@ def test_no_library_function_takes_tables():
     hits = [f"{p.relative_to(SRC)}:{hit}" for p in sorted(SRC.glob("**/*.py"))
             for hit in parameters_named(p.read_text(), "tables")]
     assert hits == []
+
+
+def definitions(modules):
+    """Top-level functions, classes, methods and assignments of
+    ``modules`` ({dotted name: source}), as {qualified name: (owning
+    class or None, bare name, names its body reads)}.
+
+    A class's own reads are its bases, decorators and class-level
+    statements; each method is a definition of its own.
+    """
+    defs = {}
+    for mod, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[f"{mod}.{node.name}"] = (None, node.name, names_read(node))
+            elif isinstance(node, ast.ClassDef):
+                cls = f"{mod}.{node.name}"
+                own = node.bases + node.keywords + node.decorator_list
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defs[f"{cls}.{item.name}"] = (cls, item.name,
+                                                      names_read(item))
+                    else:
+                        own.append(item)
+                defs[cls] = (None, node.name, set().union(*map(names_read, own)))
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name):
+                            defs[f"{mod}.{n.id}"] = (None, n.id,
+                                                     names_read(node.value))
+    return defs
+
+
+def names_read(node):
+    """Every ``Name`` id and ``Attribute`` attr under ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreached(defs, roots):
+    """Definitions not reached from ``roots``, in definition order.
+
+    Reach follows bare names, whatever module or class they are read
+    through, so it over-approximates: a definition is reached once a
+    reached body reads its name, a method only once its class is reached
+    too, and a dunder method with its class.
+    """
+    reached = set(roots)
+    names = set().union(*(defs[r][2] for r in roots))
+    grew = True
+    while grew:
+        grew = False
+        for q, (owner, name, reads) in defs.items():
+            if q in reached:
+                continue
+            dunder = name.startswith("__") and name.endswith("__")
+            if owner is None:
+                hit = name in names
+            else:
+                hit = owner in reached and (name in names or dunder)
+            if hit:
+                reached.add(q)
+                names |= reads
+                grew = True
+    return [q for q in defs if q not in reached]
+
+
+def test_reach_detector_flags_unreached_and_passes_reached():
+    modules = {
+        "cli": "def main():\n    return cmd_run()\n"
+               "def cmd_run():\n    return lib.helper().go()\n",
+        "lib": "LIMIT = cap()\n"
+               "def cap():\n    return 1\n"
+               "def helper():\n    return Box()\n"
+               "class Box:\n"
+               "    def __init__(self):\n        self.n = LIMIT\n"
+               "    def go(self):\n        return self.n\n"
+               "    def stale(self):\n        pass\n"
+               "class Ghost:\n"
+               "    def go(self):\n        pass\n"
+               "def orphan():\n    return helper()\n"
+               "def checked():\n    return helper_of_checked()\n"
+               "def helper_of_checked():\n    pass\n",
+    }
+    defs = definitions(modules)
+    roots = ["cli.main", "cli.cmd_run"]
+    # Box.go is reached, Ghost.go is not: its class is never read
+    assert unreached(defs, roots) == [
+        "lib.Box.stale", "lib.Ghost.go", "lib.Ghost", "lib.orphan",
+        "lib.checked", "lib.helper_of_checked"]
+    assert unreached(defs, roots + ["lib.checked"]) == [
+        "lib.Box.stale", "lib.Ghost.go", "lib.Ghost", "lib.orphan"]
+
+
+# Library code that no workflow reaches and that stays on purpose, with
+# why. Everything else in src/ feeds a CLI workflow or goes.
+REFERENCE_ROOTS = {
+    "channel.sample_page": "Monte Carlo cell population the analytic RBER "
+                           "and the fits are checked against",
+    "channel.measure_rber": "sampled RBER that estimate_rber is checked against",
+    "channel.bin_cells": "histograms of sampled populations for the fit tests",
+    "channel.export_histogram_csv": "writes the histogram CSV that fit reads",
+    "trace.synth_hot": "seeded skewed trace the replay and CLI tests drive",
+    "models.fitting.load_models_json": "reads back fit's model.json, pinning "
+                                       "its format",
+    "models.fitting.dynamic_from_dict": "reads back fit's dynamic.json, "
+                                        "pinning its format",
+    "models.applications.estimate_lifetime": "lifetime from fitted models, "
+                                             "part of the north star",
+    "controller.ftl.Drive.audit": "FTL invariant check the FTL tests run",
+    "raid_ecc.multirate_schedule": "builds the multi-rate ECC ladder the "
+                                   "analytic calculus tests check",
+    "urt.fit_ea": "URT calibration from characterization (ROADMAP Direction 9)",
+    "urt.fit_pvm": "URT calibration from characterization (ROADMAP Direction 9)",
+    "urt.fit_srrm": "URT calibration from characterization (ROADMAP Direction 9)",
+    "urt.fine_tune": "online URT refit (ROADMAP Direction 9)",
+    "degradation.sample_layer_profile": "3D-NAND layer variation "
+                                        "(ROADMAP Direction 10)",
+    "degradation.fit_gamma": "3D-NAND layer variation (ROADMAP Direction 10)",
+    "raid_ecc.layout_worst_group": "LI-RAID worst-group scoring "
+                                   "(ROADMAP Direction 10)",
+}
+
+
+def library_definitions():
+    modules = {".".join(p.relative_to(SRC).with_suffix("").parts)
+               .removesuffix(".__init__"): p.read_text()
+               for p in sorted(SRC.glob("**/*.py"))}
+    return definitions(modules)
+
+
+def cli_roots(defs):
+    return ["cli.main"] + [q for q in defs if q.startswith("cli.cmd_")]
+
+
+def test_every_library_definition_feeds_a_workflow_or_a_reference():
+    defs = library_definitions()
+    assert unreached(defs, cli_roots(defs) + list(REFERENCE_ROOTS)) == []
+
+
+def test_reference_roots_name_definitions_no_workflow_reaches():
+    defs = library_definitions()
+    assert set(REFERENCE_ROOTS) <= set(defs)
+    assert set(REFERENCE_ROOTS) <= set(unreached(defs, cli_roots(defs)))

@@ -160,7 +160,6 @@ class TestAccelLog:
         log.update(1.0, 100.0)
         got = log.effective_time(1e6)
         assert got == pytest.approx(100.0, rel=1e-9)
-        assert log.clamped
 
     def test_storage_footprint_capped(self):
         log = AccelLog()
