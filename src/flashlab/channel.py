@@ -8,8 +8,9 @@ the histogram CSV format that ``fit`` reads.
 
 Continuous vth is kept even though hardware observes only 304 bins;
 binning is a view, so degradation models can act in voltage space before
-quantization. ER-state vth may be negative; decoding and binning still
-handle it (such cells land in bin 0).
+quantization. Decoding and binning read the fixed step axis of ``grid``
+(step k at voltage k). ER-state vth may be negative; decoding and binning
+still handle it (such cells land in bin 0).
 """
 
 import csv
@@ -23,7 +24,7 @@ from .grid import (
     MSB_OF_STATE,
     N_BINS,
     CellState,
-    VoltageGrid,
+    bin_of,
     classify_regions,
 )
 from .models.tables import default_tables
@@ -39,7 +40,6 @@ class ChannelState:
     index.
     """
 
-    grid: VoltageGrid
     true_state: np.ndarray
     shape_state: np.ndarray
     vth: np.ndarray
@@ -54,7 +54,6 @@ class ChannelState:
 @dataclass
 class BinHistogram:
     counts: np.ndarray  # (4, 304) int64
-    grid: VoltageGrid
 
     def densities(self):
         totals = self.counts.sum(axis=1, keepdims=True).astype(float)
@@ -91,7 +90,7 @@ def _sample_component(model, n, rng):
     return base + w
 
 
-def sample_page(models, n_cells, layer_profile=None, seed=0, grid=None):
+def sample_page(models, n_cells, layer_profile=None, seed=0):
     """Sample a cell population from a 4-state model.
 
     Intended states are assigned in equal quarters. Each ER/P1 cell is
@@ -100,7 +99,6 @@ def sample_page(models, n_cells, layer_profile=None, seed=0, grid=None):
     """
     if n_cells <= 0:
         raise ValueError("n_cells must be positive")
-    grid = grid or VoltageGrid()
     rng = np.random.default_rng(seed)
 
     true_state = (np.arange(n_cells) % 4).astype(np.int8)
@@ -122,12 +120,12 @@ def sample_page(models, n_cells, layer_profile=None, seed=0, grid=None):
     if layer_profile is not None:
         vth += layer_profile.vth_offset(layer, shape_state)
 
-    return ChannelState(grid, true_state, shape_state, vth, layer, seed)
+    return ChannelState(true_state, shape_state, vth, layer, seed)
 
 
 def measure_rber(state, refs):
     """Compare the states decoded at refs against ground truth."""
-    decoded = classify_regions(state.vth, state.grid, refs)
+    decoded = classify_regions(state.vth, refs)
     true = state.true_state
     n = state.n_cells
     msb_err = int(np.sum(MSB_OF_STATE[decoded] != MSB_OF_STATE[true]))
@@ -142,13 +140,13 @@ def measure_rber(state, refs):
 
 def bin_cells(state):
     """Histogram the population into the 304 voltage bins, per state."""
-    bins = state.grid.bin_of(state.vth)
+    bins = bin_of(state.vth)
     counts = np.zeros((4, N_BINS), dtype=np.int64)
     for st in range(4):
         sel = state.true_state == st
         if sel.any():
             counts[st] = np.bincount(bins[sel], minlength=N_BINS)
-    return BinHistogram(counts=counts, grid=state.grid)
+    return BinHistogram(counts=counts)
 
 
 def export_histogram_csv(hist, path):
@@ -160,7 +158,7 @@ def export_histogram_csv(hist, path):
                 w.writerow([CellState(st).name, b, int(hist.counts[st, b])])
 
 
-def load_histogram_csv(path, grid=None):
+def load_histogram_csv(path):
     """Read a histogram in the format of export_histogram_csv.
 
     Counts of a repeated (state, bin) row add up. A row without three
@@ -184,4 +182,4 @@ def load_histogram_csv(path, grid=None):
                 raise ValueError(f"{path}:{reader.line_num}: counts add up "
                                  "past int64")
             counts[names[row[0]], int(row[1])] += int(row[2])
-    return BinHistogram(counts=counts, grid=grid or VoltageGrid())
+    return BinHistogram(counts=counts)

@@ -151,13 +151,13 @@ def _finite_number(x):
             and math.isfinite(x))
 
 
-def _check_policies(policies, seed):
+def _check_policies(policies):
     """Check every policy entry and build its LifetimeConfig before any
     policy runs; returns [(name, config)]. A name must be a plain file
     stem, unique and not ``manifest``, since it names the policy's
-    artifacts; ``refresh`` is a string, ``warm`` a JSON boolean and
-    ``ecc_limit`` a positive number; the geometry, initial P/E count and
-    mode must make a valid config."""
+    artifacts; ``refresh`` is a string, ``warm`` a JSON boolean,
+    ``initial_pec`` a non-negative JSON integer and ``ecc_limit`` a
+    positive number; the geometry and mode must make a valid config."""
     if not isinstance(policies, list) or not policies:
         raise ConfigError("config needs a 'policies' list")
     configs = []
@@ -168,11 +168,14 @@ def _check_policies(policies, seed):
             raise ConfigError(f"policy name {name!r} must be a unique plain"
                               " file stem other than 'manifest'")
         lim = p.get("ecc_limit", 1.0)
+        pec = p.get("initial_pec", 0)
         if (not isinstance(p.get("refresh", ""), str)
                 or not isinstance(p.get("warm", False), bool)
+                or isinstance(pec, bool) or not isinstance(pec, int) or pec < 0
                 or not (_finite_number(lim) and lim > 0)):
             raise ConfigError(f"policy {name!r}: refresh must be a string, warm"
-                              " true or false and ecc_limit a positive number")
+                              " true or false, initial_pec a non-negative"
+                              " integer and ecc_limit a positive number")
         try:
             geom_kw = ({"op_fraction": float(p["op_fraction"])}
                        if "op_fraction" in p else {})
@@ -181,13 +184,12 @@ def _check_policies(policies, seed):
                                   **geom_kw),
                 warm=p.get("warm", False),
                 refresh=_parse_refresh(p.get("refresh")),
-                initial_pec=int(p.get("initial_pec", 0)),
+                initial_pec=pec,
                 mode=p.get("mode", "analytic"),
                 ecc_limit=p.get("ecc_limit"),
                 retention_model=(RetentionModel3D()
                                  if p.get("mode") == "direct"
                                  or p.get("series_rber") else None),
-                seed=seed,
             )
         except (TypeError, ValueError) as exc:  # TypeError: null or a list
             raise ConfigError(f"policy {name!r}: {exc}") from exc
@@ -244,7 +246,7 @@ def cmd_simulate(args):
         return EXIT_OK
 
     items = [(name, cfg, args.trace)
-             for name, cfg in _check_policies(doc.get("policies"), args.seed)]
+             for name, cfg in _check_policies(doc.get("policies"))]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..grid import VoltageGrid
 from ..models.cdf import gaussian_states
 from ..models.applications import estimate_rber
 from .. import urt as urt_mod
@@ -107,9 +106,8 @@ def truth_models(pack, pec, eff_retention_s, temp_program_c=25.0):
 
 
 def policy_worst_rber(policy, samples, pack, retention_model, pec,
-                      grid=None, temp_program_c=25.0):
+                      temp_program_c=25.0):
     """Worst per-sample RBER a policy suffers at a given wear level."""
-    grid = grid or VoltageGrid()
     remar = ReMARState(retention_model) if policy == "remar" else None
     worst = 0.0
     for s in samples:
@@ -119,18 +117,17 @@ def policy_worst_rber(policy, samples, pack, retention_model, pec,
                           temp_program_c=temp_program_c)
         refs = policy_refs(policy, ctx, retention_model=retention_model,
                            calibration=pack, remar_state=remar,
-                           true_models=truth, grid=grid)
-        worst = max(worst, estimate_rber(truth, refs, grid).total)
+                           true_models=truth)
+        worst = max(worst, estimate_rber(truth, refs).total)
     return worst
 
 
 def policy_lifetime_pec(policy, samples, pack, retention_model, ecc_limit,
-                        pec_hi=60000, grid=None, temp_program_c=25.0,
-                        tol=50):
+                        pec_hi=60000, temp_program_c=25.0, tol=50):
     """Largest P/E count at which every sampled read still decodes."""
     def ok(pec):
         return policy_worst_rber(policy, samples, pack, retention_model,
-                                 pec, grid, temp_program_c) <= ecc_limit
+                                 pec, temp_program_c) <= ecc_limit
 
     lo = 0.0
     if not ok(lo):

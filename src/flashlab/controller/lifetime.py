@@ -34,7 +34,6 @@ class LifetimeConfig:
     mode: str = "analytic"          # "analytic" | "direct"
     ecc_limit: float = None         # RBER the ECC can absorb (direct mode)
     retention_model: RetentionModel3D = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("analytic", "direct"):
@@ -89,8 +88,12 @@ def _page_log_rbers(model, pec, age_s):
 
 
 def _page_rber(logs):
-    """RBER of a wordline's page pair: the mean of its MSB and LSB RBERs."""
-    return 0.5 * (math.exp(logs[0]) + math.exp(logs[1]))
+    """RBER of a wordline's page pair: the mean of its MSB and LSB RBERs.
+
+    A page's RBER is capped at 1, since a bit error rate cannot exceed it;
+    the cap also keeps ``math.exp`` from overflowing far past the model's
+    range."""
+    return 0.5 * (math.exp(min(logs[0], 0.0)) + math.exp(min(logs[1], 0.0)))
 
 
 def _series_rber(drive, model, age_s):
@@ -207,8 +210,8 @@ def _direct_lifetime(drive, cfg, duration_days):
 
     def over_limit(day):
         logs = _page_log_rbers(model, cfg.initial_pec + pec_rate * day, age_s)
-        # above log_cap one page's half alone passes the limit; deciding
-        # that first keeps math.exp from overflowing
+        # above log_cap one page's half alone passes the limit; below it,
+        # for an ecc_limit under 0.5, both logs are under _page_rber's cap
         return max(logs) > log_cap or _page_rber(logs) > cfg.ecc_limit
 
     lo, hi = 0.0, 365.0 * 200

@@ -47,7 +47,7 @@ class ReMARState:
         return self._cached
 
 
-def heatwatch_refs(calibration, ctx, grid=None):
+def heatwatch_refs(calibration, ctx):
     """Read references from thermally-corrected state predictions.
 
     The URT calculator predicts each state's location and scale at the
@@ -62,7 +62,7 @@ def heatwatch_refs(calibration, ctx, grid=None):
         lambda row: urt_mod.urt_predict(calibration, row, ctx.pec, tp,
                                         eff_ret, ctx.eff_read_s))
     try:
-        refs, _ = predict_vopt(models, grid=grid)
+        refs, _ = predict_vopt(models)
         return refs
     except ValueError:
         # extreme-wear extrapolation can cross the predicted means;
@@ -74,7 +74,7 @@ def heatwatch_refs(calibration, ctx, grid=None):
 
 
 def policy_refs(policy, ctx, retention_model=None, calibration=None,
-                remar_state=None, true_models=None, grid=None):
+                remar_state=None, true_models=None):
     """Dispatch a read-reference policy for one read."""
     if policy == "fixed":
         return DEFAULT_READ_REFS
@@ -87,8 +87,8 @@ def policy_refs(policy, ctx, retention_model=None, calibration=None,
     if policy == "remar":
         return remar_state.refs(ctx)
     if policy == "heatwatch":
-        return heatwatch_refs(calibration, ctx, grid=grid)
+        return heatwatch_refs(calibration, ctx)
     if policy == "oracle":
-        return sweep_vopt(true_models, grid)
+        return sweep_vopt(true_models)
     raise ValueError(f"unknown policy {policy!r}")
 

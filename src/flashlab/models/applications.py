@@ -1,20 +1,29 @@
 """Controller-facing applications of the fitted distribution models:
 RBER estimation, optimal read reference prediction and lifetime
 estimation.
+
+Every result is on the fixed read-retry step axis of ``grid``: a
+reference at step k reads at voltage k, and the Vopt searches cover steps
+1..VC_SEARCH_MAX.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid import LSB_OF_STATE, MSB_OF_STATE, CellState, ReadRefs, VoltageGrid
+from ..grid import LSB_OF_STATE, MSB_OF_STATE, CellState, ReadRefs
 from .cdf import state_cdf
 
 # Vopt search range for the top reference extends past the binning grid,
 # matching the stock vc.
 VC_SEARCH_MAX = 400
+
+# Voltages of reference steps 1..VC_SEARCH_MAX, and of the half-way points
+# between neighboring steps; read-only.
+_STEPS = np.arange(1, VC_SEARCH_MAX + 1, dtype=float)
+_HALF_STEPS = (_STEPS[:-1] + _STEPS[1:]) / 2.0
+_STEPS.flags.writeable = _HALF_STEPS.flags.writeable = False
 
 
 @dataclass
@@ -24,23 +33,22 @@ class RBEREstimate:
     lsb: float
 
 
-def region_masses(models, refs, grid=None):
+def region_masses(models, refs):
     """Probability mass of each intended state in each decode region.
 
     Returns shape (4 states, 4 regions); rows sum to 1.
     """
-    grid = grid or VoltageGrid()
-    va, vb, vc = refs.voltages(grid)
+    v = np.array([refs.va, refs.vb, refs.vc], dtype=float)
     out = np.empty((4, 4))
     for st in CellState:
-        c = state_cdf(models, st, np.array([va, vb, vc]))
+        c = state_cdf(models, st, v)
         out[st] = (c[0], c[1] - c[0], c[2] - c[1], 1.0 - c[2])
     return out
 
 
-def estimate_rber(models, refs, grid=None):
+def estimate_rber(models, refs):
     """Analytic RBER at the given references, states weighted equally."""
-    masses = region_masses(models, refs, grid)
+    masses = region_masses(models, refs)
     msb = lsb = 0.0
     for st in range(4):
         for region in range(4):
@@ -59,19 +67,9 @@ def _density(models, state, v, h=0.25):
     return (hi - lo) / (2.0 * h)
 
 
-@functools.lru_cache(maxsize=16)
-def _step_table(grid):
-    """Voltages of reference steps 1..VC_SEARCH_MAX, and of the half-way
-    points between neighboring steps."""
-    steps = grid.value(np.arange(1, VC_SEARCH_MAX + 1))
-    halves = (steps[:-1] + steps[1:]) / 2.0
-    steps.flags.writeable = halves.flags.writeable = False
-    return steps, halves
-
-
-def _round_to_step(voltage, grid):
+def _round_to_step(voltage):
     """Nearest reference step to a voltage; a tie goes to the lower step."""
-    steps, _ = _step_table(grid)
+    steps = _STEPS
     j = int(np.searchsorted(steps, voltage))
     if j == len(steps) or (j > 0 and abs(steps[j - 1] - voltage) <= abs(steps[j] - voltage)):
         j -= 1
@@ -100,7 +98,7 @@ def _gaussian_crossing(lo, hi):
     return lo.mu + c / q
 
 
-def _scanned_step(models, lo, hi, grid):
+def _scanned_step(models, lo, hi):
     """Rounded step of the density crossing between two means, or None.
 
     The density gap is evaluated once, at the means and at every half-way
@@ -110,24 +108,23 @@ def _scanned_step(models, lo, hi, grid):
     changes sign that way more than once (a tail wiggle), the crossing
     whose step misreads the least mass wins.
     """
-    steps, halves = _step_table(grid)
     a, b = models[lo].mu, models[hi].mu
-    first = int(np.searchsorted(halves, a, side="right"))
-    last = int(np.searchsorted(halves, b, side="left"))
-    v = np.concatenate(([a], halves[first:last], [b]))
+    first = int(np.searchsorted(_HALF_STEPS, a, side="right"))
+    last = int(np.searchsorted(_HALF_STEPS, b, side="left"))
+    v = np.concatenate(([a], _HALF_STEPS[first:last], [b]))
     gap = _density(models, lo, v) - _density(models, hi, v)
     if gap[0] <= 0 or gap[-1] >= 0:
         return None
     ks = first + np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
     k = ks[0]
     if len(ks) > 1:
-        vs = steps[ks]
+        vs = _STEPS[ks]
         miss = (1.0 - state_cdf(models, lo, vs)) + state_cdf(models, hi, vs)
         k = ks[np.argmin(miss)]
     return int(k) + 1
 
 
-def predict_vopt(models, method="pdf_intersection", grid=None):
+def predict_vopt(models, method="pdf_intersection"):
     """Predict optimal read references.
 
     pdf_intersection puts each reference where the two neighboring state
@@ -138,7 +135,6 @@ def predict_vopt(models, method="pdf_intersection", grid=None):
     """
     if method not in ("pdf_intersection", "mean_midpoint"):
         raise ValueError(f"unknown method {method!r}")
-    grid = grid or VoltageGrid()
     mus = [models[st].mu for st in CellState]
     if not (mus[0] < mus[1] < mus[2] < mus[3]):
         raise ValueError("state means must be ordered ER < P1 < P2 < P3")
@@ -149,16 +145,16 @@ def predict_vopt(models, method="pdf_intersection", grid=None):
         lo, hi = CellState(i), CellState(i + 1)
         midpoint = (mus[i] + mus[i + 1]) / 2.0
         if method == "mean_midpoint":
-            steps.append(_round_to_step(midpoint, grid))
+            steps.append(_round_to_step(midpoint))
             continue
         if all(models[st].family == "gaussian" and models[st].lam == 0.0
                for st in (lo, hi)):
             v = _gaussian_crossing(models[lo], models[hi])
-            step = None if v is None else _round_to_step(v, grid)
+            step = None if v is None else _round_to_step(v)
         else:
-            step = _scanned_step(models, lo, hi, grid)
+            step = _scanned_step(models, lo, hi)
         if step is None:
-            step = _round_to_step(midpoint, grid)
+            step = _round_to_step(midpoint)
             flags.append(name)
         steps.append(step)
 
@@ -166,38 +162,35 @@ def predict_vopt(models, method="pdf_intersection", grid=None):
     return ReadRefs.ordered(*steps), flags
 
 
-def sweep_vopt(models, grid=None):
+def sweep_vopt(models):
     """Exhaustive per-boundary sweep minimizing misread mass.
 
     Total misread mass separates per boundary once the region order is
     fixed, so each reference is optimized independently. Serves as the
     oracle that predict_vopt is judged against.
     """
-    grid = grid or VoltageGrid()
-    vs, _ = _step_table(grid)
     best = []
     for i in range(3):
         lo, hi = CellState(i), CellState(i + 1)
         # Mass of the lower state above the boundary + upper state below.
-        miss = (1.0 - state_cdf(models, lo, vs)) + state_cdf(models, hi, vs)
+        miss = (1.0 - state_cdf(models, lo, _STEPS)) + state_cdf(models, hi, _STEPS)
         best.append(int(np.argmin(miss)) + 1)
     return ReadRefs.ordered(*best)
 
 
 def estimate_lifetime(dynamic, family, ecc_limit, pec_step=100, pec_max=200000,
-                      method="pdf_intersection", grid=None):
+                      method="pdf_intersection"):
     """Smallest PEC (scanned in pec_step increments) where the RBER at the
     predicted Vopt exceeds the ECC limit. Returns (pec, exceeded)."""
     from .fitting import predict_static
 
     if ecc_limit <= 0:
         raise ValueError("ecc_limit must be positive")
-    grid = grid or VoltageGrid()
     pec = 0
     while pec <= pec_max:
         models, _ = predict_static(dynamic, pec, family)
-        refs, _ = predict_vopt(models, method, grid)
-        if estimate_rber(models, refs, grid).total > ecc_limit:
+        refs, _ = predict_vopt(models, method)
+        if estimate_rber(models, refs).total > ecc_limit:
             return pec, True
         pec += pec_step
     return pec_max, False

@@ -12,14 +12,13 @@ additionally mix in a misprogram component that reuses the target state's
 own parameters (ER -> P3, P1 -> P2).
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
 
-from ..grid import N_BINS, CellState, MISPROGRAM_TARGET
+from ..grid import BOUNDARIES, N_BINS, CellState, MISPROGRAM_TARGET
 from .tables import default_tables
 
 FAMILIES = ("gaussian", "normal_laplace", "student_t")
@@ -153,14 +152,6 @@ def state_cdf(models, state, v):
     return mix(m, own, component_cdf(models[MISPROGRAM_TARGET[state]], v))
 
 
-@functools.lru_cache(maxsize=16)
-def grid_boundaries(grid):
-    """``grid.boundaries()``, computed once per (frozen) grid; read-only."""
-    b = grid.boundaries()
-    b.flags.writeable = False
-    return b
-
-
 def bin_masses(c):
     """Bin probability masses from mixture-CDF values at the grid
     boundaries (last axis). Mass beyond the grid accrues to bins 0 and
@@ -172,16 +163,15 @@ def bin_masses(c):
     return out
 
 
-def model_density(models, grid):
+def model_density(models):
     """Per-state bin probability masses, shape (4, 304); see bin_masses.
 
     Each state's component CDF is evaluated once and shared with the state
     that misprograms into it, so row s equals the masses of
     ``state_cdf(models, s, ...)`` bit for bit.
     """
-    b = grid_boundaries(grid)
-    own = [component_cdf(models[s], b) for s in CellState]
-    c = np.empty((4, b.size))
+    own = [component_cdf(models[s], BOUNDARIES) for s in CellState]
+    c = np.empty((4, BOUNDARIES.size))
     for s in CellState:
         tgt = MISPROGRAM_TARGET.get(s)
         c[s] = own[s] if tgt is None else mix(models[s], own[s], own[tgt])

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid import MISPROGRAM_TARGET, CellState
+from ..grid import BOUNDARIES, MISPROGRAM_TARGET, CellState
 from .cdf import (StateModel, bin_masses, component_cdf, enforce_constraints,
-                  grid_boundaries, mix, model_density, pooled_kl)
+                  mix, model_density, pooled_kl)
 from .simplex import nelder_mead
 
 # Fit order: misprogram targets first so their parameters are available.
@@ -124,8 +124,7 @@ def _unpack_all(vec, family):
 
 def empirical_moments(hist, state):
     """Mean/stddev of one state's binned population (bin-center weighted)."""
-    grid = hist.grid
-    b = grid.boundaries()
+    b = BOUNDARIES
     centers = np.concatenate(([b[0] - 0.5], (b[:-1] + b[1:]) / 2.0, [b[-1] + 0.5]))
     w = hist.counts[state].astype(float)
     total = w.sum()
@@ -158,11 +157,9 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000):
     Every float operation runs as in ``kl_divergence`` of ``model_density``,
     so the objective values, and the fit, equal theirs bit for bit.
     """
-    grid = hist.grid
-    b = grid_boundaries(grid)
     measured = hist.densities()
     models = dict(init) if init is not None else default_init(hist, family)
-    init_kl = pooled_kl(measured, model_density(models, grid))
+    init_kl = pooled_kl(measured, model_density(models))
 
     seen = measured > 0
     p_seen = [measured[s][seen[s]] for s in CellState]
@@ -177,11 +174,11 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000):
     # Stage 1: per-state fits, misprogram targets first.
     for st in _STAGE_ORDER:
         tgt = MISPROGRAM_TARGET.get(st)
-        tgt_cdf = None if tgt is None else component_cdf(models[tgt], b)
+        tgt_cdf = None if tgt is None else component_cdf(models[tgt], BOUNDARIES)
 
         def objective(vec, st=st, tgt_cdf=tgt_cdf):
             m = _unpack_state(vec, family, st)
-            own = component_cdf(m, b)
+            own = component_cdf(m, BOUNDARIES)
             return state_kl(st, bin_masses(own if tgt_cdf is None else mix(m, own, tgt_cdf)))
 
         x0 = np.array(_pack_state(models[st], family, st))
@@ -192,7 +189,7 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000):
 
     # Stage 2: joint polish over the full parameter vector.
     def joint_objective(vec):
-        dens = model_density(_unpack_all(vec, family), grid)
+        dens = model_density(_unpack_all(vec, family))
         return float(np.mean([state_kl(s, dens[s]) for s in CellState]))
 
     x0 = _pack_all(models, family)
@@ -202,7 +199,7 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000):
     if kl <= init_kl:
         models, final_kl = polished, kl
     else:
-        final_kl = pooled_kl(measured, model_density(models, grid))
+        final_kl = pooled_kl(measured, model_density(models))
     models = enforce_constraints(models)
     return FitResult(models, float(final_kl), total_iters, converged and ok)
 

@@ -22,7 +22,7 @@ from flashlab.controller.heatwatch import (HeatwatchConfig, collect_samples,
                                            policy_lifetime_pec)
 from flashlab.degradation import (GammaParams, OffsetShape, RetentionModel3D,
                                   sample_layer_profile)
-from flashlab.grid import CellState, VoltageGrid
+from flashlab.grid import CellState
 from flashlab.models import (fit_dynamic, fit_static, model_density,
                              pooled_kl, predict_static)
 from flashlab.models.applications import estimate_rber, predict_vopt, sweep_vopt
@@ -37,7 +37,6 @@ from flashlab.trace import synth_hot
 DAY = 86400.0
 MEANS = (30.0, 110.0, 183.0, 260.0)
 SIGMAS = (11.0, 9.0, 8.5, 8.0)
-GRID = VoltageGrid()
 
 
 def gauss_models(mus=MEANS, sigmas=SIGMAS):
@@ -99,8 +98,8 @@ class TestDynamicPrediction:
                 for pec in (1000, 4000, 7000, 10000)]
         dynamic = fit_dynamic(fits, "gaussian")
         predicted, clamped = predict_static(dynamic, 20000, "gaussian")
-        kl = pooled_kl(model_density(self._models_at(20000), GRID),
-                       model_density(predicted, GRID))
+        kl = pooled_kl(model_density(self._models_at(20000)),
+                       model_density(predicted))
         assert not clamped
         assert kl <= 0.05
         assert time.monotonic() - t0 < 30.0
@@ -279,12 +278,12 @@ class TestLayerVariationMitigation:
             gauss_models([MEANS[i] + mean_dmu[i] for i in range(4)]))
         block = np.mean([
             self._weighted_rber(
-                estimate_rber(self._layer_models(l), block_refs, GRID), l)
+                estimate_rber(self._layer_models(l), block_refs), l)
             for l in range(n_layers)])
         per_layer = np.mean([
             self._weighted_rber(
                 estimate_rber(self._layer_models(l),
-                              predict_vopt(self._layer_models(l))[0], GRID), l)
+                              predict_vopt(self._layer_models(l))[0]), l)
             for l in range(n_layers)])
         assert per_layer <= 0.80 * block
         assert time.monotonic() - t0 < 60.0

@@ -7,7 +7,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from flashlab.channel import measure_rber, sample_page
-from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs, VoltageGrid
+from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs
 from flashlab.models.applications import (VC_SEARCH_MAX,
                                           _gaussian_crossing, _round_to_step,
                                           estimate_lifetime, estimate_rber,
@@ -15,8 +15,6 @@ from flashlab.models.applications import (VC_SEARCH_MAX,
                                           sweep_vopt)
 from flashlab.models.cdf import StateModel, enforce_constraints
 from flashlab.models.fitting import PowerLawParams
-
-GRID = VoltageGrid()
 
 
 def gauss_models(mus=(30.0, 110.0, 183.0, 260.0), sigmas=(12.0, 9.0, 9.0, 9.0)):
@@ -32,7 +30,7 @@ class TestRegionMasses:
     def test_matches_normal_cdf_oracle(self):
         models = gauss_models()
         refs = ReadRefs(70, 147, 222)
-        va, vb, vc = refs.voltages(GRID)
+        va, vb, vc = refs.va, refs.vb, refs.vc
         masses = region_masses(models, refs)
         for i, st in enumerate(CellState):
             m = models[st]
@@ -52,7 +50,7 @@ class TestEstimateRber:
         # a crossing at the boundary flips exactly the LSB.
         models = gauss_models(mus=(10, 130, 170, 290), sigmas=(2, 10, 10, 2))
         refs = ReadRefs(75, 150, 230)
-        vb = float(GRID.value(150))
+        vb = 150.0
         overlap = (1 - ndtr((vb - 130) / 10)) + ndtr((vb - 170) / 10)
         est = estimate_rber(models, refs)
         assert est.msb == pytest.approx(0.0, abs=1e-7)
@@ -191,31 +189,27 @@ class TestScannedCrossing:
         assert worst <= 1.1
 
 
-def _argmin_round(voltage, grid):
+def _argmin_round(voltage):
     """The nearest-step rule as a full scan: first minimum wins ties."""
     ks = np.arange(1, VC_SEARCH_MAX + 1)
-    return int(ks[np.argmin(np.abs(grid.value(ks) - voltage))])
+    return int(ks[np.argmin(np.abs(ks - voltage))])
 
 
 class TestRoundToStep:
-    @pytest.mark.parametrize("grid", [
-        VoltageGrid(), VoltageGrid(gap_after_101=7.5),
-        VoltageGrid(gap_after_202=0.3), VoltageGrid(gap_after_101=2.25,
-                                                    gap_after_202=11.0)])
-    def test_matches_argmin_scan(self, grid):
+    def test_matches_argmin_scan(self):
         rng = np.random.default_rng(3)
-        steps = grid.value(np.arange(1, VC_SEARCH_MAX + 1))
+        steps = np.arange(1, VC_SEARCH_MAX + 1, dtype=float)
         halves = (steps[:-1] + steps[1:]) / 2.0
         voltages = np.concatenate([rng.uniform(-50, steps[-1] + 50, 2000),
                                    steps, halves, np.nextafter(halves, np.inf),
                                    np.nextafter(halves, -np.inf),
                                    [-1e9, 0.0, 1e9]])
         for v in voltages:
-            assert _round_to_step(v, grid) == _argmin_round(v, grid), v
+            assert _round_to_step(v) == _argmin_round(v), v
 
     def test_ties_go_to_the_lower_step(self):
-        assert _round_to_step(60.5, GRID) == 60
-        assert _round_to_step(60.5000001, GRID) == 61
+        assert _round_to_step(60.5) == 60
+        assert _round_to_step(60.5000001) == 61
 
 
 class TestSweepVopt:

@@ -370,10 +370,15 @@ class TestSimulate:
         {"capacity_bytes": "lots"},
         {"op_fraction": 1.5},
         {"initial_pec": "many"},
+        {"initial_pec": -500},
+        {"initial_pec": 1.5},
+        {"initial_pec": "300"},
+        {"initial_pec": True},
         {"mode": "sideways"},
         {"mode": "direct"},
-    ], ids=["capacity-bytes", "op-fraction", "initial-pec", "mode",
-            "direct-without-ecc-limit"])
+    ], ids=["capacity-bytes", "op-fraction", "initial-pec",
+            "initial-pec-negative", "initial-pec-fraction", "initial-pec-string",
+            "initial-pec-boolean", "mode", "direct-without-ecc-limit"])
     def test_bad_later_policy_fails_before_any_replay(self, tmp_path, capsys,
                                                       monkeypatch, bad):
         def no_replay(*args):
@@ -408,6 +413,23 @@ class TestSimulate:
         rber = 0.5 * sum(math.exp(model.eval(row, pec, THREE_YEARS_S))
                          for row in ("log_rber_msb", "log_rber_lsb"))
         assert rber == pytest.approx(2e-3, rel=1e-6)
+
+    def test_worn_out_drive_in_direct_mode_series_rber_is_at_most_one(self, tmp_path):
+        # at 4M P/E the model's page log-RBERs lie far past 0: the drive is
+        # dead from day 0, and the daily series reads a capped RBER
+        def trace(path):
+            write_canonical(synth_hot(200, 50, 0.1, 0.9,
+                                      footprint_bytes=24 << 20, seed=1), str(path))
+        rc = self.run_policy(tmp_path, {"name": "worn", "capacity_bytes": 32 << 20,
+                                        "mode": "direct", "ecc_limit": 2e-3,
+                                        "refresh": "fcr:3d",
+                                        "initial_pec": 4_000_000}, trace)
+        assert rc == 4
+        rep = json.loads((tmp_path / "out" / "worn.json").read_text())
+        assert rep["lifetime_days"] == 0.0
+        rows = (tmp_path / "out" / "worn_series.csv").read_text().splitlines()
+        worst = [float(r.split(",")[2]) for r in rows[1:]]
+        assert worst and max(worst) <= 1.0
 
     @pytest.mark.parametrize("bad", [
         {"temp": {"bogus_c": 1.0}},

@@ -18,7 +18,7 @@ from flashlab.controller.policies import (ReadContext,
                                           ReMARState, heatwatch_refs,
                                           policy_refs)
 from flashlab.degradation import RetentionModel3D, retention_refs
-from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs, VoltageGrid
+from flashlab.grid import DEFAULT_READ_REFS, CellState
 from flashlab.models.applications import predict_vopt, sweep_vopt
 from flashlab.models.cdf import StateModel
 from flashlab.trace import SECTOR_BYTES, Trace, TraceEvent, synth_hot
@@ -586,18 +586,6 @@ class TestPolicies:
             want, _ = predict_vopt(truth_models(pack, pec, eff, 25.0))
             assert heatwatch_refs(pack, ctx) == want
 
-    def test_heatwatch_policy_reads_on_the_given_grid(self):
-        # a gap after step 101 moves the voltage of every step above it,
-        # so the crossings round to other steps than on the plain grid
-        pack = calibration_pack_from_retention(RET)
-        grid = VoltageGrid(gap_after_101=6)
-        ctx = self.ctx(pec=3000, eff_retention_s=7 * DAY)
-        got = policy_refs("heatwatch", ctx, calibration=pack, grid=grid)
-        assert got == heatwatch_refs(pack, ctx, grid=grid)
-        assert got == sweep_vopt(truth_models(pack, 3000, 7 * DAY), grid)
-        assert (got.vb, got.vc) == (138, 207)
-        assert heatwatch_refs(pack, ctx) == ReadRefs(62, 144, 213)
-
     def test_heatwatch_survives_extrapolated_mean_crossings(self):
         pack = calibration_pack_from_retention(RET)
         refs = heatwatch_refs(pack, self.ctx(pec=60000, age_s=365 * DAY,
@@ -678,13 +666,12 @@ class TestCollectSamples:
 
 class TestLifetimeReplay:
     @staticmethod
-    def run_once(seed=0):
+    def run_once():
         geom = small_geom(mb=32)
         events = synth_hot(1000, 200, 0.02, 0.9,
                            footprint_bytes=geom.logical_bytes, seed=3)
         cfg = LifetimeConfig(geometry=geom, warm=True, mode="analytic",
-                             refresh=RefreshConfig(mode="fcr", period_s=3 * DAY),
-                             seed=seed)
+                             refresh=RefreshConfig(mode="fcr", period_s=3 * DAY))
         return run_lifetime(events, cfg)
 
     def test_replay_is_deterministic(self):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from flashlab.grid import (CellState, DEFAULT_READ_REFS, MSB_OF_STATE,
-                           LSB_OF_STATE, N_BINS, N_STEPS, ReadRefs,
-                           VoltageGrid, classify_regions)
+from flashlab.grid import (BOUNDARIES, CellState, DEFAULT_READ_REFS,
+                           MSB_OF_STATE, LSB_OF_STATE, N_BINS, N_STEPS,
+                           ReadRefs, bin_of, classify_regions)
 from flashlab.channel import (bin_cells, export_histogram_csv,
                               load_histogram_csv, measure_rber, sample_page)
 from flashlab.models.cdf import StateModel
@@ -20,30 +20,19 @@ def t_models(lam=1e-3):
 
 class TestVoltageGrid:
     def test_monotone_boundaries(self):
-        g = VoltageGrid()
-        b = g.boundaries()
+        b = BOUNDARIES
         assert b.shape == (N_STEPS,)
         assert np.all(np.diff(b) > 0)
 
     def test_bin_of_matches_linear_scan(self):
         # oracle: place each sample by scanning boundaries directly
-        g = VoltageGrid(gap_after_101=7.0, gap_after_202=3.0)
-        b = g.boundaries()
+        b = BOUNDARIES
         rng = np.random.default_rng(0)
         vth = rng.uniform(b[0] - 30, b[-1] + 30, 500)
         expect = np.array([int(np.sum(v >= b)) for v in vth])
-        assert np.array_equal(g.bin_of(vth), expect)
-        assert g.bin_of(np.array([b[0] - 1])).item() == 0
-        assert g.bin_of(np.array([b[-1] + 1])).item() == N_BINS - 1
-
-    def test_gaps_widen_spacing(self):
-        g = VoltageGrid(gap_after_101=5.0)
-        assert g.value(102) - g.value(101) == pytest.approx(1.0 + 5.0)
-        assert g.value(101) - g.value(100) == pytest.approx(1.0)
-
-    def test_extrapolates_past_grid(self):
-        g = VoltageGrid()
-        assert g.value(N_STEPS + 10) - g.value(N_STEPS) == pytest.approx(10.0)
+        assert np.array_equal(bin_of(vth), expect)
+        assert bin_of(np.array([b[0] - 1])).item() == 0
+        assert bin_of(np.array([b[-1] + 1])).item() == N_BINS - 1
 
     def test_read_refs_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -75,11 +64,9 @@ class TestGrayMapping:
             assert dist == 1
 
     def test_classify_regions_counts_crossed_refs(self):
-        g = VoltageGrid()
         refs = DEFAULT_READ_REFS
-        vth = np.array([g.value(refs.va) - 1, g.value(refs.va) + 1,
-                        g.value(refs.vb) + 1, g.value(refs.vc) + 1])
-        assert list(classify_regions(vth, g, refs)) == [0, 1, 2, 3]
+        vth = np.array([refs.va - 1, refs.va + 1, refs.vb + 1, refs.vc + 1])
+        assert list(classify_regions(vth, refs)) == [0, 1, 2, 3]
 
 
 class TestSampling:

@@ -1,8 +1,9 @@
 """Source hygiene: no library or test module imports a name it never uses,
 the CLI starts up without ``scipy.stats``, only ``trace.py`` turns
-sectors into pages, no library function takes a ``tables`` argument, and
-every library function, class and method is reached from a CLI workflow
-or is a named reference that the tests check other code against.
+sectors into pages, no library function takes a ``tables`` or ``grid``
+argument, and every library function, class and method is reached from a
+CLI workflow or is a named reference that the tests check other code
+against.
 
 Package ``__init__.py`` files are exempt from the import check, since
 importing a name there is how it is re-exported.
@@ -104,9 +105,11 @@ def test_parameter_detector_finds_every_kind():
 
 def test_no_library_function_takes_tables():
     # the models layer evaluates each family one way: the Student's t
-    # kernels read default_tables() themselves
+    # kernels read default_tables() themselves; and every layer reads the
+    # one read-retry step axis from the grid module's constants
     hits = [f"{p.relative_to(SRC)}:{hit}" for p in sorted(SRC.glob("**/*.py"))
-            for hit in parameters_named(p.read_text(), "tables")]
+            for name in ("tables", "grid")
+            for hit in parameters_named(p.read_text(), name)]
     assert hits == []
 
 
@@ -135,11 +138,22 @@ def definitions(modules):
                 defs[cls] = (None, node.name, set().union(*map(names_read, own)))
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
-                    for n in ast.walk(target):
-                        if isinstance(n, ast.Name):
-                            defs[f"{mod}.{n.id}"] = (None, n.id,
-                                                     names_read(node.value))
+                    for name in names_bound(target):
+                        defs[f"{mod}.{name}"] = (None, name,
+                                                 names_read(node.value))
     return defs
+
+
+def names_bound(target):
+    """Names an assignment target binds; storing into an attribute or an
+    item of a name (``A.flags.writeable = False``) binds none."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, ast.Starred):
+        return names_bound(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [n for elt in target.elts for n in names_bound(elt)]
+    return []
 
 
 def names_read(node):
@@ -181,6 +195,7 @@ def test_reach_detector_flags_unreached_and_passes_reached():
         "cli": "def main():\n    return cmd_run()\n"
                "def cmd_run():\n    return lib.helper().go()\n",
         "lib": "LIMIT = cap()\n"
+               "LIMIT.flag = None\n"
                "def cap():\n    return 1\n"
                "def helper():\n    return Box()\n"
                "class Box:\n"

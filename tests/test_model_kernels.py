@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from flashlab.channel import bin_cells, sample_page
-from flashlab.grid import MISPROGRAM_TARGET, CellState, VoltageGrid
+from flashlab.grid import BOUNDARIES, MISPROGRAM_TARGET, CellState
 from flashlab.models import fitting
 from flashlab.models.cdf import (StateModel, bin_masses, enforce_constraints,
                                  gcdf, model_density, ncdf, pooled_kl,
@@ -55,25 +55,23 @@ def ref_state_cdf(models, state, v, tables):
     return (1.0 - m.lam) * own + m.lam * ref_component_cdf(tgt, v, tables)
 
 
-def ref_model_density(models, grid, tables):
-    b = grid.boundaries()
+def ref_model_density(models, tables):
     out = np.empty((4, 304))
     for state in CellState:
-        c = ref_state_cdf(models, state, b, tables)
+        c = ref_state_cdf(models, state, BOUNDARIES, tables)
         out[state] = np.diff(np.concatenate(([0.0], c, [1.0])))
     return out
 
 
 def ref_fit_static(hist, family, tol=1e-8, max_iter=1000, tables=TAB):
     """The static fit with full-density stage objectives."""
-    grid = hist.grid
     measured = hist.densities()
     models = fitting.default_init(hist, family)
-    init_kl = pooled_kl(measured, ref_model_density(models, grid, tables))
+    init_kl = pooled_kl(measured, ref_model_density(models, tables))
     total_iters, converged = 0, True
 
     def state_kl(ms, state):
-        dens = ref_model_density(ms, grid, tables)
+        dens = ref_model_density(ms, tables)
         seen = measured[state] > 0
         return float(np.sum(measured[state][seen] * np.log(
             measured[state][seen] / np.maximum(dens[state][seen], 1e-12))))
@@ -91,8 +89,8 @@ def ref_fit_static(hist, family, tol=1e-8, max_iter=1000, tables=TAB):
         converged &= ok
 
     def joint_objective(vec):
-        return pooled_kl(measured, ref_model_density(fitting._unpack_all(vec, family),
-                                                     grid, tables))
+        return pooled_kl(measured,
+                         ref_model_density(fitting._unpack_all(vec, family), tables))
 
     x, kl, iters, ok = nelder_mead(joint_objective, fitting._pack_all(models, family),
                                    tol=tol, max_iter=max_iter)
@@ -100,7 +98,7 @@ def ref_fit_static(hist, family, tol=1e-8, max_iter=1000, tables=TAB):
     if kl <= init_kl:
         models, final_kl = fitting._unpack_all(x, family), kl
     else:
-        final_kl = pooled_kl(measured, ref_model_density(models, grid, tables))
+        final_kl = pooled_kl(measured, ref_model_density(models, tables))
     return fitting.FitResult(enforce_constraints(models), float(final_kl),
                              total_iters, converged and ok)
 
@@ -147,9 +145,6 @@ def four_state_models(draw, family):
     return enforce_constraints(models)
 
 
-grids = hst.sampled_from([VoltageGrid(), VoltageGrid(gap_after_101=7.5, gap_after_202=3.0)])
-
-
 # --- tests -------------------------------------------------------------------
 
 
@@ -190,14 +185,14 @@ class TestKernelsBitIdentical:
 
     @settings(max_examples=60)
     @given(data=hst.data(), family=hst.sampled_from(["gaussian", "normal_laplace",
-                                                     "student_t"]), grid=grids)
-    def test_density_and_state_rows(self, data, family, grid):
+                                                     "student_t"]))
+    def test_density_and_state_rows(self, data, family):
         models = data.draw(four_state_models(family))
-        want = ref_model_density(models, grid, TAB)
-        assert np.array_equal(model_density(models, grid), want)
-        b = grid.boundaries()
+        want = ref_model_density(models, TAB)
+        assert np.array_equal(model_density(models), want)
         for st in CellState:
-            assert np.array_equal(bin_masses(state_cdf(models, st, b)), want[st])
+            assert np.array_equal(bin_masses(state_cdf(models, st, BOUNDARIES)),
+                                  want[st])
 
 
 class TestFitStaticBitIdentical:

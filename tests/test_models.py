@@ -6,7 +6,7 @@ from scipy.special import ndtr
 from scipy.stats import t as student_t
 from scipy.integrate import quad
 
-from flashlab.grid import CellState, VoltageGrid
+from flashlab.grid import CellState
 from flashlab.channel import bin_cells, sample_page
 from flashlab.models.cdf import (StateModel, enforce_constraints, gaussian_states,
                                  gcdf, kl_divergence, model_density, ncdf,
@@ -144,18 +144,18 @@ class TestDensity:
         }
 
     def test_rows_sum_to_one(self):
-        dens = model_density(self.models(), VoltageGrid())
+        dens = model_density(self.models())
         assert dens.shape == (4, 304)
         assert np.allclose(dens.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_sampled_histogram(self):
         st = sample_page(self.models(), 500_000, seed=21)
         hist = bin_cells(st)
-        dens = model_density(self.models(), VoltageGrid())
+        dens = model_density(self.models())
         assert pooled_kl(hist.densities(), dens) < 2e-3
 
     def test_kl_zero_iff_identical(self):
-        dens = model_density(self.models(), VoltageGrid())
+        dens = model_density(self.models())
         assert kl_divergence(dens[0], dens[0]) == pytest.approx(0.0, abs=1e-12)
         assert kl_divergence(dens[0], dens[1]) > 0.1
 
