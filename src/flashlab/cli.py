@@ -143,6 +143,8 @@ def _parse_refresh(spec):
 
 
 _POLICY_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
+_POLICY_KEYS = {"name", "capacity_bytes", "op_fraction", "refresh", "warm",
+                "initial_pec", "mode", "ecc_limit"}
 
 
 def _finite_number(x):
@@ -151,13 +153,25 @@ def _finite_number(x):
             and math.isfinite(x))
 
 
+def _ecc_limit(x):
+    """A number in (0, 0.5): at 0.5 and above no ECC can correct a read."""
+    return _finite_number(x) and 0 < x < 0.5
+
+
+def _check_keys(doc, allowed, where):
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+
+
 def _check_policies(policies):
     """Check every policy entry and build its LifetimeConfig before any
-    policy runs; returns [(name, config)]. A name must be a plain file
-    stem, unique and not ``manifest``, since it names the policy's
-    artifacts; ``refresh`` is a string, ``warm`` a JSON boolean,
-    ``initial_pec`` a non-negative JSON integer and ``ecc_limit`` a
-    positive number; the geometry and mode must make a valid config."""
+    policy runs; returns [(name, config)]. An entry has only
+    ``_POLICY_KEYS``. A name must be a plain file stem, unique and not
+    ``manifest``, since it names the policy's artifacts; ``refresh`` is a
+    string, ``warm`` a JSON boolean, ``initial_pec`` a non-negative JSON
+    integer and ``ecc_limit`` an ``_ecc_limit``; the geometry and mode must
+    make a valid config."""
     if not isinstance(policies, list) or not policies:
         raise ConfigError("config needs a 'policies' list")
     configs = []
@@ -167,15 +181,15 @@ def _check_policies(policies):
                 or name == "manifest" or name in dict(configs)):
             raise ConfigError(f"policy name {name!r} must be a unique plain"
                               " file stem other than 'manifest'")
-        lim = p.get("ecc_limit", 1.0)
+        _check_keys(p, _POLICY_KEYS, f"policy {name!r}")
         pec = p.get("initial_pec", 0)
         if (not isinstance(p.get("refresh", ""), str)
                 or not isinstance(p.get("warm", False), bool)
                 or isinstance(pec, bool) or not isinstance(pec, int) or pec < 0
-                or not (_finite_number(lim) and lim > 0)):
+                or ("ecc_limit" in p and not _ecc_limit(p["ecc_limit"]))):
             raise ConfigError(f"policy {name!r}: refresh must be a string, warm"
                               " true or false, initial_pec a non-negative"
-                              " integer and ecc_limit a positive number")
+                              " integer and ecc_limit a number in (0, 0.5)")
         try:
             geom_kw = ({"op_fraction": float(p["op_fraction"])}
                        if "op_fraction" in p else {})
@@ -187,9 +201,6 @@ def _check_policies(policies):
                 initial_pec=pec,
                 mode=p.get("mode", "analytic"),
                 ecc_limit=p.get("ecc_limit"),
-                retention_model=(RetentionModel3D()
-                                 if p.get("mode") == "direct"
-                                 or p.get("series_rber") else None),
             )
         except (TypeError, ValueError) as exc:  # TypeError: null or a list
             raise ConfigError(f"policy {name!r}: {exc}") from exc
@@ -204,12 +215,15 @@ def _one_lifetime(item):
 
 
 _TEMP_KEYS = {f.name for f in dataclasses.fields(urt_mod.TempTrace)} - {"seed"}
+_HEATWATCH_KEYS = {"experiment", "temp", "max_samples", "ecc_limit"}
 
 
 def _heatwatch_config(doc, seed):
-    """The heatwatch experiment's HeatwatchConfig and ECC limit: ``temp``
-    maps TempTrace fields other than ``seed`` to numbers, ``max_samples``
-    is a positive integer and ``ecc_limit`` a positive number."""
+    """The heatwatch experiment's HeatwatchConfig and ECC limit: the config
+    has only ``_HEATWATCH_KEYS``, ``temp`` maps TempTrace fields other than
+    ``seed`` to numbers, ``max_samples`` is a positive integer and
+    ``ecc_limit`` an ``_ecc_limit``."""
+    _check_keys(doc, _HEATWATCH_KEYS, "heatwatch config")
     temp = doc.get("temp", {})
     max_samples = doc.get("max_samples", 300)
     ecc_limit = doc.get("ecc_limit", 2e-3)
@@ -221,8 +235,8 @@ def _heatwatch_config(doc, seed):
             or max_samples < 1):
         raise ConfigError(f"max_samples {max_samples!r} must be a positive"
                           " integer")
-    if not (_finite_number(ecc_limit) and ecc_limit > 0):
-        raise ConfigError(f"ecc_limit {ecc_limit!r} must be a positive number")
+    if not _ecc_limit(ecc_limit):
+        raise ConfigError(f"ecc_limit {ecc_limit!r} must lie in (0, 0.5)")
     cfg = HeatwatchConfig(temp=urt_mod.TempTrace(seed=seed, **temp),
                           max_samples=max_samples)
     return cfg, float(ecc_limit)

@@ -42,7 +42,6 @@ class Drive:
         self.valid_count = np.zeros(nb, dtype=np.int32)
         self.pec = np.full(nb, initial_pec, dtype=np.int64)
         self.program_epoch = np.zeros(nb, dtype=np.float64)
-        self.read_count = np.zeros(nb, dtype=np.int64)
         self.pool = np.zeros(nb, dtype=np.int8)
         self.state = np.zeros(nb, dtype=np.int8)
         self.write_ptr = np.zeros(nb, dtype=np.int32)
@@ -92,7 +91,6 @@ class Drive:
         if ppn < 0:
             return None
         blk = ppn // self.pages_per_block
-        self.read_count[blk] += 1
         self.reads += 1
         return ppn, float(now - self.program_epoch[blk])
 
@@ -153,7 +151,6 @@ class Drive:
         self.pool[blk] = pool
         self.write_ptr[blk] = 0
         self.program_epoch[blk] = self.now
-        self.read_count[blk] = 0
         self.open_block[pool] = blk
         self._pool_blocks[pool] += 1
         return blk

@@ -4,24 +4,31 @@ Replays a trace under a temperature profile, collecting for a spread of
 its reads the wall-clock data age, the exact room-equivalent
 (temperature-integrated) age, and the controller's logarithmic-history
 estimate of it.
-Each read policy is then scored analytically: ground-truth Gaussian state
-models come from the unified calculator at the exact effective age, the
-policy picks references from what it is allowed to know, and the
-resulting RBER decides how many P/E cycles the drive survives before the
-worst read exceeds the ECC limit.
+Each read policy is then scored analytically: the ground truth is the
+URT pack's Gaussian state models (``urt.state_models``) at the exact
+effective age, the policy picks references from what it is allowed to
+know, and the resulting RBER decides how many P/E cycles the drive
+survives before the worst read exceeds the ECC limit. HeatWatch reads at
+the predicted Vopt of the same models at its estimated effective age.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..models.cdf import gaussian_states
 from ..models.applications import estimate_rber
 from .. import urt as urt_mod
+from ..urt import state_models as truth_models
 from ..trace import Trace
 from .policies import ReadContext, policy_refs, ReMARState
 
 HEATWATCH_POLICIES = ("fixed", "retention_only", "remar", "heatwatch", "oracle")
+
+PAGE_SIZE = 8192        # bytes per page of the replayed trace
+TICK_S = 60.0           # temperature sampling period
+MIN_AGE_S = 600.0       # youngest data a sampled read may return
+PEC_HI = 60000          # lifetime search ceiling, P/E cycles
+PEC_TOL = 50            # lifetime search resolution, P/E cycles
 
 
 @dataclass(frozen=True)
@@ -34,20 +41,16 @@ class ReadSample:
 @dataclass
 class HeatwatchConfig:
     temp: urt_mod.TempTrace = field(default_factory=urt_mod.TempTrace)
-    page_size: int = 8192
-    tick_s: float = 60.0
     max_samples: int = 300
-    min_age_s: float = 600.0
-    temp_program_c: float = 25.0
 
 
-def collect_samples(events, cfg, params=None):
+def collect_samples(events, cfg, params):
     """Per-read thermal bookkeeping for at most cfg.max_samples reads.
 
     Two passes. The first walks the trace and lists the eligible reads:
     each page of a read's span (``Trace.page_spans``) is one candidate,
     eligible if the page was written before and its data is at least
-    min_age_s old; a write stamps every page of its span. Eligibility
+    MIN_AGE_S old; a write stamps every page of its span. Eligibility
     never depends on the thermal estimate. When there are more than
     max_samples of them, an evenly spaced subset is kept. The second pass
     feeds an AccelLog the temperature ticks up to each kept read in turn
@@ -55,20 +58,18 @@ def collect_samples(events, cfg, params=None):
     The exact effective age integrates the acceleration factor over the
     temperature profile (trapezoidal, one point per tick).
     """
-    if params is None:
-        params = urt_mod.URTParams(pvm={}, srrm={})
     trace = Trace.of(events)
     end_s = int(trace.timestamp_us[-1]) / 1e6 if len(trace) else 0.0
-    n_ticks = int(end_s / cfg.tick_s) + 2
-    tick_t = np.arange(n_ticks) * cfg.tick_s
+    n_ticks = int(end_s / TICK_S) + 2
+    tick_t = np.arange(n_ticks) * TICK_S
     temps = np.array([urt_mod.temp_generate(cfg.temp, t) for t in tick_t])
     afs = urt_mod.af(urt_mod.celsius_to_kelvin(temps), params)
     # cumulative exact effective time at each tick boundary
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (afs[1:] + afs[:-1]) * cfg.tick_s)])
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (afs[1:] + afs[:-1]) * TICK_S)])
 
     write_time = {}
     reads = []  # (now, age, write time) of each eligible page read
-    first, count = trace.page_spans(cfg.page_size)
+    first, count = trace.page_spans(PAGE_SIZE)
     for ts, is_write, page, n in zip(trace.timestamp_us.tolist(),
                                      trace.is_write.tolist(),
                                      first.tolist(), count.tolist()):
@@ -78,7 +79,7 @@ def collect_samples(events, cfg, params=None):
                 write_time[p] = now
             elif p in write_time:
                 age = now - write_time[p]
-                if age >= cfg.min_age_s:
+                if age >= MIN_AGE_S:
                     reads.append((now, age, write_time[p]))
     if len(reads) > cfg.max_samples:
         idx = np.linspace(0, len(reads) - 1, cfg.max_samples).astype(int)
@@ -88,33 +89,22 @@ def collect_samples(events, cfg, params=None):
     ticked = 0
     samples = []
     for now, age, written in reads:
-        while (ticked + 1) * cfg.tick_s <= now:
-            log.update(float(afs[ticked]), cfg.tick_s)
+        while (ticked + 1) * TICK_S <= now:
+            log.update(float(afs[ticked]), TICK_S)
             ticked += 1
-        eff_exact = float(cum[int(now / cfg.tick_s)] - cum[int(written / cfg.tick_s)])
+        eff_exact = float(cum[int(now / TICK_S)] - cum[int(written / TICK_S)])
         eff_est = log.effective_time(min(age, log.elapsed))
         samples.append(ReadSample(age, eff_exact, eff_est))
     return samples
 
 
-def truth_models(pack, pec, eff_retention_s, temp_program_c=25.0):
-    """Ground-truth Gaussian state models from the unified calculator."""
-    tp = urt_mod.celsius_to_kelvin(temp_program_c)
-    t_r = max(eff_retention_s, 1.0)
-    return gaussian_states(
-        lambda row: urt_mod.urt_predict(pack, row, pec, tp, t_r, 0.0))
-
-
-def policy_worst_rber(policy, samples, pack, retention_model, pec,
-                      temp_program_c=25.0):
+def policy_worst_rber(policy, samples, pack, retention_model, pec):
     """Worst per-sample RBER a policy suffers at a given wear level."""
     remar = ReMARState(retention_model) if policy == "remar" else None
     worst = 0.0
     for s in samples:
-        truth = truth_models(pack, pec, s.eff_exact_s, temp_program_c)
-        ctx = ReadContext(pec=pec, age_s=s.age_s,
-                          eff_retention_s=s.eff_est_s,
-                          temp_program_c=temp_program_c)
+        truth = truth_models(pack, pec, s.eff_exact_s)
+        ctx = ReadContext(pec=pec, age_s=s.age_s, eff_retention_s=s.eff_est_s)
         refs = policy_refs(policy, ctx, retention_model=retention_model,
                            calibration=pack, remar_state=remar,
                            true_models=truth)
@@ -122,20 +112,19 @@ def policy_worst_rber(policy, samples, pack, retention_model, pec,
     return worst
 
 
-def policy_lifetime_pec(policy, samples, pack, retention_model, ecc_limit,
-                        pec_hi=60000, temp_program_c=25.0, tol=50):
+def policy_lifetime_pec(policy, samples, pack, retention_model, ecc_limit):
     """Largest P/E count at which every sampled read still decodes."""
     def ok(pec):
         return policy_worst_rber(policy, samples, pack, retention_model,
-                                 pec, temp_program_c) <= ecc_limit
+                                 pec) <= ecc_limit
 
     lo = 0.0
     if not ok(lo):
         return 0.0
-    hi = float(pec_hi)
+    hi = float(PEC_HI)
     if ok(hi):
         return hi
-    while hi - lo > tol:
+    while hi - lo > PEC_TOL:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid
@@ -144,13 +133,10 @@ def policy_lifetime_pec(policy, samples, pack, retention_model, ecc_limit,
     return lo
 
 
-def run_experiment(events, pack, retention_model, ecc_limit,
-                   policies=HEATWATCH_POLICIES, cfg=None, **kw):
-    cfg = cfg or HeatwatchConfig()
+def run_experiment(events, pack, retention_model, ecc_limit, cfg):
     samples = collect_samples(events, cfg, pack)
     if not samples:
         raise ValueError("trace produced no read samples")
     return {p: policy_lifetime_pec(p, samples, pack, retention_model,
-                                   ecc_limit,
-                                   temp_program_c=cfg.temp_program_c, **kw)
-            for p in policies}
+                                   ecc_limit)
+            for p in HEATWATCH_POLICIES}

@@ -1,9 +1,10 @@
 """Trace replay and drive-lifetime estimation.
 
 Two estimation modes share one replay. "analytic" extrapolates the P/E
-budget from measured per-pool write rates and the endurance curve;
-"direct" walks forward in time until the worst-case block RBER crosses
-the ECC limit.
+budget from measured per-pool write rates and the endurance curve
+``ENDURANCE``; "direct" walks forward in time until the worst-case block
+RBER of the retention model ``RETENTION`` crosses the ECC limit. Either
+way the daily series reports that model's block RBERs.
 """
 
 import io
@@ -18,29 +19,27 @@ from ..degradation import RetentionModel3D
 from .geometry import Geometry, EnduranceMap, SECONDS_PER_DAY
 from .ftl import Drive, CLOSED
 from .refresh import RefreshConfig, run_refresh
-from .warm import WarmManager, WarmConfig, COLD, HOT
+from .warm import WarmManager, COLD, HOT
 
 REFRESH_CHECK_S = 3600.0            # replay runs a refresh pass this often
+ENDURANCE = EnduranceMap()
+RETENTION = RetentionModel3D()
 
 
 @dataclass
 class LifetimeConfig:
     geometry: Geometry
-    endurance: EnduranceMap = field(default_factory=EnduranceMap)
     warm: bool = False
-    warm_config: WarmConfig = None
     refresh: RefreshConfig = field(default_factory=RefreshConfig)
     initial_pec: int = 0
     mode: str = "analytic"          # "analytic" | "direct"
     ecc_limit: float = None         # RBER the ECC can absorb (direct mode)
-    retention_model: RetentionModel3D = None
 
     def __post_init__(self):
         if self.mode not in ("analytic", "direct"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "direct" and (self.ecc_limit is None
-                                      or self.retention_model is None):
-            raise ValueError("direct mode needs ecc_limit and retention_model")
+        if self.mode == "direct" and self.ecc_limit is None:
+            raise ValueError("direct mode needs ecc_limit")
 
 
 @dataclass
@@ -81,10 +80,10 @@ class LifetimeReport:
         return out.getvalue()
 
 
-def _page_log_rbers(model, pec, age_s):
+def _page_log_rbers(pec, age_s):
     """Log RBERs of a wordline's MSB and LSB pages."""
-    return (model.eval("log_rber_msb", pec, age_s),
-            model.eval("log_rber_lsb", pec, age_s))
+    return (RETENTION.eval("log_rber_msb", pec, age_s),
+            RETENTION.eval("log_rber_lsb", pec, age_s))
 
 
 def _page_rber(logs):
@@ -96,13 +95,13 @@ def _page_rber(logs):
     return 0.5 * (math.exp(min(logs[0], 0.0)) + math.exp(min(logs[1], 0.0)))
 
 
-def _series_rber(drive, model, age_s):
+def _series_rber(drive, age_s):
     """Mean and worst block-level RBER at the assumed data age."""
     mask = (drive.state == CLOSED) & (drive.valid_count > 0)
     ids = np.flatnonzero(mask)
-    if model is None or ids.size == 0:
+    if ids.size == 0:
         return 0.0, 0.0
-    rbers = [_page_rber(_page_log_rbers(model, float(drive.pec[blk]), age_s))
+    rbers = [_page_rber(_page_log_rbers(float(drive.pec[blk]), age_s))
              for blk in ids]
     return float(np.mean(rbers)), float(np.max(rbers))
 
@@ -120,8 +119,7 @@ def replay(events, drive, cfg):
     last = dict.fromkeys(("host", "gc", "refresh"), 0)
 
     def close_day():
-        avg, worst = _series_rber(drive, cfg.retention_model,
-                                  cfg.refresh.retention_s)
+        avg, worst = _series_rber(drive, cfg.refresh.retention_s)
         series.append((len(series), avg, worst,
                        *(drive.writes[k] - last[k] for k in last),
                        float(drive.pec.mean())))
@@ -135,7 +133,7 @@ def replay(events, drive, cfg):
                                      first.tolist(), count.tolist()):
         now = ts / 1e6
         while now >= next_refresh:
-            run_refresh(drive, next_refresh, cfg.refresh, cfg.endurance)
+            run_refresh(drive, next_refresh, cfg.refresh, ENDURANCE)
             next_refresh += REFRESH_CHECK_S
         while now >= next_day:
             close_day()
@@ -149,7 +147,7 @@ def replay(events, drive, cfg):
 
 def run_lifetime(events, cfg):
     trace = Trace.of(events)
-    warm = WarmManager(cfg.geometry, cfg.warm_config) if cfg.warm else None
+    warm = WarmManager(cfg.geometry) if cfg.warm else None
     drive = Drive(cfg.geometry, warm=warm, initial_pec=cfg.initial_pec)
     series = replay(trace, drive, cfg)
 
@@ -178,8 +176,8 @@ def run_lifetime(events, cfg):
 
 def _pool_endurance(cfg, warm, pool):
     if pool == HOT and warm is not None:
-        return cfg.endurance.endurance_at(warm.cfg.hot_retention_s)
-    return cfg.endurance.endurance_at(cfg.refresh.retention_s)
+        return ENDURANCE.endurance_at(warm.cfg.hot_retention_s)
+    return ENDURANCE.endurance_at(cfg.refresh.retention_s)
 
 
 def _analytic_lifetime(drive, warm, cfg, duration_days):
@@ -200,7 +198,6 @@ def _analytic_lifetime(drive, warm, cfg, duration_days):
 
 def _direct_lifetime(drive, cfg, duration_days):
     """First day the worst-case block RBER exceeds the ECC limit."""
-    model = cfg.retention_model
     age_s = cfg.refresh.retention_s
     pec_rate = (drive.pec.max() - cfg.initial_pec) / duration_days
     if pec_rate <= 0:
@@ -209,9 +206,10 @@ def _direct_lifetime(drive, cfg, duration_days):
     log_cap = math.log(2.0 * cfg.ecc_limit)
 
     def over_limit(day):
-        logs = _page_log_rbers(model, cfg.initial_pec + pec_rate * day, age_s)
+        logs = _page_log_rbers(cfg.initial_pec + pec_rate * day, age_s)
         # above log_cap one page's half alone passes the limit; below it,
-        # for an ecc_limit under 0.5, both logs are under _page_rber's cap
+        # for an ecc_limit under 0.5 (the CLI takes no other), both logs
+        # are under _page_rber's cap
         return max(logs) > log_cap or _page_rber(logs) > cfg.ecc_limit
 
     lo, hi = 0.0, 365.0 * 200

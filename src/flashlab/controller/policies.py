@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from ..grid import DEFAULT_READ_REFS, ReadRefs, CellState
 from ..degradation import retention_refs
 from ..models.applications import predict_vopt, sweep_vopt
-from ..models.cdf import gaussian_states
-from .. import urt as urt_mod
+from ..urt import state_models
 
 
 @dataclass
@@ -20,9 +19,7 @@ class ReadContext:
     age_s: float = 0.0                 # wall-clock data age
     layer_va_offset: int = 0           # this wordline's layer deviation, steps
     layer_vb_offset: int = 0
-    eff_retention_s: float = None      # room-equivalent dwell (thermal history)
-    eff_read_s: float = 0.0            # room-equivalent read-disturb exposure
-    temp_program_c: float = 25.0
+    eff_retention_s: float = None      # room-equivalent age; heatwatch needs it
 
 
 class ReMARState:
@@ -50,17 +47,12 @@ class ReMARState:
 def heatwatch_refs(calibration, ctx):
     """Read references from thermally-corrected state predictions.
 
-    The URT calculator predicts each state's location and scale at the
-    room-equivalent dwell and read-disturb times; each reference sits
-    where the two neighboring predicted densities cross. When the scales
-    match this is exactly the midpoint of the two means.
+    The URT pack's state models (``urt.state_models``) at the
+    room-equivalent dwell; each reference sits where the two neighboring
+    predicted densities cross. When the scales match this is exactly the
+    midpoint of the two means.
     """
-    eff_ret = max(ctx.eff_retention_s if ctx.eff_retention_s is not None
-                  else ctx.age_s, 1.0)
-    tp = urt_mod.celsius_to_kelvin(ctx.temp_program_c)
-    models = gaussian_states(
-        lambda row: urt_mod.urt_predict(calibration, row, ctx.pec, tp,
-                                        eff_ret, ctx.eff_read_s))
+    models = state_models(calibration, ctx.pec, ctx.eff_retention_s)
     try:
         refs, _ = predict_vopt(models)
         return refs

@@ -22,7 +22,6 @@ ADAPTIVE_TIERS_S = (90 * SECONDS_PER_DAY, 21 * SECONDS_PER_DAY, 3 * SECONDS_PER_
 class RefreshConfig:
     mode: str = "none"            # "none" | "fcr" | "adaptive"
     period_s: float = 3 * SECONDS_PER_DAY
-    native_retention_s: float = THREE_YEARS_S
     include_hot: bool = False
 
     def __post_init__(self):
@@ -33,26 +32,26 @@ class RefreshConfig:
     def retention_s(self):
         """Retention the mode guarantees, which sets the endurance it
         buys and the data age its RBER is judged at: the FCR period, the
-        shortest adaptive tier, or native retention when nothing
-        refreshes."""
+        shortest adaptive tier, or native retention (three years) when
+        nothing refreshes."""
         if self.mode == "fcr":
             return self.period_s
         if self.mode == "adaptive":
             return min(ADAPTIVE_TIERS_S)
-        return self.native_retention_s
+        return THREE_YEARS_S
 
 
-def in_refresh_phase(pec, endurance_map, native_retention_s=THREE_YEARS_S):
-    """True once wear exceeds what native retention can absorb.
+def in_refresh_phase(pec, endurance_map):
+    """True once wear exceeds what native retention (3 years) can absorb.
 
     Below this point the cell holds data for the full native retention
     without help and refresh only burns cycles. pec may be a scalar or an
     array of per-block P/E counts.
     """
-    return pec >= endurance_map.endurance_at(native_retention_s)
+    return pec >= endurance_map.endurance_at(THREE_YEARS_S)
 
 
-def adaptive_period(pec, endurance_map, tiers_s=ADAPTIVE_TIERS_S):
+def adaptive_period(pec, endurance_map):
     """Longest refresh period (seconds) this wear level supports.
 
     Gives the shortest tier when no tier can hold; whether refresh is
@@ -60,8 +59,8 @@ def adaptive_period(pec, endurance_map, tiers_s=ADAPTIVE_TIERS_S):
     (returns a float) or an array (returns one period per entry).
     """
     pec = np.asarray(pec, dtype=np.float64)
-    period = np.full(pec.shape, float(min(tiers_s)))
-    for tier in sorted(tiers_s):  # longer tiers the wear supports win
+    period = np.full(pec.shape, float(min(ADAPTIVE_TIERS_S)))
+    for tier in sorted(ADAPTIVE_TIERS_S):  # longer tiers the wear supports win
         period[pec < endurance_map.endurance_at(tier)] = tier
     return period if period.ndim else float(period)
 
@@ -79,7 +78,6 @@ def run_refresh(drive, now, cfg, endurance_map=None):
     period = (cfg.period_s if cfg.mode == "fcr"
               else adaptive_period(drive.pec, endurance_map))
     if endurance_map is not None:
-        period = np.where(in_refresh_phase(drive.pec, endurance_map,
-                                           cfg.native_retention_s),
+        period = np.where(in_refresh_phase(drive.pec, endurance_map),
                           period, np.inf)
     return drive.refresh_sweep(now, period, cfg.include_hot)

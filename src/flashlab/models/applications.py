@@ -18,6 +18,7 @@ from .cdf import state_cdf
 # Vopt search range for the top reference extends past the binning grid,
 # matching the stock vc.
 VC_SEARCH_MAX = 400
+_DENSITY_H = 0.25  # half-width of _density's central difference
 
 # Voltages of reference steps 1..VC_SEARCH_MAX, and of the half-way points
 # between neighboring steps; read-only.
@@ -61,10 +62,10 @@ def estimate_rber(models, refs):
     return RBEREstimate(total=(msb + lsb) / 2.0, msb=msb, lsb=lsb)
 
 
-def _density(models, state, v, h=0.25):
-    lo = state_cdf(models, state, np.asarray(v, dtype=float) - h)
-    hi = state_cdf(models, state, np.asarray(v, dtype=float) + h)
-    return (hi - lo) / (2.0 * h)
+def _density(models, state, v):
+    lo = state_cdf(models, state, np.asarray(v, dtype=float) - _DENSITY_H)
+    hi = state_cdf(models, state, np.asarray(v, dtype=float) + _DENSITY_H)
+    return (hi - lo) / (2.0 * _DENSITY_H)
 
 
 def _round_to_step(voltage):
@@ -178,8 +179,7 @@ def sweep_vopt(models):
     return ReadRefs.ordered(*best)
 
 
-def estimate_lifetime(dynamic, family, ecc_limit, pec_step=100, pec_max=200000,
-                      method="pdf_intersection"):
+def estimate_lifetime(dynamic, family, ecc_limit, pec_step=100, pec_max=200000):
     """Smallest PEC (scanned in pec_step increments) where the RBER at the
     predicted Vopt exceeds the ECC limit. Returns (pec, exceeded)."""
     from .fitting import predict_static
@@ -189,7 +189,7 @@ def estimate_lifetime(dynamic, family, ecc_limit, pec_step=100, pec_max=200000,
     pec = 0
     while pec <= pec_max:
         models, _ = predict_static(dynamic, pec, family)
-        refs, _ = predict_vopt(models, method)
+        refs, _ = predict_vopt(models)
         if estimate_rber(models, refs).total > ecc_limit:
             return pec, True
         pec += pec_step

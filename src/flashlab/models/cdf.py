@@ -23,6 +23,8 @@ from .tables import default_tables
 
 FAMILIES = ("gaussian", "normal_laplace", "student_t")
 
+KL_FLOOR = 1e-12  # floor on model bin masses in KL(P || Q): the cost stays finite
+
 
 @dataclass(frozen=True)
 class StateModel:
@@ -178,14 +180,14 @@ def model_density(models):
     return bin_masses(c)
 
 
-def kl_divergence(p, q, eps=1e-12):
-    """KL(P || Q) in nats over matching bins; Q floored at eps."""
+def kl_divergence(p, q):
+    """KL(P || Q) in nats over matching bins; Q floored at KL_FLOOR."""
     p = np.asarray(p, dtype=float)
-    q = np.maximum(np.asarray(q, dtype=float), eps)
+    q = np.maximum(np.asarray(q, dtype=float), KL_FLOOR)
     mask = p > 0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def pooled_kl(measured, modeled, eps=1e-12):
+def pooled_kl(measured, modeled):
     """Mean per-state KL across the four states (equal weights)."""
-    return float(np.mean([kl_divergence(measured[s], modeled[s], eps) for s in range(4)]))
+    return float(np.mean([kl_divergence(measured[s], modeled[s]) for s in range(4)]))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..grid import BOUNDARIES, MISPROGRAM_TARGET, CellState
-from .cdf import (StateModel, bin_masses, component_cdf, enforce_constraints,
-                  mix, model_density, pooled_kl)
+from .cdf import (KL_FLOOR, StateModel, bin_masses, component_cdf,
+                  enforce_constraints, mix, model_density, pooled_kl)
 from .simplex import nelder_mead
 
 # Fit order: misprogram targets first so their parameters are available.
@@ -149,7 +149,7 @@ def default_init(hist, family):
     return enforce_constraints(models)
 
 
-def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000):
+def fit_static(hist, family, max_iter=1000):
     """Fit a 4-state model to a binned histogram by KL minimization.
 
     A stage objective evaluates only the fitted state's own component, mixed
@@ -158,14 +158,14 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000):
     so the objective values, and the fit, equal theirs bit for bit.
     """
     measured = hist.densities()
-    models = dict(init) if init is not None else default_init(hist, family)
+    models = default_init(hist, family)
     init_kl = pooled_kl(measured, model_density(models))
 
     seen = measured > 0
     p_seen = [measured[s][seen[s]] for s in CellState]
 
     def state_kl(state, masses):
-        q = np.maximum(masses[seen[state]], 1e-12)
+        q = np.maximum(masses[seen[state]], KL_FLOOR)
         return float(np.sum(p_seen[state] * np.log(p_seen[state] / q)))
 
     total_iters = 0
@@ -182,7 +182,7 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000):
             return state_kl(st, bin_masses(own if tgt_cdf is None else mix(m, own, tgt_cdf)))
 
         x0 = np.array(_pack_state(models[st], family, st))
-        x, _, iters, ok = nelder_mead(objective, x0, tol=tol, max_iter=max_iter)
+        x, _, iters, ok = nelder_mead(objective, x0, max_iter=max_iter)
         models[st] = _unpack_state(x, family, st)
         total_iters += iters
         converged &= ok
@@ -193,7 +193,7 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000):
         return float(np.mean([state_kl(s, dens[s]) for s in CellState]))
 
     x0 = _pack_all(models, family)
-    x, kl, iters, ok = nelder_mead(joint_objective, x0, tol=tol, max_iter=max_iter)
+    x, kl, iters, ok = nelder_mead(joint_objective, x0, max_iter=max_iter)
     total_iters += iters
     polished = _unpack_all(x, family)
     if kl <= init_kl:
@@ -204,7 +204,7 @@ def fit_static(hist, family, init=None, tol=1e-8, max_iter=1000):
     return FitResult(models, float(final_kl), total_iters, converged and ok)
 
 
-def fit_power_law(points, tol=1e-12, max_iter=4000):
+def fit_power_law(points):
     """Least-squares fit of y = a*x^b + c; x=0 samples are dropped."""
     pts = [(float(x), float(y)) for x, y in points if float(x) > 0]
     if len(pts) < 3:
@@ -243,9 +243,9 @@ def fit_power_law(points, tol=1e-12, max_iter=4000):
     if best is None:
         best = np.array([0.0, 1.0, float(np.mean(y))])
 
-    xstar, _, _, _ = nelder_mead(mse, best, tol=tol, max_iter=max_iter)
+    xstar, _, _, _ = nelder_mead(mse, best, tol=1e-12, max_iter=4000)
     # One restart from the solution shakes off premature contraction.
-    xstar, _, _, _ = nelder_mead(mse, xstar, tol=tol, max_iter=max_iter)
+    xstar, _, _, _ = nelder_mead(mse, xstar, tol=1e-12, max_iter=4000)
     return PowerLawParams(*(float(v) for v in xstar))
 
 

@@ -25,19 +25,17 @@ def _eval(objective, x):
     return f
 
 
-def nelder_mead(objective, x0, tol=1e-8, max_iter=1000, initial_step=None):
+def nelder_mead(objective, x0, tol=1e-8, max_iter=1000):
     """Minimize objective from x0.
 
-    Returns (x_best, f_best, iterations, converged). Convergence means the
-    simplex diameter (max vertex distance from the best vertex, inf-norm)
-    fell below tol within max_iter iterations.
+    The initial simplex steps each coordinate by 5% of its value, or by
+    0.05 where it is 0. Returns (x_best, f_best, iterations, converged).
+    Convergence means the simplex diameter (max vertex distance from the
+    best vertex, inf-norm) fell below tol within max_iter iterations.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    if initial_step is None:
-        initial_step = np.where(x0 != 0.0, 0.05 * np.abs(x0), 0.05)
-    else:
-        initial_step = np.broadcast_to(np.asarray(initial_step, dtype=float), (n,))
+    initial_step = np.where(x0 != 0.0, 0.05 * np.abs(x0), 0.05)
 
     verts = np.tile(x0, (n + 1, 1))
     for i in range(n):

@@ -194,12 +194,12 @@ def parse_canonical(path):
 
 def synth_hot(duration_s, rate_per_s, hot_fraction, hot_share,
               footprint_bytes, seed, page_size=8192, read_fraction=0.0,
-              dist="twolevel", zipf_a=1.2):
+              dist="twolevel"):
     """Synthesize a skewed write trace.
 
     "twolevel": a hot_fraction slice of the page footprint receives a
     hot_share fraction of all writes, uniform within each slice. "zipf":
-    page popularity follows a Zipf(zipf_a) law over a seeded permutation.
+    page popularity follows a Zipf(1.2) law over a seeded permutation.
     Timestamps are evenly spaced; all accesses are one page.
     """
     if not (0.0 < hot_fraction < 1.0 and 0.0 <= hot_share <= 1.0):
@@ -219,7 +219,7 @@ def synth_hot(duration_s, rate_per_s, hot_fraction, hot_share,
             n_hot + rng.integers(0, max(n_pages - n_hot, 1), n_events),
         )
     elif dist == "zipf":
-        ranks = np.minimum(rng.zipf(zipf_a, n_events) - 1, n_pages - 1)
+        ranks = np.minimum(rng.zipf(1.2, n_events) - 1, n_pages - 1)
         pages = rng.permutation(n_pages)[ranks]
     else:
         raise ValueError(f"unknown dist {dist!r}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .models.cdf import gaussian_states
 from .models.simplex import nelder_mead
 
 KB_EV_PER_K = 8.62e-5  # Boltzmann constant
@@ -129,9 +130,9 @@ class AccelLog:
     carried up in bulk, level by level, as a run of identical values.
     """
 
-    def __init__(self, n_levels=N_LOG_LEVELS, base_seconds=LOG_BASE_SECONDS):
+    def __init__(self, n_levels=N_LOG_LEVELS):
         self.n_levels = n_levels
-        self.base = base_seconds
+        self.base = LOG_BASE_SECONDS
         self.cur = np.zeros(n_levels)
         self.prev = np.zeros(n_levels)
         self.pending = np.zeros(n_levels, dtype=np.int8)
@@ -274,6 +275,18 @@ def temp_generate(cfg, t_seconds):
 
 def celsius_to_kelvin(c):
     return c + 273.15
+
+
+T_PROGRAM_K = celsius_to_kelvin(25.0)  # programming temperature
+
+
+def state_models(params, pec, eff_retention_s):
+    """Gaussian state models at a wear level and a room-equivalent
+    retention age (floored at 1 s), with no dwell: the heatwatch
+    experiment's ground truth and the HeatWatch policy's prediction."""
+    t_r = max(eff_retention_s, 1.0)
+    return gaussian_states(
+        lambda row: urt_predict(params, row, pec, T_PROGRAM_K, t_r, 0.0))
 
 
 # --- calibration pack -------------------------------------------------

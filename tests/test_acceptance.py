@@ -198,7 +198,7 @@ class TestThermalReadPolicyOrdering:
                                                      noise_sigma_c=3.0),
                               max_samples=60)
         samples = collect_samples(events, cfg, pack)
-        life = {p: policy_lifetime_pec(p, samples, pack, rm, 2e-3, tol=50)
+        life = {p: policy_lifetime_pec(p, samples, pack, rm, 2e-3)
                 for p in ("fixed", "retention_only", "heatwatch", "oracle")}
         assert life["fixed"] < life["retention_only"]
         assert life["retention_only"] <= life["heatwatch"]

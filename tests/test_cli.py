@@ -348,8 +348,12 @@ class TestSimulate:
         [{"name": "x", "warm": "false"}],
         [{"name": "x", "mode": "direct", "ecc_limit": -1}],
         [{"name": "x", "mode": "direct", "ecc_limit": "2e-3"}],
+        [{"name": "x", "mode": "direct", "ecc_limit": 5}],
+        [{"name": "x", "bogus": 1}],
+        [{"name": "x", "series_rber": "no"}],
     ], ids=["path-name", "manifest-name", "repeated-name", "refresh-number",
-            "warm-string", "ecc-limit-negative", "ecc-limit-string"])
+            "warm-string", "ecc-limit-negative", "ecc-limit-string",
+            "ecc-limit-past-half", "unknown-key", "series-rber-key"])
     def test_bad_policy_entry_is_config_error(self, tmp_path, capsys, policies):
         tr = tmp_path / "t.csv"
         write_trace(tr, duration_s=20)
@@ -442,9 +446,12 @@ class TestSimulate:
         {"ecc_limit": 0},
         {"ecc_limit": -2e-3},
         {"ecc_limit": math.inf},
+        {"ecc_limit": 0.5},
+        {"bogus": 1},
     ], ids=["temp-unknown-key", "temp-seed", "temp-string", "temp-list",
             "max-samples-zero", "max-samples-fraction", "max-samples-string",
-            "ecc-limit-zero", "ecc-limit-negative", "ecc-limit-infinite"])
+            "ecc-limit-zero", "ecc-limit-negative", "ecc-limit-infinite",
+            "ecc-limit-half", "unknown-key"])
     def test_bad_heatwatch_config_is_config_error(self, tmp_path, capsys,
                                                   monkeypatch, bad):
         def no_experiment(*args, **kw):

@@ -12,7 +12,8 @@ from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, THREE_YEARS_S,
                                  in_refresh_phase, replay, run_lifetime,
                                  run_refresh)
 from flashlab.controller.ftl import CLOSED
-from flashlab.controller.heatwatch import (HeatwatchConfig, ReadSample,
+from flashlab.controller.heatwatch import (MIN_AGE_S, PAGE_SIZE, TICK_S,
+                                           HeatwatchConfig, ReadSample,
                                            collect_samples, truth_models)
 from flashlab.controller.policies import (ReadContext,
                                           ReMARState, heatwatch_refs,
@@ -322,7 +323,7 @@ def reference_refresh(drive, now, cfg, endurance_map):
             continue
         pec = float(drive.pec[blk])
         if endurance_map is not None and not (
-                pec >= endurance_map.endurance_at(cfg.native_retention_s)):
+                pec >= endurance_map.endurance_at(THREE_YEARS_S)):
             continue
         if cfg.mode == "fcr":
             period = cfg.period_s
@@ -342,7 +343,7 @@ def reference_refresh(drive, now, cfg, endurance_map):
 def drive_state(d):
     arrays = {k: getattr(d, k).copy() for k in (
         "map", "rmap", "valid", "valid_count", "pec", "program_epoch",
-        "read_count", "pool", "state", "write_ptr")}
+        "pool", "state", "write_ptr")}
     scalars = (d.now, list(d.free), dict(d.open_block), dict(d.writes),
                dict(d.pool_writes), dict(d.refresh_writes_by_pool),
                d.erases, d.reads)
@@ -568,11 +569,9 @@ class TestPolicies:
     def test_heatwatch_tracks_thermal_aging(self):
         pack = calibration_pack_from_retention(RET)
         cool = heatwatch_refs(pack, self.ctx(pec=5000, age_s=30 * DAY,
-                                             eff_retention_s=1 * DAY,
-                                             temp_program_c=20.0))
+                                             eff_retention_s=1 * DAY))
         hot = heatwatch_refs(pack, self.ctx(pec=5000, age_s=30 * DAY,
-                                            eff_retention_s=300 * DAY,
-                                            temp_program_c=20.0))
+                                            eff_retention_s=300 * DAY))
         assert cool.va < cool.vb < cool.vc
         assert hot.vc < cool.vc  # more effective retention, lower window
 
@@ -582,8 +581,8 @@ class TestPolicies:
         pack = calibration_pack_from_retention(RET)
         for pec, eff in ((0, 1.0), (3000, 7 * DAY), (9000, 90 * DAY),
                          (15000, 400 * DAY)):
-            ctx = self.ctx(pec=pec, eff_retention_s=eff, eff_read_s=0.0)
-            want, _ = predict_vopt(truth_models(pack, pec, eff, 25.0))
+            ctx = self.ctx(pec=pec, eff_retention_s=eff)
+            want, _ = predict_vopt(truth_models(pack, pec, eff))
             assert heatwatch_refs(pack, ctx) == want
 
     def test_heatwatch_survives_extrapolated_mean_crossings(self):
@@ -596,30 +595,30 @@ class TestPolicies:
 def single_pass_collect_samples(events, cfg, params):
     """Reference: estimates every eligible read, then keeps a spread."""
     end_s = events[-1].timestamp_us / 1e6 if events else 0.0
-    n_ticks = int(end_s / cfg.tick_s) + 2
-    tick_t = np.arange(n_ticks) * cfg.tick_s
+    n_ticks = int(end_s / TICK_S) + 2
+    tick_t = np.arange(n_ticks) * TICK_S
     temps = np.array([temp_generate(cfg.temp, t) for t in tick_t])
     afs = af(celsius_to_kelvin(temps), params)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (afs[1:] + afs[:-1]) * cfg.tick_s)])
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (afs[1:] + afs[:-1]) * TICK_S)])
     log = AccelLog()
     ticked = 0
     write_time = {}
     samples = []
-    spp = cfg.page_size // SECTOR_BYTES
+    spp = PAGE_SIZE // SECTOR_BYTES
     for e in events:
         now = e.timestamp_us / 1e6
-        while (ticked + 1) * cfg.tick_s <= now:
-            log.update(float(afs[ticked]), cfg.tick_s)
+        while (ticked + 1) * TICK_S <= now:
+            log.update(float(afs[ticked]), TICK_S)
             ticked += 1
         page = e.lba // spp
         if e.op == "W":
             write_time[page] = now
         elif page in write_time:
             age = now - write_time[page]
-            if age < cfg.min_age_s:
+            if age < MIN_AGE_S:
                 continue
-            i0 = int(write_time[page] / cfg.tick_s)
-            i1 = int(now / cfg.tick_s)
+            i0 = int(write_time[page] / TICK_S)
+            i1 = int(now / TICK_S)
             eff_exact = float(cum[i1] - cum[i0])
             eff_est = log.effective_time(min(age, log.elapsed))
             samples.append(ReadSample(age, eff_exact, eff_est))
@@ -705,8 +704,7 @@ class TestLifetimeReplay:
         events = synth_hot(10, 100, 0.02, 0.9,
                            footprint_bytes=geom.logical_bytes, seed=3)
         cfg = LifetimeConfig(geometry=geom, mode="direct", ecc_limit=2e-3,
-                             retention_model=RET, initial_pec=3000,
-                             refresh=refresh)
+                             initial_pec=3000, refresh=refresh)
         assert refresh.retention_s == age_s
         rep = run_lifetime(events, cfg)
         want = 0.5 * (math.exp(RET.eval("log_rber_msb", 3000, age_s))

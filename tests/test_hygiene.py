@@ -1,9 +1,9 @@
 """Source hygiene: no library or test module imports a name it never uses,
 the CLI starts up without ``scipy.stats``, only ``trace.py`` turns
 sectors into pages, no library function takes a ``tables`` or ``grid``
-argument, and every library function, class and method is reached from a
+argument, every library function, class and method is reached from a
 CLI workflow or is a named reference that the tests check other code
-against.
+against, and every defaulted library setting is set by some call.
 
 Package ``__init__.py`` files are exempt from the import check, since
 importing a name there is how it is re-exported.
@@ -248,11 +248,14 @@ REFERENCE_ROOTS = {
 }
 
 
+def library_modules():
+    return {".".join(p.relative_to(SRC).with_suffix("").parts)
+            .removesuffix(".__init__"): p.read_text()
+            for p in sorted(SRC.glob("**/*.py"))}
+
+
 def library_definitions():
-    modules = {".".join(p.relative_to(SRC).with_suffix("").parts)
-               .removesuffix(".__init__"): p.read_text()
-               for p in sorted(SRC.glob("**/*.py"))}
-    return definitions(modules)
+    return definitions(library_modules())
 
 
 def cli_roots(defs):
@@ -268,3 +271,141 @@ def test_reference_roots_name_definitions_no_workflow_reaches():
     defs = library_definitions()
     assert set(REFERENCE_ROOTS) <= set(defs)
     assert set(REFERENCE_ROOTS) <= set(unreached(defs, cli_roots(defs)))
+
+
+
+def decorator_names(node):
+    """Bare names of a definition's decorators, called or not."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for d in node.decorator_list
+            for n in [d.func if isinstance(d, ast.Call) else d]
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def defaulted_settings(modules):
+    """Every defaulted parameter of a top-level function or method, and
+    every defaulted dataclass field, of ``modules`` ({dotted name:
+    source}), as {qualified name: (call name, positional index or None)}.
+
+    A field, like a parameter of ``__init__``, is set by calling its
+    class, and is named ``module.Class.field``; a method's index leaves
+    out ``self``. A keyword-only parameter has no positional index.
+    """
+    out = {}
+
+    def params(fn, qual, call, skip):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        for i in range(len(pos) - len(a.defaults), len(pos)):
+            out[f"{qual}.{pos[i].arg}"] = (call, i - skip)
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                out[f"{qual}.{arg.arg}"] = (call, None)
+
+    for mod, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                params(node, f"{mod}.{node.name}", node.name, 0)
+            elif isinstance(node, ast.ClassDef):
+                cls = f"{mod}.{node.name}"
+                if "dataclass" in decorator_names(node):
+                    fields = [item for item in node.body
+                              if isinstance(item, ast.AnnAssign)]
+                    for i, item in enumerate(fields):
+                        if item.value is not None:
+                            out[f"{cls}.{item.target.id}"] = (node.name, i)
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    skip = 0 if "staticmethod" in decorator_names(item) else 1
+                    if item.name == "__init__":
+                        params(item, cls, node.name, skip)
+                    else:
+                        params(item, f"{cls}.{item.name}", item.name, skip)
+    return out
+
+
+def calls_by_name(sources):
+    """{bare name called: [(positional count, keywords, has *args or
+    **kw)]} over every call in ``sources``."""
+    out = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if not isinstance(f, (ast.Name, ast.Attribute)):
+                continue
+            star = (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords))
+            out.setdefault(f.id if isinstance(f, ast.Name) else f.attr, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, star))
+    return out
+
+
+def unset_settings(modules, call_sources):
+    """Settings of ``modules`` that no call in ``call_sources`` sets, in
+    definition order. A call is matched by its bare name, whatever it is
+    called through; it sets a setting by keyword or by position, and a
+    call with ``*args`` or ``**kw`` sets every one."""
+    calls = calls_by_name(call_sources)
+    return [q for q, (call, index) in defaulted_settings(modules).items()
+            if not any(star or q.rsplit(".", 1)[1] in keywords
+                       or (index is not None and n_pos > index)
+                       for n_pos, keywords, star in calls.get(call, []))]
+
+
+def test_unset_detector_flags_only_settings_no_call_sets():
+    modules = {"lib": "def f(a, b=1, *, c=2, d=3):\n    pass\n"
+                      "@dataclass\n"
+                      "class Cfg:\n    x: int\n    y: int = 0\n    z: int = 1\n"
+                      "class Plain:\n    w: int = 9\n"
+                      "class Box:\n"
+                      "    def __init__(self, n=4):\n        pass\n"
+                      "    def go(self, k=5, j=6):\n        pass\n"
+                      "    @staticmethod\n"
+                      "    def make(m=7):\n        pass\n"
+                      "def g(u=8):\n    pass\n"}
+    calls = ["f(0, 1)\nf(0, c=2)\nlib.Cfg(1, 2)\nBox(n=1).go(1)\n"
+             "Box.make(0)\ng(*args)\n"]
+    assert unset_settings(modules, calls) == ["lib.f.d", "lib.Cfg.z",
+                                              "lib.Box.go.j"]
+    # a call with **kw sets every setting of its name
+    assert unset_settings(modules, calls + ["f(**kw)\nCfg(**kw)\n"]) == [
+        "lib.Box.go.j"]
+
+
+# Defaulted settings that no call sets yet and that stay on purpose, with
+# why. Every other default in src/ is a value some call changes, or it is
+# a module constant.
+KEPT_DEFAULTS = {
+    "channel.sample_page.layer_profile": "3D-NAND layer variation "
+                                         "(ROADMAP Direction 10)",
+    "degradation.sample_layer_profile.n_layers": "3D-NAND layer variation "
+                                                 "(ROADMAP Direction 10)",
+    "degradation.RetentionModel3D.coeffs": "a seeded device's perturbed "
+                                           "coefficients (ROADMAP Direction 9)",
+    "urt.fit_srrm.init": "URT calibration from characterization "
+                         "(ROADMAP Direction 9)",
+    "urt.calibration_pack_from_retention.ea": "a seeded device's activation "
+                                              "energy (ROADMAP Direction 9)",
+    "urt.calibration_pack_from_retention.t_room": "a seeded device's pack "
+                                                  "(ROADMAP Direction 9)",
+    "urt.calibration_pack_from_retention.srrm_a": "a seeded device's pack "
+                                                  "(ROADMAP Direction 9)",
+}
+
+
+def unset_library_settings():
+    modules = library_modules()
+    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    return unset_settings(modules, list(modules.values()) + tests)
+
+
+def test_every_library_setting_is_set_by_some_call():
+    unset = unset_library_settings()
+    assert [q for q in unset if q not in KEPT_DEFAULTS] == []
+
+
+def test_kept_defaults_name_settings_no_call_sets():
+    assert set(KEPT_DEFAULTS) <= set(unset_library_settings())
