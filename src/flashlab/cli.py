@@ -42,6 +42,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _load_config(path):
+    """The JSON object in the config file at ``path``."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object, not a"
+                          f" {type(doc).__name__}")
+    return doc
+
+
 def _write_manifest(out_dir, command, config_obj, seed):
     os.makedirs(out_dir, exist_ok=True)
     blob = json.dumps(config_obj, sort_keys=True, default=str).encode()
@@ -83,6 +93,9 @@ def _pec_from_name(path):
 
 
 def cmd_fit(args):
+    if args.dynamic and args.compare:
+        raise ConfigError("--dynamic fits the one --family; it cannot"
+                          " --compare families")
     families = (args.compare.split(",") if args.compare else [args.family])
     out_dir = args.out
     _write_manifest(out_dir, "fit", vars(args), args.seed)
@@ -138,13 +151,22 @@ def _parse_refresh(spec):
         val = spec[4:]
         if not val.endswith("d"):
             raise ConfigError("fcr period must look like fcr:3d")
-        return RefreshConfig(mode="fcr", period_s=float(val[:-1]) * SECONDS_PER_DAY)
+        days = float(val[:-1])
+        if not 0 < days < math.inf:
+            raise ConfigError(f"fcr period {val!r} must be a positive, finite"
+                              " number of days")
+        return RefreshConfig(mode="fcr", period_s=days * SECONDS_PER_DAY)
     raise ConfigError(f"unknown refresh spec {spec!r}")
 
 
 _POLICY_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 _POLICY_KEYS = {"name", "capacity_bytes", "op_fraction", "refresh", "warm",
                 "initial_pec", "mode", "ecc_limit"}
+
+
+def _json_int(x):
+    """A JSON integer, not true/false."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _finite_number(x):
@@ -170,7 +192,8 @@ def _check_policies(policies):
     ``_POLICY_KEYS``. A name must be a plain file stem, unique and not
     ``manifest``, since it names the policy's artifacts; ``refresh`` is a
     string, ``warm`` a JSON boolean, ``initial_pec`` a non-negative JSON
-    integer and ``ecc_limit`` an ``_ecc_limit``; the geometry and mode must
+    integer, ``capacity_bytes`` a JSON integer, ``op_fraction`` a JSON
+    number and ``ecc_limit`` an ``_ecc_limit``; the geometry and mode must
     make a valid config."""
     if not isinstance(policies, list) or not policies:
         raise ConfigError("config needs a 'policies' list")
@@ -185,24 +208,27 @@ def _check_policies(policies):
         pec = p.get("initial_pec", 0)
         if (not isinstance(p.get("refresh", ""), str)
                 or not isinstance(p.get("warm", False), bool)
-                or isinstance(pec, bool) or not isinstance(pec, int) or pec < 0
+                or not _json_int(pec) or pec < 0
+                or not _json_int(p.get("capacity_bytes", 0))
+                or ("op_fraction" in p and not _finite_number(p["op_fraction"]))
                 or ("ecc_limit" in p and not _ecc_limit(p["ecc_limit"]))):
             raise ConfigError(f"policy {name!r}: refresh must be a string, warm"
                               " true or false, initial_pec a non-negative"
-                              " integer and ecc_limit a number in (0, 0.5)")
+                              " integer, capacity_bytes an integer,"
+                              " op_fraction a number and ecc_limit a number"
+                              " in (0, 0.5)")
         try:
-            geom_kw = ({"op_fraction": float(p["op_fraction"])}
+            geom_kw = ({"op_fraction": p["op_fraction"]}
                        if "op_fraction" in p else {})
             cfg = LifetimeConfig(
-                geometry=Geometry(int(p.get("capacity_bytes", 1 << 30)),
-                                  **geom_kw),
+                geometry=Geometry(p.get("capacity_bytes", 1 << 30), **geom_kw),
                 warm=p.get("warm", False),
                 refresh=_parse_refresh(p.get("refresh")),
                 initial_pec=pec,
                 mode=p.get("mode", "analytic"),
                 ecc_limit=p.get("ecc_limit"),
             )
-        except (TypeError, ValueError) as exc:  # TypeError: null or a list
+        except ValueError as exc:
             raise ConfigError(f"policy {name!r}: {exc}") from exc
         configs.append((name, cfg))
     return configs
@@ -221,7 +247,8 @@ _HEATWATCH_KEYS = {"experiment", "temp", "max_samples", "ecc_limit"}
 def _heatwatch_config(doc, seed):
     """The heatwatch experiment's HeatwatchConfig and ECC limit: the config
     has only ``_HEATWATCH_KEYS``, ``temp`` maps TempTrace fields other than
-    ``seed`` to numbers, ``max_samples`` is a positive integer and
+    ``seed`` to numbers, with a positive ``period_s`` and a non-negative
+    ``noise_sigma_c``, ``max_samples`` is a positive integer and
     ``ecc_limit`` an ``_ecc_limit``."""
     _check_keys(doc, _HEATWATCH_KEYS, "heatwatch config")
     temp = doc.get("temp", {})
@@ -231,8 +258,10 @@ def _heatwatch_config(doc, seed):
             or not all(map(_finite_number, temp.values()))):
         raise ConfigError(f"temp must map some of {sorted(_TEMP_KEYS)} to"
                           f" numbers, not {temp!r}")
-    if (isinstance(max_samples, bool) or not isinstance(max_samples, int)
-            or max_samples < 1):
+    if temp.get("period_s", 1) <= 0 or temp.get("noise_sigma_c", 0) < 0:
+        raise ConfigError(f"temp period_s must be positive and noise_sigma_c"
+                          f" non-negative, not {temp!r}")
+    if not _json_int(max_samples) or max_samples < 1:
         raise ConfigError(f"max_samples {max_samples!r} must be a positive"
                           " integer")
     if not _ecc_limit(ecc_limit):
@@ -243,8 +272,7 @@ def _heatwatch_config(doc, seed):
 
 
 def cmd_simulate(args):
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = _load_config(args.config)
     out_dir = args.out
     _write_manifest(out_dir, "simulate", doc, args.seed)
 
@@ -287,10 +315,21 @@ def cmd_simulate(args):
 
 
 def cmd_plan(args):
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = _load_config(args.config)
     out_dir = args.out
     _write_manifest(out_dir, "plan", doc, args.seed)
+    try:
+        out = _plan_tables(doc)
+    except TypeError as exc:  # a section of the wrong JSON type
+        raise ConfigError(f"plan config: {exc}") from exc
+    with open(os.path.join(out_dir, "plan.json"), "w") as fh:
+        json.dump(out, fh, indent=2, sort_keys=True)
+    print(json.dumps(out, sort_keys=True))
+    return EXIT_OK
+
+
+def _plan_tables(doc):
+    """The tables of each section the plan config holds."""
     out = {}
 
     if "ecc" in doc:
@@ -330,11 +369,7 @@ def cmd_plan(args):
         schedule = [tuple(map(float, e)) for e in mr["schedule"]]
         out["multirate_lifetime_years"] = multirate_lifetime(
             schedule, float(mr["dwpd"]), float(mr.get("r_compress", 1.0)))
-
-    with open(os.path.join(out_dir, "plan.json"), "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-    print(json.dumps(out, sort_keys=True))
-    return EXIT_OK
+    return out
 
 
 # --- layout ---------------------------------------------------------------

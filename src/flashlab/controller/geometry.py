@@ -8,6 +8,8 @@ from ..trace import check_page_size
 SECONDS_PER_DAY = 86400.0
 THREE_YEARS_S = 3 * 365 * SECONDS_PER_DAY
 THREE_DAYS_S = 3 * SECONDS_PER_DAY
+PEC_AT_THREE_DAYS = 150000.0        # endurance_at's anchors
+PEC_AT_THREE_YEARS = 3000.0
 
 
 @dataclass(frozen=True)
@@ -48,38 +50,17 @@ class Geometry:
         return self.logical_pages * self.page_size
 
 
-@dataclass(frozen=True)
-class EnduranceMap:
+def endurance_at(retention_s):
     """P/E-cycle budget as a function of the retention the drive must hold.
 
-    Shorter guaranteed retention permits more cycles; interpolation is
-    linear in log(PEC) vs log(retention) between anchor points and
-    extrapolates from the nearest segment.
+    Shorter guaranteed retention permits more cycles. The budget is linear
+    in log(PEC) vs log(retention) through two planar-MLC anchors (Cai et
+    al., ICCD 2012), 150,000 P/E at three days and 3000 at three years,
+    and extrapolates past them along the same line.
     """
-    anchors: tuple = ((THREE_YEARS_S, 3000.0), (THREE_DAYS_S, 150000.0))
-
-    def __post_init__(self):
-        pts = sorted(self.anchors)
-        if len(pts) < 2:
-            raise ValueError("need at least two anchors")
-        for (t0, p0), (t1, p1) in zip(pts, pts[1:]):
-            if t0 <= 0 or p0 <= 0 or p1 <= 0:
-                raise ValueError("anchors must be positive")
-            if p0 <= p1:
-                raise ValueError("endurance must fall as retention grows")
-        object.__setattr__(self, "anchors", tuple(pts))
-
-    def endurance_at(self, retention_s):
-        if retention_s <= 0:
-            raise ValueError("retention must be positive")
-        pts = self.anchors
-        x = math.log(retention_s)
-        # pick the segment containing x, clamping to end segments for
-        # extrapolation
-        lo = 0
-        for i in range(len(pts) - 1):
-            if x >= math.log(pts[i][0]):
-                lo = i
-        x0, y0 = math.log(pts[lo][0]), math.log(pts[lo][1])
-        x1, y1 = math.log(pts[lo + 1][0]), math.log(pts[lo + 1][1])
-        return math.exp(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+    if retention_s <= 0:
+        raise ValueError("retention must be positive")
+    x0, y0 = math.log(THREE_DAYS_S), math.log(PEC_AT_THREE_DAYS)
+    x1, y1 = math.log(THREE_YEARS_S), math.log(PEC_AT_THREE_YEARS)
+    x = math.log(retention_s)
+    return math.exp(y0 + (y1 - y0) * (x - x0) / (x1 - x0))

@@ -2,7 +2,7 @@
 
 Two estimation modes share one replay. "analytic" extrapolates the P/E
 budget from measured per-pool write rates and the endurance curve
-``ENDURANCE``; "direct" walks forward in time until the worst-case block
+``endurance_at``; "direct" walks forward in time until the worst-case block
 RBER of the retention model ``RETENTION`` crosses the ECC limit. Either
 way the daily series reports that model's block RBERs.
 """
@@ -16,13 +16,12 @@ import numpy as np
 
 from ..trace import Trace
 from ..degradation import RetentionModel3D
-from .geometry import Geometry, EnduranceMap, SECONDS_PER_DAY
+from .geometry import Geometry, SECONDS_PER_DAY, endurance_at
 from .ftl import Drive, CLOSED
 from .refresh import RefreshConfig, run_refresh
 from .warm import WarmManager, COLD, HOT
 
 REFRESH_CHECK_S = 3600.0            # replay runs a refresh pass this often
-ENDURANCE = EnduranceMap()
 RETENTION = RetentionModel3D()
 
 
@@ -133,7 +132,7 @@ def replay(events, drive, cfg):
                                      first.tolist(), count.tolist()):
         now = ts / 1e6
         while now >= next_refresh:
-            run_refresh(drive, next_refresh, cfg.refresh, ENDURANCE)
+            run_refresh(drive, next_refresh, cfg.refresh)
             next_refresh += REFRESH_CHECK_S
         while now >= next_day:
             close_day()
@@ -176,8 +175,8 @@ def run_lifetime(events, cfg):
 
 def _pool_endurance(cfg, warm, pool):
     if pool == HOT and warm is not None:
-        return ENDURANCE.endurance_at(warm.cfg.hot_retention_s)
-    return ENDURANCE.endurance_at(cfg.refresh.retention_s)
+        return endurance_at(warm.cfg.hot_retention_s)
+    return endurance_at(cfg.refresh.retention_s)
 
 
 def _analytic_lifetime(drive, warm, cfg, duration_days):

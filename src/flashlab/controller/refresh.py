@@ -1,19 +1,20 @@
 """Data refresh engines.
 
-Fixed-cadence refresh (FCR) rewrites every block whose data age exceeds a
-set period. Adaptive refresh picks, per block, the longest period from a
-tier ladder that the block's wear still supports: a block may skip
-refresh entirely until its P/E count exceeds what the endurance curve
-allows at native retention, then steps down through the tiers as it
-wears. Hot-pool blocks are exempt by default — their data turns over
-faster than any refresh period.
+Both engines are gated by wear (Cai et al., ICCD 2012): a block skips
+refresh until its P/E count exceeds what the endurance curve allows at
+native retention. Past that point, fixed-cadence refresh (FCR) rewrites
+every block whose data age exceeds a set period, and adaptive refresh
+picks, per block, the longest period from a tier ladder that the block's
+wear still supports, stepping down through the tiers as it wears.
+Hot-pool blocks are exempt by default: their data turns over faster than
+any refresh period.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SECONDS_PER_DAY, THREE_YEARS_S
+from .geometry import SECONDS_PER_DAY, THREE_YEARS_S, endurance_at
 
 ADAPTIVE_TIERS_S = (90 * SECONDS_PER_DAY, 21 * SECONDS_PER_DAY, 3 * SECONDS_PER_DAY)
 
@@ -41,43 +42,39 @@ class RefreshConfig:
         return THREE_YEARS_S
 
 
-def in_refresh_phase(pec, endurance_map):
+def in_refresh_phase(pec):
     """True once wear exceeds what native retention (3 years) can absorb.
 
     Below this point the cell holds data for the full native retention
     without help and refresh only burns cycles. pec may be a scalar or an
     array of per-block P/E counts.
     """
-    return pec >= endurance_map.endurance_at(THREE_YEARS_S)
+    return pec >= endurance_at(THREE_YEARS_S)
 
 
-def adaptive_period(pec, endurance_map):
-    """Longest refresh period (seconds) this wear level supports.
+def adaptive_period(pec):
+    """Longest refresh period (seconds) each wear level in pec supports,
+    as an array of pec's shape.
 
     Gives the shortest tier when no tier can hold; whether refresh is
-    needed at all is in_refresh_phase's decision. pec may be a scalar
-    (returns a float) or an array (returns one period per entry).
+    needed at all is in_refresh_phase's decision.
     """
     pec = np.asarray(pec, dtype=np.float64)
     period = np.full(pec.shape, float(min(ADAPTIVE_TIERS_S)))
     for tier in sorted(ADAPTIVE_TIERS_S):  # longer tiers the wear supports win
-        period[pec < endurance_map.endurance_at(tier)] = tier
-    return period if period.ndim else float(period)
+        period[pec < endurance_at(tier)] = tier
+    return period
 
 
-def run_refresh(drive, now, cfg, endurance_map=None):
+def run_refresh(drive, now, cfg):
     """One refresh pass over the drive; returns blocks refreshed.
 
-    With an endurance map, blocks whose wear native retention still
-    covers are skipped.
+    Blocks whose wear native retention still covers are skipped, in
+    either mode.
     """
     if cfg.mode == "none":
         return 0
-    if cfg.mode == "adaptive" and endurance_map is None:
-        raise ValueError("adaptive refresh needs an endurance map")
     period = (cfg.period_s if cfg.mode == "fcr"
-              else adaptive_period(drive.pec, endurance_map))
-    if endurance_map is not None:
-        period = np.where(in_refresh_phase(drive.pec, endurance_map),
-                          period, np.inf)
+              else adaptive_period(drive.pec))
+    period = np.where(in_refresh_phase(drive.pec), period, np.inf)
     return drive.refresh_sweep(now, period, cfg.include_hot)

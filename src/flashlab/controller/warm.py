@@ -100,10 +100,9 @@ class WarmManager:
             self._refresh_cooldown()
 
     def on_block_erased(self, blk, pool):
-        try:
-            (self.hot_closed if pool == HOT else self.cold_closed).remove(blk)
-        except ValueError:
-            pass
+        # only closed blocks are migrated and erased, and closing a block
+        # queued it in its pool's deque
+        (self.hot_closed if pool == HOT else self.cold_closed).remove(blk)
         if pool == HOT:
             self.hot_erases_since_rotation += 1
         else:

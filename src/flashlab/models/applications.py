@@ -125,17 +125,15 @@ def _scanned_step(models, lo, hi):
     return int(k) + 1
 
 
-def predict_vopt(models, method="pdf_intersection"):
+def predict_vopt(models):
     """Predict optimal read references.
 
-    pdf_intersection puts each reference where the two neighboring state
-    densities cross: in closed form when both states are pure Gaussians,
-    otherwise by one vectorized scan of the density gap between the means.
-    Returns (ReadRefs, flags); flags lists the boundaries that fell back
-    to the mean midpoint because the densities never crossed.
+    Each reference sits where the two neighboring state densities cross:
+    in closed form when both states are pure Gaussians, otherwise by one
+    vectorized scan of the density gap between the means. Returns
+    (ReadRefs, flags); flags lists the boundaries that fell back to the
+    mean midpoint because the densities never crossed.
     """
-    if method not in ("pdf_intersection", "mean_midpoint"):
-        raise ValueError(f"unknown method {method!r}")
     mus = [models[st].mu for st in CellState]
     if not (mus[0] < mus[1] < mus[2] < mus[3]):
         raise ValueError("state means must be ordered ER < P1 < P2 < P3")
@@ -144,10 +142,6 @@ def predict_vopt(models, method="pdf_intersection"):
     steps = []
     for i, name in enumerate(("va", "vb", "vc")):
         lo, hi = CellState(i), CellState(i + 1)
-        midpoint = (mus[i] + mus[i + 1]) / 2.0
-        if method == "mean_midpoint":
-            steps.append(_round_to_step(midpoint))
-            continue
         if all(models[st].family == "gaussian" and models[st].lam == 0.0
                for st in (lo, hi)):
             v = _gaussian_crossing(models[lo], models[hi])
@@ -155,7 +149,7 @@ def predict_vopt(models, method="pdf_intersection"):
         else:
             step = _scanned_step(models, lo, hi)
         if step is None:
-            step = _round_to_step(midpoint)
+            step = _round_to_step((mus[i] + mus[i + 1]) / 2.0)
             flags.append(name)
         steps.append(step)
 

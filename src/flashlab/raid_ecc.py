@@ -99,6 +99,8 @@ def lifetime_years(pec, op, dwpd, wa, r_compress=1.0):
 
         years = pec * (1 + op) / (365 * dwpd * wa * r_compress).
     """
+    if not (dwpd > 0 and wa > 0 and r_compress > 0):
+        raise ValueError("dwpd, wa and r_compress must be positive")
     return pec * (1.0 + op) / (365.0 * dwpd * wa * r_compress)
 
 

@@ -122,53 +122,40 @@ class AccelLog:
     """Logarithmic history of temperature-accelerated time.
 
     Level k spans 0.5 * 2^k real seconds; 26 levels cover about a year.
-    A binary-counter cascade keeps one partial accumulator at level 0 and,
-    per level, the current (pending) and previous (last completed) chunk:
-    at most 52 stored reals. Two completions of level k-1 rebuild level k.
+    Time arrives in whole 0.5 s chunks, as HeatWatch's fixed sampling
+    interval delivers it (Luo et al., HPCA 2018). A binary-counter cascade
+    keeps, per level, the current (pending) and previous (last completed)
+    chunk: at most 52 stored reals. Two completions of level k-1 rebuild
+    level k.
 
-    An update costs O(levels) whatever its length: whole 0.5 s chunks are
-    carried up in bulk, level by level, as a run of identical values.
+    An update costs O(levels) whatever its length: its chunks are carried
+    up in bulk, level by level, as a run of identical values.
     """
 
     def __init__(self, n_levels=N_LOG_LEVELS):
         self.n_levels = n_levels
         self.base = LOG_BASE_SECONDS
-        self.cur = np.zeros(n_levels)
+        self.cur = np.zeros(n_levels)  # cur[0] stays 0: chunks arrive whole
         self.prev = np.zeros(n_levels)
         self.pending = np.zeros(n_levels, dtype=np.int8)
-        self.level0_real = 0.0
         self.elapsed = 0.0
 
     def update(self, af_value, tick_seconds):
-        """Accumulate af * dt, cascading completed chunks upward.
+        """Accumulate af * dt over a tick of whole 0.5 s chunks, cascading
+        completed chunks upward in one carry.
 
-        Finishes the partial level-0 chunk, adds the run of whole chunks
-        in one carry, then starts a new partial chunk with the remainder.
-        The stored chunks are those of adding one chunk at a time; so is
-        elapsed while every tick is a whole number of chunks (otherwise it
-        may differ in the last bit, being summed in fewer steps).
+        The stored chunks, and elapsed, are those of adding one chunk at a
+        time. A tick that is not a whole number of chunks raises
+        ValueError.
         """
-        remaining = float(tick_seconds)
-        if self.level0_real > 0.0 and remaining > 1e-12:
-            remaining = self._fill(af_value, remaining)
-        whole = int(remaining // self.base) if remaining > 1e-12 else 0
-        if whole:
+        chunks = float(tick_seconds) / self.base
+        if not (chunks >= 0 and chunks.is_integer()):
+            raise ValueError(f"tick {tick_seconds!r} s is not a whole number"
+                             f" of {self.base} s chunks")
+        if chunks:
             chunk = af_value * self.base
-            self.elapsed += whole * self.base
-            remaining -= whole * self.base
-            self._carry(chunk, chunk, whole)
-        while remaining > 1e-12:
-            remaining = self._fill(af_value, remaining)
-
-    def _fill(self, af_value, remaining):
-        """Add up to one chunk's room at level 0; returns what is left."""
-        dt = min(remaining, self.base - self.level0_real)
-        self.cur[0] += af_value * dt
-        self.level0_real += dt
-        self.elapsed += dt
-        if self.level0_real >= self.base - 1e-12:
-            self._carry(self.cur[0], self.cur[0], 1)
-        return remaining - dt
+            self.elapsed += chunks * self.base
+            self._carry(chunk, chunk, int(chunks))
 
     def _carry(self, first, rest, n):
         """Complete level 0 n times, with value `first` and then `rest`.
@@ -179,8 +166,6 @@ class AccelLog:
         and an odd one out stays held. Sums are formed in the order the
         one-chunk-at-a-time cascade forms them, so the result is the same.
         """
-        self.cur[0] = 0.0
-        self.level0_real = 0.0
         for k in range(self.n_levels):
             self.prev[k] = first if n == 1 else rest
             if k + 1 == self.n_levels:
@@ -205,22 +190,21 @@ class AccelLog:
         The level-k previous chunk always covers [T_k - c_k, T_k], where
         c_k = 0.5 * 2^k and T_k (its completion time) is derivable from
         the number n of level-0 completions: T_k = c_k * floor(n / 2^k).
-        The walk descends from the newest data (the level-0 partial) into
-        ever older, ever coarser chunks, subtracting value already counted
-        where chunk intervals nest, and pro-rates the final straddling
-        chunk. Resolution at age a is therefore about a/2, the price of
-        the 52-real footprint.
+        The walk descends from the newest chunk into ever older, ever
+        coarser ones, subtracting value already counted where chunk
+        intervals nest, and pro-rates the final straddling chunk, so a
+        window need not be whole chunks. Resolution at age a is therefore
+        about a/2, the price of the 52-real footprint.
         """
         window = float(window_seconds)
         if window > self.elapsed + 1e-9:
             window = self.elapsed
         target = self.elapsed - window
 
-        r0 = self.level0_real
-        p = self.elapsed - r0
-        if target >= p:  # window lies inside the partial chunk
-            return self.cur[0] * (self.elapsed - target) / r0 if r0 > 0 else 0.0
-        total = self.cur[0]
+        p = self.elapsed
+        if target >= p:  # empty window
+            return 0.0
+        total = 0.0
         n = int(round(p / self.base))
         segs = []  # consumed (lo, hi, value), chunk-aligned and disjoint
 

@@ -71,26 +71,13 @@ class TestEstimateRber:
 class TestPredictVopt:
     def test_equal_sigma_gaussians_give_midpoints(self):
         models = gauss_models(mus=(20, 100, 180, 260), sigmas=(8, 8, 8, 8))
-        for method in ("pdf_intersection", "mean_midpoint"):
-            refs, flags = predict_vopt(models, method)
-            assert (refs.va, refs.vb, refs.vc) == (60, 140, 220)
-
-    def test_midpoint_method_shift_invariance(self):
-        base = gauss_models(mus=(20, 95, 175, 255), sigmas=(10, 7, 7, 7))
-        refs0, _ = predict_vopt(base, "mean_midpoint")
-        shifted = {st: StateModel("gaussian", m.mu + 17.0, m.sigma)
-                   for st, m in base.items()}
-        refs1, _ = predict_vopt(shifted, "mean_midpoint")
-        assert (refs1.va - refs0.va, refs1.vb - refs0.vb, refs1.vc - refs0.vc) == (17, 17, 17)
+        refs, flags = predict_vopt(models)
+        assert (refs.va, refs.vb, refs.vc) == (60, 140, 220)
 
     def test_unordered_means_rejected(self):
         models = gauss_models(mus=(100, 50, 180, 260))
         with pytest.raises(ValueError):
             predict_vopt(models)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            predict_vopt(gauss_models(), method="grid_search")
 
     def test_close_to_exhaustive_sweep_on_random_models(self):
         rng = np.random.default_rng(5)
@@ -122,8 +109,10 @@ class TestPredictVopt:
             CellState.P2: StateModel("normal_laplace", 190.0, 8.0, 1.0, 1.0),
             CellState.P3: StateModel("normal_laplace", 265.0, 8.0, 0.5, 0.5),
         })
-        inter, _ = predict_vopt(models, "pdf_intersection")
-        mid, _ = predict_vopt(models, "mean_midpoint")
+        inter, _ = predict_vopt(models)
+        mus = [models[st].mu for st in CellState]
+        mid = ReadRefs.ordered(*(_round_to_step((lo + hi) / 2.0)
+                                 for lo, hi in zip(mus, mus[1:])))
         assert inter.vb < mid.vb
         r_inter = estimate_rber(models, inter).total
         r_mid = estimate_rber(models, mid).total

@@ -12,7 +12,8 @@ from flashlab.grid import CellState
 from flashlab.models.cdf import StateModel
 from flashlab.models.fitting import (dynamic_from_dict, load_models_json,
                                      predict_static)
-from flashlab.raid_ecc import EccConfig, ecc_failure_rate
+from flashlab.raid_ecc import (EccConfig, ParityConfig, ecc_failure_rate,
+                               lb_fail, lifetime_years, parity_fail)
 from flashlab.trace import TraceEvent, hotness_cdf, synth_hot, write_canonical
 
 MEANS = (20.0, 100.0, 180.0, 260.0)
@@ -80,6 +81,19 @@ class TestFit:
         models, _ = predict_static(dynamic, 4500, "gaussian")
         assert models == load_models_json(str(out / "model.json"))
 
+    def test_dynamic_with_compare_is_config_error(self, tmp_path, capsys):
+        # --dynamic fits one family, so a list of families conflicts
+        paths = []
+        for i, pec in enumerate((0, 1000, 2000)):
+            path = tmp_path / f"pec{pec}.csv"
+            write_histogram(path, heavy_tail_models(), n_cells=20_000, seed=i)
+            paths.append(str(path))
+        rc = main(["--out", str(tmp_path / "out"), "fit", *paths, "--dynamic",
+                   "--compare", "gaussian,student_t"])
+        assert rc == 2
+        assert "--compare" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "dynamic.json").exists()
+
     def test_bad_header_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("foo,bar\n1,2\n")
@@ -123,10 +137,51 @@ class TestPlan:
         want = ecc_failure_rate(EccConfig(18336, 40, 0.9), 1e-3)
         assert out["ecc"][0]["p_ecfr"] == pytest.approx(want, rel=1e-12)
 
+    def test_parity_and_lifetime_sections(self, tmp_path):
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps({
+            "ecc": {"codeword_len": 18336, "correctable": 40},
+            "rber": 4e-3,
+            "parity": {"chips": 8, "dies": 2, "codewords_per_lb": 4,
+                       "p_hgbb": 1e-6},
+            "lifetime": {"pec": 3000, "op": 0.2, "dwpd": 1.0, "wa": 2.0,
+                         "r_compress": 0.8},
+        }))
+        rc = main(["--out", str(tmp_path / "out"), "plan",
+                   "--config", str(cfg)])
+        assert rc == 0
+        out = json.loads((tmp_path / "out" / "plan.json").read_text())
+        par = ParityConfig(8, 2, 4, 1e-6)
+        p_lb = lb_fail(par, ecc_failure_rate(EccConfig(18336, 40, 0.9), 4e-3))
+        (row,) = out["ecc"]
+        assert row["p_lb_fail"] == pytest.approx(p_lb, rel=1e-12)
+        assert row["p_parity_fail"] == pytest.approx(parity_fail(par, p_lb),
+                                                     rel=1e-12)
+        assert out["lifetime_years"] == pytest.approx(
+            lifetime_years(3000, 0.2, 1.0, 2.0, 0.8), rel=1e-12)
+
     def test_missing_config_is_config_error(self, tmp_path):
         rc = main(["--out", str(tmp_path / "out"), "plan",
                    "--config", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"lifetime": {"pec": 3000, "op": 0.2, "dwpd": 0, "wa": 2.0}},
+        {"lifetime": {"pec": 3000, "op": 0.2, "dwpd": 1.0, "wa": 0}},
+        {"ecc": []},
+        {"op": 5},
+        {"multirate": {"schedule": 5, "dwpd": 1}},
+    ], ids=["not-an-object", "lifetime-dwpd-zero", "lifetime-wa-zero",
+            "ecc-list", "op-number", "multirate-schedule-number"])
+    def test_bad_plan_config_is_config_error(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["--out", str(tmp_path / "out"), "plan",
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "plan.json").exists()
 
     def test_multirate_triple_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "plan.json"
@@ -145,6 +200,18 @@ class TestLayout:
                    "--chips", "4", "--wordlines", "4"])
         assert rc == 0
         assert (tmp_path / "out" / "li_raid_4x4.csv").exists()
+
+    def test_conventional_layout_has_two_groups_per_wordline(self, tmp_path,
+                                                             capsys):
+        rc = main(["--out", str(tmp_path / "out"), "layout", "--chips", "4",
+                   "--wordlines", "5", "--kind", "conventional"])
+        assert rc == 0
+        assert "conventional: 10 groups" in capsys.readouterr().out
+        rows = (tmp_path / "out" / "conventional_4x5.csv").read_text().splitlines()
+        assert rows[0] == "chip,wordline,page,group"
+        assert len(rows) == 1 + 4 * 5 * 2
+        assert {r.rsplit(",", 1)[1] for r in rows[1:]} == {
+            str(g) for g in range(2 * 5)}
 
     def test_padded_layout_is_reported(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path / "out"), "layout",
@@ -255,15 +322,59 @@ class TestSimulate:
                      "warm_series.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_bad_refresh_spec_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("spec", ["hourly", "fcr:nand", "fcr:infd",
+                                      "fcr:0d", "fcr:-1d"],
+                             ids=["hourly", "fcr-nan", "fcr-infinite",
+                                  "fcr-zero", "fcr-negative"])
+    def test_bad_refresh_spec_is_config_error(self, tmp_path, capsys,
+                                              monkeypatch, spec):
+        def no_trace(*args):
+            raise AssertionError("the trace was read")
+        monkeypatch.setattr("flashlab.trace.parse_canonical", no_trace)
         tr = tmp_path / "t.csv"
         write_trace(tr)
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({"policies": [
-            {"name": "x", "refresh": "hourly"}]}))
+            {"name": "x", "refresh": spec}]}))
         rc = main(["--out", str(tmp_path / "out"), "simulate",
                    "--config", str(cfg), "--trace", str(tr)])
         assert rc == 2
+        assert "config error: policy 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["analytic", "direct"])
+    def test_adaptive_refresh_past_every_tier_runs_as_fcr_3d(self, tmp_path,
+                                                             mode):
+        # wear past the 3-day tier's endurance: adaptive refresh picks the
+        # 3-day period for every block and guarantees 3-day retention, so
+        # it is FCR every 3 days, refreshes included
+        tr = tmp_path / "t.csv"
+        write_canonical(synth_hot(4 * 86400, 0.03, 0.05, 0.9,
+                                  footprint_bytes=24 << 20, seed=3), str(tr))
+        policy = {"capacity_bytes": 128 << 20, "initial_pec": 160_000,
+                  "mode": mode, **({"ecc_limit": 2e-3} if mode == "direct" else {})}
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"policies": [
+            dict(policy, name="adaptive", refresh="adaptive"),
+            dict(policy, name="fcr", refresh="fcr:3d")]}))
+        rc = main(["--out", str(tmp_path / "out"), "simulate",
+                   "--config", str(cfg), "--trace", str(tr)])
+        # in direct mode this wear is past the ECC limit from day 0
+        assert rc == (4 if mode == "direct" else 0)
+        out = tmp_path / "out"
+        assert json.loads((out / "adaptive.json").read_text())["writes"]["refresh"] > 0
+        for suffix in (".json", "_series.csv"):
+            assert ((out / f"adaptive{suffix}").read_bytes()
+                    == (out / f"fcr{suffix}").read_bytes())
+
+    def test_config_not_an_object_is_config_error(self, tmp_path, capsys):
+        tr = tmp_path / "t.csv"
+        write_trace(tr)
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps([1, 2]))
+        rc = main(["--out", str(tmp_path / "out"), "simulate",
+                   "--config", str(cfg), "--trace", str(tr)])
+        assert rc == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_config_without_policies_is_config_error(self, tmp_path):
         tr = tmp_path / "t.csv"
@@ -372,7 +483,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bad", [
         {"capacity_bytes": "lots"},
+        {"capacity_bytes": "33554432"},
+        {"capacity_bytes": 33554432.7},
         {"op_fraction": 1.5},
+        {"op_fraction": "0.25"},
         {"initial_pec": "many"},
         {"initial_pec": -500},
         {"initial_pec": 1.5},
@@ -380,7 +494,9 @@ class TestSimulate:
         {"initial_pec": True},
         {"mode": "sideways"},
         {"mode": "direct"},
-    ], ids=["capacity-bytes", "op-fraction", "initial-pec",
+    ], ids=["capacity-bytes", "capacity-bytes-string",
+            "capacity-bytes-fraction", "op-fraction", "op-fraction-string",
+            "initial-pec",
             "initial-pec-negative", "initial-pec-fraction", "initial-pec-string",
             "initial-pec-boolean", "mode", "direct-without-ecc-limit"])
     def test_bad_later_policy_fails_before_any_replay(self, tmp_path, capsys,
@@ -440,6 +556,8 @@ class TestSimulate:
         {"temp": {"seed": 3}},
         {"temp": {"mean_c": "hot"}},
         {"temp": [35.0]},
+        {"temp": {"period_s": 0}},
+        {"temp": {"noise_sigma_c": -3}},
         {"max_samples": 0},
         {"max_samples": 2.5},
         {"max_samples": "300"},
@@ -449,7 +567,7 @@ class TestSimulate:
         {"ecc_limit": 0.5},
         {"bogus": 1},
     ], ids=["temp-unknown-key", "temp-seed", "temp-string", "temp-list",
-            "max-samples-zero", "max-samples-fraction", "max-samples-string",
+            "temp-period-zero", "temp-noise-negative", "max-samples-zero", "max-samples-fraction", "max-samples-string",
             "ecc-limit-zero", "ecc-limit-negative", "ecc-limit-infinite",
             "ecc-limit-half", "unknown-key"])
     def test_bad_heatwatch_config_is_config_error(self, tmp_path, capsys,

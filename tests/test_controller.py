@@ -6,9 +6,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, THREE_YEARS_S,
-                                 Drive, EnduranceMap, Geometry,
-                                 LifetimeConfig, RefreshConfig, WarmConfig,
-                                 WarmManager, adaptive_period,
+                                 Drive, Geometry, LifetimeConfig,
+                                 RefreshConfig, WarmConfig, WarmManager,
+                                 adaptive_period, endurance_at,
                                  in_refresh_phase, replay, run_lifetime,
                                  run_refresh)
 from flashlab.controller.ftl import CLOSED
@@ -70,30 +70,23 @@ class TestGeometry:
 
 class TestEnduranceMap:
     def test_anchor_values_exact(self):
-        m = EnduranceMap()
-        assert m.endurance_at(3 * 365 * DAY) == pytest.approx(3000.0, rel=1e-9)
-        assert m.endurance_at(3 * DAY) == pytest.approx(150000.0, rel=1e-9)
+        assert endurance_at(3 * 365 * DAY) == pytest.approx(3000.0, rel=1e-9)
+        assert endurance_at(3 * DAY) == pytest.approx(150000.0, rel=1e-9)
 
     def test_log_log_interpolation(self):
-        m = EnduranceMap()
         t0, p0 = 3 * DAY, 150000.0
         t1, p1 = 3 * 365 * DAY, 3000.0
         t_mid = math.sqrt(t0 * t1)
-        assert m.endurance_at(t_mid) == pytest.approx(math.sqrt(p0 * p1), rel=1e-9)
+        assert endurance_at(t_mid) == pytest.approx(math.sqrt(p0 * p1), rel=1e-9)
 
     def test_monotone_decreasing(self):
-        m = EnduranceMap()
         ts = [DAY, 3 * DAY, 30 * DAY, 365 * DAY, 3 * 365 * DAY, 10 * 365 * DAY]
-        vals = [m.endurance_at(t) for t in ts]
+        vals = [endurance_at(t) for t in ts]
         assert vals == sorted(vals, reverse=True)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EnduranceMap(anchors=((DAY, 100.0),))
-        with pytest.raises(ValueError):
-            EnduranceMap(anchors=((DAY, 100.0), (2 * DAY, 200.0)))
-        with pytest.raises(ValueError):
-            EnduranceMap().endurance_at(0.0)
+            endurance_at(0.0)
 
 
 class TestDrive:
@@ -242,47 +235,34 @@ class TestRefresh:
         assert run_refresh(d, end + 100 * DAY, RefreshConfig(mode="none")) == 0
 
     def test_fcr_refreshes_expired_blocks(self):
-        d, end = self.aged_drive()
+        d, end = self.aged_drive(initial_pec=5000)
         cfg = RefreshConfig(mode="fcr", period_s=3 * DAY)
         assert run_refresh(d, end + 1 * DAY, cfg) == 0
         n = run_refresh(d, end + 4 * DAY, cfg)
         assert n > 0 and d.writes["refresh"] > 0
 
     def test_refresh_phase_gate(self):
-        emap = EnduranceMap()
-        threshold = emap.endurance_at(3 * 365 * DAY)
-        assert not in_refresh_phase(threshold - 1, emap)
-        assert in_refresh_phase(threshold, emap)
-        # low-wear drive with an endurance map: nothing to refresh yet
+        threshold = endurance_at(3 * 365 * DAY)
+        assert not in_refresh_phase(threshold - 1)
+        assert in_refresh_phase(threshold)
+        # low-wear drive: nothing to refresh yet
         d, end = self.aged_drive(initial_pec=0)
         cfg = RefreshConfig(mode="fcr", period_s=3 * DAY)
-        assert run_refresh(d, end + 30 * DAY, cfg, endurance_map=emap) == 0
+        assert run_refresh(d, end + 30 * DAY, cfg) == 0
         d2, end2 = self.aged_drive(initial_pec=5000)
-        assert run_refresh(d2, end2 + 30 * DAY, cfg, endurance_map=emap) > 0
+        assert run_refresh(d2, end2 + 30 * DAY, cfg) > 0
 
     def test_adaptive_period_tiers(self):
-        emap = EnduranceMap()
         # Wear levels straddling each tier's endurance budget.
-        p90 = adaptive_period(emap.endurance_at(90 * DAY) - 1, emap)
-        p21 = adaptive_period(emap.endurance_at(21 * DAY) - 1, emap)
-        p3 = adaptive_period(emap.endurance_at(3 * DAY) - 1, emap)
-        worn = adaptive_period(emap.endurance_at(3 * DAY) + 1, emap)
+        p90 = adaptive_period(endurance_at(90 * DAY) - 1)
+        p21 = adaptive_period(endurance_at(21 * DAY) - 1)
+        p3 = adaptive_period(endurance_at(3 * DAY) - 1)
+        worn = adaptive_period(endurance_at(3 * DAY) + 1)
         assert p90 == 90 * DAY
         assert p21 == 21 * DAY
         assert p3 == 3 * DAY
         assert worn == min(ADAPTIVE_TIERS_S)
         assert p90 > p21 > p3
-
-    def test_adaptive_needs_endurance_map(self):
-        d, end = self.aged_drive()
-        with pytest.raises(ValueError):
-            run_refresh(d, end, RefreshConfig(mode="adaptive"))
-
-    def test_adaptive_needs_endurance_map_on_empty_drive(self):
-        d = Drive(small_geom())
-        with pytest.raises(ValueError, match="endurance map"):
-            run_refresh(d, 10 * DAY, RefreshConfig(mode="adaptive"))
-        assert d.now == 0.0
 
     def test_hot_pool_exempt_by_default(self):
         geom = small_geom()
@@ -309,7 +289,7 @@ class TestRefresh:
             RefreshConfig(mode="eager")
 
 
-def reference_refresh(drive, now, cfg, endurance_map):
+def reference_refresh(drive, now, cfg):
     """Per-block refresh pass: the scalar rule of the pass that preceded
     Drive.refresh_sweep's per-block periods. Each block that is due gets a
     sweep of its own, with its period and inf for every other block."""
@@ -322,14 +302,13 @@ def reference_refresh(drive, now, cfg, endurance_map):
         if drive.state[blk] != CLOSED:
             continue
         pec = float(drive.pec[blk])
-        if endurance_map is not None and not (
-                pec >= endurance_map.endurance_at(THREE_YEARS_S)):
+        if pec < endurance_at(THREE_YEARS_S):
             continue
         if cfg.mode == "fcr":
             period = cfg.period_s
         else:
             period = next((t for t in sorted(ADAPTIVE_TIERS_S, reverse=True)
-                           if pec < endurance_map.endurance_at(t)),
+                           if pec < endurance_at(t)),
                           min(ADAPTIVE_TIERS_S))
         if now - drive.program_epoch[blk] >= period:
             only = np.full(drive.geom.total_blocks, np.inf)
@@ -354,12 +333,11 @@ def drive_state(d):
     return arrays, scalars
 
 
-_EMAP = EnduranceMap()
 # wear levels at and around every tier edge, where per-block periods part
 _EDGES = [3 * 365 * DAY, *ADAPTIVE_TIERS_S]
 _PEC = hst.one_of(
     hst.integers(0, 160_000),
-    hst.builds(lambda t, k: max(0, int(_EMAP.endurance_at(t)) + k),
+    hst.builds(lambda t, k: max(0, int(endurance_at(t)) + k),
                hst.sampled_from(_EDGES), hst.integers(-12, 3)))
 _STEP = hst.one_of(
     hst.tuples(hst.just("write"), hst.integers(0, 1 << 20), hst.integers(1, 40)),
@@ -380,22 +358,20 @@ class TestRefreshPassProperty:
            warm=hst.booleans(),
            mode=hst.sampled_from(["fcr", "adaptive"]),
            period_days=hst.sampled_from([0.5, 3.0, 10.0]),
-           use_map=hst.booleans(),
            include_hot=hst.booleans(),
            initial_pec=_PEC,
            steps=hst.lists(_STEP, min_size=1, max_size=80))
     def test_one_sweep_matches_per_block_reference(
-            self, n_blocks, op, footprint, warm, mode, period_days, use_map,
+            self, n_blocks, op, footprint, warm, mode, period_days,
             include_hot, initial_pec, steps):
         geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
                         op_fraction=op)
         cfg = RefreshConfig(mode=mode, period_s=period_days * DAY,
                             include_hot=include_hot)
-        emap = _EMAP if (use_map or mode == "adaptive") else None
         drives = [Drive(geom, warm=WarmManager(geom) if warm else None,
                         initial_pec=initial_pec) for _ in range(2)]
-        passes = [lambda d, now: run_refresh(d, now, cfg, emap),
-                  lambda d, now: reference_refresh(d, now, cfg, emap)]
+        passes = [lambda d, now: run_refresh(d, now, cfg),
+                  lambda d, now: reference_refresh(d, now, cfg)]
         span = max(1, int(footprint * geom.logical_pages))
         now = 0.0
         for kind, x, count in steps:

@@ -3,7 +3,8 @@ the CLI starts up without ``scipy.stats``, only ``trace.py`` turns
 sectors into pages, no library function takes a ``tables`` or ``grid``
 argument, every library function, class and method is reached from a
 CLI workflow or is a named reference that the tests check other code
-against, and every defaulted library setting is set by some call.
+against, every defaulted library setting is set by some call, and every
+name a package re-exports is imported through that package somewhere.
 
 Package ``__init__.py`` files are exempt from the import check, since
 importing a name there is how it is re-exported.
@@ -409,3 +410,56 @@ def test_every_library_setting_is_set_by_some_call():
 
 def test_kept_defaults_name_settings_no_call_sets():
     assert set(KEPT_DEFAULTS) <= set(unset_library_settings())
+
+
+BENCH = ROOT / "bench"
+
+
+def from_imports(source, package):
+    """(module, name) of every ``from`` import in ``source``, with a
+    relative module resolved against ``package``, the package the source
+    sits in."""
+    parts = package.split(".") if package else []
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            base = parts[:len(parts) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            out |= {(module, alias.asname or alias.name) for alias in node.names}
+    return out
+
+
+def unused_reexports(inits, importers):
+    """Names a package's ``__init__`` imports that no importer imports
+    through that package, as ``package.name``, sorted.
+
+    inits: {package: its __init__ source}; importers: (source, the
+    package it sits in) pairs.
+    """
+    through = set().union(*(from_imports(src, pkg) for src, pkg in importers))
+    return sorted(f"{pkg}.{name}" for pkg, src in inits.items()
+                  for _, name in from_imports(src, pkg)
+                  if (pkg, name) not in through)
+
+
+def test_reexport_detector_flags_names_no_importer_takes():
+    inits = {"lib": "from .core import Box, helper\nfrom .aux import spare\n",
+             "lib.sub": "from .deep import item, other\nfrom ..core import Box\n"}
+    importers = [("from lib import Box\n", ""),
+                 ("from .sub import item\n", "lib"),
+                 ("from .. import helper\n", "lib.sub"),
+                 ("from lib.sub import Box\nfrom lib.core import spare\n", "")]
+    assert unused_reexports(inits, importers) == ["lib.spare", "lib.sub.other"]
+
+
+def test_every_reexport_is_imported_through_its_package():
+    # a package re-exports a name only for code that imports it from
+    # there, the benchmark harness included
+    def package(path):
+        return ".".join(("flashlab",) + path.relative_to(SRC).parent.parts)
+
+    inits = {package(p): p.read_text() for p in sorted(SRC.glob("**/__init__.py"))}
+    importers = [(p.read_text(), package(p)) for p in sorted(SRC.glob("**/*.py"))]
+    importers += [(p.read_text(), "")
+                  for tree in (TESTS, BENCH) for p in sorted(tree.glob("*.py"))]
+    assert unused_reexports(inits, importers) == []
