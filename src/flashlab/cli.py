@@ -376,6 +376,9 @@ def _plan_tables(doc):
 
 
 def cmd_layout(args):
+    if args.chips < 1 or args.wordlines < 1:
+        raise ConfigError(f"--chips {args.chips} and --wordlines"
+                          f" {args.wordlines} must both be positive")
     _write_manifest(args.out, "layout", vars(args), args.seed)
     try:
         if args.kind == "li_raid":

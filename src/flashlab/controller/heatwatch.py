@@ -10,6 +10,15 @@ effective age, the policy picks references from what it is allowed to
 know, and the resulting RBER decides how many P/E cycles the drive
 survives before the worst read exceeds the ECC limit. HeatWatch reads at
 the predicted Vopt of the same models at its estimated effective age.
+
+Scoring is batched. The lifetime search asks, at each P/E count it
+tries, for the worst RBER over every sample; the samples are scored as
+arrays, SCORE_CHUNK at a time: one GaussianBatch of truth models, one
+set of per-read references, one ``estimate_rber``. A chunk's ages enter
+the state models through ``urt.RetentionAges``, which takes their SRRM
+log factors once, with ``math.log``, for every P/E count; numpy's log
+can differ from it in the last bit, enough to move a rounded reference.
+Every result is the one scoring the samples one at a time gives.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +27,7 @@ import numpy as np
 
 from ..models.applications import estimate_rber
 from .. import urt as urt_mod
-from ..urt import state_models as truth_models
+from ..urt import RetentionAges, state_models as truth_models
 from ..trace import Trace
 from .policies import ReadContext, policy_refs, ReMARState
 
@@ -29,6 +38,7 @@ TICK_S = 60.0           # temperature sampling period
 MIN_AGE_S = 600.0       # youngest data a sampled read may return
 PEC_HI = 60000          # lifetime search ceiling, P/E cycles
 PEC_TOL = 50            # lifetime search resolution, P/E cycles
+SCORE_CHUNK = 256       # samples scored as one batch; bounds scoring memory
 
 
 @dataclass(frozen=True)
@@ -98,24 +108,44 @@ def collect_samples(events, cfg, params):
     return samples
 
 
-def policy_worst_rber(policy, samples, pack, retention_model, pec):
-    """Worst per-sample RBER a policy suffers at a given wear level."""
+@dataclass(frozen=True)
+class SampleBatch:
+    """Consecutive read samples as arrays, ready to score at any wear."""
+    age_s: np.ndarray        # (S,) wall-clock ages
+    exact: RetentionAges     # exact effective ages: the truth
+    est: RetentionAges       # estimated effective ages: what HeatWatch knows
+
+
+def sample_batches(samples, pack):
+    """The samples in read order, SCORE_CHUNK to a batch."""
+    return [SampleBatch(np.array([s.age_s for s in chunk]),
+                        RetentionAges(pack, [s.eff_exact_s for s in chunk]),
+                        RetentionAges(pack, [s.eff_est_s for s in chunk]))
+            for chunk in (samples[i:i + SCORE_CHUNK]
+                          for i in range(0, len(samples), SCORE_CHUNK))]
+
+
+def policy_worst_rber(policy, batches, pack, retention_model, pec):
+    """Worst per-sample RBER a policy suffers at a given wear level, over
+    the ``sample_batches`` of the samples."""
     remar = ReMARState(retention_model) if policy == "remar" else None
     worst = 0.0
-    for s in samples:
-        truth = truth_models(pack, pec, s.eff_exact_s)
-        ctx = ReadContext(pec=pec, age_s=s.age_s, eff_retention_s=s.eff_est_s)
+    for batch in batches:
+        truth = truth_models(pack, pec, batch.exact)
+        ctx = ReadContext(pec=pec, age_s=batch.age_s, eff_retention_s=batch.est)
         refs = policy_refs(policy, ctx, retention_model=retention_model,
                            calibration=pack, remar_state=remar,
                            true_models=truth)
-        worst = max(worst, estimate_rber(truth, refs).total)
+        worst = max(worst, float(np.max(estimate_rber(truth, refs).total)))
     return worst
 
 
 def policy_lifetime_pec(policy, samples, pack, retention_model, ecc_limit):
     """Largest P/E count at which every sampled read still decodes."""
+    batches = sample_batches(samples, pack)
+
     def ok(pec):
-        return policy_worst_rber(policy, samples, pack, retention_model,
+        return policy_worst_rber(policy, batches, pack, retention_model,
                                  pec) <= ecc_limit
 
     lo = 0.0

@@ -1,25 +1,41 @@
 """Read-reference policies.
 
 Policies turn what the controller knows (wear, data age, thermal history,
-layer) into the three read references.
+layer) into the three read references: for one read a ReadRefs, and for
+a batch of reads at one wear level an (S, 3) array of steps, a row per
+read, or one ReadRefs that serves them all.
 """
 
 from dataclasses import dataclass
 
-from ..grid import DEFAULT_READ_REFS, ReadRefs, CellState
+import numpy as np
+
+from ..grid import DEFAULT_READ_REFS, ReadRefs, ordered_refs, ref_steps
 from ..degradation import retention_refs
 from ..models.applications import predict_vopt, sweep_vopt
-from ..urt import state_models
+from ..urt import RetentionAges, state_models
 
 
 @dataclass
 class ReadContext:
-    """Everything a read-reference policy may consult."""
+    """Everything a read-reference policy may consult.
+
+    For a batch of reads, ``age_s`` is an (S,) array and
+    ``eff_retention_s`` a ``urt.RetentionAges``.
+    """
     pec: float = 0.0
     age_s: float = 0.0                 # wall-clock data age
     layer_va_offset: int = 0           # this wordline's layer deviation, steps
     layer_vb_offset: int = 0
     eff_retention_s: float = None      # room-equivalent age; heatwatch needs it
+
+
+def _per_read(ctx, refs_at):
+    """``refs_at(age)`` at each read's wall-clock age, floored at 1 s, in
+    read order: a ReadRefs for one read, (S, 3) steps for a batch."""
+    if np.ndim(ctx.age_s) == 0:
+        return refs_at(max(ctx.age_s, 1.0))
+    return ref_steps([refs_at(max(age, 1.0)) for age in ctx.age_s.tolist()])
 
 
 class ReMARState:
@@ -28,7 +44,8 @@ class ReMARState:
     Reads are sampled; every `cadence` samples the tracked (pec, age)
     operating point is re-anchored and the predicted references cached.
     Between re-fits the cached references are served, so the policy trades
-    staleness for sampling cost.
+    staleness for sampling cost: read i of a run gets the references
+    fitted at read cadence * (i // cadence), however its reads are batched.
     """
 
     def __init__(self, retention_model, cadence=100):
@@ -38,8 +55,11 @@ class ReMARState:
         self._cached = None
 
     def refs(self, ctx):
+        return _per_read(ctx, lambda age_s: self._next(ctx.pec, age_s))
+
+    def _next(self, pec, age_s):
         if self._cached is None or self.samples % self.cadence == 0:
-            self._cached = retention_refs(self.model, ctx.pec, max(ctx.age_s, 1.0))
+            self._cached = retention_refs(self.model, pec, age_s)
         self.samples += 1
         return self._cached
 
@@ -50,28 +70,35 @@ def heatwatch_refs(calibration, ctx):
     The URT pack's state models (``urt.state_models``) at the
     room-equivalent dwell; each reference sits where the two neighboring
     predicted densities cross. When the scales match this is exactly the
-    midpoint of the two means.
+    midpoint of the two means. One read is scored as a batch of one.
     """
-    models = state_models(calibration, ctx.pec, ctx.eff_retention_s)
-    try:
-        refs, _ = predict_vopt(models)
-        return refs
-    except ValueError:
+    ages = ctx.eff_retention_s
+    one = not isinstance(ages, RetentionAges)
+    if one:
+        ages = RetentionAges(calibration, [ages])
+    models = state_models(calibration, ctx.pec, ages)
+    crossed = ~np.all(models.mu[:, :-1] < models.mu[:, 1:], axis=1)
+    steps = np.empty((len(crossed), 3), dtype=int)
+    if not crossed.all():
+        steps[~crossed] = predict_vopt(models.take(~crossed))[0]
+    if crossed.any():
         # extreme-wear extrapolation can cross the predicted means;
         # degrade to ordered midpoints rather than refuse to read
-        mus = sorted(models[st].mu for st in CellState)
-        va, vb, vc = (int(round((lo + hi) / 2))
-                      for lo, hi in zip(mus, mus[1:]))
-        return ReadRefs.ordered(max(va, 1), vb, vc)
+        mus = np.sort(models.mu[crossed], axis=1)
+        va, vb, vc = np.rint((mus[:, :-1] + mus[:, 1:]) / 2).astype(int).T
+        steps[crossed] = ordered_refs(np.maximum(va, 1), vb, vc)
+    return ReadRefs(*steps[0].tolist()) if one else steps
 
 
 def policy_refs(policy, ctx, retention_model=None, calibration=None,
                 remar_state=None, true_models=None):
-    """Dispatch a read-reference policy for one read."""
+    """Dispatch a read-reference policy for one read, or for a batch of
+    reads (every policy but lavar, which reads one wordline's layer)."""
     if policy == "fixed":
         return DEFAULT_READ_REFS
     if policy == "retention_only":
-        return retention_refs(retention_model, ctx.pec, max(ctx.age_s, 1.0))
+        return _per_read(ctx, lambda age_s: retention_refs(
+            retention_model, ctx.pec, age_s))
     if policy == "lavar":
         base = retention_refs(retention_model, ctx.pec, max(ctx.age_s, 1.0))
         return ReadRefs.ordered(base.va + ctx.layer_va_offset,
@@ -83,4 +110,3 @@ def policy_refs(policy, ctx, retention_model=None, calibration=None,
     if policy == "oracle":
         return sweep_vopt(true_models)
     raise ValueError(f"unknown policy {policy!r}")
-

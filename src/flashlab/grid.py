@@ -64,8 +64,30 @@ class ReadRefs:
     def ordered(cls, va, vb, vc):
         """References with vb, then vc, raised just enough to keep
         va < vb < vc."""
-        vb = max(vb, va + 1)
-        return cls(va, vb, max(vc, vb + 1))
+        return cls(*_raise_to_order(va, vb, vc, max))
+
+
+def _raise_to_order(va, vb, vc, larger):
+    vb = larger(vb, va + 1)
+    return va, vb, larger(vc, vb + 1)
+
+
+def ordered_refs(va, vb, vc):
+    """``ReadRefs.ordered`` of one read's steps; for (S,) arrays of steps,
+    one per read, the same rule row by row, as an (S, 3) array."""
+    if isinstance(va, np.ndarray):
+        return np.stack(_raise_to_order(va, vb, vc, np.maximum), axis=-1)
+    return ReadRefs.ordered(int(va), int(vb), int(vc))
+
+
+def ref_steps(refs):
+    """Read references as an integer array of steps: (3,) for a ReadRefs,
+    (S, 3) for a list of S of them; an array of steps passes through."""
+    if isinstance(refs, ReadRefs):
+        return np.array([refs.va, refs.vb, refs.vc])
+    if isinstance(refs, list):
+        return np.array([(r.va, r.vb, r.vc) for r in refs], dtype=int).reshape(-1, 3)
+    return np.asarray(refs)
 
 
 # Stock read references of the modeled chip; vc lies past the last step.

@@ -5,6 +5,11 @@ estimation.
 Every result is on the fixed read-retry step axis of ``grid``: a
 reference at step k reads at voltage k, and the Vopt searches cover steps
 1..VC_SEARCH_MAX.
+
+The models are a dict of StateModel, or a ``cdf.GaussianBatch`` of S
+operating points; then every kernel here works on all of them at once
+and returns one result per operating point. One implementation serves
+both: a dict is a batch of one.
 """
 
 import math
@@ -12,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid import LSB_OF_STATE, MSB_OF_STATE, CellState, ReadRefs
+from ..grid import (LSB_OF_STATE, MSB_OF_STATE, CellState, ordered_refs,
+                    ref_steps)
 from .cdf import state_cdf
 
 # Vopt search range for the top reference extends past the binning grid,
@@ -29,7 +35,7 @@ _STEPS.flags.writeable = _HALF_STEPS.flags.writeable = False
 
 @dataclass
 class RBEREstimate:
-    total: float
+    total: float          # (S,) arrays for a batch
     msb: float
     lsb: float
 
@@ -37,13 +43,16 @@ class RBEREstimate:
 def region_masses(models, refs):
     """Probability mass of each intended state in each decode region.
 
-    Returns shape (4 states, 4 regions); rows sum to 1.
+    ``refs`` is a ReadRefs, or an (S, 3) array of steps with a row per
+    operating point of a GaussianBatch. Returns shape (4 states, 4
+    regions), or (S, 4, 4) for a batch; rows sum to 1.
     """
-    v = np.array([refs.va, refs.vb, refs.vc], dtype=float)
-    out = np.empty((4, 4))
-    for st in CellState:
-        c = state_cdf(models, st, v)
-        out[st] = (c[0], c[1] - c[0], c[2] - c[1], 1.0 - c[2])
+    v = ref_steps(refs).astype(float)
+    c = np.stack([state_cdf(models, st, v) for st in CellState], axis=-2)
+    out = np.empty(c.shape[:-1] + (4,))
+    out[..., 0] = c[..., 0]
+    out[..., 1:3] = c[..., 1:] - c[..., :-1]
+    out[..., 3] = 1.0 - c[..., 2]
     return out
 
 
@@ -54,9 +63,9 @@ def estimate_rber(models, refs):
     for st in range(4):
         for region in range(4):
             if MSB_OF_STATE[region] != MSB_OF_STATE[st]:
-                msb += masses[st, region]
+                msb += masses[..., st, region]
             if LSB_OF_STATE[region] != LSB_OF_STATE[st]:
-                lsb += masses[st, region]
+                lsb += masses[..., st, region]
     msb /= 4.0
     lsb /= 4.0
     return RBEREstimate(total=(msb + lsb) / 2.0, msb=msb, lsb=lsb)
@@ -69,11 +78,12 @@ def _density(models, state, v):
 
 
 def _round_to_step(voltage):
-    """Nearest reference step to a voltage; a tie goes to the lower step."""
-    steps = _STEPS
-    j = int(np.searchsorted(steps, voltage))
-    if j == len(steps) or (j > 0 and abs(steps[j - 1] - voltage) <= abs(steps[j] - voltage)):
-        j -= 1
+    """Nearest reference step to each voltage; a tie goes to the lower step."""
+    v = np.asarray(voltage, dtype=float)
+    j = np.searchsorted(_STEPS, v)
+    last = len(_STEPS) - 1
+    below, above = _STEPS[np.maximum(j - 1, 0)], _STEPS[np.minimum(j, last)]
+    j = j - ((j > last) | ((j > 0) & (np.abs(below - v) <= np.abs(above - v))))
     return j + 1
 
 
@@ -86,17 +96,29 @@ def _gaussian_crossing(lo, hi):
     the upper at mu_lo iff C < 0, and falls below it at mu_hi iff
     d^2 > 2 s_lo^2 ln(s_hi/s_lo); then exactly one root lies between the
     means, and it is C/q with q = -(B + sqrt(B^2 - 4AC))/2.
+
+    For the (S, 1) columns of a GaussianBatch, the (S, 1) crossings, NaN
+    where there is none. The logarithm is taken row by row with
+    ``math.log``, whose last bit numpy's log does not always match.
     """
-    d = hi.mu - lo.mu
-    s1, s2 = lo.sigma * lo.sigma, hi.sigma * hi.sigma
-    log_ratio = math.log(lo.sigma / hi.sigma)
-    if d * d <= 2.0 * s2 * log_ratio or d * d <= -2.0 * s1 * log_ratio:
-        return None
-    if s1 == s2:
-        return (lo.mu + hi.mu) / 2.0
+    mu_lo, mu_hi, s_lo, s_hi = np.atleast_1d(lo.mu, hi.mu, lo.sigma, hi.sigma)
+    ratio = s_lo / s_hi
+    log_ratio = np.reshape([math.log(r) for r in ratio.ravel().tolist()],
+                           ratio.shape)
+    d = mu_hi - mu_lo
+    s1, s2 = s_lo * s_lo, s_hi * s_hi
+    out = np.full(d.shape, np.nan)
+    cross = ~((d * d <= 2.0 * s2 * log_ratio) | (d * d <= -2.0 * s1 * log_ratio))
+    equal = cross & (s1 == s2)
+    out[equal] = (mu_lo[equal] + mu_hi[equal]) / 2.0
+    k = cross & ~equal
+    d, s1, s2, log_ratio = d[k], s1[k], s2[k], log_ratio[k]
     a, b, c = s2 - s1, 2.0 * d * s1, s1 * (2.0 * s2 * log_ratio - d * d)
-    q = -0.5 * (b + math.sqrt(b * b - 4.0 * a * c))
-    return lo.mu + c / q
+    q = -0.5 * (b + np.sqrt(b * b - 4.0 * a * c))
+    out[k] = mu_lo[k] + c / q
+    if np.ndim(lo.mu):
+        return out
+    return None if np.isnan(out[0]) else float(out[0])
 
 
 def _scanned_step(models, lo, hi):
@@ -132,29 +154,32 @@ def predict_vopt(models):
     in closed form when both states are pure Gaussians, otherwise by one
     vectorized scan of the density gap between the means. Returns
     (ReadRefs, flags); flags lists the boundaries that fell back to the
-    mean midpoint because the densities never crossed.
+    mean midpoint because the densities never crossed. For a
+    GaussianBatch, returns ((S, 3) steps, (S, 3) fallback mask).
     """
-    mus = [models[st].mu for st in CellState]
-    if not (mus[0] < mus[1] < mus[2] < mus[3]):
+    mus = np.concatenate(np.atleast_1d(*(models[st].mu for st in CellState)),
+                         axis=-1)
+    if not np.all(mus[..., :-1] < mus[..., 1:]):
         raise ValueError("state means must be ordered ER < P1 < P2 < P3")
 
-    flags = []
-    steps = []
-    for i, name in enumerate(("va", "vb", "vc")):
+    steps = []  # per boundary; 0 where the densities never cross
+    for i in range(3):
         lo, hi = CellState(i), CellState(i + 1)
         if all(models[st].family == "gaussian" and models[st].lam == 0.0
                for st in (lo, hi)):
             v = _gaussian_crossing(models[lo], models[hi])
-            step = None if v is None else _round_to_step(v)
+            v = np.nan if v is None else v
+            steps.append(np.where(np.isnan(v), 0, _round_to_step(v)))
         else:
-            step = _scanned_step(models, lo, hi)
-        if step is None:
-            step = _round_to_step((mus[i] + mus[i + 1]) / 2.0)
-            flags.append(name)
-        steps.append(step)
-
+            steps.append(_scanned_step(models, lo, hi) or 0)
+    steps = np.concatenate(np.atleast_1d(*steps), axis=-1)
+    fell = steps == 0
+    mid = _round_to_step((mus[..., :-1] + mus[..., 1:]) / 2.0)
     # Keep the ordering strict after rounding.
-    return ReadRefs.ordered(*steps), flags
+    refs = ordered_refs(*np.moveaxis(np.where(fell, mid, steps), -1, 0))
+    if fell.ndim == 2:
+        return refs, fell
+    return refs, [name for name, f in zip(("va", "vb", "vc"), fell) if f]
 
 
 def sweep_vopt(models):
@@ -162,15 +187,16 @@ def sweep_vopt(models):
 
     Total misread mass separates per boundary once the region order is
     fixed, so each reference is optimized independently. Serves as the
-    oracle that predict_vopt is judged against.
+    oracle that predict_vopt is judged against. A GaussianBatch gives
+    (S, 3) steps.
     """
-    best = []
-    for i in range(3):
-        lo, hi = CellState(i), CellState(i + 1)
+    best, lo = [], state_cdf(models, CellState.ER, _STEPS)
+    for st in (CellState.P1, CellState.P2, CellState.P3):
+        hi = state_cdf(models, st, _STEPS)
         # Mass of the lower state above the boundary + upper state below.
-        miss = (1.0 - state_cdf(models, lo, _STEPS)) + state_cdf(models, hi, _STEPS)
-        best.append(int(np.argmin(miss)) + 1)
-    return ReadRefs.ordered(*best)
+        best.append(np.argmin((1.0 - lo) + hi, axis=-1) + 1)
+        lo = hi
+    return ordered_refs(*best)
 
 
 def estimate_lifetime(dynamic, family, ecc_limit, pec_step=100, pec_max=200000):

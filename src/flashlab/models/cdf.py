@@ -14,6 +14,7 @@ own parameters (ER -> P3, P1 -> P2).
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -122,19 +123,60 @@ def enforce_constraints(models):
     return out
 
 
+class GaussianColumn(NamedTuple):
+    """One state's Gaussian parameters at S operating points, as (S, 1)
+    columns that broadcast against a voltage axis; no misprogram mass."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    family = "gaussian"
+    lam = 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianBatch:
+    """Pure Gaussian models of the four states at S operating points.
+
+    ``mu`` and ``sigma`` are (S, 4): a row per operating point, a column
+    per CellState. ``batch[state]`` is that state's GaussianColumn, so
+    ``state_cdf`` and the applications built on it, which read a dict of
+    StateModel, evaluate every row at once: row i against its own
+    voltages, or all rows against shared ones.
+    """
+
+    mu: np.ndarray
+    sigma: np.ndarray
+
+    def __getitem__(self, state):
+        return GaussianColumn(self.mu[:, state, None], self.sigma[:, state, None])
+
+    def take(self, rows):
+        """The batch of the operating points ``rows`` selects."""
+        return GaussianBatch(self.mu[rows], self.sigma[rows])
+
+    def models(self, i):
+        """Operating point i as a dict of StateModel."""
+        return {st: StateModel("gaussian", float(self.mu[i, st]),
+                               float(self.sigma[i, st])) for st in CellState}
+
+
 def gaussian_states(row):
-    """Constrained Gaussian models of the four states from a regression.
+    """Gaussian models of the four states from a regression.
 
     ``row(name)`` evaluates one regression output, ``"mu_P1"`` or
     ``"sigma_P1"``; it is called for each state in order, mean first.
-    Each sigma is floored at 1e-3.
+    Each sigma is floored at 1e-3. Rows of (S,) arrays give a
+    GaussianBatch of S operating points; rows of numbers give a dict of
+    StateModel, a batch of one. Pure Gaussians carry no tails or
+    misprogram mass, so they meet ``enforce_constraints`` as built.
     """
-    models = {}
+    mu, sigma = [], []
     for st in CellState:
-        mu = row(f"mu_{st.name}")
-        sigma = max(row(f"sigma_{st.name}"), 1e-3)
-        models[st] = StateModel("gaussian", mu, sigma)
-    return enforce_constraints(models)
+        mu.append(row(f"mu_{st.name}"))
+        sigma.append(row(f"sigma_{st.name}"))
+    batch = GaussianBatch(np.atleast_2d(np.stack(mu, axis=-1)),
+                          np.maximum(np.atleast_2d(np.stack(sigma, axis=-1)), 1e-3))
+    return batch if np.ndim(mu[0]) else batch.models(0)
 
 
 def mix(model, own, target):

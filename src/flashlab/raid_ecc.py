@@ -182,6 +182,9 @@ def li_raid_layout(m, n):
     once past the blank; group = 2q + page for even chips, page bits
     swapped on odd chips.
     """
+    if m < 2:
+        raise InfeasibleLayout(f"m={m} chips cannot interleave a parity group:"
+                               " li_raid needs at least 2")
     if m > 2 * n:
         raise InfeasibleLayout(f"m={m} chips cannot form groups over n={n} wordlines")
     flagged = n % m != 0

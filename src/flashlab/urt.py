@@ -86,11 +86,22 @@ def fit_pvm(rows):
     return tuple(float(v) for v in coef)
 
 
-def srrm_delta(params, t_er, t_ed, pec, output):
-    a, b, c, t0 = params.srrm[output]
+def srrm_log(params, output, t_er, t_ed):
+    """SRRM's wear-independent factor ln(1 + t_er / (t0 + a * t_ed))."""
+    a, _, _, t0 = params.srrm[output]
     if t_er < 0 or t_ed < 0:
         raise ValueError("effective times must be non-negative")
-    return b * (pec + c) * math.log(1.0 + t_er / (t0 + a * t_ed))
+    return math.log(1.0 + t_er / (t0 + a * t_ed))
+
+
+def srrm_slope(params, pec, output):
+    """SRRM's wear-dependent factor b * (pec + c)."""
+    _, b, c, _ = params.srrm[output]
+    return b * (pec + c)
+
+
+def srrm_delta(params, t_er, t_ed, pec, output):
+    return srrm_slope(params, pec, output) * srrm_log(params, output, t_er, t_ed)
 
 
 def fit_srrm(rows, init=(0.1, 1e-3, 100.0, 1.0)):
@@ -263,14 +274,42 @@ def celsius_to_kelvin(c):
 
 T_PROGRAM_K = celsius_to_kelvin(25.0)  # programming temperature
 
+# The URT outputs gaussian_states reads for one state model.
+STATE_OUTPUTS = tuple(f"{q}_{st}" for st in ("ER", "P1", "P2", "P3")
+                      for q in ("mu", "sigma"))
+
+
+class RetentionAges:
+    """Room-equivalent retention ages of S reads, floored at 1 s, with no
+    dwell, held as the SRRM log factor of each state output at each age.
+
+    The factor does not depend on wear, so it is taken once here and
+    serves ``state_models`` at every P/E count. It is taken read by read
+    with ``math.log``: numpy's log differs from it in the last bit on
+    some inputs, and one such bit can move a rounded read reference.
+    """
+
+    def __init__(self, params, eff_retention_s):
+        ages = [max(t, 1.0) for t in eff_retention_s]
+        self.log = {out: np.array([srrm_log(params, out, t, 0.0) for t in ages])
+                    for out in STATE_OUTPUTS}
+
 
 def state_models(params, pec, eff_retention_s):
-    """Gaussian state models at a wear level and a room-equivalent
-    retention age (floored at 1 s), with no dwell: the heatwatch
-    experiment's ground truth and the HeatWatch policy's prediction."""
-    t_r = max(eff_retention_s, 1.0)
+    """Gaussian state models at a wear level and room-equivalent
+    retention ages, with no dwell: the heatwatch experiment's ground
+    truth and the HeatWatch policy's prediction.
+
+    For a RetentionAges of S reads, a GaussianBatch with a row per read;
+    for one age in seconds, the dict of StateModel, as a batch of one.
+    """
+    if not isinstance(eff_retention_s, RetentionAges):
+        one = RetentionAges(params, [eff_retention_s])
+        return state_models(params, pec, one).models(0)
+    log = eff_retention_s.log
     return gaussian_states(
-        lambda row: urt_predict(params, row, pec, T_PROGRAM_K, t_r, 0.0))
+        lambda row: (pvm_predict(params, T_PROGRAM_K, pec, row)
+                     + srrm_slope(params, pec, row) * log[row]))
 
 
 # --- calibration pack -------------------------------------------------
@@ -309,8 +348,8 @@ def fine_tune(params, observations):
     """
     residuals = {}
     for out, pec, t_p, t_r, t_d, y in observations:
-        pred = pvm_predict(params, t_p, pec, out) + srrm_delta(params, t_r, t_d, pec, out)
-        residuals.setdefault(out, []).append(y - pred)
+        residuals.setdefault(out, []).append(
+            y - urt_predict(params, out, pec, t_p, t_r, t_d))
     pvm = dict(params.pvm)
     for out, res in residuals.items():
         a, b, c, d = pvm[out]

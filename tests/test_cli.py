@@ -225,6 +225,26 @@ class TestLayout:
         assert rc == 4
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("chips, wordlines, kind", [
+        ("0", "4", "li_raid"), ("-2", "4", "conventional"),
+        ("4", "0", "li_raid"), ("4", "-1", "conventional")],
+        ids=["chips-zero", "chips-negative", "wordlines-zero",
+             "wordlines-negative"])
+    def test_non_positive_size_is_config_error(self, tmp_path, capsys, chips,
+                                               wordlines, kind):
+        rc = main(["--out", str(tmp_path / "out"), "layout", "--chips", chips,
+                   "--wordlines", wordlines, "--kind", kind])
+        assert rc == 2
+        assert "must both be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_single_chip_cannot_interleave_parity(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path / "out"), "layout",
+                   "--chips", "1", "--wordlines", "4"])
+        assert rc == 4
+        assert "at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "li_raid_1x4.csv").exists()
+
 
 class TestTraceStats:
     def test_canonical_summary(self, tmp_path, capsys):

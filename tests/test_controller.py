@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as hst
 
 from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, THREE_YEARS_S,
@@ -12,19 +13,24 @@ from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, THREE_YEARS_S,
                                  in_refresh_phase, replay, run_lifetime,
                                  run_refresh)
 from flashlab.controller.ftl import CLOSED
-from flashlab.controller.heatwatch import (MIN_AGE_S, PAGE_SIZE, TICK_S,
+from flashlab.controller.heatwatch import (HEATWATCH_POLICIES, MIN_AGE_S,
+                                           PAGE_SIZE, SCORE_CHUNK, TICK_S,
                                            HeatwatchConfig, ReadSample,
-                                           collect_samples, truth_models)
+                                           collect_samples, policy_worst_rber,
+                                           sample_batches, truth_models)
 from flashlab.controller.policies import (ReadContext,
                                           ReMARState, heatwatch_refs,
                                           policy_refs)
 from flashlab.degradation import RetentionModel3D, retention_refs
-from flashlab.grid import DEFAULT_READ_REFS, CellState
-from flashlab.models.applications import predict_vopt, sweep_vopt
-from flashlab.models.cdf import StateModel
+from flashlab.grid import (DEFAULT_READ_REFS, LSB_OF_STATE, MSB_OF_STATE,
+                           CellState, ReadRefs)
+from flashlab.models.applications import (VC_SEARCH_MAX, predict_vopt,
+                                          sweep_vopt)
+from flashlab.models.cdf import StateModel, state_cdf
 from flashlab.trace import SECTOR_BYTES, Trace, TraceEvent, synth_hot
-from flashlab.urt import (AccelLog, TempTrace, af, calibration_pack_from_retention,
-                          celsius_to_kelvin, temp_generate)
+from flashlab.urt import (T_PROGRAM_K, AccelLog, RetentionAges, TempTrace, af,
+                          calibration_pack_from_retention, celsius_to_kelvin,
+                          state_models, temp_generate, urt_predict)
 
 DAY = 86400.0
 
@@ -637,6 +643,171 @@ class TestCollectSamples:
                   TraceEvent(3600 * 10**6, "R", 20, 16384)]
         samples = collect_samples(events, HeatwatchConfig(), self.PACK)
         assert [s.age_s for s in samples] == [3600.0, 3600.0]
+
+
+# The per-read scoring of policy_worst_rber, one sample at a time, with
+# the scalar kernels it ran: the reference the batched scoring must match
+# bit for bit.
+
+STEPS = np.arange(1, VC_SEARCH_MAX + 1, dtype=float)
+REMAR_CADENCE = 100  # ReMARState's default
+
+
+def reference_truth_models(pack, pec, eff_s):
+    t_r = max(eff_s, 1.0)
+
+    def row(name):
+        return urt_predict(pack, name, pec, T_PROGRAM_K, t_r, 0.0)
+
+    return {st: StateModel("gaussian", row(f"mu_{st.name}"),
+                           max(row(f"sigma_{st.name}"), 1e-3))
+            for st in CellState}
+
+
+def reference_round_to_step(v):
+    j = int(np.searchsorted(STEPS, v))
+    if j == len(STEPS) or (j > 0 and abs(STEPS[j - 1] - v) <= abs(STEPS[j] - v)):
+        j -= 1
+    return j + 1
+
+
+def reference_crossing(lo, hi):
+    d = hi.mu - lo.mu
+    s1, s2 = lo.sigma * lo.sigma, hi.sigma * hi.sigma
+    log_ratio = math.log(lo.sigma / hi.sigma)
+    if d * d <= 2.0 * s2 * log_ratio or d * d <= -2.0 * s1 * log_ratio:
+        return None
+    if s1 == s2:
+        return (lo.mu + hi.mu) / 2.0
+    a, b, c = s2 - s1, 2.0 * d * s1, s1 * (2.0 * s2 * log_ratio - d * d)
+    q = -0.5 * (b + math.sqrt(b * b - 4.0 * a * c))
+    return lo.mu + c / q
+
+
+def reference_heatwatch_refs(models):
+    mus = [models[st].mu for st in CellState]
+    if not (mus[0] < mus[1] < mus[2] < mus[3]):
+        mus = sorted(mus)
+        va, vb, vc = (int(round((lo + hi) / 2)) for lo, hi in zip(mus, mus[1:]))
+        return ReadRefs.ordered(max(va, 1), vb, vc)
+    steps = []
+    for i in range(3):
+        v = reference_crossing(models[CellState(i)], models[CellState(i + 1)])
+        steps.append(reference_round_to_step(
+            (mus[i] + mus[i + 1]) / 2.0 if v is None else v))
+    return ReadRefs.ordered(*steps)
+
+
+def reference_sweep(models):
+    best = []
+    for i in range(3):
+        miss = ((1.0 - state_cdf(models, CellState(i), STEPS))
+                + state_cdf(models, CellState(i + 1), STEPS))
+        best.append(int(np.argmin(miss)) + 1)
+    return ReadRefs.ordered(*best)
+
+
+def reference_rber(models, refs):
+    v = np.array([refs.va, refs.vb, refs.vc], dtype=float)
+    msb = lsb = 0.0
+    for st in CellState:
+        c = state_cdf(models, st, v)
+        masses = (c[0], c[1] - c[0], c[2] - c[1], 1.0 - c[2])
+        for region in range(4):
+            if MSB_OF_STATE[region] != MSB_OF_STATE[st]:
+                msb += masses[region]
+            if LSB_OF_STATE[region] != LSB_OF_STATE[st]:
+                lsb += masses[region]
+    return (msb / 4.0 + lsb / 4.0) / 2.0
+
+
+def reference_worst_rber(policy, samples, pack, pec):
+    worst = 0.0
+    for i, s in enumerate(samples):
+        truth = reference_truth_models(pack, pec, s.eff_exact_s)
+        if policy == "fixed":
+            refs = DEFAULT_READ_REFS
+        elif policy == "retention_only":
+            refs = retention_refs(RET, pec, max(s.age_s, 1.0))
+        elif policy == "remar":
+            anchor = samples[REMAR_CADENCE * (i // REMAR_CADENCE)]
+            refs = retention_refs(RET, pec, max(anchor.age_s, 1.0))
+        elif policy == "heatwatch":
+            refs = reference_heatwatch_refs(
+                reference_truth_models(pack, pec, s.eff_est_s))
+        else:
+            refs = reference_sweep(truth)
+        worst = max(worst, reference_rber(truth, refs))
+    return worst
+
+
+# log-uniform from 1 s to 10 years
+AGE_S = hst.floats(0.0, math.log10(10 * 365 * DAY)).map(lambda e: 10.0 ** e)
+
+
+class TestBatchedScoringProperty:
+    PACK = calibration_pack_from_retention(RET)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(n=hst.integers(1, 300), pec=hst.floats(0.0, 60000.0),
+           data=hst.data())
+    def test_every_policy_matches_the_per_sample_reference(self, n, pec, data):
+        samples = data.draw(hst.lists(hst.builds(ReadSample, AGE_S, AGE_S, AGE_S),
+                                      min_size=n, max_size=n))
+        batches = sample_batches(samples, self.PACK)
+        event(f"more than one batch: {len(batches) > 1}")
+        event(f"past a ReMAR refit: {n > REMAR_CADENCE}")
+        mu = state_models(self.PACK, pec, RetentionAges(
+            self.PACK, [s.eff_est_s for s in samples])).mu
+        crossed = int(np.sum(~np.all(mu[:, :-1] < mu[:, 1:], axis=1)))
+        event(f"reads with crossed predicted means: "
+              f"{'some' if 0 < crossed < n else 'all' if crossed else 'none'}")
+        for policy in HEATWATCH_POLICIES:
+            got = policy_worst_rber(policy, batches, self.PACK, RET, pec)
+            assert got == reference_worst_rber(policy, samples, self.PACK, pec), policy
+
+    def test_remar_keeps_its_refit_cadence_across_batches(self):
+        # reads 200-299 are served the references fitted at read 200, a
+        # young one; reads from SCORE_CHUNK on are old, so a refit at the
+        # batch boundary would read them better than ReMAR does
+        young, old = ReadSample(DAY, DAY, DAY), ReadSample(1000 * DAY, 1000 * DAY,
+                                                           1000 * DAY)
+        samples = [young] * SCORE_CHUNK + [old] * (300 - SCORE_CHUNK)
+        assert REMAR_CADENCE * (SCORE_CHUNK // REMAR_CADENCE) < SCORE_CHUNK
+        batches = sample_batches(samples, self.PACK)
+        got = policy_worst_rber("remar", batches, self.PACK, RET, 5000.0)
+        assert got == reference_worst_rber("remar", samples, self.PACK, 5000.0)
+        assert got > policy_worst_rber("retention_only", batches, self.PACK,
+                                       RET, 5000.0)
+
+    def test_state_models_take_each_log_with_math_log(self):
+        # at 1 + t for these ages, numpy 2.4's vectorized log (AVX-512)
+        # differs from math.log in the last bit, and so does the RBER
+        samples = [ReadSample(t, t, t)
+                   for t in (113.66969242639748, 54.805012589350255)]
+        batches = sample_batches(samples, self.PACK)
+        for policy in HEATWATCH_POLICIES:
+            got = policy_worst_rber(policy, batches, self.PACK, RET, 3000.0)
+            assert got == reference_worst_rber(policy, samples, self.PACK, 3000.0)
+
+    def test_scoring_memory_does_not_grow_with_the_sample_count(self):
+        # one batch's (SCORE_CHUNK, 400) sweep arrays take a few MB; the
+        # 5000 samples scored as one batch would take over 70 MB
+        assert SCORE_CHUNK < 5000
+        rng = np.random.default_rng(7)
+        samples = [ReadSample(*row)
+                   for row in (10.0 ** rng.uniform(0, 8.5, (5000, 3))).tolist()]
+        batches = sample_batches(samples, self.PACK)
+        tracemalloc.start()
+        try:
+            for policy in HEATWATCH_POLICIES:
+                policy_worst_rber(policy, batches, self.PACK, RET, 45000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestLifetimeReplay:

@@ -3,14 +3,16 @@ the CLI starts up without ``scipy.stats``, only ``trace.py`` turns
 sectors into pages, no library function takes a ``tables`` or ``grid``
 argument, every library function, class and method is reached from a
 CLI workflow or is a named reference that the tests check other code
-against, every defaulted library setting is set by some call, and every
-name a package re-exports is imported through that package somewhere.
+against, every defaulted library setting is set by some call, every
+name a package re-exports is imported through that package somewhere,
+and every function or method the benchmark's tracer wraps by name exists.
 
 Package ``__init__.py`` files are exempt from the import check, since
 importing a name there is how it is re-exported.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import re
@@ -463,3 +465,82 @@ def test_every_reexport_is_imported_through_its_package():
     importers += [(p.read_text(), "")
                   for tree in (TESTS, BENCH) for p in sorted(tree.glob("*.py"))]
     assert unused_reexports(inits, importers) == []
+
+
+def patch_targets(source):
+    """(line, object, attribute) of every ``patch_fn(obj, "name")`` and
+    ``patch_method(obj, "name")`` call in ``source``, in line order; the
+    object is the first argument's source text. A name given by the
+    variable of a ``for`` over a tuple of strings is each of them; any
+    other name is None."""
+    tree = ast.parse(source)
+    loops = {node.target.id: [e.value for e in node.iter.elts]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+             and isinstance(node.iter, (ast.Tuple, ast.List))}
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("patch_fn", "patch_method")):
+            obj, name = node.args[0], node.args[1]
+            names = ([name.value] if isinstance(name, ast.Constant)
+                     else loops.get(getattr(name, "id", None), [None]))
+            out += [(node.lineno, ast.unparse(obj), n) for n in names]
+    return sorted(out, key=lambda t: t[0])
+
+
+def resolve(dotted):
+    """The object a dotted path names: the longest importable module
+    prefix, then attributes; None if an attribute is missing."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for part in parts[i:]:
+            obj = getattr(obj, part, None)
+        return obj
+    return None
+
+
+def missing_patch_targets(source):
+    """``object.attribute`` of every patch target in ``source`` that is not
+    an attribute of the flashlab object it names, the object resolved
+    through ``source``'s ``from flashlab... import`` statements."""
+    imported = {alias.asname or alias.name: f"{node.module}.{alias.name}"
+                for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "flashlab"
+                for alias in node.names}
+    missing = []
+    for _, obj, name in patch_targets(source):
+        root, _, rest = obj.partition(".")
+        target = resolve(".".join(filter(None, (imported.get(root), rest))))
+        if name is None or target is None or not hasattr(target, name):
+            missing.append(f"{obj}.{name}")
+    return missing
+
+
+def test_patch_target_detector_flags_missing_and_passes_present():
+    src = ("from flashlab import urt as u\n"
+           "from flashlab.controller import heatwatch\n"
+           "patch_fn(u, 'urt_predict', name='urt')\n"
+           "patch_method(u.AccelLog, 'update')\n"
+           "patch_method(u.Gone, 'update')\n"
+           "for attr in ('truth_models', 'gone'):\n"
+           "    patch_fn(heatwatch, attr)\n"
+           "patch_fn(u, some_name)\n")
+    assert [t[1:] for t in patch_targets(src)] == [
+        ("u", "urt_predict"), ("u.AccelLog", "update"), ("u.Gone", "update"),
+        ("heatwatch", "truth_models"), ("heatwatch", "gone"), ("u", None)]
+    assert missing_patch_targets(src) == ["u.Gone.update", "heatwatch.gone",
+                                          "u.None"]
+
+
+def test_every_benchmark_patch_target_exists():
+    # bench/tracer.py wraps these by name for the traced benchmark pass; a
+    # renamed or deleted one fails that pass with an AttributeError
+    source = (BENCH / "tracer.py").read_text()
+    assert len(patch_targets(source)) > 20
+    assert missing_patch_targets(source) == []
