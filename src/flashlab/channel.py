@@ -1,16 +1,9 @@
-"""Synthetic voltage-domain flash channel.
+"""Per-state threshold-voltage histograms, the input ``fit`` reads.
 
-Holds ground-truth cells (intended state + continuous threshold voltage),
-decodes them at arbitrary reference voltages, measures raw bit error rates
-against ground truth, and bins cells into 304-bin histograms. It is the
-Monte Carlo reference the analytic RBER is checked against, and it owns
-the histogram CSV format that ``fit`` reads.
-
-Continuous vth is kept even though hardware observes only 304 bins;
-binning is a view, so degradation models can act in voltage space before
-quantization. Decoding and binning read the fixed step axis of ``grid``
-(step k at voltage k). ER-state vth may be negative; decoding and binning
-still handle it (such cells land in bin 0).
+A histogram counts cells of each of the four states in the 304 voltage
+bins of ``grid`` (bin k holds V_k <= vth < V_{k+1}, step k at voltage
+k). The CSV format has a ``state,bin,count`` header, then rows of a
+state name (ER, P1, P2, P3), a bin index and a cell count.
 """
 
 import csv
@@ -18,37 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    LSB_OF_STATE,
-    MISPROGRAM_TARGET,
-    MSB_OF_STATE,
-    N_BINS,
-    CellState,
-    bin_of,
-    classify_regions,
-)
-from .models.tables import default_tables
-
-
-@dataclass
-class ChannelState:
-    """Ground truth for a population of cells.
-
-    true_state is the intended state; shape_state is the state whose
-    distribution the cell's vth was actually drawn from (differs from
-    true_state only for misprogrammed cells). layer is each cell's layer
-    index.
-    """
-
-    true_state: np.ndarray
-    shape_state: np.ndarray
-    vth: np.ndarray
-    layer: np.ndarray
-    seed: int = 0
-
-    @property
-    def n_cells(self):
-        return self.vth.size
+from .grid import N_BINS, CellState
 
 
 @dataclass
@@ -62,104 +25,8 @@ class BinHistogram:
         return np.where(totals > 0, d, 0.0)
 
 
-@dataclass
-class RBERReport:
-    total: float
-    msb: float
-    lsb: float
-    n_cells: int = 0
-
-
-def _sample_component(model, n, rng):
-    """Draw n threshold voltages from one pure state distribution."""
-    if model.family == "gaussian":
-        return rng.normal(model.mu, model.sigma, n)
-    if model.family == "student_t":
-        t_quantile = default_tables().t_quantile
-        u = rng.random(n)
-        z = np.where(u <= 0.5, t_quantile(u, model.beta), t_quantile(u, model.alpha))
-        return model.mu + model.sigma * z
-    # normal_laplace: Gaussian core plus an asymmetric Laplace component.
-    base = rng.normal(model.mu, model.sigma, n)
-    right = rng.random(n) < model.beta / (model.alpha + model.beta)
-    w = np.where(
-        right,
-        rng.exponential(1.0 / model.alpha, n),
-        -rng.exponential(1.0 / model.beta, n),
-    )
-    return base + w
-
-
-def sample_page(models, n_cells, layer_profile=None, seed=0):
-    """Sample a cell population from a 4-state model.
-
-    Intended states are assigned in equal quarters. Each ER/P1 cell is
-    misprogrammed into its target state (ER->P3, P1->P2) with probability
-    lambda, in which case its vth comes from the target's distribution.
-    """
-    if n_cells <= 0:
-        raise ValueError("n_cells must be positive")
-    rng = np.random.default_rng(seed)
-
-    true_state = (np.arange(n_cells) % 4).astype(np.int8)
-    shape_state = true_state.copy()
-    for st, tgt in MISPROGRAM_TARGET.items():
-        lam = models[st].lam
-        if lam > 0.0:
-            idx = np.flatnonzero(true_state == st)
-            flip = rng.random(idx.size) < lam
-            shape_state[idx[flip]] = tgt
-
-    vth = np.empty(n_cells)
-    for st in CellState:
-        idx = np.flatnonzero(shape_state == st)
-        if idx.size:
-            vth[idx] = _sample_component(models[st], idx.size, rng)
-
-    layer = rng.integers(0, 101, n_cells).astype(np.int16)
-    if layer_profile is not None:
-        vth += layer_profile.vth_offset(layer, shape_state)
-
-    return ChannelState(true_state, shape_state, vth, layer, seed)
-
-
-def measure_rber(state, refs):
-    """Compare the states decoded at refs against ground truth."""
-    decoded = classify_regions(state.vth, refs)
-    true = state.true_state
-    n = state.n_cells
-    msb_err = int(np.sum(MSB_OF_STATE[decoded] != MSB_OF_STATE[true]))
-    lsb_err = int(np.sum(LSB_OF_STATE[decoded] != LSB_OF_STATE[true]))
-    return RBERReport(
-        total=(msb_err + lsb_err) / (2 * n),
-        msb=msb_err / n,
-        lsb=lsb_err / n,
-        n_cells=n,
-    )
-
-
-def bin_cells(state):
-    """Histogram the population into the 304 voltage bins, per state."""
-    bins = bin_of(state.vth)
-    counts = np.zeros((4, N_BINS), dtype=np.int64)
-    for st in range(4):
-        sel = state.true_state == st
-        if sel.any():
-            counts[st] = np.bincount(bins[sel], minlength=N_BINS)
-    return BinHistogram(counts=counts)
-
-
-def export_histogram_csv(hist, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["state", "bin", "count"])
-        for st in range(4):
-            for b in range(N_BINS):
-                w.writerow([CellState(st).name, b, int(hist.counts[st, b])])
-
-
 def load_histogram_csv(path):
-    """Read a histogram in the format of export_histogram_csv.
+    """Read a histogram CSV of ``state,bin,count`` rows.
 
     Counts of a repeated (state, bin) row add up. A row without three
     fields, or with an unknown state, a bin outside [0, N_BINS) or a

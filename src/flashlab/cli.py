@@ -236,8 +236,8 @@ def _check_policies(policies):
 
 def _one_lifetime(item):
     name, cfg, trace_path = item
-    events, _ = trace_mod.parse_canonical(trace_path)
-    return name, run_lifetime(events, cfg)
+    trace, _ = trace_mod.parse_canonical(trace_path)
+    return name, run_lifetime(trace, cfg)
 
 
 _TEMP_KEYS = {f.name for f in dataclasses.fields(urt_mod.TempTrace)} - {"seed"}
@@ -278,10 +278,10 @@ def cmd_simulate(args):
 
     if doc.get("experiment") == "heatwatch":
         hw_cfg, ecc_limit = _heatwatch_config(doc, args.seed)
-        events, _ = trace_mod.parse_canonical(args.trace)
+        trace, _ = trace_mod.parse_canonical(args.trace)
         rm = RetentionModel3D()
         pack = urt_mod.calibration_pack_from_retention(rm)
-        res = run_experiment(events, pack, rm, ecc_limit, cfg=hw_cfg)
+        res = run_experiment(trace, pack, rm, ecc_limit, cfg=hw_cfg)
         with open(os.path.join(out_dir, "heatwatch.json"), "w") as fh:
             json.dump(res, fh, indent=2, sort_keys=True)
         print(json.dumps(res, sort_keys=True))
@@ -306,7 +306,7 @@ def cmd_simulate(args):
         print(f"{name}: lifetime_days="
               f"{'inf' if math.isinf(rep.lifetime_days) else round(rep.lifetime_days, 1)}"
               f" wa={rep.write_amplification:.3f}")
-        if rep.mode == "direct" and rep.lifetime_days <= 0:
+        if rep.lifetime_days <= 0:
             worst = EXIT_UNCORRECTABLE
     return worst
 
@@ -328,25 +328,44 @@ def cmd_plan(args):
     return EXIT_OK
 
 
+def _plan_field(section, where, key, check, default=None):
+    """``section[key]``, or ``default`` if one is given and the key is
+    absent, once ``check`` (``_json_int`` or ``_finite_number``) accepts
+    it; else a ConfigError naming ``where.key``."""
+    value = section[key] if default is None or key in section else default
+    if not check(value):
+        kind = "an integer" if check is _json_int else "a finite number"
+        raise ConfigError(f"plan {where}.{key} {value!r} must be {kind}")
+    return value
+
+
 def _plan_tables(doc):
-    """The tables of each section the plan config holds."""
+    """The tables of each section the plan config holds. Counts are JSON
+    integers and every other value a finite JSON number; a string, a
+    boolean or a fraction where an integer belongs is a ConfigError."""
     out = {}
 
     if "ecc" in doc:
-        ecc = EccConfig(int(doc["ecc"]["codeword_len"]),
-                        int(doc["ecc"]["correctable"]),
-                        float(doc["ecc"].get("coding_rate", 0.9)))
+        e = doc["ecc"]
+        ecc = EccConfig(_plan_field(e, "ecc", "codeword_len", _json_int),
+                        _plan_field(e, "ecc", "correctable", _json_int),
+                        float(_plan_field(e, "ecc", "coding_rate",
+                                          _finite_number, 0.9)))
         rbers = doc.get("rber", [1e-3])
         rbers = rbers if isinstance(rbers, list) else [rbers]
         rows = []
-        for r in rbers:
+        for i in range(len(rbers)):
+            r = _plan_field(rbers, "rber", i, _finite_number)
             p_ecfr = ecc_failure_rate(ecc, float(r))
             row = {"rber": r, "p_ecfr": p_ecfr}
             if "parity" in doc:
-                par = ParityConfig(int(doc["parity"]["chips"]),
-                                   int(doc["parity"]["dies"]),
-                                   int(doc["parity"].get("codewords_per_lb", 1)),
-                                   float(doc["parity"].get("p_hgbb", 0.0)))
+                pa = doc["parity"]
+                par = ParityConfig(
+                    _plan_field(pa, "parity", "chips", _json_int),
+                    _plan_field(pa, "parity", "dies", _json_int),
+                    _plan_field(pa, "parity", "codewords_per_lb", _json_int, 1),
+                    float(_plan_field(pa, "parity", "p_hgbb",
+                                      _finite_number, 0.0)))
                 p_lb = lb_fail(par, p_ecfr)
                 row["p_lb_fail"] = p_lb
                 row["p_parity_fail"] = parity_fail(par, p_lb)
@@ -355,20 +374,27 @@ def _plan_tables(doc):
 
     if "op" in doc:
         out["op"] = [{"pba": e["pba"], "lba": e["lba"],
-                      "op_fraction": op_fraction(float(e["pba"]), float(e["lba"]))}
+                      "op_fraction": op_fraction(
+                          float(_plan_field(e, "op", "pba", _finite_number)),
+                          float(_plan_field(e, "op", "lba", _finite_number)))}
                      for e in doc["op"]]
 
     if "lifetime" in doc:
         lt = doc["lifetime"]
         out["lifetime_years"] = lifetime_years(
-            float(lt["pec"]), float(lt["op"]), float(lt["dwpd"]),
-            float(lt["wa"]), float(lt.get("r_compress", 1.0)))
+            *(float(_plan_field(lt, "lifetime", k, _finite_number))
+              for k in ("pec", "op", "dwpd", "wa")),
+            float(_plan_field(lt, "lifetime", "r_compress", _finite_number, 1.0)))
 
     if "multirate" in doc:
         mr = doc["multirate"]
-        schedule = [tuple(map(float, e)) for e in mr["schedule"]]
+        schedule = [tuple(float(_plan_field(e, f"multirate.schedule.{j}", i,
+                                            _finite_number))
+                          for i in range(len(e)))
+                    for j, e in enumerate(mr["schedule"])]
         out["multirate_lifetime_years"] = multirate_lifetime(
-            schedule, float(mr["dwpd"]), float(mr.get("r_compress", 1.0)))
+            schedule, float(_plan_field(mr, "multirate", "dwpd", _finite_number)),
+            float(_plan_field(mr, "multirate", "r_compress", _finite_number, 1.0)))
     return out
 
 
@@ -401,25 +427,25 @@ def cmd_layout(args):
 def cmd_trace_stats(args):
     trace_mod.check_page_size(args.page_size)
     if args.msr:
-        events, skipped = trace_mod.parse_msr(args.trace)
+        trace, skipped = trace_mod.parse_msr(args.trace)
     else:
-        events, skipped = trace_mod.parse_canonical(args.trace)
-    writes = int(np.count_nonzero(events.is_write))
-    reads = len(events) - writes
-    ts = events.timestamp_us
-    dur_s = (int(ts[-1]) - int(ts[0])) / 1e6 if len(events) > 1 else 0.0
+        trace, skipped = trace_mod.parse_canonical(args.trace)
+    writes = int(np.count_nonzero(trace.is_write))
+    reads = len(trace) - writes
+    ts = trace.timestamp_us
+    dur_s = (int(ts[-1]) - int(ts[0])) / 1e6 if len(trace) > 1 else 0.0
     # a Python sum, exact where an int64 total could wrap
-    bytes_w = sum(events.size_bytes[events.is_write].tolist())
-    print(f"events={len(events)} reads={reads} writes={writes}"
+    bytes_w = sum(trace.size_bytes[trace.is_write].tolist())
+    print(f"events={len(trace)} reads={reads} writes={writes}"
           f" skipped={skipped} duration_s={dur_s:.1f}"
           f" written_bytes={bytes_w}")
-    frac_pages, frac_writes = trace_mod.hotness_cdf(events, args.page_size)
+    frac_pages, frac_writes = trace_mod.hotness_cdf(trace, args.page_size)
     if frac_pages.size:
         for pct in (0.01, 0.05, 0.20):
             share = float(np.interp(pct, frac_pages, frac_writes))
             print(f"hottest {pct:.0%} of pages absorb {share:.1%} of writes")
     if args.canonical_out:
-        trace_mod.write_canonical(events, args.canonical_out)
+        trace_mod.write_canonical(trace, args.canonical_out)
     return EXIT_OK
 
 

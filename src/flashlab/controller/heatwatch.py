@@ -28,7 +28,6 @@ import numpy as np
 from ..models.applications import estimate_rber
 from .. import urt as urt_mod
 from ..urt import RetentionAges, state_models as truth_models
-from ..trace import Trace
 from .policies import ReadContext, policy_refs, ReMARState
 
 HEATWATCH_POLICIES = ("fixed", "retention_only", "remar", "heatwatch", "oracle")
@@ -54,7 +53,7 @@ class HeatwatchConfig:
     max_samples: int = 300
 
 
-def collect_samples(events, cfg, params):
+def collect_samples(trace, cfg, params):
     """Per-read thermal bookkeeping for at most cfg.max_samples reads.
 
     Two passes. The first walks the trace and lists the eligible reads:
@@ -68,7 +67,6 @@ def collect_samples(events, cfg, params):
     The exact effective age integrates the acceleration factor over the
     temperature profile (trapezoidal, one point per tick).
     """
-    trace = Trace.of(events)
     end_s = int(trace.timestamp_us[-1]) / 1e6 if len(trace) else 0.0
     n_ticks = int(end_s / TICK_S) + 2
     tick_t = np.arange(n_ticks) * TICK_S
@@ -163,8 +161,8 @@ def policy_lifetime_pec(policy, samples, pack, retention_model, ecc_limit):
     return lo
 
 
-def run_experiment(events, pack, retention_model, ecc_limit, cfg):
-    samples = collect_samples(events, cfg, pack)
+def run_experiment(trace, pack, retention_model, ecc_limit, cfg):
+    samples = collect_samples(trace, cfg, pack)
     if not samples:
         raise ValueError("trace produced no read samples")
     return {p: policy_lifetime_pec(p, samples, pack, retention_model,

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..trace import Trace
 from ..degradation import RetentionModel3D
 from .geometry import Geometry, SECONDS_PER_DAY, endurance_at
 from .ftl import Drive, CLOSED
@@ -105,13 +104,12 @@ def _series_rber(drive, age_s):
     return float(np.mean(rbers)), float(np.max(rbers))
 
 
-def replay(events, drive, cfg):
+def replay(trace, drive, cfg):
     """Drive the FTL through a trace; returns the daily series.
 
     Each event reads or writes every page of its span
     (``Trace.page_spans``), folded into the drive's logical pages.
     """
-    trace = Trace.of(events)
     first, count = trace.page_spans(cfg.geometry.page_size)
     n_logical = cfg.geometry.logical_pages
     series = []
@@ -144,8 +142,7 @@ def replay(events, drive, cfg):
     return series
 
 
-def run_lifetime(events, cfg):
-    trace = Trace.of(events)
+def run_lifetime(trace, cfg):
     warm = WarmManager(cfg.geometry) if cfg.warm else None
     drive = Drive(cfg.geometry, warm=warm, initial_pec=cfg.initial_pec)
     series = replay(trace, drive, cfg)
@@ -180,7 +177,11 @@ def _pool_endurance(cfg, warm, pool):
 
 
 def _analytic_lifetime(drive, warm, cfg, duration_days):
-    """Days until some pool exhausts its P/E budget at measured rates."""
+    """Days until some pool exhausts its P/E budget at measured rates.
+
+    Each block of a pool has the pool's endurance less the drive's
+    ``initial_pec`` left; a pool that is written with none left is
+    exhausted now (0 days)."""
     geom = cfg.geometry
     nb, ppb = geom.total_blocks, geom.pages_per_block
     hot_blocks = warm.hot_budget_blocks if warm is not None else 0
@@ -190,8 +191,9 @@ def _analytic_lifetime(drive, warm, cfg, duration_days):
         rate = drive.pool_writes[pool] / duration_days  # pages/day
         if rate <= 0 or blocks[pool] == 0:
             continue
-        capacity = blocks[pool] * ppb * _pool_endurance(cfg, warm, pool)
-        worst = min(worst, capacity / rate)
+        budget = _pool_endurance(cfg, warm, pool) - cfg.initial_pec
+        capacity = blocks[pool] * ppb * budget
+        worst = min(worst, max(capacity, 0.0) / rate)
     return worst
 
 

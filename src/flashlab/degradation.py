@@ -4,8 +4,7 @@ Covers retention loss (the 3D retention model, with the read references
 it implies) and layer-to-layer variation (per-layer read-reference droop
 and gamma-distributed RBER multipliers).
 Retention drives the controller's read-reference policies and the
-lifetime replay's RBER series; a layer profile offsets the cells that
-``channel.sample_page`` draws.
+lifetime replay's RBER series.
 """
 
 import math
@@ -83,19 +82,6 @@ class LayerProfile:
     va_offset: np.ndarray  # (101,) voltage steps
     vb_offset: np.ndarray
     rber_multiplier: np.ndarray  # positive, mean ~1
-
-    def vth_offset(self, layers, states):
-        """Per-cell voltage offset realizing the per-layer Va/Vb droop.
-
-        State offsets solve (ER+P1)/2 = va_off, (P1+P2)/2 = vb_off,
-        (P2+P3)/2 = 0 with P3 pinned at 0, so the optimal Va/Vb track the
-        profile while the optimal Vc stays put.
-        """
-        va = self.va_offset[layers]
-        vb = self.vb_offset[layers]
-        per_state = np.stack([2.0 * (va - vb), 2.0 * vb,
-                              np.zeros_like(va), np.zeros_like(va)])
-        return per_state[states, np.arange(len(states))]
 
 
 def sample_layer_profile(gamma, offset_cfg=None, seed=0, n_layers=101):

@@ -43,11 +43,6 @@ BOUNDARIES = np.arange(1, N_STEPS + 1, dtype=float)
 BOUNDARIES.flags.writeable = False
 
 
-def bin_of(vth):
-    """Bin index 0..303 for a threshold voltage: bin k iff V_k <= vth < V_{k+1}."""
-    return np.searchsorted(BOUNDARIES, np.asarray(vth, dtype=float), side="right")
-
-
 @dataclass(frozen=True)
 class ReadRefs:
     """The three read references, as step indices (= voltages)."""
@@ -93,8 +88,3 @@ def ref_steps(refs):
 # Stock read references of the modeled chip; vc lies past the last step.
 DEFAULT_READ_REFS = ReadRefs(va=50, vb=190, vc=330)
 
-
-def classify_regions(vth, refs):
-    """Region decode: 0=ER,1=P1,2=P2,3=P3 given vth < vref reads 1."""
-    vth = np.asarray(vth, dtype=float)
-    return (vth >= refs.va).astype(np.int8) + (vth >= refs.vb) + (vth >= refs.vc)

@@ -294,35 +294,11 @@ def models_to_dict(models):
     return out
 
 
-def models_from_dict(d):
-    family = d["family"]
-    models = {}
-    for st in CellState:
-        s = d["states"][st.name]
-        models[st] = StateModel(family, s["mu"], s["sigma"],
-                                alpha=s.get("alpha"), beta=s.get("beta"),
-                                lam=s.get("lambda", 0.0))
-    return enforce_constraints(models)
-
-
 def dynamic_to_dict(dynamic):
     return {f"{st}.{name}": {"a": p.a, "b": p.b, "c": p.c}
             for (st, name), p in dynamic.items()}
 
 
-def dynamic_from_dict(d):
-    out = {}
-    for key, rec in d.items():
-        st, name = key.split(".")
-        out[(st, name)] = PowerLawParams(rec["a"], rec["b"], rec["c"])
-    return out
-
-
 def save_models_json(models, path):
     with open(path, "w") as fh:
         json.dump(models_to_dict(models), fh, indent=2, sort_keys=True)
-
-
-def load_models_json(path):
-    with open(path) as fh:
-        return models_from_dict(json.load(fh))

@@ -61,11 +61,6 @@ class LookupTables:
         """Student's t CDF at z for (possibly off-grid) nu."""
         return np.interp(z, self.t_z_grid, self._t_table(nu))
 
-    def t_quantile(self, u, nu):
-        """Inverse of t_cdf, used for synthetic sampling."""
-        table = self._t_table(nu)
-        return np.interp(u, table, self.t_z_grid)
-
 
 _default = None
 

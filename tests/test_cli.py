@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from flashlab.channel import bin_cells, export_histogram_csv, sample_page
 from flashlab.cli import main
-from flashlab.controller import THREE_YEARS_S
+from flashlab.controller import THREE_YEARS_S, endurance_at
+from flashlab.controller.geometry import THREE_DAYS_S
 from flashlab.degradation import RetentionModel3D
 from flashlab.grid import CellState
 from flashlab.models.cdf import StateModel
-from flashlab.models.fitting import (dynamic_from_dict, load_models_json,
-                                     predict_static)
+from flashlab.models.fitting import predict_static
 from flashlab.raid_ecc import (EccConfig, ParityConfig, ecc_failure_rate,
                                lb_fail, lifetime_years, parity_fail)
-from flashlab.trace import TraceEvent, hotness_cdf, synth_hot, write_canonical
+from flashlab.trace import Trace, hotness_cdf, write_canonical
+from reference import (bin_cells, dynamic_from_dict, export_histogram_csv,
+                       load_models_json, sample_page, synth_hot)
 
 MEANS = (20.0, 100.0, 180.0, 260.0)
 
@@ -121,6 +122,32 @@ class TestFit:
         assert rc == 2
 
 
+# (section, key, a value of the wrong type, the name the error gives);
+# the section None is a top-level key
+PLAN_TYPE_CASES = [
+    ("ecc", "codeword_len", "8192", "ecc.codeword_len"),
+    ("ecc", "correctable", 40.9, "ecc.correctable"),
+    ("ecc", "coding_rate", "0.9", "ecc.coding_rate"),
+    (None, "rber", "1e-3", "rber.0"),
+    (None, "rber", [1e-3, True], "rber.1"),
+    ("parity", "chips", 8.0, "parity.chips"),
+    ("parity", "dies", "2", "parity.dies"),
+    ("parity", "codewords_per_lb", 4.5, "parity.codewords_per_lb"),
+    ("parity", "p_hgbb", "1e-6", "parity.p_hgbb"),
+    ("op", "pba", "2.4e12", "op.pba"),
+    ("op", "lba", True, "op.lba"),
+    ("lifetime", "pec", "3000", "lifetime.pec"),
+    ("lifetime", "op", "0.2", "lifetime.op"),
+    ("lifetime", "dwpd", math.nan, "lifetime.dwpd"),
+    ("lifetime", "wa", "2", "lifetime.wa"),
+    ("lifetime", "r_compress", math.inf, "lifetime.r_compress"),
+    ("multirate", "schedule", [[24, "0.116", 1.9, 0.9]],
+     "multirate.schedule.0.1"),
+    ("multirate", "dwpd", "1", "multirate.dwpd"),
+    ("multirate", "r_compress", "0.8", "multirate.r_compress"),
+]
+
+
 class TestPlan:
     def test_op_and_ecc_tables(self, tmp_path):
         cfg = tmp_path / "plan.json"
@@ -181,6 +208,48 @@ class TestPlan:
                    "--config", str(cfg)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "plan.json").exists()
+
+    # every section, each value valid; the cases below spoil one value
+    FULL_PLAN = {
+        "ecc": {"codeword_len": 18336, "correctable": 40, "coding_rate": 0.9},
+        "rber": [1e-3, 2e-3],
+        "parity": {"chips": 8, "dies": 2, "codewords_per_lb": 4,
+                   "p_hgbb": 1e-6},
+        "op": [{"pba": 2.4e12, "lba": 2.0e12}],
+        "lifetime": {"pec": 3000, "op": 0.2, "dwpd": 1.0, "wa": 2.0,
+                     "r_compress": 0.8},
+        "multirate": {"schedule": [[24, 0.116, 1.9, 0.9]], "dwpd": 1.0,
+                      "r_compress": 1.0},
+    }
+
+    def run_plan(self, tmp_path, doc):
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps(doc))
+        return main(["--out", str(tmp_path / "out"), "plan",
+                     "--config", str(cfg)])
+
+    def test_full_plan_runs(self, tmp_path):
+        assert self.run_plan(tmp_path, self.FULL_PLAN) == 0
+        out = json.loads((tmp_path / "out" / "plan.json").read_text())
+        assert set(out) == {"ecc", "op", "lifetime_years",
+                            "multirate_lifetime_years"}
+
+    @pytest.mark.parametrize("section, key, value, named", PLAN_TYPE_CASES,
+                             ids=[case[-1] for case in PLAN_TYPE_CASES])
+    def test_value_of_the_wrong_type_is_config_error(self, tmp_path, capsys,
+                                                      section, key, value,
+                                                      named):
+        doc = json.loads(json.dumps(self.FULL_PLAN))
+        if section is None:
+            doc[key] = value
+        elif section == "op":
+            doc["op"][0][key] = value
+        else:
+            doc[section][key] = value
+        assert self.run_plan(tmp_path, doc) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"plan {named} " in err
         assert not (tmp_path / "out" / "plan.json").exists()
 
     def test_multirate_triple_is_config_error(self, tmp_path, capsys):
@@ -281,7 +350,7 @@ class TestTraceStats:
                                                          page_size):
         # a 3000-byte page would leave this 100-byte write on no page
         tr = tmp_path / "t.csv"
-        write_canonical([TraceEvent(0, "W", 5, 100)], str(tr))
+        write_canonical(Trace([0], [True], [5], [100]), str(tr))
         rc = main(["trace-stats", str(tr), "--page-size", page_size])
         assert rc == 2
         out, err = capsys.readouterr()
@@ -378,8 +447,9 @@ class TestSimulate:
             dict(policy, name="fcr", refresh="fcr:3d")]}))
         rc = main(["--out", str(tmp_path / "out"), "simulate",
                    "--config", str(cfg), "--trace", str(tr)])
-        # in direct mode this wear is past the ECC limit from day 0
-        assert rc == (4 if mode == "direct" else 0)
+        # this wear is past the 3-day endurance, so the analytic lifetime
+        # is 0; in direct mode it is past the ECC limit from day 0
+        assert rc == 4
         out = tmp_path / "out"
         assert json.loads((out / "adaptive.json").read_text())["writes"]["refresh"] > 0
         for suffix in (".json", "_series.csv"):
@@ -460,7 +530,7 @@ class TestSimulate:
     def test_multi_page_writes_count_every_page_they_touch(self, tmp_path):
         # 12 KiB at lba 0 touches 8 KiB pages 0-1; 8 KiB at lba 40 (byte
         # 20480) straddles pages 2-3
-        events = [TraceEvent(0, "W", 0, 12288), TraceEvent(1, "W", 40, 8192)]
+        events = Trace([0, 1], [True, True], [0, 40], [12288, 8192])
         rc = self.run_policy(tmp_path, {"name": "run", "capacity_bytes": 32 << 20},
                              lambda path: write_canonical(events, str(path)))
         assert rc == 0
@@ -553,6 +623,25 @@ class TestSimulate:
         rber = 0.5 * sum(math.exp(model.eval(row, pec, THREE_YEARS_S))
                          for row in ("log_rber_msb", "log_rber_lsb"))
         assert rber == pytest.approx(2e-3, rel=1e-6)
+
+    def test_analytic_lifetime_spends_only_the_wear_left(self, tmp_path):
+        # fcr:3d guarantees three days of retention, so a block has the
+        # endurance at three days (about 150,000 P/E) less initial_pec left
+        days, rcs = {}, {}
+        for pec in (0, 100_000, 160_000):
+            run = tmp_path / str(pec)
+            run.mkdir()
+            rcs[pec] = self.run_policy(run, {"name": "run",
+                                             "capacity_bytes": 32 << 20,
+                                             "refresh": "fcr:3d",
+                                             "initial_pec": pec}, write_trace)
+            rep = json.loads((run / "out" / "run.json").read_text())
+            assert rep["mode"] == "analytic"
+            days[pec] = rep["lifetime_days"]
+        assert rcs == {0: 0, 100_000: 0, 160_000: 4}
+        left = 1 - 100_000 / endurance_at(THREE_DAYS_S)
+        assert days[100_000] == pytest.approx(days[0] * left, rel=1e-12)
+        assert days[160_000] == 0.0
 
     def test_worn_out_drive_in_direct_mode_series_rber_is_at_most_one(self, tmp_path):
         # at 4M P/E the model's page log-RBERs lie far past 0: the drive is

@@ -27,10 +27,11 @@ from flashlab.grid import (DEFAULT_READ_REFS, LSB_OF_STATE, MSB_OF_STATE,
 from flashlab.models.applications import (VC_SEARCH_MAX, predict_vopt,
                                           sweep_vopt)
 from flashlab.models.cdf import StateModel, state_cdf
-from flashlab.trace import SECTOR_BYTES, Trace, TraceEvent, synth_hot
+from flashlab.trace import SECTOR_BYTES, Trace
 from flashlab.urt import (T_PROGRAM_K, AccelLog, RetentionAges, TempTrace, af,
                           calibration_pack_from_retention, celsius_to_kelvin,
                           state_models, temp_generate, urt_predict)
+from reference import synth_hot
 
 DAY = 86400.0
 
@@ -209,9 +210,8 @@ class TestWarm:
                            seed=1)
         spp = 8192 // 512
         for drv in (base, d):
-            for e in events:
-                drv.host_write((e.lba // spp) % drv.geom.logical_pages,
-                               e.timestamp_us / 1e6)
+            for ts, lba in zip(events.timestamp_us.tolist(), events.lba.tolist()):
+                drv.host_write((lba // spp) % drv.geom.logical_pages, ts / 1e6)
         assert d.write_amplification <= base.write_amplification
         assert w.tune_count > 0
         assert base.audit() and d.audit()
@@ -576,7 +576,7 @@ class TestPolicies:
 
 def single_pass_collect_samples(events, cfg, params):
     """Reference: estimates every eligible read, then keeps a spread."""
-    end_s = events[-1].timestamp_us / 1e6 if events else 0.0
+    end_s = int(events.timestamp_us[-1]) / 1e6 if len(events) else 0.0
     n_ticks = int(end_s / TICK_S) + 2
     tick_t = np.arange(n_ticks) * TICK_S
     temps = np.array([temp_generate(cfg.temp, t) for t in tick_t])
@@ -587,13 +587,13 @@ def single_pass_collect_samples(events, cfg, params):
     write_time = {}
     samples = []
     spp = PAGE_SIZE // SECTOR_BYTES
-    for e in events:
-        now = e.timestamp_us / 1e6
+    for ts, is_write, lba, _ in zip(*events.columns()):
+        now = ts / 1e6
         while (ticked + 1) * TICK_S <= now:
             log.update(float(afs[ticked]), TICK_S)
             ticked += 1
-        page = e.lba // spp
-        if e.op == "W":
+        page = lba // spp
+        if is_write:
             write_time[page] = now
         elif page in write_time:
             age = now - write_time[page]
@@ -632,15 +632,14 @@ class TestCollectSamples:
     def test_read_of_a_later_page_of_a_multi_page_write_is_sampled(self):
         # a 24 KiB write stamps pages 0-2; an hour later an 8 KiB read
         # of page 1 finds data an hour old
-        events = [TraceEvent(0, "W", 0, 24576),
-                  TraceEvent(3600 * 10**6, "R", 16, 8192)]
+        events = Trace([0, 3600 * 10**6], [True, False], [0, 16], [24576, 8192])
         samples = collect_samples(events, HeatwatchConfig(), self.PACK)
         assert [s.age_s for s in samples] == [3600.0]
 
     def test_each_page_of_a_read_is_one_candidate(self):
         # the read spans pages 1-3 unaligned; page 3 was never written
-        events = [TraceEvent(0, "W", 0, 24576),
-                  TraceEvent(3600 * 10**6, "R", 20, 16384)]
+        events = Trace([0, 3600 * 10**6], [True, False], [0, 20],
+                       [24576, 16384])
         samples = collect_samples(events, HeatwatchConfig(), self.PACK)
         assert [s.age_s for s in samples] == [3600.0, 3600.0]
 
@@ -859,16 +858,16 @@ class TestLifetimeReplay:
         assert rep.series[0][1:3] == pytest.approx((want, want), rel=1e-12)
 
 
-def reference_replay_counts(events, page_size, n_logical):
-    """(host writes, host reads of written pages), page by page, from the
-    span rule written out on Python ints."""
+def reference_replay_counts(rows, page_size, n_logical):
+    """(host writes, host reads of written pages) of (op, lba, size_bytes)
+    rows, page by page, from the span rule written out on Python ints."""
     spp = page_size // SECTOR_BYTES
     written, writes, reads = set(), 0, 0
-    for e in events:
-        stop = -(-(e.lba * SECTOR_BYTES + e.size_bytes) // page_size)
-        for page in range(e.lba // spp, stop):
+    for op, lba, size in rows:
+        stop = -(-(lba * SECTOR_BYTES + size) // page_size)
+        for page in range(lba // spp, stop):
             page %= n_logical
-            if e.op == "W":
+            if op == "W":
                 written.add(page)
                 writes += 1
             elif page in written:
@@ -886,11 +885,12 @@ class TestReplayPageSpansProperty:
     def test_host_writes_are_the_write_spans(self, rows, warm):
         geom = Geometry(capacity_bytes=32 << 16, block_size=1 << 16,
                         op_fraction=0.5)
-        events = [TraceEvent(i * 10**6, op, lba, size)
-                  for i, (op, lba, size) in enumerate(rows)]
+        trace = Trace([i * 10**6 for i in range(len(rows))],
+                      [op == "W" for op, _, _ in rows],
+                      [lba for _, lba, _ in rows], [size for _, _, size in rows])
         drive = Drive(geom, warm=WarmManager(geom) if warm else None)
-        replay(Trace.of(events), drive, LifetimeConfig(geometry=geom))
-        writes, reads = reference_replay_counts(events, geom.page_size,
+        replay(trace, drive, LifetimeConfig(geometry=geom))
+        writes, reads = reference_replay_counts(rows, geom.page_size,
                                                 geom.logical_pages)
         write_events = sum(op == "W" for op, _, _ in rows)
         event(f"multi-page writes: {writes > write_events}")

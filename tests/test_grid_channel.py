@@ -3,10 +3,11 @@ import pytest
 
 from flashlab.grid import (BOUNDARIES, CellState, DEFAULT_READ_REFS,
                            MSB_OF_STATE, LSB_OF_STATE, N_BINS, N_STEPS,
-                           ReadRefs, bin_of, classify_regions)
-from flashlab.channel import (bin_cells, export_histogram_csv,
-                              load_histogram_csv, measure_rber, sample_page)
+                           ReadRefs)
+from flashlab.channel import load_histogram_csv
 from flashlab.models.cdf import StateModel
+from reference import (bin_cells, bin_of, classify_regions,
+                       export_histogram_csv, measure_rber, sample_page)
 
 
 def t_models(lam=1e-3):

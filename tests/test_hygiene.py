@@ -3,9 +3,11 @@ the CLI starts up without ``scipy.stats``, only ``trace.py`` turns
 sectors into pages, no library function takes a ``tables`` or ``grid``
 argument, every library function, class and method is reached from a
 CLI workflow or is a named reference that the tests check other code
-against, every defaulted library setting is set by some call, every
-name a package re-exports is imported through that package somewhere,
-and every function or method the benchmark's tracer wraps by name exists.
+against, every definition of the tests' ``reference`` module feeds some
+test and no library module imports a test module, every defaulted
+library setting is set by some call, every name a package re-exports is
+imported through that package somewhere, and every function or method
+the benchmark's tracer wraps by name exists.
 
 Package ``__init__.py`` files are exempt from the import check, since
 importing a name there is how it is re-exported.
@@ -224,21 +226,9 @@ def test_reach_detector_flags_unreached_and_passes_reached():
 # Library code that no workflow reaches and that stays on purpose, with
 # why. Everything else in src/ feeds a CLI workflow or goes.
 REFERENCE_ROOTS = {
-    "channel.sample_page": "Monte Carlo cell population the analytic RBER "
-                           "and the fits are checked against",
-    "channel.measure_rber": "sampled RBER that estimate_rber is checked against",
-    "channel.bin_cells": "histograms of sampled populations for the fit tests",
-    "channel.export_histogram_csv": "writes the histogram CSV that fit reads",
-    "trace.synth_hot": "seeded skewed trace the replay and CLI tests drive",
-    "models.fitting.load_models_json": "reads back fit's model.json, pinning "
-                                       "its format",
-    "models.fitting.dynamic_from_dict": "reads back fit's dynamic.json, "
-                                        "pinning its format",
     "models.applications.estimate_lifetime": "lifetime from fitted models, "
                                              "part of the north star",
     "controller.ftl.Drive.audit": "FTL invariant check the FTL tests run",
-    "raid_ecc.multirate_schedule": "builds the multi-rate ECC ladder the "
-                                   "analytic calculus tests check",
     "urt.fit_ea": "URT calibration from characterization (ROADMAP Direction 9)",
     "urt.fit_pvm": "URT calibration from characterization (ROADMAP Direction 9)",
     "urt.fit_srrm": "URT calibration from characterization (ROADMAP Direction 9)",
@@ -275,6 +265,63 @@ def test_reference_roots_name_definitions_no_workflow_reaches():
     assert set(REFERENCE_ROOTS) <= set(defs)
     assert set(REFERENCE_ROOTS) <= set(unreached(defs, cli_roots(defs)))
 
+
+# Reference code the tests check the library against lives in this test
+# helper module, not in src/.
+REFERENCE = TESTS / "reference.py"
+
+
+def unread_definitions(module, readers):
+    """Definitions of ``module`` (source) that no source in ``readers``
+    reaches, in definition order: the roots are the definitions whose
+    bare name a reader reads (a method's only if its class's is read too),
+    and reach spreads inside the module as in ``unreached``."""
+    defs = definitions({"reference": module})
+    read = set().union(*(names_read(ast.parse(src)) for src in readers))
+    return unreached(defs, [q for q, (owner, name, _) in defs.items()
+                            if name in read
+                            and (owner is None or defs[owner][1] in read)])
+
+
+def test_unread_detector_flags_definitions_no_reader_reaches():
+    module = ("def used():\n    return helper()\n"
+              "def helper():\n    pass\n"
+              "def dead():\n    return helper()\n"
+              "class Box:\n    def go(self):\n        pass\n")
+    readers = ["from reference import used, Box, dead\nused()\nBox()\n"]
+    assert unread_definitions(module, readers) == ["reference.dead",
+                                                   "reference.Box.go"]
+    assert unread_definitions(module, readers + ["Box().go()\n"]) == [
+        "reference.dead"]
+
+
+def test_every_reference_definition_is_read_by_a_test_module():
+    # no dead fixture: each helper feeds some test
+    readers = [p.read_text() for p in sorted(TESTS.glob("*.py"))
+               if p != REFERENCE]
+    assert unread_definitions(REFERENCE.read_text(), readers) == []
+
+
+def imported_packages(source):
+    """Top-level name of every module ``source`` imports absolutely."""
+    tree = ast.parse(source)
+    return ({alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+            | {node.module.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 0})
+
+
+def test_import_detector_skips_relative_imports():
+    src = ("import os.path\nfrom reference import x\nfrom . import y\n"
+           "from .grid import z\nimport tests.reference as r\n")
+    assert imported_packages(src) == {"os", "reference", "tests"}
+
+
+def test_no_library_module_imports_a_test_module():
+    test_modules = {"tests"} | {p.stem for p in TESTS.glob("*.py")}
+    hits = [f"{p.relative_to(SRC)}: {name}" for p in sorted(SRC.glob("**/*.py"))
+            for name in sorted(imported_packages(p.read_text()) & test_modules)]
+    assert hits == []
 
 
 def decorator_names(node):
@@ -382,8 +429,6 @@ def test_unset_detector_flags_only_settings_no_call_sets():
 # why. Every other default in src/ is a value some call changes, or it is
 # a module constant.
 KEPT_DEFAULTS = {
-    "channel.sample_page.layer_profile": "3D-NAND layer variation "
-                                         "(ROADMAP Direction 10)",
     "degradation.sample_layer_profile.n_layers": "3D-NAND layer variation "
                                                  "(ROADMAP Direction 10)",
     "degradation.RetentionModel3D.coeffs": "a seeded device's perturbed "

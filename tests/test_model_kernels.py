@@ -16,7 +16,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from flashlab.channel import bin_cells, sample_page
 from flashlab.grid import BOUNDARIES, MISPROGRAM_TARGET, CellState
 from flashlab.models import fitting
 from flashlab.models.cdf import (StateModel, bin_masses, enforce_constraints,
@@ -24,6 +23,7 @@ from flashlab.models.cdf import (StateModel, bin_masses, enforce_constraints,
                                  state_cdf, tcdf)
 from flashlab.models.simplex import nelder_mead
 from flashlab.models.tables import default_tables
+from reference import bin_cells, sample_page
 
 TAB = default_tables()
 

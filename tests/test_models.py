@@ -7,17 +7,17 @@ from scipy.stats import t as student_t
 from scipy.integrate import quad
 
 from flashlab.grid import CellState
-from flashlab.channel import bin_cells, sample_page
 from flashlab.models.cdf import (StateModel, enforce_constraints, gaussian_states,
                                  gcdf, kl_divergence, model_density, ncdf,
                                  pooled_kl, tcdf)
 from flashlab.models.fitting import (PowerLawParams, default_init,
                                      fit_power_law, fit_static,
-                                     load_models_json, models_from_dict,
                                      models_to_dict, predict_static,
                                      save_models_json)
 from flashlab.models.simplex import NanObjective, nelder_mead
 from flashlab.models.tables import NU_GRID, LookupTables, default_tables
+from reference import (bin_cells, load_models_json, models_from_dict,
+                       sample_page)
 
 
 TAB = default_tables()

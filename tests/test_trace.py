@@ -6,9 +6,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 from flashlab.cli import main
-from flashlab.trace import (SECTOR_BYTES, Trace, TraceEvent, hotness_cdf,
-                            parse_canonical, parse_msr, synth_hot,
-                            write_canonical)
+from flashlab.trace import (SECTOR_BYTES, Trace, hotness_cdf, parse_canonical,
+                            parse_msr, write_canonical)
+from reference import synth_hot, trace_of
 
 
 class TestMsrParsing:
@@ -20,9 +20,9 @@ class TestMsrParsing:
         )
         events, skipped = parse_msr(path)
         assert skipped == 0
-        assert events[0] == TraceEvent(0, "W", 16, 4096)
         # 1e7 ticks of 100 ns = 1 s = 1e6 us
-        assert events[1] == TraceEvent(1_000_000, "R", 32, 8192)
+        assert events.columns() == ([0, 1_000_000], [True, False], [16, 32],
+                                    [4096, 8192])
 
     def test_malformed_rows_skipped_not_fatal(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -42,18 +42,17 @@ class TestMsrParsing:
         path = tmp_path / "trace.csv"
         path.write_text("1000,h,0,WRITE,0,512,1\n2000,h,0,read,512,512,1\n")
         events, _ = parse_msr(path)
-        assert [e.op for e in events] == ["W", "R"]
+        assert events.is_write.tolist() == [True, False]
 
 
 class TestCanonical:
     def test_round_trip(self, tmp_path):
-        events = [TraceEvent(0, "W", 100, 8192),
-                  TraceEvent(125, "R", 0, 512),
-                  TraceEvent(99999, "W", 2**40, 4096)]
+        events = Trace([0, 125, 99999], [True, False, True], [100, 0, 2**40],
+                       [8192, 512, 4096])
         path = tmp_path / "canon.csv"
         write_canonical(events, path)
         back, skipped = parse_canonical(path)
-        assert back == events
+        assert back.columns() == events.columns()
         assert skipped == 0
 
     def test_header_required(self, tmp_path):
@@ -76,9 +75,9 @@ class TestSynthHot:
     def test_event_count_and_spacing(self):
         ev = synth_hot(10, 100, 0.01, 0.95, 1 << 26, seed=0)
         assert len(ev) == 1000
-        gaps = np.diff([e.timestamp_us for e in ev])
+        gaps = np.diff(ev.timestamp_us)
         assert np.all(gaps >= 0)
-        assert ev[-1].timestamp_us < 10 * 1_000_000
+        assert ev.timestamp_us[-1] < 10 * 1_000_000
 
     def test_hot_share_realized(self):
         page_size = 8192
@@ -87,23 +86,23 @@ class TestSynthHot:
         n_hot = int(n_pages * 0.01)
         ev = synth_hot(100, 500, 0.01, 0.95, footprint, seed=1)
         spp = page_size // SECTOR_BYTES
-        hot_writes = sum(1 for e in ev if e.lba // spp < n_hot)
+        hot_writes = int(np.count_nonzero(ev.lba // spp < n_hot))
         assert hot_writes / len(ev) == pytest.approx(0.95, abs=0.01)
 
     def test_all_single_page_writes_by_default(self):
         ev = synth_hot(5, 50, 0.1, 0.5, 1 << 24, seed=2)
-        assert all(e.op == "W" and e.size_bytes == 8192 for e in ev)
+        assert ev.is_write.all() and (ev.size_bytes == 8192).all()
 
     def test_read_fraction(self):
         ev = synth_hot(100, 200, 0.1, 0.5, 1 << 24, seed=3, read_fraction=0.3)
-        reads = sum(1 for e in ev if e.op == "R")
+        reads = int(np.count_nonzero(~ev.is_write))
         assert reads / len(ev) == pytest.approx(0.3, abs=0.03)
 
     def test_deterministic_in_seed(self):
         a = synth_hot(5, 100, 0.05, 0.9, 1 << 24, seed=7)
         b = synth_hot(5, 100, 0.05, 0.9, 1 << 24, seed=7)
         c = synth_hot(5, 100, 0.05, 0.9, 1 << 24, seed=8)
-        assert a == b and a != c
+        assert a.columns() == b.columns() and a.columns() != c.columns()
 
     def test_zipf_mode_skewed(self):
         ev = synth_hot(100, 300, 0.01, 0.95, 1 << 24, seed=4, dist="zipf")
@@ -123,28 +122,31 @@ class TestSynthHot:
 class TestHotnessCdf:
     def test_uniform_trace_is_diagonal(self):
         spp = 8192 // SECTOR_BYTES
-        events = [TraceEvent(i, "W", i * spp, 8192) for i in range(100)]
+        events = Trace(range(100), [True] * 100, np.arange(100) * spp,
+                       [8192] * 100)
         fp, fw = hotness_cdf(events)
         assert np.allclose(fp, fw)
 
     def test_concentrated_trace(self):
         spp = 8192 // SECTOR_BYTES
-        events = ([TraceEvent(i, "W", 0, 8192) for i in range(90)]
-                  + [TraceEvent(90 + i, "W", (1 + i) * spp, 8192) for i in range(10)])
+        events = Trace(range(100), [True] * 100,
+                       [0] * 90 + [(1 + i) * spp for i in range(10)],
+                       [8192] * 100)
         fp, fw = hotness_cdf(events)
         # hottest single page (1/11 of pages) holds 90% of writes
         assert fw[0] == pytest.approx(0.9)
         assert fw[-1] == pytest.approx(1.0)
 
     def test_reads_ignored(self):
-        events = [TraceEvent(0, "R", 0, 8192)]
+        events = Trace([0], [False], [0], [8192])
         fp, fw = hotness_cdf(events)
         assert fp.size == 0 and fw.size == 0
 
 
 def reference_parse_canonical(path):
-    """The per-row canonical reader that preceded the columnar Trace."""
-    events, skipped = [], 0
+    """The per-row canonical reader that preceded the columnar Trace; it
+    returns the four columns as lists, in ``Trace.columns`` order."""
+    columns, skipped = ([], [], [], []), 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -158,13 +160,15 @@ def reference_parse_canonical(path):
             except (ValueError, IndexError):
                 skipped += 1
                 continue
-            events.append(TraceEvent(ts, op, lba, size))
-    return events, skipped
+            for col, value in zip(columns, (ts, op == "W", lba, size)):
+                col.append(value)
+    return columns, skipped
 
 
 def reference_parse_msr(path):
-    """The per-row MSR reader that preceded the columnar Trace."""
-    events, skipped = [], 0
+    """The per-row MSR reader that preceded the columnar Trace; it returns
+    the four columns as lists, in ``Trace.columns`` order."""
+    columns, skipped = ([], [], [], []), 0
     base = None
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
@@ -183,10 +187,11 @@ def reference_parse_msr(path):
                 continue
             if base is None:
                 base = ticks
-            events.append(TraceEvent((ticks - base) // 10,
-                                     "R" if kind == "read" else "W",
-                                     offset // SECTOR_BYTES, size))
-    return events, skipped
+            for col, value in zip(columns, ((ticks - base) // 10,
+                                            kind == "write",
+                                            offset // SECTOR_BYTES, size)):
+                col.append(value)
+    return columns, skipped
 
 
 # Integer fields, plain and in the spellings int() accepts or rejects. All
@@ -239,7 +244,7 @@ class TestParseProperty:
         path.write_text("timestamp_us,op,lba,size_bytes" + newline
                         + _lines(rows, newline, trailing), newline="")
         events, skipped = parse_canonical(path)
-        assert (list(events), skipped) == reference_parse_canonical(path)
+        assert (events.columns(), skipped) == reference_parse_canonical(path)
         event(f"skipped {min(skipped, 2)}")
 
     @settings(max_examples=200)
@@ -258,7 +263,7 @@ class TestParseProperty:
         path = tmp_path_factory.mktemp("msr") / "t.csv"
         path.write_text(_lines(rows, newline, True), newline="")
         events, skipped = parse_msr(path)
-        assert (list(events), skipped) == reference_parse_msr(path)
+        assert (events.columns(), skipped) == reference_parse_msr(path)
 
     def test_bad_header_raises_on_both(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -292,21 +297,22 @@ class TestParseProperty:
             parse_msr(path)
 
 
-def reference_hotness_counts(events, page_size):
-    """Writes per written page, by the per-event loop hotness_cdf replaced."""
+def reference_hotness_counts(rows, page_size):
+    """Writes per written page of (timestamp_us, is_write, lba, size_bytes)
+    rows, by the per-event loop hotness_cdf replaced."""
     sectors_per_page = page_size // SECTOR_BYTES
     counts = {}
-    for e in events:
-        if e.op != "W":
+    for _, is_write, lba, size in rows:
+        if not is_write:
             continue
-        for pg in range(e.lba // sectors_per_page,
-                        (e.lba * SECTOR_BYTES + e.size_bytes + page_size - 1) // page_size):
+        for pg in range(lba // sectors_per_page,
+                        (lba * SECTOR_BYTES + size + page_size - 1) // page_size):
             counts[pg] = counts.get(pg, 0) + 1
     return counts
 
 
-def reference_hotness_cdf(events, page_size):
-    counts = reference_hotness_counts(events, page_size)
+def reference_hotness_cdf(rows, page_size):
+    counts = reference_hotness_counts(rows, page_size)
     if not counts:
         return np.array([]), np.array([])
     writes = np.sort(np.fromiter(counts.values(), dtype=float))[::-1]
@@ -316,69 +322,67 @@ def reference_hotness_cdf(events, page_size):
 
 class TestHotnessCdfProperty:
     @settings(max_examples=200)
-    @given(events=hst.lists(hst.builds(
-               TraceEvent, hst.integers(0, 10 ** 6), hst.sampled_from("RWW"),
+    @given(rows=hst.lists(hst.tuples(
+               hst.integers(0, 10 ** 6), hst.sampled_from([False, True, True]),
                hst.one_of(hst.integers(0, 200), hst.integers(0, 1 << 60)),
                hst.integers(1, 70_000)), max_size=40),
            page_size=hst.sampled_from([512, 3000, 4096, 8192, 16384]))
-    def test_matches_per_event_loop(self, events, page_size):
-        got = hotness_cdf(events, page_size)
-        want = reference_hotness_cdf(events, page_size)
+    def test_matches_per_event_loop(self, rows, page_size):
+        got = hotness_cdf(trace_of(rows), page_size)
+        want = reference_hotness_cdf(rows, page_size)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_page_smaller_than_sector_rejected(self):
         with pytest.raises(ValueError):
-            hotness_cdf([TraceEvent(0, "W", 0, 512)], page_size=256)
+            hotness_cdf(Trace([0], [True], [0], [512]), page_size=256)
 
 
 class TestPageSpans:
     def test_aligned_and_straddling_writes(self):
-        trace = Trace.of([TraceEvent(0, "W", 0, 12288),
-                          TraceEvent(1, "R", 40, 8192),
-                          TraceEvent(2, "W", 16, 8192)])
+        trace = Trace([0, 1, 2], [True, False, True], [0, 40, 16],
+                      [12288, 8192, 8192])
         first, count = trace.page_spans(8192)
         assert first.dtype == count.dtype == np.int64
         assert first.tolist() == [0, 2, 1]
         assert count.tolist() == [2, 2, 1]
 
     @settings(max_examples=200)
-    @given(events=hst.lists(hst.builds(
-               TraceEvent, hst.just(0), hst.sampled_from("RW"),
+    @given(rows=hst.lists(hst.tuples(
+               hst.just(0), hst.sampled_from([False, True]),
                hst.one_of(hst.integers(0, 200), hst.integers(0, (1 << 63) - 1)),
                hst.one_of(hst.integers(1, 70_000),
                           hst.integers(1, (1 << 63) - 1))), max_size=40),
            page_size=hst.sampled_from([512, 3000, 4096, 8192, 16384]))
-    def test_matches_the_rule_on_python_ints(self, events, page_size):
-        first, count = Trace.of(events).page_spans(page_size)
+    def test_matches_the_rule_on_python_ints(self, rows, page_size):
+        first, count = trace_of(rows).page_spans(page_size)
         spp = page_size // SECTOR_BYTES
-        want_first = [e.lba // spp for e in events]
-        want_stop = [-(-(e.lba * SECTOR_BYTES + e.size_bytes) // page_size)
-                     for e in events]
+        want_first = [lba // spp for _, _, lba, _ in rows]
+        want_stop = [-(-(lba * SECTOR_BYTES + size) // page_size)
+                     for _, _, lba, size in rows]
         assert first.tolist() == want_first
         assert count.tolist() == [max(s - f, 0)
                                   for f, s in zip(want_first, want_stop)]
 
 
-def reference_write_canonical(events, path):
+def reference_write_canonical(rows, path):
     """The per-row canonical writer that preceded the columnar Trace."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp_us", "op", "lba", "size_bytes"])
-        for e in events:
-            w.writerow([e.timestamp_us, e.op, e.lba, e.size_bytes])
+        for ts, is_write, lba, size in rows:
+            w.writerow([ts, "W" if is_write else "R", lba, size])
 
 
-def reference_trace_stats(events, skipped, page_size):
+def reference_trace_stats(rows, skipped, page_size):
     """trace-stats' standard output, by the per-event code it replaced."""
-    writes = sum(1 for e in events if e.op == "W")
-    reads = len(events) - writes
-    dur_s = ((events[-1].timestamp_us - events[0].timestamp_us) / 1e6
-             if len(events) > 1 else 0.0)
-    bytes_w = sum(e.size_bytes for e in events if e.op == "W")
-    out = [f"events={len(events)} reads={reads} writes={writes}"
+    writes = sum(1 for _, is_write, _, _ in rows if is_write)
+    reads = len(rows) - writes
+    dur_s = (rows[-1][0] - rows[0][0]) / 1e6 if len(rows) > 1 else 0.0
+    bytes_w = sum(size for _, is_write, _, size in rows if is_write)
+    out = [f"events={len(rows)} reads={reads} writes={writes}"
            f" skipped={skipped} duration_s={dur_s:.1f}"
            f" written_bytes={bytes_w}"]
-    frac_pages, frac_writes = reference_hotness_cdf(events, page_size)
+    frac_pages, frac_writes = reference_hotness_cdf(rows, page_size)
     if frac_pages.size:
         for pct in (0.01, 0.05, 0.20):
             share = float(np.interp(pct, frac_pages, frac_writes))
@@ -394,14 +398,15 @@ class TestTraceStatsOutput:
         trace = tmp_path / "t.csv"
         write_canonical(synth_hot(300, 40, 0.05, 0.9, 1 << 24, seed=5,
                                   page_size=24576, read_fraction=0.3), trace)
-        events, skipped = reference_parse_canonical(trace)
+        columns, skipped = reference_parse_canonical(trace)
+        rows = list(zip(*columns))
         canon = tmp_path / "canon.csv"
         rc = main(["trace-stats", str(trace), "--page-size", str(page_size),
                    "--canonical-out", str(canon)])
         assert rc == 0
         assert capsys.readouterr().out == reference_trace_stats(
-            events, skipped, page_size)
+            rows, skipped, page_size)
         want = tmp_path / "want.csv"
-        reference_write_canonical(events, want)
+        reference_write_canonical(rows, want)
         assert canon.read_bytes() == want.read_bytes()
         assert trace.read_bytes() == want.read_bytes()
