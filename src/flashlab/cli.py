@@ -235,9 +235,23 @@ def _check_policies(policies):
 
 
 def _one_lifetime(item):
-    name, cfg, trace_path = item
-    trace, _ = trace_mod.parse_canonical(trace_path)
+    name, cfg, trace = item
     return name, run_lifetime(trace, cfg)
+
+
+def _load_trace(path):
+    """The canonical trace at ``path``; a ConfigError names the first event
+    whose timestamp is below the one before it, since every replay walks
+    time forward."""
+    trace, _ = trace_mod.parse_canonical(path)
+    ts = trace.timestamp_us
+    back = np.flatnonzero(ts[1:] < ts[:-1])
+    if back.size:
+        i = int(back[0]) + 1
+        raise ConfigError(f"trace timestamps decrease at event {i} (counting"
+                          f" from 0): timestamp_us {ts[i]} follows"
+                          f" {ts[i - 1]}")
+    return trace
 
 
 _TEMP_KEYS = {f.name for f in dataclasses.fields(urt_mod.TempTrace)} - {"seed"}
@@ -278,7 +292,7 @@ def cmd_simulate(args):
 
     if doc.get("experiment") == "heatwatch":
         hw_cfg, ecc_limit = _heatwatch_config(doc, args.seed)
-        trace, _ = trace_mod.parse_canonical(args.trace)
+        trace = _load_trace(args.trace)
         rm = RetentionModel3D()
         pack = urt_mod.calibration_pack_from_retention(rm)
         res = run_experiment(trace, pack, rm, ecc_limit, cfg=hw_cfg)
@@ -287,8 +301,9 @@ def cmd_simulate(args):
         print(json.dumps(res, sort_keys=True))
         return EXIT_OK
 
-    items = [(name, cfg, args.trace)
-             for name, cfg in _check_policies(doc.get("policies"))]
+    configs = _check_policies(doc.get("policies"))
+    trace = _load_trace(args.trace)
+    items = [(name, cfg, trace) for name, cfg in configs]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

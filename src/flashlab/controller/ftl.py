@@ -17,6 +17,14 @@ the same order as one page write per live page, in ascending offset
 order, would take them, and blocks close (firing on_block_closed) at the
 same points. No reclaim runs inside it, because its writes are never
 host writes.
+
+Batched host writes: on a drive without WARM, host_writes applies a run
+of host writes as one set of array scatters, with the last write of a
+page winning. It first allocates the cold open block if there is none,
+reclaiming as host_write would. Only then does it measure the room left
+in the open block, since reclaim can hand back a part-filled block, and
+it takes only as many pages as fit there. The result equals one
+host_write per page in run order.
 """
 
 import heapq
@@ -83,6 +91,38 @@ class Drive:
         warm.after_host_write(self, self.page_size, now)
         if warm.rotation_due():
             self.rotate_hot_pool()
+
+    def host_writes(self, pages, now):
+        """Host-write ``pages`` (an int64 array of logical pages) in order
+        at time ``now``, as many as fit in the cold open block; returns how
+        many were taken. For a drive without WARM; see "Batched host
+        writes" above."""
+        self.now = now
+        ppb = self.pages_per_block
+        blk = self.open_block[COLD]
+        if blk is None:
+            blk = self._allocate(COLD, "host")
+        ptr = self.write_ptr.item(blk)
+        take = min(len(pages), ppb - ptr)
+        pages = pages[:take]
+        # the last write of each page in the run, and where it lands
+        last = take - 1 - np.unique(pages[::-1], return_index=True)[1]
+        lba, ppn = pages[last], blk * ppb + ptr + last
+        old = self.map[lba]
+        old = old[old >= 0]
+        self.valid[old] = False
+        self.rmap[old] = -1
+        np.subtract.at(self.valid_count, old // ppb, 1)
+        self.map[lba] = ppn
+        self.rmap[ppn] = lba
+        self.valid[ppn] = True
+        self.valid_count[blk] += last.size
+        self.write_ptr[blk] = ptr + take
+        if ptr + take == ppb:
+            self._close(blk, COLD)
+        self.writes["host"] += take
+        self.pool_writes[COLD] += take
+        return take
 
     def host_read(self, lba_page, now):
         """Returns (ppn, block age in seconds) or None if never written."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..degradation import RetentionModel3D
+from ..trace import span_pages
 from .geometry import Geometry, SECONDS_PER_DAY, endurance_at
 from .ftl import Drive, CLOSED
 from .refresh import RefreshConfig, run_refresh
@@ -93,7 +94,7 @@ def _page_rber(logs):
     return 0.5 * (math.exp(min(logs[0], 0.0)) + math.exp(min(logs[1], 0.0)))
 
 
-def _series_rber(drive, age_s):
+def series_rber(drive, age_s):
     """Mean and worst block-level RBER at the assumed data age."""
     mask = (drive.state == CLOSED) & (drive.valid_count > 0)
     ids = np.flatnonzero(mask)
@@ -108,15 +109,32 @@ def replay(trace, drive, cfg):
     """Drive the FTL through a trace; returns the daily series.
 
     Each event reads or writes every page of its span
-    (``Trace.page_spans``), folded into the drive's logical pages.
+    (``Trace.page_spans``), folded into the drive's logical pages. The
+    timestamps must not decrease; the CLI rejects a trace in which they
+    do.
+
+    Cut order: before the first event at or past a pending refresh check
+    or day close, every due refresh check runs, oldest first, and then
+    every due day close. So a gap of over a day runs all of its hourly
+    refresh passes before it closes any of its days. The events between
+    two cuts run in one go. Without WARM they reach the FTL as runs of
+    host writes (``Drive.host_writes``) and their reads are counted in
+    bulk: a read counts iff its page was mapped before the replay or
+    written earlier in it, since no mapping is ever removed. WARM routes
+    write by write, so with WARM every page goes through ``host_write``
+    or ``host_read``.
     """
+    now = trace.timestamp_us / 1e6
     first, count = trace.page_spans(cfg.geometry.page_size)
-    n_logical = cfg.geometry.logical_pages
+    pages = span_pages(first, count) % cfg.geometry.logical_pages
+    event_start = np.concatenate(([0], np.cumsum(count)))   # page positions
+    access = (_in_runs if drive.warm is None else _per_page)(
+        drive, pages, np.repeat(now, count), np.repeat(trace.is_write, count))
     series = []
     last = dict.fromkeys(("host", "gc", "refresh"), 0)
 
     def close_day():
-        avg, worst = _series_rber(drive, cfg.refresh.retention_s)
+        avg, worst = series_rber(drive, cfg.refresh.retention_s)
         series.append((len(series), avg, worst,
                        *(drive.writes[k] - last[k] for k in last),
                        float(drive.pec.mean())))
@@ -124,22 +142,62 @@ def replay(trace, drive, cfg):
 
     next_refresh = REFRESH_CHECK_S
     next_day = SECONDS_PER_DAY
-    host_write, host_read = drive.host_write, drive.host_read
-    for ts, is_write, page, n in zip(trace.timestamp_us.tolist(),
-                                     trace.is_write.tolist(),
-                                     first.tolist(), count.tolist()):
-        now = ts / 1e6
-        while now >= next_refresh:
+    done = 0
+    while True:
+        cut = int(np.searchsorted(now, min(next_refresh, next_day)))
+        access(event_start[done], event_start[cut])
+        if cut == len(trace):
+            break
+        while now[cut] >= next_refresh:
             run_refresh(drive, next_refresh, cfg.refresh)
             next_refresh += REFRESH_CHECK_S
-        while now >= next_day:
+        while now[cut] >= next_day:
             close_day()
             next_day += SECONDS_PER_DAY
-        access = host_write if is_write else host_read
-        for p in range(page, page + n):
-            access(p % n_logical, now)
+        done = cut
     close_day()
     return series
+
+
+def _per_page(drive, pages, page_now, is_write):
+    """``access(a, b)``: pages a to b of the replay, one host_write or
+    host_read each."""
+    host_write, host_read = drive.host_write, drive.host_read
+
+    def access(a, b):
+        for page, now, write in zip(pages[a:b].tolist(),
+                                    page_now[a:b].tolist(),
+                                    is_write[a:b].tolist()):
+            (host_write if write else host_read)(page, now)
+    return access
+
+
+def _in_runs(drive, pages, page_now, is_write):
+    """``access(a, b)``: pages a to b of the replay, the writes as runs of
+    ``Drive.host_writes`` and the reads counted in bulk, leaving the drive
+    as ``_per_page`` would."""
+    writes = np.flatnonzero(is_write)
+    first_write = np.full(drive.map.size, pages.size)
+    written, at = np.unique(pages[writes], return_index=True)
+    first_write[written] = writes[at]
+    counted = ~is_write & ((drive.map[pages] >= 0)
+                           | (first_write[pages] < np.arange(pages.size)))
+    reads_before = np.concatenate(([0], np.cumsum(counted)))
+    write_pages, write_now = pages[writes], page_now[writes]
+
+    def access(a, b):
+        done, stop = np.searchsorted(writes, (a, b)).tolist()
+        read_to = a
+        while done < stop:
+            pos = writes.item(done)
+            drive.reads += int(reads_before[pos] - reads_before[read_to])
+            read_to = pos
+            done += drive.host_writes(write_pages[done:stop],
+                                      float(write_now[done]))
+        drive.reads += int(reads_before[b] - reads_before[read_to])
+        if b > a:
+            drive.now = float(page_now[b - 1])
+    return access
 
 
 def run_lifetime(trace, cfg):

@@ -9,7 +9,20 @@ lba // (P // 512) up to, not including, ceil((lba * 512 + size_bytes) / P):
 the pages a page-mapped FTL reads for a read and rewrites for a write,
 read-modify-writing a page the write covers only in part. ``Trace.page_spans`` is the only place the rule
 is written down; replay, HeatWatch sampling and trace statistics all
-count pages through it.
+count pages through it, and ``span_pages`` lists a span's pages.
+
+Bulk canonical reader: ``parse_canonical`` reads the body as bytes,
+CHUNK_BYTES at a time cut at line ends, so its transient memory does not
+grow with the trace. A gate made of separator positions, with no regex,
+admits a chunk only if every line is exactly four fields ended by a
+newline: the second field one byte, ``R`` or ``W``, and each other field
+1 to MAX_DIGITS decimal digits, which always fit int64. An admitted chunk
+becomes int64 in one conversion, with the ops mapped to 0 and 1; rows of
+size 0 are dropped and counted as skipped. Any other file is read again by
+the per-row reader, which decides every case the gate does not admit: a
+sign, a space, a quote, CRLF or a lone CR, a blank line, a missing final
+newline, extra or missing fields and longer numbers. Both readers give
+the same columns and skip count.
 """
 
 import csv
@@ -19,6 +32,13 @@ import numpy as np
 SECTOR_BYTES = 512
 
 CANONICAL_HEADER = ["timestamp_us", "op", "lba", "size_bytes"]
+CHUNK_BYTES = 1 << 20   # the bulk reader's read size
+MAX_DIGITS = 18         # a number of this many digits always fits int64
+_HEADER_LINE = (",".join(CANONICAL_HEADER) + "\n").encode()
+_COMMA, _NEWLINE, _ZERO = b",\n0"
+_READ, _WRITE = b"RW"
+_LINE_SEPARATORS = np.array([_COMMA, _COMMA, _COMMA, _NEWLINE], dtype=np.uint8)
+_TO_NUMBERS = bytes.maketrans(b"RW\n", b"01,")
 
 
 def check_page_size(page_size):
@@ -78,6 +98,14 @@ class Trace:
         return first, np.maximum(count, 0)
 
 
+def span_pages(first, count):
+    """Every page of every (first, count) span, span after span in order:
+    first[i], first[i] + 1, ..., first[i] + count[i] - 1."""
+    pages = np.repeat(first, count)
+    pages += np.arange(pages.size) - np.repeat(np.cumsum(count) - count, count)
+    return pages
+
+
 def parse_msr(path):
     """Parse an MSR-Cambridge block trace.
 
@@ -126,8 +154,68 @@ def parse_canonical(path):
 
     Rows with a bad op, size <= 0, lba < 0, too few fields or a field
     int() rejects are skipped and counted. A timestamp, lba or size
-    outside int64 is a ValueError.
+    outside int64 is a ValueError. The bulk reader of the module docstring
+    reads every file its gate admits; the per-row reader reads the rest.
     """
+    with open(path, "rb") as fh:
+        chunks = _bulk_chunks(fh) if fh.readline() == _HEADER_LINE else None
+    if chunks is None:
+        return _parse_canonical_rows(path)
+    if not chunks:  # a header and no rows
+        chunks = [(np.zeros(0, dtype=np.int64),) * 4]
+    ts, op, lba, size = (np.concatenate(col) for col in zip(*chunks))
+    keep = size != 0
+    skipped = int(keep.size - np.count_nonzero(keep))
+    if skipped:
+        ts, op, lba, size = ts[keep], op[keep], lba[keep], size[keep]
+    return Trace(ts, op == 1, lba, size), skipped
+
+
+def _bulk_chunks(fh):
+    """The rest of the file as the columns of one chunk after another, or
+    None as soon as one chunk fails the gate or the file does not end in
+    a newline."""
+    chunks, tail = [], b""
+    while True:
+        data = fh.read(CHUNK_BYTES)
+        if not data:
+            return None if tail else chunks
+        data = tail + data
+        end = data.rfind(b"\n") + 1
+        if not end:  # no line ends in a chunk: no line can pass the gate
+            return None
+        columns = _gated_columns(data[:end])
+        if columns is None:
+            return None
+        chunks.append(columns)
+        tail = data[end:]
+
+
+def _gated_columns(buf):
+    """(timestamp_us, op, lba, size_bytes) int64 columns, op 0 for "R" and
+    1 for "W", of whole lines ``buf``; None unless the gate of the module
+    docstring admits every line."""
+    b = np.frombuffer(buf, dtype=np.uint8)
+    seps = np.flatnonzero((b == _COMMA) | (b == _NEWLINE))
+    if seps.size % 4 or not (b[seps].reshape(-1, 4) == _LINE_SEPARATORS).all():
+        return None
+    # every line now ends after exactly three commas; check its fields
+    width = (np.diff(seps, prepend=-1) - 1).reshape(-1, 4)
+    numeric = width[:, [0, 2, 3]]
+    ops = b[seps[1::4] - 1]
+    if not ((width[:, 1] == 1).all() and ((ops == _READ) | (ops == _WRITE)).all()
+            and numeric.min() >= 1 and numeric.max() <= MAX_DIGITS
+            # every byte that is not a separator or an op is a digit
+            and np.count_nonzero((b - _ZERO) < 10)
+            == b.size - seps.size - ops.size):
+        return None
+    values = np.fromstring(buf[:-1].translate(_TO_NUMBERS), dtype=np.int64,
+                           sep=",")
+    return values[0::4], values[1::4], values[2::4], values[3::4]
+
+
+def _parse_canonical_rows(path):
+    """The per-row canonical reader: ``parse_canonical`` on any file."""
     ts, is_write, lbas, sizes, skipped = [], [], [], [], 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -157,9 +245,7 @@ def hotness_cdf(trace, page_size=8192):
     page of its span (``Trace.page_spans``).
     """
     first, span = trace.page_spans(page_size)
-    first, span = first[trace.is_write], span[trace.is_write]
-    pages = np.repeat(first, span)
-    pages += np.arange(pages.size) - np.repeat(np.cumsum(span) - span, span)
+    pages = span_pages(first[trace.is_write], span[trace.is_write])
     counts = np.unique(pages, return_counts=True)[1]
     if not counts.size:
         return np.array([]), np.array([])

@@ -10,6 +10,8 @@ runs any of it.
   quantization; ER-state vth may be negative (such cells land in bin 0).
 - A seeded, skewed synthetic trace, the input of the replay, HeatWatch
   and CLI tests, and the Trace of a list of rows.
+- The per-page trace replay, which ``replay``'s runs of host writes are
+  checked against.
 - Readers of ``fit``'s model.json and dynamic.json, which pin their
   format.
 - The builder of a multi-rate ECC ladder for ``multirate_lifetime``.
@@ -24,6 +26,9 @@ import numpy as np
 from flashlab.grid import (BOUNDARIES, LSB_OF_STATE, MISPROGRAM_TARGET,
                            MSB_OF_STATE, N_BINS, CellState)
 from flashlab.channel import BinHistogram
+from flashlab.controller.geometry import SECONDS_PER_DAY
+from flashlab.controller.lifetime import REFRESH_CHECK_S, series_rber
+from flashlab.controller.refresh import run_refresh
 from flashlab.models.cdf import StateModel, enforce_constraints
 from flashlab.models.fitting import PowerLawParams
 from flashlab.models.tables import default_tables
@@ -227,6 +232,40 @@ def synth_hot(duration_s, rate_per_s, hot_fraction, hot_share,
     sectors_per_page = page_size // SECTOR_BYTES
     return Trace(times, ~is_read, pages * sectors_per_page,
                  np.full(n_events, page_size))
+
+
+def reference_replay(trace, drive, cfg):
+    """The replay that preceded runs of ``Drive.host_writes``: before each
+    event every due refresh check, then every due day close, then one
+    host_write or host_read per page of its span."""
+    first, count = trace.page_spans(cfg.geometry.page_size)
+    n_logical = cfg.geometry.logical_pages
+    series = []
+    last = dict.fromkeys(("host", "gc", "refresh"), 0)
+
+    def close_day():
+        avg, worst = series_rber(drive, cfg.refresh.retention_s)
+        series.append((len(series), avg, worst,
+                       *(drive.writes[k] - last[k] for k in last),
+                       float(drive.pec.mean())))
+        last.update((k, drive.writes[k]) for k in last)
+
+    next_refresh = REFRESH_CHECK_S
+    next_day = SECONDS_PER_DAY
+    for ts, is_write, page, n in zip(*(col.tolist() for col in (
+            trace.timestamp_us, trace.is_write, first, count))):
+        now = ts / 1e6
+        while now >= next_refresh:
+            run_refresh(drive, next_refresh, cfg.refresh)
+            next_refresh += REFRESH_CHECK_S
+        while now >= next_day:
+            close_day()
+            next_day += SECONDS_PER_DAY
+        access = drive.host_write if is_write else drive.host_read
+        for p in range(page, page + n):
+            access(p % n_logical, now)
+    close_day()
+    return series
 
 
 # --- fit's JSON artifacts ---------------------------------------------------

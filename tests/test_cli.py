@@ -609,6 +609,37 @@ class TestSimulate:
                          for p in runs.rglob("*") if p.is_file())
         assert written == ["out/manifest.json"]
 
+    @pytest.mark.parametrize("doc", [
+        {"policies": [{"name": "run", "capacity_bytes": 32 << 20}]},
+        {"experiment": "heatwatch", "max_samples": 40},
+    ], ids=["policies", "heatwatch"])
+    def test_decreasing_timestamp_is_config_error(self, tmp_path, capsys,
+                                                  monkeypatch, doc):
+        def no_replay(*args, **kw):
+            raise AssertionError("the trace was replayed")
+        monkeypatch.setattr("flashlab.cli.run_lifetime", no_replay)
+        monkeypatch.setattr("flashlab.cli.run_experiment", no_replay)
+        # 400 writes a minute apart, 400 reads of them, then a write
+        # stamped before all of them
+        rows = [(i * 60_000_000, "W", 16 * i) for i in range(400)]
+        rows += [((400 + i) * 60_000_000, "R", 16 * i) for i in range(400)]
+        rows.append((0, "W", 9999))
+        tr = tmp_path / "t.csv"
+        tr.write_text("timestamp_us,op,lba,size_bytes\n" + "".join(
+            f"{t},{op},{lba},8192\n" for t, op, lba in rows))
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["--out", str(tmp_path / "runs" / "out"), "simulate",
+                   "--config", str(cfg), "--trace", str(tr)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "timestamps decrease at event 800" in err
+        assert "timestamp_us 0 follows 47940000000" in err
+        runs = tmp_path / "runs"
+        written = sorted(str(p.relative_to(runs))
+                         for p in runs.rglob("*") if p.is_file())
+        assert written == ["out/manifest.json"]
+
     def test_fast_wearing_drive_in_direct_mode_exits_zero(self, tmp_path):
         # about 2000 P/E a day: the lifetime search extrapolates to P/E
         # counts whose page RBER overflows a float

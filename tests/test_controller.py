@@ -31,7 +31,7 @@ from flashlab.trace import SECTOR_BYTES, Trace
 from flashlab.urt import (T_PROGRAM_K, AccelLog, RetentionAges, TempTrace, af,
                           calibration_pack_from_retention, celsius_to_kelvin,
                           state_models, temp_generate, urt_predict)
-from reference import synth_hot
+from reference import reference_replay, synth_hot
 
 DAY = 86400.0
 
@@ -503,6 +503,75 @@ class TestBatchedMigrationProperty:
             assert drives[0].audit() and drives[1].audit()
 
 
+# gaps between events, in seconds: bursts, hours and more than a day
+_GAP_S = hst.sampled_from([0, 0, 1, 45, 1200, 3600, 5000, 0.6 * DAY,
+                           1.5 * DAY, 3.2 * DAY])
+_EVENT = hst.tuples(_GAP_S, hst.sampled_from("RWWW"),
+                    # sectors: past the end of the drive the span wraps
+                    hst.one_of(hst.integers(0, 1 << 12),
+                               hst.integers(0, 1 << 20)),
+                    hst.one_of(hst.just(8192), hst.integers(1, 64 * 8192),
+                               hst.integers(1, 64).map(lambda n: n * 8192)))
+
+
+class TestBatchedHostWriteProperty:
+    """replay (runs of Drive.host_writes, reads counted in bulk) against
+    reference_replay (one host_write or host_read per page) on identical
+    WARM-free drives fed identical traces."""
+
+    @settings(max_examples=200)
+    @given(n_blocks=hst.integers(4, 16),
+           op=hst.sampled_from([0.1, 0.25, 0.5, 0.9]),
+           mode=hst.sampled_from(["none", "fcr", "adaptive"]),
+           period_days=hst.sampled_from([0.5, 1.0, 3.0]),
+           # below, at and past the 3-year gate, and past every tier
+           initial_pec=hst.sampled_from([0, 3000, 3200, 160_000]),
+           # passes over the logical pages before the replay starts
+           prefill=hst.sampled_from([0.0, 0.5, 1.0, 2.5]),
+           events=hst.lists(_EVENT, max_size=80))
+    def test_runs_match_per_page_reference(self, n_blocks, op, mode,
+                                           period_days, initial_pec, prefill,
+                                           events):
+        geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
+                        op_fraction=op)
+        cfg = LifetimeConfig(geometry=geom, initial_pec=initial_pec,
+                             refresh=RefreshConfig(mode=mode,
+                                                   period_s=period_days * DAY))
+        drives = [Drive(geom, initial_pec=initial_pec) for _ in range(2)]
+        try:
+            start = [fill_drive(d, passes=prefill) for d in drives][0]
+        except ValueError:
+            event("over-committed before the replay")
+            return
+        ts = int(start * 1e6) + np.cumsum(
+            [int(gap * 1e6) for gap, _, _, _ in events], dtype=np.int64)
+        trace = Trace(ts, [op == "W" for _, op, _, _ in events],
+                      [lba for _, _, lba, _ in events],
+                      [size for _, _, _, size in events])
+        outcomes = []
+        for d, run in zip(drives, (replay, reference_replay)):
+            try:
+                outcomes.append(run(trace, d, cfg))
+            except ValueError as exc:
+                # the documented over-commit: too little spare space
+                assert "over-committed" in str(exc)
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        states = [drive_state(d) for d in drives]
+        assert states[0][1] == states[1][1]
+        for k, arr in states[0][0].items():
+            assert np.array_equal(arr, states[1][0][k]), k
+        d = drives[0]
+        if isinstance(outcomes[0], str):
+            event("over-committed")
+        else:
+            event(f"days closed: {min(len(outcomes[0]), 3)}")
+        event(f"gc ran: {d.writes['gc'] > 0}")
+        event(f"refresh ran: {d.writes['refresh'] > 0}")
+        assert d.audit()
+
+
+RET = RetentionModel3D()
 RET = RetentionModel3D()
 
 

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 from flashlab.cli import main
-from flashlab.trace import (SECTOR_BYTES, Trace, hotness_cdf, parse_canonical,
-                            parse_msr, write_canonical)
+from flashlab.trace import (CHUNK_BYTES, SECTOR_BYTES, Trace, hotness_cdf,
+                            parse_canonical, parse_msr, write_canonical)
 from reference import synth_hot, trace_of
 
 
@@ -295,6 +296,69 @@ class TestParseProperty:
         path.write_text(f"0,web,0,Write,{1 << 72},4096,10\n")
         with pytest.raises(ValueError, match="64-bit"):
             parse_msr(path)
+
+
+def _canonical_file(path, body):
+    path.write_bytes(b"timestamp_us,op,lba,size_bytes\n" + body)
+    return path
+
+
+class TestBulkParseGate:
+    """parse_canonical on the files its bulk reader's gate must admit or
+    turn away, against the per-row reference."""
+
+    @pytest.mark.parametrize("body", [
+        b"5,W,0,8192\n6,R,16,4096\n",
+        # comma counts that compensate, the last with every op byte where
+        # a count of separators alone would look for one
+        b"1,R,2\n3,W,4,5,6\n", b"3,W,4,5,6\n1,R,2\n7,W,8,9\n",
+        b"1,W,2\n3,4,R,5,6\n",
+        b"1234567890123456789,W,0,8192\n",  # 19 digits, within int64
+        b"5,W,0000000000000000007,8192\n",
+        b"-5,W,0,8192\n6,R,16,8192\n",
+        b"+5,W,0,8192\n", b"5,W,+16,8192\n",
+        b"5,W,0,0\n6,R,16,8192\n7,W,32,0\n",  # size 0: skipped
+        b"",                                  # a header and no rows
+        b"5,W,0,8192\n6,R,16,8192",           # no final newline
+        b"5,W,0,8192\r\n6,R,16,8192\r\n", b"5,W,0,8192\r6,R,16,8192\r",
+        b"5,W,0,8192\n\n6,R,16,8192\n",       # a blank line
+        b"5, W,0,8192\n", b"5,W,0,8192 \n", b"5,RW,0,8192\n", b"5,,0,8192\n",
+        b",W,0,8192\n", b"5,W,0,\n", b"5,w,0,8192\n", b'5,"W",0,8192\n',
+        b"5,W,0,8192,\n", b"5,W,0\n",
+    ])
+    def test_matches_per_row_reader(self, tmp_path, body):
+        path = _canonical_file(tmp_path / "t.csv", body)
+        events, skipped = parse_canonical(path)
+        assert (events.columns(), skipped) == reference_parse_canonical(path)
+
+    def test_bad_row_in_a_later_chunk(self, tmp_path):
+        rows = [b"%d,%s,%d,8192\n" % (i, (b"R", b"W")[i % 2], 16 * i)
+                for i in range(CHUNK_BYTES // 10)]
+        at = np.searchsorted(np.cumsum([len(r) for r in rows]),
+                             CHUNK_BYTES + 100)
+        rows[at] = b"5,W,-16,8192\n"
+        path = _canonical_file(tmp_path / "t.csv", b"".join(rows))
+        assert path.stat().st_size > 2 * CHUNK_BYTES
+        events, skipped = parse_canonical(path)
+        assert skipped == 1
+        assert (events.columns(), skipped) == reference_parse_canonical(path)
+
+    def test_parse_memory_does_not_grow_with_the_trace(self, tmp_path):
+        # 200k rows in 4.8 MB, whose columns take 5 MB; the per-row reader
+        # peaks at about 27 MB on this file
+        rng = np.random.default_rng(0)
+        pages = rng.integers(0, 1 << 17, 200_000).tolist()
+        path = _canonical_file(tmp_path / "t.csv", b"".join(
+            b"%d,%s,%d,8192\n" % (1000 * i, (b"R", b"W")[i % 3 > 0], 16 * p)
+            for i, p in enumerate(pages)))
+        tracemalloc.start()
+        try:
+            events, skipped = parse_canonical(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(events), skipped) == (200_000, 0)
+        assert peak < 16 << 20
 
 
 def reference_hotness_counts(rows, page_size):
