@@ -84,12 +84,12 @@ def _nonconverged(fr):
 
 
 def _pec_from_name(path):
-    stem = os.path.splitext(os.path.basename(path))[0]
-    digits = "".join(ch for ch in stem if ch.isdigit())
-    if not digits:
-        raise ConfigError(f"cannot infer P/E count from filename {path!r};"
-                          " use --pecs")
-    return int(digits)
+    """The P/E count a histogram's file stem names: its one run of digits."""
+    runs = re.findall(r"[0-9]+", os.path.splitext(os.path.basename(path))[0])
+    if len(runs) != 1:
+        raise ConfigError(f"cannot infer P/E count from filename {path!r}: it"
+                          " needs exactly one run of digits; use --pecs")
+    return int(runs[0])
 
 
 def cmd_fit(args):

@@ -19,7 +19,7 @@ from ..trace import span_pages
 from .geometry import Geometry, SECONDS_PER_DAY, endurance_at
 from .ftl import Drive, CLOSED
 from .refresh import RefreshConfig, run_refresh
-from .warm import WarmManager, COLD, HOT
+from .warm import HOT_RETENTION_S, WarmManager, COLD, HOT
 
 REFRESH_CHECK_S = 3600.0            # replay runs a refresh pass this often
 RETENTION = RetentionModel3D()
@@ -230,7 +230,7 @@ def run_lifetime(trace, cfg):
 
 def _pool_endurance(cfg, warm, pool):
     if pool == HOT and warm is not None:
-        return endurance_at(warm.cfg.hot_retention_s)
+        return endurance_at(HOT_RETENTION_S)
     return endurance_at(cfg.refresh.retention_s)
 
 

@@ -15,6 +15,8 @@ from ..degradation import retention_refs
 from ..models.applications import predict_vopt, sweep_vopt
 from ..urt import RetentionAges, state_models
 
+REMAR_CADENCE = 100  # sampled reads between ReMAR re-fits
+
 
 @dataclass
 class ReadContext:
@@ -41,16 +43,16 @@ def _per_read(ctx, refs_at):
 class ReMARState:
     """Retention-model tracker that re-fits on a fixed sampling cadence.
 
-    Reads are sampled; every `cadence` samples the tracked (pec, age)
+    Reads are sampled; every `REMAR_CADENCE` samples the tracked (pec, age)
     operating point is re-anchored and the predicted references cached.
     Between re-fits the cached references are served, so the policy trades
     staleness for sampling cost: read i of a run gets the references
-    fitted at read cadence * (i // cadence), however its reads are batched.
+    fitted at read REMAR_CADENCE * (i // REMAR_CADENCE), however its reads
+    are batched.
     """
 
-    def __init__(self, retention_model, cadence=100):
+    def __init__(self, retention_model):
         self.model = retention_model
-        self.cadence = cadence
         self.samples = 0
         self._cached = None
 
@@ -58,7 +60,7 @@ class ReMARState:
         return _per_read(ctx, lambda age_s: self._next(ctx.pec, age_s))
 
     def _next(self, pec, age_s):
-        if self._cached is None or self.samples % self.cadence == 0:
+        if self._cached is None or self.samples % REMAR_CADENCE == 0:
             self._cached = retention_refs(self.model, pec, age_s)
         self.samples += 1
         return self._cached

@@ -10,7 +10,6 @@ every full logical-drive write.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 COLD, HOT = 0, 1
 
@@ -18,26 +17,21 @@ _W_MIN, _W_MAX = 1, 128
 _H_STEP = 0.02
 _H_MIN = 0.02
 
-
-@dataclass
-class WarmConfig:
-    initial_hot_fraction: float = 0.04
-    initial_window: int = 8
-    hot_retention_s: float = 3 * 86400.0
-    rotation_pec: int = 1000
+# Design constants (Luo et al., MSST 2015): the tuner's starting point, and
+# the hot pool's retention guarantee and rotation wear.
+INITIAL_HOT_FRACTION = 0.04
+INITIAL_WINDOW = 8               # a power of two in [_W_MIN, _W_MAX]
+HOT_RETENTION_S = 3 * 86400.0
+ROTATION_PEC = 1000
 
 
 class WarmManager:
-    def __init__(self, geom, config=None):
-        self.cfg = config or WarmConfig()
+    def __init__(self, geom):
         self.geom = geom
         self._logical_bytes = geom.logical_bytes
         self._total_blocks = geom.total_blocks
-        w = self.cfg.initial_window
-        if w < _W_MIN or w > _W_MAX or w & (w - 1):
-            raise ValueError("window must be a power of two in [1, 128]")
-        self.window = w
-        self.h = min(self.cfg.initial_hot_fraction, geom.op_fraction)
+        self.window = INITIAL_WINDOW
+        self.h = min(INITIAL_HOT_FRACTION, geom.op_fraction)
         self.cold_closed = deque()   # newest on the right
         self.hot_closed = deque()    # oldest on the left (demotion order)
         self._cooldown = set()
@@ -67,7 +61,7 @@ class WarmManager:
         # once per change, not on every write
         self._h = value
         self._hot_budget = max(1, int(value * self._total_blocks))
-        self._rotation_threshold = self.cfg.rotation_pec * self._hot_budget
+        self._rotation_threshold = ROTATION_PEC * self._hot_budget
 
     @property
     def hot_budget_blocks(self):
@@ -128,11 +122,11 @@ class WarmManager:
 
         # The hot pool must fill no faster than its retention guarantee:
         # a block written now is only guaranteed readable for
-        # hot_retention_s, so the pool must turn over within that time.
+        # HOT_RETENTION_S, so the pool must turn over within that time.
         if hot_rate <= 0:
             h_cap = _H_MIN
         else:
-            h_cap = (hot_rate * self.cfg.hot_retention_s
+            h_cap = (hot_rate * HOT_RETENTION_S
                      / (self._total_blocks * self.geom.block_size))
 
         metric = (self._cold_pool_blocks(drive)

@@ -25,6 +25,8 @@ _STAGE_ORDER = (CellState.P3, CellState.P2, CellState.ER, CellState.P1)
 
 _LAM_CAP = 0.5  # misprogram probability is a rare event by construction
 
+FIT_MAX_ITER = 1000  # simplex iterations per fit_static stage
+
 
 @dataclass
 class FitResult:
@@ -149,7 +151,7 @@ def default_init(hist, family):
     return enforce_constraints(models)
 
 
-def fit_static(hist, family, max_iter=1000):
+def fit_static(hist, family):
     """Fit a 4-state model to a binned histogram by KL minimization.
 
     A stage objective evaluates only the fitted state's own component, mixed
@@ -182,7 +184,7 @@ def fit_static(hist, family, max_iter=1000):
             return state_kl(st, bin_masses(own if tgt_cdf is None else mix(m, own, tgt_cdf)))
 
         x0 = np.array(_pack_state(models[st], family, st))
-        x, _, iters, ok = nelder_mead(objective, x0, max_iter=max_iter)
+        x, _, iters, ok = nelder_mead(objective, x0, max_iter=FIT_MAX_ITER)
         models[st] = _unpack_state(x, family, st)
         total_iters += iters
         converged &= ok
@@ -193,7 +195,7 @@ def fit_static(hist, family, max_iter=1000):
         return float(np.mean([state_kl(s, dens[s]) for s in CellState]))
 
     x0 = _pack_all(models, family)
-    x, kl, iters, ok = nelder_mead(joint_objective, x0, max_iter=max_iter)
+    x, kl, iters, ok = nelder_mead(joint_objective, x0, max_iter=FIT_MAX_ITER)
     total_iters += iters
     polished = _unpack_all(x, family)
     if kl <= init_kl:

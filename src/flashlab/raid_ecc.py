@@ -25,7 +25,6 @@ class EccConfig:
     codeword_len: int
     correctable: int
     coding_rate: float = 0.9
-    target_uber: float = 1e-15
 
     def __post_init__(self):
         if not (0 < self.correctable < self.codeword_len):

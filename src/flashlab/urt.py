@@ -143,12 +143,12 @@ class AccelLog:
     up in bulk, level by level, as a run of identical values.
     """
 
-    def __init__(self, n_levels=N_LOG_LEVELS):
-        self.n_levels = n_levels
+    def __init__(self):
+        self.n_levels = N_LOG_LEVELS
         self.base = LOG_BASE_SECONDS
-        self.cur = np.zeros(n_levels)  # cur[0] stays 0: chunks arrive whole
-        self.prev = np.zeros(n_levels)
-        self.pending = np.zeros(n_levels, dtype=np.int8)
+        self.cur = np.zeros(N_LOG_LEVELS)  # [0] stays 0: chunks arrive whole
+        self.prev = np.zeros(N_LOG_LEVELS)
+        self.pending = np.zeros(N_LOG_LEVELS, dtype=np.int8)
         self.elapsed = 0.0
 
     def update(self, af_value, tick_seconds):

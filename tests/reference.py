@@ -300,11 +300,12 @@ def load_models_json(path):
 # --- multi-rate ECC -----------------------------------------------------------
 
 
-def multirate_schedule(engines, rber_of_pec, pec_step=100, pec_max=200000):
+def multirate_schedule(engines, rber_of_pec, target_uber, pec_step=100,
+                       pec_max=200000):
     """Switching thresholds for a ladder of ECC engines.
 
     Engine i hands over when its codeword failure rate at the drive's
-    RBER(pec) exceeds its target UBER. engines: (EccConfig, op, wa) tuples
+    RBER(pec) exceeds target_uber. engines: (EccConfig, op, wa) tuples
     ordered weakest code first. Returns (pec_increment, op, wa, rate)
     entries suitable for multirate_lifetime.
     """
@@ -312,7 +313,7 @@ def multirate_schedule(engines, rber_of_pec, pec_step=100, pec_max=200000):
     start = 0
     for ecc, op, wa in engines:
         pec = start
-        while pec <= pec_max and ecc_failure_rate(ecc, rber_of_pec(pec)) <= ecc.target_uber:
+        while pec <= pec_max and ecc_failure_rate(ecc, rber_of_pec(pec)) <= target_uber:
             pec += pec_step
         if pec > start:
             schedule.append((pec - start, op, wa, ecc.coding_rate))

@@ -354,10 +354,10 @@ class TestAnalyticCalculus:
             return 1e-4 + c * pec ** 1.6
 
         def schedule_of(engines):
-            return multirate_schedule(engines, rber_of_pec, pec_step=50)
+            return multirate_schedule(engines, rber_of_pec, 1e-13, pec_step=50)
 
         for sched in schedules:
-            engines = [(EccConfig(8192, int(t), 0.9, 1e-13), op, wa)
+            engines = [(EccConfig(8192, int(t), 0.9), op, wa)
                        for t, op, wa in sched]
             segments = schedule_of(engines)
             assert segments

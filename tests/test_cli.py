@@ -82,6 +82,22 @@ class TestFit:
         models, _ = predict_static(dynamic, 4500, "gaussian")
         assert models == load_models_json(str(out / "model.json"))
 
+    @pytest.mark.parametrize("name", ["chip2_pec3000.csv", "h1e3.csv",
+                                      "fresh.csv"])
+    def test_dynamic_pec_from_a_name_without_one_digit_run_is_config_error(
+            self, tmp_path, capsys, name):
+        # a P/E count is read only from a stem with exactly one run of
+        # digits: chip2_pec3000 is not P/E 23000, nor h1e3 P/E 13
+        paths = [tmp_path / "h1000.csv", tmp_path / "h2000.csv", tmp_path / name]
+        for i, path in enumerate(paths):
+            write_histogram(path, heavy_tail_models(), n_cells=20_000, seed=i)
+        rc = main(["--out", str(tmp_path / "out"), "fit", *map(str, paths),
+                   "--dynamic", "--family", "gaussian"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert name in err and "--pecs" in err
+        assert not (tmp_path / "out" / "dynamic.json").exists()
+
     def test_dynamic_with_compare_is_config_error(self, tmp_path, capsys):
         # --dynamic fits one family, so a list of families conflicts
         paths = []

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,19 +9,21 @@ from hypothesis import strategies as hst
 
 from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, THREE_YEARS_S,
                                  Drive, Geometry, LifetimeConfig,
-                                 RefreshConfig, WarmConfig, WarmManager,
-                                 adaptive_period, endurance_at,
-                                 in_refresh_phase, replay, run_lifetime,
-                                 run_refresh)
+                                 RefreshConfig, WarmManager, adaptive_period,
+                                 endurance_at, in_refresh_phase, replay,
+                                 run_lifetime, run_refresh)
+from flashlab.controller import policies, warm as warm_mod
 from flashlab.controller.ftl import CLOSED
 from flashlab.controller.heatwatch import (HEATWATCH_POLICIES, MIN_AGE_S,
                                            PAGE_SIZE, SCORE_CHUNK, TICK_S,
                                            HeatwatchConfig, ReadSample,
                                            collect_samples, policy_worst_rber,
                                            sample_batches, truth_models)
-from flashlab.controller.policies import (ReadContext,
+from flashlab.controller.policies import (REMAR_CADENCE, ReadContext,
                                           ReMARState, heatwatch_refs,
                                           policy_refs)
+from flashlab.controller.warm import (_H_MIN, _W_MAX, _W_MIN,
+                                      INITIAL_HOT_FRACTION, INITIAL_WINDOW)
 from flashlab.degradation import RetentionModel3D, retention_refs
 from flashlab.grid import (DEFAULT_READ_REFS, LSB_OF_STATE, MSB_OF_STATE,
                            CellState, ReadRefs)
@@ -165,9 +168,9 @@ class TestDrive:
 
 class TestWarm:
     @staticmethod
-    def warm_drive(mb=16, **cfg):
+    def warm_drive(mb=16):
         geom = small_geom(mb=mb)
-        warm = WarmManager(geom, WarmConfig(**cfg))
+        warm = WarmManager(geom)
         return Drive(geom, warm=warm), warm
 
     def test_first_write_routes_cold(self):
@@ -193,7 +196,7 @@ class TestWarm:
         assert w.hot_hits >= 1
 
     def test_hot_pool_bounded_by_budget(self):
-        d, w = self.warm_drive(initial_hot_fraction=0.04)
+        d, w = self.warm_drive()
         rng = np.random.default_rng(0)
         hot_pages = 64
         t = fill_drive(d, passes=1.0)
@@ -224,9 +227,10 @@ class TestWarm:
             assert 1 <= w.window <= 128
             assert w.window & (w.window - 1) == 0
 
-    def test_window_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            WarmManager(small_geom(), WarmConfig(initial_window=3))
+    def test_initial_settings_lie_in_the_tuner_bounds(self):
+        w = INITIAL_WINDOW
+        assert _W_MIN <= w <= _W_MAX and w & (w - 1) == 0
+        assert _H_MIN <= INITIAL_HOT_FRACTION
 
 
 class TestRefresh:
@@ -453,54 +457,60 @@ class TestBatchedMigrationProperty:
            steps=hst.lists(_MIGRATION_STEP, min_size=1, max_size=60))
     def test_batched_matches_per_page(self, n_blocks, op, footprint, warm,
                                       rotation_pec, include_hot, steps):
-        geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
-                        op_fraction=op)
-        drives = [cls(geom, warm=(WarmManager(geom, WarmConfig(
-                      rotation_pec=rotation_pec)) if warm else None))
-                  for cls in (Drive, PerPageMigrationDrive)]
-        span = max(1, int(footprint * geom.logical_pages))
-        now = 0.0
-        hot_erases = 0
-        for kind, a, b in steps:
-            if kind == "sweep":
-                now += a * DAY
-            outcomes = []
-            for d in drives:
-                try:
-                    if kind == "write":
-                        for i in range(b):
-                            d.host_write((a + i) % span, now + i)
-                        outcomes.append(None)
-                    elif kind == "sweep":
-                        outcomes.append(d.refresh_sweep(now, b * DAY, include_hot))
-                    else:
-                        outcomes.append(len(d.warm.hot_closed) if d.warm else 0)
-                        if d.warm:
-                            d.rotate_hot_pool()
-                except ValueError as exc:
-                    # the documented over-commit: too little spare space
-                    assert "over-committed" in str(exc)
-                    outcomes.append("over-committed")
-            if kind == "write":
-                now += b
-            assert outcomes[0] == outcomes[1]
-            states = [drive_state(d) for d in drives]
-            assert states[0][1] == states[1][1]
-            for k, arr in states[0][0].items():
-                assert np.array_equal(arr, states[1][0][k]), k
-            if outcomes[0] == "over-committed":
-                event("over-committed")
-                return
-            if kind == "rotate" and outcomes[0]:
-                event("rotate step moved hot blocks")
-            if kind == "sweep" and outcomes[0]:
-                event("sweep refreshed blocks")
-            if warm:
-                # the count only falls when a rotation resets it
-                if drives[0].warm.hot_erases_since_rotation < hot_erases:
-                    event("host write ran a rotation")
-                hot_erases = drives[0].warm.hot_erases_since_rotation
-            assert drives[0].audit() and drives[1].audit()
+        # the hot pool's rotation wear, drawn down to 1 so rotations happen
+        with patch.object(warm_mod, "ROTATION_PEC", rotation_pec):
+            geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
+                            op_fraction=op)
+            drives = [cls(geom, warm=WarmManager(geom) if warm else None)
+                      for cls in (Drive, PerPageMigrationDrive)]
+            assert all(d.warm is None or d.warm._rotation_threshold
+                       == rotation_pec * d.warm.hot_budget_blocks
+                       for d in drives)
+            span = max(1, int(footprint * geom.logical_pages))
+            now = 0.0
+            hot_erases = 0
+            for kind, a, b in steps:
+                if kind == "sweep":
+                    now += a * DAY
+                outcomes = []
+                for d in drives:
+                    try:
+                        if kind == "write":
+                            for i in range(b):
+                                d.host_write((a + i) % span, now + i)
+                            outcomes.append(None)
+                        elif kind == "sweep":
+                            outcomes.append(d.refresh_sweep(now, b * DAY,
+                                                            include_hot))
+                        else:
+                            outcomes.append(len(d.warm.hot_closed)
+                                            if d.warm else 0)
+                            if d.warm:
+                                d.rotate_hot_pool()
+                    except ValueError as exc:
+                        # the documented over-commit: too little spare space
+                        assert "over-committed" in str(exc)
+                        outcomes.append("over-committed")
+                if kind == "write":
+                    now += b
+                assert outcomes[0] == outcomes[1]
+                states = [drive_state(d) for d in drives]
+                assert states[0][1] == states[1][1]
+                for k, arr in states[0][0].items():
+                    assert np.array_equal(arr, states[1][0][k]), k
+                if outcomes[0] == "over-committed":
+                    event("over-committed")
+                    return
+                if kind == "rotate" and outcomes[0]:
+                    event("rotate step moved hot blocks")
+                if kind == "sweep" and outcomes[0]:
+                    event("sweep refreshed blocks")
+                if warm:
+                    # the count only falls when a rotation resets it
+                    if drives[0].warm.hot_erases_since_rotation < hot_erases:
+                        event("host write ran a rotation")
+                    hot_erases = drives[0].warm.hot_erases_since_rotation
+                assert drives[0].audit() and drives[1].audit()
 
 
 # gaps between events, in seconds: bursts, hours and more than a day
@@ -597,13 +607,14 @@ class TestPolicies:
         assert got.va < got.vb < got.vc
 
     def test_remar_caches_between_refits(self):
-        state = ReMARState(RET, cadence=10)
-        a = state.refs(self.ctx(pec=1000, age_s=DAY))
-        b = state.refs(self.ctx(pec=9000, age_s=60 * DAY))  # served stale
-        assert a == b
-        for _ in range(8):
-            state.refs(self.ctx(pec=9000, age_s=60 * DAY))
-        c = state.refs(self.ctx(pec=9000, age_s=60 * DAY))  # refit point
+        with patch.object(policies, "REMAR_CADENCE", 10):
+            state = ReMARState(RET)
+            a = state.refs(self.ctx(pec=1000, age_s=DAY))
+            b = state.refs(self.ctx(pec=9000, age_s=60 * DAY))  # served stale
+            assert a == b
+            for _ in range(8):
+                state.refs(self.ctx(pec=9000, age_s=60 * DAY))
+            c = state.refs(self.ctx(pec=9000, age_s=60 * DAY))  # refit point
         assert c == retention_refs(RET, 9000, 60 * DAY)
         assert c != a
 
@@ -718,7 +729,6 @@ class TestCollectSamples:
 # bit for bit.
 
 STEPS = np.arange(1, VC_SEARCH_MAX + 1, dtype=float)
-REMAR_CADENCE = 100  # ReMARState's default
 
 
 def reference_truth_models(pack, pec, eff_s):

@@ -5,9 +5,10 @@ argument, every library function, class and method is reached from a
 CLI workflow or is a named reference that the tests check other code
 against, every definition of the tests' ``reference`` module feeds some
 test and no library module imports a test module, every defaulted
-library setting is set by some call, every name a package re-exports is
-imported through that package somewhere, and every function or method
-the benchmark's tracer wraps by name exists.
+library setting is set by some library or benchmark call (a setting that
+only tests vary is a module constant they patch), every name a package
+re-exports is imported through that package somewhere, and every function
+or method the benchmark's tracer wraps by name exists.
 
 Package ``__init__.py`` files are exempt from the import check, since
 importing a name there is how it is re-exported.
@@ -24,6 +25,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "flashlab"
 TESTS = ROOT / "tests"
+BENCH = ROOT / "bench"
 
 
 def unused_imports(source):
@@ -405,7 +407,7 @@ def unset_settings(modules, call_sources):
                        for n_pos, keywords, star in calls.get(call, []))]
 
 
-def test_unset_detector_flags_only_settings_no_call_sets():
+def test_unset_detector_flags_only_settings_no_call_sets(tmp_path):
     modules = {"lib": "def f(a, b=1, *, c=2, d=3):\n    pass\n"
                       "@dataclass\n"
                       "class Cfg:\n    x: int\n    y: int = 0\n    z: int = 1\n"
@@ -423,18 +425,56 @@ def test_unset_detector_flags_only_settings_no_call_sets():
     # a call with **kw sets every setting of its name
     assert unset_settings(modules, calls + ["f(**kw)\nCfg(**kw)\n"]) == [
         "lib.Box.go.j"]
+    # only calls under src/ and bench/ count: the test's call sets q, yet q
+    # stays unset
+    modules = {"lib": "def h(p=1, q=2):\n    pass\n"}
+    for tree, source in (("src", modules["lib"]), ("bench", "h(p=0)\n"),
+                         ("tests", "h(q=0)\n")):
+        (tmp_path / tree).mkdir()
+        (tmp_path / tree / "m.py").write_text(source)
+    callers = call_sources([tmp_path / "src", tmp_path / "bench"])
+    assert unset_settings(modules, callers) == ["lib.h.q"]
+    tests = call_sources([tmp_path / "tests"])
+    assert unset_settings(modules, callers + tests) == []
 
 
-# Defaulted settings that no call sets yet and that stay on purpose, with
-# why. Every other default in src/ is a value some call changes, or it is
-# a module constant.
+# Defaulted settings that no library or benchmark call sets yet and that
+# stay on purpose, with why: the ROADMAP direction that will set them, or
+# the benchmark code that reads them. Every other default in src/ is a
+# value some call changes, or it is a module constant.
 KEPT_DEFAULTS = {
+    "controller.policies.ReadContext.layer_va_offset":
+        "LaVAR's per-layer offsets (ROADMAP Direction 10)",
+    "controller.policies.ReadContext.layer_vb_offset":
+        "LaVAR's per-layer offsets (ROADMAP Direction 10)",
+    "controller.refresh.RefreshConfig.include_hot":
+        "bench/tracer.py's refresh-scan hook reads it",
+    "degradation.OffsetShape.va_drop": "3D-NAND layer variation "
+                                       "(ROADMAP Direction 10)",
+    "degradation.OffsetShape.vb_drop": "3D-NAND layer variation "
+                                       "(ROADMAP Direction 10)",
+    "degradation.sample_layer_profile.offset_cfg": "3D-NAND layer variation "
+                                                   "(ROADMAP Direction 10)",
+    "degradation.sample_layer_profile.seed": "3D-NAND layer variation "
+                                             "(ROADMAP Direction 10)",
     "degradation.sample_layer_profile.n_layers": "3D-NAND layer variation "
                                                  "(ROADMAP Direction 10)",
     "degradation.RetentionModel3D.coeffs": "a seeded device's perturbed "
                                            "coefficients (ROADMAP Direction 9)",
+    "models.applications.estimate_lifetime.pec_step":
+        "lifetime from fitted models (ROADMAP Direction 15)",
+    "models.applications.estimate_lifetime.pec_max":
+        "lifetime from fitted models (ROADMAP Direction 15)",
+    "raid_ecc.layout_worst_group.parity": "LI-RAID worst-group scoring "
+                                          "(ROADMAP Direction 10)",
+    "raid_ecc.layout_worst_group.ecc": "LI-RAID worst-group scoring "
+                                       "(ROADMAP Direction 10)",
     "urt.fit_srrm.init": "URT calibration from characterization "
                          "(ROADMAP Direction 9)",
+    "urt.urt_predict.af_r": "acceleration factors of a fitted pack "
+                            "(ROADMAP Direction 9)",
+    "urt.urt_predict.af_d": "acceleration factors of a fitted pack "
+                            "(ROADMAP Direction 9)",
     "urt.calibration_pack_from_retention.ea": "a seeded device's activation "
                                               "energy (ROADMAP Direction 9)",
     "urt.calibration_pack_from_retention.t_room": "a seeded device's pack "
@@ -444,10 +484,15 @@ KEPT_DEFAULTS = {
 }
 
 
+def call_sources(trees):
+    """The source of every module under ``trees``."""
+    return [p.read_text() for tree in trees for p in sorted(tree.glob("**/*.py"))]
+
+
 def unset_library_settings():
-    modules = library_modules()
-    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
-    return unset_settings(modules, list(modules.values()) + tests)
+    # a setting that only a test varies is a module constant the test
+    # patches, so calls from tests/ do not count
+    return unset_settings(library_modules(), call_sources([SRC, BENCH]))
 
 
 def test_every_library_setting_is_set_by_some_call():
@@ -457,9 +502,8 @@ def test_every_library_setting_is_set_by_some_call():
 
 def test_kept_defaults_name_settings_no_call_sets():
     assert set(KEPT_DEFAULTS) <= set(unset_library_settings())
-
-
-BENCH = ROOT / "bench"
+    assert [q for q, why in KEPT_DEFAULTS.items()
+            if not re.search(r"Direction \d+|bench/tracer\.py", why)] == []
 
 
 def from_imports(source, package):

@@ -10,6 +10,7 @@ read one.
 """
 
 import math
+from unittest.mock import patch
 
 import mpmath
 import numpy as np
@@ -204,7 +205,8 @@ class TestFitStaticBitIdentical:
             CellState.P3: StateModel("student_t", 260.0, 11.0, 4.0, 4.0, 0.0),
         }
         hist = bin_cells(sample_page(models, 50_000, seed=44))
-        got = fitting.fit_static(hist, "student_t", max_iter=150)
+        with patch.object(fitting, "FIT_MAX_ITER", 150):
+            got = fitting.fit_static(hist, "student_t")
         want = ref_fit_static(hist, "student_t", max_iter=150)
         assert got == want
         assert got.iterations > 150  # the stages did move the simplex

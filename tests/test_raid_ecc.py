@@ -122,15 +122,16 @@ class TestLifetime:
             return 1e-4 + 3e-9 * pec**1.6
 
         engines = [
-            (EccConfig(8192, 24, coding_rate=0.93, target_uber=1e-13), 0.116, 1.9),
-            (EccConfig(8192, 40, coding_rate=0.90, target_uber=1e-13), 0.081, 2.0),
-            (EccConfig(8192, 64, coding_rate=0.86, target_uber=1e-13), 0.046, 2.2),
+            (EccConfig(8192, 24, coding_rate=0.93), 0.116, 1.9),
+            (EccConfig(8192, 40, coding_rate=0.90), 0.081, 2.0),
+            (EccConfig(8192, 64, coding_rate=0.86), 0.046, 2.2),
         ]
-        sched = multirate_schedule(engines, rber_of_pec, pec_step=100, pec_max=40000)
+        sched = multirate_schedule(engines, rber_of_pec, 1e-13, pec_step=100,
+                                   pec_max=40000)
         multi = multirate_lifetime(sched, dwpd=1.0, r_compress=1.0)
         singles = []
         for ecc, op, wa in engines:
-            single = multirate_schedule([(ecc, op, wa)], rber_of_pec,
+            single = multirate_schedule([(ecc, op, wa)], rber_of_pec, 1e-13,
                                         pec_step=100, pec_max=40000)
             singles.append(multirate_lifetime(single, dwpd=1.0, r_compress=1.0))
         assert multi >= max(singles) - 1e-12
@@ -139,9 +140,10 @@ class TestLifetime:
         def rber_of_pec(pec):
             return 1e-4 + 1e-8 * pec
 
-        engines = [(EccConfig(4096, 16, target_uber=1e-12), 0.1, 2.0),
-                   (EccConfig(4096, 48, target_uber=1e-12), 0.05, 2.0)]
-        sched = multirate_schedule(engines, rber_of_pec, pec_step=500, pec_max=100000)
+        engines = [(EccConfig(4096, 16), 0.1, 2.0),
+                   (EccConfig(4096, 48), 0.05, 2.0)]
+        sched = multirate_schedule(engines, rber_of_pec, 1e-12, pec_step=500,
+                                   pec_max=100000)
         assert all(inc > 0 for inc, *_ in sched)
 
 

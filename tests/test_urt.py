@@ -1,10 +1,12 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from flashlab import urt
 from flashlab.degradation import RetentionModel3D
 from flashlab.urt import (N_LOG_LEVELS, AccelLog, TempTrace, URTParams, af,
                           calibration_pack_from_retention, celsius_to_kelvin,
@@ -223,7 +225,10 @@ levels = hst.sampled_from([2, 5, N_LOG_LEVELS])
 
 
 def _replay(ticks, n_levels=N_LOG_LEVELS):
-    bulk, ref = AccelLog(n_levels), ChunkwiseAccelLog(n_levels)
+    # a log takes its depth from the module constant when it is built
+    with patch.object(urt, "N_LOG_LEVELS", n_levels):
+        bulk, ref = AccelLog(), ChunkwiseAccelLog()
+    assert bulk.n_levels == ref.n_levels == len(bulk.cur) == n_levels
     for af_value, tick in ticks:
         bulk.update(af_value, tick)
         ref.update(af_value, tick)
