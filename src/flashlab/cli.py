@@ -2,8 +2,11 @@
 
 Subcommands: fit, simulate, plan, layout, trace-stats. All outputs are
 JSON or CSV; every run writes a manifest (config hash, seed, package
-versions) next to its artifacts. Exit codes: 0 ok, 2 configuration
-error, 3 non-convergence, 4 uncorrectable data or infeasible layout.
+versions) next to its artifacts. ``simulate`` starts a run at the
+trace's first event, which it takes as time 0: the daily series and the
+heatwatch temperature profile's phase both start there. Exit codes: 0 ok,
+2 configuration error, 3 non-convergence, 4 uncorrectable data or
+infeasible layout.
 """
 
 import argparse
@@ -159,6 +162,9 @@ def _parse_refresh(spec):
     raise ConfigError(f"unknown refresh spec {spec!r}")
 
 
+# The int64 P/E counters start at initial_pec; this leaves them room to
+# count erases.
+_MAX_INITIAL_PEC = 2 ** 62
 _POLICY_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 _POLICY_KEYS = {"name", "capacity_bytes", "op_fraction", "refresh", "warm",
                 "initial_pec", "mode", "ecc_limit"}
@@ -192,9 +198,9 @@ def _check_policies(policies):
     ``_POLICY_KEYS``. A name must be a plain file stem, unique and not
     ``manifest``, since it names the policy's artifacts; ``refresh`` is a
     string, ``warm`` a JSON boolean, ``initial_pec`` a non-negative JSON
-    integer, ``capacity_bytes`` a JSON integer, ``op_fraction`` a JSON
-    number and ``ecc_limit`` an ``_ecc_limit``; the geometry and mode must
-    make a valid config."""
+    integer below ``_MAX_INITIAL_PEC``, ``capacity_bytes`` a JSON integer,
+    ``op_fraction`` a JSON number and ``ecc_limit`` an ``_ecc_limit``; the
+    geometry and mode must make a valid config."""
     if not isinstance(policies, list) or not policies:
         raise ConfigError("config needs a 'policies' list")
     configs = []
@@ -208,13 +214,13 @@ def _check_policies(policies):
         pec = p.get("initial_pec", 0)
         if (not isinstance(p.get("refresh", ""), str)
                 or not isinstance(p.get("warm", False), bool)
-                or not _json_int(pec) or pec < 0
+                or not _json_int(pec) or not 0 <= pec < _MAX_INITIAL_PEC
                 or not _json_int(p.get("capacity_bytes", 0))
                 or ("op_fraction" in p and not _finite_number(p["op_fraction"]))
                 or ("ecc_limit" in p and not _ecc_limit(p["ecc_limit"]))):
             raise ConfigError(f"policy {name!r}: refresh must be a string, warm"
                               " true or false, initial_pec a non-negative"
-                              " integer, capacity_bytes an integer,"
+                              " integer below 2**62, capacity_bytes an integer,"
                               " op_fraction a number and ecc_limit a number"
                               " in (0, 0.5)")
         try:
@@ -240,9 +246,9 @@ def _one_lifetime(item):
 
 
 def _load_trace(path):
-    """The canonical trace at ``path``; a ConfigError names the first event
-    whose timestamp is below the one before it, since every replay walks
-    time forward."""
+    """The canonical trace at ``path``, rebased so that its first event is
+    at time 0; a ConfigError names the first event whose timestamp is
+    below the one before it, since every replay walks time forward."""
     trace, _ = trace_mod.parse_canonical(path)
     ts = trace.timestamp_us
     back = np.flatnonzero(ts[1:] < ts[:-1])
@@ -251,6 +257,10 @@ def _load_trace(path):
         raise ConfigError(f"trace timestamps decrease at event {i} (counting"
                           f" from 0): timestamp_us {ts[i]} follows"
                           f" {ts[i - 1]}")
+    if len(ts) and ts[0]:
+        if int(ts[-1]) - int(ts[0]) > np.iinfo(np.int64).max:
+            raise ConfigError("trace spans more microseconds than int64 holds")
+        trace.timestamp_us = ts - ts[0]
     return trace
 
 

@@ -19,6 +19,9 @@ the state models through ``urt.RetentionAges``, which takes their SRRM
 log factors once, with ``math.log``, for every P/E count; numpy's log
 can differ from it in the last bit, enough to move a rounded reference.
 Every result is the one scoring the samples one at a time gives.
+Policies keep no state between batches: ReMAR's refit rule is data, the
+age each read is read at (``SampleBatch.refit_age_s``), taken once over
+all the samples in read order.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +31,7 @@ import numpy as np
 from ..models.applications import estimate_rber
 from .. import urt as urt_mod
 from ..urt import RetentionAges, state_models as truth_models
-from .policies import ReadContext, policy_refs, ReMARState
+from .policies import ReadContext, policy_refs, remar_refit_ages
 
 HEATWATCH_POLICIES = ("fixed", "retention_only", "remar", "heatwatch", "oracle")
 
@@ -110,30 +113,37 @@ def collect_samples(trace, cfg, params):
 class SampleBatch:
     """Consecutive read samples as arrays, ready to score at any wear."""
     age_s: np.ndarray        # (S,) wall-clock ages
+    refit_age_s: np.ndarray  # (S,) ages ReMAR reads them at
     exact: RetentionAges     # exact effective ages: the truth
     est: RetentionAges       # estimated effective ages: what HeatWatch knows
 
 
 def sample_batches(samples, pack):
-    """The samples in read order, SCORE_CHUNK to a batch."""
-    return [SampleBatch(np.array([s.age_s for s in chunk]),
-                        RetentionAges(pack, [s.eff_exact_s for s in chunk]),
-                        RetentionAges(pack, [s.eff_est_s for s in chunk]))
-            for chunk in (samples[i:i + SCORE_CHUNK]
-                          for i in range(0, len(samples), SCORE_CHUNK))]
+    """The samples in read order, SCORE_CHUNK to a batch. ReMAR's refit
+    ages follow the read order of all the samples, across batches."""
+    age_s = np.array([s.age_s for s in samples])
+    refit_age_s = remar_refit_ages(age_s)
+    batches = []
+    for i in range(0, len(samples), SCORE_CHUNK):
+        chunk = slice(i, i + SCORE_CHUNK)
+        batches.append(SampleBatch(
+            age_s[chunk], refit_age_s[chunk],
+            RetentionAges(pack, [s.eff_exact_s for s in samples[chunk]]),
+            RetentionAges(pack, [s.eff_est_s for s in samples[chunk]])))
+    return batches
 
 
 def policy_worst_rber(policy, batches, pack, retention_model, pec):
     """Worst per-sample RBER a policy suffers at a given wear level, over
     the ``sample_batches`` of the samples."""
-    remar = ReMARState(retention_model) if policy == "remar" else None
     worst = 0.0
     for batch in batches:
         truth = truth_models(pack, pec, batch.exact)
-        ctx = ReadContext(pec=pec, age_s=batch.age_s, eff_retention_s=batch.est)
+        ctx = ReadContext(pec=pec, age_s=batch.age_s,
+                          refit_age_s=batch.refit_age_s,
+                          eff_retention_s=batch.est)
         refs = policy_refs(policy, ctx, retention_model=retention_model,
-                           calibration=pack, remar_state=remar,
-                           true_models=truth)
+                           calibration=pack, true_models=truth)
         worst = max(worst, float(np.max(estimate_rber(truth, refs).total)))
     return worst
 

@@ -256,12 +256,10 @@ def _analytic_lifetime(drive, warm, cfg, duration_days):
 
 
 def _direct_lifetime(drive, cfg, duration_days):
-    """First day the worst-case block RBER exceeds the ECC limit."""
+    """First day the worst-case block RBER exceeds the ECC limit: day 0
+    for a drive already past it, whatever the trace wore."""
     age_s = cfg.refresh.retention_s
     pec_rate = (drive.pec.max() - cfg.initial_pec) / duration_days
-    if pec_rate <= 0:
-        return math.inf
-
     log_cap = math.log(2.0 * cfg.ecc_limit)
 
     def over_limit(day):
@@ -272,10 +270,10 @@ def _direct_lifetime(drive, cfg, duration_days):
         return max(logs) > log_cap or _page_rber(logs) > cfg.ecc_limit
 
     lo, hi = 0.0, 365.0 * 200
-    if not over_limit(hi):
-        return math.inf
     if over_limit(lo):
         return 0.0
+    if pec_rate <= 0 or not over_limit(hi):
+        return math.inf
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if over_limit(mid):

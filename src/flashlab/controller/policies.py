@@ -1,69 +1,52 @@
 """Read-reference policies.
 
 Policies turn what the controller knows (wear, data age, thermal history,
-layer) into the three read references: for one read a ReadRefs, and for
-a batch of reads at one wear level an (S, 3) array of steps, a row per
-read, or one ReadRefs that serves them all.
+layer) into the three read references for a batch of reads at one wear
+level: an (S, 3) array of steps, a row per read, or one ReadRefs that
+serves them all. A policy keeps no state between batches.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid import DEFAULT_READ_REFS, ReadRefs, ordered_refs, ref_steps
+from ..grid import DEFAULT_READ_REFS, ordered_refs, ref_steps
 from ..degradation import retention_refs
 from ..models.applications import predict_vopt, sweep_vopt
-from ..urt import RetentionAges, state_models
+from ..urt import state_models
 
 REMAR_CADENCE = 100  # sampled reads between ReMAR re-fits
 
 
 @dataclass
 class ReadContext:
-    """Everything a read-reference policy may consult.
+    """Everything a read-reference policy may consult about S reads.
 
-    For a batch of reads, ``age_s`` is an (S,) array and
-    ``eff_retention_s`` a ``urt.RetentionAges``.
+    ``age_s`` and ``refit_age_s`` are (S,) arrays and ``eff_retention_s``
+    a ``urt.RetentionAges``.
     """
     pec: float = 0.0
-    age_s: float = 0.0                 # wall-clock data age
+    age_s: np.ndarray = None           # wall-clock data age
+    refit_age_s: np.ndarray = None     # age at ReMAR's last refit
     layer_va_offset: int = 0           # this wordline's layer deviation, steps
     layer_vb_offset: int = 0
-    eff_retention_s: float = None      # room-equivalent age; heatwatch needs it
+    eff_retention_s: object = None     # room-equivalent age; heatwatch needs it
 
 
-def _per_read(ctx, refs_at):
-    """``refs_at(age)`` at each read's wall-clock age, floored at 1 s, in
-    read order: a ReadRefs for one read, (S, 3) steps for a batch."""
-    if np.ndim(ctx.age_s) == 0:
-        return refs_at(max(ctx.age_s, 1.0))
-    return ref_steps([refs_at(max(age, 1.0)) for age in ctx.age_s.tolist()])
+def remar_refit_ages(age_s):
+    """The age ReMAR reads each of a run's reads at: it re-fits every
+    REMAR_CADENCE sampled reads and serves the fitted references in
+    between, so read i is read at the age of read
+    REMAR_CADENCE * (i // REMAR_CADENCE)."""
+    return age_s[np.arange(len(age_s)) // REMAR_CADENCE * REMAR_CADENCE]
 
 
-class ReMARState:
-    """Retention-model tracker that re-fits on a fixed sampling cadence.
-
-    Reads are sampled; every `REMAR_CADENCE` samples the tracked (pec, age)
-    operating point is re-anchored and the predicted references cached.
-    Between re-fits the cached references are served, so the policy trades
-    staleness for sampling cost: read i of a run gets the references
-    fitted at read REMAR_CADENCE * (i // REMAR_CADENCE), however its reads
-    are batched.
-    """
-
-    def __init__(self, retention_model):
-        self.model = retention_model
-        self.samples = 0
-        self._cached = None
-
-    def refs(self, ctx):
-        return _per_read(ctx, lambda age_s: self._next(ctx.pec, age_s))
-
-    def _next(self, pec, age_s):
-        if self._cached is None or self.samples % REMAR_CADENCE == 0:
-            self._cached = retention_refs(self.model, pec, age_s)
-        self.samples += 1
-        return self._cached
+def _retention_steps(retention_model, pec, age_s):
+    """``retention_refs`` at each read's age, floored at 1 s, as (S, 3)
+    steps; each distinct age is evaluated once."""
+    ages, back = np.unique(np.maximum(age_s, 1.0), return_inverse=True)
+    return ref_steps([retention_refs(retention_model, pec, age)
+                      for age in ages.tolist()])[back]
 
 
 def heatwatch_refs(calibration, ctx):
@@ -72,13 +55,9 @@ def heatwatch_refs(calibration, ctx):
     The URT pack's state models (``urt.state_models``) at the
     room-equivalent dwell; each reference sits where the two neighboring
     predicted densities cross. When the scales match this is exactly the
-    midpoint of the two means. One read is scored as a batch of one.
+    midpoint of the two means.
     """
-    ages = ctx.eff_retention_s
-    one = not isinstance(ages, RetentionAges)
-    if one:
-        ages = RetentionAges(calibration, [ages])
-    models = state_models(calibration, ctx.pec, ages)
+    models = state_models(calibration, ctx.pec, ctx.eff_retention_s)
     crossed = ~np.all(models.mu[:, :-1] < models.mu[:, 1:], axis=1)
     steps = np.empty((len(crossed), 3), dtype=int)
     if not crossed.all():
@@ -89,24 +68,22 @@ def heatwatch_refs(calibration, ctx):
         mus = np.sort(models.mu[crossed], axis=1)
         va, vb, vc = np.rint((mus[:, :-1] + mus[:, 1:]) / 2).astype(int).T
         steps[crossed] = ordered_refs(np.maximum(va, 1), vb, vc)
-    return ReadRefs(*steps[0].tolist()) if one else steps
+    return steps
 
 
 def policy_refs(policy, ctx, retention_model=None, calibration=None,
-                remar_state=None, true_models=None):
-    """Dispatch a read-reference policy for one read, or for a batch of
-    reads (every policy but lavar, which reads one wordline's layer)."""
+                true_models=None):
+    """Dispatch a read-reference policy for a batch of reads."""
     if policy == "fixed":
         return DEFAULT_READ_REFS
     if policy == "retention_only":
-        return _per_read(ctx, lambda age_s: retention_refs(
-            retention_model, ctx.pec, age_s))
+        return _retention_steps(retention_model, ctx.pec, ctx.age_s)
     if policy == "lavar":
-        base = retention_refs(retention_model, ctx.pec, max(ctx.age_s, 1.0))
-        return ReadRefs.ordered(base.va + ctx.layer_va_offset,
-                                base.vb + ctx.layer_vb_offset, base.vc)
+        va, vb, vc = _retention_steps(retention_model, ctx.pec, ctx.age_s).T
+        return ordered_refs(va + ctx.layer_va_offset,
+                            vb + ctx.layer_vb_offset, vc)
     if policy == "remar":
-        return remar_state.refs(ctx)
+        return _retention_steps(retention_model, ctx.pec, ctx.refit_age_s)
     if policy == "heatwatch":
         return heatwatch_refs(calibration, ctx)
     if policy == "oracle":

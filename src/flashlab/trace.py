@@ -2,7 +2,10 @@
 
 Canonical event: (timestamp_us, op, lba, size_bytes) with lba counted in
 512-byte sectors and op in {"R", "W"}. A trace is held only as columns
-(``Trace``), with op as the bool column ``is_write``.
+(``Trace``), with op as the bool column ``is_write``. Time 0 of a run is
+the trace's first event: ``parse_msr`` rebases its timestamps to it, and
+``simulate`` rebases a canonical trace's, so a replay's days and the
+heatwatch temperature profile's phase count from there.
 
 Page-span rule: with P-byte pages, an event touches every page from
 lba // (P // 512) up to, not including, ceil((lba * 512 + size_bytes) / P):

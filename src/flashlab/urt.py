@@ -296,16 +296,11 @@ class RetentionAges:
 
 
 def state_models(params, pec, eff_retention_s):
-    """Gaussian state models at a wear level and room-equivalent
-    retention ages, with no dwell: the heatwatch experiment's ground
+    """Gaussian state models at a wear level and at the room-equivalent
+    retention ages of a RetentionAges of S reads, with no dwell, as a
+    GaussianBatch with a row per read: the heatwatch experiment's ground
     truth and the HeatWatch policy's prediction.
-
-    For a RetentionAges of S reads, a GaussianBatch with a row per read;
-    for one age in seconds, the dict of StateModel, as a batch of one.
     """
-    if not isinstance(eff_retention_s, RetentionAges):
-        one = RetentionAges(params, [eff_retention_s])
-        return state_models(params, pec, one).models(0)
     log = eff_retention_s.log
     return gaussian_states(
         lambda row: (pvm_predict(params, T_PROGRAM_K, pec, row)

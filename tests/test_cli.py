@@ -595,6 +595,8 @@ class TestSimulate:
         {"op_fraction": "0.25"},
         {"initial_pec": "many"},
         {"initial_pec": -500},
+        {"initial_pec": 2 ** 62},
+        {"initial_pec": 10 ** 19},
         {"initial_pec": 1.5},
         {"initial_pec": "300"},
         {"initial_pec": True},
@@ -603,8 +605,10 @@ class TestSimulate:
     ], ids=["capacity-bytes", "capacity-bytes-string",
             "capacity-bytes-fraction", "op-fraction", "op-fraction-string",
             "initial-pec",
-            "initial-pec-negative", "initial-pec-fraction", "initial-pec-string",
-            "initial-pec-boolean", "mode", "direct-without-ecc-limit"])
+            "initial-pec-negative", "initial-pec-no-room-to-count",
+            "initial-pec-past-int64", "initial-pec-fraction",
+            "initial-pec-string", "initial-pec-boolean", "mode",
+            "direct-without-ecc-limit"])
     def test_bad_later_policy_fails_before_any_replay(self, tmp_path, capsys,
                                                       monkeypatch, bad):
         def no_replay(*args):
@@ -655,6 +659,59 @@ class TestSimulate:
         written = sorted(str(p.relative_to(runs))
                          for p in runs.rglob("*") if p.is_file())
         assert written == ["out/manifest.json"]
+
+    @pytest.mark.parametrize("doc", [
+        {"policies": [{"name": "run", "capacity_bytes": 32 << 20,
+                       "refresh": "fcr:3d"}]},
+        {"experiment": "heatwatch", "max_samples": 40},
+    ], ids=["policies", "heatwatch"])
+    def test_run_starts_at_the_first_event(self, tmp_path, doc):
+        # the same 400 writes and 400 reads, stamped from 0 and from five
+        # days on, write the same artifacts
+        rows = [(i * 60_000_000, "W", 16 * i) for i in range(400)]
+        rows += [((400 + i) * 60_000_000, "R", 16 * i) for i in range(400)]
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps(doc))
+        artifacts = []
+        for shift in (0, 5 * 86_400_000_000):
+            tr = tmp_path / f"t{shift}.csv"
+            tr.write_text("timestamp_us,op,lba,size_bytes\n" + "".join(
+                f"{t + shift},{op},{lba},8192\n" for t, op, lba in rows))
+            out = tmp_path / f"out{shift}"
+            rc = main(["--out", str(out), "simulate", "--config", str(cfg),
+                       "--trace", str(tr)])
+            assert rc == 0
+            artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(artifacts[0]) > 1
+        assert artifacts[0] == artifacts[1]
+
+    def test_trace_spanning_more_than_int64_is_config_error(self, tmp_path,
+                                                            capsys):
+        tr = tmp_path / "t.csv"
+        tr.write_text("timestamp_us,op,lba,size_bytes\n"
+                      f"{-3 * 2 ** 61},W,0,8192\n{2 ** 62},W,0,8192\n")
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"policies": [{"name": "run"}]}))
+        rc = main(["--out", str(tmp_path / "out"), "simulate",
+                   "--config", str(cfg), "--trace", str(tr)])
+        assert rc == 2
+        assert "int64" in capsys.readouterr().err
+
+    def test_direct_drive_past_its_limit_exits_four_when_nothing_wears(
+            self, tmp_path):
+        # 2000 one-page writes over 500 pages erase no block, and at
+        # 160,000 P/E the drive is past its ECC limit from day 0
+        def trace(path):
+            path.write_text("timestamp_us,op,lba,size_bytes\n" + "".join(
+                f"{i * 1_000_000},W,{16 * (i % 500)},8192\n"
+                for i in range(2000)))
+        rc = self.run_policy(tmp_path, {"name": "worn", "capacity_bytes": 32 << 20,
+                                        "mode": "direct", "ecc_limit": 2e-3,
+                                        "initial_pec": 160_000}, trace)
+        assert rc == 4
+        rep = json.loads((tmp_path / "out" / "worn.json").read_text())
+        assert rep["pec_max"] == 0
+        assert rep["lifetime_days"] == 0.0
 
     def test_fast_wearing_drive_in_direct_mode_exits_zero(self, tmp_path):
         # about 2000 P/E a day: the lifetime search extrapolates to P/E

@@ -20,13 +20,13 @@ from flashlab.controller.heatwatch import (HEATWATCH_POLICIES, MIN_AGE_S,
                                            collect_samples, policy_worst_rber,
                                            sample_batches, truth_models)
 from flashlab.controller.policies import (REMAR_CADENCE, ReadContext,
-                                          ReMARState, heatwatch_refs,
-                                          policy_refs)
+                                          heatwatch_refs, policy_refs,
+                                          remar_refit_ages)
 from flashlab.controller.warm import (_H_MIN, _W_MAX, _W_MIN,
                                       INITIAL_HOT_FRACTION, INITIAL_WINDOW)
 from flashlab.degradation import RetentionModel3D, retention_refs
 from flashlab.grid import (DEFAULT_READ_REFS, LSB_OF_STATE, MSB_OF_STATE,
-                           CellState, ReadRefs)
+                           CellState, ReadRefs, ref_steps)
 from flashlab.models.applications import (VC_SEARCH_MAX, predict_vopt,
                                           sweep_vopt)
 from flashlab.models.cdf import StateModel, state_cdf
@@ -339,7 +339,10 @@ def drive_state(d):
     if d.warm is not None:
         w = d.warm
         scalars += (list(w.hot_closed), list(w.cold_closed), w.h, w.window,
-                    w.demotions, w.promotions, w.hot_erases_since_rotation)
+                    w.demotions, w.promotions, w.hot_erases_since_rotation,
+                    w.hot_hits, w.hot_writes, w.cold_writes, w.tune_count,
+                    w._epoch_host_bytes, w._epoch_start, sorted(w._cooldown),
+                    w._last_metric, w._last_utility, w._h_dir, w._w_dir)
     return arrays, scalars
 
 
@@ -593,30 +596,33 @@ class TestPolicies:
         assert policy_refs("fixed", self.ctx()) == DEFAULT_READ_REFS
 
     def test_retention_only_matches_model(self):
-        ctx = self.ctx(pec=4000, age_s=7 * DAY)
+        ctx = self.ctx(pec=4000, age_s=np.array([7 * DAY]))
         got = policy_refs("retention_only", ctx, retention_model=RET)
-        assert got == retention_refs(RET, 4000, 7 * DAY)
+        want = ref_steps([retention_refs(RET, 4000, 7 * DAY)])
+        assert got.tolist() == want.tolist()
 
     def test_lavar_applies_layer_offsets(self):
-        ctx = self.ctx(pec=4000, age_s=7 * DAY, layer_va_offset=-4,
+        ctx = self.ctx(pec=4000, age_s=np.array([7 * DAY]), layer_va_offset=-4,
                        layer_vb_offset=-2)
         base = retention_refs(RET, 4000, 7 * DAY)
-        got = policy_refs("lavar", ctx, retention_model=RET)
-        assert got.va == base.va - 4
-        assert got.vb == base.vb - 2
-        assert got.va < got.vb < got.vc
+        [(va, vb, vc)] = policy_refs("lavar", ctx, retention_model=RET).tolist()
+        assert va == base.va - 4
+        assert vb == base.vb - 2
+        assert va < vb < vc
 
-    def test_remar_caches_between_refits(self):
+    def test_remar_reads_each_read_at_its_last_refit_age(self):
+        ages = np.geomspace(DAY, 1000 * DAY, 25)
         with patch.object(policies, "REMAR_CADENCE", 10):
-            state = ReMARState(RET)
-            a = state.refs(self.ctx(pec=1000, age_s=DAY))
-            b = state.refs(self.ctx(pec=9000, age_s=60 * DAY))  # served stale
-            assert a == b
-            for _ in range(8):
-                state.refs(self.ctx(pec=9000, age_s=60 * DAY))
-            c = state.refs(self.ctx(pec=9000, age_s=60 * DAY))  # refit point
-        assert c == retention_refs(RET, 9000, 60 * DAY)
-        assert c != a
+            refit = remar_refit_ages(ages)
+        assert refit.tolist() == ([ages[0]] * 10 + [ages[10]] * 10
+                                  + [ages[20]] * 5)
+        ctx = self.ctx(pec=9000, age_s=ages, refit_age_s=refit)
+        got = policy_refs("remar", ctx, retention_model=RET)
+        assert got.tolist() == ref_steps(
+            [retention_refs(RET, 9000, age) for age in refit]).tolist()
+        # served stale between refits: read 19 is read at read 10's age
+        fresh = policy_refs("retention_only", ctx, retention_model=RET)
+        assert got[19].tolist() != fresh[19].tolist()
 
     def test_oracle_is_exhaustive_sweep(self):
         models = {st: StateModel("gaussian", [25, 105, 185, 255][i], 11.0)
@@ -630,12 +636,15 @@ class TestPolicies:
 
     def test_heatwatch_tracks_thermal_aging(self):
         pack = calibration_pack_from_retention(RET)
-        cool = heatwatch_refs(pack, self.ctx(pec=5000, age_s=30 * DAY,
-                                             eff_retention_s=1 * DAY))
-        hot = heatwatch_refs(pack, self.ctx(pec=5000, age_s=30 * DAY,
-                                            eff_retention_s=300 * DAY))
-        assert cool.va < cool.vb < cool.vc
-        assert hot.vc < cool.vc  # more effective retention, lower window
+
+        def refs(eff):
+            ctx = self.ctx(pec=5000, age_s=np.array([30 * DAY]),
+                           eff_retention_s=RetentionAges(pack, [eff]))
+            return heatwatch_refs(pack, ctx)[0]
+
+        cool, hot = refs(1 * DAY), refs(300 * DAY)
+        assert cool[0] < cool[1] < cool[2]
+        assert hot[2] < cool[2]  # more effective retention, lower window
 
     def test_heatwatch_reads_at_predicted_vopt_of_truth_models(self):
         # without read-disturb exposure, the policy's state models are the
@@ -643,15 +652,17 @@ class TestPolicies:
         pack = calibration_pack_from_retention(RET)
         for pec, eff in ((0, 1.0), (3000, 7 * DAY), (9000, 90 * DAY),
                          (15000, 400 * DAY)):
-            ctx = self.ctx(pec=pec, eff_retention_s=eff)
-            want, _ = predict_vopt(truth_models(pack, pec, eff))
-            assert heatwatch_refs(pack, ctx) == want
+            ages = RetentionAges(pack, [eff])
+            ctx = self.ctx(pec=pec, eff_retention_s=ages)
+            want, _ = predict_vopt(truth_models(pack, pec, ages))
+            assert heatwatch_refs(pack, ctx).tolist() == want.tolist()
 
     def test_heatwatch_survives_extrapolated_mean_crossings(self):
         pack = calibration_pack_from_retention(RET)
-        refs = heatwatch_refs(pack, self.ctx(pec=60000, age_s=365 * DAY,
-                                             eff_retention_s=3650 * DAY))
-        assert 1 <= refs.va < refs.vb < refs.vc
+        [(va, vb, vc)] = heatwatch_refs(pack, self.ctx(
+            pec=60000, age_s=np.array([365 * DAY]),
+            eff_retention_s=RetentionAges(pack, [3650 * DAY]))).tolist()
+        assert 1 <= va < vb < vc
 
 
 def single_pass_collect_samples(events, cfg, params):

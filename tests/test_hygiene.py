@@ -556,13 +556,24 @@ def test_every_reexport_is_imported_through_its_package():
     assert unused_reexports(inits, importers) == []
 
 
+def flashlab_imports(tree):
+    """Local name -> dotted path of every ``from flashlab... import``."""
+    return {alias.asname or alias.name: f"{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "flashlab"
+            for alias in node.names}
+
+
 def patch_targets(source):
     """(line, object, attribute) of every ``patch_fn(obj, "name")`` and
-    ``patch_method(obj, "name")`` call in ``source``, in line order; the
-    object is the first argument's source text. A name given by the
-    variable of a ``for`` over a tuple of strings is each of them; any
-    other name is None."""
+    ``patch_method(obj, "name")`` call in ``source``, and of every direct
+    rebind, ``orig = obj.name`` or ``obj.name = ...`` with ``obj`` rooted
+    at a name imported from flashlab, in line order; the object is its
+    source text. A name given by the variable of a ``for`` over a tuple
+    of strings is each of them; any other name is None."""
     tree = ast.parse(source)
+    imported = flashlab_imports(tree)
     loops = {node.target.id: [e.value for e in node.iter.elts]
              for node in ast.walk(tree)
              if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
@@ -575,6 +586,11 @@ def patch_targets(source):
             names = ([name.value] if isinstance(name, ast.Constant)
                      else loops.get(getattr(name, "id", None), [None]))
             out += [(node.lineno, ast.unparse(obj), n) for n in names]
+        elif isinstance(node, ast.Assign):
+            out += [(node.lineno, ast.unparse(attr.value), attr.attr)
+                    for attr in [*node.targets, node.value]
+                    if isinstance(attr, ast.Attribute)
+                    and ast.unparse(attr).split(".")[0] in imported]
     return sorted(out, key=lambda t: t[0])
 
 
@@ -597,11 +613,7 @@ def missing_patch_targets(source):
     """``object.attribute`` of every patch target in ``source`` that is not
     an attribute of the flashlab object it names, the object resolved
     through ``source``'s ``from flashlab... import`` statements."""
-    imported = {alias.asname or alias.name: f"{node.module}.{alias.name}"
-                for node in ast.walk(ast.parse(source))
-                if isinstance(node, ast.ImportFrom) and node.module
-                and node.module.split(".")[0] == "flashlab"
-                for alias in node.names}
+    imported = flashlab_imports(ast.parse(source))
     missing = []
     for _, obj, name in patch_targets(source):
         root, _, rest = obj.partition(".")
@@ -619,12 +631,18 @@ def test_patch_target_detector_flags_missing_and_passes_present():
            "patch_method(u.Gone, 'update')\n"
            "for attr in ('truth_models', 'gone'):\n"
            "    patch_fn(heatwatch, attr)\n"
-           "patch_fn(u, some_name)\n")
+           "patch_fn(u, some_name)\n"
+           "orig = u.AccelLog.update\n"
+           "u.AccelLog.update = wrapped\n"
+           "orig_gone = heatwatch.gone_fn\n"
+           "self.clock = time.perf_counter\n")
     assert [t[1:] for t in patch_targets(src)] == [
         ("u", "urt_predict"), ("u.AccelLog", "update"), ("u.Gone", "update"),
-        ("heatwatch", "truth_models"), ("heatwatch", "gone"), ("u", None)]
+        ("heatwatch", "truth_models"), ("heatwatch", "gone"), ("u", None),
+        ("u.AccelLog", "update"), ("u.AccelLog", "update"),
+        ("heatwatch", "gone_fn")]
     assert missing_patch_targets(src) == ["u.Gone.update", "heatwatch.gone",
-                                          "u.None"]
+                                          "u.None", "heatwatch.gone_fn"]
 
 
 def test_every_benchmark_patch_target_exists():
