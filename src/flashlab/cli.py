@@ -24,6 +24,7 @@ from . import __version__
 from .channel import load_histogram_csv
 from .models import (dynamic_to_dict, fit_static, fit_dynamic, predict_static,
                      save_models_json)
+from .models.cdf import FAMILIES
 from .degradation import RetentionModel3D
 from . import urt as urt_mod
 from . import trace as trace_mod
@@ -79,9 +80,11 @@ _USABLE_KL = 0.01
 
 
 def _nonconverged(fr):
-    """A fit only counts as failed when the simplex stalled AND the
-    resulting model is unusable; a tight KL with an exhausted iteration
-    budget is routine for the 16-parameter joint polish."""
+    """A fit counts as failed only when some simplex stage ran out of
+    iterations AND the resulting model is unusable. A stage stops once its
+    simplex, or its KL values, agree to ``nelder_mead``'s tolerance, so a
+    stage that uses up its budget was still moving; the fit's model is
+    kept if its KL is usable anyway."""
     return not fr.converged and not (fr.kl_error == fr.kl_error
                                      and fr.kl_error <= _USABLE_KL)
 
@@ -95,21 +98,49 @@ def _pec_from_name(path):
     return int(runs[0])
 
 
+def _compare_families(spec):
+    """The families a ``--compare`` list names, each known and named once."""
+    families = spec.split(",")
+    for name in families:
+        if name not in FAMILIES:
+            raise ConfigError(f"--compare entry {name!r} is not one of"
+                              f" {', '.join(FAMILIES)}")
+        if families.count(name) > 1:
+            raise ConfigError(f"--compare entry {name!r} is repeated")
+    return families
+
+
+def _dynamic_pecs(args):
+    """One P/E count per input, from ``--pecs`` or the file names: each a
+    count >= 0, with at least 3 distinct positive ones to fit a power law
+    through."""
+    pecs = ([int(p) for p in args.pecs.split(",")] if args.pecs
+            else [_pec_from_name(p) for p in args.inputs])
+    if len(pecs) != len(args.inputs):
+        raise ConfigError("--pecs count must match inputs")
+    if min(pecs) < 0:
+        raise ConfigError(f"P/E count {min(pecs)} is negative")
+    if len({p for p in pecs if p > 0}) < 3:
+        raise ConfigError("--dynamic needs at least 3 distinct positive P/E"
+                          f" counts, got {pecs}")
+    return pecs
+
+
 def cmd_fit(args):
     if args.dynamic and args.compare:
         raise ConfigError("--dynamic fits the one --family; it cannot"
                           " --compare families")
-    families = (args.compare.split(",") if args.compare else [args.family])
+    families = (_compare_families(args.compare) if args.compare
+                else [args.family])
+    if args.predict is not None and not (math.isfinite(args.predict)
+                                         and args.predict >= 0):
+        raise ConfigError(f"--predict {args.predict} is not a finite P/E"
+                          " count >= 0")
+    pecs = _dynamic_pecs(args) if args.dynamic else None
     out_dir = args.out
     _write_manifest(out_dir, "fit", vars(args), args.seed)
 
     if args.dynamic:
-        if len(args.inputs) < 3:
-            raise ConfigError("--dynamic needs at least 3 histograms")
-        pecs = ([int(p) for p in args.pecs.split(",")] if args.pecs
-                else [_pec_from_name(p) for p in args.inputs])
-        if len(pecs) != len(args.inputs):
-            raise ConfigError("--pecs count must match inputs")
         family = families[0]
         fits = []
         for pec, path in sorted(zip(pecs, args.inputs)):
@@ -485,8 +516,7 @@ def build_parser():
 
     f = sub.add_parser("fit", help="fit channel models to histograms")
     f.add_argument("inputs", nargs="+")
-    f.add_argument("--family", default="student_t",
-                   choices=("gaussian", "normal_laplace", "student_t"))
+    f.add_argument("--family", default="student_t", choices=FAMILIES)
     f.add_argument("--compare", help="comma list of families to rank by KL")
     f.add_argument("--dynamic", action="store_true")
     f.add_argument("--pecs", help="comma list of P/E counts per input")

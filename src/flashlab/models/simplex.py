@@ -1,9 +1,12 @@
 """Nelder-Mead simplex minimizer.
 
 Written in-house because the fitting pipeline needs tight control over
-termination (simplex diameter) and deterministic behavior across runs.
-Standard coefficients: reflection 1, expansion 2, contraction 0.5,
-shrink 0.5.
+termination and deterministic behavior across runs. A fit converges on
+either of two tests against one ``tol``: the simplex diameter, in the
+units of the parameters, falls below it, or the spread of the vertices'
+objective values falls to it relative to the best value, a unitless
+ratio. Standard coefficients: reflection 1, expansion 2, contraction
+0.5, shrink 0.5.
 """
 
 import numpy as np
@@ -30,8 +33,12 @@ def nelder_mead(objective, x0, tol=1e-8, max_iter=1000):
 
     The initial simplex steps each coordinate by 5% of its value, or by
     0.05 where it is 0. Returns (x_best, f_best, iterations, converged).
-    Convergence means the simplex diameter (max vertex distance from the
-    best vertex, inf-norm) fell below tol within max_iter iterations.
+    Convergence means that, within max_iter iterations, either the simplex
+    diameter (max vertex distance from the best vertex, inf-norm, in
+    parameter units) fell below tol, or the vertices' objective values
+    agreed to within tol relative to the best, ``f_worst - f_best <= tol *
+    |f_best|``. While the best value is 0, the value test fires only when
+    every vertex's value is 0.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -48,7 +55,7 @@ def nelder_mead(objective, x0, tol=1e-8, max_iter=1000):
         order = np.argsort(fvals, kind="stable")
         verts, fvals = verts[order], fvals[order]
         diameter = np.max(np.abs(verts[1:] - verts[0]))
-        if diameter < tol:
+        if diameter < tol or fvals[-1] - fvals[0] <= tol * abs(fvals[0]):
             converged = True
             break
         iterations += 1

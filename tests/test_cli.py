@@ -1,9 +1,11 @@
 import json
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from flashlab import cli
 from flashlab.cli import main
 from flashlab.controller import THREE_YEARS_S, endurance_at
 from flashlab.controller.geometry import THREE_DAYS_S
@@ -109,6 +111,68 @@ class TestFit:
                    "--compare", "gaussian,student_t"])
         assert rc == 2
         assert "--compare" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "dynamic.json").exists()
+
+    @pytest.mark.parametrize("spec, entry", [
+        ("gaussian,bogus", "'bogus'"),
+        ("gaussian,", "''"),
+        (",student_t", "''"),
+        ("gaussian,gaussian", "'gaussian'"),
+    ])
+    def test_compare_names_are_checked_before_any_fit(self, tmp_path, capsys,
+                                                      spec, entry):
+        # an unknown, empty or repeated family fails before the first fit,
+        # not after it has printed a result line
+        hist = tmp_path / "h.csv"
+        write_histogram(hist, heavy_tail_models(), n_cells=20_000)
+        with patch.object(cli, "fit_static",
+                          side_effect=AssertionError("fit_static ran")) as fit:
+            rc = main(["--out", str(tmp_path / "out"), "fit", str(hist),
+                       "--compare", spec])
+        assert rc == 2
+        assert not fit.called
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--compare" in captured.err and entry in captured.err
+
+    @staticmethod
+    def _dynamic_inputs(tmp_path):
+        paths = []
+        for i, pec in enumerate((1000, 2000, 4000)):
+            paths.append(tmp_path / f"h{pec}.csv")
+            write_histogram(paths[-1], heavy_tail_models(), n_cells=20_000,
+                            seed=i)
+        return [str(p) for p in paths]
+
+    @pytest.mark.parametrize("predict", ["nan", "inf", "-inf", "-5"])
+    def test_dynamic_predict_must_be_a_finite_count(self, tmp_path, capsys,
+                                                    predict):
+        # a NaN prediction wrote "sigma": NaN, which is not JSON
+        paths = self._dynamic_inputs(tmp_path)
+        with patch.object(cli, "fit_static",
+                          side_effect=AssertionError("fit_static ran")) as fit:
+            rc = main(["--out", str(tmp_path / "out"), "fit", *paths,
+                       "--dynamic", "--family", "gaussian",
+                       f"--predict={predict}"])
+        assert rc == 2
+        assert not fit.called
+        assert "--predict" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    @pytest.mark.parametrize("pecs", ["1000,1000,1000", "1000,1000,2000",
+                                      "-1000,2000,4000", "0,1000,2000"])
+    def test_dynamic_pecs_need_three_distinct_positive_counts(
+            self, tmp_path, capsys, pecs):
+        # a power law through one x is no fit, and a negative count is no
+        # P/E count; both fail before any histogram is fitted
+        paths = self._dynamic_inputs(tmp_path)
+        with patch.object(cli, "fit_static",
+                          side_effect=AssertionError("fit_static ran")) as fit:
+            rc = main(["--out", str(tmp_path / "out"), "fit", *paths,
+                       "--dynamic", "--family", "gaussian", f"--pecs={pecs}"])
+        assert rc == 2
+        assert not fit.called
+        assert "P/E count" in capsys.readouterr().err
         assert not (tmp_path / "out" / "dynamic.json").exists()
 
     def test_bad_header_is_config_error(self, tmp_path):

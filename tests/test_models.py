@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from flashlab.grid import CellState
 from flashlab.models.cdf import (StateModel, enforce_constraints, gaussian_states,
                                  gcdf, kl_divergence, model_density, ncdf,
                                  pooled_kl, tcdf)
+from flashlab.models import fitting
 from flashlab.models.fitting import (PowerLawParams, default_init,
                                      fit_power_law, fit_static,
                                      models_to_dict, predict_static,
@@ -195,6 +197,55 @@ class TestNelderMead:
             return float(100 * (v[1] - v[0] ** 2) ** 2 + (1 - v[0]) ** 2)
         x, f, it, conv = nelder_mead(rosen, np.array([-1.2, 1.0]), max_iter=5000)
         assert np.allclose(x, [1.0, 1.0], atol=1e-3)
+
+    @staticmethod
+    def _bowl(v):
+        return float((v[0] - 3) ** 2 + 4 * (v[1] + 1) ** 2)
+
+    def test_nonzero_minimum_stops_on_the_values(self):
+        # The simplex takes the same steps on f and f + 1, because they
+        # order every set of points alike. So the offset bowl stops early
+        # only if its values, within 1e-8 relative of 1, stop it before
+        # the diameter falls to 1e-8.
+        _, _, it0, conv0 = nelder_mead(self._bowl, np.array([0.0, 0.0]))
+        x, f, it1, conv1 = nelder_mead(lambda v: 1.0 + self._bowl(v),
+                                       np.array([0.0, 0.0]))
+        assert conv0 and conv1
+        assert it1 < it0
+        assert f - 1.0 <= 1e-8
+        assert np.allclose(x, [3.0, -1.0], atol=1e-3)
+
+    def test_zero_minimum_stops_on_the_diameter(self):
+        # At a zero minimum the relative value test cannot fire, so only
+        # a simplex smaller than tol stops the search.
+        x, f, _, conv = nelder_mead(self._bowl, np.array([0.0, 0.0]))
+        assert conv
+        assert np.allclose(x, [3.0, -1.0], rtol=0.0, atol=1e-8)
+        assert f < 1e-15
+
+    def test_student_t_fit_converges_in_every_stage(self):
+        # Each stage of a student_t fit of the acceptance channel stops on
+        # its own, the 16-parameter joint polish included, well inside
+        # FIT_MAX_ITER.
+        true = {st: StateModel("student_t", (30.0, 110.0, 183.0, 260.0)[i],
+                               (11.0, 9.0, 8.5, 8.0)[i], 4.0, 5.0,
+                               lam=(1e-3 if i < 2 else 0.0))
+                for i, st in enumerate(CellState)}
+        hist = bin_cells(sample_page(true, 1_000_000, seed=11))
+        stages = []
+
+        def record(objective, x0, **kw):
+            result = nelder_mead(objective, x0, **kw)
+            stages.append((len(x0), result[2], result[3]))
+            return result
+        with patch.object(fitting, "nelder_mead", record):
+            fr = fit_static(hist, "student_t")
+        assert [n for n, _, _ in stages] == [3, 4, 4, 5, 16]
+        assert all(ok and iters < fitting.FIT_MAX_ITER
+                   for _, iters, ok in stages), stages
+        assert fr.converged
+        assert fr.iterations == sum(iters for _, iters, _ in stages)
+        assert fr.kl_error <= 0.01
 
     def test_nan_objective_raises(self):
         with pytest.raises(NanObjective):
