@@ -130,6 +130,9 @@ def cmd_fit(args):
     if args.dynamic and args.compare:
         raise ConfigError("--dynamic fits the one --family; it cannot"
                           " --compare families")
+    for opt in ("predict", "pecs"):
+        if getattr(args, opt) is not None and not args.dynamic:
+            raise ConfigError(f"--{opt} needs --dynamic")
     families = (_compare_families(args.compare) if args.compare
                 else [args.family])
     if args.predict is not None and not (math.isfinite(args.predict)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..models.applications import estimate_rber
+from ..models.simplex import bisect_failure
 from .. import urt as urt_mod
 from ..urt import RetentionAges, state_models as truth_models
 from .policies import ReadContext, policy_refs, remar_refit_ages
@@ -39,7 +40,7 @@ PAGE_SIZE = 8192        # bytes per page of the replayed trace
 TICK_S = 60.0           # temperature sampling period
 MIN_AGE_S = 600.0       # youngest data a sampled read may return
 PEC_HI = 60000          # lifetime search ceiling, P/E cycles
-PEC_TOL = 50            # lifetime search resolution, P/E cycles
+PEC_HALVINGS = 11       # lifetime search: 60000 / 2**11 = 29.3 P/E resolution
 SCORE_CHUNK = 256       # samples scored as one batch; bounds scoring memory
 
 
@@ -152,23 +153,11 @@ def policy_lifetime_pec(policy, samples, pack, retention_model, ecc_limit):
     """Largest P/E count at which every sampled read still decodes."""
     batches = sample_batches(samples, pack)
 
-    def ok(pec):
+    def fails(pec):
         return policy_worst_rber(policy, batches, pack, retention_model,
-                                 pec) <= ecc_limit
+                                 pec) > ecc_limit
 
-    lo = 0.0
-    if not ok(lo):
-        return 0.0
-    hi = float(PEC_HI)
-    if ok(hi):
-        return hi
-    while hi - lo > PEC_TOL:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect_failure(fails, float(PEC_HI), PEC_HALVINGS)[0]
 
 
 def run_experiment(trace, pack, retention_model, ecc_limit, cfg):

@@ -2,9 +2,9 @@
 
 Two estimation modes share one replay. "analytic" extrapolates the P/E
 budget from measured per-pool write rates and the endurance curve
-``endurance_at``; "direct" walks forward in time until the worst-case block
-RBER of the retention model ``RETENTION`` crosses the ECC limit. Either
-way the daily series reports that model's block RBERs.
+``endurance_at``; "direct" bisects for the day the worst-case block RBER
+of the retention model ``RETENTION`` crosses the ECC limit. Either way
+the daily series reports that model's block RBERs.
 """
 
 import io
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..degradation import RetentionModel3D
+from ..models.simplex import bisect_failure
 from ..trace import span_pages
 from .geometry import Geometry, SECONDS_PER_DAY, endurance_at
 from .ftl import Drive, CLOSED
@@ -269,15 +270,4 @@ def _direct_lifetime(drive, cfg, duration_days):
         # are under _page_rber's cap
         return max(logs) > log_cap or _page_rber(logs) > cfg.ecc_limit
 
-    lo, hi = 0.0, 365.0 * 200
-    if over_limit(lo):
-        return 0.0
-    if pec_rate <= 0 or not over_limit(hi):
-        return math.inf
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if over_limit(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect_failure(over_limit, 365.0 * 200, 60)[1]

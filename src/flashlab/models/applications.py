@@ -20,11 +20,15 @@ import numpy as np
 from ..grid import (LSB_OF_STATE, MSB_OF_STATE, CellState, ordered_refs,
                     ref_steps)
 from .cdf import state_cdf
+from .fitting import predict_static
+from .simplex import bisect_failure
 
 # Vopt search range for the top reference extends past the binning grid,
 # matching the stock vc.
 VC_SEARCH_MAX = 400
 _DENSITY_H = 0.25  # half-width of _density's central difference
+LIFETIME_PEC_MAX = 200000.0  # estimate_lifetime's search ceiling, P/E cycles
+LIFETIME_HALVINGS = 11       # 200000 / 2**11 = 97.7 P/E resolution
 
 # Voltages of reference steps 1..VC_SEARCH_MAX, and of the half-way points
 # between neighboring steps; read-only.
@@ -199,18 +203,19 @@ def sweep_vopt(models):
     return ordered_refs(*best)
 
 
-def estimate_lifetime(dynamic, family, ecc_limit, pec_step=100, pec_max=200000):
-    """Smallest PEC (scanned in pec_step increments) where the RBER at the
-    predicted Vopt exceeds the ECC limit. Returns (pec, exceeded)."""
-    from .fitting import predict_static
-
+def estimate_lifetime(dynamic, family, ecc_limit):
+    """(pec, exceeded): the first P/E count, bisected to 97.7 P/E, at which
+    the RBER at the predicted Vopt exceeds the ECC limit or the predicted
+    state means cross; (LIFETIME_PEC_MAX, False) if neither ever does."""
     if ecc_limit <= 0:
         raise ValueError("ecc_limit must be positive")
-    pec = 0
-    while pec <= pec_max:
+
+    def fails(pec):
         models, _ = predict_static(dynamic, pec, family)
+        if np.any(np.diff([models[st].mu for st in CellState]) <= 0):
+            return True  # crossed means, which predict_vopt rejects
         refs, _ = predict_vopt(models)
-        if estimate_rber(models, refs).total > ecc_limit:
-            return pec, True
-        pec += pec_step
-    return pec_max, False
+        return estimate_rber(models, refs).total > ecc_limit
+
+    lo, hi = bisect_failure(fails, LIFETIME_PEC_MAX, LIFETIME_HALVINGS)
+    return (lo, False) if math.isinf(hi) else (hi, True)

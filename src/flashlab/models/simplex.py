@@ -6,7 +6,8 @@ either of two tests against one ``tol``: the simplex diameter, in the
 units of the parameters, falls below it, or the spread of the vertices'
 objective values falls to it relative to the best value, a unitless
 ratio. Standard coefficients: reflection 1, expansion 2, contraction
-0.5, shrink 0.5.
+0.5, shrink 0.5. ``bisect_failure`` is the one bisection every lifetime
+search runs: the point where a monotone failure test first turns true.
 """
 
 import numpy as np
@@ -87,3 +88,18 @@ def nelder_mead(objective, x0, tol=1e-8, max_iter=1000):
 
     best = int(np.argmin(fvals))
     return verts[best].copy(), float(fvals[best]), iterations, converged
+
+
+def bisect_failure(fails, hi, halvings):
+    """Bracket (lo, hi) where a monotone ``fails`` on [0, hi] turns true,
+    after probing 0, hi and ``halvings`` midpoints: (0.0, 0.0) when
+    ``fails(0.0)`` holds, (hi, inf) when ``fails(hi)`` does not."""
+    if fails(0.0):
+        return 0.0, 0.0
+    if not fails(hi):
+        return hi, np.inf
+    lo = 0.0
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if fails(mid) else (mid, hi)
+    return lo, hi

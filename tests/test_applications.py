@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs
-from flashlab.models.applications import (VC_SEARCH_MAX,
+from flashlab.models import applications
+from flashlab.models.applications import (LIFETIME_HALVINGS, VC_SEARCH_MAX,
                                           _gaussian_crossing, _round_to_step,
                                           estimate_lifetime, estimate_rber,
                                           predict_vopt, region_masses,
@@ -246,26 +248,46 @@ class TestEstimateLifetime:
             else:
                 lo = mid
         pec, exceeded = estimate_lifetime(_symmetric_dynamic(), "gaussian",
-                                          limit, pec_step=100)
+                                          limit)
         assert exceeded
         assert pec == pytest.approx(hi, abs=100.0)
 
     def test_limit_below_initial_rber_returns_zero(self):
         pec, exceeded = estimate_lifetime(_symmetric_dynamic(), "gaussian",
-                                          1e-6, pec_step=100)
+                                          1e-6)
         assert exceeded and pec == 0
 
     def test_monotone_in_ecc_limit(self):
         dyn = _symmetric_dynamic()
-        pecs = [estimate_lifetime(dyn, "gaussian", lim, pec_step=500)[0]
+        pecs = [estimate_lifetime(dyn, "gaussian", lim)[0]
                 for lim in (5e-4, 2e-3, 8e-3)]
         assert pecs == sorted(pecs)
 
-    def test_never_crossing_returns_bound_unflagged(self):
+    def test_never_crossing_returns_bound_unflagged(self, monkeypatch):
+        monkeypatch.setattr(applications, "LIFETIME_PEC_MAX", 5000.0)
         dyn = _symmetric_dynamic(sig_a=0.0)
-        pec, exceeded = estimate_lifetime(dyn, "gaussian", 0.4,
-                                          pec_step=1000, pec_max=5000)
+        pec, exceeded = estimate_lifetime(dyn, "gaussian", 0.4)
         assert not exceeded and pec == 5000
+
+    @pytest.mark.parametrize("sig_a, limit", [(0.0, 0.4), (0.05, 8e-3),
+                                              (0.05, 1e-6)])
+    def test_builds_at_most_halvings_plus_two_models(self, sig_a, limit):
+        # a 100-cycle scan built 2001 models for a drive that never wears
+        # out, and 34 for one that crosses near 3300 P/E
+        with patch.object(applications, "predict_static",
+                          wraps=applications.predict_static) as build:
+            estimate_lifetime(_symmetric_dynamic(sig_a=sig_a), "gaussian",
+                              limit)
+        assert 1 <= build.call_count <= LIFETIME_HALVINGS + 2
+
+    def test_crossed_means_count_as_exceeded(self):
+        # P1's mean reaches P2's at 80000 P/E; predict_vopt rejects the
+        # crossed means there, so the search must not ask it
+        dyn = _symmetric_dynamic()
+        dyn[("P1", "mu")] = PowerLawParams(0.001, 1.0, 100.0)
+        pec, exceeded = estimate_lifetime(dyn, "gaussian", 2e-3)
+        assert exceeded
+        assert pec == pytest.approx(1200, abs=100.0)
 
     def test_nonpositive_limit_rejected(self):
         with pytest.raises(ValueError):

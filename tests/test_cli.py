@@ -175,6 +175,20 @@ class TestFit:
         assert "P/E count" in capsys.readouterr().err
         assert not (tmp_path / "out" / "dynamic.json").exists()
 
+    @pytest.mark.parametrize("option", ["--predict=5000", "--pecs=1,2,3"])
+    def test_dynamic_options_need_dynamic(self, tmp_path, capsys, option):
+        # a static fit used to ignore them, fit and exit 0
+        path = tmp_path / "hist.csv"
+        write_histogram(path, heavy_tail_models(), n_cells=20_000, seed=0)
+        with patch.object(cli, "fit_static",
+                          side_effect=AssertionError("fit_static ran")) as fit:
+            rc = main(["--out", str(tmp_path / "out"), "fit", str(path),
+                       "--family", "gaussian", option])
+        assert rc == 2
+        assert not fit.called
+        assert option.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_bad_header_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("foo,bar\n1,2\n")

@@ -946,6 +946,7 @@ class TestLifetimeReplay:
         want = 0.5 * (math.exp(RET.eval("log_rber_msb", 3000, age_s))
                       + math.exp(RET.eval("log_rber_lsb", 3000, age_s)))
         assert rep.series[0][1:3] == pytest.approx((want, want), rel=1e-12)
+        assert rep.lifetime_days == math.inf
 
 
 def reference_replay_counts(rows, page_size, n_logical):

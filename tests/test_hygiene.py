@@ -461,10 +461,6 @@ KEPT_DEFAULTS = {
                                                  "(ROADMAP Direction 10)",
     "degradation.RetentionModel3D.coeffs": "a seeded device's perturbed "
                                            "coefficients (ROADMAP Direction 9)",
-    "models.applications.estimate_lifetime.pec_step":
-        "lifetime from fitted models (ROADMAP Direction 15)",
-    "models.applications.estimate_lifetime.pec_max":
-        "lifetime from fitted models (ROADMAP Direction 15)",
     "raid_ecc.layout_worst_group.parity": "LI-RAID worst-group scoring "
                                           "(ROADMAP Direction 10)",
     "raid_ecc.layout_worst_group.ecc": "LI-RAID worst-group scoring "

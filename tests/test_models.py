@@ -6,6 +6,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import t as student_t
 from scipy.integrate import quad
+from hypothesis import given, settings, strategies as hst
 
 from flashlab.grid import CellState
 from flashlab.models.cdf import (StateModel, enforce_constraints, gaussian_states,
@@ -16,7 +17,7 @@ from flashlab.models.fitting import (PowerLawParams, default_init,
                                      fit_power_law, fit_static,
                                      models_to_dict, predict_static,
                                      save_models_json)
-from flashlab.models.simplex import NanObjective, nelder_mead
+from flashlab.models.simplex import NanObjective, bisect_failure, nelder_mead
 from flashlab.models.tables import NU_GRID, LookupTables, default_tables
 from reference import (bin_cells, load_models_json, models_from_dict,
                        sample_page)
@@ -250,6 +251,80 @@ class TestNelderMead:
     def test_nan_objective_raises(self):
         with pytest.raises(NanObjective):
             nelder_mead(lambda v: float("nan"), np.array([1.0]))
+
+
+def policy_search_reference(fails):
+    """The HeatWatch lifetime search as a loop to a 50 P/E bracket."""
+    lo, hi = 0.0, 60000.0
+    if fails(lo):
+        return 0.0
+    if not fails(hi):
+        return hi
+    while hi - lo > 50:
+        mid = 0.5 * (lo + hi)
+        if fails(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def direct_search_reference(fails):
+    """The direct-mode lifetime search as 60 halvings of the day."""
+    lo, hi = 0.0, 365.0 * 200
+    if fails(lo):
+        return 0.0
+    if not fails(hi):
+        return math.inf
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if fails(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestBisectFailure:
+    @settings(max_examples=200)
+    @given(frac=hst.floats(0.0, 1.0))
+    def test_matches_the_policy_search(self, frac):
+        t = 60000.0 * frac
+        fails = lambda x: x > t
+        got = bisect_failure(fails, 60000.0, 11)
+        assert got[0] == policy_search_reference(fails)
+        assert got[0] <= t < got[1]
+
+    @settings(max_examples=200)
+    @given(frac=hst.floats(0.0, 1.0))
+    def test_matches_the_direct_search(self, frac):
+        t = 73000.0 * frac
+        fails = lambda x: x > t
+        got = bisect_failure(fails, 73000.0, 60)
+        assert got[1] == direct_search_reference(fails)
+        assert got[0] <= t < got[1]
+
+    @given(frac=hst.floats(0.0, 1.0, exclude_max=True),
+           halvings=hst.integers(0, 40))
+    def test_probes_halvings_plus_two_points(self, frac, halvings):
+        probes = []
+
+        def fails(x):
+            probes.append(x)
+            return x > 1000.0 * frac
+
+        lo, hi = bisect_failure(fails, 1000.0, halvings)
+        assert len(probes) == halvings + 2
+        assert probes[:2] == [0.0, 1000.0]
+        assert not fails(lo) and fails(hi)
+        assert hi - lo == 1000.0 / 2**halvings
+
+    def test_failing_at_zero_is_the_empty_bracket(self):
+        assert bisect_failure(lambda x: True, 1000.0, 11) == (0.0, 0.0)
+
+    def test_passing_at_the_ceiling_is_unbounded(self):
+        assert bisect_failure(lambda x: False, 1000.0, 11) == (1000.0,
+                                                                math.inf)
 
 
 class TestPowerLaw:
