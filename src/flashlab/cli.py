@@ -345,6 +345,7 @@ def cmd_simulate(args):
         print(json.dumps(res, sort_keys=True))
         return EXIT_OK
 
+    _check_keys(doc, {"policies"}, "policies config")
     configs = _check_policies(doc.get("policies"))
     trace = _load_trace(args.trace)
     items = [(name, cfg, trace) for name, cfg in configs]
@@ -398,10 +399,30 @@ def _plan_field(section, where, key, check, default=None):
     return value
 
 
+# Each plan section's fields; an ``op`` section is a list of such entries.
+_PLAN_KEYS = {
+    "ecc": {"codeword_len", "correctable", "coding_rate"},
+    "rber": set(),
+    "parity": {"chips", "dies", "codewords_per_lb", "p_hgbb"},
+    "op": {"pba", "lba"},
+    "lifetime": {"pec", "op", "dwpd", "wa", "r_compress"},
+    "multirate": {"schedule", "dwpd", "r_compress"},
+}
+
+
 def _plan_tables(doc):
-    """The tables of each section the plan config holds. Counts are JSON
-    integers and every other value a finite JSON number; a string, a
-    boolean or a fraction where an integer belongs is a ConfigError."""
+    """The tables of each section the plan config holds. Sections and
+    their fields are those of ``_PLAN_KEYS``, and ``rber`` and ``parity``
+    need ``ecc``. Counts are JSON integers and every other value a finite
+    JSON number; a string, a boolean or a fraction where an integer
+    belongs is a ConfigError."""
+    _check_keys(doc, set(_PLAN_KEYS), "plan config")
+    for name, section in doc.items():
+        if name in ("rber", "parity") and "ecc" not in doc:
+            raise ConfigError(f"plan {name} needs an ecc section")
+        for entry in section if name == "op" else [section]:
+            if isinstance(entry, dict):
+                _check_keys(entry, _PLAN_KEYS[name], f"plan {name}")
     out = {}
 
     if "ecc" in doc:

@@ -38,8 +38,9 @@ class LifetimeConfig:
     def __post_init__(self):
         if self.mode not in ("analytic", "direct"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "direct" and self.ecc_limit is None:
-            raise ValueError("direct mode needs ecc_limit")
+        if (self.mode == "direct") != (self.ecc_limit is not None):
+            raise ValueError("direct mode needs ecc_limit, and only direct"
+                             " mode reads it")
 
 
 @dataclass

@@ -2,15 +2,15 @@
 
 Policies turn what the controller knows (wear, data age, thermal history,
 layer) into the three read references for a batch of reads at one wear
-level: an (S, 3) array of steps, a row per read, or one ReadRefs that
-serves them all. A policy keeps no state between batches.
+level: an (S, 3) array of steps, a row per read, or (3,) steps that
+serve them all. A policy keeps no state between batches.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid import DEFAULT_READ_REFS, ordered_refs, ref_steps
+from ..grid import DEFAULT_READ_REFS, ordered_refs
 from ..degradation import retention_refs
 from ..models.applications import predict_vopt, sweep_vopt
 from ..urt import state_models
@@ -45,8 +45,7 @@ def _retention_steps(retention_model, pec, age_s):
     """``retention_refs`` at each read's age, floored at 1 s, as (S, 3)
     steps; each distinct age is evaluated once."""
     ages, back = np.unique(np.maximum(age_s, 1.0), return_inverse=True)
-    return ref_steps([retention_refs(retention_model, pec, age)
-                      for age in ages.tolist()])[back]
+    return retention_refs(retention_model, pec, ages.tolist())[back]
 
 
 def heatwatch_refs(calibration, ctx):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ReadRefs
+from .grid import ordered_refs
 
 # Retention-loss regression: Variable = (alpha*PEC + beta)*ln(t) +
 # gamma*PEC + delta, t in seconds. The read-reference row for Va carries
@@ -48,10 +48,12 @@ class RetentionModel3D:
         return value
 
 
-def retention_refs(model, pec, t_seconds):
-    """Predicted optimal read references from the regression rows."""
-    return ReadRefs.ordered(*(int(round(model.eval(row, pec, t_seconds)))
-                              for row in ("va", "vb", "vc")))
+def retention_refs(model, pec, ages):
+    """Predicted optimal read references from the regression rows at each
+    of the distinct ``ages`` (seconds), as (U, 3) steps, a row per age."""
+    steps = (np.array([round(model.eval(row, pec, t)) for t in ages], dtype=int)
+             for row in ("va", "vb", "vc"))
+    return ordered_refs(*steps)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 The channel works in a normalized voltage domain: 303 read-retry steps
 partition the axis into 304 bins, and step k sits at voltage k. A read
 reference is a step, so its step index is its voltage, also past the
-last binning step (the stock vc is 330).
+last binning step (the stock vc is 330). The three references of a read
+are an int array of steps (va, vb, vc): (3,) for one read, (S, 3) with a
+row per read for a batch.
 """
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -43,48 +44,15 @@ BOUNDARIES = np.arange(1, N_STEPS + 1, dtype=float)
 BOUNDARIES.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class ReadRefs:
-    """The three read references, as step indices (= voltages)."""
-
-    va: int
-    vb: int
-    vc: int
-
-    def __post_init__(self):
-        if not (self.va < self.vb < self.vc):
-            raise ValueError("read references must satisfy va < vb < vc")
-
-    @classmethod
-    def ordered(cls, va, vb, vc):
-        """References with vb, then vc, raised just enough to keep
-        va < vb < vc."""
-        return cls(*_raise_to_order(va, vb, vc, max))
-
-
-def _raise_to_order(va, vb, vc, larger):
-    vb = larger(vb, va + 1)
-    return va, vb, larger(vc, vb + 1)
-
-
 def ordered_refs(va, vb, vc):
-    """``ReadRefs.ordered`` of one read's steps; for (S,) arrays of steps,
-    one per read, the same rule row by row, as an (S, 3) array."""
-    if isinstance(va, np.ndarray):
-        return np.stack(_raise_to_order(va, vb, vc, np.maximum), axis=-1)
-    return ReadRefs.ordered(int(va), int(vb), int(vc))
+    """Read references from raw steps, with vb, then vc, raised just
+    enough to keep va < vb < vc: (3,) steps from one read's numbers, or
+    (S, 3) steps, a row per read, from (S,) arrays of them."""
+    vb = np.maximum(vb, va + 1)
+    return np.stack((va, vb, np.maximum(vc, vb + 1)), axis=-1)
 
 
-def ref_steps(refs):
-    """Read references as an integer array of steps: (3,) for a ReadRefs,
-    (S, 3) for a list of S of them; an array of steps passes through."""
-    if isinstance(refs, ReadRefs):
-        return np.array([refs.va, refs.vb, refs.vc])
-    if isinstance(refs, list):
-        return np.array([(r.va, r.vb, r.vc) for r in refs], dtype=int).reshape(-1, 3)
-    return np.asarray(refs)
-
-
-# Stock read references of the modeled chip; vc lies past the last step.
-DEFAULT_READ_REFS = ReadRefs(va=50, vb=190, vc=330)
-
+# Stock read references of the modeled chip, as steps; vc lies past the
+# last step. Read-only.
+DEFAULT_READ_REFS = np.array([50, 190, 330])
+DEFAULT_READ_REFS.flags.writeable = False

@@ -9,7 +9,8 @@ reference at step k reads at voltage k, and the Vopt searches cover steps
 The models are a dict of StateModel, or a ``cdf.GaussianBatch`` of S
 operating points; then every kernel here works on all of them at once
 and returns one result per operating point. One implementation serves
-both: a dict is a batch of one.
+both: a dict is a batch of one, and its results are those of one row,
+read references as (3,) steps where a batch gets (S, 3).
 """
 
 import math
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid import (LSB_OF_STATE, MSB_OF_STATE, CellState, ordered_refs,
-                    ref_steps)
+from ..grid import LSB_OF_STATE, MSB_OF_STATE, CellState, ordered_refs
 from .cdf import state_cdf
 from .fitting import predict_static
 from .simplex import bisect_failure
@@ -47,11 +47,11 @@ class RBEREstimate:
 def region_masses(models, refs):
     """Probability mass of each intended state in each decode region.
 
-    ``refs`` is a ReadRefs, or an (S, 3) array of steps with a row per
+    ``refs`` is (3,) steps, or an (S, 3) array of steps with a row per
     operating point of a GaussianBatch. Returns shape (4 states, 4
     regions), or (S, 4, 4) for a batch; rows sum to 1.
     """
-    v = ref_steps(refs).astype(float)
+    v = np.asarray(refs, float)
     c = np.stack([state_cdf(models, st, v) for st in CellState], axis=-2)
     out = np.empty(c.shape[:-1] + (4,))
     out[..., 0] = c[..., 0]
@@ -92,7 +92,7 @@ def _round_to_step(voltage):
 
 
 def _gaussian_crossing(lo, hi):
-    """Voltage between the means where two Gaussian PDFs cross, or None.
+    """Voltages between the means where two Gaussian PDFs cross.
 
     With y = v - mu_lo and d = mu_hi - mu_lo, equal log-densities give
     A y^2 + B y + C = 0 with A = s_hi^2 - s_lo^2, B = 2 d s_lo^2 and
@@ -101,8 +101,9 @@ def _gaussian_crossing(lo, hi):
     d^2 > 2 s_lo^2 ln(s_hi/s_lo); then exactly one root lies between the
     means, and it is C/q with q = -(B + sqrt(B^2 - 4AC))/2.
 
-    For the (S, 1) columns of a GaussianBatch, the (S, 1) crossings, NaN
-    where there is none. The logarithm is taken row by row with
+    Returns one crossing per operating point, NaN where there is none:
+    (1,) for two StateModels, (S, 1) for the (S, 1) columns of a
+    GaussianBatch. The logarithm is taken row by row with
     ``math.log``, whose last bit numpy's log does not always match.
     """
     mu_lo, mu_hi, s_lo, s_hi = np.atleast_1d(lo.mu, hi.mu, lo.sigma, hi.sigma)
@@ -120,9 +121,7 @@ def _gaussian_crossing(lo, hi):
     a, b, c = s2 - s1, 2.0 * d * s1, s1 * (2.0 * s2 * log_ratio - d * d)
     q = -0.5 * (b + np.sqrt(b * b - 4.0 * a * c))
     out[k] = mu_lo[k] + c / q
-    if np.ndim(lo.mu):
-        return out
-    return None if np.isnan(out[0]) else float(out[0])
+    return out
 
 
 def _scanned_step(models, lo, hi):
@@ -157,9 +156,9 @@ def predict_vopt(models):
     Each reference sits where the two neighboring state densities cross:
     in closed form when both states are pure Gaussians, otherwise by one
     vectorized scan of the density gap between the means. Returns
-    (ReadRefs, flags); flags lists the boundaries that fell back to the
-    mean midpoint because the densities never crossed. For a
-    GaussianBatch, returns ((S, 3) steps, (S, 3) fallback mask).
+    (steps, fell): (3,) steps and a (3,) bool mask of the boundaries that
+    fell back to the mean midpoint because the densities never crossed,
+    or (S, 3) of each for a GaussianBatch.
     """
     mus = np.concatenate(np.atleast_1d(*(models[st].mu for st in CellState)),
                          axis=-1)
@@ -172,7 +171,6 @@ def predict_vopt(models):
         if all(models[st].family == "gaussian" and models[st].lam == 0.0
                for st in (lo, hi)):
             v = _gaussian_crossing(models[lo], models[hi])
-            v = np.nan if v is None else v
             steps.append(np.where(np.isnan(v), 0, _round_to_step(v)))
         else:
             steps.append(_scanned_step(models, lo, hi) or 0)
@@ -180,10 +178,7 @@ def predict_vopt(models):
     fell = steps == 0
     mid = _round_to_step((mus[..., :-1] + mus[..., 1:]) / 2.0)
     # Keep the ordering strict after rounding.
-    refs = ordered_refs(*np.moveaxis(np.where(fell, mid, steps), -1, 0))
-    if fell.ndim == 2:
-        return refs, fell
-    return refs, [name for name, f in zip(("va", "vb", "vc"), fell) if f]
+    return ordered_refs(*np.moveaxis(np.where(fell, mid, steps), -1, 0)), fell
 
 
 def sweep_vopt(models):

@@ -154,11 +154,6 @@ class GaussianBatch:
         """The batch of the operating points ``rows`` selects."""
         return GaussianBatch(self.mu[rows], self.sigma[rows])
 
-    def models(self, i):
-        """Operating point i as a dict of StateModel."""
-        return {st: StateModel("gaussian", float(self.mu[i, st]),
-                               float(self.sigma[i, st])) for st in CellState}
-
 
 def gaussian_states(row):
     """Gaussian models of the four states from a regression.
@@ -166,17 +161,15 @@ def gaussian_states(row):
     ``row(name)`` evaluates one regression output, ``"mu_P1"`` or
     ``"sigma_P1"``; it is called for each state in order, mean first.
     Each sigma is floored at 1e-3. Rows of (S,) arrays give a
-    GaussianBatch of S operating points; rows of numbers give a dict of
-    StateModel, a batch of one. Pure Gaussians carry no tails or
-    misprogram mass, so they meet ``enforce_constraints`` as built.
+    GaussianBatch of S operating points; rows of numbers give a batch of
+    one.
     """
     mu, sigma = [], []
     for st in CellState:
         mu.append(row(f"mu_{st.name}"))
         sigma.append(row(f"sigma_{st.name}"))
-    batch = GaussianBatch(np.atleast_2d(np.stack(mu, axis=-1)),
-                          np.maximum(np.atleast_2d(np.stack(sigma, axis=-1)), 1e-3))
-    return batch if np.ndim(mu[0]) else batch.models(0)
+    return GaussianBatch(np.atleast_2d(np.stack(mu, axis=-1)),
+                         np.maximum(np.atleast_2d(np.stack(sigma, axis=-1)), 1e-3))
 
 
 def mix(model, own, target):

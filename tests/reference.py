@@ -47,7 +47,8 @@ def bin_of(vth):
 def classify_regions(vth, refs):
     """Region decode: 0=ER,1=P1,2=P2,3=P3 given vth < vref reads 1."""
     vth = np.asarray(vth, dtype=float)
-    return (vth >= refs.va).astype(np.int8) + (vth >= refs.vb) + (vth >= refs.vc)
+    va, vb, vc = refs
+    return (vth >= va).astype(np.int8) + (vth >= vb) + (vth >= vc)
 
 
 def t_quantile(u, nu):

@@ -3,18 +3,20 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.optimize import brentq
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from flashlab.grid import DEFAULT_READ_REFS, CellState, ReadRefs
+from flashlab.grid import DEFAULT_READ_REFS, CellState, ordered_refs
 from flashlab.models import applications
 from flashlab.models.applications import (LIFETIME_HALVINGS, VC_SEARCH_MAX,
                                           _gaussian_crossing, _round_to_step,
                                           estimate_lifetime, estimate_rber,
                                           predict_vopt, region_masses,
                                           sweep_vopt)
-from flashlab.models.cdf import StateModel, enforce_constraints
+from flashlab.models.cdf import GaussianBatch, StateModel, enforce_constraints
 from flashlab.models.fitting import PowerLawParams
 from reference import measure_rber, sample_page
 
@@ -26,13 +28,13 @@ def gauss_models(mus=(30.0, 110.0, 183.0, 260.0), sigmas=(12.0, 9.0, 9.0, 9.0)):
 
 class TestRegionMasses:
     def test_rows_sum_to_one(self):
-        masses = region_masses(gauss_models(), ReadRefs(70, 147, 222))
+        masses = region_masses(gauss_models(), np.array([70, 147, 222]))
         assert np.allclose(masses.sum(axis=1), 1.0, atol=1e-12)
 
     def test_matches_normal_cdf_oracle(self):
         models = gauss_models()
-        refs = ReadRefs(70, 147, 222)
-        va, vb, vc = refs.va, refs.vb, refs.vc
+        refs = np.array([70, 147, 222])
+        va, vb, vc = refs
         masses = region_masses(models, refs)
         for i, st in enumerate(CellState):
             m = models[st]
@@ -44,14 +46,14 @@ class TestRegionMasses:
 class TestEstimateRber:
     def test_fully_separated_states_read_clean(self):
         models = gauss_models(mus=(10, 100, 190, 280), sigmas=(2, 2, 2, 2))
-        est = estimate_rber(models, ReadRefs(55, 145, 235))
+        est = estimate_rber(models, np.array([55, 145, 235]))
         assert est.total < 1e-12
 
     def test_single_boundary_overlap_is_analytic(self):
         # Only P1/P2 overlap at vb; each state holds 1/4 of the cells and
         # a crossing at the boundary flips exactly the LSB.
         models = gauss_models(mus=(10, 130, 170, 290), sigmas=(2, 10, 10, 2))
-        refs = ReadRefs(75, 150, 230)
+        refs = np.array([75, 150, 230])
         vb = 150.0
         overlap = (1 - ndtr((vb - 130) / 10)) + ndtr((vb - 170) / 10)
         est = estimate_rber(models, refs)
@@ -61,7 +63,7 @@ class TestEstimateRber:
 
     def test_matches_sampled_channel_within_binomial_noise(self):
         models = gauss_models()
-        refs = ReadRefs(70, 147, 222)
+        refs = np.array([70, 147, 222])
         n = 1_000_000
         state = sample_page(models, n, seed=11)
         measured = measure_rber(state, refs).total
@@ -74,7 +76,8 @@ class TestPredictVopt:
     def test_equal_sigma_gaussians_give_midpoints(self):
         models = gauss_models(mus=(20, 100, 180, 260), sigmas=(8, 8, 8, 8))
         refs, flags = predict_vopt(models)
-        assert (refs.va, refs.vb, refs.vc) == (60, 140, 220)
+        assert refs.tolist() == [60, 140, 220]
+        assert not flags.any()
 
     def test_unordered_means_rejected(self):
         models = gauss_models(mus=(100, 50, 180, 260))
@@ -113,9 +116,9 @@ class TestPredictVopt:
         })
         inter, _ = predict_vopt(models)
         mus = [models[st].mu for st in CellState]
-        mid = ReadRefs.ordered(*(_round_to_step((lo + hi) / 2.0)
-                                 for lo, hi in zip(mus, mus[1:])))
-        assert inter.vb < mid.vb
+        mid = ordered_refs(*(_round_to_step((lo + hi) / 2.0)
+                             for lo, hi in zip(mus, mus[1:])))
+        assert inter[1] < mid[1]
         r_inter = estimate_rber(models, inter).total
         r_mid = estimate_rber(models, mid).total
         assert r_inter <= r_mid
@@ -127,7 +130,7 @@ class TestGaussianCrossing:
                                     (101.25, 180.5, 0.7)):
             v = _gaussian_crossing(StateModel("gaussian", mu_lo, sigma),
                                    StateModel("gaussian", mu_hi, sigma))
-            assert v == (mu_lo + mu_hi) / 2.0
+            assert v.tolist() == [(mu_lo + mu_hi) / 2.0]
 
     def test_root_matches_brentq_on_exact_pdfs(self):
         rng = np.random.default_rng(17)
@@ -140,9 +143,9 @@ class TestGaussianCrossing:
             def gap(v):
                 return norm.pdf(v, mu_lo, s_lo) - norm.pdf(v, mu_hi, s_hi)
 
-            v = _gaussian_crossing(lo, hi)
+            (v,) = _gaussian_crossing(lo, hi)
             if gap(mu_lo) <= 0 or gap(mu_hi) >= 0:
-                assert v is None
+                assert np.isnan(v)
                 continue
             want = brentq(gap, mu_lo, mu_hi, xtol=1e-13, rtol=1e-15)
             assert v == pytest.approx(want, abs=1e-9)
@@ -151,8 +154,8 @@ class TestGaussianCrossing:
         # A wide lower state outweighs a narrow upper one even at mu_hi.
         models = gauss_models(mus=(20, 100, 110, 260), sigmas=(8, 8, 40, 8))
         refs, flags = predict_vopt(models)
-        assert flags == ["vb"]
-        assert refs.vb == 105
+        assert flags.tolist() == [False, True, False]
+        assert refs[1] == 105
 
 
 class TestScannedCrossing:
@@ -178,6 +181,33 @@ class TestScannedCrossing:
             r_best = estimate_rber(models, sweep_vopt(models)).total
             worst = max(worst, r_pred / r_best)
         assert worst <= 1.1
+
+
+class TestDictIsABatchOfOne:
+    """A dict of StateModel and a GaussianBatch row built from the same
+    parameters give the same references, flags and RBER, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.lists(hst.tuples(
+        hst.lists(hst.floats(-40.0, 340.0), min_size=4, max_size=4,
+                  unique=True).map(sorted),
+        hst.lists(hst.floats(0.5, 40.0), min_size=4, max_size=4)),
+        min_size=1, max_size=8))
+    def test_each_row_matches_its_dict(self, rows):
+        mu, sigma = (np.array(x) for x in zip(*rows))
+        batch = GaussianBatch(mu, sigma)
+        steps, fell = predict_vopt(batch)
+        swept = sweep_vopt(batch)
+        rber = estimate_rber(batch, steps)
+        for i, (mus, sigmas) in enumerate(rows):
+            models = gauss_models(mus, sigmas)
+            one_steps, one_fell = predict_vopt(models)
+            assert one_steps.tolist() == steps[i].tolist()
+            assert one_fell.tolist() == fell[i].tolist()
+            assert sweep_vopt(models).tolist() == swept[i].tolist()
+            one = estimate_rber(models, steps[i])
+            assert (one.total, one.msb, one.lsb) == (
+                rber.total[i], rber.msb[i], rber.lsb[i])
 
 
 def _argmin_round(voltage):
@@ -213,7 +243,7 @@ class TestSweepVopt:
             va = int(rng.integers(1, 150))
             vb = int(rng.integers(va + 1, 250))
             vc = int(rng.integers(vb + 1, 400))
-            r = estimate_rber(models, ReadRefs(va, vb, vc)).total
+            r = estimate_rber(models, np.array([va, vb, vc])).total
             assert r_best <= r + 1e-12
 
 

@@ -346,6 +346,22 @@ class TestPlan:
         assert "config error" in err and f"plan {named} " in err
         assert not (tmp_path / "out" / "plan.json").exists()
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"lifetme": FULL_PLAN["lifetime"]}, "unknown key 'lifetme'"),
+        ({"lifetime": dict(FULL_PLAN["lifetime"], rcompress=2)},
+         "plan lifetime: unknown key 'rcompress'"),
+        ({"parity": FULL_PLAN["parity"]}, "plan parity needs an ecc section"),
+        ({"rber": [1e-3]}, "plan rber needs an ecc section"),
+        ({"op": [{"pba": 2.4e12, "lba": 2.0e12, "lbas": 1}]},
+         "plan op: unknown key 'lbas'"),
+    ], ids=["section-name", "lifetime-field", "parity-without-ecc",
+            "rber-without-ecc", "op-field"])
+    def test_misspelled_or_orphan_key_is_config_error(self, tmp_path, capsys,
+                                                     doc, named):
+        assert self.run_plan(tmp_path, doc) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out" / "plan.json").exists()
+
     def test_multirate_triple_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "plan.json"
         cfg.write_text(json.dumps({
@@ -680,13 +696,14 @@ class TestSimulate:
         {"initial_pec": True},
         {"mode": "sideways"},
         {"mode": "direct"},
+        {"ecc_limit": 1e-3},
     ], ids=["capacity-bytes", "capacity-bytes-string",
             "capacity-bytes-fraction", "op-fraction", "op-fraction-string",
             "initial-pec",
             "initial-pec-negative", "initial-pec-no-room-to-count",
             "initial-pec-past-int64", "initial-pec-fraction",
             "initial-pec-string", "initial-pec-boolean", "mode",
-            "direct-without-ecc-limit"])
+            "direct-without-ecc-limit", "ecc-limit-outside-direct-mode"])
     def test_bad_later_policy_fails_before_any_replay(self, tmp_path, capsys,
                                                       monkeypatch, bad):
         def no_replay(*args):
@@ -706,6 +723,21 @@ class TestSimulate:
         written = sorted(str(p.relative_to(runs))
                          for p in runs.rglob("*") if p.is_file())
         assert written == ["out/manifest.json"]
+
+    def test_unknown_top_level_key_fails_before_any_replay(
+            self, tmp_path, capsys, monkeypatch):
+        def no_replay(*args):
+            raise AssertionError("a policy replayed")
+        monkeypatch.setattr("flashlab.cli.run_lifetime", no_replay)
+        tr = tmp_path / "t.csv"
+        write_trace(tr, duration_s=20)
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"experiment": "heatwatc", "policies": [
+            {"name": "a", "capacity_bytes": 32 << 20}]}))
+        rc = main(["--out", str(tmp_path / "out"), "simulate",
+                   "--config", str(cfg), "--trace", str(tr)])
+        assert rc == 2
+        assert "unknown key 'experiment'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
         {"policies": [{"name": "run", "capacity_bytes": 32 << 20}]},

@@ -26,7 +26,7 @@ from flashlab.controller.warm import (_H_MIN, _W_MAX, _W_MIN,
                                       INITIAL_HOT_FRACTION, INITIAL_WINDOW)
 from flashlab.degradation import RetentionModel3D, retention_refs
 from flashlab.grid import (DEFAULT_READ_REFS, LSB_OF_STATE, MSB_OF_STATE,
-                           CellState, ReadRefs, ref_steps)
+                           CellState)
 from flashlab.models.applications import (VC_SEARCH_MAX, predict_vopt,
                                           sweep_vopt)
 from flashlab.models.cdf import StateModel, state_cdf
@@ -593,21 +593,21 @@ class TestPolicies:
         return ReadContext(**kw)
 
     def test_fixed_policy(self):
-        assert policy_refs("fixed", self.ctx()) == DEFAULT_READ_REFS
+        assert np.array_equal(policy_refs("fixed", self.ctx()), DEFAULT_READ_REFS)
 
     def test_retention_only_matches_model(self):
         ctx = self.ctx(pec=4000, age_s=np.array([7 * DAY]))
         got = policy_refs("retention_only", ctx, retention_model=RET)
-        want = ref_steps([retention_refs(RET, 4000, 7 * DAY)])
+        want = retention_refs(RET, 4000, [7 * DAY])
         assert got.tolist() == want.tolist()
 
     def test_lavar_applies_layer_offsets(self):
         ctx = self.ctx(pec=4000, age_s=np.array([7 * DAY]), layer_va_offset=-4,
                        layer_vb_offset=-2)
-        base = retention_refs(RET, 4000, 7 * DAY)
+        [(va0, vb0, _)] = retention_refs(RET, 4000, [7 * DAY]).tolist()
         [(va, vb, vc)] = policy_refs("lavar", ctx, retention_model=RET).tolist()
-        assert va == base.va - 4
-        assert vb == base.vb - 2
+        assert va == va0 - 4
+        assert vb == vb0 - 2
         assert va < vb < vc
 
     def test_remar_reads_each_read_at_its_last_refit_age(self):
@@ -618,8 +618,8 @@ class TestPolicies:
                                   + [ages[20]] * 5)
         ctx = self.ctx(pec=9000, age_s=ages, refit_age_s=refit)
         got = policy_refs("remar", ctx, retention_model=RET)
-        assert got.tolist() == ref_steps(
-            [retention_refs(RET, 9000, age) for age in refit]).tolist()
+        assert got.tolist() == [retention_refs(RET, 9000, [age])[0].tolist()
+                                for age in refit]
         # served stale between refits: read 19 is read at read 10's age
         fresh = policy_refs("retention_only", ctx, retention_model=RET)
         assert got[19].tolist() != fresh[19].tolist()
@@ -628,7 +628,7 @@ class TestPolicies:
         models = {st: StateModel("gaussian", [25, 105, 185, 255][i], 11.0)
                   for i, st in enumerate(CellState)}
         got = policy_refs("oracle", self.ctx(), true_models=models)
-        assert got == sweep_vopt(models)
+        assert got.tolist() == sweep_vopt(models).tolist() == [65, 145, 220]
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -753,6 +753,11 @@ def reference_truth_models(pack, pec, eff_s):
             for st in CellState}
 
 
+def reference_ordered(va, vb, vc):
+    vb = max(vb, va + 1)
+    return np.array([va, vb, max(vc, vb + 1)])
+
+
 def reference_round_to_step(v):
     j = int(np.searchsorted(STEPS, v))
     if j == len(STEPS) or (j > 0 and abs(STEPS[j - 1] - v) <= abs(STEPS[j] - v)):
@@ -778,13 +783,13 @@ def reference_heatwatch_refs(models):
     if not (mus[0] < mus[1] < mus[2] < mus[3]):
         mus = sorted(mus)
         va, vb, vc = (int(round((lo + hi) / 2)) for lo, hi in zip(mus, mus[1:]))
-        return ReadRefs.ordered(max(va, 1), vb, vc)
+        return reference_ordered(max(va, 1), vb, vc)
     steps = []
     for i in range(3):
         v = reference_crossing(models[CellState(i)], models[CellState(i + 1)])
         steps.append(reference_round_to_step(
             (mus[i] + mus[i + 1]) / 2.0 if v is None else v))
-    return ReadRefs.ordered(*steps)
+    return reference_ordered(*steps)
 
 
 def reference_sweep(models):
@@ -793,11 +798,11 @@ def reference_sweep(models):
         miss = ((1.0 - state_cdf(models, CellState(i), STEPS))
                 + state_cdf(models, CellState(i + 1), STEPS))
         best.append(int(np.argmin(miss)) + 1)
-    return ReadRefs.ordered(*best)
+    return reference_ordered(*best)
 
 
 def reference_rber(models, refs):
-    v = np.array([refs.va, refs.vb, refs.vc], dtype=float)
+    v = np.asarray(refs, dtype=float)
     msb = lsb = 0.0
     for st in CellState:
         c = state_cdf(models, st, v)
@@ -817,10 +822,10 @@ def reference_worst_rber(policy, samples, pack, pec):
         if policy == "fixed":
             refs = DEFAULT_READ_REFS
         elif policy == "retention_only":
-            refs = retention_refs(RET, pec, max(s.age_s, 1.0))
+            refs = retention_refs(RET, pec, [max(s.age_s, 1.0)])[0]
         elif policy == "remar":
             anchor = samples[REMAR_CADENCE * (i // REMAR_CADENCE)]
-            refs = retention_refs(RET, pec, max(anchor.age_s, 1.0))
+            refs = retention_refs(RET, pec, [max(anchor.age_s, 1.0)])[0]
         elif policy == "heatwatch":
             refs = reference_heatwatch_refs(
                 reference_truth_models(pack, pec, s.eff_est_s))

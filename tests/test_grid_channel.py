@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from flashlab.grid import (BOUNDARIES, CellState, DEFAULT_READ_REFS,
                            MSB_OF_STATE, LSB_OF_STATE, N_BINS, N_STEPS,
-                           ReadRefs)
+                           ordered_refs)
 from flashlab.channel import load_histogram_csv
 from flashlab.models.cdf import StateModel
 from reference import (bin_cells, bin_of, classify_regions,
@@ -25,6 +27,11 @@ class TestVoltageGrid:
         assert b.shape == (N_STEPS,)
         assert np.all(np.diff(b) > 0)
 
+    def test_default_read_refs_are_read_only_steps(self):
+        assert DEFAULT_READ_REFS.tolist() == [50, 190, 330]
+        with pytest.raises(ValueError):
+            DEFAULT_READ_REFS[0] = 40
+
     def test_bin_of_matches_linear_scan(self):
         # oracle: place each sample by scanning boundaries directly
         b = BOUNDARIES
@@ -34,10 +41,6 @@ class TestVoltageGrid:
         assert np.array_equal(bin_of(vth), expect)
         assert bin_of(np.array([b[0] - 1])).item() == 0
         assert bin_of(np.array([b[-1] + 1])).item() == N_BINS - 1
-
-    def test_read_refs_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            ReadRefs(100, 90, 200)
 
 
 class TestReadRefsOrdered:
@@ -49,7 +52,16 @@ class TestReadRefsOrdered:
         ((-3, -3, -3), (-3, -2, -1)),
     ])
     def test_raises_vb_then_vc_just_enough(self, raw, want):
-        assert ReadRefs.ordered(*raw) == ReadRefs(*want)
+        assert ordered_refs(*raw).tolist() == list(want)
+
+    @settings(max_examples=100)
+    @given(hst.lists(hst.tuples(*[hst.integers(-500, 500)] * 3), min_size=1,
+                     max_size=20))
+    def test_arrays_order_row_by_row(self, rows):
+        got = ordered_refs(*np.array(rows).T)
+        assert got.shape == (len(rows), 3)
+        assert got.tolist() == [ordered_refs(*r).tolist() for r in rows]
+        assert np.all(np.diff(got, axis=1) > 0)
 
 
 class TestGrayMapping:
@@ -65,9 +77,9 @@ class TestGrayMapping:
             assert dist == 1
 
     def test_classify_regions_counts_crossed_refs(self):
-        refs = DEFAULT_READ_REFS
-        vth = np.array([refs.va - 1, refs.va + 1, refs.vb + 1, refs.vc + 1])
-        assert list(classify_regions(vth, refs)) == [0, 1, 2, 3]
+        va, vb, vc = DEFAULT_READ_REFS
+        vth = np.array([va - 1, va + 1, vb + 1, vc + 1])
+        assert list(classify_regions(vth, DEFAULT_READ_REFS)) == [0, 1, 2, 3]
 
 
 class TestSampling:
@@ -99,7 +111,7 @@ class TestSampling:
 class TestReads:
     def test_rber_definition(self):
         st = sample_page(t_models(), 100_000, seed=7)
-        refs = ReadRefs(45, 147, 222)  # midpoints of the test means
+        refs = np.array([45, 147, 222])  # midpoints of the test means
         rep = measure_rber(st, refs)
         assert rep.total == pytest.approx((rep.msb + rep.lsb) / 2)
         assert 0 < rep.total < 0.05

@@ -181,9 +181,8 @@ class TestGaussianStates:
         models = gaussian_states(row)
         assert calls == [f"{q}_{st.name}" for st in CellState
                          for q in ("mu", "sigma")]
-        assert models[CellState.P2] == StateModel("gaussian", 5.0, 1e-3)
-        assert models[CellState.P3] == StateModel("gaussian", 7.0, 8.0)
-        assert models == enforce_constraints(models)
+        assert models.mu.tolist() == [[1.0, 3.0, 5.0, 7.0]]
+        assert models.sigma.tolist() == [[2.0, 4.0, 1e-3, 8.0]]
 
 
 class TestNelderMead:
