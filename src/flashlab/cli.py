@@ -388,14 +388,18 @@ def cmd_plan(args):
     return EXIT_OK
 
 
-def _plan_field(section, where, key, check, default=None):
+def _plan_field(section, where, key, check, default=None, minimum=None):
     """``section[key]``, or ``default`` if one is given and the key is
     absent, once ``check`` (``_json_int`` or ``_finite_number``) accepts
-    it; else a ConfigError naming ``where.key``."""
+    it and it is at least ``minimum``, if one is given; else a
+    ConfigError naming ``where.key``."""
     value = section[key] if default is None or key in section else default
     if not check(value):
         kind = "an integer" if check is _json_int else "a finite number"
         raise ConfigError(f"plan {where}.{key} {value!r} must be {kind}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"plan {where}.{key} {value!r} must be at least"
+                          f" {minimum!r}")
     return value
 
 
@@ -415,7 +419,9 @@ def _plan_tables(doc):
     their fields are those of ``_PLAN_KEYS``, and ``rber`` and ``parity``
     need ``ecc``. Counts are JSON integers and every other value a finite
     JSON number; a string, a boolean or a fraction where an integer
-    belongs is a ConfigError."""
+    belongs is a ConfigError. So is a physically impossible value: an
+    ``op`` entry with fewer physical than logical bytes, a ``lifetime``
+    ``pec`` or ``op`` below 0, or an empty ``multirate`` schedule."""
     _check_keys(doc, set(_PLAN_KEYS), "plan config")
     for name, section in doc.items():
         if name in ("rber", "parity") and "ecc" not in doc:
@@ -453,21 +459,27 @@ def _plan_tables(doc):
         out["ecc"] = rows
 
     if "op" in doc:
-        out["op"] = [{"pba": e["pba"], "lba": e["lba"],
-                      "op_fraction": op_fraction(
-                          float(_plan_field(e, "op", "pba", _finite_number)),
-                          float(_plan_field(e, "op", "lba", _finite_number)))}
-                     for e in doc["op"]]
+        out["op"] = []
+        for e in doc["op"]:
+            # spare area is physical less logical capacity; never below 0
+            lba = _plan_field(e, "op", "lba", _finite_number)
+            pba = _plan_field(e, "op", "pba", _finite_number, minimum=lba)
+            out["op"].append({"pba": pba, "lba": lba, "op_fraction":
+                              op_fraction(float(pba), float(lba))})
 
     if "lifetime" in doc:
         lt = doc["lifetime"]
         out["lifetime_years"] = lifetime_years(
-            *(float(_plan_field(lt, "lifetime", k, _finite_number))
+            *(float(_plan_field(lt, "lifetime", k, _finite_number,
+                                minimum=0 if k in ("pec", "op") else None))
               for k in ("pec", "op", "dwpd", "wa")),
             float(_plan_field(lt, "lifetime", "r_compress", _finite_number, 1.0)))
 
     if "multirate" in doc:
         mr = doc["multirate"]
+        if mr["schedule"] == []:
+            raise ConfigError("plan multirate.schedule needs at least one"
+                              " (pec_increment, op, wa, rate) entry")
         schedule = [tuple(float(_plan_field(e, f"multirate.schedule.{j}", i,
                                             _finite_number))
                           for i in range(len(e)))

@@ -25,6 +25,17 @@ reclaiming as host_write would. Only then does it measure the room left
 in the open block, since reclaim can hand back a part-filled block, and
 it takes only as many pages as fit there. The result equals one
 host_write per page in run order.
+
+Scalar views: map_view, rmap_view, valid_count_view, write_ptr_view and
+pool_view are memoryviews of map, rmap, valid_count, write_ptr and pool,
+made once in __init__ over the same buffers, so a write through either
+shows in both. The per-page paths (_program, host_read, and WARM's
+route) index the views, which read and write one element in about half
+the time numpy scalar indexing takes, and which read as Python ints. The
+vectorized paths use the arrays. No code rebinds these arrays after
+__init__, since a rebound array would leave its view on the old buffer.
+A page is valid iff rmap holds its logical page; ``valid`` derives that
+mask from rmap rather than keeping a second copy of it.
 """
 
 import heapq
@@ -46,13 +57,18 @@ class Drive:
         self.page_size = geom.page_size
         self.map = np.full(geom.logical_pages, -1, dtype=np.int64)
         self.rmap = np.full(nb * ppb, -1, dtype=np.int64)
-        self.valid = np.zeros(nb * ppb, dtype=bool)
         self.valid_count = np.zeros(nb, dtype=np.int32)
         self.pec = np.full(nb, initial_pec, dtype=np.int64)
         self.program_epoch = np.zeros(nb, dtype=np.float64)
         self.pool = np.zeros(nb, dtype=np.int8)
         self.state = np.zeros(nb, dtype=np.int8)
         self.write_ptr = np.zeros(nb, dtype=np.int32)
+        # scalar views, see "Scalar views" above
+        self.map_view = memoryview(self.map)
+        self.rmap_view = memoryview(self.rmap)
+        self.valid_count_view = memoryview(self.valid_count)
+        self.write_ptr_view = memoryview(self.write_ptr)
+        self.pool_view = memoryview(self.pool)
         self.free = list(range(nb))
         heapq.heapify(self.free)  # wear-aware would key on pec; all equal here
         self.open_block = {COLD: None, HOT: None}
@@ -67,6 +83,11 @@ class Drive:
         self._pool_blocks = {COLD: 0, HOT: 0}   # blocks not FREE, per pool
 
     # --- bookkeeping -------------------------------------------------------
+
+    @property
+    def valid(self):
+        """Per-page validity mask: a fresh array, rmap >= 0."""
+        return self.rmap >= 0
 
     def pool_block_count(self, pool):
         """Blocks of the pool that are open or closed."""
@@ -93,10 +114,10 @@ class Drive:
             self.rotate_hot_pool()
 
     def host_writes(self, pages, now):
-        """Host-write ``pages`` (an int64 array of logical pages) in order
-        at time ``now``, as many as fit in the cold open block; returns how
-        many were taken. For a drive without WARM; see "Batched host
-        writes" above."""
+        """Host-write ``pages`` (a non-empty int64 array of logical pages)
+        in order at time ``now``, as many as fit in the cold open block;
+        returns how many were taken. For a drive without WARM; see
+        "Batched host writes" above."""
         self.now = now
         ppb = self.pages_per_block
         blk = self.open_block[COLD]
@@ -105,17 +126,23 @@ class Drive:
         ptr = self.write_ptr.item(blk)
         take = min(len(pages), ppb - ptr)
         pages = pages[:take]
-        # the last write of each page in the run, and where it lands
-        last = take - 1 - np.unique(pages[::-1], return_index=True)[1]
+        # the last write of each page in the run, and where it lands: a
+        # stable sort keeps a page's writes in run order, so the last of
+        # each group of equal pages is its last writer
+        order = np.argsort(pages, kind="stable")
+        grouped = pages[order]
+        is_last = np.empty(take, dtype=bool)
+        is_last[:-1] = grouped[1:] != grouped[:-1]
+        is_last[-1] = True
+        last = order[is_last]
         lba, ppn = pages[last], blk * ppb + ptr + last
         old = self.map[lba]
         old = old[old >= 0]
-        self.valid[old] = False
         self.rmap[old] = -1
-        np.subtract.at(self.valid_count, old // ppb, 1)
+        self.valid_count -= np.bincount(old // ppb,
+                                        minlength=self.geom.total_blocks)
         self.map[lba] = ppn
         self.rmap[ppn] = lba
-        self.valid[ppn] = True
         self.valid_count[blk] += last.size
         self.write_ptr[blk] = ptr + take
         if ptr + take == ppb:
@@ -127,7 +154,7 @@ class Drive:
     def host_read(self, lba_page, now):
         """Returns (ppn, block age in seconds) or None if never written."""
         self.now = now
-        ppn = self.map.item(lba_page)
+        ppn = self.map_view[lba_page]
         if ppn < 0:
             return None
         blk = ppn // self.pages_per_block
@@ -142,20 +169,21 @@ class Drive:
         blk = self.open_block[pool]
         if blk is None:
             blk = self._allocate(pool, kind)
-        ptr = self.write_ptr.item(blk)   # .item(): a Python int, cheaper here
+        write_ptr = self.write_ptr_view
+        ptr = write_ptr[blk]
         ppn = blk * ppb + ptr
-        self.write_ptr[blk] = ptr + 1
+        write_ptr[blk] = ptr + 1
         if ptr + 1 == ppb:
             self._close(blk, pool)
-        old = self.map.item(lba_page)
+        map_, rmap = self.map_view, self.rmap_view
+        valid_count = self.valid_count_view
+        old = map_[lba_page]
         if old >= 0:
-            self.valid[old] = False
-            self.valid_count[old // ppb] -= 1
-            self.rmap[old] = -1
-        self.map[lba_page] = ppn
-        self.rmap[ppn] = lba_page
-        self.valid[ppn] = True
-        self.valid_count[blk] += 1
+            valid_count[old // ppb] -= 1
+            rmap[old] = -1
+        map_[lba_page] = ppn
+        rmap[ppn] = lba_page
+        valid_count[blk] += 1
         self.writes[kind] += 1
         self.pool_writes[pool] += 1
         if kind == "refresh":
@@ -212,7 +240,8 @@ class Drive:
         """Rewrite blk's live pages into dest_pool, then erase blk; one
         remap per destination block (see "Batched migration" above)."""
         ppb = self.pages_per_block
-        src = blk * ppb + np.flatnonzero(self.valid[blk * ppb:(blk + 1) * ppb])
+        src = blk * ppb + np.flatnonzero(
+            self.rmap[blk * ppb:(blk + 1) * ppb] >= 0)
         done, n = 0, src.size
         while done < n:
             dest = self.open_block[dest_pool]
@@ -223,12 +252,10 @@ class Drive:
             old = src[done:done + take]
             moved = self.rmap[old]
             new = np.arange(dest * ppb + ptr, dest * ppb + ptr + take)
-            self.valid[old] = False
             self.rmap[old] = -1
             self.valid_count[blk] -= take
             self.map[moved] = new
             self.rmap[new] = moved
-            self.valid[new] = True
             self.valid_count[dest] += take
             self.write_ptr[dest] = ptr + take
             self.writes[kind] += take
@@ -306,11 +333,11 @@ class Drive:
         ppb = self.pages_per_block
         live = np.flatnonzero(self.map >= 0)
         assert np.array_equal(self.rmap[self.map[live]], live), "map/rmap mismatch"
-        assert self.valid[self.map[live]].all(), "mapped page not valid"
-        assert int(self.valid.sum()) == live.size, "orphan valid pages"
-        per_block = self.valid.reshape(-1, ppb).sum(axis=1)
-        assert np.array_equal(per_block, self.valid_count), "valid_count drift"
-        assert not self.valid.reshape(-1, ppb)[self.state == FREE].any()
+        valid = self.valid.reshape(-1, ppb)
+        assert int(valid.sum()) == live.size, "orphan valid pages"
+        assert np.array_equal(valid.sum(axis=1), self.valid_count), \
+            "valid_count drift"
+        assert not valid[self.state == FREE].any()
         open_ids = set(np.flatnonzero(self.state == OPEN).tolist())
         assert open_ids == {b for b in self.open_block.values() if b is not None}, \
             "orphaned open blocks"

@@ -70,10 +70,10 @@ class WarmManager:
     # --- routing --------------------------------------------------------
 
     def route(self, drive, lba):
-        ppn = drive.map.item(lba)
+        ppn = drive.map_view[lba]
         if ppn >= 0:
             blk = ppn // drive.pages_per_block
-            if drive.pool.item(blk) == HOT:
+            if drive.pool_view[blk] == HOT:
                 self.hot_hits += 1
                 self.hot_writes += 1
                 return HOT

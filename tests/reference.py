@@ -12,6 +12,9 @@ runs any of it.
   and CLI tests, and the Trace of a list of rows.
 - The per-page trace replay, which ``replay``'s runs of host writes are
   checked against.
+- The per-page host path through numpy scalar indexing (``Drive._program``,
+  ``host_read`` and ``WarmManager.route`` before the scalar memoryviews),
+  which the view-based path is checked against.
 - Readers of ``fit``'s model.json and dynamic.json, which pin their
   format.
 - The builder of a multi-rate ECC ladder for ``multirate_lifetime``.
@@ -26,9 +29,11 @@ import numpy as np
 from flashlab.grid import (BOUNDARIES, LSB_OF_STATE, MISPROGRAM_TARGET,
                            MSB_OF_STATE, N_BINS, CellState)
 from flashlab.channel import BinHistogram
+from flashlab.controller.ftl import Drive
 from flashlab.controller.geometry import SECONDS_PER_DAY
 from flashlab.controller.lifetime import REFRESH_CHECK_S, series_rber
 from flashlab.controller.refresh import run_refresh
+from flashlab.controller.warm import COLD, HOT, WarmManager
 from flashlab.models.cdf import StateModel, enforce_constraints
 from flashlab.models.fitting import PowerLawParams
 from flashlab.models.tables import default_tables
@@ -267,6 +272,62 @@ def reference_replay(trace, drive, cfg):
             access(p % n_logical, now)
     close_day()
     return series
+
+
+class NumpyScalarDrive(Drive):
+    """A Drive whose per-page writes and reads index its numpy arrays one
+    scalar at a time, as they did before the scalar memoryviews."""
+
+    def host_read(self, lba_page, now):
+        self.now = now
+        ppn = self.map.item(lba_page)
+        if ppn < 0:
+            return None
+        blk = ppn // self.pages_per_block
+        self.reads += 1
+        return ppn, float(now - self.program_epoch[blk])
+
+    def _program(self, lba_page, pool, kind):
+        ppb = self.pages_per_block
+        blk = self.open_block[pool]
+        if blk is None:
+            blk = self._allocate(pool, kind)
+        ptr = self.write_ptr.item(blk)
+        ppn = blk * ppb + ptr
+        self.write_ptr[blk] = ptr + 1
+        if ptr + 1 == ppb:
+            self._close(blk, pool)
+        old = self.map.item(lba_page)
+        if old >= 0:
+            self.valid_count[old // ppb] -= 1
+            self.rmap[old] = -1
+        self.map[lba_page] = ppn
+        self.rmap[ppn] = lba_page
+        self.valid_count[blk] += 1
+        self.writes[kind] += 1
+        self.pool_writes[pool] += 1
+        if kind == "refresh":
+            self.refresh_writes_by_pool[pool] += 1
+
+
+class NumpyScalarWarm(WarmManager):
+    """A WarmManager whose routing reads the drive's numpy arrays, as it
+    did before the scalar memoryviews."""
+
+    def route(self, drive, lba):
+        ppn = drive.map.item(lba)
+        if ppn >= 0:
+            blk = ppn // drive.pages_per_block
+            if drive.pool.item(blk) == HOT:
+                self.hot_hits += 1
+                self.hot_writes += 1
+                return HOT
+            if blk in self._cooldown:
+                self.promotions += 1
+                self.hot_writes += 1
+                return HOT
+        self.cold_writes += 1
+        return COLD
 
 
 # --- fit's JSON artifacts ---------------------------------------------------

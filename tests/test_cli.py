@@ -362,6 +362,25 @@ class TestPlan:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out" / "plan.json").exists()
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"op": [{"pba": 1, "lba": 2}]}, "plan op.pba 1 must be at least 2"),
+        ({"lifetime": {"pec": -5, "op": 0.2, "dwpd": 1, "wa": 2}},
+         "plan lifetime.pec -5 must be at least 0"),
+        ({"lifetime": {"pec": 3000, "op": -0.1, "dwpd": 1, "wa": 2}},
+         "plan lifetime.op -0.1 must be at least 0"),
+        ({"multirate": {"schedule": [], "dwpd": 1}},
+         "plan multirate.schedule needs at least one"),
+    ], ids=["op-negative-spare", "lifetime-pec-negative",
+            "lifetime-op-negative", "multirate-schedule-empty"])
+    def test_impossible_value_is_config_error(self, tmp_path, capsys, doc,
+                                              named):
+        # unchecked, these would plan -0.5 spare area, -0.0082 years and
+        # 0.0 years
+        assert self.run_plan(tmp_path, doc) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+        assert not (tmp_path / "out" / "plan.json").exists()
+
     def test_multirate_triple_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "plan.json"
         cfg.write_text(json.dumps({

@@ -34,7 +34,8 @@ from flashlab.trace import SECTOR_BYTES, Trace
 from flashlab.urt import (T_PROGRAM_K, AccelLog, RetentionAges, TempTrace, af,
                           calibration_pack_from_retention, celsius_to_kelvin,
                           state_models, temp_generate, urt_predict)
-from reference import reference_replay, synth_hot
+from reference import (NumpyScalarDrive, NumpyScalarWarm, reference_replay,
+                       synth_hot)
 
 DAY = 86400.0
 
@@ -514,6 +515,92 @@ class TestBatchedMigrationProperty:
                         event("host write ran a rotation")
                     hot_erases = drives[0].warm.hot_erases_since_rotation
                 assert drives[0].audit() and drives[1].audit()
+
+
+_SCALAR_STEP = hst.one_of(
+    hst.tuples(hst.just("write"), hst.integers(0, 1 << 20), hst.integers(1, 60)),
+    # rewrites of a few low pages: they get promoted and fill hot blocks
+    hst.tuples(hst.just("write"), hst.integers(0, 7), hst.integers(8, 60)),
+    hst.tuples(hst.just("read"), hst.integers(0, 1 << 20), hst.integers(1, 8)),
+    hst.tuples(hst.just("sweep"), hst.sampled_from([0.0, 0.5, 2.0, 10.0]),
+               hst.sampled_from([0.0, 1.0, 3.0])))
+
+_VIEWED = ("map", "rmap", "valid_count", "write_ptr", "pool")
+
+
+class TestScalarViewProperty:
+    """Drive and WarmManager (per-page path through scalar memoryviews)
+    against NumpyScalarDrive and NumpyScalarWarm (numpy scalar indexing)
+    on identical drives fed identical host writes, host reads and refresh
+    sweeps."""
+
+    def test_reference_replaces_the_per_page_path(self):
+        assert NumpyScalarDrive._program is not Drive._program
+        assert NumpyScalarDrive.host_read is not Drive.host_read
+        assert NumpyScalarWarm.route is not WarmManager.route
+
+    def test_views_share_their_arrays(self):
+        d = Drive(small_geom(), warm=WarmManager(small_geom()))
+        fill_drive(d, passes=2.0)
+        for name in _VIEWED:
+            arr, view = getattr(d, name), getattr(d, f"{name}_view")
+            assert np.shares_memory(np.asarray(view), arr), name
+            assert view.tolist() == arr.tolist(), name
+
+    @settings(max_examples=200)
+    @given(n_blocks=hst.integers(4, 24),
+           op=hst.sampled_from([0.1, 0.25, 0.5, 0.9]),
+           footprint=hst.floats(0.05, 1.0),
+           warm=hst.booleans(),
+           rotation_pec=hst.sampled_from([1, 2, 1000]),
+           steps=hst.lists(_SCALAR_STEP, min_size=1, max_size=60))
+    def test_views_match_numpy_scalar_reference(self, n_blocks, op, footprint,
+                                                warm, rotation_pec, steps):
+        # the hot pool's rotation wear, drawn down to 1 so rotations happen
+        with patch.object(warm_mod, "ROTATION_PEC", rotation_pec):
+            geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
+                            op_fraction=op)
+            drives = [drive_cls(geom, warm=warm_cls(geom) if warm else None)
+                      for drive_cls, warm_cls in (
+                          (Drive, WarmManager),
+                          (NumpyScalarDrive, NumpyScalarWarm))]
+            span = max(1, int(footprint * geom.logical_pages))
+            now = 0.0
+            for kind, a, b in steps:
+                if kind == "sweep":
+                    now += a * DAY
+                outcomes = []
+                for d in drives:
+                    try:
+                        if kind == "write":
+                            for i in range(b):
+                                d.host_write((a + i) % span, now + i)
+                            outcomes.append(None)
+                        elif kind == "read":
+                            outcomes.append([d.host_read((a + i) % span, now)
+                                             for i in range(b)])
+                        else:
+                            outcomes.append(d.refresh_sweep(now, b * DAY))
+                    except ValueError as exc:
+                        # the documented over-commit: too little spare space
+                        assert "over-committed" in str(exc)
+                        outcomes.append("over-committed")
+                if kind == "write":
+                    now += b
+                assert outcomes[0] == outcomes[1]
+                states = [drive_state(d) for d in drives]
+                assert states[0][1] == states[1][1]
+                for k, arr in states[0][0].items():
+                    assert np.array_equal(arr, states[1][0][k]), k
+                if outcomes[0] == "over-committed":
+                    event("over-committed")
+                    return
+                if kind == "read":
+                    event(f"read hit a written page: "
+                          f"{any(o is not None for o in outcomes[0])}")
+                assert drives[0].audit()
+            if warm:
+                event(f"hot pool written: {drives[0].pool_writes[HOT] > 0}")
 
 
 # gaps between events, in seconds: bursts, hours and more than a day
