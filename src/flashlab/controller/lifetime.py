@@ -16,13 +16,14 @@ import numpy as np
 
 from ..degradation import RetentionModel3D
 from ..models.simplex import bisect_failure
-from ..trace import span_pages
+from ..trace import page_windows
 from .geometry import Geometry, SECONDS_PER_DAY, endurance_at
 from .ftl import Drive, CLOSED
 from .refresh import RefreshConfig, run_refresh
 from .warm import HOT_RETENTION_S, WarmManager, COLD, HOT
 
 REFRESH_CHECK_S = 3600.0            # replay runs a refresh pass this often
+PAGE_WINDOW = 1 << 16               # most pages replay lists at once
 RETENTION = RetentionModel3D()
 
 
@@ -118,20 +119,18 @@ def replay(trace, drive, cfg):
     Cut order: before the first event at or past a pending refresh check
     or day close, every due refresh check runs, oldest first, and then
     every due day close. So a gap of over a day runs all of its hourly
-    refresh passes before it closes any of its days. The events between
-    two cuts run in one go. Without WARM they reach the FTL as runs of
-    host writes (``Drive.host_writes``) and their reads are counted in
-    bulk: a read counts iff its page was mapped before the replay or
-    written earlier in it, since no mapping is ever removed. WARM routes
-    write by write, so with WARM every page goes through ``host_write``
-    or ``host_read``.
+    refresh passes before it closes any of its days. The pages between
+    two cuts run in windows of at most PAGE_WINDOW pages, so memory does
+    not grow with the trace or its largest span. WARM routes write by
+    write, so with WARM every page goes through ``host_write`` or
+    ``host_read``. Without WARM a window's writes reach the FTL as runs of
+    host writes (``Drive.host_writes``) and its reads are counted in bulk:
+    a read counts iff its page was mapped when the window began or is
+    written earlier in the window, since no mapping is ever removed.
     """
     now = trace.timestamp_us / 1e6
     first, count = trace.page_spans(cfg.geometry.page_size)
-    pages = span_pages(first, count) % cfg.geometry.logical_pages
-    event_start = np.concatenate(([0], np.cumsum(count)))   # page positions
-    access = (_in_runs if drive.warm is None else _per_page)(
-        drive, pages, np.repeat(now, count), np.repeat(trace.is_write, count))
+    access = _in_runs if drive.warm is None else _per_page
     series = []
     last = dict.fromkeys(("host", "gc", "refresh"), 0)
 
@@ -147,7 +146,11 @@ def replay(trace, drive, cfg):
     done = 0
     while True:
         cut = int(np.searchsorted(now, min(next_refresh, next_day)))
-        access(event_start[done], event_start[cut])
+        for events, pages in page_windows(first[done:cut], count[done:cut],
+                                          PAGE_WINDOW):
+            events += done
+            access(drive, pages % cfg.geometry.logical_pages, now[events],
+                   trace.is_write[events])
         if cut == len(trace):
             break
         while now[cut] >= next_refresh:
@@ -162,44 +165,35 @@ def replay(trace, drive, cfg):
 
 
 def _per_page(drive, pages, page_now, is_write):
-    """``access(a, b)``: pages a to b of the replay, one host_write or
-    host_read each."""
+    """One window of the replay, one host_write or host_read per page."""
     host_write, host_read = drive.host_write, drive.host_read
-
-    def access(a, b):
-        for page, now, write in zip(pages[a:b].tolist(),
-                                    page_now[a:b].tolist(),
-                                    is_write[a:b].tolist()):
-            (host_write if write else host_read)(page, now)
-    return access
+    for page, now, write in zip(pages.tolist(), page_now.tolist(),
+                                is_write.tolist()):
+        (host_write if write else host_read)(page, now)
 
 
 def _in_runs(drive, pages, page_now, is_write):
-    """``access(a, b)``: pages a to b of the replay, the writes as runs of
-    ``Drive.host_writes`` and the reads counted in bulk, leaving the drive
-    as ``_per_page`` would."""
+    """One window of the replay, the writes as runs of ``Drive.host_writes``
+    and the reads counted in bulk up to each run before it is written,
+    leaving the drive as ``_per_page`` would, also when a run raises."""
     writes = np.flatnonzero(is_write)
-    first_write = np.full(drive.map.size, pages.size)
-    written, at = np.unique(pages[writes], return_index=True)
+    # the window's first write of each of its pages, or pages.size
+    ids, page_id = np.unique(pages, return_inverse=True)
+    first_write = np.full(ids.size, pages.size)
+    written, at = np.unique(page_id[writes], return_index=True)
     first_write[written] = writes[at]
     counted = ~is_write & ((drive.map[pages] >= 0)
-                           | (first_write[pages] < np.arange(pages.size)))
+                           | (first_write[page_id] < np.arange(pages.size)))
     reads_before = np.concatenate(([0], np.cumsum(counted)))
-    write_pages, write_now = pages[writes], page_now[writes]
-
-    def access(a, b):
-        done, stop = np.searchsorted(writes, (a, b)).tolist()
-        read_to = a
-        while done < stop:
-            pos = writes.item(done)
-            drive.reads += int(reads_before[pos] - reads_before[read_to])
-            read_to = pos
-            done += drive.host_writes(write_pages[done:stop],
-                                      float(write_now[done]))
-        drive.reads += int(reads_before[b] - reads_before[read_to])
-        if b > a:
-            drive.now = float(page_now[b - 1])
-    return access
+    write_pages = pages[writes]
+    done = read_to = 0
+    while done < writes.size:
+        pos = writes.item(done)
+        drive.reads += int(reads_before[pos] - reads_before[read_to])
+        read_to = pos
+        done += drive.host_writes(write_pages[done:], float(page_now[pos]))
+    drive.reads += int(reads_before[-1] - reads_before[read_to])
+    drive.now = float(page_now[-1])
 
 
 def run_lifetime(trace, cfg):

@@ -10,9 +10,10 @@ heatwatch temperature profile's phase count from there.
 Page-span rule: with P-byte pages, an event touches every page from
 lba // (P // 512) up to, not including, ceil((lba * 512 + size_bytes) / P):
 the pages a page-mapped FTL reads for a read and rewrites for a write,
-read-modify-writing a page the write covers only in part. ``Trace.page_spans`` is the only place the rule
-is written down; replay, HeatWatch sampling and trace statistics all
-count pages through it, and ``span_pages`` lists a span's pages.
+read-modify-writing a page the write covers only in part.
+``Trace.page_spans`` is the only place the rule is written down; replay,
+HeatWatch sampling and trace statistics all count pages through it, and
+``page_windows`` lists the pages, a bounded window of them at a time.
 
 Bulk canonical reader: ``parse_canonical`` reads the body as bytes,
 CHUNK_BYTES at a time cut at line ends, so its transient memory does not
@@ -29,6 +30,7 @@ the same columns and skip count.
 """
 
 import csv
+import sys
 
 import numpy as np
 
@@ -101,12 +103,23 @@ class Trace:
         return first, np.maximum(count, 0)
 
 
-def span_pages(first, count):
-    """Every page of every (first, count) span, span after span in order:
-    first[i], first[i] + 1, ..., first[i] + count[i] - 1."""
-    pages = np.repeat(first, count)
-    pages += np.arange(pages.size) - np.repeat(np.cumsum(count) - count, count)
-    return pages
+def page_windows(first, count, size):
+    """Every page of every (first, count) span, span after span, in windows
+    of at most ``size`` pages, each listed in O(its pages): yields (spans,
+    pages), the span index of each page of the window and the page."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if ends.size else 0
+    for start in range(0, total, size):
+        stop = min(start + size, total)
+        # spans lo to hi hold the window, n[k] pages of span lo + k; span j
+        # holds positions ends[j] - count[j] on, position p being page
+        # first[j] + p - (ends[j] - count[j])
+        lo, hi = np.searchsorted(ends, (start, stop - 1), "right").tolist()
+        j = slice(lo, hi + 1)
+        n = np.diff(np.minimum(ends[j], stop), prepend=start)
+        yield (np.repeat(np.arange(lo, hi + 1), n),
+               np.repeat(first[j] - ends[j] + count[j], n)
+               + np.arange(start, stop))
 
 
 def parse_msr(path):
@@ -118,30 +131,29 @@ def parse_msr(path):
     skipped counts malformed rows. A timestamp, lba or size outside int64
     is a ValueError.
     """
-    ts, is_write, lbas, sizes, skipped = [], [], [], [], 0
-    base = None
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if len(row) < 6:
-                skipped += 1
-                continue
-            try:
-                ticks = int(row[0])
-                kind = row[3].strip().lower()
-                offset = int(row[4])
-                size = int(row[5])
-                if kind not in ("read", "write") or offset < 0 or size <= 0:
-                    raise ValueError
-            except ValueError:
-                skipped += 1
-                continue
-            if base is None:
-                base = ticks
-            ts.append((ticks - base) // 10)
-            is_write.append(kind == "write")
-            lbas.append(offset // SECTOR_BYTES)
-            sizes.append(size)
-    return Trace(ts, is_write, lbas, sizes), skipped
+        (ticks, *rest), skipped = _read_rows(csv.reader(fh), _msr_event)
+    return Trace([(t - ticks[0]) // 10 for t in ticks], *rest), skipped
+
+
+def _msr_event(row):
+    ticks, kind = int(row[0]), row[3].strip().lower()
+    offset, size = int(row[4]), int(row[5])
+    if kind not in ("read", "write") or offset < 0 or size <= 0:
+        raise ValueError
+    return ticks, kind == "write", offset // SECTOR_BYTES, size
+
+
+def _read_rows(rows, event):
+    """The columns of the (time, is_write, lba, size) tuples ``event`` makes
+    of ``rows``, and how many rows it raised ValueError or IndexError on."""
+    events, skipped = [], 0
+    for row in rows:
+        try:
+            events.append(event(row))
+        except (ValueError, IndexError):
+            skipped += 1
+    return list(zip(*events)) or [()] * 4, skipped
 
 
 def write_canonical(trace, path):
@@ -162,8 +174,13 @@ def parse_canonical(path):
     """
     with open(path, "rb") as fh:
         chunks = _bulk_chunks(fh) if fh.readline() == _HEADER_LINE else None
-    if chunks is None:
-        return _parse_canonical_rows(path)
+    if chunks is None:  # the per-row reader
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != CANONICAL_HEADER:
+                raise ValueError("not a canonical trace: bad header")
+            columns, skipped = _read_rows(reader, _canonical_event)
+        return Trace(*columns), skipped
     if not chunks:  # a header and no rows
         chunks = [(np.zeros(0, dtype=np.int64),) * 4]
     ts, op, lba, size = (np.concatenate(col) for col in zip(*chunks))
@@ -217,26 +234,11 @@ def _gated_columns(buf):
     return values[0::4], values[1::4], values[2::4], values[3::4]
 
 
-def _parse_canonical_rows(path):
-    """The per-row canonical reader: ``parse_canonical`` on any file."""
-    ts, is_write, lbas, sizes, skipped = [], [], [], [], 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != CANONICAL_HEADER:
-            raise ValueError("not a canonical trace: bad header")
-        for row in reader:
-            try:
-                t, op, lba, size = int(row[0]), row[1], int(row[2]), int(row[3])
-                if op not in ("R", "W") or size <= 0 or lba < 0:
-                    raise ValueError
-            except (ValueError, IndexError):
-                skipped += 1
-                continue
-            ts.append(t)
-            is_write.append(op == "W")
-            lbas.append(lba)
-            sizes.append(size)
-    return Trace(ts, is_write, lbas, sizes), skipped
+def _canonical_event(row):
+    t, op, lba, size = int(row[0]), row[1], int(row[2]), int(row[3])
+    if op not in ("R", "W") or size <= 0 or lba < 0:
+        raise ValueError
+    return t, op == "W", lba, size
 
 
 def hotness_cdf(trace, page_size=8192):
@@ -248,7 +250,9 @@ def hotness_cdf(trace, page_size=8192):
     page of its span (``Trace.page_spans``).
     """
     first, span = trace.page_spans(page_size)
-    pages = span_pages(first[trace.is_write], span[trace.is_write])
+    w = trace.is_write
+    # one window of every written page: the result has one entry per page
+    pages = next(page_windows(first[w], span[w], sys.maxsize), (None, []))[1]
     counts = np.unique(pages, return_counts=True)[1]
     if not counts.size:
         return np.array([]), np.array([])

@@ -12,7 +12,8 @@ from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, THREE_YEARS_S,
                                  RefreshConfig, WarmManager, adaptive_period,
                                  endurance_at, in_refresh_phase, replay,
                                  run_lifetime, run_refresh)
-from flashlab.controller import policies, warm as warm_mod
+from flashlab.controller import (lifetime as lifetime_mod, policies,
+                                 warm as warm_mod)
 from flashlab.controller.ftl import CLOSED
 from flashlab.controller.heatwatch import (HEATWATCH_POLICIES, MIN_AGE_S,
                                            PAGE_SIZE, SCORE_CHUNK, TICK_S,
@@ -671,6 +672,70 @@ class TestBatchedHostWriteProperty:
         assert d.audit()
 
 
+# a write and, at once, a read of its pages: one window then holds a
+# write and a later read of one page, or a read after a write that
+# over-commits
+_WRITE_THEN_READ = hst.tuples(hst.integers(0, 1 << 12),
+                              hst.integers(1, 4).map(lambda n: n * 8192)).map(
+    lambda span: [(0, "W", *span), (0, "R", *span)])
+
+
+class TestReplayWindowProperty:
+    """replay listing pages in windows of 1, 3 and 7 pages, with WARM on
+    and off, against reference_replay on identical drives fed identical
+    traces: windows then end inside spans, inside runs of host writes and
+    between a write and a later read of the same page."""
+
+    @settings(max_examples=200)
+    @given(window=hst.sampled_from([1, 3, 7]),
+           warm=hst.booleans(),
+           n_blocks=hst.integers(4, 16),
+           op=hst.sampled_from([0.1, 0.25, 0.5, 0.9]),
+           mode=hst.sampled_from(["none", "fcr", "adaptive"]),
+           period_days=hst.sampled_from([0.5, 1.0, 3.0]),
+           initial_pec=hst.sampled_from([0, 3200, 160_000]),
+           prefill=hst.sampled_from([0.0, 0.5, 1.0, 2.5]),
+           events=hst.lists(hst.one_of(_EVENT.map(lambda e: [e]),
+                                       _WRITE_THEN_READ),
+                            max_size=40).map(lambda groups: sum(groups, [])))
+    def test_windows_match_per_page_reference(self, window, warm, n_blocks,
+                                              op, mode, period_days,
+                                              initial_pec, prefill, events):
+        geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
+                        op_fraction=op)
+        cfg = LifetimeConfig(geometry=geom, warm=warm, initial_pec=initial_pec,
+                             refresh=RefreshConfig(mode=mode,
+                                                   period_s=period_days * DAY))
+        drives = [Drive(geom, warm=WarmManager(geom) if warm else None,
+                        initial_pec=initial_pec) for _ in range(2)]
+        try:
+            start = [fill_drive(d, passes=prefill) for d in drives][0]
+        except ValueError:
+            event("over-committed before the replay")
+            return
+        ts = int(start * 1e6) + np.cumsum(
+            [int(gap * 1e6) for gap, _, _, _ in events], dtype=np.int64)
+        trace = Trace(ts, [op == "W" for _, op, _, _ in events],
+                      [lba for _, _, lba, _ in events],
+                      [size for _, _, _, size in events])
+        outcomes = []
+        with patch.object(lifetime_mod, "PAGE_WINDOW", window):
+            for d, run in zip(drives, (replay, reference_replay)):
+                try:
+                    outcomes.append(run(trace, d, cfg))
+                except ValueError as exc:
+                    assert "over-committed" in str(exc)
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        states = [drive_state(d) for d in drives]
+        assert states[0][1] == states[1][1]
+        for k, arr in states[0][0].items():
+            assert np.array_equal(arr, states[1][0][k]), k
+        event("over-committed" if isinstance(outcomes[0], str)
+              else f"reads counted: {drives[0].reads > 0}")
+        assert drives[0].audit()
+
+
 RET = RetentionModel3D()
 RET = RetentionModel3D()
 
@@ -1039,6 +1104,26 @@ class TestLifetimeReplay:
                       + math.exp(RET.eval("log_rber_lsb", 3000, age_s)))
         assert rep.series[0][1:3] == pytest.approx((want, want), rel=1e-12)
         assert rep.lifetime_days == math.inf
+
+    def test_memory_does_not_grow_with_the_span(self):
+        # one event writing 4 GiB, 512Ki pages, to a 32 MB drive: listing
+        # every page at once peaked at 29.5 MB, a window of PAGE_WINDOW
+        # pages takes about 5 MB whatever the span
+        peaks = []
+        for gib in (1, 4):
+            geom = small_geom(mb=32)
+            cfg = LifetimeConfig(geometry=geom,
+                                 refresh=RefreshConfig(mode="fcr"))
+            drive = Drive(geom)
+            tracemalloc.start()
+            try:
+                replay(Trace([0], [True], [0], [gib << 30]), drive, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert drive.writes["host"] == (gib << 30) // geom.page_size
+        assert peaks[1] < 8 << 20
+        assert abs(peaks[1] - peaks[0]) < 1 << 20
 
 
 def reference_replay_counts(rows, page_size, n_logical):
