@@ -5,7 +5,9 @@ The static fit works in a transformed space (log for scale/tail
 parameters, logit for the misprogram probability) so the simplex never
 wanders into invalid territory. It proceeds stage-wise: P3 and P2 first
 (their parameters are reused by the misprogram components of ER and P1),
-then ER and P1, then one joint polish over the full 16-dimensional vector.
+then ER and P1, then one polish per coupled pair, (ER, P3) and (P1, P2).
+A state mixes in only its own misprogram target, so the pooled KL splits
+into the two pairs' KLs and the pair optima are the joint optimum.
 Staging changes only the optimization path, not the objective.
 """
 
@@ -26,6 +28,7 @@ _STAGE_ORDER = (CellState.P3, CellState.P2, CellState.ER, CellState.P1)
 _LAM_CAP = 0.5  # misprogram probability is a rare event by construction
 
 FIT_MAX_ITER = 1000  # simplex iterations per fit_static stage
+POLISH_STEP = 1e-3  # pair polishes start at the stage optima: a local simplex
 
 
 @dataclass
@@ -107,23 +110,6 @@ def _unpack_state(vec, family, state):
     return _state_model(family, state, kw)
 
 
-def _pack_all(models, family):
-    vec = []
-    for st in _STAGE_ORDER:
-        vec.extend(_pack_state(models[st], family, st))
-    return np.array(vec)
-
-
-def _unpack_all(vec, family):
-    models = {}
-    i = 0
-    for st in _STAGE_ORDER:
-        n = len(_state_param_names(family, st))
-        models[st] = _unpack_state(vec[i : i + n], family, st)
-        i += n
-    return models
-
-
 def empirical_moments(hist, state):
     """Mean/stddev of one state's binned population (bin-center weighted)."""
     b = BOUNDARIES
@@ -156,12 +142,14 @@ def fit_static(hist, family):
 
     A stage objective evaluates only the fitted state's own component, mixed
     for ER and P1 with the target's, which stays fixed through the stage.
-    Every float operation runs as in ``kl_divergence`` of ``model_density``,
-    so the objective values, and the fit, equal theirs bit for bit.
+    Each pair polish then refits a misprogrammed state with its target from
+    the stage optima, on the sum of the two states' KLs. Every float
+    operation runs as in ``kl_divergence`` of ``model_density``, so each
+    state's KL, and with it the fit, equals theirs bit for bit. The
+    reported KL is the fitted model's pooled KL.
     """
     measured = hist.densities()
     models = default_init(hist, family)
-    init_kl = pooled_kl(measured, model_density(models))
 
     seen = measured > 0
     p_seen = [measured[s][seen[s]] for s in CellState]
@@ -189,21 +177,29 @@ def fit_static(hist, family):
         total_iters += iters
         converged &= ok
 
-    # Stage 2: joint polish over the full parameter vector.
-    def joint_objective(vec):
-        dens = model_density(_unpack_all(vec, family))
-        return float(np.mean([state_kl(s, dens[s]) for s in CellState]))
+    # Stage 2: polish each misprogrammed state jointly with its target. The
+    # pairs share no state, so each minimizes its own part of the pooled KL.
+    for st, tgt in MISPROGRAM_TARGET.items():
+        n = len(_state_param_names(family, st))
 
-    x0 = _pack_all(models, family)
-    x, kl, iters, ok = nelder_mead(joint_objective, x0, max_iter=FIT_MAX_ITER)
-    total_iters += iters
-    polished = _unpack_all(x, family)
-    if kl <= init_kl:
-        models, final_kl = polished, kl
-    else:
-        final_kl = pooled_kl(measured, model_density(models))
+        def joint_objective(vec, st=st, tgt=tgt, n=n):
+            m = _unpack_state(vec[:n], family, st)
+            t_own = component_cdf(_unpack_state(vec[n:], family, tgt), BOUNDARIES)
+            own = component_cdf(m, BOUNDARIES)
+            return (state_kl(st, bin_masses(mix(m, own, t_own)))
+                    + state_kl(tgt, bin_masses(t_own)))
+
+        x0 = np.array(_pack_state(models[st], family, st)
+                      + _pack_state(models[tgt], family, tgt))
+        x, _, iters, ok = nelder_mead(joint_objective, x0, max_iter=FIT_MAX_ITER,
+                                      step=POLISH_STEP)
+        models[st] = _unpack_state(x[:n], family, st)
+        models[tgt] = _unpack_state(x[n:], family, tgt)
+        total_iters += iters
+        converged &= ok
     models = enforce_constraints(models)
-    return FitResult(models, float(final_kl), total_iters, converged and ok)
+    return FitResult(models, pooled_kl(measured, model_density(models)), total_iters,
+                     converged)
 
 
 def fit_power_law(points):

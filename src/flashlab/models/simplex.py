@@ -29,21 +29,23 @@ def _eval(objective, x):
     return f
 
 
-def nelder_mead(objective, x0, tol=1e-8, max_iter=1000):
+def nelder_mead(objective, x0, tol=1e-8, max_iter=1000, step=0.05):
     """Minimize objective from x0.
 
-    The initial simplex steps each coordinate by 5% of its value, or by
-    0.05 where it is 0. Returns (x_best, f_best, iterations, converged).
-    Convergence means that, within max_iter iterations, either the simplex
-    diameter (max vertex distance from the best vertex, inf-norm, in
-    parameter units) fell below tol, or the vertices' objective values
-    agreed to within tol relative to the best, ``f_worst - f_best <= tol *
-    |f_best|``. While the best value is 0, the value test fires only when
-    every vertex's value is 0.
+    The initial simplex is x0 and, for each coordinate i, x0 with x0[i]
+    stepped by ``step * |x0[i]|``, or by ``step`` where x0[i] is 0; the
+    default is a 5% step. The best vertex is only ever replaced by a
+    better point, so f_best never exceeds f(x0). Returns (x_best, f_best,
+    iterations, converged). Convergence means that, within max_iter
+    iterations, either the simplex diameter (max vertex distance from the
+    best vertex, inf-norm, in parameter units) fell below tol, or the
+    vertices' objective values agreed to within tol relative to the best,
+    ``f_worst - f_best <= tol * |f_best|``. While the best value is 0, the
+    value test fires only when every vertex's value is 0.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    initial_step = np.where(x0 != 0.0, 0.05 * np.abs(x0), 0.05)
+    initial_step = np.where(x0 != 0.0, step * np.abs(x0), step)
 
     verts = np.tile(x0, (n + 1, 1))
     for i in range(n):

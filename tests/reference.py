@@ -18,6 +18,9 @@ runs any of it.
 - Readers of ``fit``'s model.json and dynamic.json, which pin their
   format.
 - The builder of a multi-rate ECC ladder for ``multirate_lifetime``.
+- The packing of every free parameter of a 4-state model into one vector,
+  which the static fit's former single joint polish ran its simplex over;
+  the pair polishes are checked against that polish.
 """
 
 import csv
@@ -35,6 +38,7 @@ from flashlab.controller.lifetime import REFRESH_CHECK_S, series_rber
 from flashlab.controller.refresh import run_refresh
 from flashlab.controller.warm import COLD, HOT, WarmManager
 from flashlab.models.cdf import StateModel, enforce_constraints
+from flashlab.models import fitting
 from flashlab.models.fitting import PowerLawParams
 from flashlab.models.tables import default_tables
 from flashlab.raid_ecc import ecc_failure_rate
@@ -383,3 +387,22 @@ def multirate_schedule(engines, rber_of_pec, target_uber, pec_step=100,
         if pec > pec_max:
             break
     return schedule
+
+
+def pack_all(models, family):
+    """Every free parameter of a 4-state model, states in fit order."""
+    vec = []
+    for st in fitting._STAGE_ORDER:
+        vec.extend(fitting._pack_state(models[st], family, st))
+    return np.array(vec)
+
+
+def unpack_all(vec, family):
+    """The 4-state model ``pack_all`` packed into ``vec``."""
+    models = {}
+    i = 0
+    for st in fitting._STAGE_ORDER:
+        n = len(fitting._state_param_names(family, st))
+        models[st] = fitting._unpack_state(vec[i : i + n], family, st)
+        i += n
+    return models

@@ -5,8 +5,10 @@ quadrature of its defining convolution. The Student's t CDF, the density
 matrix and the static fit are checked, bit for bit, against the forms they
 replaced: a t-CDF that looks up both tails even when they are tied, a
 density that evaluates every state's mixture CDF on its own (so misprogram
-targets twice), and stage objectives that build all four density rows to
-read one.
+targets twice), and stage and pair objectives that build all four density
+rows to read one or two. The pair polishes are checked to split the pooled
+KL exactly and to land within a stated tolerance of the single joint
+polish they replaced.
 """
 
 import math
@@ -14,6 +16,7 @@ from unittest.mock import patch
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -24,7 +27,7 @@ from flashlab.models.cdf import (StateModel, bin_masses, enforce_constraints,
                                  state_cdf, tcdf)
 from flashlab.models.simplex import nelder_mead
 from flashlab.models.tables import default_tables
-from reference import bin_cells, sample_page
+from reference import bin_cells, pack_all, sample_page, unpack_all
 
 TAB = default_tables()
 
@@ -64,15 +67,18 @@ def ref_model_density(models, tables):
     return out
 
 
-def ref_fit_static(hist, family, tol=1e-8, max_iter=1000, tables=TAB):
-    """The static fit with full-density stage objectives."""
+def ref_fit_static(hist, family, tol=1e-8, max_iter=1000, tables=TAB,
+                   joint=False):
+    """The static fit with full-density objectives. With ``joint``, its
+    former stage 2 replaces the pair polishes: one polish of every parameter
+    from a 5%-step simplex, kept only if it ends at or below the initial
+    model's pooled KL."""
     measured = hist.densities()
     models = fitting.default_init(hist, family)
     init_kl = pooled_kl(measured, ref_model_density(models, tables))
     total_iters, converged = 0, True
 
-    def state_kl(ms, state):
-        dens = ref_model_density(ms, tables)
+    def state_kl(dens, state):
         seen = measured[state] > 0
         return float(np.sum(measured[state][seen] * np.log(
             measured[state][seen] / np.maximum(dens[state][seen], 1e-12))))
@@ -81,7 +87,7 @@ def ref_fit_static(hist, family, tol=1e-8, max_iter=1000, tables=TAB):
         def objective(vec, st=st):
             trial = dict(models)
             trial[st] = fitting._unpack_state(vec, family, st)
-            return state_kl(trial, st)
+            return state_kl(ref_model_density(trial, tables), st)
 
         x0 = np.array(fitting._pack_state(models[st], family, st))
         x, _, iters, ok = nelder_mead(objective, x0, tol=tol, max_iter=max_iter)
@@ -89,19 +95,66 @@ def ref_fit_static(hist, family, tol=1e-8, max_iter=1000, tables=TAB):
         total_iters += iters
         converged &= ok
 
-    def joint_objective(vec):
-        return pooled_kl(measured,
-                         ref_model_density(fitting._unpack_all(vec, family), tables))
+    if joint:
+        def joint_objective(vec):
+            return pooled_kl(measured, ref_model_density(unpack_all(vec, family), tables))
 
-    x, kl, iters, ok = nelder_mead(joint_objective, fitting._pack_all(models, family),
-                                   tol=tol, max_iter=max_iter)
-    total_iters += iters
-    if kl <= init_kl:
-        models, final_kl = fitting._unpack_all(x, family), kl
-    else:
-        final_kl = pooled_kl(measured, ref_model_density(models, tables))
-    return fitting.FitResult(enforce_constraints(models), float(final_kl),
-                             total_iters, converged and ok)
+        x, kl, iters, ok = nelder_mead(joint_objective, pack_all(models, family),
+                                       tol=tol, max_iter=max_iter)
+        total_iters += iters
+        if kl <= init_kl:
+            models, final_kl = unpack_all(x, family), kl
+        else:
+            final_kl = pooled_kl(measured, ref_model_density(models, tables))
+        return fitting.FitResult(enforce_constraints(models), float(final_kl),
+                                 total_iters, converged and ok)
+
+    for st, tgt in MISPROGRAM_TARGET.items():
+        n = len(fitting._state_param_names(family, st))
+
+        def pair_objective(vec, st=st, tgt=tgt, n=n):
+            trial = dict(models)
+            trial[st] = fitting._unpack_state(vec[:n], family, st)
+            trial[tgt] = fitting._unpack_state(vec[n:], family, tgt)
+            dens = ref_model_density(trial, tables)
+            return state_kl(dens, st) + state_kl(dens, tgt)
+
+        x0 = np.array(fitting._pack_state(models[st], family, st)
+                      + fitting._pack_state(models[tgt], family, tgt))
+        x, _, iters, ok = nelder_mead(pair_objective, x0, tol=tol, max_iter=max_iter,
+                                      step=fitting.POLISH_STEP)
+        models[st] = fitting._unpack_state(x[:n], family, st)
+        models[tgt] = fitting._unpack_state(x[n:], family, tgt)
+        total_iters += iters
+        converged &= ok
+    models = enforce_constraints(models)
+    return fitting.FitResult(models, pooled_kl(measured, ref_model_density(models, tables)),
+                             total_iters, converged)
+
+
+def pair_objectives(hist, family):
+    """``fit_static``'s two pair objectives on ``hist``, (ER, P3) then
+    (P1, P2), taken from its simplex calls, each of which returns its
+    start."""
+    found = []
+
+    def start_only(objective, x0, **kw):
+        if objective.__name__ == "joint_objective":
+            found.append(objective)
+        return x0, objective(x0), 0, True
+    with patch.object(fitting, "nelder_mead", start_only):
+        fitting.fit_static(hist, family)
+    return found
+
+
+def acceptance_channel(family, lam):
+    """The acceptance tests' 4-state channel, ER and P1 misprogramming with
+    probability ``lam``."""
+    tails = (4.0, 5.0) if family != "gaussian" else (None, None)
+    return {st: StateModel(family, (30.0, 110.0, 183.0, 260.0)[st],
+                           (11.0, 9.0, 8.5, 8.0)[st], *tails,
+                           lam=lam if st in MISPROGRAM_TARGET else 0.0)
+            for st in CellState}
 
 
 def nl_cdf_mp(x, mu, sigma, alpha, beta):
@@ -122,6 +175,11 @@ def nl_cdf_mp(x, mu, sigma, alpha, beta):
     below = [-mpmath.inf] + [k for k in knots if k < x] + [x]
     above = [x] + [k for k in knots if k > x] + [mpmath.inf]
     return mpmath.quad(f, below) + mpmath.quad(f, above)
+
+
+# A small histogram with empty bins, on which the pair objectives are read.
+SPLIT_HIST = bin_cells(sample_page(acceptance_channel("student_t", 0.03), 20_000,
+                                   seed=5))
 
 
 # --- strategies --------------------------------------------------------------
@@ -210,3 +268,48 @@ class TestFitStaticBitIdentical:
         want = ref_fit_static(hist, "student_t", max_iter=150)
         assert got == want
         assert got.iterations > 150  # the stages did move the simplex
+
+
+class TestPairPolish:
+    def test_misprogram_targets_partition_the_states(self):
+        # The split holds only while no state mixes in a state of the other
+        # pair: the misprogrammed states and their targets are disjoint and
+        # cover every state once.
+        sources, targets = set(MISPROGRAM_TARGET), set(MISPROGRAM_TARGET.values())
+        assert not sources & targets
+        assert sources | targets == set(CellState)
+        assert len(targets) == len(MISPROGRAM_TARGET)
+
+    @settings(max_examples=60)
+    @given(data=hst.data(), family=hst.sampled_from(["gaussian", "normal_laplace",
+                                                     "student_t"]))
+    def test_pair_objectives_split_the_pooled_kl(self, data, family):
+        drawn = data.draw(four_state_models(family))
+        vecs = {st: fitting._pack_state(drawn[st], family, st) for st in CellState}
+        models = {st: fitting._unpack_state(vecs[st], family, st) for st in CellState}
+        want = pooled_kl(SPLIT_HIST.densities(), model_density(models))
+        er_p3, p1_p2 = pair_objectives(SPLIT_HIST, family)
+        got = (er_p3(np.array(vecs[CellState.ER] + vecs[CellState.P3]))
+               + p1_p2(np.array(vecs[CellState.P1] + vecs[CellState.P2]))) / 4
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
+
+    @pytest.mark.parametrize("family", ["student_t", "gaussian"])
+    @pytest.mark.parametrize("lam", [1e-3, 0.03])
+    def test_within_tolerance_of_the_joint_polish(self, family, lam):
+        # On each channel both families' pair fits converge, at a pooled KL
+        # at most 1e-4 relative above the joint polish's, with every mean
+        # within 0.01 steps of its. On the student_t channel at lam 0.03
+        # the joint polish runs out of FIT_MAX_ITER; the pair fit does not,
+        # and ends lower.
+        hist = bin_cells(sample_page(acceptance_channel(family, lam), 1_000_000,
+                                     seed=2))
+        for fit_family in ("student_t", "gaussian"):
+            got = fitting.fit_static(hist, fit_family)
+            want = ref_fit_static(hist, fit_family, joint=True)
+            assert got.converged, fit_family
+            assert got.kl_error <= want.kl_error * (1 + 1e-4), fit_family
+            assert max(abs(got.params[st].mu - want.params[st].mu)
+                       for st in CellState) <= 0.01, fit_family
+            if (family, lam, fit_family) == ("student_t", 0.03, "student_t"):
+                assert not want.converged
+                assert got.kl_error < want.kl_error

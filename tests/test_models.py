@@ -8,6 +8,7 @@ from scipy.stats import t as student_t
 from scipy.integrate import quad
 from hypothesis import given, settings, strategies as hst
 
+from flashlab import urt
 from flashlab.grid import CellState
 from flashlab.models.cdf import (StateModel, enforce_constraints, gaussian_states,
                                  gcdf, kl_divergence, model_density, ncdf,
@@ -223,10 +224,42 @@ class TestNelderMead:
         assert np.allclose(x, [3.0, -1.0], rtol=0.0, atol=1e-8)
         assert f < 1e-15
 
+    @pytest.mark.parametrize("step", [None, 1e-3, 0.2])
+    def test_initial_simplex_steps_each_coordinate(self, step):
+        # The first n + 1 evaluations are the initial vertices: x0, then x0
+        # with coordinate i stepped by step * |x0[i]|, or by step at 0.
+        x0 = np.array([2.0, -3.0, 0.0, 1e-3])
+        calls = []
+
+        def f(v):
+            calls.append(v.copy())
+            return float(np.sum(v * v))
+        nelder_mead(f, x0, **({} if step is None else {"step": step}))
+        s = 0.05 if step is None else step
+        want = [x0] + [x0 + np.eye(4)[i] * (s * abs(x0[i]) if x0[i] else s)
+                       for i in range(4)]
+        assert np.array_equal(np.array(calls[:5]), np.array(want))
+
+    def test_existing_callers_keep_the_default_step(self):
+        # fit_power_law and urt.fit_srrm pass no step, so their simplex is
+        # the 5% one above, and they run as they did before step existed.
+        kwargs = []
+
+        def record(objective, x0, **kw):
+            kwargs.append(kw)
+            return nelder_mead(objective, x0, **kw)
+        with patch.object(fitting, "nelder_mead", record), \
+                patch.object(urt, "nelder_mead", record):
+            fit_power_law([(1.0, 2.0), (2.0, 3.0), (4.0, 5.5), (8.0, 9.0)])
+            urt.fit_srrm([(1.0, 2.0, 100.0, 0.1), (10.0, 5.0, 200.0, 0.3),
+                          (100.0, 20.0, 300.0, 0.9), (50.0, 1.0, 50.0, 0.2)])
+        assert len(kwargs) == 4
+        assert all("step" not in kw for kw in kwargs)
+
     def test_student_t_fit_converges_in_every_stage(self):
         # Each stage of a student_t fit of the acceptance channel stops on
-        # its own, the 16-parameter joint polish included, well inside
-        # FIT_MAX_ITER.
+        # its own, the 7-parameter (ER, P3) and 9-parameter (P1, P2) pair
+        # polishes included, well inside FIT_MAX_ITER.
         true = {st: StateModel("student_t", (30.0, 110.0, 183.0, 260.0)[i],
                                (11.0, 9.0, 8.5, 8.0)[i], 4.0, 5.0,
                                lam=(1e-3 if i < 2 else 0.0))
@@ -240,7 +273,7 @@ class TestNelderMead:
             return result
         with patch.object(fitting, "nelder_mead", record):
             fr = fit_static(hist, "student_t")
-        assert [n for n, _, _ in stages] == [3, 4, 4, 5, 16]
+        assert [n for n, _, _ in stages] == [3, 4, 4, 5, 7, 9]
         assert all(ok and iters < fitting.FIT_MAX_ITER
                    for _, iters, ok in stages), stages
         assert fr.converged
