@@ -307,7 +307,11 @@ def _heatwatch_config(doc, seed):
     has only ``_HEATWATCH_KEYS``, ``temp`` maps TempTrace fields other than
     ``seed`` to numbers, with a positive ``period_s`` and a non-negative
     ``noise_sigma_c``, ``max_samples`` is a positive integer and
-    ``ecc_limit`` an ``_ecc_limit``."""
+    ``ecc_limit`` an ``_ecc_limit``; ``seed``, the noise seed, is
+    non-negative."""
+    if seed < 0:
+        raise ConfigError(f"--seed {seed} must be non-negative: it seeds the"
+                          " heatwatch temperature noise")
     _check_keys(doc, _HEATWATCH_KEYS, "heatwatch config")
     temp = doc.get("temp", {})
     max_samples = doc.get("max_samples", 300)

@@ -25,12 +25,14 @@ all the samples in read order.
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from ..models.applications import estimate_rber
 from ..models.simplex import bisect_failure
 from .. import urt as urt_mod
+from ..trace import PAGE_WINDOW, page_windows
 from ..urt import RetentionAges, state_models as truth_models
 from .policies import ReadContext, policy_refs, remar_refit_ages
 
@@ -57,52 +59,83 @@ class HeatwatchConfig:
     max_samples: int = 300
 
 
+def eligible_reads(trace):
+    """(now, age, written) float arrays of every eligible page read, in
+    read order: each page of a read's span (``Trace.page_spans``) is one
+    candidate, eligible if the page was written before, ``written``
+    seconds into the trace, and its data is at least MIN_AGE_S old at
+    ``now``; a write stamps every page of its span.
+
+    The pages are walked in ``page_windows`` of PAGE_WINDOW pages. In a
+    window, a stable sort by page lines up each page's accesses in order,
+    and a running maximum of write positions finds the last write before
+    each read. A read whose page the window has not yet written looks its
+    page up in a dict of last write times, which takes each window's last
+    writes in bulk once the window is done.
+    """
+    now_s = trace.timestamp_us / 1e6
+    first, count = trace.page_spans(PAGE_SIZE)
+    last_write = {}
+    found = [np.zeros((3, 0))]
+    for spans, pages in page_windows(first, count, PAGE_WINDOW):
+        now, is_write = now_s[spans], trace.is_write[spans]
+        order = np.argsort(pages, kind="stable")
+        page, write = pages[order], is_write[order]
+        k = np.arange(page.size)
+        new = np.ones(page.size, dtype=bool)
+        new[1:] = page[1:] != page[:-1]
+        start = np.maximum.accumulate(np.where(new, k, 0))
+        last = np.maximum.accumulate(np.where(write, k, -1))
+        hit = last >= start  # the page was written earlier in the window
+        written = np.where(hit, now[order[last]], np.nan)
+        miss = np.flatnonzero(~hit & ~write)
+        if miss.size and last_write:
+            written[miss] = np.fromiter(
+                map(last_write.get, page[miss].tolist(), repeat(np.nan)),
+                float, miss.size)
+        end = np.flatnonzero(np.append(new[1:], True))
+        end = end[last[end] >= start[end]]
+        last_write.update(zip(page[end].tolist(),
+                              now[order[last[end]]].tolist()))
+        reads = np.flatnonzero(~is_write)
+        at = np.empty_like(written)
+        at[order] = written
+        row = np.array([now[reads], now[reads] - at[reads], at[reads]])
+        found.append(row[:, row[1] >= MIN_AGE_S])
+    return tuple(np.concatenate(found, axis=1))
+
+
 def collect_samples(trace, cfg, params):
     """Per-read thermal bookkeeping for at most cfg.max_samples reads.
 
-    Two passes. The first walks the trace and lists the eligible reads:
-    each page of a read's span (``Trace.page_spans``) is one candidate,
-    eligible if the page was written before and its data is at least
-    MIN_AGE_S old; a write stamps every page of its span. Eligibility
-    never depends on the thermal estimate. When there are more than
-    max_samples of them, an evenly spaced subset is kept. The second pass
-    feeds an AccelLog the temperature ticks up to each kept read in turn
-    and makes the estimate only there, querying the read's own window.
-    The exact effective age integrates the acceleration factor over the
-    temperature profile (trapezoidal, one point per tick).
+    Two passes. The first lists the ``eligible_reads``; eligibility never
+    depends on the thermal estimate. When there are more than max_samples
+    of them, an evenly spaced subset is kept. The second pass feeds an
+    AccelLog the temperature ticks up to each kept read in turn and makes
+    the estimate only there, querying the read's own window. The exact
+    effective age integrates the acceleration factor over the temperature
+    profile (trapezoidal, one point per tick), whose values
+    ``urt.temp_generate`` gives for every tick in one call.
     """
     end_s = int(trace.timestamp_us[-1]) / 1e6 if len(trace) else 0.0
     n_ticks = int(end_s / TICK_S) + 2
-    tick_t = np.arange(n_ticks) * TICK_S
-    temps = np.array([urt_mod.temp_generate(cfg.temp, t) for t in tick_t])
+    temps = urt_mod.temp_generate(cfg.temp, np.arange(n_ticks) * TICK_S)
     afs = urt_mod.af(urt_mod.celsius_to_kelvin(temps), params)
     # cumulative exact effective time at each tick boundary
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (afs[1:] + afs[:-1]) * TICK_S)])
 
-    write_time = {}
-    reads = []  # (now, age, write time) of each eligible page read
-    first, count = trace.page_spans(PAGE_SIZE)
-    for ts, is_write, page, n in zip(trace.timestamp_us.tolist(),
-                                     trace.is_write.tolist(),
-                                     first.tolist(), count.tolist()):
-        now = ts / 1e6
-        for p in range(page, page + n):
-            if is_write:
-                write_time[p] = now
-            elif p in write_time:
-                age = now - write_time[p]
-                if age >= MIN_AGE_S:
-                    reads.append((now, age, write_time[p]))
-    if len(reads) > cfg.max_samples:
-        idx = np.linspace(0, len(reads) - 1, cfg.max_samples).astype(int)
-        reads = [reads[i] for i in idx]
+    reads = eligible_reads(trace)
+    if reads[0].size > cfg.max_samples:
+        idx = np.linspace(0, reads[0].size - 1, cfg.max_samples).astype(int)
+        reads = [column[idx] for column in reads]
 
     log = urt_mod.AccelLog()
+    afs = afs.tolist()
     ticked = 0
     samples = []
-    for now, age, written in reads:
+    for now, age, written in zip(*(column.tolist() for column in reads)):
         while (ticked + 1) * TICK_S <= now:
-            log.update(float(afs[ticked]), TICK_S)
+            log.update(afs[ticked], TICK_S)
             ticked += 1
         eff_exact = float(cum[int(now / TICK_S)] - cum[int(written / TICK_S)])
         eff_est = log.effective_time(min(age, log.elapsed))

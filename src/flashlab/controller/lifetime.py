@@ -16,14 +16,13 @@ import numpy as np
 
 from ..degradation import RetentionModel3D
 from ..models.simplex import bisect_failure
-from ..trace import page_windows
+from ..trace import PAGE_WINDOW, page_windows
 from .geometry import Geometry, SECONDS_PER_DAY, endurance_at
 from .ftl import Drive, CLOSED
 from .refresh import RefreshConfig, run_refresh
 from .warm import HOT_RETENTION_S, WarmManager, COLD, HOT
 
 REFRESH_CHECK_S = 3600.0            # replay runs a refresh pass this often
-PAGE_WINDOW = 1 << 16               # most pages replay lists at once
 RETENTION = RetentionModel3D()
 
 

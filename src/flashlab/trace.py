@@ -12,8 +12,9 @@ lba // (P // 512) up to, not including, ceil((lba * 512 + size_bytes) / P):
 the pages a page-mapped FTL reads for a read and rewrites for a write,
 read-modify-writing a page the write covers only in part.
 ``Trace.page_spans`` is the only place the rule is written down; replay,
-HeatWatch sampling and trace statistics all count pages through it, and
-``page_windows`` lists the pages, a bounded window of them at a time.
+HeatWatch sampling and trace statistics all count pages through it. Replay
+and HeatWatch sampling list the pages with ``page_windows``, at most
+PAGE_WINDOW of them at a time; trace statistics list none.
 
 Bulk canonical reader: ``parse_canonical`` reads the body as bytes,
 CHUNK_BYTES at a time cut at line ends, so its transient memory does not
@@ -30,7 +31,6 @@ the same columns and skip count.
 """
 
 import csv
-import sys
 
 import numpy as np
 
@@ -39,6 +39,7 @@ SECTOR_BYTES = 512
 CANONICAL_HEADER = ["timestamp_us", "op", "lba", "size_bytes"]
 CHUNK_BYTES = 1 << 20   # the bulk reader's read size
 MAX_DIGITS = 18         # a number of this many digits always fits int64
+PAGE_WINDOW = 1 << 16   # most pages a walk over page spans lists at once
 _HEADER_LINE = (",".join(CANONICAL_HEADER) + "\n").encode()
 _COMMA, _NEWLINE, _ZERO = b",\n0"
 _READ, _WRITE = b"RW"
@@ -248,15 +249,29 @@ def hotness_cdf(trace, page_size=8192):
     count descending, the cumulative share of writes absorbed by the
     hottest x fraction of written pages. A write counts once on every
     page of its span (``Trace.page_spans``).
+
+    No page is listed: a page's write count is the number of write spans
+    that cover it, constant between span ends, so a sweep over the sorted
+    span ends gives each count with the number of pages that have it.
+    Memory grows with the events and the output, not with the spans.
     """
     first, span = trace.page_spans(page_size)
     w = trace.is_write
-    # one window of every written page: the result has one entry per page
-    pages = next(page_windows(first[w], span[w], sys.maxsize), (None, []))[1]
-    counts = np.unique(pages, return_counts=True)[1]
-    if not counts.size:
+    ends = np.concatenate((first[w], first[w] + span[w]))
+    order = np.argsort(ends)
+    # the coverage after each end, which holds up to the next end
+    cover = np.cumsum(np.where(order < ends.size // 2, 1, -1))[:-1]
+    pages = np.diff(ends[order])
+    runs = (cover > 0) & (pages > 0)
+    cover, pages = cover[runs], pages[runs]
+    hottest = np.argsort(-cover)
+    writes = np.repeat(cover[hottest].astype(float), pages[hottest])
+    if not writes.size:
         return np.array([]), np.array([])
-    writes = np.sort(counts.astype(float))[::-1]
-    frac_pages = np.arange(1, len(writes) + 1) / len(writes)
-    frac_writes = np.cumsum(writes) / writes.sum()
+    # in place, so that at most the two results are held at once
+    total = writes.sum()
+    frac_writes = np.cumsum(writes, out=writes)
+    frac_writes /= total
+    frac_pages = np.arange(1.0, writes.size + 1)
+    frac_pages /= writes.size
     return frac_pages, frac_writes

@@ -12,6 +12,10 @@ runs any of it.
   and CLI tests, and the Trace of a list of rows.
 - The per-page trace replay, which ``replay``'s runs of host writes are
   checked against.
+- The heatwatch experiment's per-tick temperature noise, one
+  ``default_rng`` per tick, and its per-page walk for eligible reads over a
+  dict of write times, which ``urt.temp_generate`` and
+  ``heatwatch.eligible_reads`` are checked against.
 - The per-page host path through numpy scalar indexing (``Drive._program``,
   ``host_read`` and ``WarmManager.route`` before the scalar memoryviews),
   which the view-based path is checked against.
@@ -25,6 +29,7 @@ runs any of it.
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +39,7 @@ from flashlab.grid import (BOUNDARIES, LSB_OF_STATE, MISPROGRAM_TARGET,
 from flashlab.channel import BinHistogram
 from flashlab.controller.ftl import Drive
 from flashlab.controller.geometry import SECONDS_PER_DAY
+from flashlab.controller.heatwatch import MIN_AGE_S, PAGE_SIZE
 from flashlab.controller.lifetime import REFRESH_CHECK_S, series_rber
 from flashlab.controller.refresh import run_refresh
 from flashlab.controller.warm import COLD, HOT, WarmManager
@@ -242,6 +248,38 @@ def synth_hot(duration_s, rate_per_s, hot_fraction, hot_share,
     sectors_per_page = page_size // SECTOR_BYTES
     return Trace(times, ~is_read, pages * sectors_per_page,
                  np.full(n_events, page_size))
+
+
+def reference_temp_generate(cfg, t_seconds):
+    """A TempTrace's temperature at one time, from a fresh
+    ``default_rng([seed, key])`` per tick."""
+    base = cfg.mean_c + cfg.amplitude_c * math.sin(
+        2.0 * math.pi * t_seconds / cfg.period_s)
+    if cfg.noise_sigma_c > 0:
+        rng = np.random.default_rng(
+            [cfg.seed, int(round(t_seconds * 1000.0)) & 0x7FFFFFFF])
+        base += cfg.noise_sigma_c * rng.standard_normal()
+    return base
+
+
+def reference_eligible_reads(trace):
+    """(now, age, written) of every eligible page read, page by page over
+    a dict of each page's last write time."""
+    write_time = {}
+    reads = []
+    first, count = trace.page_spans(PAGE_SIZE)
+    for ts, is_write, page, n in zip(trace.timestamp_us.tolist(),
+                                     trace.is_write.tolist(),
+                                     first.tolist(), count.tolist()):
+        now = ts / 1e6
+        for p in range(page, page + n):
+            if is_write:
+                write_time[p] = now
+            elif p in write_time:
+                age = now - write_time[p]
+                if age >= MIN_AGE_S:
+                    reads.append((now, age, write_time[p]))
+    return reads
 
 
 def reference_replay(trace, drive, cfg):

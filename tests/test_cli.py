@@ -926,3 +926,20 @@ class TestSimulate:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out" / "heatwatch.json").exists()
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
+    def test_negative_seed_is_config_error_before_the_trace_is_read(
+            self, tmp_path, capsys, monkeypatch, seed):
+        # a negative seed once reached the noise draw, which failed with
+        # numpy's bare "expected non-negative integer"
+        def no_trace(*args, **kw):
+            raise AssertionError("the trace was read")
+        monkeypatch.setattr("flashlab.cli._load_trace", no_trace)
+        cfg = tmp_path / "hw.json"
+        cfg.write_text(json.dumps({"experiment": "heatwatch"}))
+        rc = main(["--seed", str(seed), "--out", str(tmp_path / "out"),
+                   "simulate", "--config", str(cfg),
+                   "--trace", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert f"--seed {seed} must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "heatwatch.json").exists()

@@ -12,14 +12,16 @@ from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, THREE_YEARS_S,
                                  RefreshConfig, WarmManager, adaptive_period,
                                  endurance_at, in_refresh_phase, replay,
                                  run_lifetime, run_refresh)
-from flashlab.controller import (lifetime as lifetime_mod, policies,
+from flashlab.controller import (heatwatch as heatwatch_mod,
+                                 lifetime as lifetime_mod, policies,
                                  warm as warm_mod)
 from flashlab.controller.ftl import CLOSED
 from flashlab.controller.heatwatch import (HEATWATCH_POLICIES, MIN_AGE_S,
                                            PAGE_SIZE, SCORE_CHUNK, TICK_S,
                                            HeatwatchConfig, ReadSample,
-                                           collect_samples, policy_worst_rber,
-                                           sample_batches, truth_models)
+                                           collect_samples, eligible_reads,
+                                           policy_worst_rber, sample_batches,
+                                           truth_models)
 from flashlab.controller.policies import (REMAR_CADENCE, ReadContext,
                                           heatwatch_refs, policy_refs,
                                           remar_refit_ages)
@@ -34,9 +36,10 @@ from flashlab.models.cdf import StateModel, state_cdf
 from flashlab.trace import SECTOR_BYTES, Trace
 from flashlab.urt import (T_PROGRAM_K, AccelLog, RetentionAges, TempTrace, af,
                           calibration_pack_from_retention, celsius_to_kelvin,
-                          state_models, temp_generate, urt_predict)
-from reference import (NumpyScalarDrive, NumpyScalarWarm, reference_replay,
-                       synth_hot)
+                          state_models, urt_predict)
+from reference import (NumpyScalarDrive, NumpyScalarWarm,
+                       reference_eligible_reads, reference_replay,
+                       reference_temp_generate, synth_hot)
 
 DAY = 86400.0
 
@@ -822,7 +825,7 @@ def single_pass_collect_samples(events, cfg, params):
     end_s = int(events.timestamp_us[-1]) / 1e6 if len(events) else 0.0
     n_ticks = int(end_s / TICK_S) + 2
     tick_t = np.arange(n_ticks) * TICK_S
-    temps = np.array([temp_generate(cfg.temp, t) for t in tick_t])
+    temps = np.array([reference_temp_generate(cfg.temp, t) for t in tick_t])
     afs = af(celsius_to_kelvin(temps), params)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (afs[1:] + afs[:-1]) * TICK_S)])
     log = AccelLog()
@@ -885,6 +888,33 @@ class TestCollectSamples:
                        [24576, 16384])
         samples = collect_samples(events, HeatwatchConfig(), self.PACK)
         assert [s.age_s for s in samples] == [3600.0, 3600.0]
+
+
+class TestEligibleReadsProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(window=hst.sampled_from([1, 3, 7]),
+           events=hst.lists(hst.tuples(
+               # gaps in µs: repeated timestamps, and ages under, at and
+               # over MIN_AGE_S
+               hst.sampled_from([0, 0, 299_999_999, 600_000_000,
+                                 700_000_001]),
+               hst.booleans(), hst.integers(0, 12), hst.integers(0, 5)),
+               max_size=40))
+    def test_windows_match_per_page_reference(self, window, events):
+        # spans of 0-5 pages over 13, walked in windows that split them;
+        # reads of pages never written before yield nothing
+        trace = Trace(np.cumsum([gap for gap, _, _, _ in events],
+                                dtype=np.int64),
+                      [write for _, write, _, _ in events],
+                      [page * (PAGE_SIZE // SECTOR_BYTES)
+                       for _, _, page, _ in events],
+                      [n * PAGE_SIZE for _, _, _, n in events])
+        with patch.object(heatwatch_mod, "PAGE_WINDOW", window):
+            got = eligible_reads(trace)
+        want = reference_eligible_reads(trace)
+        event(f"eligible reads: {min(len(want), 3)}")
+        assert all(column.dtype == float for column in got)
+        assert list(zip(*(column.tolist() for column in got))) == want
 
 
 # The per-read scoring of policy_worst_rber, one sample at a time, with

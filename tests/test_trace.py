@@ -401,6 +401,28 @@ class TestHotnessCdfProperty:
             hotness_cdf(Trace([0], [True], [0], [512]), page_size=256)
 
 
+class TestHotnessCdfMemory:
+    @pytest.mark.parametrize("rows, pages", [
+        # one 4 GiB write: listing every page at once peaked at 20.5 MB
+        ([(0, True, 0, 4 << 30)], 1 << 19),
+        # the same 64 MiB written 64 times: 4 GiB of page writes
+        ([(i, True, 0, 64 << 20) for i in range(64)], 1 << 13),
+    ], ids=["one-4GiB-write", "64-rewrites-of-64MiB"])
+    def test_peak_is_the_output_not_the_span(self, rows, pages):
+        # the two float64 results take 16 bytes per written page
+        trace = trace_of(rows)
+        tracemalloc.start()
+        try:
+            got = hotness_cdf(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0].size == pages
+        assert peak < 16 * pages + (256 << 10)
+        want = reference_hotness_cdf(rows, 8192)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestPageSpans:
     def test_aligned_and_straddling_writes(self):
         trace = Trace([0, 1, 2], [True, False, True], [0, 40, 16],

@@ -12,6 +12,7 @@ from flashlab.urt import (N_LOG_LEVELS, AccelLog, TempTrace, URTParams, af,
                           calibration_pack_from_retention, celsius_to_kelvin,
                           fine_tune, fit_ea, fit_pvm, fit_srrm, pvm_predict,
                           srrm_delta, temp_generate, urt_predict)
+from reference import reference_temp_generate
 
 KB = 8.62e-5
 DAY = 86400.0
@@ -294,6 +295,31 @@ class TestTempTrace:
 
     def test_celsius_conversion(self):
         assert celsius_to_kelvin(20.0) == 293.15
+
+
+class TestTempGenerateProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=hst.one_of(hst.just(0), hst.integers(1, 2 ** 32 - 1),
+                           hst.integers(2 ** 32, 2 ** 64 - 1),
+                           hst.integers(2 ** 64, 2 ** 96 - 1),
+                           hst.integers(2 ** 96, 2 ** 128 - 1)),
+           times=hst.lists(hst.one_of(
+               hst.sampled_from([0.0, 2147483.647, 2147483.648]),
+               hst.integers(-2 ** 40, 2 ** 40).map(lambda ms: ms / 1000.0),
+               hst.floats(-1e9, 1e9)), min_size=1, max_size=30),
+           sigma=hst.sampled_from([0.0, 3.0]))
+    def test_array_matches_a_fresh_rng_per_tick(self, seed, times, sigma):
+        # keys 0, 2**31 - 1 and 0 again at t = 0, 2147483.647 and
+        # 2147483.648 s; a seed of n words hashes n + 1 entropy words into
+        # SeedSequence's 4-word pool
+        cfg = TempTrace(mean_c=35, amplitude_c=15, noise_sigma_c=sigma,
+                        seed=seed)
+        t = np.array(times)
+        got = temp_generate(cfg, t)
+        assert got.shape == t.shape
+        assert got.tolist() == [reference_temp_generate(cfg, x)
+                                for x in t.tolist()]
+        assert temp_generate(cfg, t[-1]) == got[-1]
 
 
 class TestCalibrationPack:
