@@ -7,10 +7,14 @@ trace's first event, which it takes as time 0: the daily series and the
 heatwatch temperature profile's phase both start there. Exit codes: 0 ok,
 2 configuration error, 3 non-convergence, 4 uncorrectable data or
 infeasible layout.
+
+The key tables ``_POLICY`` (``simulate``'s policies), ``_HEATWATCH`` with
+``_TEMP`` (``simulate``'s heatwatch experiment) and ``_PLAN`` with
+``_PLAN_OP`` (``plan``) list every key a config document takes, with its
+kind, range and default; ``_checked`` walks them.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -71,6 +75,61 @@ def _write_manifest(out_dir, command, config_obj, seed):
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+# --- config documents ----------------------------------------------------
+#
+# A key table maps each key of a config object to (kind, default,
+# interval). A kind is int (a JSON integer, not true/false), float (a JSON
+# number finite as a float), bool, str, dict (any object), a nested table
+# or [kind], a non-empty list of kind. An absent key takes its default,
+# checked like a given value, or stays None; ... marks a required key. An
+# interval such as "(0, 0.5)" or "[1, inf)" bounds a number or a list's.
+
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+          str: "a string", dict: "an object"}
+
+
+def _checked(value, kind, path, interval=None, sep="."):
+    """``value`` once it is of ``kind`` and within ``interval``: for a
+    table, a dict of every key it lists. A key's path is ``path``, ``sep``
+    and the key; a list element's is ``path``, "." and its index. The
+    ConfigError reads ``<path>: unknown key 'k'``, ``<path>.<key> is
+    required`` or ``<path> <value!r> must be ...``."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} {value!r} must be an object")
+        unknown = sorted(set(value) - set(kind))
+        if unknown:
+            raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
+        out = dict.fromkeys(kind)
+        for key, (sub, default, bounds) in kind.items():
+            if key not in value and default is ...:
+                raise ConfigError(f"{path}{sep}{key} is required")
+            if key in value or default is not None:
+                out[key] = _checked(value.get(key, default), sub,
+                                    f"{path}{sep}{key}", bounds)
+        return out
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} {value!r} must be a list")
+        if not value:
+            raise ConfigError(f"{path} needs at least one entry")
+        return [_checked(v, kind[0], f"{path}.{i}", interval)
+                for i, v in enumerate(value)]
+    if not (isinstance(value, (int, float) if kind is float else kind)
+            and (kind is bool or not isinstance(value, bool))
+            and (kind is not float or abs(value) <= sys.float_info.max)):
+        raise ConfigError(f"{path} {value!r} must be {_KINDS[kind]}")
+    if interval:
+        lo, hi = interval[1:-1].split(", ")
+        if not ((float(lo) <= value if interval[0] == "[" else float(lo) < value)
+                and (value <= float(hi) if interval[-1] == "]"
+                     else value < float(hi))):
+            raise ConfigError(f"{path} {value!r} must be " + (
+                f"{'at least' if interval[0] == '[' else 'above'} {lo}"
+                if hi == "inf" else f"in {interval}"))
+    return value
 
 
 # --- fit --------------------------------------------------------------
@@ -180,7 +239,7 @@ def cmd_fit(args):
 
 
 def _parse_refresh(spec):
-    if spec in (None, "none"):
+    if spec == "none":
         return RefreshConfig(mode="none")
     if spec == "adaptive":
         return RefreshConfig(mode="adaptive")
@@ -196,81 +255,50 @@ def _parse_refresh(spec):
     raise ConfigError(f"unknown refresh spec {spec!r}")
 
 
-# The int64 P/E counters start at initial_pec; this leaves them room to
-# count erases.
-_MAX_INITIAL_PEC = 2 ** 62
 _POLICY_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
-_POLICY_KEYS = {"name", "capacity_bytes", "op_fraction", "refresh", "warm",
-                "initial_pec", "mode", "ecc_limit"}
+_POLICY = {
+    "name": (str, ..., None),
+    "capacity_bytes": (int, 1 << 30, None),
+    "op_fraction": (float, None, "(0, 1)"),  # None: Geometry's default
+    "refresh": (str, "none", None),
+    "warm": (bool, LifetimeConfig.warm, None),
+    # the int64 P/E counters start here; this leaves them room to count
+    "initial_pec": (int, LifetimeConfig.initial_pec, f"[0, {2 ** 62})"),
+    "mode": (str, LifetimeConfig.mode, None),
+    # at 0.5 and above no ECC can correct a read
+    "ecc_limit": (float, LifetimeConfig.ecc_limit, "(0, 0.5)"),
+}
 
 
-def _json_int(x):
-    """A JSON integer, not true/false."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _finite_number(x):
-    """A JSON number other than true/false, NaN or an infinity."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
-
-
-def _ecc_limit(x):
-    """A number in (0, 0.5): at 0.5 and above no ECC can correct a read."""
-    return _finite_number(x) and 0 < x < 0.5
-
-
-def _check_keys(doc, allowed, where):
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-
-
-def _check_policies(policies):
-    """Check every policy entry and build its LifetimeConfig before any
-    policy runs; returns [(name, config)]. An entry has only
-    ``_POLICY_KEYS``. A name must be a plain file stem, unique and not
-    ``manifest``, since it names the policy's artifacts; ``refresh`` is a
-    string, ``warm`` a JSON boolean, ``initial_pec`` a non-negative JSON
-    integer below ``_MAX_INITIAL_PEC``, ``capacity_bytes`` a JSON integer,
-    ``op_fraction`` a JSON number and ``ecc_limit`` an ``_ecc_limit``; the
-    geometry and mode must make a valid config."""
-    if not isinstance(policies, list) or not policies:
-        raise ConfigError("config needs a 'policies' list")
-    configs = []
-    for p in policies:
-        name = p.get("name") if isinstance(p, dict) else None
+def _check_policies(doc):
+    """{name: LifetimeConfig} for every entry of the policies config, each
+    checked by ``_POLICY`` and built before any policy runs. A name must
+    be a plain file stem, unique and not ``manifest``, since it names the
+    policy's artifacts; the geometry and mode must make a valid config."""
+    configs = {}
+    entries = _checked(doc, {"policies": ([dict], ..., None)},
+                       "policies config")["policies"]
+    for i, entry in enumerate(entries):
+        name = entry.get("name")
         if (not isinstance(name, str) or not _POLICY_NAME.fullmatch(name)
-                or name == "manifest" or name in dict(configs)):
-            raise ConfigError(f"policy name {name!r} must be a unique plain"
-                              " file stem other than 'manifest'")
-        _check_keys(p, _POLICY_KEYS, f"policy {name!r}")
-        pec = p.get("initial_pec", 0)
-        if (not isinstance(p.get("refresh", ""), str)
-                or not isinstance(p.get("warm", False), bool)
-                or not _json_int(pec) or not 0 <= pec < _MAX_INITIAL_PEC
-                or not _json_int(p.get("capacity_bytes", 0))
-                or ("op_fraction" in p and not _finite_number(p["op_fraction"]))
-                or ("ecc_limit" in p and not _ecc_limit(p["ecc_limit"]))):
-            raise ConfigError(f"policy {name!r}: refresh must be a string, warm"
-                              " true or false, initial_pec a non-negative"
-                              " integer below 2**62, capacity_bytes an integer,"
-                              " op_fraction a number and ecc_limit a number"
-                              " in (0, 0.5)")
+                or name == "manifest" or name in configs):
+            raise ConfigError(f"policies config.policies.{i}.name {name!r}"
+                              " must be a unique plain file stem other than"
+                              " 'manifest'")
+        where = f"policy {name!r}"
+        p = _checked(entry, _POLICY, where)
+        # a ** call as before: test_hygiene's settings guard then counts
+        # Geometry's page_size and block_size, which only tests vary, as set
+        geom_kw = ({} if p["op_fraction"] is None
+                   else {"op_fraction": p["op_fraction"]})
         try:
-            geom_kw = ({"op_fraction": p["op_fraction"]}
-                       if "op_fraction" in p else {})
-            cfg = LifetimeConfig(
-                geometry=Geometry(p.get("capacity_bytes", 1 << 30), **geom_kw),
-                warm=p.get("warm", False),
-                refresh=_parse_refresh(p.get("refresh")),
-                initial_pec=pec,
-                mode=p.get("mode", "analytic"),
-                ecc_limit=p.get("ecc_limit"),
-            )
+            configs[name] = LifetimeConfig(
+                Geometry(p["capacity_bytes"], **geom_kw),
+                warm=p["warm"], refresh=_parse_refresh(p["refresh"]),
+                initial_pec=p["initial_pec"], mode=p["mode"],
+                ecc_limit=p["ecc_limit"])
         except ValueError as exc:
-            raise ConfigError(f"policy {name!r}: {exc}") from exc
-        configs.append((name, cfg))
+            raise ConfigError(f"{where}: {exc}") from exc
     return configs
 
 
@@ -298,42 +326,39 @@ def _load_trace(path):
     return trace
 
 
-_TEMP_KEYS = {f.name for f in dataclasses.fields(urt_mod.TempTrace)} - {"seed"}
-_HEATWATCH_KEYS = {"experiment", "temp", "max_samples", "ecc_limit"}
+_TEMP = {
+    "mean_c": (float, urt_mod.TempTrace.mean_c, None),
+    "amplitude_c": (float, urt_mod.TempTrace.amplitude_c, None),
+    "period_s": (float, urt_mod.TempTrace.period_s, "(0, inf)"),
+    "noise_sigma_c": (float, urt_mod.TempTrace.noise_sigma_c, "[0, inf)"),
+}
+_HEATWATCH = {
+    "experiment": (str, ..., None),
+    "temp": (_TEMP, {}, None),
+    "max_samples": (int, HeatwatchConfig.max_samples, "[1, inf)"),
+    "ecc_limit": (float, 2e-3, "(0, 0.5)"),   # the range of _POLICY's
+}
 
 
 def _heatwatch_config(doc, seed):
-    """The heatwatch experiment's HeatwatchConfig and ECC limit: the config
-    has only ``_HEATWATCH_KEYS``, ``temp`` maps TempTrace fields other than
-    ``seed`` to numbers, with a positive ``period_s`` and a non-negative
-    ``noise_sigma_c``, ``max_samples`` is a positive integer and
-    ``ecc_limit`` an ``_ecc_limit``; ``seed``, the noise seed, is
+    """The heatwatch experiment's HeatwatchConfig and ECC limit, from a
+    config checked by ``_HEATWATCH``; ``seed``, the noise seed, is
     non-negative."""
     if seed < 0:
         raise ConfigError(f"--seed {seed} must be non-negative: it seeds the"
                           " heatwatch temperature noise")
-    _check_keys(doc, _HEATWATCH_KEYS, "heatwatch config")
-    temp = doc.get("temp", {})
-    max_samples = doc.get("max_samples", 300)
-    ecc_limit = doc.get("ecc_limit", 2e-3)
-    if (not isinstance(temp, dict) or not set(temp) <= _TEMP_KEYS
-            or not all(map(_finite_number, temp.values()))):
-        raise ConfigError(f"temp must map some of {sorted(_TEMP_KEYS)} to"
-                          f" numbers, not {temp!r}")
-    if temp.get("period_s", 1) <= 0 or temp.get("noise_sigma_c", 0) < 0:
-        raise ConfigError(f"temp period_s must be positive and noise_sigma_c"
-                          f" non-negative, not {temp!r}")
-    if not _json_int(max_samples) or max_samples < 1:
-        raise ConfigError(f"max_samples {max_samples!r} must be a positive"
-                          " integer")
-    if not _ecc_limit(ecc_limit):
-        raise ConfigError(f"ecc_limit {ecc_limit!r} must lie in (0, 0.5)")
-    cfg = HeatwatchConfig(temp=urt_mod.TempTrace(seed=seed, **temp),
-                          max_samples=max_samples)
-    return cfg, float(ecc_limit)
+    hw = _checked(doc, _HEATWATCH, "heatwatch config")
+    t = hw["temp"]
+    temp = urt_mod.TempTrace(mean_c=t["mean_c"], amplitude_c=t["amplitude_c"],
+                             period_s=t["period_s"],
+                             noise_sigma_c=t["noise_sigma_c"], seed=seed)
+    cfg = HeatwatchConfig(temp=temp, max_samples=hw["max_samples"])
+    return cfg, float(hw["ecc_limit"])
 
 
 def cmd_simulate(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs {args.jobs} must be at least 1")
     doc = _load_config(args.config)
     out_dir = args.out
     _write_manifest(out_dir, "simulate", doc, args.seed)
@@ -349,10 +374,9 @@ def cmd_simulate(args):
         print(json.dumps(res, sort_keys=True))
         return EXIT_OK
 
-    _check_keys(doc, {"policies"}, "policies config")
-    configs = _check_policies(doc.get("policies"))
+    configs = _check_policies(doc)
     trace = _load_trace(args.trace)
-    items = [(name, cfg, trace) for name, cfg in configs]
+    items = [(name, cfg, trace) for name, cfg in configs.items()]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -382,115 +406,88 @@ def cmd_plan(args):
     doc = _load_config(args.config)
     out_dir = args.out
     _write_manifest(out_dir, "plan", doc, args.seed)
-    try:
-        out = _plan_tables(doc)
-    except TypeError as exc:  # a section of the wrong JSON type
-        raise ConfigError(f"plan config: {exc}") from exc
+    out = _plan_tables(doc)
     with open(os.path.join(out_dir, "plan.json"), "w") as fh:
         json.dump(out, fh, indent=2, sort_keys=True)
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 
 
-def _plan_field(section, where, key, check, default=None, minimum=None):
-    """``section[key]``, or ``default`` if one is given and the key is
-    absent, once ``check`` (``_json_int`` or ``_finite_number``) accepts
-    it and it is at least ``minimum``, if one is given; else a
-    ConfigError naming ``where.key``."""
-    value = section[key] if default is None or key in section else default
-    if not check(value):
-        kind = "an integer" if check is _json_int else "a finite number"
-        raise ConfigError(f"plan {where}.{key} {value!r} must be {kind}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"plan {where}.{key} {value!r} must be at least"
-                          f" {minimum!r}")
-    return value
-
-
-# Each plan section's fields; an ``op`` section is a list of such entries.
-_PLAN_KEYS = {
-    "ecc": {"codeword_len", "correctable", "coding_rate"},
-    "rber": set(),
-    "parity": {"chips", "dies", "codewords_per_lb", "p_hgbb"},
-    "op": {"pba", "lba"},
-    "lifetime": {"pec", "op", "dwpd", "wa", "r_compress"},
-    "multirate": {"schedule", "dwpd", "r_compress"},
+# Each plan section, its keys named ``plan <section>.<key>``; each entry
+# of the ``op`` list is checked by ``_PLAN_OP`` as ``plan op``.
+_PLAN = {
+    "ecc": ({"codeword_len": (int, ..., None),
+             "correctable": (int, ..., None),
+             "coding_rate": (float, EccConfig.coding_rate, "(0, 1)")},
+            None, None),
+    "rber": ([float], [1e-3], "[0, 1]"),
+    "parity": ({"chips": (int, ..., "[1, inf)"),
+                "dies": (int, ..., "[1, inf)"),
+                "codewords_per_lb": (int, ParityConfig.codewords_per_lb,
+                                     "[1, inf)"),
+                "p_hgbb": (float, ParityConfig.p_hgbb, "[0, 1]")}, None, None),
+    "op": ([dict], None, None),
+    "lifetime": ({"pec": (float, ..., "[0, inf)"),
+                  "op": (float, ..., "[0, inf)"),
+                  "dwpd": (float, ..., "(0, inf)"),
+                  "wa": (float, ..., "(0, inf)"),
+                  "r_compress": (float, 1.0, "(0, inf)")}, None, None),
+    "multirate": ({"schedule": ([[float]], ..., None),
+                   "dwpd": (float, ..., "(0, inf)"),
+                   "r_compress": (float, 1.0, "(0, inf)")}, None, None),
 }
+_PLAN_OP = {"pba": (float, ..., None), "lba": (float, ..., "(0, inf)")}
 
 
 def _plan_tables(doc):
-    """The tables of each section the plan config holds. Sections and
-    their fields are those of ``_PLAN_KEYS``, and ``rber`` and ``parity``
-    need ``ecc``. Counts are JSON integers and every other value a finite
-    JSON number; a string, a boolean or a fraction where an integer
-    belongs is a ConfigError. So is a physically impossible value: an
-    ``op`` entry with fewer physical than logical bytes, a ``lifetime``
-    ``pec`` or ``op`` below 0, or an empty ``multirate`` schedule."""
-    _check_keys(doc, set(_PLAN_KEYS), "plan config")
-    for name, section in doc.items():
-        if name in ("rber", "parity") and "ecc" not in doc:
+    """The tables of each section the plan config holds, checked by
+    ``_PLAN``; ``rber`` may be one rate rather than a list, and ``rber``
+    and ``parity`` need ``ecc``. An ``op`` entry with fewer physical than
+    logical bytes is a ConfigError too."""
+    if not isinstance(doc.get("rber", []), list):
+        doc = dict(doc, rber=[doc["rber"]])
+    plan = _checked(doc, _PLAN, "plan", sep=" ")
+    for name in ("rber", "parity"):
+        if name in doc and "ecc" not in doc:
             raise ConfigError(f"plan {name} needs an ecc section")
-        for entry in section if name == "op" else [section]:
-            if isinstance(entry, dict):
-                _check_keys(entry, _PLAN_KEYS[name], f"plan {name}")
     out = {}
 
-    if "ecc" in doc:
-        e = doc["ecc"]
-        ecc = EccConfig(_plan_field(e, "ecc", "codeword_len", _json_int),
-                        _plan_field(e, "ecc", "correctable", _json_int),
-                        float(_plan_field(e, "ecc", "coding_rate",
-                                          _finite_number, 0.9)))
-        rbers = doc.get("rber", [1e-3])
-        rbers = rbers if isinstance(rbers, list) else [rbers]
-        rows = []
-        for i in range(len(rbers)):
-            r = _plan_field(rbers, "rber", i, _finite_number)
-            p_ecfr = ecc_failure_rate(ecc, float(r))
-            row = {"rber": r, "p_ecfr": p_ecfr}
-            if "parity" in doc:
-                pa = doc["parity"]
-                par = ParityConfig(
-                    _plan_field(pa, "parity", "chips", _json_int),
-                    _plan_field(pa, "parity", "dies", _json_int),
-                    _plan_field(pa, "parity", "codewords_per_lb", _json_int, 1),
-                    float(_plan_field(pa, "parity", "p_hgbb",
-                                      _finite_number, 0.0)))
-                p_lb = lb_fail(par, p_ecfr)
-                row["p_lb_fail"] = p_lb
-                row["p_parity_fail"] = parity_fail(par, p_lb)
-            rows.append(row)
-        out["ecc"] = rows
+    if plan["ecc"] is not None:
+        e, pa = plan["ecc"], plan["parity"]
+        ecc = EccConfig(e["codeword_len"], e["correctable"],
+                        float(e["coding_rate"]))
+        par = None if pa is None else ParityConfig(
+            pa["chips"], pa["dies"], pa["codewords_per_lb"], float(pa["p_hgbb"]))
+        out["ecc"] = []
+        for r in plan["rber"]:
+            row = {"rber": r, "p_ecfr": ecc_failure_rate(ecc, float(r))}
+            if par:
+                p_lb = lb_fail(par, row["p_ecfr"])
+                row.update(p_lb_fail=p_lb, p_parity_fail=parity_fail(par, p_lb))
+            out["ecc"].append(row)
 
-    if "op" in doc:
+    if plan["op"] is not None:
         out["op"] = []
-        for e in doc["op"]:
+        for entry in plan["op"]:
+            e = _checked(entry, _PLAN_OP, "plan op")
+            pba, lba = e["pba"], e["lba"]
             # spare area is physical less logical capacity; never below 0
-            lba = _plan_field(e, "op", "lba", _finite_number)
-            pba = _plan_field(e, "op", "pba", _finite_number, minimum=lba)
+            if pba < lba:
+                raise ConfigError(f"plan op.pba {pba!r} must be at least"
+                                  f" {lba!r}")
             out["op"].append({"pba": pba, "lba": lba, "op_fraction":
                               op_fraction(float(pba), float(lba))})
 
-    if "lifetime" in doc:
-        lt = doc["lifetime"]
+    if plan["lifetime"] is not None:
+        lt = plan["lifetime"]
         out["lifetime_years"] = lifetime_years(
-            *(float(_plan_field(lt, "lifetime", k, _finite_number,
-                                minimum=0 if k in ("pec", "op") else None))
-              for k in ("pec", "op", "dwpd", "wa")),
-            float(_plan_field(lt, "lifetime", "r_compress", _finite_number, 1.0)))
+            *(float(lt[k]) for k in ("pec", "op", "dwpd", "wa", "r_compress")))
 
-    if "multirate" in doc:
-        mr = doc["multirate"]
-        if mr["schedule"] == []:
-            raise ConfigError("plan multirate.schedule needs at least one"
-                              " (pec_increment, op, wa, rate) entry")
-        schedule = [tuple(float(_plan_field(e, f"multirate.schedule.{j}", i,
-                                            _finite_number))
-                          for i in range(len(e)))
-                    for j, e in enumerate(mr["schedule"])]
+    if plan["multirate"] is not None:
+        mr = plan["multirate"]
         out["multirate_lifetime_years"] = multirate_lifetime(
-            schedule, float(_plan_field(mr, "multirate", "dwpd", _finite_number)),
-            float(_plan_field(mr, "multirate", "r_compress", _finite_number, 1.0)))
+            [tuple(map(float, e)) for e in mr["schedule"]], float(mr["dwpd"]),
+            float(mr["r_compress"]))
     return out
 
 

@@ -41,8 +41,9 @@ class ParityConfig:
     p_hgbb: float = 0.0
 
     def __post_init__(self):
-        if self.chips * self.dies < 2:
-            raise ValueError("parity needs at least two chip-dies")
+        if min(self.chips, self.dies) < 1 or self.chips * self.dies < 2:
+            raise ValueError("parity needs at least one chip, one die and"
+                             " two chip-dies")
         if self.codewords_per_lb < 1:
             raise ValueError("K must be >= 1")
 

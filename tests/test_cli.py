@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import tempfile
 from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from flashlab import cli
 from flashlab.cli import main
@@ -370,8 +377,20 @@ class TestPlan:
          "plan lifetime.op -0.1 must be at least 0"),
         ({"multirate": {"schedule": [], "dwpd": 1}},
          "plan multirate.schedule needs at least one"),
+        ({"ecc": FULL_PLAN["ecc"], "parity": {"chips": -1, "dies": -2}},
+         "plan parity.chips -1 must be at least 1"),
+        ({"ecc": FULL_PLAN["ecc"],
+          "parity": dict(FULL_PLAN["parity"], p_hgbb=3.0)},
+         "plan parity.p_hgbb 3.0 must be in [0, 1]"),
+        ({"ecc": FULL_PLAN["ecc"], "rber": 5}, "plan rber.0 5 must be in [0, 1]"),
+        ({"ecc": FULL_PLAN["ecc"], "rber": []},
+         "plan rber needs at least one"),
+        ({"lifetime": dict(FULL_PLAN["lifetime"], pec=10 ** 400)},
+         "plan lifetime.pec 1000"),
     ], ids=["op-negative-spare", "lifetime-pec-negative",
-            "lifetime-op-negative", "multirate-schedule-empty"])
+            "lifetime-op-negative", "multirate-schedule-empty",
+            "parity-negative-chips-and-dies", "parity-p-hgbb-past-one",
+            "rber-past-one", "rber-empty", "lifetime-pec-past-float"])
     def test_impossible_value_is_config_error(self, tmp_path, capsys, doc,
                                               named):
         # unchecked, these would plan -0.5 spare area, -0.0082 years and
@@ -379,6 +398,20 @@ class TestPlan:
         assert self.run_plan(tmp_path, doc) == 2
         err = capsys.readouterr().err
         assert "config error" in err and named in err
+        assert not (tmp_path / "out" / "plan.json").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("ecc", "codeword_len"), ("op", "lba"), ("lifetime", "dwpd"),
+        ("multirate", "schedule")])
+    def test_missing_required_key_is_config_error(self, tmp_path, capsys,
+                                                  section, key):
+        # these once failed with a bare KeyError: "config error: 'dwpd'"
+        doc = json.loads(json.dumps(self.FULL_PLAN))
+        entry = doc["op"][0] if section == "op" else doc[section]
+        del entry[key]
+        assert self.run_plan(tmp_path, doc) == 2
+        assert (f"config error: plan {section}.{key} is required"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out" / "plan.json").exists()
 
     def test_multirate_triple_is_config_error(self, tmp_path, capsys):
@@ -539,6 +572,20 @@ class TestSimulate:
         for name in ("baseline.json", "baseline_series.csv", "warm.json",
                      "warm_series.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_config_error_before_the_trace_is_read(
+            self, tmp_path, capsys, monkeypatch, jobs):
+        def no_trace(*args, **kw):
+            raise AssertionError("the trace was read")
+        monkeypatch.setattr("flashlab.cli._load_trace", no_trace)
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({"policies": [{"name": "run"}]}))
+        rc = main(["--out", str(tmp_path / "out"), "simulate",
+                   "--config", str(cfg), "--trace", str(tmp_path / "t.csv"),
+                   "--jobs", str(jobs)])
+        assert rc == 2
+        assert f"--jobs {jobs} must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["hourly", "fcr:nand", "fcr:infd",
                                       "fcr:0d", "fcr:-1d"],
@@ -943,3 +990,144 @@ class TestSimulate:
         assert rc == 2
         assert f"--seed {seed} must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out" / "heatwatch.json").exists()
+
+
+# One valid document of each kind. A float stands for a key that takes any
+# finite number and an int for one that takes an integer only.
+POLICIES_DOC = {"policies": [
+    {"name": "a", "capacity_bytes": 32 << 20, "op_fraction": 0.25,
+     "refresh": "fcr:3d", "warm": True, "initial_pec": 100,
+     "mode": "analytic"},
+    {"name": "b", "mode": "direct", "ecc_limit": 2e-3}]}
+HEATWATCH_DOC = {"experiment": "heatwatch", "max_samples": 40,
+                 "ecc_limit": 2e-3,
+                 "temp": {"mean_c": 35.0, "amplitude_c": 15.0,
+                          "period_s": 86400.0, "noise_sigma_c": 3.0}}
+PLAN_DOC = {
+    "ecc": {"codeword_len": 18336, "correctable": 40, "coding_rate": 0.9},
+    "rber": [1e-3, 2e-3],
+    "parity": {"chips": 8, "dies": 2, "codewords_per_lb": 4, "p_hgbb": 1e-6},
+    "op": [{"pba": 2.4e12, "lba": 2.0e12}],
+    "lifetime": {"pec": 3000.0, "op": 0.2, "dwpd": 1.0, "wa": 2.0,
+                 "r_compress": 0.8},
+    "multirate": {"schedule": [[24.0, 0.116, 1.9, 0.9]], "dwpd": 1.0,
+                  "r_compress": 1.0},
+}
+
+
+def leaves(node, path=()):
+    """(path, value) of every scalar in a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from leaves(child, path + (key,))
+    else:
+        yield path, node
+
+
+def named_path(command, path):
+    """The name a config error gives the value at ``path``."""
+    if command == "plan":
+        keys = [k for k in path[1:] if path[0] != "op" or isinstance(k, str)]
+        return "plan " + ".".join(map(str, path[:1] + tuple(keys)))
+    if path[0] == "policies":
+        i, key = path[1:]
+        if key == "name":
+            return f"policies config.policies.{i}.name"
+        return f"policy {POLICIES_DOC['policies'][i]['name']!r}.{key}"
+    return "heatwatch config." + ".".join(path)
+
+
+def below(x):
+    return hst.floats(max_value=x, allow_nan=False, allow_infinity=False)
+
+
+def above(x):
+    return hst.floats(min_value=x, allow_nan=False, allow_infinity=False)
+
+
+# Numbers of the right kind outside each key's range, by the key's path
+# without list indices
+OUT_OF_RANGE = {
+    ("policies", "op_fraction"): below(0.0) | above(1.0),
+    ("policies", "initial_pec"): (hst.integers(max_value=-1)
+                                  | hst.integers(2 ** 62, 2 ** 70)),
+    ("policies", "ecc_limit"): below(0.0) | above(0.5),
+    ("max_samples",): hst.integers(max_value=0),
+    ("ecc_limit",): below(0.0) | above(0.5),
+    ("temp", "period_s"): below(0.0),
+    ("temp", "noise_sigma_c"): below(-1e-9),
+    ("ecc", "coding_rate"): below(0.0) | above(1.0),
+    ("rber",): below(-1e-9) | above(1.0 + 1e-9),
+    ("parity", "chips"): hst.integers(max_value=0),
+    ("parity", "dies"): hst.integers(max_value=0),
+    ("parity", "codewords_per_lb"): hst.integers(max_value=0),
+    ("parity", "p_hgbb"): below(-1e-9) | above(1.0 + 1e-9),
+    ("op", "pba"): below(1.9e12),
+    ("op", "lba"): below(0.0),
+    ("lifetime", "pec"): below(-1e-9),
+    ("lifetime", "op"): below(-1e-9),
+    ("lifetime", "dwpd"): below(0.0),
+    ("lifetime", "wa"): below(0.0),
+    ("lifetime", "r_compress"): below(0.0),
+    ("multirate", "dwpd"): below(0.0),
+    ("multirate", "r_compress"): below(0.0),
+}
+
+
+def spoilers(path, value):
+    """Values of another JSON kind than ``value``'s, or out of range."""
+    out = [hst.none(), hst.lists(hst.integers(), max_size=2),
+           hst.dictionaries(hst.text(max_size=2), hst.integers(), max_size=1)]
+    if not isinstance(value, str):
+        out.append(hst.text(max_size=5))
+    if not isinstance(value, bool):
+        out.append(hst.booleans())
+    if isinstance(value, float):   # not finite, or past a float's range
+        out += [hst.sampled_from([math.nan, math.inf, -math.inf]),
+                hst.integers(2 ** 1024, 2 ** 1100),
+                hst.integers(-2 ** 1100, -2 ** 1024)]
+    elif type(value) is int:       # not an integer
+        out.append(hst.floats())
+    else:
+        out += [hst.integers(), hst.floats()]
+    key = tuple(k for k in path if isinstance(k, str))
+    if key in OUT_OF_RANGE:
+        out.append(OUT_OF_RANGE[key])
+    return hst.one_of(out)
+
+
+class TestSpoiledConfigProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(data=hst.data())
+    def test_error_names_the_spoiled_value(self, data):
+        # every document, valid but for one value: exit 2, an error naming
+        # that value's path, and nothing run or written but the manifest
+        command, doc = data.draw(hst.sampled_from([
+            ("simulate", POLICIES_DOC), ("simulate", HEATWATCH_DOC),
+            ("plan", PLAN_DOC)]))
+        path, value = data.draw(hst.sampled_from(
+            [leaf for leaf in leaves(doc) if leaf[0] != ("experiment",)]))
+        bad = data.draw(spoilers(path, value))
+        spoiled = copy.deepcopy(doc)
+        node = spoiled
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        with tempfile.TemporaryDirectory() as tmp, patch(
+                "flashlab.cli._load_trace",
+                side_effect=AssertionError("the trace was read")):
+            cfg = os.path.join(tmp, "config.json")
+            with open(cfg, "w") as fh:
+                json.dump(spoiled, fh)
+            argv = ["--out", os.path.join(tmp, "out"), command, "--config", cfg]
+            if command == "simulate":
+                argv += ["--trace", os.path.join(tmp, "t.csv")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(argv)
+            written = sorted(os.listdir(os.path.join(tmp, "out")))
+        assert rc == 2
+        assert err.getvalue().startswith(
+            f"config error: {named_path(command, path)} "), err.getvalue()
+        assert written == ["manifest.json"]

@@ -89,6 +89,11 @@ class TestParityCalculus:
         with pytest.raises(ValueError):
             ParityConfig(chips=4, dies=1, codewords_per_lb=0)
 
+    def test_negative_chips_and_dies_are_rejected(self):
+        # their product, 2, once passed the two-chip-die check
+        with pytest.raises(ValueError, match="one chip, one die"):
+            ParityConfig(chips=-1, dies=-2)
+
 
 class TestLifetime:
     def test_op_fraction(self):
