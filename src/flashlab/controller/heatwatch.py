@@ -9,7 +9,10 @@ URT pack's Gaussian state models (``urt.state_models``) at the exact
 effective age, the policy picks references from what it is allowed to
 know, and the resulting RBER decides how many P/E cycles the drive
 survives before the worst read exceeds the ECC limit. HeatWatch reads at
-the predicted Vopt of the same models at its estimated effective age.
+the predicted Vopt of the same models at its estimated effective age;
+ReMAR, like the retention-only policy, at the retention model's
+references for each read's own wall-clock age; the fixed policy at
+references swept once for a fresh chip (``fixed_refs``).
 
 Scoring is batched. The lifetime search asks, at each P/E count it
 tries, for the worst RBER over every sample; the samples are scored as
@@ -19,9 +22,6 @@ the state models through ``urt.RetentionAges``, which takes their SRRM
 log factors once, with ``math.log``, for every P/E count; numpy's log
 can differ from it in the last bit, enough to move a rounded reference.
 Every result is the one scoring the samples one at a time gives.
-Policies keep no state between batches: ReMAR's refit rule is data, the
-age each read is read at (``SampleBatch.refit_age_s``), taken once over
-all the samples in read order.
 """
 
 from dataclasses import dataclass, field
@@ -29,12 +29,12 @@ from itertools import repeat
 
 import numpy as np
 
-from ..models.applications import estimate_rber
+from ..models.applications import estimate_rber, sweep_vopt
 from ..models.simplex import bisect_failure
 from .. import urt as urt_mod
 from ..trace import PAGE_WINDOW, page_windows
 from ..urt import RetentionAges, state_models as truth_models
-from .policies import ReadContext, policy_refs, remar_refit_ages
+from .policies import ReadContext, policy_refs
 
 HEATWATCH_POLICIES = ("fixed", "retention_only", "remar", "heatwatch", "oracle")
 
@@ -44,6 +44,7 @@ MIN_AGE_S = 600.0       # youngest data a sampled read may return
 PEC_HI = 60000          # lifetime search ceiling, P/E cycles
 PEC_HALVINGS = 11       # lifetime search: 60000 / 2**11 = 29.3 P/E resolution
 SCORE_CHUNK = 256       # samples scored as one batch; bounds scoring memory
+FIXED_REFS_AGE_S = 3600.0  # data age the fixed policy's references suit
 
 
 @dataclass(frozen=True)
@@ -147,37 +148,43 @@ def collect_samples(trace, cfg, params):
 class SampleBatch:
     """Consecutive read samples as arrays, ready to score at any wear."""
     age_s: np.ndarray        # (S,) wall-clock ages
-    refit_age_s: np.ndarray  # (S,) ages ReMAR reads them at
     exact: RetentionAges     # exact effective ages: the truth
     est: RetentionAges       # estimated effective ages: what HeatWatch knows
 
 
 def sample_batches(samples, pack):
-    """The samples in read order, SCORE_CHUNK to a batch. ReMAR's refit
-    ages follow the read order of all the samples, across batches."""
-    age_s = np.array([s.age_s for s in samples])
-    refit_age_s = remar_refit_ages(age_s)
+    """The samples in read order, SCORE_CHUNK to a batch."""
     batches = []
     for i in range(0, len(samples), SCORE_CHUNK):
-        chunk = slice(i, i + SCORE_CHUNK)
+        chunk = samples[i:i + SCORE_CHUNK]
         batches.append(SampleBatch(
-            age_s[chunk], refit_age_s[chunk],
-            RetentionAges(pack, [s.eff_exact_s for s in samples[chunk]]),
-            RetentionAges(pack, [s.eff_est_s for s in samples[chunk]])))
+            np.array([s.age_s for s in chunk]),
+            RetentionAges(pack, [s.eff_exact_s for s in chunk]),
+            RetentionAges(pack, [s.eff_est_s for s in chunk])))
     return batches
+
+
+def fixed_refs(pack):
+    """The fixed policy's (3,) references: the ``sweep_vopt`` optimum of
+    the pack's state models at P/E 0 and FIXED_REFS_AGE_S, as a controller
+    tuned once for a fresh chip would set them."""
+    fresh = urt_mod.state_models(pack, 0.0,
+                                 RetentionAges(pack, [FIXED_REFS_AGE_S]))
+    return sweep_vopt(fresh)[0]
 
 
 def policy_worst_rber(policy, batches, pack, retention_model, pec):
     """Worst per-sample RBER a policy suffers at a given wear level, over
     the ``sample_batches`` of the samples."""
+    fixed = fixed_refs(pack) if policy == "fixed" else None
     worst = 0.0
     for batch in batches:
         truth = truth_models(pack, pec, batch.exact)
         ctx = ReadContext(pec=pec, age_s=batch.age_s,
-                          refit_age_s=batch.refit_age_s,
                           eff_retention_s=batch.est)
         refs = policy_refs(policy, ctx, retention_model=retention_model,
-                           calibration=pack, true_models=truth)
+                           calibration=pack, true_models=truth,
+                           fixed_refs=fixed)
         worst = max(worst, float(np.max(estimate_rber(truth, refs).total)))
     return worst
 

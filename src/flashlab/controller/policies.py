@@ -15,30 +15,19 @@ from ..degradation import retention_refs
 from ..models.applications import predict_vopt, sweep_vopt
 from ..urt import state_models
 
-REMAR_CADENCE = 100  # sampled reads between ReMAR re-fits
-
 
 @dataclass
 class ReadContext:
     """Everything a read-reference policy may consult about S reads.
 
-    ``age_s`` and ``refit_age_s`` are (S,) arrays and ``eff_retention_s``
-    a ``urt.RetentionAges``.
+    ``age_s`` is an (S,) array and ``eff_retention_s`` a
+    ``urt.RetentionAges``.
     """
     pec: float = 0.0
     age_s: np.ndarray = None           # wall-clock data age
-    refit_age_s: np.ndarray = None     # age at ReMAR's last refit
     layer_va_offset: int = 0           # this wordline's layer deviation, steps
     layer_vb_offset: int = 0
     eff_retention_s: object = None     # room-equivalent age; heatwatch needs it
-
-
-def remar_refit_ages(age_s):
-    """The age ReMAR reads each of a run's reads at: it re-fits every
-    REMAR_CADENCE sampled reads and serves the fitted references in
-    between, so read i is read at the age of read
-    REMAR_CADENCE * (i // REMAR_CADENCE)."""
-    return age_s[np.arange(len(age_s)) // REMAR_CADENCE * REMAR_CADENCE]
 
 
 def _retention_steps(retention_model, pec, age_s):
@@ -71,18 +60,19 @@ def heatwatch_refs(calibration, ctx):
 
 
 def policy_refs(policy, ctx, retention_model=None, calibration=None,
-                true_models=None):
-    """Dispatch a read-reference policy for a batch of reads."""
+                true_models=None, fixed_refs=None):
+    """Dispatch a read-reference policy for a batch of reads. ``fixed``
+    reads at ``fixed_refs``, or at DEFAULT_READ_REFS without them; ReMAR
+    reads each read at the retention model's references for its own age,
+    as ``retention_only`` does."""
     if policy == "fixed":
-        return DEFAULT_READ_REFS
-    if policy == "retention_only":
+        return DEFAULT_READ_REFS if fixed_refs is None else fixed_refs
+    if policy in ("retention_only", "remar"):
         return _retention_steps(retention_model, ctx.pec, ctx.age_s)
     if policy == "lavar":
         va, vb, vc = _retention_steps(retention_model, ctx.pec, ctx.age_s).T
         return ordered_refs(va + ctx.layer_va_offset,
                             vb + ctx.layer_vb_offset, vc)
-    if policy == "remar":
-        return _retention_steps(retention_model, ctx.pec, ctx.refit_age_s)
     if policy == "heatwatch":
         return heatwatch_refs(calibration, ctx)
     if policy == "oracle":

@@ -254,12 +254,10 @@ class AccelLog:
 
 @dataclass(frozen=True)
 class TempTrace:
-    """Daily sinusoid plus Gaussian noise, deterministic per (seed, t).
+    """Daily sinusoid plus Gaussian noise, deterministic per seed.
 
-    The noise at t seconds is the first standard normal of
-    ``np.random.default_rng([seed, key])``, key being round(t * 1000)
-    masked to 31 bits; ``temp_generate`` draws every tick's at once. The
-    seed must be a non-negative integer.
+    The noise of tick i is draw i of one ``np.random.default_rng(seed)``
+    stream of standard normals; the seed must be a non-negative integer.
     """
 
     mean_c: float = 35.0
@@ -270,98 +268,15 @@ class TempTrace:
 
 
 def temp_generate(cfg, t_seconds):
-    """Temperature (Celsius) at each time in ``t_seconds``, an array or a
-    scalar, of the same shape. The sine is taken tick by tick with
-    ``math.sin``, whose last bit numpy's sin need not match."""
+    """Temperature (Celsius) at each tick time in ``t_seconds``, an array
+    or a scalar, of the same shape: the sine at each time plus, for tick
+    i in C order, draw i of the seeded noise stream."""
     t = np.asarray(t_seconds, dtype=float)
-    phase = 2.0 * math.pi * t.ravel() / cfg.period_s
-    temps = cfg.mean_c + cfg.amplitude_c * np.array(
-        [math.sin(x) for x in phase.tolist()])
+    temps = cfg.mean_c + cfg.amplitude_c * np.sin(2.0 * np.pi * t / cfg.period_s)
     if cfg.noise_sigma_c > 0:
-        keys = np.mod(np.rint(t.ravel() * 1000.0), 2.0 ** 31).astype(np.uint32)
-        temps += cfg.noise_sigma_c * _first_normals(cfg.seed, keys)
-    return temps.reshape(t.shape)[()]
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), a documented
-# and stable algorithm, and PCG64's seeding multiplier
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _seed_words(seed):
-    """A non-negative integer's 32-bit words, least significant first, as
-    SeedSequence splits entropy (0 is one word)."""
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"noise seed {seed} must be non-negative")
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    return words
-
-
-def _hasher(h, mult):
-    """SeedSequence's uint32 hash of an array, its constant advancing from
-    ``h`` by ``mult`` at every call."""
-    def hash_(value):
-        nonlocal h
-        value = value ^ np.uint32(h)
-        h = h * mult & _MASK32
-        value = value * np.uint32(h)
-        return value ^ (value >> np.uint32(16))
-    return hash_
-
-
-def _first_normals(seed, keys):
-    """``default_rng([seed, key]).standard_normal()`` for every uint32 key.
-
-    SeedSequence's pools are hashed for all keys at once in uint32
-    arithmetic, their PCG64 states set up on Python ints, and each state
-    drawn from by one reused Generator, so the ziggurat is numpy's own.
-    """
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return r ^ (r >> np.uint32(16))
-
-    entropy = [np.full(keys.size, w, dtype=np.uint32)
-               for w in _seed_words(seed)] + [keys]
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(keys))
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): eight words cycling over the pool, paired
-    # little-endian into (state high, state low, inc high, inc low)
-    hash_out = _hasher(_INIT_B, _MULT_B)
-    state = [hash_out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    words = [(state[i] | state[i + 1] << np.uint64(32)).tolist()
-             for i in range(0, 8, 2)]
-
-    gen = np.random.Generator(np.random.PCG64(0))
-    bit_gen = gen.bit_generator
-    out = np.empty(keys.size)
-    for i, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(*words)):
-        # pcg_setseq_128_srandom_r: two steps around adding the seed
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        bit_gen.state = {
-            "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-            "state": {"inc": inc, "state": ((inc + (s_hi << 64 | s_lo))
-                                            * _PCG_MULT + inc) & _MASK128}}
-        out[i] = gen.standard_normal()
-    return out
+        rng = np.random.default_rng(cfg.seed)
+        temps = temps + cfg.noise_sigma_c * rng.standard_normal(t.shape)
+    return temps[()]
 
 
 def celsius_to_kelvin(c):

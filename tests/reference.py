@@ -12,10 +12,12 @@ runs any of it.
   and CLI tests, and the Trace of a list of rows.
 - The per-page trace replay, which ``replay``'s runs of host writes are
   checked against.
-- The heatwatch experiment's per-tick temperature noise, one
-  ``default_rng`` per tick, and its per-page walk for eligible reads over a
-  dict of write times, which ``urt.temp_generate`` and
+- The heatwatch experiment's temperature noise, drawn one tick at a time
+  from one ``default_rng(seed)``, and its per-page walk for eligible reads
+  over a dict of write times, which ``urt.temp_generate`` and
   ``heatwatch.eligible_reads`` are checked against.
+- The closed-form write amplification of a FIFO cleaner under uniform
+  random writes, which brackets what greedy GC measures.
 - The per-page host path through numpy scalar indexing (``Drive._program``,
   ``host_read`` and ``WarmManager.route`` before the scalar memoryviews),
   which the view-based path is checked against.
@@ -33,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import lambertw
 
 from flashlab.grid import (BOUNDARIES, LSB_OF_STATE, MISPROGRAM_TARGET,
                            MSB_OF_STATE, N_BINS, CellState)
@@ -251,15 +254,18 @@ def synth_hot(duration_s, rate_per_s, hot_fraction, hot_share,
 
 
 def reference_temp_generate(cfg, t_seconds):
-    """A TempTrace's temperature at one time, from a fresh
-    ``default_rng([seed, key])`` per tick."""
-    base = cfg.mean_c + cfg.amplitude_c * math.sin(
-        2.0 * math.pi * t_seconds / cfg.period_s)
+    """A TempTrace's temperature at each of a run's tick times (a 1-D
+    array), its noise drawn one normal at a time, tick by tick, from one
+    ``default_rng(seed)``. The sine is numpy's, taken on the whole array
+    as ``urt.temp_generate`` takes it: ``math.sin`` can differ from it in
+    the last bit."""
+    t = np.asarray(t_seconds, dtype=float)
+    temps = cfg.mean_c + cfg.amplitude_c * np.sin(2.0 * np.pi * t / cfg.period_s)
     if cfg.noise_sigma_c > 0:
-        rng = np.random.default_rng(
-            [cfg.seed, int(round(t_seconds * 1000.0)) & 0x7FFFFFFF])
-        base += cfg.noise_sigma_c * rng.standard_normal()
-    return base
+        rng = np.random.default_rng(cfg.seed)
+        temps = temps + cfg.noise_sigma_c * np.array(
+            [rng.standard_normal() for _ in range(t.size)])
+    return temps
 
 
 def reference_eligible_reads(trace):
@@ -314,6 +320,16 @@ def reference_replay(trace, drive, cfg):
             access(p % n_logical, now)
     close_day()
     return series
+
+
+def fifo_wa(alpha):
+    """Write amplification 1/(1 - u) of a FIFO cleaner under uniform random
+    writes, with alpha physical pages per logical page (alpha > 1): u, the
+    live fraction of a cleaned block, solves u = exp(-alpha (1 - u))
+    (Hu et al., SYSTOR 2009; Desnoyers, SYSTOR 2012). Its root below 1 is
+    -W0(-alpha exp(-alpha)) / alpha."""
+    u = -lambertw(-alpha * math.exp(-alpha)).real / alpha
+    return 1.0 / (1.0 - u)
 
 
 class NumpyScalarDrive(Drive):

@@ -199,6 +199,7 @@ class TestThermalReadPolicyOrdering:
         samples = collect_samples(events, cfg, pack)
         life = {p: policy_lifetime_pec(p, samples, pack, rm, 2e-3)
                 for p in ("fixed", "retention_only", "heatwatch", "oracle")}
+        assert life["fixed"] > 0
         assert life["fixed"] < life["retention_only"]
         assert life["retention_only"] <= life["heatwatch"]
         assert life["heatwatch"] <= life["oracle"]

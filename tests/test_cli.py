@@ -861,6 +861,27 @@ class TestSimulate:
         assert len(artifacts[0]) > 1
         assert artifacts[0] == artifacts[1]
 
+    def test_heatwatch_is_byte_identical_per_seed(self, tmp_path):
+        # the 400 writes and 400 reads above, under the temperature noise
+        # of seeds 1, 1 and 2
+        rows = [(i * 60_000_000, "W", 16 * i) for i in range(400)]
+        rows += [((400 + i) * 60_000_000, "R", 16 * i) for i in range(400)]
+        tr = tmp_path / "t.csv"
+        tr.write_text("timestamp_us,op,lba,size_bytes\n" + "".join(
+            f"{t},{op},{lba},8192\n" for t, op, lba in rows))
+        cfg = tmp_path / "hw.json"
+        cfg.write_text(json.dumps({"experiment": "heatwatch",
+                                   "max_samples": 40}))
+        got = []
+        for tag, seed in (("a", 1), ("b", 1), ("c", 2)):
+            out = tmp_path / tag
+            rc = main(["--seed", str(seed), "--out", str(out), "simulate",
+                       "--config", str(cfg), "--trace", str(tr)])
+            assert rc == 0
+            got.append((out / "heatwatch.json").read_bytes())
+        assert got[0] == got[1]
+        assert got[0] != got[2]
+
     def test_trace_spanning_more_than_int64_is_config_error(self, tmp_path,
                                                             capsys):
         tr = tmp_path / "t.csv"

@@ -13,31 +13,30 @@ from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, THREE_YEARS_S,
                                  endurance_at, in_refresh_phase, replay,
                                  run_lifetime, run_refresh)
 from flashlab.controller import (heatwatch as heatwatch_mod,
-                                 lifetime as lifetime_mod, policies,
-                                 warm as warm_mod)
+                                 lifetime as lifetime_mod, warm as warm_mod)
 from flashlab.controller.ftl import CLOSED
-from flashlab.controller.heatwatch import (HEATWATCH_POLICIES, MIN_AGE_S,
+from flashlab.controller.heatwatch import (FIXED_REFS_AGE_S,
+                                           HEATWATCH_POLICIES, MIN_AGE_S,
                                            PAGE_SIZE, SCORE_CHUNK, TICK_S,
                                            HeatwatchConfig, ReadSample,
                                            collect_samples, eligible_reads,
-                                           policy_worst_rber, sample_batches,
-                                           truth_models)
-from flashlab.controller.policies import (REMAR_CADENCE, ReadContext,
-                                          heatwatch_refs, policy_refs,
-                                          remar_refit_ages)
+                                           fixed_refs, policy_worst_rber,
+                                           sample_batches, truth_models)
+from flashlab.controller.policies import (ReadContext, heatwatch_refs,
+                                          policy_refs)
 from flashlab.controller.warm import (_H_MIN, _W_MAX, _W_MIN,
                                       INITIAL_HOT_FRACTION, INITIAL_WINDOW)
 from flashlab.degradation import RetentionModel3D, retention_refs
 from flashlab.grid import (DEFAULT_READ_REFS, LSB_OF_STATE, MSB_OF_STATE,
                            CellState)
-from flashlab.models.applications import (VC_SEARCH_MAX, predict_vopt,
-                                          sweep_vopt)
+from flashlab.models.applications import (VC_SEARCH_MAX, estimate_rber,
+                                          predict_vopt, sweep_vopt)
 from flashlab.models.cdf import StateModel, state_cdf
 from flashlab.trace import SECTOR_BYTES, Trace
 from flashlab.urt import (T_PROGRAM_K, AccelLog, RetentionAges, TempTrace, af,
                           calibration_pack_from_retention, celsius_to_kelvin,
                           state_models, urt_predict)
-from reference import (NumpyScalarDrive, NumpyScalarWarm,
+from reference import (NumpyScalarDrive, NumpyScalarWarm, fifo_wa,
                        reference_eligible_reads, reference_replay,
                        reference_temp_generate, synth_hot)
 
@@ -683,6 +682,38 @@ _WRITE_THEN_READ = hst.tuples(hst.integers(0, 1 << 12),
     lambda span: [(0, "W", *span), (0, "R", *span)])
 
 
+class TestUniformWriteAmplification:
+    """Greedy GC under uniform random writes lies between the FIFO
+    cleaner's closed form at the raw spare (every spare block) and at the
+    effective spare (less the gc_threshold + 1 blocks that never hold
+    data: the free reserve and the open block)."""
+
+    @pytest.mark.parametrize("n_blocks", [64, 256])
+    @pytest.mark.parametrize("op", [0.07, 0.15, 0.28])
+    def test_greedy_wa_lies_between_fifo_at_raw_and_effective_spare(
+            self, op, n_blocks):
+        geom = Geometry(capacity_bytes=n_blocks << 20, op_fraction=op)
+        drive = Drive(geom)
+        n = geom.logical_pages
+        rng = np.random.default_rng(n_blocks)
+
+        def write(drive_writes):
+            pages = rng.integers(0, n, drive_writes * n)
+            done = 0
+            while done < pages.size:
+                done += drive.host_writes(pages[done:], 0.0)
+
+        write(4)
+        before = dict(drive.writes)
+        write(8)
+        host = drive.writes["host"] - before["host"]
+        wa = sum(drive.writes[k] - before[k] for k in before) / host
+        reserved = (drive.gc_threshold + 1) * geom.pages_per_block
+        raw = fifo_wa(geom.total_pages / n)
+        effective = fifo_wa((geom.total_pages - reserved) / n)
+        assert raw < wa < effective
+
+
 class TestReplayWindowProperty:
     """replay listing pages in windows of 1, 3 and 7 pages, with WARM on
     and off, against reference_replay on identical drives fed identical
@@ -740,7 +771,6 @@ class TestReplayWindowProperty:
 
 
 RET = RetentionModel3D()
-RET = RetentionModel3D()
 
 
 class TestPolicies:
@@ -749,6 +779,20 @@ class TestPolicies:
 
     def test_fixed_policy(self):
         assert np.array_equal(policy_refs("fixed", self.ctx()), DEFAULT_READ_REFS)
+
+    def test_fixed_refs_decode_a_fresh_page(self):
+        # swept on the pack's state models at P/E 0 and FIXED_REFS_AGE_S;
+        # DEFAULT_READ_REFS misreads the same fresh page past any ECC
+        pack = calibration_pack_from_retention(RET)
+        refs = fixed_refs(pack)
+        assert refs.tolist() == reference_sweep(
+            reference_truth_models(pack, 0.0, FIXED_REFS_AGE_S)).tolist()
+        fresh = truth_models(pack, 0.0, RetentionAges(pack, [FIXED_REFS_AGE_S]))
+        ecc_limit = 2e-3  # the heatwatch experiment's default
+        assert estimate_rber(fresh, refs).total[0] < ecc_limit
+        assert estimate_rber(fresh, DEFAULT_READ_REFS).total[0] > ecc_limit
+        got = policy_refs("fixed", self.ctx(), fixed_refs=refs)
+        assert got.tolist() == refs.tolist()
 
     def test_retention_only_matches_model(self):
         ctx = self.ctx(pec=4000, age_s=np.array([7 * DAY]))
@@ -764,20 +808,6 @@ class TestPolicies:
         assert va == va0 - 4
         assert vb == vb0 - 2
         assert va < vb < vc
-
-    def test_remar_reads_each_read_at_its_last_refit_age(self):
-        ages = np.geomspace(DAY, 1000 * DAY, 25)
-        with patch.object(policies, "REMAR_CADENCE", 10):
-            refit = remar_refit_ages(ages)
-        assert refit.tolist() == ([ages[0]] * 10 + [ages[10]] * 10
-                                  + [ages[20]] * 5)
-        ctx = self.ctx(pec=9000, age_s=ages, refit_age_s=refit)
-        got = policy_refs("remar", ctx, retention_model=RET)
-        assert got.tolist() == [retention_refs(RET, 9000, [age])[0].tolist()
-                                for age in refit]
-        # served stale between refits: read 19 is read at read 10's age
-        fresh = policy_refs("retention_only", ctx, retention_model=RET)
-        assert got[19].tolist() != fresh[19].tolist()
 
     def test_oracle_is_exhaustive_sweep(self):
         models = {st: StateModel("gaussian", [25, 105, 185, 255][i], 11.0)
@@ -824,8 +854,7 @@ def single_pass_collect_samples(events, cfg, params):
     """Reference: estimates every eligible read, then keeps a spread."""
     end_s = int(events.timestamp_us[-1]) / 1e6 if len(events) else 0.0
     n_ticks = int(end_s / TICK_S) + 2
-    tick_t = np.arange(n_ticks) * TICK_S
-    temps = np.array([reference_temp_generate(cfg.temp, t) for t in tick_t])
+    temps = reference_temp_generate(cfg.temp, np.arange(n_ticks) * TICK_S)
     afs = af(celsius_to_kelvin(temps), params)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (afs[1:] + afs[:-1]) * TICK_S)])
     log = AccelLog()
@@ -999,15 +1028,13 @@ def reference_rber(models, refs):
 
 def reference_worst_rber(policy, samples, pack, pec):
     worst = 0.0
-    for i, s in enumerate(samples):
+    for s in samples:
         truth = reference_truth_models(pack, pec, s.eff_exact_s)
         if policy == "fixed":
-            refs = DEFAULT_READ_REFS
-        elif policy == "retention_only":
+            refs = reference_sweep(
+                reference_truth_models(pack, 0.0, FIXED_REFS_AGE_S))
+        elif policy in ("retention_only", "remar"):
             refs = retention_refs(RET, pec, [max(s.age_s, 1.0)])[0]
-        elif policy == "remar":
-            anchor = samples[REMAR_CADENCE * (i // REMAR_CADENCE)]
-            refs = retention_refs(RET, pec, [max(anchor.age_s, 1.0)])[0]
         elif policy == "heatwatch":
             refs = reference_heatwatch_refs(
                 reference_truth_models(pack, pec, s.eff_est_s))
@@ -1034,7 +1061,6 @@ class TestBatchedScoringProperty:
                                       min_size=n, max_size=n))
         batches = sample_batches(samples, self.PACK)
         event(f"more than one batch: {len(batches) > 1}")
-        event(f"past a ReMAR refit: {n > REMAR_CADENCE}")
         mu = state_models(self.PACK, pec, RetentionAges(
             self.PACK, [s.eff_est_s for s in samples])).mu
         crossed = int(np.sum(~np.all(mu[:, :-1] < mu[:, 1:], axis=1)))
@@ -1044,19 +1070,19 @@ class TestBatchedScoringProperty:
             got = policy_worst_rber(policy, batches, self.PACK, RET, pec)
             assert got == reference_worst_rber(policy, samples, self.PACK, pec), policy
 
-    def test_remar_keeps_its_refit_cadence_across_batches(self):
-        # reads 200-299 are served the references fitted at read 200, a
-        # young one; reads from SCORE_CHUNK on are old, so a refit at the
-        # batch boundary would read them better than ReMAR does
-        young, old = ReadSample(DAY, DAY, DAY), ReadSample(1000 * DAY, 1000 * DAY,
-                                                           1000 * DAY)
-        samples = [young] * SCORE_CHUNK + [old] * (300 - SCORE_CHUNK)
-        assert REMAR_CADENCE * (SCORE_CHUNK // REMAR_CADENCE) < SCORE_CHUNK
+    def test_remar_reads_each_read_at_its_own_age(self):
+        # young and old reads in read order across two batches: ReMAR
+        # serves every read the references of its own age, on every batch
+        rng = np.random.default_rng(11)
+        samples = [ReadSample(*row) for row in
+                   (10.0 ** rng.uniform(0, 8.5, (SCORE_CHUNK + 44, 3))).tolist()]
         batches = sample_batches(samples, self.PACK)
-        got = policy_worst_rber("remar", batches, self.PACK, RET, 5000.0)
-        assert got == reference_worst_rber("remar", samples, self.PACK, 5000.0)
-        assert got > policy_worst_rber("retention_only", batches, self.PACK,
-                                       RET, 5000.0)
+        assert len(batches) == 2
+        for batch in batches:
+            for pec in (0.0, 5000.0, 30000.0):
+                assert (policy_worst_rber("remar", [batch], self.PACK, RET, pec)
+                        == policy_worst_rber("retention_only", [batch],
+                                             self.PACK, RET, pec))
 
     def test_state_models_take_each_log_with_math_log(self):
         # at 1 + t for these ages, numpy 2.4's vectorized log (AVX-512)
