@@ -23,6 +23,7 @@ import re
 import sys
 
 import numpy as np
+import scipy  # loaded with the models' scipy.special, so free here
 
 from . import __version__
 from .channel import load_histogram_csv
@@ -71,6 +72,7 @@ def _write_manifest(out_dir, command, config_obj, seed):
             "flashlab": __version__,
             "numpy": np.__version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
+            "scipy": scipy.__version__,
         },
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:

@@ -26,10 +26,18 @@ in the open block, since reclaim can hand back a part-filled block, and
 it takes only as many pages as fit there. The result equals one
 host_write per page in run order.
 
+Windowed host requests: host_requests serves a window of reads and
+writes in order in one loop, one WARM route call per write and the
+program step inline, and adds the window's write counts and WARM's epoch
+bytes when it ends or raises. It checks for a due rotation only after
+the first write, a write that allocated (and so may have reclaimed) and
+a tune, since nothing else in the loop erases a hot block or lowers the
+threshold. It leaves the drive as one host_write per request would.
+
 Scalar views: map_view, rmap_view, valid_count_view, write_ptr_view and
 pool_view are memoryviews of map, rmap, valid_count, write_ptr and pool,
 made once in __init__ over the same buffers, so a write through either
-shows in both. The per-page paths (_program, host_read, and WARM's
+shows in both. The per-page paths (host_requests, host_read, and WARM's
 route) index the views, which read and write one element in about half
 the time numpy scalar indexing takes, and which read as Python ints. The
 vectorized paths use the arrays. No code rebinds these arrays after
@@ -80,7 +88,7 @@ class Drive:
         self.refresh_writes_by_pool = {COLD: 0, HOT: 0}
         self.erases = 0
         self.reads = 0
-        self._pool_blocks = {COLD: 0, HOT: 0}   # blocks not FREE, per pool
+        self.pool_blocks = {COLD: 0, HOT: 0}    # blocks not FREE, per pool
 
     # --- bookkeeping -------------------------------------------------------
 
@@ -88,10 +96,6 @@ class Drive:
     def valid(self):
         """Per-page validity mask: a fresh array, rmap >= 0."""
         return self.rmap >= 0
-
-    def pool_block_count(self, pool):
-        """Blocks of the pool that are open or closed."""
-        return self._pool_blocks[pool]
 
     @property
     def write_amplification(self):
@@ -103,15 +107,60 @@ class Drive:
     # --- host interface ----------------------------------------------------
 
     def host_write(self, lba_page, now):
-        self.now = now
+        self.host_requests((lba_page,), (now,), (True,))
+
+    def host_requests(self, pages, times, is_write):
+        """Read or write (``is_write[i]``) logical page ``pages[i]`` at
+        ``times[i]``, in order; see "Windowed host requests" above."""
         warm = self.warm
-        if warm is None:
-            self._program(lba_page, COLD, "host")
-            return
-        self._program(lba_page, warm.route(self, lba_page), "host")
-        warm.after_host_write(self, self.page_size, now)
-        if warm.rotation_due():
-            self.rotate_hot_pool()
+        route = None if warm is None else warm.route
+        host_read, open_block = self.host_read, self.open_block
+        map_, rmap = self.map_view, self.rmap_view
+        valid_count, write_ptr = self.valid_count_view, self.write_ptr_view
+        ppb, page_size = self.pages_per_block, self.page_size
+        epoch, tune_at = ((0, float("inf")) if warm is None else
+                          (warm.epoch_host_bytes, warm.geom.logical_bytes))
+        check_rotation = warm is not None
+        written = hot = 0
+        try:
+            for page, now, write in zip(pages, times, is_write):
+                if not write:
+                    host_read(page, now)
+                    continue
+                self.now = now
+                pool = COLD if route is None else route(self, page)
+                blk = open_block[pool]
+                if blk is None:
+                    blk = self._allocate(pool, "host")
+                    check_rotation = warm is not None
+                ptr = write_ptr[blk]
+                ppn = blk * ppb + ptr
+                write_ptr[blk] = ptr + 1
+                if ptr + 1 == ppb:
+                    self._close(blk, pool)
+                old = map_[page]
+                if old >= 0:
+                    valid_count[old // ppb] -= 1
+                    rmap[old] = -1
+                map_[page] = ppn
+                rmap[ppn] = page
+                valid_count[blk] += 1
+                written += 1
+                hot += pool  # COLD is 0 and HOT 1
+                epoch += page_size
+                if epoch >= tune_at:
+                    warm.tune(self, now)
+                    epoch, check_rotation = 0, True
+                if check_rotation and (warm.hot_erases_since_rotation
+                                       >= warm.rotation_threshold):
+                    self.rotate_hot_pool()
+                check_rotation = False
+        finally:
+            self.writes["host"] += written
+            self.pool_writes[HOT] += hot
+            self.pool_writes[COLD] += written - hot
+            if warm is not None:
+                warm.epoch_host_bytes = epoch
 
     def host_writes(self, pages, now):
         """Host-write ``pages`` (a non-empty int64 array of logical pages)
@@ -163,32 +212,6 @@ class Drive:
 
     # --- programming path --------------------------------------------------
 
-    def _program(self, lba_page, pool, kind):
-        """Write one page at the pool's next free page."""
-        ppb = self.pages_per_block
-        blk = self.open_block[pool]
-        if blk is None:
-            blk = self._allocate(pool, kind)
-        write_ptr = self.write_ptr_view
-        ptr = write_ptr[blk]
-        ppn = blk * ppb + ptr
-        write_ptr[blk] = ptr + 1
-        if ptr + 1 == ppb:
-            self._close(blk, pool)
-        map_, rmap = self.map_view, self.rmap_view
-        valid_count = self.valid_count_view
-        old = map_[lba_page]
-        if old >= 0:
-            valid_count[old // ppb] -= 1
-            rmap[old] = -1
-        map_[lba_page] = ppn
-        rmap[ppn] = lba_page
-        valid_count[blk] += 1
-        self.writes[kind] += 1
-        self.pool_writes[pool] += 1
-        if kind == "refresh":
-            self.refresh_writes_by_pool[pool] += 1
-
     def _close(self, blk, pool):
         self.state[blk] = CLOSED
         self.open_block[pool] = None
@@ -198,7 +221,7 @@ class Drive:
     def _allocate(self, pool, kind):
         if kind == "host":  # the reclaim rule: only host writes reclaim
             if pool == HOT and self.warm:
-                while (self._pool_blocks[HOT] >= self.warm.hot_budget_blocks
+                while (self.pool_blocks[HOT] >= self.warm.hot_budget_blocks
                        and self.warm.hot_closed):
                     self._demote_oldest_hot()
             if len(self.free) <= self.gc_threshold:
@@ -220,7 +243,7 @@ class Drive:
         self.write_ptr[blk] = 0
         self.program_epoch[blk] = self.now
         self.open_block[pool] = blk
-        self._pool_blocks[pool] += 1
+        self.pool_blocks[pool] += 1
         return blk
 
     def _erase(self, blk):
@@ -231,7 +254,7 @@ class Drive:
         self.state[blk] = FREE
         self.write_ptr[blk] = 0
         self.erases += 1
-        self._pool_blocks[pool] -= 1
+        self.pool_blocks[pool] -= 1
         heapq.heappush(self.free, int(blk))
         if self.warm:
             self.warm.on_block_erased(blk, pool)
@@ -341,7 +364,7 @@ class Drive:
         open_ids = set(np.flatnonzero(self.state == OPEN).tolist())
         assert open_ids == {b for b in self.open_block.values() if b is not None}, \
             "orphaned open blocks"
-        for pool, n in self._pool_blocks.items():
+        for pool, n in self.pool_blocks.items():
             assert n == np.count_nonzero((self.state != FREE) & (self.pool == pool)), \
                 "pool block count drift"
         assert (self.write_ptr[self.state == CLOSED] == ppb).all(), \

@@ -121,11 +121,12 @@ def replay(trace, drive, cfg):
     refresh passes before it closes any of its days. The pages between
     two cuts run in windows of at most PAGE_WINDOW pages, so memory does
     not grow with the trace or its largest span. WARM routes write by
-    write, so with WARM every page goes through ``host_write`` or
-    ``host_read``. Without WARM a window's writes reach the FTL as runs of
-    host writes (``Drive.host_writes``) and its reads are counted in bulk:
-    a read counts iff its page was mapped when the window began or is
-    written earlier in the window, since no mapping is ever removed.
+    write, so with WARM a window goes page by page, in order, through one
+    ``Drive.host_requests`` loop. Without WARM a window's writes reach the
+    FTL as runs of host writes (``Drive.host_writes``) and its reads are
+    counted in bulk: a read counts iff its page was mapped when the window
+    began or is written earlier in the window, since no mapping is ever
+    removed.
     """
     now = trace.timestamp_us / 1e6
     first, count = trace.page_spans(cfg.geometry.page_size)
@@ -164,11 +165,8 @@ def replay(trace, drive, cfg):
 
 
 def _per_page(drive, pages, page_now, is_write):
-    """One window of the replay, one host_write or host_read per page."""
-    host_write, host_read = drive.host_write, drive.host_read
-    for page, now, write in zip(pages.tolist(), page_now.tolist(),
-                                is_write.tolist()):
-        (host_write if write else host_read)(page, now)
+    """One window of the replay, page by page: one ``host_requests`` call."""
+    drive.host_requests(pages.tolist(), page_now.tolist(), is_write.tolist())
 
 
 def _in_runs(drive, pages, page_now, is_write):

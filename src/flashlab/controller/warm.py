@@ -28,25 +28,18 @@ ROTATION_PEC = 1000
 class WarmManager:
     def __init__(self, geom):
         self.geom = geom
-        self._logical_bytes = geom.logical_bytes
-        self._total_blocks = geom.total_blocks
         self.window = INITIAL_WINDOW
         self.h = min(INITIAL_HOT_FRACTION, geom.op_fraction)
         self.cold_closed = deque()   # newest on the right
         self.hot_closed = deque()    # oldest on the left (demotion order)
         self._cooldown = set()
-        # epoch counters, reset at each tune
-        self.hot_hits = 0
-        self.promotions = 0
-        self.demotions = 0
-        self.cold_writes = 0
-        self.hot_writes = 0
-        self._epoch_host_bytes = 0
+        # epoch counters, reset at each tune; the Drive adds its host
+        # writes' bytes to epoch_host_bytes and tunes at a full drive write
+        self.hot_hits = self.promotions = self.demotions = 0
+        self.cold_writes = self.hot_writes = self.epoch_host_bytes = 0
         self._epoch_start = 0.0
-        self._last_metric = None
-        self._h_dir = 1
-        self._last_utility = None
-        self._w_dir = 1
+        self._last_metric = self._last_utility = None
+        self._h_dir = self._w_dir = 1
         self.hot_erases_since_rotation = 0
         self.tune_count = 0
 
@@ -60,12 +53,8 @@ class WarmManager:
         # the budget and the rotation threshold follow h; derive them here,
         # once per change, not on every write
         self._h = value
-        self._hot_budget = max(1, int(value * self._total_blocks))
-        self._rotation_threshold = ROTATION_PEC * self._hot_budget
-
-    @property
-    def hot_budget_blocks(self):
-        return self._hot_budget
+        self.hot_budget_blocks = max(1, int(value * self.geom.total_blocks))
+        self.rotation_threshold = ROTATION_PEC * self.hot_budget_blocks
 
     # --- routing --------------------------------------------------------
 
@@ -109,11 +98,6 @@ class WarmManager:
 
     # --- tuning -----------------------------------------------------------
 
-    def after_host_write(self, drive, nbytes, now):
-        self._epoch_host_bytes += nbytes
-        if self._epoch_host_bytes >= self._logical_bytes:
-            self.tune(drive, now)
-
     def tune(self, drive, now):
         """Adjust hot-pool size and cooldown window from epoch statistics."""
         self.tune_count += 1
@@ -127,9 +111,9 @@ class WarmManager:
             h_cap = _H_MIN
         else:
             h_cap = (hot_rate * HOT_RETENTION_S
-                     / (self._total_blocks * self.geom.block_size))
+                     / (self.geom.total_blocks * self.geom.block_size))
 
-        metric = (self._cold_pool_blocks(drive)
+        metric = ((drive.pool_blocks[COLD] + len(drive.free))
                   / max(self.cold_writes, 1))
         if self._last_metric is not None and metric < self._last_metric:
             self._h_dir = -self._h_dir
@@ -147,12 +131,5 @@ class WarmManager:
         self._refresh_cooldown()
 
         self.hot_hits = self.promotions = self.demotions = 0
-        self.cold_writes = self.hot_writes = 0
-        self._epoch_host_bytes = 0
+        self.cold_writes = self.hot_writes = self.epoch_host_bytes = 0
         self._epoch_start = now
-
-    def _cold_pool_blocks(self, drive):
-        return int((drive.pool_block_count(COLD)) + len(drive.free))
-
-    def rotation_due(self):
-        return self.hot_erases_since_rotation >= self._rotation_threshold

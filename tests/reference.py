@@ -18,9 +18,12 @@ runs any of it.
   ``heatwatch.eligible_reads`` are checked against.
 - The closed-form write amplification of a FIFO cleaner under uniform
   random writes, which brackets what greedy GC measures.
-- The per-page host path through numpy scalar indexing (``Drive._program``,
-  ``host_read`` and ``WarmManager.route`` before the scalar memoryviews),
-  which the view-based path is checked against.
+- The per-page host path through numpy scalar indexing: ``host_write``
+  (one routed program step, then WARM's tune and rotation checks) and
+  ``host_read`` as they were before the windowed loop and the scalar
+  memoryviews, and ``WarmManager.route`` before the views. The windowed
+  ``Drive.host_requests``, the batched migration and the view-based path
+  are checked against it.
 - Readers of ``fit``'s model.json and dynamic.json, which pin their
   format.
 - The builder of a multi-rate ECC ladder for ``multirate_lifetime``.
@@ -45,6 +48,7 @@ from flashlab.controller.geometry import SECONDS_PER_DAY
 from flashlab.controller.heatwatch import MIN_AGE_S, PAGE_SIZE
 from flashlab.controller.lifetime import REFRESH_CHECK_S, series_rber
 from flashlab.controller.refresh import run_refresh
+from flashlab.controller import warm as warm_mod
 from flashlab.controller.warm import COLD, HOT, WarmManager
 from flashlab.models.cdf import StateModel, enforce_constraints
 from flashlab.models import fitting
@@ -289,9 +293,11 @@ def reference_eligible_reads(trace):
 
 
 def reference_replay(trace, drive, cfg):
-    """The replay that preceded runs of ``Drive.host_writes``: before each
-    event every due refresh check, then every due day close, then one
-    host_write or host_read per page of its span."""
+    """The replay that preceded runs of ``Drive.host_writes`` and windows
+    of ``Drive.host_requests``: before each event every due refresh
+    check, then every due day close, then one host_write or host_read per
+    page of its span, on a NumpyScalarDrive (the per-page path)."""
+    assert isinstance(drive, NumpyScalarDrive)
     first, count = trace.page_spans(cfg.geometry.page_size)
     n_logical = cfg.geometry.logical_pages
     series = []
@@ -333,8 +339,33 @@ def fifo_wa(alpha):
 
 
 class NumpyScalarDrive(Drive):
-    """A Drive whose per-page writes and reads index its numpy arrays one
-    scalar at a time, as they did before the scalar memoryviews."""
+    """A Drive that writes and reads one page per call, indexing its numpy
+    arrays one scalar at a time, as it did before the windowed loop and
+    the scalar memoryviews."""
+
+    def host_write(self, lba_page, now):
+        self.now = now
+        warm = self.warm
+        if warm is None:
+            self._program(lba_page, COLD, "host")
+            return
+        self._program(lba_page, warm.route(self, lba_page), "host")
+        self.after_host_write(now)
+        if self.rotation_due():
+            self.rotate_hot_pool()
+
+    def after_host_write(self, now):
+        """Count the write into WARM's epoch; tune after a full
+        logical-drive write."""
+        warm = self.warm
+        warm.epoch_host_bytes += self.page_size
+        if warm.epoch_host_bytes >= warm.geom.logical_bytes:
+            warm.tune(self, now)
+
+    def rotation_due(self):
+        warm = self.warm
+        return (warm.hot_erases_since_rotation
+                >= warm_mod.ROTATION_PEC * warm.hot_budget_blocks)
 
     def host_read(self, lba_page, now):
         self.now = now
@@ -346,6 +377,7 @@ class NumpyScalarDrive(Drive):
         return ppn, float(now - self.program_epoch[blk])
 
     def _program(self, lba_page, pool, kind):
+        """Write one page at the pool's next free page."""
         ppb = self.pages_per_block
         blk = self.open_block[pool]
         if blk is None:

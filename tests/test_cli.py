@@ -9,6 +9,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -475,6 +476,21 @@ class TestLayout:
         assert rc == 4
         assert "at least 2" in capsys.readouterr().err
         assert not (tmp_path / "out" / "li_raid_1x4.csv").exists()
+
+
+class TestManifest:
+    def test_records_the_versions_of_the_numeric_stack(self, tmp_path):
+        # tables.py builds its stdtr tables with scipy, so its version
+        # belongs next to numpy's
+        rc = main(["--out", str(tmp_path / "out"), "layout",
+                   "--chips", "4", "--wordlines", "4"])
+        assert rc == 0
+        doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert doc["command"] == "layout"
+        assert doc["versions"]["numpy"] == np.__version__
+        assert doc["versions"]["scipy"] == scipy.__version__
+        assert set(doc["versions"]) == {"flashlab", "numpy", "python",
+                                        "scipy"}
 
 
 class TestTraceStats:

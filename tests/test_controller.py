@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as hst
 
 from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, THREE_YEARS_S,
@@ -206,7 +206,7 @@ class TestWarm:
         t = fill_drive(d, passes=1.0)
         for i in range(20000):
             d.host_write(int(rng.integers(0, hot_pages)), t + i)
-        assert d.pool_block_count(HOT) <= w.hot_budget_blocks + 1
+        assert d.pool_blocks[HOT] <= w.hot_budget_blocks + 1
         assert d.audit()
 
     def test_skewed_trace_cuts_write_amplification(self):
@@ -294,7 +294,7 @@ class TestRefresh:
         cfg_hot = RefreshConfig(mode="fcr", period_s=3 * DAY, include_hot=True)
         run_refresh(d, end + 90 * DAY, cfg_hot)
         # with the exemption lifted, resident hot blocks do refresh
-        if d.pool_block_count(HOT) > 0 and any(
+        if d.pool_blocks[HOT] > 0 and any(
                 d.state[b] == CLOSED for b in np.flatnonzero(d.pool == HOT)):
             assert d.refresh_writes_by_pool[HOT] > 0
 
@@ -345,7 +345,7 @@ def drive_state(d):
         scalars += (list(w.hot_closed), list(w.cold_closed), w.h, w.window,
                     w.demotions, w.promotions, w.hot_erases_since_rotation,
                     w.hot_hits, w.hot_writes, w.cold_writes, w.tune_count,
-                    w._epoch_host_bytes, w._epoch_start, sorted(w._cooldown),
+                    w.epoch_host_bytes, w._epoch_start, sorted(w._cooldown),
                     w._last_metric, w._last_utility, w._h_dir, w._w_dir)
     return arrays, scalars
 
@@ -428,10 +428,10 @@ class TestRefreshPassProperty:
         assert drives[0].audit()
 
 
-class PerPageMigrationDrive(Drive):
+class PerPageMigrationDrive(NumpyScalarDrive):
     """The relocation that preceded the batched _migrate_block: one
     _program call per live page, in ascending offset order, then the
-    erase."""
+    erase; host writes one page per call (NumpyScalarDrive)."""
 
     def _migrate_block(self, blk, dest_pool, kind):
         base = blk * self.geom.pages_per_block
@@ -450,9 +450,9 @@ _MIGRATION_STEP = hst.one_of(
 
 
 class TestBatchedMigrationProperty:
-    """Drive (batched _migrate_block) against PerPageMigrationDrive on
-    identical drives fed identical host writes, refresh sweeps and hot-pool
-    rotations."""
+    """Drive (batched _migrate_block, windowed host writes) against
+    PerPageMigrationDrive on identical drives fed identical host writes,
+    refresh sweeps and hot-pool rotations."""
 
     @settings(max_examples=200)
     @given(n_blocks=hst.integers(4, 24),
@@ -470,7 +470,7 @@ class TestBatchedMigrationProperty:
                             op_fraction=op)
             drives = [cls(geom, warm=WarmManager(geom) if warm else None)
                       for cls in (Drive, PerPageMigrationDrive)]
-            assert all(d.warm is None or d.warm._rotation_threshold
+            assert all(d.warm is None or d.warm.rotation_threshold
                        == rotation_pec * d.warm.hot_budget_blocks
                        for d in drives)
             span = max(1, int(footprint * geom.logical_pages))
@@ -520,6 +520,120 @@ class TestBatchedMigrationProperty:
                 assert drives[0].audit() and drives[1].audit()
 
 
+# a window of (op, page) requests, three writes to a read
+_REQUESTS = hst.lists(hst.tuples(hst.sampled_from("RWWW"),
+                                 hst.integers(0, 1 << 20)),
+                      min_size=1, max_size=60)
+_WINDOW_STEP = hst.one_of(
+    hst.tuples(hst.just("window"), _REQUESTS),
+    # rewrites of a few low pages: they get promoted and fill hot blocks
+    hst.tuples(hst.just("window"),
+               hst.lists(hst.tuples(hst.sampled_from("RWW"),
+                                    hst.integers(0, 7)),
+                         min_size=8, max_size=60)),
+    # a long sequential window, every fourth request a read: it completes
+    # tuning epochs and, over the whole logical space of a small drive,
+    # over-commits it part-way
+    hst.tuples(hst.just("window"),
+               hst.builds(lambda start, n: [("RWWW"[i % 4], start + i)
+                                            for i in range(n)],
+                          hst.integers(0, 1 << 20), hst.integers(8, 400))),
+    hst.tuples(hst.just("sweep"),
+               hst.tuples(hst.sampled_from([0.0, 0.5, 2.0, 10.0]),
+                          hst.sampled_from([0.0, 1.0, 3.0]))))
+
+
+class TestHostRequestsProperty:
+    """Drive.host_requests (one loop per window) against NumpyScalarDrive
+    and NumpyScalarWarm (one host_write or host_read per page) on WARM
+    drives fed identical windows of reads and writes, with refresh sweeps
+    between windows and the rotation wear drawn down to 1 or 2 P/E, so
+    that tunes and hot-pool rotations fire inside windows."""
+
+    @settings(max_examples=120)
+    # three cases random windows seldom reach: a rotation made due between
+    # windows (a sweep of hot blocks) fires after the next window's first
+    # write, one made due by a tune that shrinks the hot pool fires after
+    # that tune's write, and a window that over-commits the drive part-way
+    @example(n_blocks=5, op=0.5, footprint=0.25, rotation_pec=1,
+             include_hot=True,
+             steps=[("window", [("W", 0)]),
+                    ("window", [("RWWW"[i % 4], i) for i in range(134)]),
+                    ("window", [("W", 0)]),
+                    ("sweep", (0.0, 0.0)),
+                    ("window", [("W", 0)])])
+    @example(n_blocks=13, op=0.5, footprint=0.5625, rotation_pec=1,
+             include_hot=False,
+             steps=[("window", [("W", 0)] * 6),
+                    ("window", [("RWWW"[i % 4], i) for i in range(244)]),
+                    ("window", [("RWWW"[i % 4], i) for i in range(392)])])
+    @example(n_blocks=4, op=0.1, footprint=1.0, rotation_pec=1,
+             include_hot=False,
+             steps=[("window", [("RWWW"[i % 4], i) for i in range(200)])])
+    @given(n_blocks=hst.integers(4, 24),
+           op=hst.sampled_from([0.1, 0.25, 0.5, 0.9]),
+           # the whole logical space over-commits the smallest drives
+           footprint=hst.one_of(hst.floats(0.05, 1.0), hst.just(1.0)),
+           rotation_pec=hst.sampled_from([1, 2]),
+           include_hot=hst.booleans(),
+           steps=hst.lists(_WINDOW_STEP, min_size=1, max_size=16))
+    def test_windows_match_per_page_reference(self, n_blocks, op, footprint,
+                                              rotation_pec, include_hot,
+                                              steps):
+        with patch.object(warm_mod, "ROTATION_PEC", rotation_pec):
+            geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
+                            op_fraction=op)
+            drive = Drive(geom, warm=WarmManager(geom))
+            ref = NumpyScalarDrive(geom, warm=NumpyScalarWarm(geom))
+            span = max(1, int(footprint * geom.logical_pages))
+            now = 0.0
+            for kind, arg in steps:
+                tunes = drive.warm.tune_count
+                hot_erases = drive.warm.hot_erases_since_rotation
+                due = hot_erases >= drive.warm.rotation_threshold
+                writes = ref.writes["host"]
+                outcomes = []
+                if kind == "sweep":
+                    now += arg[0] * DAY
+                    runs = [lambda d: d.refresh_sweep(now, arg[1] * DAY,
+                                                      include_hot)] * 2
+                else:
+                    pages = [page % span for _, page in arg]
+                    times = [now + i for i in range(len(arg))]
+                    is_write = [o == "W" for o, _ in arg]
+                    now += len(arg)
+
+                    def per_page(d):
+                        for page, t, write in zip(pages, times, is_write):
+                            (d.host_write if write else d.host_read)(page, t)
+                    runs = [lambda d: d.host_requests(pages, times, is_write),
+                            per_page]
+                for d, run in zip((drive, ref), runs):
+                    try:
+                        outcomes.append(run(d))
+                    except ValueError as exc:
+                        # the documented over-commit: too little spare space
+                        assert "over-committed" in str(exc)
+                        outcomes.append("over-committed")
+                assert outcomes[0] == outcomes[1]
+                states = [drive_state(d) for d in (drive, ref)]
+                assert states[0][1] == states[1][1]
+                for k, arr in states[0][0].items():
+                    assert np.array_equal(arr, states[1][0][k]), k
+                if outcomes[0] == "over-committed":
+                    event(f"over-committed in a {kind}")
+                    if kind == "window" and ref.writes["host"] > writes:
+                        event("over-committed mid-window")
+                    return
+                if kind == "window":
+                    event(f"window tuned: {drive.warm.tune_count > tunes}")
+                    if due:
+                        event("rotation due as the window began")
+                    if drive.warm.hot_erases_since_rotation < hot_erases:
+                        event("window rotated the hot pool")
+                assert drive.audit()
+
+
 _SCALAR_STEP = hst.one_of(
     hst.tuples(hst.just("write"), hst.integers(0, 1 << 20), hst.integers(1, 60)),
     # rewrites of a few low pages: they get promoted and fill hot blocks
@@ -538,7 +652,7 @@ class TestScalarViewProperty:
     sweeps."""
 
     def test_reference_replaces_the_per_page_path(self):
-        assert NumpyScalarDrive._program is not Drive._program
+        assert NumpyScalarDrive.host_write is not Drive.host_write
         assert NumpyScalarDrive.host_read is not Drive.host_read
         assert NumpyScalarWarm.route is not WarmManager.route
 
@@ -619,8 +733,8 @@ _EVENT = hst.tuples(_GAP_S, hst.sampled_from("RWWW"),
 
 class TestBatchedHostWriteProperty:
     """replay (runs of Drive.host_writes, reads counted in bulk) against
-    reference_replay (one host_write or host_read per page) on identical
-    WARM-free drives fed identical traces."""
+    reference_replay (one host_write or host_read per page of a
+    NumpyScalarDrive) on WARM-free drives fed identical traces."""
 
     @settings(max_examples=200)
     @given(n_blocks=hst.integers(4, 16),
@@ -640,7 +754,8 @@ class TestBatchedHostWriteProperty:
         cfg = LifetimeConfig(geometry=geom, initial_pec=initial_pec,
                              refresh=RefreshConfig(mode=mode,
                                                    period_s=period_days * DAY))
-        drives = [Drive(geom, initial_pec=initial_pec) for _ in range(2)]
+        drives = [cls(geom, initial_pec=initial_pec)
+                  for cls in (Drive, NumpyScalarDrive)]
         try:
             start = [fill_drive(d, passes=prefill) for d in drives][0]
         except ValueError:
@@ -716,8 +831,8 @@ class TestUniformWriteAmplification:
 
 class TestReplayWindowProperty:
     """replay listing pages in windows of 1, 3 and 7 pages, with WARM on
-    and off, against reference_replay on identical drives fed identical
-    traces: windows then end inside spans, inside runs of host writes and
+    and off, against reference_replay on a NumpyScalarDrive fed the same
+    trace: windows then end inside spans, inside runs of host writes and
     between a write and a later read of the same page."""
 
     @settings(max_examples=200)
@@ -740,8 +855,11 @@ class TestReplayWindowProperty:
         cfg = LifetimeConfig(geometry=geom, warm=warm, initial_pec=initial_pec,
                              refresh=RefreshConfig(mode=mode,
                                                    period_s=period_days * DAY))
-        drives = [Drive(geom, warm=WarmManager(geom) if warm else None,
-                        initial_pec=initial_pec) for _ in range(2)]
+        drives = [drive_cls(geom, warm=warm_cls(geom) if warm else None,
+                            initial_pec=initial_pec)
+                  for drive_cls, warm_cls in ((Drive, WarmManager),
+                                              (NumpyScalarDrive,
+                                               NumpyScalarWarm))]
         try:
             start = [fill_drive(d, passes=prefill) for d in drives][0]
         except ValueError:

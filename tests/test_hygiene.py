@@ -231,6 +231,9 @@ REFERENCE_ROOTS = {
     "models.applications.estimate_lifetime": "lifetime from fitted models, "
                                              "part of the north star",
     "controller.ftl.Drive.audit": "FTL invariant check the FTL tests run",
+    "controller.ftl.Drive.host_write": "one-page host write the FTL tests "
+                                       "drive; bench/tracer.py times it "
+                                       "until D1 times host_requests",
     "urt.fit_ea": "URT calibration from characterization (ROADMAP Direction 9)",
     "urt.fit_pvm": "URT calibration from characterization (ROADMAP Direction 9)",
     "urt.fit_srrm": "URT calibration from characterization (ROADMAP Direction 9)",
