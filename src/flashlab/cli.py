@@ -2,7 +2,9 @@
 
 Subcommands: fit, simulate, plan, layout, trace-stats. All outputs are
 JSON or CSV; every run writes a manifest (config hash, seed, package
-versions) next to its artifacts. ``simulate`` starts a run at the
+versions) next to its artifacts, ``simulate`` and ``plan`` only once
+their config (and ``simulate``'s trace) has passed its checks, so a
+config error writes nothing. ``simulate`` starts a run at the
 trace's first event, which it takes as time 0: the daily series and the
 heatwatch temperature profile's phase both start there. Exit codes: 0 ok,
 2 configuration error, 3 non-convergence, 4 uncorrectable data or
@@ -363,11 +365,11 @@ def cmd_simulate(args):
         raise ConfigError(f"--jobs {args.jobs} must be at least 1")
     doc = _load_config(args.config)
     out_dir = args.out
-    _write_manifest(out_dir, "simulate", doc, args.seed)
 
     if doc.get("experiment") == "heatwatch":
         hw_cfg, ecc_limit = _heatwatch_config(doc, args.seed)
         trace = _load_trace(args.trace)
+        _write_manifest(out_dir, "simulate", doc, args.seed)
         rm = RetentionModel3D()
         pack = urt_mod.calibration_pack_from_retention(rm)
         res = run_experiment(trace, pack, rm, ecc_limit, cfg=hw_cfg)
@@ -378,6 +380,7 @@ def cmd_simulate(args):
 
     configs = _check_policies(doc)
     trace = _load_trace(args.trace)
+    _write_manifest(out_dir, "simulate", doc, args.seed)
     items = [(name, cfg, trace) for name, cfg in configs.items()]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -407,8 +410,8 @@ def cmd_simulate(args):
 def cmd_plan(args):
     doc = _load_config(args.config)
     out_dir = args.out
-    _write_manifest(out_dir, "plan", doc, args.seed)
     out = _plan_tables(doc)
+    _write_manifest(out_dir, "plan", doc, args.seed)
     with open(os.path.join(out_dir, "plan.json"), "w") as fh:
         json.dump(out, fh, indent=2, sort_keys=True)
     print(json.dumps(out, sort_keys=True))
@@ -582,7 +585,7 @@ def build_parser():
     t = sub.add_parser("trace-stats", help="summarize a block trace")
     t.add_argument("trace")
     t.add_argument("--msr", action="store_true")
-    t.add_argument("--page-size", type=int, default=8192)
+    t.add_argument("--page-size", type=int, default=trace_mod.PAGE_SIZE)
     t.add_argument("--canonical-out")
     t.set_defaults(fn=cmd_trace_stats)
     return p

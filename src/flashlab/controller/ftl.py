@@ -18,30 +18,31 @@ order, would take them, and blocks close (firing on_block_closed) at the
 same points. No reclaim runs inside it, because its writes are never
 host writes.
 
-Batched host writes: on a drive without WARM, host_writes applies a run
-of host writes as one set of array scatters, with the last write of a
-page winning. It first allocates the cold open block if there is none,
-reclaiming as host_write would. Only then does it measure the room left
-in the open block, since reclaim can hand back a part-filled block, and
-it takes only as many pages as fit there. The result equals one
-host_write per page in run order.
-
-Windowed host requests: host_requests serves a window of reads and
-writes in order in one loop, one WARM route call per write and the
-program step inline, and adds the window's write counts and WARM's epoch
-bytes when it ends or raises. It checks for a due rotation only after
-the first write, a write that allocated (and so may have reclaimed) and
-a tune, since nothing else in the loop erases a hot block or lowers the
-threshold. It leaves the drive as one host_write per request would.
+Host writes: host_writes writes an array of logical pages, each at its
+own time, in order, and leaves the drive as one write per page would.
+The replay sends no read here, since the drive models no read effect: a
+read event only moves its clock (host_read serves tests). Without WARM
+the pages go in runs, each stamped with its first write's time and
+applied as one set of array scatters, the last write of a page winning.
+A run first allocates the cold open block if there is none, reclaiming
+as a one-page write would, and only then measures the room left, since
+reclaim can hand back a part-filled block; it takes only as many pages
+as fit there. With WARM the pages go in one loop, one route call per
+write and the program step inline, and the write counts and WARM's
+epoch bytes are added when it ends or raises. It checks for a due
+rotation only after the first write, a write that allocated (and so may
+have reclaimed) and a tune, since nothing else in the loop erases a hot
+block or lowers the threshold.
 
 Scalar views: map_view, rmap_view, valid_count_view, write_ptr_view and
 pool_view are memoryviews of map, rmap, valid_count, write_ptr and pool,
 made once in __init__ over the same buffers, so a write through either
-shows in both. The per-page paths (host_requests, host_read, and WARM's
-route) index the views, which read and write one element in about half
-the time numpy scalar indexing takes, and which read as Python ints. The
-vectorized paths use the arrays. No code rebinds these arrays after
-__init__, since a rebound array would leave its view on the old buffer.
+shows in both. The per-page paths (WARM's host_writes loop, host_read
+and WARM's route) index the views, which read and write one element in
+about half the time numpy scalar indexing takes, and which read as
+Python ints. The vectorized paths use the arrays. No code rebinds these
+arrays after __init__, since a rebound array would leave its view on the
+old buffer.
 A page is valid iff rmap holds its logical page; ``valid`` derives that
 mask from rmap rather than keeping a second copy of it.
 """
@@ -78,7 +79,8 @@ class Drive:
         self.write_ptr_view = memoryview(self.write_ptr)
         self.pool_view = memoryview(self.pool)
         self.free = list(range(nb))
-        heapq.heapify(self.free)  # wear-aware would key on pec; all equal here
+        # popped lowest id first, whatever its wear; see rotate_hot_pool
+        heapq.heapify(self.free)
         self.open_block = {COLD: None, HOT: None}
         self.warm = warm
         self.now = 0.0
@@ -107,32 +109,33 @@ class Drive:
     # --- host interface ----------------------------------------------------
 
     def host_write(self, lba_page, now):
-        self.host_requests((lba_page,), (now,), (True,))
+        self.host_writes(np.array([lba_page], dtype=np.int64),
+                         np.array([now], dtype=np.float64))
 
-    def host_requests(self, pages, times, is_write):
-        """Read or write (``is_write[i]``) logical page ``pages[i]`` at
-        ``times[i]``, in order; see "Windowed host requests" above."""
+    def host_writes(self, pages, times):
+        """Host-write logical page ``pages[i]`` (an int64 array) at
+        ``times[i]`` (a float array), in order; see "Host writes" above."""
         warm = self.warm
-        route = None if warm is None else warm.route
-        host_read, open_block = self.host_read, self.open_block
+        if warm is None:
+            done = 0
+            while done < pages.size:
+                done += self._write_run(pages[done:], times.item(done))
+            return
+        route, open_block = warm.route, self.open_block
         map_, rmap = self.map_view, self.rmap_view
         valid_count, write_ptr = self.valid_count_view, self.write_ptr_view
         ppb, page_size = self.pages_per_block, self.page_size
-        epoch, tune_at = ((0, float("inf")) if warm is None else
-                          (warm.epoch_host_bytes, warm.geom.logical_bytes))
-        check_rotation = warm is not None
+        epoch, tune_at = warm.epoch_host_bytes, warm.geom.logical_bytes
+        check_rotation = True
         written = hot = 0
         try:
-            for page, now, write in zip(pages, times, is_write):
-                if not write:
-                    host_read(page, now)
-                    continue
+            for page, now in zip(pages.tolist(), times.tolist()):
                 self.now = now
-                pool = COLD if route is None else route(self, page)
+                pool = route(self, page)
                 blk = open_block[pool]
                 if blk is None:
                     blk = self._allocate(pool, "host")
-                    check_rotation = warm is not None
+                    check_rotation = True
                 ptr = write_ptr[blk]
                 ppn = blk * ppb + ptr
                 write_ptr[blk] = ptr + 1
@@ -159,14 +162,12 @@ class Drive:
             self.writes["host"] += written
             self.pool_writes[HOT] += hot
             self.pool_writes[COLD] += written - hot
-            if warm is not None:
-                warm.epoch_host_bytes = epoch
+            warm.epoch_host_bytes = epoch
 
-    def host_writes(self, pages, now):
-        """Host-write ``pages`` (a non-empty int64 array of logical pages)
-        in order at time ``now``, as many as fit in the cold open block;
-        returns how many were taken. For a drive without WARM; see
-        "Batched host writes" above."""
+    def _write_run(self, pages, now):
+        """Host-write ``pages`` (a non-empty int64 array) in order at time
+        ``now``, as many as fit in the cold open block; returns how many
+        were taken. For a drive without WARM."""
         self.now = now
         ppb = self.pages_per_block
         blk = self.open_block[COLD]
@@ -202,7 +203,6 @@ class Drive:
 
     def host_read(self, lba_page, now):
         """Returns (ppn, block age in seconds) or None if never written."""
-        self.now = now
         ppn = self.map_view[lba_page]
         if ppn < 0:
             return None
@@ -320,7 +320,10 @@ class Drive:
         self.warm.demotions += n_live
 
     def rotate_hot_pool(self):
-        """Move hot-pool contents onto fresh low-wear blocks."""
+        """Move the hot pool's live pages onto blocks popped from the free
+        heap. The heap gives the lowest free block id, not the least worn
+        block, and the blocks this rotation erases go back on it, so the
+        next rotation can move the hot data back onto them."""
         for blk in list(self.warm.hot_closed):
             self._migrate_block(blk, HOT, "gc")
         self.warm.hot_erases_since_rotation = 0

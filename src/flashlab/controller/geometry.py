@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 
-from ..trace import check_page_size
+from ..trace import PAGE_SIZE, check_page_size
 
 SECONDS_PER_DAY = 86400.0
 THREE_YEARS_S = 3 * 365 * SECONDS_PER_DAY
@@ -15,7 +15,7 @@ PEC_AT_THREE_YEARS = 3000.0
 @dataclass(frozen=True)
 class Geometry:
     capacity_bytes: int
-    page_size: int = 8192
+    page_size: int = PAGE_SIZE
     block_size: int = 1 << 20
     op_fraction: float = 0.15
 

@@ -32,13 +32,12 @@ import numpy as np
 from ..models.applications import estimate_rber, sweep_vopt
 from ..models.simplex import bisect_failure
 from .. import urt as urt_mod
-from ..trace import PAGE_WINDOW, page_windows
+from ..trace import PAGE_SIZE, PAGE_WINDOW, page_windows
 from ..urt import RetentionAges, state_models as truth_models
 from .policies import ReadContext, policy_refs
 
 HEATWATCH_POLICIES = ("fixed", "retention_only", "remar", "heatwatch", "oracle")
 
-PAGE_SIZE = 8192        # bytes per page of the replayed trace
 TICK_S = 60.0           # temperature sampling period
 MIN_AGE_S = 600.0       # youngest data a sampled read may return
 PEC_HI = 60000          # lifetime search ceiling, P/E cycles

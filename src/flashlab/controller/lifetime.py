@@ -110,27 +110,23 @@ def series_rber(drive, age_s):
 def replay(trace, drive, cfg):
     """Drive the FTL through a trace; returns the daily series.
 
-    Each event reads or writes every page of its span
-    (``Trace.page_spans``), folded into the drive's logical pages. The
-    timestamps must not decrease; the CLI rejects a trace in which they
-    do.
+    Each write event writes every page of its span (``Trace.page_spans``),
+    folded into the drive's logical pages. The drive models no read
+    effect, so a read event lists no pages and only moves the clock: it
+    can place the cuts below. The timestamps must not decrease; the CLI
+    rejects a trace in which they do.
 
     Cut order: before the first event at or past a pending refresh check
     or day close, every due refresh check runs, oldest first, and then
     every due day close. So a gap of over a day runs all of its hourly
     refresh passes before it closes any of its days. The pages between
-    two cuts run in windows of at most PAGE_WINDOW pages, so memory does
-    not grow with the trace or its largest span. WARM routes write by
-    write, so with WARM a window goes page by page, in order, through one
-    ``Drive.host_requests`` loop. Without WARM a window's writes reach the
-    FTL as runs of host writes (``Drive.host_writes``) and its reads are
-    counted in bulk: a read counts iff its page was mapped when the window
-    began or is written earlier in the window, since no mapping is ever
-    removed.
+    two cuts go to ``Drive.host_writes`` in windows of at most PAGE_WINDOW
+    pages, one call per window, so memory does not grow with the trace or
+    its largest span.
     """
     now = trace.timestamp_us / 1e6
     first, count = trace.page_spans(cfg.geometry.page_size)
-    access = _in_runs if drive.warm is None else _per_page
+    count = np.where(trace.is_write, count, 0)
     series = []
     last = dict.fromkeys(("host", "gc", "refresh"), 0)
 
@@ -148,9 +144,8 @@ def replay(trace, drive, cfg):
         cut = int(np.searchsorted(now, min(next_refresh, next_day)))
         for events, pages in page_windows(first[done:cut], count[done:cut],
                                           PAGE_WINDOW):
-            events += done
-            access(drive, pages % cfg.geometry.logical_pages, now[events],
-                   trace.is_write[events])
+            drive.host_writes(pages % cfg.geometry.logical_pages,
+                              now[events + done])
         if cut == len(trace):
             break
         while now[cut] >= next_refresh:
@@ -162,35 +157,6 @@ def replay(trace, drive, cfg):
         done = cut
     close_day()
     return series
-
-
-def _per_page(drive, pages, page_now, is_write):
-    """One window of the replay, page by page: one ``host_requests`` call."""
-    drive.host_requests(pages.tolist(), page_now.tolist(), is_write.tolist())
-
-
-def _in_runs(drive, pages, page_now, is_write):
-    """One window of the replay, the writes as runs of ``Drive.host_writes``
-    and the reads counted in bulk up to each run before it is written,
-    leaving the drive as ``_per_page`` would, also when a run raises."""
-    writes = np.flatnonzero(is_write)
-    # the window's first write of each of its pages, or pages.size
-    ids, page_id = np.unique(pages, return_inverse=True)
-    first_write = np.full(ids.size, pages.size)
-    written, at = np.unique(page_id[writes], return_index=True)
-    first_write[written] = writes[at]
-    counted = ~is_write & ((drive.map[pages] >= 0)
-                           | (first_write[page_id] < np.arange(pages.size)))
-    reads_before = np.concatenate(([0], np.cumsum(counted)))
-    write_pages = pages[writes]
-    done = read_to = 0
-    while done < writes.size:
-        pos = writes.item(done)
-        drive.reads += int(reads_before[pos] - reads_before[read_to])
-        read_to = pos
-        done += drive.host_writes(write_pages[done:], float(page_now[pos]))
-    drive.reads += int(reads_before[-1] - reads_before[read_to])
-    drive.now = float(page_now[-1])
 
 
 def run_lifetime(trace, cfg):

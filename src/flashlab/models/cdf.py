@@ -13,7 +13,7 @@ own parameters (ER -> P3, P1 -> P2).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -105,22 +105,6 @@ def component_cdf(model, v):
     if model.family == "normal_laplace":
         return ncdf(v, model.mu, model.sigma, model.alpha, model.beta)
     return tcdf(v, model.mu, model.sigma, model.alpha, model.beta)
-
-
-def enforce_constraints(models):
-    """Apply the reduced-parameter constraints to a 4-state model dict.
-
-    lambda is zeroed for P2/P3; ER's tails are tied (beta := alpha) and
-    P3's likewise (alpha := beta).
-    """
-    out = dict(models)
-    er, p3 = out[CellState.ER], out[CellState.P3]
-    if er.family != "gaussian":
-        out[CellState.ER] = replace(er, beta=er.alpha)
-        out[CellState.P3] = replace(p3, alpha=p3.beta)
-    out[CellState.P2] = replace(out[CellState.P2], lam=0.0)
-    out[CellState.P3] = replace(out[CellState.P3], lam=0.0)
-    return out
 
 
 class GaussianColumn(NamedTuple):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..grid import BOUNDARIES, MISPROGRAM_TARGET, CellState
-from .cdf import (KL_FLOOR, StateModel, bin_masses, component_cdf,
-                  enforce_constraints, mix, model_density, pooled_kl)
+from .cdf import (KL_FLOOR, StateModel, bin_masses, component_cdf, mix,
+                  model_density, pooled_kl)
 from .simplex import nelder_mead
 
 # Fit order: misprogram targets first so their parameters are available.
@@ -88,8 +88,8 @@ def _pack_state(model, family, state):
 
 def _state_model(family, state, kw):
     """One state's model from its free parameters (``_state_param_names``):
-    the tied tail is copied in as ``enforce_constraints`` ties it, ER's
-    beta := alpha and P3's alpha := beta."""
+    the tied tail is copied in, ER's beta := alpha and P3's alpha := beta,
+    and lam, free only for a misprogrammed state, stays 0 elsewhere."""
     if family != "gaussian":
         if state == CellState.ER:
             kw["beta"] = kw["alpha"]
@@ -124,7 +124,8 @@ def empirical_moments(hist, state):
 
 
 def default_init(hist, family):
-    """Empirical mean/stddev per state; tails at 5, lambda at 1e-4."""
+    """Empirical mean/stddev per state; tails at 5, so tied, and lambda at
+    1e-4 on a misprogrammed state, 0 on the others."""
     models = {}
     for st in CellState:
         mu, sigma = empirical_moments(hist, st)
@@ -134,7 +135,7 @@ def default_init(hist, family):
             models[st] = StateModel(family, mu, sigma)
         else:
             models[st] = StateModel(family, mu, sigma, alpha=5.0, beta=5.0, lam=lam)
-    return enforce_constraints(models)
+    return models
 
 
 def fit_static(hist, family):
@@ -197,7 +198,6 @@ def fit_static(hist, family):
         models[tgt] = _unpack_state(x[n:], family, tgt)
         total_iters += iters
         converged &= ok
-    models = enforce_constraints(models)
     return FitResult(models, pooled_kl(measured, model_density(models)), total_iters,
                      converged)
 

@@ -13,8 +13,9 @@ the pages a page-mapped FTL reads for a read and rewrites for a write,
 read-modify-writing a page the write covers only in part.
 ``Trace.page_spans`` is the only place the rule is written down; replay,
 HeatWatch sampling and trace statistics all count pages through it. Replay
-and HeatWatch sampling list the pages with ``page_windows``, at most
-PAGE_WINDOW of them at a time; trace statistics list none.
+(of write spans only) and HeatWatch sampling list the pages with
+``page_windows``, at most PAGE_WINDOW of them at a time; trace statistics
+list none.
 
 Bulk canonical reader: ``parse_canonical`` reads the body as bytes,
 CHUNK_BYTES at a time cut at line ends, so its transient memory does not
@@ -35,6 +36,7 @@ import csv
 import numpy as np
 
 SECTOR_BYTES = 512
+PAGE_SIZE = 8192        # bytes per page, the default of every workflow
 
 CANONICAL_HEADER = ["timestamp_us", "op", "lba", "size_bytes"]
 CHUNK_BYTES = 1 << 20   # the bulk reader's read size
@@ -242,7 +244,7 @@ def _canonical_event(row):
     return t, op == "W", lba, size
 
 
-def hotness_cdf(trace, page_size=8192):
+def hotness_cdf(trace, page_size=PAGE_SIZE):
     """Write-concentration curve.
 
     Returns (page_fraction, write_fraction): after sorting pages by write

@@ -10,8 +10,8 @@ runs any of it.
   quantization; ER-state vth may be negative (such cells land in bin 0).
 - A seeded, skewed synthetic trace, the input of the replay, HeatWatch
   and CLI tests, and the Trace of a list of rows.
-- The per-page trace replay, which ``replay``'s runs of host writes are
-  checked against.
+- The per-page trace replay, in which a read event writes nothing, which
+  ``replay``'s windows of host writes are checked against.
 - The heatwatch experiment's temperature noise, drawn one tick at a time
   from one ``default_rng(seed)``, and its per-page walk for eligible reads
   over a dict of write times, which ``urt.temp_generate`` and
@@ -22,8 +22,11 @@ runs any of it.
   (one routed program step, then WARM's tune and rotation checks) and
   ``host_read`` as they were before the windowed loop and the scalar
   memoryviews, and ``WarmManager.route`` before the views. The windowed
-  ``Drive.host_requests``, the batched migration and the view-based path
+  ``Drive.host_writes``, the batched migration and the view-based path
   are checked against it.
+- The reduced-parameter constraints of a 4-state model (tied ER and P3
+  tails, no misprogram mass on P2 and P3), which the static fit's
+  parametrization holds by construction; tests build models with them.
 - Readers of ``fit``'s model.json and dynamic.json, which pin their
   format.
 - The builder of a multi-rate ECC ladder for ``multirate_lifetime``.
@@ -35,7 +38,7 @@ runs any of it.
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import lambertw
@@ -50,7 +53,7 @@ from flashlab.controller.lifetime import REFRESH_CHECK_S, series_rber
 from flashlab.controller.refresh import run_refresh
 from flashlab.controller import warm as warm_mod
 from flashlab.controller.warm import COLD, HOT, WarmManager
-from flashlab.models.cdf import StateModel, enforce_constraints
+from flashlab.models.cdf import StateModel
 from flashlab.models import fitting
 from flashlab.models.fitting import PowerLawParams
 from flashlab.models.tables import default_tables
@@ -293,10 +296,10 @@ def reference_eligible_reads(trace):
 
 
 def reference_replay(trace, drive, cfg):
-    """The replay that preceded runs of ``Drive.host_writes`` and windows
-    of ``Drive.host_requests``: before each event every due refresh
-    check, then every due day close, then one host_write or host_read per
-    page of its span, on a NumpyScalarDrive (the per-page path)."""
+    """The replay that preceded windows of ``Drive.host_writes``: before
+    each event every due refresh check, then every due day close, then,
+    for a write, one host_write per page of its span, on a
+    NumpyScalarDrive (the per-page path). A read event writes nothing."""
     assert isinstance(drive, NumpyScalarDrive)
     first, count = trace.page_spans(cfg.geometry.page_size)
     n_logical = cfg.geometry.logical_pages
@@ -321,9 +324,9 @@ def reference_replay(trace, drive, cfg):
         while now >= next_day:
             close_day()
             next_day += SECONDS_PER_DAY
-        access = drive.host_write if is_write else drive.host_read
-        for p in range(page, page + n):
-            access(p % n_logical, now)
+        if is_write:
+            for p in range(page, page + n):
+                drive.host_write(p % n_logical, now)
     close_day()
     return series
 
@@ -418,6 +421,25 @@ class NumpyScalarWarm(WarmManager):
                 return HOT
         self.cold_writes += 1
         return COLD
+
+
+# --- 4-state models -----------------------------------------------------------
+
+
+def enforce_constraints(models):
+    """Apply the reduced-parameter constraints to a 4-state model dict.
+
+    lambda is zeroed for P2/P3; ER's tails are tied (beta := alpha) and
+    P3's likewise (alpha := beta).
+    """
+    out = dict(models)
+    er, p3 = out[CellState.ER], out[CellState.P3]
+    if er.family != "gaussian":
+        out[CellState.ER] = replace(er, beta=er.alpha)
+        out[CellState.P3] = replace(p3, alpha=p3.beta)
+    out[CellState.P2] = replace(out[CellState.P2], lam=0.0)
+    out[CellState.P3] = replace(out[CellState.P3], lam=0.0)
+    return out
 
 
 # --- fit's JSON artifacts ---------------------------------------------------

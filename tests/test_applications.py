@@ -16,9 +16,9 @@ from flashlab.models.applications import (LIFETIME_HALVINGS, VC_SEARCH_MAX,
                                           estimate_lifetime, estimate_rber,
                                           predict_vopt, region_masses,
                                           sweep_vopt)
-from flashlab.models.cdf import GaussianBatch, StateModel, enforce_constraints
+from flashlab.models.cdf import GaussianBatch, StateModel
 from flashlab.models.fitting import PowerLawParams
-from reference import measure_rber, sample_page
+from reference import enforce_constraints, measure_rber, sample_page
 
 
 def gauss_models(mus=(30.0, 110.0, 183.0, 260.0), sigmas=(12.0, 9.0, 9.0, 9.0)):

@@ -233,7 +233,11 @@ REFERENCE_ROOTS = {
     "controller.ftl.Drive.audit": "FTL invariant check the FTL tests run",
     "controller.ftl.Drive.host_write": "one-page host write the FTL tests "
                                        "drive; bench/tracer.py times it "
-                                       "until D1 times host_requests",
+                                       "until D1 times host_writes",
+    "controller.ftl.Drive.host_read": "one-page host read (and Drive.reads, "
+                                      "its count) that the FTL tests drive "
+                                      "and bench/tracer.py times; the "
+                                      "replay models no read effect",
     "urt.fit_ea": "URT calibration from characterization (ROADMAP Direction 9)",
     "urt.fit_pvm": "URT calibration from characterization (ROADMAP Direction 9)",
     "urt.fit_srrm": "URT calibration from characterization (ROADMAP Direction 9)",

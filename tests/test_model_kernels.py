@@ -22,12 +22,12 @@ from hypothesis import strategies as hst
 
 from flashlab.grid import BOUNDARIES, MISPROGRAM_TARGET, CellState
 from flashlab.models import fitting
-from flashlab.models.cdf import (StateModel, bin_masses, enforce_constraints,
-                                 gcdf, model_density, ncdf, pooled_kl,
-                                 state_cdf, tcdf)
+from flashlab.models.cdf import (StateModel, bin_masses, gcdf, model_density,
+                                 ncdf, pooled_kl, state_cdf, tcdf)
 from flashlab.models.simplex import nelder_mead
 from flashlab.models.tables import default_tables
-from reference import bin_cells, pack_all, sample_page, unpack_all
+from reference import (bin_cells, enforce_constraints, pack_all,
+                       sample_page, unpack_all)
 
 TAB = default_tables()
 

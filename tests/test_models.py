@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as hst
 
 from flashlab import urt
 from flashlab.grid import CellState
-from flashlab.models.cdf import (StateModel, enforce_constraints, gaussian_states,
-                                 gcdf, kl_divergence, model_density, ncdf,
+from flashlab.models.cdf import (StateModel, gaussian_states, gcdf,
+                                 kl_divergence, model_density, ncdf,
                                  pooled_kl, tcdf)
 from flashlab.models import fitting
 from flashlab.models.fitting import (PowerLawParams, default_init,
@@ -20,8 +20,8 @@ from flashlab.models.fitting import (PowerLawParams, default_init,
                                      save_models_json)
 from flashlab.models.simplex import NanObjective, bisect_failure, nelder_mead
 from flashlab.models.tables import NU_GRID, LookupTables, default_tables
-from reference import (bin_cells, load_models_json, models_from_dict,
-                       sample_page)
+from reference import (bin_cells, enforce_constraints, load_models_json,
+                       models_from_dict, sample_page)
 
 
 TAB = default_tables()
