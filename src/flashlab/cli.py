@@ -2,13 +2,13 @@
 
 Subcommands: fit, simulate, plan, layout, trace-stats. All outputs are
 JSON or CSV; every run writes a manifest (config hash, seed, package
-versions) next to its artifacts, ``simulate`` and ``plan`` only once
-their config (and ``simulate``'s trace) has passed its checks, so a
-config error writes nothing. ``simulate`` starts a run at the
-trace's first event, which it takes as time 0: the daily series and the
-heatwatch temperature profile's phase both start there. Exit codes: 0 ok,
-2 configuration error, 3 non-convergence, 4 uncorrectable data or
-infeasible layout.
+versions) next to its artifacts, ``fit``, ``simulate`` and ``plan`` only
+once their inputs (``fit``'s every histogram, ``simulate``'s config and
+trace, ``plan``'s config) have passed their checks, so a config error
+writes nothing. ``simulate`` starts a run at the trace's first event,
+which it takes as time 0: the daily series and the heatwatch temperature
+profile's phase both start there. Exit codes: 0 ok, 2 configuration
+error, 3 non-convergence, 4 uncorrectable data or infeasible layout.
 
 The key tables ``_POLICY`` (``simulate``'s policies), ``_HEATWATCH`` with
 ``_TEMP`` (``simulate``'s heatwatch experiment) and ``_PLAN`` with
@@ -202,15 +202,19 @@ def cmd_fit(args):
                                          and args.predict >= 0):
         raise ConfigError(f"--predict {args.predict} is not a finite P/E"
                           " count >= 0")
-    pecs = _dynamic_pecs(args) if args.dynamic else None
+    # every input is read before anything is written (a static fit reads
+    # only the first)
+    pecs = _dynamic_pecs(args) if args.dynamic else [None]
+    hists = [(pec, load_histogram_csv(path))
+             for pec, path in sorted(zip(pecs, args.inputs))]
     out_dir = args.out
     _write_manifest(out_dir, "fit", vars(args), args.seed)
 
     if args.dynamic:
         family = families[0]
         fits = []
-        for pec, path in sorted(zip(pecs, args.inputs)):
-            fr = fit_static(load_histogram_csv(path), family)
+        for pec, hist in hists:
+            fr = fit_static(hist, family)
             if _nonconverged(fr):
                 return EXIT_NONCONVERGENCE
             fits.append((pec, fr))
@@ -225,7 +229,7 @@ def cmd_fit(args):
             json.dump(dynamic_to_dict(dynamic), fh, indent=2, sort_keys=True)
         return EXIT_OK
 
-    hist = load_histogram_csv(args.inputs[0])
+    hist = hists[0][1]
     results = {}
     for family in families:
         fr = fit_static(hist, family)
@@ -263,7 +267,7 @@ _POLICY_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 _POLICY = {
     "name": (str, ..., None),
     "capacity_bytes": (int, 1 << 30, None),
-    "op_fraction": (float, None, "(0, 1)"),  # None: Geometry's default
+    "op_fraction": (float, Geometry.op_fraction, "(0, 1)"),
     "refresh": (str, "none", None),
     "warm": (bool, LifetimeConfig.warm, None),
     # the int64 P/E counters start here; this leaves them room to count
@@ -291,13 +295,9 @@ def _check_policies(doc):
                               " 'manifest'")
         where = f"policy {name!r}"
         p = _checked(entry, _POLICY, where)
-        # a ** call as before: test_hygiene's settings guard then counts
-        # Geometry's page_size and block_size, which only tests vary, as set
-        geom_kw = ({} if p["op_fraction"] is None
-                   else {"op_fraction": p["op_fraction"]})
         try:
             configs[name] = LifetimeConfig(
-                Geometry(p["capacity_bytes"], **geom_kw),
+                Geometry(p["capacity_bytes"], op_fraction=p["op_fraction"]),
                 warm=p["warm"], refresh=_parse_refresh(p["refresh"]),
                 initial_pec=p["initial_pec"], mode=p["mode"],
                 ecc_limit=p["ecc_limit"])
@@ -370,9 +370,9 @@ def cmd_simulate(args):
         hw_cfg, ecc_limit = _heatwatch_config(doc, args.seed)
         trace = _load_trace(args.trace)
         _write_manifest(out_dir, "simulate", doc, args.seed)
-        rm = RetentionModel3D()
-        pack = urt_mod.calibration_pack_from_retention(rm)
-        res = run_experiment(trace, pack, rm, ecc_limit, cfg=hw_cfg)
+        pack = urt_mod.calibration_pack_from_retention()
+        res = run_experiment(trace, pack, RetentionModel3D(), ecc_limit,
+                             cfg=hw_cfg)
         with open(os.path.join(out_dir, "heatwatch.json"), "w") as fh:
             json.dump(res, fh, indent=2, sort_keys=True)
         print(json.dumps(res, sort_keys=True))

@@ -1,9 +1,10 @@
 """Read-reference policies.
 
-Policies turn what the controller knows (wear, data age, thermal history,
-layer) into the three read references for a batch of reads at one wear
-level: an (S, 3) array of steps, a row per read, or (3,) steps that
-serve them all. A policy keeps no state between batches.
+Policies turn what the controller knows (wear, data age, thermal history)
+into the three read references for a batch of reads at one wear level:
+an (S, 3) array of steps, a row per read, or (3,) steps that serve them
+all. A policy keeps no state between batches, and none reads a
+wordline's layer (LaVAR waits on ROADMAP Direction 10).
 """
 
 from dataclasses import dataclass
@@ -25,8 +26,6 @@ class ReadContext:
     """
     pec: float = 0.0
     age_s: np.ndarray = None           # wall-clock data age
-    layer_va_offset: int = 0           # this wordline's layer deviation, steps
-    layer_vb_offset: int = 0
     eff_retention_s: object = None     # room-equivalent age; heatwatch needs it
 
 
@@ -69,10 +68,6 @@ def policy_refs(policy, ctx, retention_model=None, calibration=None,
         return DEFAULT_READ_REFS if fixed_refs is None else fixed_refs
     if policy in ("retention_only", "remar"):
         return _retention_steps(retention_model, ctx.pec, ctx.age_s)
-    if policy == "lavar":
-        va, vb, vc = _retention_steps(retention_model, ctx.pec, ctx.age_s).T
-        return ordered_refs(va + ctx.layer_va_offset,
-                            vb + ctx.layer_vb_offset, vc)
     if policy == "heatwatch":
         return heatwatch_refs(calibration, ctx)
     if policy == "oracle":

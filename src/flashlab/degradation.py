@@ -1,14 +1,10 @@
-"""Parametric degradation models for 3D MLC NAND.
-
-Covers retention loss (the 3D retention model, with the read references
-it implies) and layer-to-layer variation (per-layer read-reference droop
-and gamma-distributed RBER multipliers).
-Retention drives the controller's read-reference policies and the
-lifetime replay's RBER series.
+"""Parametric retention loss of 3D MLC NAND: the 3D retention model, with
+the read references it implies. It drives the controller's
+read-reference policies and the lifetime replay's RBER series; no
+workflow models layer-to-layer variation yet (ROADMAP Direction 10).
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,14 +30,13 @@ RETENTION_TABLE = {
 }
 
 
-@dataclass(frozen=True)
 class RetentionModel3D:
-    coeffs: dict = field(default_factory=lambda: dict(RETENTION_TABLE))
+    """The retention regression of RETENTION_TABLE."""
 
     def eval(self, variable, pec, t_seconds):
         if t_seconds < 1:
             raise ValueError("retention model is defined for t >= 1 s")
-        alpha, beta, gamma, delta = self.coeffs[variable]
+        alpha, beta, gamma, delta = RETENTION_TABLE[variable]
         value = gamma * pec + delta
         if alpha is not None:
             value += (alpha * pec + beta) * math.log(t_seconds)
@@ -54,62 +49,3 @@ def retention_refs(model, pec, ages):
     steps = (np.array([round(model.eval(row, pec, t)) for t in ages], dtype=int)
              for row in ("va", "vb", "vc"))
     return ordered_refs(*steps)
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    shape: float
-    scale: float
-
-    def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("gamma parameters must be positive")
-
-    @property
-    def mean(self):
-        return self.shape * self.scale
-
-
-@dataclass(frozen=True)
-class OffsetShape:
-    """Layer curve for read-reference offsets: flat bottom half, linear
-    droop over the top half. vc never moves."""
-
-    va_drop: float = 4.0
-    vb_drop: float = 2.0
-
-
-@dataclass
-class LayerProfile:
-    va_offset: np.ndarray  # (101,) voltage steps
-    vb_offset: np.ndarray
-    rber_multiplier: np.ndarray  # positive, mean ~1
-
-
-def sample_layer_profile(gamma, offset_cfg=None, seed=0, n_layers=101):
-    offset_cfg = offset_cfg or OffsetShape()
-    rng = np.random.default_rng(seed)
-    mult = rng.gamma(gamma.shape, gamma.scale, n_layers) / gamma.mean
-    mult = np.maximum(mult, 1e-6)
-
-    layers = np.arange(n_layers)
-    half = n_layers // 2
-    ramp = np.where(layers <= half, 0.0, (layers - half) / (n_layers - 1 - half))
-    return LayerProfile(
-        va_offset=-offset_cfg.va_drop * ramp,
-        vb_offset=-offset_cfg.vb_drop * ramp,
-        rber_multiplier=mult,
-    )
-
-
-def fit_gamma(samples):
-    """Method-of-moments gamma fit for per-layer RBER variation."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 30:
-        raise ValueError("need at least 30 samples")
-    if np.any(x <= 0):
-        raise ValueError("samples must be positive")
-    mean, var = float(np.mean(x)), float(np.var(x))
-    if var <= 0:
-        raise ValueError("zero-variance samples cannot be gamma-fit")
-    return GammaParams(shape=mean**2 / var, scale=var / mean)

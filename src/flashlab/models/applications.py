@@ -1,6 +1,5 @@
-"""Controller-facing applications of the fitted distribution models:
-RBER estimation, optimal read reference prediction and lifetime
-estimation.
+"""Controller-facing applications of the distribution models: RBER
+estimation and optimal read reference prediction.
 
 Every result is on the fixed read-retry step axis of ``grid``: a
 reference at step k reads at voltage k, and the Vopt searches cover steps
@@ -20,21 +19,14 @@ import numpy as np
 
 from ..grid import LSB_OF_STATE, MSB_OF_STATE, CellState, ordered_refs
 from .cdf import state_cdf
-from .fitting import predict_static
-from .simplex import bisect_failure
 
 # Vopt search range for the top reference extends past the binning grid,
 # matching the stock vc.
 VC_SEARCH_MAX = 400
-_DENSITY_H = 0.25  # half-width of _density's central difference
-LIFETIME_PEC_MAX = 200000.0  # estimate_lifetime's search ceiling, P/E cycles
-LIFETIME_HALVINGS = 11       # 200000 / 2**11 = 97.7 P/E resolution
 
-# Voltages of reference steps 1..VC_SEARCH_MAX, and of the half-way points
-# between neighboring steps; read-only.
+# Voltages of reference steps 1..VC_SEARCH_MAX; read-only.
 _STEPS = np.arange(1, VC_SEARCH_MAX + 1, dtype=float)
-_HALF_STEPS = (_STEPS[:-1] + _STEPS[1:]) / 2.0
-_STEPS.flags.writeable = _HALF_STEPS.flags.writeable = False
+_STEPS.flags.writeable = False
 
 
 @dataclass
@@ -73,12 +65,6 @@ def estimate_rber(models, refs):
     msb /= 4.0
     lsb /= 4.0
     return RBEREstimate(total=(msb + lsb) / 2.0, msb=msb, lsb=lsb)
-
-
-def _density(models, state, v):
-    lo = state_cdf(models, state, np.asarray(v, dtype=float) - _DENSITY_H)
-    hi = state_cdf(models, state, np.asarray(v, dtype=float) + _DENSITY_H)
-    return (hi - lo) / (2.0 * _DENSITY_H)
 
 
 def _round_to_step(voltage):
@@ -124,58 +110,28 @@ def _gaussian_crossing(lo, hi):
     return out
 
 
-def _scanned_step(models, lo, hi):
-    """Rounded step of the density crossing between two means, or None.
-
-    The density gap is evaluated once, at the means and at every half-way
-    voltage between them. A crossing from the lower state's side to the
-    upper's rounds to step k exactly when it lies past the half-way
-    voltage below step k and not past the one above it. Where the gap
-    changes sign that way more than once (a tail wiggle), the crossing
-    whose step misreads the least mass wins.
-    """
-    a, b = models[lo].mu, models[hi].mu
-    first = int(np.searchsorted(_HALF_STEPS, a, side="right"))
-    last = int(np.searchsorted(_HALF_STEPS, b, side="left"))
-    v = np.concatenate(([a], _HALF_STEPS[first:last], [b]))
-    gap = _density(models, lo, v) - _density(models, hi, v)
-    if gap[0] <= 0 or gap[-1] >= 0:
-        return None
-    ks = first + np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
-    k = ks[0]
-    if len(ks) > 1:
-        vs = _STEPS[ks]
-        miss = (1.0 - state_cdf(models, lo, vs)) + state_cdf(models, hi, vs)
-        k = ks[np.argmin(miss)]
-    return int(k) + 1
-
-
 def predict_vopt(models):
-    """Predict optimal read references.
+    """Predict optimal read references of pure Gaussian models (no
+    misprogram mass); any other model raises ValueError.
 
-    Each reference sits where the two neighboring state densities cross:
-    in closed form when both states are pure Gaussians, otherwise by one
-    vectorized scan of the density gap between the means. Returns
-    (steps, fell): (3,) steps and a (3,) bool mask of the boundaries that
-    fell back to the mean midpoint because the densities never crossed,
-    or (S, 3) of each for a GaussianBatch.
+    Each reference sits where the two neighboring state densities cross,
+    in closed form. Returns (steps, fell): (3,) steps and a (3,) bool mask
+    of the boundaries that fell back to the mean midpoint because the
+    densities never crossed, or (S, 3) of each for a GaussianBatch.
     """
+    if not all(models[st].family == "gaussian" and models[st].lam == 0.0
+               for st in CellState):
+        raise ValueError("predict_vopt takes pure Gaussian models")
     mus = np.concatenate(np.atleast_1d(*(models[st].mu for st in CellState)),
                          axis=-1)
     if not np.all(mus[..., :-1] < mus[..., 1:]):
         raise ValueError("state means must be ordered ER < P1 < P2 < P3")
 
-    steps = []  # per boundary; 0 where the densities never cross
-    for i in range(3):
-        lo, hi = CellState(i), CellState(i + 1)
-        if all(models[st].family == "gaussian" and models[st].lam == 0.0
-               for st in (lo, hi)):
-            v = _gaussian_crossing(models[lo], models[hi])
-            steps.append(np.where(np.isnan(v), 0, _round_to_step(v)))
-        else:
-            steps.append(_scanned_step(models, lo, hi) or 0)
-    steps = np.concatenate(np.atleast_1d(*steps), axis=-1)
-    fell = steps == 0
+    v = np.concatenate([_gaussian_crossing(models[CellState(i)],
+                                           models[CellState(i + 1)])
+                        for i in range(3)], axis=-1)
+    fell = np.isnan(v)
+    steps = _round_to_step(v)
     mid = _round_to_step((mus[..., :-1] + mus[..., 1:]) / 2.0)
     # Keep the ordering strict after rounding.
     return ordered_refs(*np.moveaxis(np.where(fell, mid, steps), -1, 0)), fell
@@ -196,21 +152,3 @@ def sweep_vopt(models):
         best.append(np.argmin((1.0 - lo) + hi, axis=-1) + 1)
         lo = hi
     return ordered_refs(*best)
-
-
-def estimate_lifetime(dynamic, family, ecc_limit):
-    """(pec, exceeded): the first P/E count, bisected to 97.7 P/E, at which
-    the RBER at the predicted Vopt exceeds the ECC limit or the predicted
-    state means cross; (LIFETIME_PEC_MAX, False) if neither ever does."""
-    if ecc_limit <= 0:
-        raise ValueError("ecc_limit must be positive")
-
-    def fails(pec):
-        models, _ = predict_static(dynamic, pec, family)
-        if np.any(np.diff([models[st].mu for st in CellState]) <= 0):
-            return True  # crossed means, which predict_vopt rejects
-        refs, _ = predict_vopt(models)
-        return estimate_rber(models, refs).total > ecc_limit
-
-    lo, hi = bisect_failure(fails, LIFETIME_PEC_MAX, LIFETIME_HALVINGS)
-    return (lo, False) if math.isinf(hi) else (hi, True)

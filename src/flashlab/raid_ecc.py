@@ -9,7 +9,6 @@ comparator.
 import csv
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import betainc
 
 BLANK = -1
@@ -140,13 +139,6 @@ class RaidLayout:
     flagged: bool = False
     kind: str = "li_raid"
 
-    def group_pages(self):
-        groups = {}
-        for key, g in self.assignment.items():
-            if g != BLANK:
-                groups.setdefault(g, []).append(key)
-        return groups
-
 
 def li_raid_layout(m, n):
     """Layer-interleaved parity grouping.
@@ -189,25 +181,6 @@ def conventional_layout(m, n):
                   for j in range(m) for w in range(n) for p in (MSB, LSB)}
     return RaidLayout(m, n, assignment, n_groups=2 * n, flagged=False,
                       kind="conventional")
-
-
-def layout_worst_group(layout, rber, parity=None, ecc=None):
-    """Weakest parity group of a layout.
-
-    rber: array (chips, wordlines, 2) of per-page RBER. Returns
-    (group_id, mean_rber, p_parity) with p_parity None unless both parity
-    and ecc configs are supplied.
-    """
-    rber = np.asarray(rber, dtype=float)
-    worst_gid, worst_mean = None, -1.0
-    for gid, pages in sorted(layout.group_pages().items()):
-        mean = float(np.mean([rber[key] for key in pages]))
-        if mean > worst_mean:
-            worst_gid, worst_mean = gid, mean
-    p_parity = None
-    if parity is not None and ecc is not None:
-        p_parity = parity_fail(parity, lb_fail(parity, ecc_failure_rate(ecc, worst_mean)))
-    return worst_gid, worst_mean, p_parity
 
 
 def export_layout_csv(layout, path):

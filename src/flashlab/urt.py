@@ -8,15 +8,18 @@ the Arrhenius acceleration factor.
 
 Orientation: af(T) >= 1 above room temperature and
 effective time = real time * af(T).
+
+The workflows' pack is derived from the retention regression, not
+fitted from characterization (ROADMAP Direction 9).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .degradation import RETENTION_TABLE
 from .models.cdf import gaussian_states
-from .models.simplex import nelder_mead
 
 KB_EV_PER_K = 8.62e-5  # Boltzmann constant
 DEFAULT_EA_EV = 1.04
@@ -53,37 +56,9 @@ def af(t_kelvin, params):
     return np.exp((params.ea / KB_EV_PER_K) * (1.0 / params.t_room - 1.0 / np.asarray(t_kelvin)))
 
 
-def fit_ea(samples, t_ref, temp_ref):
-    """Activation energy from equivalent-time observations.
-
-    samples: (t1, T1) pairs, each equivalent to t_ref seconds at temp_ref.
-    Least squares through the origin of ln(t1/t_ref) vs (1/T1 - 1/t_ref's
-    temperature); a single pair reduces to the closed-form inversion.
-    """
-    xs, ys = [], []
-    for t1, temp1 in samples:
-        if abs(temp1 - temp_ref) < 1e-9:
-            continue
-        xs.append(1.0 / temp1 - 1.0 / temp_ref)
-        ys.append(math.log(t1 / t_ref))
-    if not xs:
-        raise ValueError("need at least one sample at a distinct temperature")
-    xs, ys = np.asarray(xs), np.asarray(ys)
-    return KB_EV_PER_K * float(np.dot(xs, ys) / np.dot(xs, xs))
-
-
 def pvm_predict(params, t_p_kelvin, pec, output):
     a, b, c, d = params.pvm[output]
     return a * t_p_kelvin * pec + b * t_p_kelvin + c * pec + d
-
-
-def fit_pvm(rows):
-    """Least-squares (A,B,C,D) from (t_p, pec, y) rows."""
-    rows = np.asarray(rows, dtype=float)
-    tp, pec, y = rows[:, 0], rows[:, 1], rows[:, 2]
-    design = np.column_stack([tp * pec, tp, pec, np.ones_like(tp)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return tuple(float(v) for v in coef)
 
 
 def srrm_log(params, output, t_er, t_ed):
@@ -104,29 +79,10 @@ def srrm_delta(params, t_er, t_ed, pec, output):
     return srrm_slope(params, pec, output) * srrm_log(params, output, t_er, t_ed)
 
 
-def fit_srrm(rows, init=(0.1, 1e-3, 100.0, 1.0)):
-    """Fit (a, b, c, t0) to (t_er, t_ed, pec, y) rows by MSE."""
-    rows = np.asarray(rows, dtype=float)
-    t_er, t_ed, pec, y = rows.T
-
-    def unpack(v):
-        return math.exp(v[0]), v[1], v[2], math.exp(v[3])
-
-    def mse(v):
-        a, b, c, t0 = unpack(v)
-        pred = b * (pec + c) * np.log(1.0 + t_er / (t0 + a * t_ed))
-        return float(np.mean((pred - y) ** 2))
-
-    x0 = np.array([math.log(init[0]), init[1], init[2], math.log(init[3])])
-    x, _, _, _ = nelder_mead(mse, x0, tol=1e-12, max_iter=4000)
-    x, _, _, _ = nelder_mead(mse, x, tol=1e-12, max_iter=4000)
-    return unpack(x)
-
-
-def urt_predict(params, output, pec, t_p_kelvin, t_r, t_d, af_r=1.0, af_d=1.0):
-    """Full unified prediction with effective retention/dwell times."""
+def urt_predict(params, output, pec, t_p_kelvin, t_er, t_ed):
+    """Full unified prediction at effective retention and dwell times."""
     y0 = pvm_predict(params, t_p_kelvin, pec, output)
-    return y0 + srrm_delta(params, t_r * af_r, t_d * af_d, pec, output)
+    return y0 + srrm_delta(params, t_er, t_ed, pec, output)
 
 
 class AccelLog:
@@ -325,9 +281,13 @@ URT_OUTPUTS = ("mu_ER", "mu_P1", "mu_P2", "mu_P3",
                "va", "vb", "vc", "log_rber_msb", "log_rber_lsb")
 
 
-def calibration_pack_from_retention(retention_model, ea=DEFAULT_EA_EV,
-                                    t_room=DEFAULT_T_ROOM_K, srrm_a=0.1):
-    """Derive URT coefficients from the retention regression.
+SRRM_A = 0.1  # the pack's SRRM a: effective dwell's weight against t0
+
+
+def calibration_pack_from_retention():
+    """Derive URT coefficients from the retention regression
+    (``degradation.RETENTION_TABLE``), at activation energy DEFAULT_EA_EV
+    and room temperature DEFAULT_T_ROOM_K.
 
     Chosen so that at room temperature with negligible dwell the URT
     reduces to the retention regression for t >> 1 s: PVM carries the
@@ -336,28 +296,11 @@ def calibration_pack_from_retention(retention_model, ea=DEFAULT_EA_EV,
     """
     pvm, srrm = {}, {}
     for out in URT_OUTPUTS:
-        alpha, beta, gamma, delta = retention_model.coeffs[out]
+        alpha, beta, gamma, delta = RETENTION_TABLE[out]
         pvm[out] = (0.0, 0.0, gamma, delta)
         if alpha is None or alpha == 0.0:
-            srrm[out] = (srrm_a, 0.0, 0.0, 1.0)
+            srrm[out] = (SRRM_A, 0.0, 0.0, 1.0)
         else:
-            srrm[out] = (srrm_a, alpha, beta / alpha, 1.0)
-    return URTParams(pvm=pvm, srrm=srrm, ea=ea, t_room=t_room)
-
-
-def fine_tune(params, observations):
-    """Online recalibration from sampled wordline observations.
-
-    observations: rows (output, pec, t_p, t_r_eff, t_d_eff, y_true).
-    Refits each output's PVM intercept D by least squares on the
-    residuals (the cheap, always-well-posed correction).
-    """
-    residuals = {}
-    for out, pec, t_p, t_r, t_d, y in observations:
-        residuals.setdefault(out, []).append(
-            y - urt_predict(params, out, pec, t_p, t_r, t_d))
-    pvm = dict(params.pvm)
-    for out, res in residuals.items():
-        a, b, c, d = pvm[out]
-        pvm[out] = (a, b, c, d + float(np.mean(res)))
-    return replace(params, pvm=pvm)
+            srrm[out] = (SRRM_A, alpha, beta / alpha, 1.0)
+    return URTParams(pvm=pvm, srrm=srrm, ea=DEFAULT_EA_EV,
+                     t_room=DEFAULT_T_ROOM_K)

@@ -1,5 +1,6 @@
-"""Reference code the tests check the library against; no CLI workflow
-runs any of it.
+"""Code only tests run: references the library is checked against, and
+library code parked until a workflow runs it. No CLI workflow runs any of
+it.
 
 - A Monte Carlo channel: ground-truth cells (intended state and a
   continuous threshold voltage) sampled from a 4-state model, decoded at
@@ -33,6 +34,10 @@ runs any of it.
 - The packing of every free parameter of a 4-state model into one vector,
   which the static fit's former single joint polish ran its simplex over;
   the pair polishes are checked against that polish.
+- Parked library code, not a reference the library is checked against,
+  tested here until a workflow runs it: the URT fits and online refit
+  (ROADMAP Direction 9), layer variation and LI-RAID worst-group scoring
+  (Direction 10), and any-family Vopt and lifetime (Direction 15).
 """
 
 import csv
@@ -44,7 +49,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from flashlab.grid import (BOUNDARIES, LSB_OF_STATE, MISPROGRAM_TARGET,
-                           MSB_OF_STATE, N_BINS, CellState)
+                           MSB_OF_STATE, N_BINS, CellState, ordered_refs)
 from flashlab.channel import BinHistogram
 from flashlab.controller.ftl import Drive
 from flashlab.controller.geometry import SECONDS_PER_DAY
@@ -53,12 +58,15 @@ from flashlab.controller.lifetime import REFRESH_CHECK_S, series_rber
 from flashlab.controller.refresh import run_refresh
 from flashlab.controller import warm as warm_mod
 from flashlab.controller.warm import COLD, HOT, WarmManager
-from flashlab.models.cdf import StateModel
+from flashlab.models.applications import _STEPS, _round_to_step, estimate_rber
+from flashlab.models.cdf import StateModel, state_cdf
 from flashlab.models import fitting
 from flashlab.models.fitting import PowerLawParams
+from flashlab.models.simplex import bisect_failure, nelder_mead
 from flashlab.models.tables import default_tables
-from flashlab.raid_ecc import ecc_failure_rate
+from flashlab.raid_ecc import BLANK, ecc_failure_rate, lb_fail, parity_fail
 from flashlab.trace import SECTOR_BYTES, Trace
+from flashlab.urt import KB_EV_PER_K, urt_predict
 
 
 # --- Monte Carlo channel ------------------------------------------------
@@ -514,3 +522,224 @@ def unpack_all(vec, family):
         models[st] = fitting._unpack_state(vec[i : i + n], family, st)
         i += n
     return models
+
+
+# --- parked library code ------------------------------------------------------
+
+# URT calibration from characterization and its online refit (Direction 9)
+
+
+def fit_ea(samples, t_ref, temp_ref):
+    """Activation energy from equivalent-time observations.
+
+    samples: (t1, T1) pairs, each equivalent to t_ref seconds at temp_ref.
+    Least squares through the origin of ln(t1/t_ref) vs (1/T1 - 1/t_ref's
+    temperature); a single pair reduces to the closed-form inversion.
+    """
+    xs, ys = [], []
+    for t1, temp1 in samples:
+        if abs(temp1 - temp_ref) < 1e-9:
+            continue
+        xs.append(1.0 / temp1 - 1.0 / temp_ref)
+        ys.append(math.log(t1 / t_ref))
+    if not xs:
+        raise ValueError("need at least one sample at a distinct temperature")
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    return KB_EV_PER_K * float(np.dot(xs, ys) / np.dot(xs, xs))
+
+
+def fit_pvm(rows):
+    """Least-squares (A,B,C,D) from (t_p, pec, y) rows."""
+    rows = np.asarray(rows, dtype=float)
+    tp, pec, y = rows[:, 0], rows[:, 1], rows[:, 2]
+    design = np.column_stack([tp * pec, tp, pec, np.ones_like(tp)])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return tuple(float(v) for v in coef)
+
+
+def fit_srrm(rows, init=(0.1, 1e-3, 100.0, 1.0)):
+    """Fit (a, b, c, t0) to (t_er, t_ed, pec, y) rows by MSE."""
+    rows = np.asarray(rows, dtype=float)
+    t_er, t_ed, pec, y = rows.T
+
+    def unpack(v):
+        return math.exp(v[0]), v[1], v[2], math.exp(v[3])
+
+    def mse(v):
+        a, b, c, t0 = unpack(v)
+        pred = b * (pec + c) * np.log(1.0 + t_er / (t0 + a * t_ed))
+        return float(np.mean((pred - y) ** 2))
+
+    x0 = np.array([math.log(init[0]), init[1], init[2], math.log(init[3])])
+    x, _, _, _ = nelder_mead(mse, x0, tol=1e-12, max_iter=4000)
+    x, _, _, _ = nelder_mead(mse, x, tol=1e-12, max_iter=4000)
+    return unpack(x)
+
+
+def fine_tune(params, observations):
+    """Online recalibration from sampled wordline observations.
+
+    observations: rows (output, pec, t_p, t_r_eff, t_d_eff, y_true).
+    Refits each output's PVM intercept D by least squares on the
+    residuals (the cheap, always-well-posed correction).
+    """
+    residuals = {}
+    for out, pec, t_p, t_r, t_d, y in observations:
+        residuals.setdefault(out, []).append(
+            y - urt_predict(params, out, pec, t_p, t_r, t_d))
+    pvm = dict(params.pvm)
+    for out, res in residuals.items():
+        a, b, c, d = pvm[out]
+        pvm[out] = (a, b, c, d + float(np.mean(res)))
+    return replace(params, pvm=pvm)
+
+
+# 3D-NAND layer variation and LI-RAID worst-group scoring (Direction 10)
+
+
+@dataclass(frozen=True)
+class GammaParams:
+    shape: float
+    scale: float
+
+    def __post_init__(self):
+        if self.shape <= 0 or self.scale <= 0:
+            raise ValueError("gamma parameters must be positive")
+
+    @property
+    def mean(self):
+        return self.shape * self.scale
+
+
+@dataclass(frozen=True)
+class OffsetShape:
+    """Layer curve for read-reference offsets: flat bottom half, linear
+    droop over the top half. vc never moves."""
+
+    va_drop: float = 4.0
+    vb_drop: float = 2.0
+
+
+@dataclass
+class LayerProfile:
+    va_offset: np.ndarray  # (101,) voltage steps
+    vb_offset: np.ndarray
+    rber_multiplier: np.ndarray  # positive, mean ~1
+
+
+def sample_layer_profile(gamma, offset_cfg=None, seed=0, n_layers=101):
+    offset_cfg = offset_cfg or OffsetShape()
+    rng = np.random.default_rng(seed)
+    mult = rng.gamma(gamma.shape, gamma.scale, n_layers) / gamma.mean
+    mult = np.maximum(mult, 1e-6)
+
+    layers = np.arange(n_layers)
+    half = n_layers // 2
+    ramp = np.where(layers <= half, 0.0, (layers - half) / (n_layers - 1 - half))
+    return LayerProfile(
+        va_offset=-offset_cfg.va_drop * ramp,
+        vb_offset=-offset_cfg.vb_drop * ramp,
+        rber_multiplier=mult,
+    )
+
+
+def fit_gamma(samples):
+    """Method-of-moments gamma fit for per-layer RBER variation."""
+    x = np.asarray(samples, dtype=float)
+    if x.size < 30:
+        raise ValueError("need at least 30 samples")
+    if np.any(x <= 0):
+        raise ValueError("samples must be positive")
+    mean, var = float(np.mean(x)), float(np.var(x))
+    if var <= 0:
+        raise ValueError("zero-variance samples cannot be gamma-fit")
+    return GammaParams(shape=mean**2 / var, scale=var / mean)
+
+
+def group_pages(layout):
+    """{group id: its (chip, wordline, page) keys} of a RaidLayout."""
+    groups = {}
+    for key, g in layout.assignment.items():
+        if g != BLANK:
+            groups.setdefault(g, []).append(key)
+    return groups
+
+
+def layout_worst_group(layout, rber, parity=None, ecc=None):
+    """Weakest parity group of a layout.
+
+    rber: array (chips, wordlines, 2) of per-page RBER. Returns
+    (group_id, mean_rber, p_parity) with p_parity None unless both parity
+    and ecc configs are supplied.
+    """
+    rber = np.asarray(rber, dtype=float)
+    worst_gid, worst_mean = None, -1.0
+    for gid, pages in sorted(group_pages(layout).items()):
+        mean = float(np.mean([rber[key] for key in pages]))
+        if mean > worst_mean:
+            worst_gid, worst_mean = gid, mean
+    p_parity = None
+    if parity is not None and ecc is not None:
+        p_parity = parity_fail(parity, lb_fail(parity, ecc_failure_rate(ecc, worst_mean)))
+    return worst_gid, worst_mean, p_parity
+
+
+# Vopt of any model family and a dynamic model's lifetime (Direction 15)
+
+_DENSITY_H = 0.25  # half-width of _density's central difference
+LIFETIME_PEC_MAX = 200000.0  # estimate_lifetime's search ceiling, P/E cycles
+LIFETIME_HALVINGS = 11       # 200000 / 2**11 = 97.7 P/E resolution
+_HALF_STEPS = (_STEPS[:-1] + _STEPS[1:]) / 2.0  # between neighboring steps
+
+
+def _density(models, state, v):
+    lo = state_cdf(models, state, np.asarray(v, dtype=float) - _DENSITY_H)
+    hi = state_cdf(models, state, np.asarray(v, dtype=float) + _DENSITY_H)
+    return (hi - lo) / (2.0 * _DENSITY_H)
+
+
+def scanned_vopt(models):
+    """(3,) read references of a dict of StateModel of any family, with
+    ordered means: each at the rounded step where the two neighboring
+    densities cross, or at the mean midpoint where they never do.
+
+    The density gap is evaluated once, at the means and at every half-way
+    voltage between them. A crossing from the lower state's side to the
+    upper's rounds to step k exactly when it lies past the half-way
+    voltage below step k and not past the one above it. Where the gap
+    changes sign that way more than once (a tail wiggle), the crossing
+    whose step misreads the least mass wins.
+    """
+    steps = []
+    for i in range(3):
+        lo, hi = CellState(i), CellState(i + 1)
+        a, b = models[lo].mu, models[hi].mu
+        first = int(np.searchsorted(_HALF_STEPS, a, side="right"))
+        last = int(np.searchsorted(_HALF_STEPS, b, side="left"))
+        v = np.concatenate(([a], _HALF_STEPS[first:last], [b]))
+        gap = _density(models, lo, v) - _density(models, hi, v)
+        if gap[0] <= 0 or gap[-1] >= 0:
+            steps.append(int(_round_to_step((a + b) / 2.0)))
+            continue
+        ks = first + np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
+        vs = _STEPS[ks]
+        miss = (1.0 - state_cdf(models, lo, vs)) + state_cdf(models, hi, vs)
+        steps.append(int(ks[np.argmin(miss)]) + 1)
+    return ordered_refs(*steps)
+
+
+def estimate_lifetime(dynamic, family, ecc_limit):
+    """(pec, exceeded): the first P/E count, bisected to 97.7 P/E, at which
+    the RBER at the scanned Vopt exceeds the ECC limit or the predicted
+    state means cross; (LIFETIME_PEC_MAX, False) if neither ever does."""
+    if ecc_limit <= 0:
+        raise ValueError("ecc_limit must be positive")
+
+    def fails(pec):
+        models, _ = fitting.predict_static(dynamic, pec, family)
+        if np.any(np.diff([models[st].mu for st in CellState]) <= 0):
+            return True  # crossed means, which order no read references
+        return estimate_rber(models, scanned_vopt(models)).total > ecc_limit
+
+    lo, hi = bisect_failure(fails, LIFETIME_PEC_MAX, LIFETIME_HALVINGS)
+    return (lo, False) if math.isinf(hi) else (hi, True)

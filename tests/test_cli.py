@@ -202,6 +202,7 @@ class TestFit:
         bad.write_text("foo,bar\n1,2\n")
         rc = main(["--out", str(tmp_path / "out"), "fit", str(bad)])
         assert rc == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad_row", [
         "ER,-1,100000", "P1,99999,5", "ER,3", "P2,5,-3", "P4,5,3",
@@ -217,11 +218,16 @@ class TestFit:
             fh.write(bad_row + "\n")
         rc = main(["--out", str(tmp_path / "out"), "fit", str(hist)])
         assert rc == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_is_config_error(self, tmp_path):
         rc = main(["--out", str(tmp_path / "out"), "fit",
                    str(tmp_path / "nope.csv")])
         assert rc == 2
+        rc = main(["--out", str(tmp_path / "out"), "fit", "--dynamic",
+                   *(str(tmp_path / n) for n in ("a1.csv", "b2.csv", "c3.csv"))])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()  # not even the manifest
 
 
 # (section, key, a value of the wrong type, the name the error gives);

@@ -905,7 +905,7 @@ class TestPolicies:
     def test_fixed_refs_decode_a_fresh_page(self):
         # swept on the pack's state models at P/E 0 and FIXED_REFS_AGE_S;
         # DEFAULT_READ_REFS misreads the same fresh page past any ECC
-        pack = calibration_pack_from_retention(RET)
+        pack = calibration_pack_from_retention()
         refs = fixed_refs(pack)
         assert refs.tolist() == reference_sweep(
             reference_truth_models(pack, 0.0, FIXED_REFS_AGE_S)).tolist()
@@ -922,15 +922,6 @@ class TestPolicies:
         want = retention_refs(RET, 4000, [7 * DAY])
         assert got.tolist() == want.tolist()
 
-    def test_lavar_applies_layer_offsets(self):
-        ctx = self.ctx(pec=4000, age_s=np.array([7 * DAY]), layer_va_offset=-4,
-                       layer_vb_offset=-2)
-        [(va0, vb0, _)] = retention_refs(RET, 4000, [7 * DAY]).tolist()
-        [(va, vb, vc)] = policy_refs("lavar", ctx, retention_model=RET).tolist()
-        assert va == va0 - 4
-        assert vb == vb0 - 2
-        assert va < vb < vc
-
     def test_oracle_is_exhaustive_sweep(self):
         models = {st: StateModel("gaussian", [25, 105, 185, 255][i], 11.0)
                   for i, st in enumerate(CellState)}
@@ -942,7 +933,7 @@ class TestPolicies:
             policy_refs("psychic", self.ctx())
 
     def test_heatwatch_tracks_thermal_aging(self):
-        pack = calibration_pack_from_retention(RET)
+        pack = calibration_pack_from_retention()
 
         def refs(eff):
             ctx = self.ctx(pec=5000, age_s=np.array([30 * DAY]),
@@ -956,7 +947,7 @@ class TestPolicies:
     def test_heatwatch_reads_at_predicted_vopt_of_truth_models(self):
         # without read-disturb exposure, the policy's state models are the
         # experiment's ground truth at the same effective age
-        pack = calibration_pack_from_retention(RET)
+        pack = calibration_pack_from_retention()
         for pec, eff in ((0, 1.0), (3000, 7 * DAY), (9000, 90 * DAY),
                          (15000, 400 * DAY)):
             ages = RetentionAges(pack, [eff])
@@ -965,7 +956,7 @@ class TestPolicies:
             assert heatwatch_refs(pack, ctx).tolist() == want.tolist()
 
     def test_heatwatch_survives_extrapolated_mean_crossings(self):
-        pack = calibration_pack_from_retention(RET)
+        pack = calibration_pack_from_retention()
         [(va, vb, vc)] = heatwatch_refs(pack, self.ctx(
             pec=60000, age_s=np.array([365 * DAY]),
             eff_retention_s=RetentionAges(pack, [3650 * DAY]))).tolist()
@@ -1010,7 +1001,7 @@ def single_pass_collect_samples(events, cfg, params):
 class TestCollectSamples:
     EVENTS = synth_hot(DAY / 2, 0.1, 0.02, 0.9, footprint_bytes=1 << 26,
                        seed=4, read_fraction=0.5)
-    PACK = calibration_pack_from_retention(RET)
+    PACK = calibration_pack_from_retention()
 
     # The trace has about 1500 eligible reads: 25 keeps a spread of them,
     # 100k keeps them all.
@@ -1171,7 +1162,7 @@ AGE_S = hst.floats(0.0, math.log10(10 * 365 * DAY)).map(lambda e: 10.0 ** e)
 
 
 class TestBatchedScoringProperty:
-    PACK = calibration_pack_from_retention(RET)
+    PACK = calibration_pack_from_retention()
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,

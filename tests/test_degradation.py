@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from flashlab.degradation import (GammaParams, OffsetShape,
-                                  RetentionModel3D, fit_gamma,
-                                  retention_refs, sample_layer_profile)
+from flashlab.degradation import RetentionModel3D, retention_refs
 from flashlab.grid import CellState
 from flashlab.models.applications import estimate_rber, predict_vopt
 from flashlab.models.cdf import gaussian_states
-from reference import vth_offset
+from reference import (GammaParams, OffsetShape, fit_gamma,
+                       sample_layer_profile, vth_offset)
 
 MODEL = RetentionModel3D()
 DAY = 86400.0

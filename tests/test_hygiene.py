@@ -2,9 +2,9 @@
 the CLI starts up without ``scipy.stats``, only ``trace.py`` turns
 sectors into pages, no library function takes a ``tables`` or ``grid``
 argument, every library function, class and method is reached from a
-CLI workflow or is a named reference that the tests check other code
-against, every definition of the tests' ``reference`` module feeds some
-test and no library module imports a test module, every defaulted
+CLI workflow or is a named reference that some test module calls, every
+definition of the tests' ``reference`` module feeds some test and no
+library module imports a test module, every defaulted
 library setting is set by some library or benchmark call (a setting that
 only tests vary is a module constant they patch), every name a package
 re-exports is imported through that package somewhere, and every function
@@ -228,8 +228,6 @@ def test_reach_detector_flags_unreached_and_passes_reached():
 # Library code that no workflow reaches and that stays on purpose, with
 # why. Everything else in src/ feeds a CLI workflow or goes.
 REFERENCE_ROOTS = {
-    "models.applications.estimate_lifetime": "lifetime from fitted models, "
-                                             "part of the north star",
     "controller.ftl.Drive.audit": "FTL invariant check the FTL tests run",
     "controller.ftl.Drive.host_write": "one-page host write the FTL tests "
                                        "drive; bench/tracer.py times it "
@@ -238,15 +236,8 @@ REFERENCE_ROOTS = {
                                       "its count) that the FTL tests drive "
                                       "and bench/tracer.py times; the "
                                       "replay models no read effect",
-    "urt.fit_ea": "URT calibration from characterization (ROADMAP Direction 9)",
-    "urt.fit_pvm": "URT calibration from characterization (ROADMAP Direction 9)",
-    "urt.fit_srrm": "URT calibration from characterization (ROADMAP Direction 9)",
-    "urt.fine_tune": "online URT refit (ROADMAP Direction 9)",
-    "degradation.sample_layer_profile": "3D-NAND layer variation "
-                                        "(ROADMAP Direction 10)",
-    "degradation.fit_gamma": "3D-NAND layer variation (ROADMAP Direction 10)",
-    "raid_ecc.layout_worst_group": "LI-RAID worst-group scoring "
-                                   "(ROADMAP Direction 10)",
+    "urt.urt_predict": "one URT output, which the URT tests check and "
+                       "bench/tracer.py times until D1",
 }
 
 
@@ -273,6 +264,12 @@ def test_reference_roots_name_definitions_no_workflow_reaches():
     defs = library_definitions()
     assert set(REFERENCE_ROOTS) <= set(defs)
     assert set(REFERENCE_ROOTS) <= set(unreached(defs, cli_roots(defs)))
+
+
+def test_every_reference_root_is_called_by_a_test_module():
+    # a kept root that no test calls is dead code, not a reference
+    calls = calls_by_name(p.read_text() for p in sorted(TESTS.glob("test_*.py")))
+    assert [q for q in REFERENCE_ROOTS if q.rsplit(".", 1)[1] not in calls] == []
 
 
 # Reference code the tests check the library against lives in this test
@@ -450,40 +447,14 @@ def test_unset_detector_flags_only_settings_no_call_sets(tmp_path):
 # the benchmark code that reads them. Every other default in src/ is a
 # value some call changes, or it is a module constant.
 KEPT_DEFAULTS = {
-    "controller.policies.ReadContext.layer_va_offset":
-        "LaVAR's per-layer offsets (ROADMAP Direction 10)",
-    "controller.policies.ReadContext.layer_vb_offset":
-        "LaVAR's per-layer offsets (ROADMAP Direction 10)",
     "controller.refresh.RefreshConfig.include_hot":
         "bench/tracer.py's refresh-scan hook reads it",
-    "degradation.OffsetShape.va_drop": "3D-NAND layer variation "
-                                       "(ROADMAP Direction 10)",
-    "degradation.OffsetShape.vb_drop": "3D-NAND layer variation "
-                                       "(ROADMAP Direction 10)",
-    "degradation.sample_layer_profile.offset_cfg": "3D-NAND layer variation "
-                                                   "(ROADMAP Direction 10)",
-    "degradation.sample_layer_profile.seed": "3D-NAND layer variation "
-                                             "(ROADMAP Direction 10)",
-    "degradation.sample_layer_profile.n_layers": "3D-NAND layer variation "
-                                                 "(ROADMAP Direction 10)",
-    "degradation.RetentionModel3D.coeffs": "a seeded device's perturbed "
-                                           "coefficients (ROADMAP Direction 9)",
-    "raid_ecc.layout_worst_group.parity": "LI-RAID worst-group scoring "
-                                          "(ROADMAP Direction 10)",
-    "raid_ecc.layout_worst_group.ecc": "LI-RAID worst-group scoring "
-                                       "(ROADMAP Direction 10)",
-    "urt.fit_srrm.init": "URT calibration from characterization "
-                         "(ROADMAP Direction 9)",
-    "urt.urt_predict.af_r": "acceleration factors of a fitted pack "
-                            "(ROADMAP Direction 9)",
-    "urt.urt_predict.af_d": "acceleration factors of a fitted pack "
-                            "(ROADMAP Direction 9)",
-    "urt.calibration_pack_from_retention.ea": "a seeded device's activation "
-                                              "energy (ROADMAP Direction 9)",
-    "urt.calibration_pack_from_retention.t_room": "a seeded device's pack "
-                                                  "(ROADMAP Direction 9)",
-    "urt.calibration_pack_from_retention.srrm_a": "a seeded device's pack "
-                                                  "(ROADMAP Direction 9)",
+    "controller.geometry.Geometry.page_size":
+        "only tests vary it; a module constant or a config key "
+        "(ROADMAP Direction 20)",
+    "controller.geometry.Geometry.block_size":
+        "only tests vary it; a module constant or a config key "
+        "(ROADMAP Direction 20)",
 }
 
 

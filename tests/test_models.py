@@ -8,7 +8,6 @@ from scipy.stats import t as student_t
 from scipy.integrate import quad
 from hypothesis import given, settings, strategies as hst
 
-from flashlab import urt
 from flashlab.grid import CellState
 from flashlab.models.cdf import (StateModel, gaussian_states, gcdf,
                                  kl_divergence, model_density, ncdf,
@@ -20,6 +19,7 @@ from flashlab.models.fitting import (PowerLawParams, default_init,
                                      save_models_json)
 from flashlab.models.simplex import NanObjective, bisect_failure, nelder_mead
 from flashlab.models.tables import NU_GRID, LookupTables, default_tables
+import reference
 from reference import (bin_cells, enforce_constraints, load_models_json,
                        models_from_dict, sample_page)
 
@@ -241,7 +241,7 @@ class TestNelderMead:
         assert np.array_equal(np.array(calls[:5]), np.array(want))
 
     def test_existing_callers_keep_the_default_step(self):
-        # fit_power_law and urt.fit_srrm pass no step, so their simplex is
+        # fit_power_law and fit_srrm pass no step, so their simplex is
         # the 5% one above, and they run as they did before step existed.
         kwargs = []
 
@@ -249,10 +249,11 @@ class TestNelderMead:
             kwargs.append(kw)
             return nelder_mead(objective, x0, **kw)
         with patch.object(fitting, "nelder_mead", record), \
-                patch.object(urt, "nelder_mead", record):
+                patch.object(reference, "nelder_mead", record):
             fit_power_law([(1.0, 2.0), (2.0, 3.0), (4.0, 5.5), (8.0, 9.0)])
-            urt.fit_srrm([(1.0, 2.0, 100.0, 0.1), (10.0, 5.0, 200.0, 0.3),
-                          (100.0, 20.0, 300.0, 0.9), (50.0, 1.0, 50.0, 0.2)])
+            reference.fit_srrm([(1.0, 2.0, 100.0, 0.1), (10.0, 5.0, 200.0, 0.3),
+                                (100.0, 20.0, 300.0, 0.9),
+                                (50.0, 1.0, 50.0, 0.2)])
         assert len(kwargs) == 4
         assert all("step" not in kw for kw in kwargs)
 

