@@ -1,14 +1,14 @@
 """Command-line surface.
 
 Subcommands: fit, simulate, plan, layout, trace-stats. All outputs are
-JSON or CSV; every run writes a manifest (config hash, seed, package
-versions) next to its artifacts, ``fit``, ``simulate`` and ``plan`` only
-once their inputs (``fit``'s every histogram, ``simulate``'s config and
-trace, ``plan``'s config) have passed their checks, so a config error
-writes nothing. ``simulate`` starts a run at the trace's first event,
-which it takes as time 0: the daily series and the heatwatch temperature
-profile's phase both start there. Exit codes: 0 ok, 2 configuration
-error, 3 non-convergence, 4 uncorrectable data or infeasible layout.
+JSON or CSV; ``fit``, ``simulate``, ``plan`` and ``layout`` write a
+manifest (config hash, seed, package versions) just before their first
+artifact, so a run that stops before it, as a config error does whether
+the checks or the run find it, writes nothing. ``simulate`` starts a run
+at the trace's first event, which it takes as time 0: the daily series
+and the heatwatch temperature profile's phase both start there. Exit
+codes: 0 ok, 2 configuration error, 3 non-convergence, 4 uncorrectable
+data or infeasible layout.
 
 The key tables ``_POLICY`` (``simulate``'s policies), ``_HEATWATCH`` with
 ``_TEMP`` (``simulate``'s heatwatch experiment) and ``_PLAN`` with
@@ -202,13 +202,14 @@ def cmd_fit(args):
                                          and args.predict >= 0):
         raise ConfigError(f"--predict {args.predict} is not a finite P/E"
                           " count >= 0")
-    # every input is read before anything is written (a static fit reads
-    # only the first)
+    if len(args.inputs) > 1 and not args.dynamic:
+        raise ConfigError(f"a static fit takes one histogram, not"
+                          f" {len(args.inputs)}; --dynamic fits several")
+    # every input is read before anything is written
     pecs = _dynamic_pecs(args) if args.dynamic else [None]
     hists = [(pec, load_histogram_csv(path))
              for pec, path in sorted(zip(pecs, args.inputs))]
     out_dir = args.out
-    _write_manifest(out_dir, "fit", vars(args), args.seed)
 
     if args.dynamic:
         family = families[0]
@@ -220,6 +221,7 @@ def cmd_fit(args):
             fits.append((pec, fr))
             print(f"pec={pec} kl={fr.kl_error:.6f}")
         dynamic = fit_dynamic(fits, family)
+        _write_manifest(out_dir, "fit", vars(args), args.seed)
         if args.predict is not None:
             models, clamped = predict_static(dynamic, args.predict, family)
             save_models_json(models, os.path.join(out_dir, "model.json"))
@@ -237,6 +239,7 @@ def cmd_fit(args):
         print(f"{family}: kl={fr.kl_error:.6f} iters={fr.iterations}"
               f" converged={fr.converged}")
     best = min(results, key=lambda f: results[f].kl_error)
+    _write_manifest(out_dir, "fit", vars(args), args.seed)
     save_models_json(results[best].params, os.path.join(out_dir, "model.json"))
     if any(_nonconverged(r) for r in results.values()):
         return EXIT_NONCONVERGENCE
@@ -369,10 +372,10 @@ def cmd_simulate(args):
     if doc.get("experiment") == "heatwatch":
         hw_cfg, ecc_limit = _heatwatch_config(doc, args.seed)
         trace = _load_trace(args.trace)
-        _write_manifest(out_dir, "simulate", doc, args.seed)
         pack = urt_mod.calibration_pack_from_retention()
         res = run_experiment(trace, pack, RetentionModel3D(), ecc_limit,
                              cfg=hw_cfg)
+        _write_manifest(out_dir, "simulate", doc, args.seed)
         with open(os.path.join(out_dir, "heatwatch.json"), "w") as fh:
             json.dump(res, fh, indent=2, sort_keys=True)
         print(json.dumps(res, sort_keys=True))
@@ -380,7 +383,6 @@ def cmd_simulate(args):
 
     configs = _check_policies(doc)
     trace = _load_trace(args.trace)
-    _write_manifest(out_dir, "simulate", doc, args.seed)
     items = [(name, cfg, trace) for name, cfg in configs.items()]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -389,6 +391,7 @@ def cmd_simulate(args):
     else:
         results = dict(map(_one_lifetime, items))
 
+    _write_manifest(out_dir, "simulate", doc, args.seed)
     worst = EXIT_OK
     for name in sorted(results):
         rep = results[name]
@@ -503,7 +506,6 @@ def cmd_layout(args):
     if args.chips < 1 or args.wordlines < 1:
         raise ConfigError(f"--chips {args.chips} and --wordlines"
                           f" {args.wordlines} must both be positive")
-    _write_manifest(args.out, "layout", vars(args), args.seed)
     try:
         if args.kind == "li_raid":
             layout = li_raid_layout(args.chips, args.wordlines)
@@ -512,6 +514,7 @@ def cmd_layout(args):
     except InfeasibleLayout as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_UNCORRECTABLE
+    _write_manifest(args.out, "layout", vars(args), args.seed)
     path = os.path.join(args.out, f"{args.kind}_{args.chips}x{args.wordlines}.csv")
     export_layout_csv(layout, path)
     print(f"{layout.kind}: {layout.n_groups} groups"

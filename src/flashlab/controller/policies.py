@@ -3,15 +3,15 @@
 Policies turn what the controller knows (wear, data age, thermal history)
 into the three read references for a batch of reads at one wear level:
 an (S, 3) array of steps, a row per read, or (3,) steps that serve them
-all. A policy keeps no state between batches, and none reads a
-wordline's layer (LaVAR waits on ROADMAP Direction 10).
+all. A computed voltage becomes a step by ``grid.round_to_step``. A policy
+keeps no state between batches, and none reads a wordline's layer (LaVAR
+waits on ROADMAP Direction 10).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid import DEFAULT_READ_REFS, ordered_refs
 from ..degradation import retention_refs
 from ..models.applications import predict_vopt, sweep_vopt
 from ..urt import state_models
@@ -37,35 +37,21 @@ def _retention_steps(retention_model, pec, age_s):
 
 
 def heatwatch_refs(calibration, ctx):
-    """Read references from thermally-corrected state predictions.
-
-    The URT pack's state models (``urt.state_models``) at the
-    room-equivalent dwell; each reference sits where the two neighboring
-    predicted densities cross. When the scales match this is exactly the
-    midpoint of the two means.
-    """
-    models = state_models(calibration, ctx.pec, ctx.eff_retention_s)
-    crossed = ~np.all(models.mu[:, :-1] < models.mu[:, 1:], axis=1)
-    steps = np.empty((len(crossed), 3), dtype=int)
-    if not crossed.all():
-        steps[~crossed] = predict_vopt(models.take(~crossed))[0]
-    if crossed.any():
-        # extreme-wear extrapolation can cross the predicted means;
-        # degrade to ordered midpoints rather than refuse to read
-        mus = np.sort(models.mu[crossed], axis=1)
-        va, vb, vc = np.rint((mus[:, :-1] + mus[:, 1:]) / 2).astype(int).T
-        steps[crossed] = ordered_refs(np.maximum(va, 1), vb, vc)
-    return steps
+    """Read references from thermally-corrected state predictions: the
+    ``predict_vopt`` of the URT pack's state models (``urt.state_models``)
+    at the room-equivalent dwell. When the scales match, a reference is
+    the midpoint of the two means."""
+    return predict_vopt(state_models(calibration, ctx.pec, ctx.eff_retention_s))
 
 
 def policy_refs(policy, ctx, retention_model=None, calibration=None,
                 true_models=None, fixed_refs=None):
     """Dispatch a read-reference policy for a batch of reads. ``fixed``
-    reads at ``fixed_refs``, or at DEFAULT_READ_REFS without them; ReMAR
-    reads each read at the retention model's references for its own age,
-    as ``retention_only`` does."""
+    reads at the ``fixed_refs`` it is given; ReMAR reads each read at the
+    retention model's references for its own age, as ``retention_only``
+    does."""
     if policy == "fixed":
-        return DEFAULT_READ_REFS if fixed_refs is None else fixed_refs
+        return fixed_refs
     if policy in ("retention_only", "remar"):
         return _retention_steps(retention_model, ctx.pec, ctx.age_s)
     if policy == "heatwatch":

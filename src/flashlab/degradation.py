@@ -6,9 +6,7 @@ workflow models layer-to-layer variation yet (ROADMAP Direction 10).
 
 import math
 
-import numpy as np
-
-from .grid import ordered_refs
+from .grid import ordered_refs, round_to_step
 
 # Retention-loss regression: Variable = (alpha*PEC + beta)*ln(t) +
 # gamma*PEC + delta, t in seconds. The read-reference row for Va carries
@@ -45,7 +43,8 @@ class RetentionModel3D:
 
 def retention_refs(model, pec, ages):
     """Predicted optimal read references from the regression rows at each
-    of the distinct ``ages`` (seconds), as (U, 3) steps, a row per age."""
-    steps = (np.array([round(model.eval(row, pec, t)) for t in ages], dtype=int)
-             for row in ("va", "vb", "vc"))
-    return ordered_refs(*steps)
+    of the distinct ``ages`` (seconds), as (U, 3) steps, a row per age,
+    each voltage taken to a step by ``grid.round_to_step``."""
+    steps = round_to_step([[model.eval(row, pec, t)
+                            for row in ("va", "vb", "vc")] for t in ages])
+    return ordered_refs(*steps.T)

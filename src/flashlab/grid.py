@@ -3,9 +3,10 @@
 The channel works in a normalized voltage domain: 303 read-retry steps
 partition the axis into 304 bins, and step k sits at voltage k. A read
 reference is a step, so its step index is its voltage, also past the
-last binning step (the stock vc is 330). The three references of a read
-are an int array of steps (va, vb, vc): (3,) for one read, (S, 3) with a
-row per read for a batch.
+last binning step: references range over steps 1..VC_SEARCH_MAX. The
+three references of a read are an int array of steps (va, vb, vc): (3,)
+for one read, (S, 3) with a row per read for a batch. A voltage becomes
+a step only through ``round_to_step``, whichever policy computed it.
 """
 
 from enum import IntEnum
@@ -52,7 +53,16 @@ def ordered_refs(va, vb, vc):
     return np.stack((va, vb, np.maximum(vc, vb + 1)), axis=-1)
 
 
-# Stock read references of the modeled chip, as steps; vc lies past the
-# last step. Read-only.
-DEFAULT_READ_REFS = np.array([50, 190, 330])
-DEFAULT_READ_REFS.flags.writeable = False
+# Voltages of reference steps 1..VC_SEARCH_MAX, read-only: the top
+# reference may lie past the binning grid, as the stock vc (330) does.
+VC_SEARCH_MAX = 400
+STEPS = np.arange(1, VC_SEARCH_MAX + 1, dtype=float)
+STEPS.flags.writeable = False
+
+
+def round_to_step(voltage):
+    """Nearest reference step to each voltage, clamped to 1..VC_SEARCH_MAX;
+    a tie goes to the lower step. Subtracting 1/2 is exact wherever the
+    clamp does not decide the step."""
+    v = np.ceil(np.asarray(voltage, dtype=float) - 0.5)
+    return np.clip(v, 1, VC_SEARCH_MAX).astype(int)

@@ -2,8 +2,9 @@
 estimation and optimal read reference prediction.
 
 Every result is on the fixed read-retry step axis of ``grid``: a
-reference at step k reads at voltage k, and the Vopt searches cover steps
-1..VC_SEARCH_MAX.
+reference at step k reads at voltage k, the Vopt searches cover steps
+1..VC_SEARCH_MAX, and a predicted voltage becomes a step through
+``grid.round_to_step``.
 
 The models are a dict of StateModel, or a ``cdf.GaussianBatch`` of S
 operating points; then every kernel here works on all of them at once
@@ -17,16 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grid import LSB_OF_STATE, MSB_OF_STATE, CellState, ordered_refs
+from ..grid import (LSB_OF_STATE, MSB_OF_STATE, STEPS, CellState,
+                    ordered_refs, round_to_step)
 from .cdf import state_cdf
-
-# Vopt search range for the top reference extends past the binning grid,
-# matching the stock vc.
-VC_SEARCH_MAX = 400
-
-# Voltages of reference steps 1..VC_SEARCH_MAX; read-only.
-_STEPS = np.arange(1, VC_SEARCH_MAX + 1, dtype=float)
-_STEPS.flags.writeable = False
 
 
 @dataclass
@@ -67,16 +61,6 @@ def estimate_rber(models, refs):
     return RBEREstimate(total=(msb + lsb) / 2.0, msb=msb, lsb=lsb)
 
 
-def _round_to_step(voltage):
-    """Nearest reference step to each voltage; a tie goes to the lower step."""
-    v = np.asarray(voltage, dtype=float)
-    j = np.searchsorted(_STEPS, v)
-    last = len(_STEPS) - 1
-    below, above = _STEPS[np.maximum(j - 1, 0)], _STEPS[np.minimum(j, last)]
-    j = j - ((j > last) | ((j > 0) & (np.abs(below - v) <= np.abs(above - v))))
-    return j + 1
-
-
 def _gaussian_crossing(lo, hi):
     """Voltages between the means where two Gaussian PDFs cross.
 
@@ -87,10 +71,10 @@ def _gaussian_crossing(lo, hi):
     d^2 > 2 s_lo^2 ln(s_hi/s_lo); then exactly one root lies between the
     means, and it is C/q with q = -(B + sqrt(B^2 - 4AC))/2.
 
-    Returns one crossing per operating point, NaN where there is none:
-    (1,) for two StateModels, (S, 1) for the (S, 1) columns of a
-    GaussianBatch. The logarithm is taken row by row with
-    ``math.log``, whose last bit numpy's log does not always match.
+    Returns one crossing per operating point, NaN where there is none or
+    the means are out of order: (1,) for two StateModels, (S, 1) for the
+    (S, 1) columns of a GaussianBatch. The logarithm is taken row by row
+    with ``math.log``, whose last bit numpy's log does not always match.
     """
     mu_lo, mu_hi, s_lo, s_hi = np.atleast_1d(lo.mu, hi.mu, lo.sigma, hi.sigma)
     ratio = s_lo / s_hi
@@ -99,7 +83,8 @@ def _gaussian_crossing(lo, hi):
     d = mu_hi - mu_lo
     s1, s2 = s_lo * s_lo, s_hi * s_hi
     out = np.full(d.shape, np.nan)
-    cross = ~((d * d <= 2.0 * s2 * log_ratio) | (d * d <= -2.0 * s1 * log_ratio))
+    cross = (d > 0) & ~((d * d <= 2.0 * s2 * log_ratio)
+                        | (d * d <= -2.0 * s1 * log_ratio))
     equal = cross & (s1 == s2)
     out[equal] = (mu_lo[equal] + mu_hi[equal]) / 2.0
     k = cross & ~equal
@@ -115,26 +100,26 @@ def predict_vopt(models):
     misprogram mass); any other model raises ValueError.
 
     Each reference sits where the two neighboring state densities cross,
-    in closed form. Returns (steps, fell): (3,) steps and a (3,) bool mask
-    of the boundaries that fell back to the mean midpoint because the
-    densities never crossed, or (S, 3) of each for a GaussianBatch.
+    in closed form, or at the midpoint of their means where they never
+    cross. A row whose means are not strictly increasing (extrapolation
+    far past wear-out can cross them) reads at the midpoints of its sorted
+    means at every boundary. Returns (3,) steps, or (S, 3) for a
+    GaussianBatch.
     """
     if not all(models[st].family == "gaussian" and models[st].lam == 0.0
                for st in CellState):
         raise ValueError("predict_vopt takes pure Gaussian models")
     mus = np.concatenate(np.atleast_1d(*(models[st].mu for st in CellState)),
                          axis=-1)
-    if not np.all(mus[..., :-1] < mus[..., 1:]):
-        raise ValueError("state means must be ordered ER < P1 < P2 < P3")
-
+    crossed = ~np.all(mus[..., :-1] < mus[..., 1:], axis=-1, keepdims=True)
+    mus = np.sort(mus, axis=-1)
     v = np.concatenate([_gaussian_crossing(models[CellState(i)],
                                            models[CellState(i + 1)])
                         for i in range(3)], axis=-1)
-    fell = np.isnan(v)
-    steps = _round_to_step(v)
-    mid = _round_to_step((mus[..., :-1] + mus[..., 1:]) / 2.0)
+    mid = (mus[..., :-1] + mus[..., 1:]) / 2.0
+    steps = round_to_step(np.where(crossed | np.isnan(v), mid, v))
     # Keep the ordering strict after rounding.
-    return ordered_refs(*np.moveaxis(np.where(fell, mid, steps), -1, 0)), fell
+    return ordered_refs(*np.moveaxis(steps, -1, 0))
 
 
 def sweep_vopt(models):
@@ -145,9 +130,9 @@ def sweep_vopt(models):
     oracle that predict_vopt is judged against. A GaussianBatch gives
     (S, 3) steps.
     """
-    best, lo = [], state_cdf(models, CellState.ER, _STEPS)
+    best, lo = [], state_cdf(models, CellState.ER, STEPS)
     for st in (CellState.P1, CellState.P2, CellState.P3):
-        hi = state_cdf(models, st, _STEPS)
+        hi = state_cdf(models, st, STEPS)
         # Mass of the lower state above the boundary + upper state below.
         best.append(np.argmin((1.0 - lo) + hi, axis=-1) + 1)
         lo = hi

@@ -134,10 +134,6 @@ class GaussianBatch:
     def __getitem__(self, state):
         return GaussianColumn(self.mu[:, state, None], self.sigma[:, state, None])
 
-    def take(self, rows):
-        """The batch of the operating points ``rows`` selects."""
-        return GaussianBatch(self.mu[rows], self.sigma[rows])
-
 
 def gaussian_states(row):
     """Gaussian models of the four states from a regression.

@@ -52,8 +52,6 @@ class LookupTables:
         while grid[hi] < nu:
             hi += 1
         lo = hi - 1
-        if grid[lo] == nu:
-            return self.t_cdfs[lo]
         w = (np.log(nu) - np.log(grid[lo])) / (np.log(grid[hi]) - np.log(grid[lo]))
         return (1.0 - w) * self.t_cdfs[lo] + w * self.t_cdfs[hi]
 

@@ -9,6 +9,8 @@ it.
   checked against it. Continuous vth is kept although hardware observes
   only bins, so a layer profile can act in voltage space before
   quantization; ER-state vth may be negative (such cells land in bin 0).
+  Its stock read references are the baseline that predicted references
+  are checked to beat.
 - A seeded, skewed synthetic trace, the input of the replay, HeatWatch
   and CLI tests, and the Trace of a list of rows.
 - The per-page trace replay, in which a read event writes nothing, which
@@ -49,7 +51,8 @@ import numpy as np
 from scipy.special import lambertw
 
 from flashlab.grid import (BOUNDARIES, LSB_OF_STATE, MISPROGRAM_TARGET,
-                           MSB_OF_STATE, N_BINS, CellState, ordered_refs)
+                           MSB_OF_STATE, N_BINS, STEPS, CellState,
+                           ordered_refs, round_to_step)
 from flashlab.channel import BinHistogram
 from flashlab.controller.ftl import Drive
 from flashlab.controller.geometry import SECONDS_PER_DAY
@@ -58,7 +61,7 @@ from flashlab.controller.lifetime import REFRESH_CHECK_S, series_rber
 from flashlab.controller.refresh import run_refresh
 from flashlab.controller import warm as warm_mod
 from flashlab.controller.warm import COLD, HOT, WarmManager
-from flashlab.models.applications import _STEPS, _round_to_step, estimate_rber
+from flashlab.models.applications import estimate_rber
 from flashlab.models.cdf import StateModel, state_cdf
 from flashlab.models import fitting
 from flashlab.models.fitting import PowerLawParams
@@ -75,6 +78,12 @@ from flashlab.urt import KB_EV_PER_K, urt_predict
 def bin_of(vth):
     """Bin index 0..303 for a threshold voltage: bin k iff V_k <= vth < V_{k+1}."""
     return np.searchsorted(BOUNDARIES, np.asarray(vth, dtype=float), side="right")
+
+
+# Stock read references of the modeled chip, as steps; vc lies past the
+# last binning step. Read-only.
+DEFAULT_READ_REFS = np.array([50, 190, 330])
+DEFAULT_READ_REFS.flags.writeable = False
 
 
 def classify_regions(vth, refs):
@@ -689,7 +698,7 @@ def layout_worst_group(layout, rber, parity=None, ecc=None):
 _DENSITY_H = 0.25  # half-width of _density's central difference
 LIFETIME_PEC_MAX = 200000.0  # estimate_lifetime's search ceiling, P/E cycles
 LIFETIME_HALVINGS = 11       # 200000 / 2**11 = 97.7 P/E resolution
-_HALF_STEPS = (_STEPS[:-1] + _STEPS[1:]) / 2.0  # between neighboring steps
+_HALF_STEPS = (STEPS[:-1] + STEPS[1:]) / 2.0  # between neighboring steps
 
 
 def _density(models, state, v):
@@ -719,10 +728,10 @@ def scanned_vopt(models):
         v = np.concatenate(([a], _HALF_STEPS[first:last], [b]))
         gap = _density(models, lo, v) - _density(models, hi, v)
         if gap[0] <= 0 or gap[-1] >= 0:
-            steps.append(int(_round_to_step((a + b) / 2.0)))
+            steps.append(int(round_to_step((a + b) / 2.0)))
             continue
         ks = first + np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
-        vs = _STEPS[ks]
+        vs = STEPS[ks]
         miss = (1.0 - state_cdf(models, lo, vs)) + state_cdf(models, hi, vs)
         steps.append(int(ks[np.argmin(miss)]) + 1)
     return ordered_refs(*steps)

@@ -118,7 +118,7 @@ class TestVoptQuality:
                 mus = np.sort(rng.uniform(10, 290, size=4))
             sigmas = rng.uniform(5, 16, size=4)
             models = gauss_models(mus, sigmas)
-            pred, _ = predict_vopt(models)
+            pred = predict_vopt(models)
             best = sweep_vopt(models)
             r_pred = estimate_rber(models, pred).total
             r_best = estimate_rber(models, best).total
@@ -274,7 +274,7 @@ class TestLayerVariationMitigation:
         n_layers = prof.va_offset.size
         mean_dmu = [float(np.mean(2.0 * (prof.va_offset - prof.vb_offset))),
                     float(np.mean(2.0 * prof.vb_offset)), 0.0, 0.0]
-        block_refs, _ = predict_vopt(
+        block_refs = predict_vopt(
             gauss_models([MEANS[i] + mean_dmu[i] for i in range(4)]))
         block = np.mean([
             self._weighted_rber(
@@ -283,7 +283,7 @@ class TestLayerVariationMitigation:
         per_layer = np.mean([
             self._weighted_rber(
                 estimate_rber(self._layer_models(l),
-                              predict_vopt(self._layer_models(l))[0]), l)
+                              predict_vopt(self._layer_models(l))), l)
             for l in range(n_layers)])
         assert per_layer <= 0.80 * block
         assert time.monotonic() - t0 < 60.0

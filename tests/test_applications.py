@@ -9,18 +9,17 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from flashlab.grid import DEFAULT_READ_REFS, CellState, ordered_refs
+from flashlab.grid import VC_SEARCH_MAX, CellState, ordered_refs, round_to_step
 from flashlab.models import fitting
-from flashlab.models.applications import (VC_SEARCH_MAX, _gaussian_crossing,
-                                          _round_to_step, estimate_rber,
+from flashlab.models.applications import (_gaussian_crossing, estimate_rber,
                                           predict_vopt, region_masses,
                                           sweep_vopt)
 from flashlab.models.cdf import GaussianBatch, StateModel
 from flashlab.models.fitting import PowerLawParams
 import reference
-from reference import (LIFETIME_HALVINGS, enforce_constraints,
-                       estimate_lifetime, measure_rber, sample_page,
-                       scanned_vopt)
+from reference import (DEFAULT_READ_REFS, LIFETIME_HALVINGS,
+                       enforce_constraints, estimate_lifetime, measure_rber,
+                       sample_page, scanned_vopt)
 
 
 def gauss_models(mus=(30.0, 110.0, 183.0, 260.0), sigmas=(12.0, 9.0, 9.0, 9.0)):
@@ -77,14 +76,19 @@ class TestEstimateRber:
 class TestPredictVopt:
     def test_equal_sigma_gaussians_give_midpoints(self):
         models = gauss_models(mus=(20, 100, 180, 260), sigmas=(8, 8, 8, 8))
-        refs, flags = predict_vopt(models)
-        assert refs.tolist() == [60, 140, 220]
-        assert not flags.any()
+        assert predict_vopt(models).tolist() == [60, 140, 220]
 
-    def test_unordered_means_rejected(self):
-        models = gauss_models(mus=(100, 50, 180, 260))
-        with pytest.raises(ValueError):
-            predict_vopt(models)
+    def test_unordered_means_read_at_sorted_midpoints(self):
+        # extrapolated wear can cross the means; every boundary of such a
+        # row reads at the midpoint of its sorted means, 61.5 a tie that
+        # goes to the lower step, and the other rows are untouched
+        models = gauss_models(mus=(100, 23, 180, 260), sigmas=(5, 30, 9, 9))
+        assert predict_vopt(models).tolist() == [61, 140, 220]
+        batch = GaussianBatch(
+            np.array([[100.0, 23, 180, 260], [30, 110, 183, 260]]),
+            np.array([[5.0, 30, 9, 9], [12, 9, 9, 9]]))
+        assert predict_vopt(batch).tolist() == [
+            [61, 140, 220], predict_vopt(gauss_models()).tolist()]
 
     def test_non_gaussian_models_rejected(self):
         # workflows build pure Gaussians only; others take scanned_vopt
@@ -104,7 +108,7 @@ class TestPredictVopt:
                 mus = np.sort(rng.uniform(10, 290, size=4))
             sigmas = rng.uniform(5, 16, size=4)
             models = gauss_models(mus=mus, sigmas=sigmas)
-            pred, _ = predict_vopt(models)
+            pred = predict_vopt(models)
             best = sweep_vopt(models)
             r_pred = estimate_rber(models, pred).total
             r_best = estimate_rber(models, best).total
@@ -112,7 +116,7 @@ class TestPredictVopt:
 
     def test_beats_stock_references_on_shifted_model(self):
         models = gauss_models(mus=(25, 105, 165, 235), sigmas=(14, 11, 11, 12))
-        pred, _ = predict_vopt(models)
+        pred = predict_vopt(models)
         r_pred = estimate_rber(models, pred).total
         r_stock = estimate_rber(models, DEFAULT_READ_REFS).total
         assert r_pred < r_stock
@@ -128,7 +132,7 @@ class TestPredictVopt:
         })
         inter = scanned_vopt(models)
         mus = [models[st].mu for st in CellState]
-        mid = ordered_refs(*(_round_to_step((lo + hi) / 2.0)
+        mid = ordered_refs(*(round_to_step((lo + hi) / 2.0)
                              for lo, hi in zip(mus, mus[1:])))
         assert inter[1] < mid[1]
         r_inter = estimate_rber(models, inter).total
@@ -164,10 +168,13 @@ class TestGaussianCrossing:
 
     def test_flags_pairs_whose_densities_never_cross(self):
         # A wide lower state outweighs a narrow upper one even at mu_hi.
+        # predict_vopt reads such a pair at the midpoint of the means.
         models = gauss_models(mus=(20, 100, 110, 260), sigmas=(8, 8, 40, 8))
-        refs, flags = predict_vopt(models)
-        assert flags.tolist() == [False, True, False]
-        assert refs[1] == 105
+        crossings = [_gaussian_crossing(models[CellState(i)],
+                                        models[CellState(i + 1)])[0]
+                     for i in range(3)]
+        assert np.isnan(crossings).tolist() == [False, True, False]
+        assert predict_vopt(models)[1] == 105
 
 
 class TestScannedCrossing:
@@ -197,7 +204,7 @@ class TestScannedCrossing:
 
 class TestDictIsABatchOfOne:
     """A dict of StateModel and a GaussianBatch row built from the same
-    parameters give the same references, flags and RBER, bit for bit."""
+    parameters give the same references and RBER, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(hst.lists(hst.tuples(
@@ -208,14 +215,12 @@ class TestDictIsABatchOfOne:
     def test_each_row_matches_its_dict(self, rows):
         mu, sigma = (np.array(x) for x in zip(*rows))
         batch = GaussianBatch(mu, sigma)
-        steps, fell = predict_vopt(batch)
+        steps = predict_vopt(batch)
         swept = sweep_vopt(batch)
         rber = estimate_rber(batch, steps)
         for i, (mus, sigmas) in enumerate(rows):
             models = gauss_models(mus, sigmas)
-            one_steps, one_fell = predict_vopt(models)
-            assert one_steps.tolist() == steps[i].tolist()
-            assert one_fell.tolist() == fell[i].tolist()
+            assert predict_vopt(models).tolist() == steps[i].tolist()
             assert sweep_vopt(models).tolist() == swept[i].tolist()
             one = estimate_rber(models, steps[i])
             assert (one.total, one.msb, one.lsb) == (
@@ -238,11 +243,11 @@ class TestRoundToStep:
                                    np.nextafter(halves, -np.inf),
                                    [-1e9, 0.0, 1e9]])
         for v in voltages:
-            assert _round_to_step(v) == _argmin_round(v), v
+            assert round_to_step(v) == _argmin_round(v), v
 
     def test_ties_go_to_the_lower_step(self):
-        assert _round_to_step(60.5) == 60
-        assert _round_to_step(60.5000001) == 61
+        assert round_to_step(60.5) == 60
+        assert round_to_step(60.5000001) == 61
 
 
 class TestSweepVopt:

@@ -66,6 +66,30 @@ class TestFit:
         assert set(doc["states"]) == {"ER", "P1", "P2", "P3"}
         assert (tmp_path / "out" / "manifest.json").exists()
 
+    def test_compare_picks_normal_laplace_on_its_own_population(self,
+                                                                tmp_path):
+        models = {st: StateModel("normal_laplace", MEANS[i], 8.0, 0.3, 0.3)
+                  for i, st in enumerate(CellState)}
+        hist = tmp_path / "h.csv"
+        write_histogram(hist, models)
+        rc = main(["--out", str(tmp_path / "out"), "fit", str(hist),
+                   "--compare", "gaussian,normal_laplace"])
+        assert rc == 0
+        doc = json.loads((tmp_path / "out" / "model.json").read_text())
+        assert doc["family"] == "normal_laplace"
+
+    def test_several_inputs_need_dynamic(self, tmp_path, capsys):
+        # a static fit reads one histogram; a second would go unread
+        hists = [tmp_path / "h1.csv", tmp_path / "h2.csv"]
+        for seed, hist in enumerate(hists):
+            write_histogram(hist, heavy_tail_models(), n_cells=20_000,
+                            seed=seed)
+        rc = main(["--out", str(tmp_path / "out"), "fit",
+                   *(str(h) for h in hists), "--family", "gaussian"])
+        assert rc == 2
+        assert "--dynamic" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_dynamic_needs_three_histograms(self, tmp_path):
         hist = tmp_path / "h1000.csv"
         write_histogram(hist, heavy_tail_models(), n_cells=20_000)
@@ -484,6 +508,27 @@ class TestLayout:
         assert not (tmp_path / "out" / "li_raid_1x4.csv").exists()
 
 
+def empty_state_fit(tmp_path):
+    """``fit`` argv for a histogram whose P3 state holds no cells."""
+    hist = tmp_path / "h.csv"
+    write_histogram(hist, heavy_tail_models(), n_cells=20_000)
+    lines = hist.read_text().splitlines(keepends=True)
+    hist.write_text("".join(l for l in lines if not l.startswith("P3,")))
+    return ["fit", str(hist), "--family", "gaussian"]
+
+
+def heatwatch_run(doc, trace_csv):
+    """A builder of ``simulate`` argv for the heatwatch config ``doc`` on
+    the canonical trace rows ``trace_csv``."""
+    def argv(tmp_path):
+        tr = tmp_path / "t.csv"
+        tr.write_text("timestamp_us,op,lba,size_bytes\n" + trace_csv)
+        cfg = tmp_path / "hw.json"
+        cfg.write_text(json.dumps(dict({"experiment": "heatwatch"}, **doc)))
+        return ["simulate", "--config", str(cfg), "--trace", str(tr)]
+    return argv
+
+
 class TestManifest:
     def test_records_the_versions_of_the_numeric_stack(self, tmp_path):
         # tables.py builds its stdtr tables with scipy, so its version
@@ -497,6 +542,22 @@ class TestManifest:
         assert doc["versions"]["scipy"] == scipy.__version__
         assert set(doc["versions"]) == {"flashlab", "numpy", "python",
                                         "scipy"}
+
+    @pytest.mark.parametrize("argv, error", [
+        (empty_state_fit, "empty histogram for state P3"),
+        (heatwatch_run({"temp": {"mean_c": -300}}, "".join(
+            f"{i * 60_000_000},{op},0,4096\n" for i, op in enumerate("WRRR"))),
+         "temperature must be positive Kelvin"),
+        (heatwatch_run({}, "0,W,0,4096\n1000000,R,0,4096\n"),
+         "trace produced no read samples"),
+    ], ids=["fit-empty-state", "heatwatch-below-absolute-zero",
+            "heatwatch-no-read-samples"])
+    def test_config_error_found_mid_run_writes_nothing(self, tmp_path, capsys,
+                                                       argv, error):
+        rc = main(["--out", str(tmp_path / "out"), *argv(tmp_path)])
+        assert rc == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # not even the manifest
 
 
 class TestTraceStats:
@@ -688,6 +749,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "over-committed" in err
         assert "capacity_bytes 8388608" in err and "op_fraction" in err
+        assert not (tmp_path / "out").exists()  # not even the manifest
 
     @staticmethod
     def run_policy(tmp_path, policy, trace_writer):

@@ -27,17 +27,16 @@ from flashlab.controller.policies import (ReadContext, heatwatch_refs,
 from flashlab.controller.warm import (_H_MIN, _W_MAX, _W_MIN,
                                       INITIAL_HOT_FRACTION, INITIAL_WINDOW)
 from flashlab.degradation import RetentionModel3D, retention_refs
-from flashlab.grid import (DEFAULT_READ_REFS, LSB_OF_STATE, MSB_OF_STATE,
-                           CellState)
-from flashlab.models.applications import (VC_SEARCH_MAX, estimate_rber,
-                                          predict_vopt, sweep_vopt)
+from flashlab.grid import LSB_OF_STATE, MSB_OF_STATE, STEPS, CellState
+from flashlab.models.applications import (estimate_rber, predict_vopt,
+                                          sweep_vopt)
 from flashlab.models.cdf import StateModel, state_cdf
 from flashlab.trace import SECTOR_BYTES, Trace
 from flashlab.urt import (T_PROGRAM_K, AccelLog, RetentionAges, TempTrace, af,
                           calibration_pack_from_retention, celsius_to_kelvin,
                           state_models, urt_predict)
-from reference import (NumpyScalarDrive, NumpyScalarWarm, fifo_wa,
-                       reference_eligible_reads, reference_replay,
+from reference import (DEFAULT_READ_REFS, NumpyScalarDrive, NumpyScalarWarm,
+                       fifo_wa, reference_eligible_reads, reference_replay,
                        reference_temp_generate, synth_hot)
 
 DAY = 86400.0
@@ -899,9 +898,6 @@ class TestPolicies:
     def ctx(self, **kw):
         return ReadContext(**kw)
 
-    def test_fixed_policy(self):
-        assert np.array_equal(policy_refs("fixed", self.ctx()), DEFAULT_READ_REFS)
-
     def test_fixed_refs_decode_a_fresh_page(self):
         # swept on the pack's state models at P/E 0 and FIXED_REFS_AGE_S;
         # DEFAULT_READ_REFS misreads the same fresh page past any ECC
@@ -952,7 +948,7 @@ class TestPolicies:
                          (15000, 400 * DAY)):
             ages = RetentionAges(pack, [eff])
             ctx = self.ctx(pec=pec, eff_retention_s=ages)
-            want, _ = predict_vopt(truth_models(pack, pec, ages))
+            want = predict_vopt(truth_models(pack, pec, ages))
             assert heatwatch_refs(pack, ctx).tolist() == want.tolist()
 
     def test_heatwatch_survives_extrapolated_mean_crossings(self):
@@ -1063,9 +1059,6 @@ class TestEligibleReadsProperty:
 # the scalar kernels it ran: the reference the batched scoring must match
 # bit for bit.
 
-STEPS = np.arange(1, VC_SEARCH_MAX + 1, dtype=float)
-
-
 def reference_truth_models(pack, pec, eff_s):
     t_r = max(eff_s, 1.0)
 
@@ -1106,8 +1099,8 @@ def reference_heatwatch_refs(models):
     mus = [models[st].mu for st in CellState]
     if not (mus[0] < mus[1] < mus[2] < mus[3]):
         mus = sorted(mus)
-        va, vb, vc = (int(round((lo + hi) / 2)) for lo, hi in zip(mus, mus[1:]))
-        return reference_ordered(max(va, 1), vb, vc)
+        return reference_ordered(*(reference_round_to_step((lo + hi) / 2.0)
+                                   for lo, hi in zip(mus, mus[1:])))
     steps = []
     for i in range(3):
         v = reference_crossing(models[CellState(i)], models[CellState(i + 1)])

@@ -62,6 +62,16 @@ class TestRetentionModel:
         r1, r2 = retention_refs(MODEL, 5000, [3600, 365 * DAY])
         assert r2[2] < r1[2] and r2[1] <= r1[1]
 
+    def test_refs_round_ties_to_the_lower_step(self):
+        # the rule predict_vopt rounds by: 61.5 reads at step 61, and vb
+        # and vc rise just enough to stay above it
+        class Flat:
+            def eval(self, variable, pec, t_seconds):
+                return 61.5
+
+        assert retention_refs(Flat(), 0, [1.0, 2.0]).tolist() == [
+            [61, 62, 63], [61, 62, 63]]
+
     def test_refs_agree_with_model_implied_optimum(self):
         # The table's reference rows and its state-model rows describe the
         # same device; the predicted optimum from the state models should
@@ -69,7 +79,7 @@ class TestRetentionModel:
         for pec, t in ((1000, DAY), (8000, 30 * DAY)):
             models = retention_states(pec, t)
             table = retention_refs(MODEL, pec, [t])
-            pred, _ = predict_vopt(models)
+            pred = predict_vopt(models)
             assert np.all(np.abs(pred - table)[:, 1:] <= 8)
 
     def test_state_models_imply_rber_near_tabulated(self):

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from flashlab.grid import (BOUNDARIES, CellState, DEFAULT_READ_REFS,
-                           MSB_OF_STATE, LSB_OF_STATE, N_BINS, N_STEPS,
-                           ordered_refs)
+from flashlab.grid import (BOUNDARIES, CellState, MSB_OF_STATE, LSB_OF_STATE,
+                           N_BINS, N_STEPS, ordered_refs)
 from flashlab.channel import load_histogram_csv
 from flashlab.models.cdf import StateModel
-from reference import (bin_cells, bin_of, classify_regions,
+from reference import (DEFAULT_READ_REFS, bin_cells, bin_of, classify_regions,
                        export_histogram_csv, measure_rber, sample_page)
 
 
@@ -26,11 +25,6 @@ class TestVoltageGrid:
         b = BOUNDARIES
         assert b.shape == (N_STEPS,)
         assert np.all(np.diff(b) > 0)
-
-    def test_default_read_refs_are_read_only_steps(self):
-        assert DEFAULT_READ_REFS.tolist() == [50, 190, 330]
-        with pytest.raises(ValueError):
-            DEFAULT_READ_REFS[0] = 40
 
     def test_bin_of_matches_linear_scan(self):
         # oracle: place each sample by scanning boundaries directly

@@ -1,7 +1,8 @@
 """Source hygiene: no library or test module imports a name it never uses,
 the CLI starts up without ``scipy.stats``, only ``trace.py`` turns
-sectors into pages, no library function takes a ``tables`` or ``grid``
-argument, every library function, class and method is reached from a
+sectors into pages, only ``grid.py`` turns voltages into steps, no
+library function takes a ``tables`` or ``grid`` argument, every library
+function, class and method is reached from a
 CLI workflow or is a named reference that some test module calls, every
 definition of the tests' ``reference`` module feeds some test and no
 library module imports a test module, every defaulted
@@ -86,6 +87,37 @@ def test_only_the_trace_module_names_sector_bytes():
     naming = sorted(str(p.relative_to(SRC)) for p in SRC.glob("**/*.py")
                     if re.search(r"\bSECTOR_BYTES\b", p.read_text()))
     assert naming == ["trace.py"]
+
+
+def rounding_calls(source):
+    """Lines of ``source`` that call ``round``, or ``rint``, ``round`` or
+    ``around`` as an attribute (``np.rint``)."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "round"
+                 or getattr(node.func, "attr", None) in ("rint", "round",
+                                                         "around"))]
+
+
+def test_rounding_detector_finds_every_spelling():
+    src = ("a = round(x)\nb = np.rint(x)\nc = np.round(x, 2)\n"
+           "d = numpy.around(x)\ne = rounding(x)  # round(x)\n")
+    assert rounding_calls(src) == [1, 2, 3, 4]
+
+
+# Modules that round a number that is not a voltage, each with why.
+ROUNDING_ALLOWED = {
+    "cli.py": "prints a lifetime to one decimal",
+    "urt.py": "AccelLog counts the whole chunks in a tick",
+}
+
+
+def test_only_the_grid_module_rounds_voltages_to_steps():
+    # grid.round_to_step is the one voltage-to-step rule; a second
+    # rounding call could read some policy's ties at another step
+    rounding = sorted(str(p.relative_to(SRC)) for p in SRC.glob("**/*.py")
+                      if rounding_calls(p.read_text()))
+    assert rounding == sorted(ROUNDING_ALLOWED)
 
 
 def parameters_named(source, name):

@@ -123,6 +123,12 @@ class TestTcdf:
         assert "nu_clamp_count" not in before
         assert set(vars(tables)) == before
 
+    def test_grid_nus_read_their_own_table_bit_for_bit(self):
+        # at a grid nu the blend's weight is exactly 0 or 1
+        for i, nu in enumerate(NU_GRID[:-1]):
+            assert np.array_equal(TAB.t_cdf(TAB.t_z_grid, nu),
+                                  TAB.t_cdfs[i]), nu
+
     def test_interpolates_between_grid_nus(self):
         m = StateModel("student_t", 0.0, 1.0, 4.0, 4.0)
         z = np.linspace(-6, 6, 50)
