@@ -9,25 +9,38 @@ block is demoted, its surviving pages rewritten cold.
 Reclaim rule: only host writes reclaim. A block allocated for a host
 write may first run demotion and GC; a block allocated for a gc, refresh
 or demotion write never does, so reclaim cannot nest. Every relocation
-(GC, demotion, hot-pool rotation, refresh) goes through _migrate_block.
+(GC, demotion, hot-pool rotation, refresh) goes through _relocate.
 
-Batched migration: _migrate_block moves a block's live pages with one
-vectorized remap per destination block. Destination pages are taken in
-the same order as one page write per live page, in ascending offset
-order, would take them, and blocks close (firing on_block_closed) at the
-same points. No reclaim runs inside it, because its writes are never
-host writes.
+Batched migration: _relocate moves the live pages of a list of blocks,
+block by block, each into its pool, with one vectorized map/rmap remap
+for the whole list. GC and demotion pass one block, since each victim
+depends on the last; rotation passes the hot pool and a refresh pass its
+due blocks. A short scalar loop, over the blocks and over the
+destination blocks _fill yields, takes the destination pages in the
+order one page write per live page, in ascending offset order, would
+take them, and opens and closes blocks (firing on_block_closed) and
+erases each source (firing on_block_erased) at the same points. An
+erased source goes back on the free heap, so a later block's pages can
+land on it; the remap clears every source page before it writes any
+destination. No reclaim runs inside it, because its writes are never
+host writes. If an allocation over-commits the drive part-way, the
+remap of the pages already placed still runs, so the drive is left as
+per-page writes leave it.
 
 Host writes: host_writes writes an array of logical pages, each at its
 own time, in order, and leaves the drive as one write per page would.
 The replay sends no read here, since the drive models no read effect: a
 read event only moves its clock (host_read serves tests). Without WARM
-the pages go in runs, each stamped with its first write's time and
-applied as one set of array scatters, the last write of a page winning.
-A run first allocates the cold open block if there is none, reclaiming
-as a one-page write would, and only then measures the room left, since
-reclaim can hand back a part-filled block; it takes only as many pages
-as fit there. With WARM the pages go in one loop, one route call per
+the pages go in runs (_write_run), each applied as one set of array
+scatters, the last write of a page winning. A run first allocates the
+cold open block if there is none, reclaiming as a one-page write would,
+since reclaim can hand back a part-filled block. It then fills that
+block and goes on into new cold blocks, popped from the free heap and
+stamped with their first page's time, while ``len(free) >
+gc_threshold``: a one-page write would allocate those blocks without a
+reclaim. It stops at the first block that would need one, so the only
+allocation in a run that can reclaim or over-commit comes before any of
+its writes. With WARM the pages go in one loop, one route call per
 write and the program step inline, and the write counts and WARM's
 epoch bytes are added when it ends or raises. It checks for a due
 rotation only after the first write, a write that allocated (and so may
@@ -37,10 +50,11 @@ block or lowers the threshold.
 Scalar views: map_view, rmap_view, valid_count_view, write_ptr_view and
 pool_view are memoryviews of map, rmap, valid_count, write_ptr and pool,
 made once in __init__ over the same buffers, so a write through either
-shows in both. The per-page paths (WARM's host_writes loop, host_read
-and WARM's route) index the views, which read and write one element in
-about half the time numpy scalar indexing takes, and which read as
-Python ints. The vectorized paths use the arrays. No code rebinds these
+shows in both. The scalar paths (WARM's host_writes loop, host_read,
+WARM's route, and the block bookkeeping of _fill, _allocate and _erase)
+index the views, which read and write one element in about half the
+time numpy scalar indexing takes, and which read as Python ints. The
+vectorized paths use the arrays. No code rebinds these
 arrays after __init__, since a rebound array would leave its view on the
 old buffer.
 A page is valid iff rmap holds its logical page; ``valid`` derives that
@@ -56,6 +70,12 @@ from .warm import COLD, HOT
 FREE, OPEN, CLOSED = 0, 1, 2
 
 WRITE_KINDS = ("host", "gc", "refresh", "demotion")
+
+
+def _joined(arrays):
+    """The arrays (at least one) end to end; the one array itself if
+    there is one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 class Drive:
@@ -119,7 +139,7 @@ class Drive:
         if warm is None:
             done = 0
             while done < pages.size:
-                done += self._write_run(pages[done:], times.item(done))
+                done += self._write_run(pages[done:], times[done:])
             return
         route, open_block = warm.route, self.open_block
         map_, rmap = self.map_view, self.rmap_view
@@ -164,41 +184,34 @@ class Drive:
             self.pool_writes[COLD] += written - hot
             warm.epoch_host_bytes = epoch
 
-    def _write_run(self, pages, now):
-        """Host-write ``pages`` (a non-empty int64 array) in order at time
-        ``now``, as many as fit in the cold open block; returns how many
-        were taken. For a drive without WARM."""
-        self.now = now
-        ppb = self.pages_per_block
-        blk = self.open_block[COLD]
-        if blk is None:
-            blk = self._allocate(COLD, "host")
-        ptr = self.write_ptr.item(blk)
-        take = min(len(pages), ppb - ptr)
+    def _write_run(self, pages, times):
+        """Host-write ``pages`` (a non-empty int64 array) in order, page i
+        at ``times[i]``, into the cold open block (allocated first, with
+        any reclaim, if there is none) and then into as many new cold
+        blocks as open without a reclaim, with one last-writer pass and
+        one set of scatters; returns how many were taken. For a drive
+        without WARM; see "Host writes" above."""
+        ppn = _joined(list(self._fill(COLD, "host", pages.size, times)))
+        take = ppn.size
         pages = pages[:take]
-        # the last write of each page in the run, and where it lands: a
-        # stable sort keeps a page's writes in run order, so the last of
-        # each group of equal pages is its last writer
-        order = np.argsort(pages, kind="stable")
-        grouped = pages[order]
+        # the last write of each page in the run, and where it lands: keys
+        # (page, position in the run) sort a page's writes in run order,
+        # so the last of each group of equal pages is its last writer
+        grouped, order = np.divmod(np.sort(pages * take + np.arange(take)),
+                                   take)
         is_last = np.empty(take, dtype=bool)
         is_last[:-1] = grouped[1:] != grouped[:-1]
         is_last[-1] = True
-        last = order[is_last]
-        lba, ppn = pages[last], blk * ppb + ptr + last
+        lba, new = grouped[is_last], ppn[order[is_last]]
         old = self.map[lba]
         old = old[old >= 0]
         self.rmap[old] = -1
-        self.valid_count -= np.bincount(old // ppb,
+        # _fill counted every write valid; an overwritten one is not
+        stale = np.concatenate((old, ppn[order[~is_last]]))
+        self.valid_count -= np.bincount(stale // self.pages_per_block,
                                         minlength=self.geom.total_blocks)
-        self.map[lba] = ppn
-        self.rmap[ppn] = lba
-        self.valid_count[blk] += last.size
-        self.write_ptr[blk] = ptr + take
-        if ptr + take == ppb:
-            self._close(blk, COLD)
-        self.writes["host"] += take
-        self.pool_writes[COLD] += take
+        self.map[lba] = new
+        self.rmap[new] = lba
         return take
 
     def host_read(self, lba_page, now):
@@ -239,56 +252,83 @@ class Drive:
                 "give it more capacity or over-provisioning")
         blk = heapq.heappop(self.free)
         self.state[blk] = OPEN
-        self.pool[blk] = pool
-        self.write_ptr[blk] = 0
+        self.pool_view[blk] = pool
+        self.write_ptr_view[blk] = 0
         self.program_epoch[blk] = self.now
         self.open_block[pool] = blk
         self.pool_blocks[pool] += 1
         return blk
 
     def _erase(self, blk):
-        if self.valid_count[blk]:
+        if self.valid_count_view[blk]:
             raise RuntimeError("erasing a block with valid pages")
-        pool = int(self.pool[blk])
+        pool = self.pool_view[blk]
         self.pec[blk] += 1
         self.state[blk] = FREE
-        self.write_ptr[blk] = 0
+        self.write_ptr_view[blk] = 0
         self.erases += 1
         self.pool_blocks[pool] -= 1
         heapq.heappush(self.free, int(blk))
         if self.warm:
             self.warm.on_block_erased(blk, pool)
 
-    def _migrate_block(self, blk, dest_pool, kind):
-        """Rewrite blk's live pages into dest_pool, then erase blk; one
-        remap per destination block (see "Batched migration" above)."""
-        ppb = self.pages_per_block
-        src = blk * ppb + np.flatnonzero(
-            self.rmap[blk * ppb:(blk + 1) * ppb] >= 0)
-        done, n = 0, src.size
+    def _fill(self, pool, kind, n, times=None):
+        """Program n pages into pool where n one-page writes of ``kind``
+        would put them, opening blocks through _allocate; yields the ppns
+        taken in each destination block. It counts the writes, adds them
+        to their blocks' valid counts and closes each block when full;
+        the caller remaps. For a host run, ``times`` holds the pages' write
+        times, and each block it opens is stamped with its first page's
+        time. Past the run's first page it opens a block only while
+        ``len(free) > gc_threshold``, so that no reclaim runs, and stops
+        where a one-page write would reclaim."""
+        ppb, write_ptr = self.pages_per_block, self.write_ptr_view
+        done = 0
         while done < n:
-            dest = self.open_block[dest_pool]
-            if dest is None:
-                dest = self._allocate(dest_pool, kind)
-            ptr = self.write_ptr.item(dest)
+            blk = self.open_block[pool]
+            if blk is None:
+                if times is not None:
+                    if done and len(self.free) <= self.gc_threshold:
+                        return
+                    self.now = times.item(done)
+                blk = self._allocate(pool, kind)
+            ptr = write_ptr[blk]
             take = min(n - done, ppb - ptr)
-            old = src[done:done + take]
-            moved = self.rmap[old]
-            new = np.arange(dest * ppb + ptr, dest * ppb + ptr + take)
-            self.rmap[old] = -1
-            self.valid_count[blk] -= take
-            self.map[moved] = new
-            self.rmap[new] = moved
-            self.valid_count[dest] += take
-            self.write_ptr[dest] = ptr + take
+            write_ptr[blk] = ptr + take
+            self.valid_count_view[blk] += take
             self.writes[kind] += take
-            self.pool_writes[dest_pool] += take
+            self.pool_writes[pool] += take
             if kind == "refresh":
-                self.refresh_writes_by_pool[dest_pool] += take
+                self.refresh_writes_by_pool[pool] += take
             if ptr + take == ppb:
-                self._close(dest, dest_pool)
+                self._close(blk, pool)
             done += take
-        self._erase(blk)
+            yield np.arange(blk * ppb + ptr, blk * ppb + ptr + take)
+
+    def _relocate(self, blocks, pools, kind):
+        """Rewrite the live pages of each closed block in ``blocks`` (block
+        ids) into its pool in ``pools``, then erase it, block by block;
+        one remap for them all (see "Batched migration" above)."""
+        ppb, rmap = self.pages_per_block, self.rmap
+        sources, segments = [], []
+        try:
+            for blk, pool in zip(blocks, pools):
+                base = blk * ppb
+                src = base + np.flatnonzero(rmap[base:base + ppb] >= 0)
+                sources.append(src)
+                for seg in self._fill(pool, kind, src.size):
+                    segments.append(seg)
+                    self.valid_count_view[blk] -= seg.size
+                self._erase(blk)
+        finally:
+            # the pages placed so far, also when an allocation over-commits
+            if segments:
+                dest = _joined(segments)
+                old = _joined(sources)[:dest.size]
+                moved = rmap[old]
+                rmap[old] = -1
+                self.map[moved] = dest
+                rmap[dest] = moved
 
     # --- garbage collection --------------------------------------------------
 
@@ -303,7 +343,7 @@ class Drive:
                     self._demote_oldest_hot()
                     continue
                 break
-            self._migrate_block(victim, COLD, "gc")
+            self._relocate((victim,), (COLD,), "gc")
 
     def _pick_cold_victim(self):
         mask = (self.state == CLOSED) & (self.pool == COLD)
@@ -316,7 +356,7 @@ class Drive:
     def _demote_oldest_hot(self):
         blk = self.warm.hot_closed[0]
         n_live = int(self.valid_count[blk])
-        self._migrate_block(blk, COLD, "demotion")
+        self._relocate((blk,), (COLD,), "demotion")
         self.warm.demotions += n_live
 
     def rotate_hot_pool(self):
@@ -324,8 +364,8 @@ class Drive:
         heap. The heap gives the lowest free block id, not the least worn
         block, and the blocks this rotation erases go back on it, so the
         next rotation can move the hot data back onto them."""
-        for blk in list(self.warm.hot_closed):
-            self._migrate_block(blk, HOT, "gc")
+        hot = list(self.warm.hot_closed)
+        self._relocate(hot, (HOT,) * len(hot), "gc")
         self.warm.hot_erases_since_rotation = 0
 
     # --- refresh --------------------------------------------------------------
@@ -342,6 +382,10 @@ class Drive:
         at its turn: the pass erases only blocks it has already visited,
         in ascending id order, and its own writes never reclaim, so no
         block still to come changes state, age, wear or valid count.
+        They move in one _relocate call, so in one map/rmap remap, each
+        into its own pool; a block erased early in the pass can take a
+        later block's pages. A pass that over-commits the drive part-way
+        raises ValueError and leaves it as one sweep per block would.
         """
         self.now = now
         mask = (self.state == CLOSED) & (self.valid_count > 0)
@@ -349,8 +393,8 @@ class Drive:
         if not include_hot:
             mask &= self.pool == COLD
         blocks = np.flatnonzero(mask)
-        for blk in blocks:
-            self._migrate_block(int(blk), int(self.pool[blk]), "refresh")
+        self._relocate(blocks.tolist(), self.pool[blocks].tolist(),
+                       "refresh")
         return int(blocks.size)
 
     # --- audit -----------------------------------------------------------------

@@ -172,10 +172,13 @@ def fixed_refs(pack):
     return sweep_vopt(fresh)[0]
 
 
-def policy_worst_rber(policy, batches, pack, retention_model, pec):
+def policy_worst_rber(policy, batches, pack, retention_model, pec,
+                      fixed=None):
     """Worst per-sample RBER a policy suffers at a given wear level, over
-    the ``sample_batches`` of the samples."""
-    fixed = fixed_refs(pack) if policy == "fixed" else None
+    the ``sample_batches`` of the samples. ``fixed`` is the fixed policy's
+    ``fixed_refs(pack)``, made here when not given."""
+    if policy == "fixed" and fixed is None:
+        fixed = fixed_refs(pack)
     worst = 0.0
     for batch in batches:
         truth = truth_models(pack, pec, batch.exact)
@@ -191,10 +194,12 @@ def policy_worst_rber(policy, batches, pack, retention_model, pec):
 def policy_lifetime_pec(policy, samples, pack, retention_model, ecc_limit):
     """Largest P/E count at which every sampled read still decodes."""
     batches = sample_batches(samples, pack)
+    # the fixed policy's references do not depend on the wear probed
+    fixed = fixed_refs(pack) if policy == "fixed" else None
 
     def fails(pec):
         return policy_worst_rber(policy, batches, pack, retention_model,
-                                 pec) > ecc_limit
+                                 pec, fixed) > ecc_limit
 
     return bisect_failure(fails, float(PEC_HI), PEC_HALVINGS)[0]
 

@@ -97,13 +97,15 @@ def _page_rber(logs):
 
 
 def series_rber(drive, age_s):
-    """Mean and worst block-level RBER at the assumed data age."""
+    """Mean and worst block-level RBER at the assumed data age, over the
+    closed blocks that hold data. The model runs once per distinct P/E
+    count among them; each block then takes its count's value."""
     mask = (drive.state == CLOSED) & (drive.valid_count > 0)
-    ids = np.flatnonzero(mask)
-    if ids.size == 0:
+    pecs, block_pec = np.unique(drive.pec[mask], return_inverse=True)
+    if pecs.size == 0:
         return 0.0, 0.0
-    rbers = [_page_rber(_page_log_rbers(float(drive.pec[blk]), age_s))
-             for blk in ids]
+    rbers = np.array([_page_rber(_page_log_rbers(pec, age_s))
+                      for pec in pecs.tolist()])[block_pec]
     return float(np.mean(rbers)), float(np.max(rbers))
 
 

@@ -168,6 +168,41 @@ class TestDrive:
         assert d.audit()
 
 
+class TestBulkPaths:
+    """A WARM-free host write window and a refresh pass each take one
+    bulk call where they can; the property tests below hold those calls
+    to the per-page references."""
+
+    def test_window_that_fits_above_the_gc_reserve_is_one_run(self):
+        d = Drive(small_geom())
+        ppb = d.pages_per_block
+        # every block but the gc_threshold reserve; more pages than the
+        # logical space, so the run rewrites some of its own pages
+        n = (len(d.free) - d.gc_threshold) * ppb
+        assert n > d.geom.logical_pages
+        with patch.object(d, "_write_run", wraps=d._write_run) as run:
+            d.host_writes(np.arange(n) % d.geom.logical_pages,
+                          np.arange(n, dtype=np.float64))
+        assert run.call_count == 1
+        assert d.pool_blocks[COLD] == n // ppb
+        assert len(d.free) == d.gc_threshold and d.writes["gc"] == 0
+        assert d.audit()
+
+    def test_refresh_pass_is_one_relocation(self):
+        d = Drive(small_geom())
+        end = fill_drive(d)
+        free = len(d.free)
+        with patch.object(d, "_relocate", wraps=d._relocate) as relocate:
+            refreshed = d.refresh_sweep(end + 10 * DAY, 3 * DAY)
+        assert relocate.call_count == 1
+        blocks = relocate.call_args.args[0]
+        assert len(blocks) == refreshed
+        # more due blocks than free ones: later blocks land on erased ones
+        assert refreshed > free > 0
+        assert d.valid_count[blocks].any()
+        assert d.audit()
+
+
 class TestWarm:
     @staticmethod
     def warm_drive(mb=16):
@@ -365,8 +400,9 @@ _STEP = hst.one_of(
 
 
 class TestRefreshPassProperty:
-    """run_refresh (per-block periods, one sweep) against reference_refresh
-    (one sweep per due block) on identical drives fed identical steps."""
+    """run_refresh (per-block periods, one sweep) on a Drive against
+    reference_refresh (one sweep per due block) on a PerPageMigrationDrive,
+    fed identical steps."""
 
     @settings(max_examples=200)
     @given(n_blocks=hst.integers(4, 24),
@@ -385,8 +421,9 @@ class TestRefreshPassProperty:
                         op_fraction=op)
         cfg = RefreshConfig(mode=mode, period_s=period_days * DAY,
                             include_hot=include_hot)
-        drives = [Drive(geom, warm=WarmManager(geom) if warm else None,
-                        initial_pec=initial_pec) for _ in range(2)]
+        drives = [cls(geom, warm=WarmManager(geom) if warm else None,
+                      initial_pec=initial_pec)
+                  for cls in (Drive, PerPageMigrationDrive)]
         passes = [lambda d, now: run_refresh(d, now, cfg),
                   lambda d, now: reference_refresh(d, now, cfg)]
         span = max(1, int(footprint * geom.logical_pages))
@@ -429,15 +466,17 @@ class TestRefreshPassProperty:
 
 
 class PerPageMigrationDrive(NumpyScalarDrive):
-    """The relocation that preceded the batched _migrate_block: one
-    _program call per live page, in ascending offset order, then the
-    erase; host writes one page per call (NumpyScalarDrive)."""
+    """The relocation that preceded the batched _relocate: block by
+    block, one _program call per live page, in ascending offset order,
+    then the erase; host writes one page per call (NumpyScalarDrive)."""
 
-    def _migrate_block(self, blk, dest_pool, kind):
-        base = blk * self.geom.pages_per_block
-        for off in np.flatnonzero(self.valid[base:base + self.geom.pages_per_block]):
-            self._program(int(self.rmap[base + off]), dest_pool, kind)
-        self._erase(blk)
+    def _relocate(self, blocks, pools, kind):
+        ppb = self.geom.pages_per_block
+        for blk, pool in zip(blocks, pools):
+            base = blk * ppb
+            for off in np.flatnonzero(self.valid[base:base + ppb]):
+                self._program(int(self.rmap[base + off]), pool, kind)
+            self._erase(blk)
 
 
 _MIGRATION_STEP = hst.one_of(
@@ -450,11 +489,16 @@ _MIGRATION_STEP = hst.one_of(
 
 
 class TestBatchedMigrationProperty:
-    """Drive (batched _migrate_block, windowed host writes) against
+    """Drive (batched _relocate, runs of host writes) against
     PerPageMigrationDrive on identical drives fed identical host writes,
     refresh sweeps and hot-pool rotations."""
 
     @settings(max_examples=200)
+    # a sweep of three due blocks that over-commits part-way: no block is
+    # free, and the first block's pages overflow the open block
+    @example(n_blocks=4, op=0.1, footprint=1.0, warm=False,
+             rotation_pec=1000, include_hot=False,
+             steps=[("write", 0, 25), ("sweep", 0.0, 0.0)])
     @given(n_blocks=hst.integers(4, 24),
            op=hst.sampled_from([0.1, 0.25, 0.5, 0.9]),
            footprint=hst.floats(0.05, 1.0),
@@ -661,6 +705,17 @@ class TestScalarViewProperty:
         assert NumpyScalarDrive.host_write is not Drive.host_write
         assert NumpyScalarDrive.host_read is not Drive.host_read
         assert NumpyScalarWarm.route is not WarmManager.route
+
+    def test_migration_reference_replaces_the_batched_relocation(self):
+        # every relocation of a Drive runs _relocate; the reference
+        # overrides it and programs one page per _program call
+        assert not hasattr(Drive, "_migrate_block")
+        assert "_relocate" in vars(PerPageMigrationDrive)
+        d = PerPageMigrationDrive(small_geom())
+        end = fill_drive(d)
+        with patch.object(d, "_program", wraps=d._program) as program:
+            assert d.refresh_sweep(end + 10 * DAY, 3 * DAY) > 1
+        assert program.call_count == d.writes["refresh"] > 0
 
     def test_views_share_their_arrays(self):
         d = Drive(small_geom(), warm=WarmManager(small_geom()))
