@@ -63,9 +63,14 @@ def _load_config(path):
     return doc
 
 
+def _options(args):
+    """The parsed options without the subcommand function and --out."""
+    return {k: v for k, v in vars(args).items() if k not in ("fn", "out")}
+
+
 def _write_manifest(out_dir, command, config_obj, seed):
     os.makedirs(out_dir, exist_ok=True)
-    blob = json.dumps(config_obj, sort_keys=True, default=str).encode()
+    blob = json.dumps(config_obj, sort_keys=True).encode()
     manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
@@ -221,7 +226,7 @@ def cmd_fit(args):
             fits.append((pec, fr))
             print(f"pec={pec} kl={fr.kl_error:.6f}")
         dynamic = fit_dynamic(fits, family)
-        _write_manifest(out_dir, "fit", vars(args), args.seed)
+        _write_manifest(out_dir, "fit", _options(args), args.seed)
         if args.predict is not None:
             models, clamped = predict_static(dynamic, args.predict, family)
             save_models_json(models, os.path.join(out_dir, "model.json"))
@@ -239,7 +244,7 @@ def cmd_fit(args):
         print(f"{family}: kl={fr.kl_error:.6f} iters={fr.iterations}"
               f" converged={fr.converged}")
     best = min(results, key=lambda f: results[f].kl_error)
-    _write_manifest(out_dir, "fit", vars(args), args.seed)
+    _write_manifest(out_dir, "fit", _options(args), args.seed)
     save_models_json(results[best].params, os.path.join(out_dir, "model.json"))
     if any(_nonconverged(r) for r in results.values()):
         return EXIT_NONCONVERGENCE
@@ -514,7 +519,7 @@ def cmd_layout(args):
     except InfeasibleLayout as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_UNCORRECTABLE
-    _write_manifest(args.out, "layout", vars(args), args.seed)
+    _write_manifest(args.out, "layout", _options(args), args.seed)
     path = os.path.join(args.out, f"{args.kind}_{args.chips}x{args.wordlines}.csv")
     export_layout_csv(layout, path)
     print(f"{layout.kind}: {layout.n_groups} groups"

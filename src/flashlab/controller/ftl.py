@@ -42,7 +42,7 @@ reclaim. It stops at the first block that would need one, so the only
 allocation in a run that can reclaim or over-commit comes before any of
 its writes. With WARM the pages go in one loop, one route call per
 write and the program step inline, and the write counts and WARM's
-epoch bytes are added when it ends or raises. It checks for a due
+epoch pages are added when it ends or raises. It checks for a due
 rotation only after the first write, a write that allocated (and so may
 have reclaimed) and a tune, since nothing else in the loop erases a hot
 block or lowers the threshold.
@@ -83,7 +83,6 @@ class Drive:
         self.geom = geom
         nb, ppb = geom.total_blocks, geom.pages_per_block
         self.pages_per_block = ppb
-        self.page_size = geom.page_size
         self.map = np.full(geom.logical_pages, -1, dtype=np.int64)
         self.rmap = np.full(nb * ppb, -1, dtype=np.int64)
         self.valid_count = np.zeros(nb, dtype=np.int32)
@@ -144,8 +143,8 @@ class Drive:
         route, open_block = warm.route, self.open_block
         map_, rmap = self.map_view, self.rmap_view
         valid_count, write_ptr = self.valid_count_view, self.write_ptr_view
-        ppb, page_size = self.pages_per_block, self.page_size
-        epoch, tune_at = warm.epoch_host_bytes, warm.geom.logical_bytes
+        ppb = self.pages_per_block
+        epoch, tune_at = warm.epoch_host_pages, warm.geom.logical_pages
         check_rotation = True
         written = hot = 0
         try:
@@ -170,7 +169,7 @@ class Drive:
                 valid_count[blk] += 1
                 written += 1
                 hot += pool  # COLD is 0 and HOT 1
-                epoch += page_size
+                epoch += 1
                 if epoch >= tune_at:
                     warm.tune(self, now)
                     epoch, check_rotation = 0, True
@@ -182,7 +181,7 @@ class Drive:
             self.writes["host"] += written
             self.pool_writes[HOT] += hot
             self.pool_writes[COLD] += written - hot
-            warm.epoch_host_bytes = epoch
+            warm.epoch_host_pages = epoch
 
     def _write_run(self, pages, times):
         """Host-write ``pages`` (a non-empty int64 array) in order, page i
@@ -346,12 +345,12 @@ class Drive:
             self._relocate((victim,), (COLD,), "gc")
 
     def _pick_cold_victim(self):
-        mask = (self.state == CLOSED) & (self.pool == COLD)
-        ids = np.flatnonzero(mask)
-        if ids.size == 0:
-            return None
-        nb = self.geom.total_blocks
-        return int(ids[np.argmin(self.valid_count[ids].astype(np.int64) * nb + ids)])
+        # argmin takes the first minimum, so ties go to the lowest id
+        ppb = self.pages_per_block
+        key = np.where((self.state == CLOSED) & (self.pool == COLD),
+                       self.valid_count, ppb + 1)
+        victim = int(np.argmin(key))
+        return None if key[victim] == ppb + 1 else victim
 
     def _demote_oldest_hot(self):
         blk = self.warm.hot_closed[0]

@@ -1,10 +1,15 @@
-"""Drive geometry and the retention/endurance trade-off curve."""
+"""Drive geometry and the retention/endurance trade-off curve.
+
+Every drive has ``trace.PAGE_SIZE`` pages in BLOCK_SIZE blocks. Geometry's
+counts read BLOCK_SIZE when called, so a test patches it for small blocks.
+"""
 
 import math
 from dataclasses import dataclass
 
-from ..trace import PAGE_SIZE, check_page_size
+from ..trace import PAGE_SIZE
 
+BLOCK_SIZE = 1 << 20    # bytes per erase block, a multiple of PAGE_SIZE
 SECONDS_PER_DAY = 86400.0
 THREE_YEARS_S = 3 * 365 * SECONDS_PER_DAY
 THREE_DAYS_S = 3 * SECONDS_PER_DAY
@@ -15,26 +20,21 @@ PEC_AT_THREE_YEARS = 3000.0
 @dataclass(frozen=True)
 class Geometry:
     capacity_bytes: int
-    page_size: int = PAGE_SIZE
-    block_size: int = 1 << 20
     op_fraction: float = 0.15
 
     def __post_init__(self):
-        check_page_size(self.page_size)
-        if self.block_size % self.page_size:
-            raise ValueError("block size must be a multiple of page size")
-        if self.capacity_bytes < 2 * self.block_size:
+        if self.capacity_bytes < 2 * BLOCK_SIZE:
             raise ValueError("drive needs at least two blocks")
         if not (0.0 < self.op_fraction < 1.0):
             raise ValueError("op_fraction must lie in (0, 1)")
 
     @property
     def pages_per_block(self):
-        return self.block_size // self.page_size
+        return BLOCK_SIZE // PAGE_SIZE
 
     @property
     def total_blocks(self):
-        return self.capacity_bytes // self.block_size
+        return self.capacity_bytes // BLOCK_SIZE
 
     @property
     def total_pages(self):
@@ -44,10 +44,6 @@ class Geometry:
     def logical_pages(self):
         """Host-visible pages after carving out over-provisioning."""
         return int(self.total_pages / (1.0 + self.op_fraction))
-
-    @property
-    def logical_bytes(self):
-        return self.logical_pages * self.page_size
 
 
 def endurance_at(retention_s):

@@ -172,13 +172,10 @@ def fixed_refs(pack):
     return sweep_vopt(fresh)[0]
 
 
-def policy_worst_rber(policy, batches, pack, retention_model, pec,
-                      fixed=None):
+def policy_worst_rber(policy, batches, pack, retention_model, pec, fixed):
     """Worst per-sample RBER a policy suffers at a given wear level, over
     the ``sample_batches`` of the samples. ``fixed`` is the fixed policy's
-    ``fixed_refs(pack)``, made here when not given."""
-    if policy == "fixed" and fixed is None:
-        fixed = fixed_refs(pack)
+    ``fixed_refs(pack)`` (None for another policy)."""
     worst = 0.0
     for batch in batches:
         truth = truth_models(pack, pec, batch.exact)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..degradation import RetentionModel3D
 from ..models.simplex import bisect_failure
-from ..trace import PAGE_WINDOW, page_windows
+from ..trace import PAGE_SIZE, PAGE_WINDOW, page_windows
 from .geometry import Geometry, SECONDS_PER_DAY, endurance_at
 from .ftl import Drive, CLOSED
 from .refresh import RefreshConfig, run_refresh
@@ -127,7 +127,7 @@ def replay(trace, drive, cfg):
     its largest span.
     """
     now = trace.timestamp_us / 1e6
-    first, count = trace.page_spans(cfg.geometry.page_size)
+    first, count = trace.page_spans(PAGE_SIZE)
     count = np.where(trace.is_write, count, 0)
     series = []
     last = dict.fromkeys(("host", "gc", "refresh"), 0)

@@ -10,6 +10,9 @@ every full logical-drive write.
 """
 
 from collections import deque
+from itertools import islice
+
+from ..trace import PAGE_SIZE
 
 COLD, HOT = 0, 1
 
@@ -33,10 +36,10 @@ class WarmManager:
         self.cold_closed = deque()   # newest on the right
         self.hot_closed = deque()    # oldest on the left (demotion order)
         self._cooldown = set()
-        # epoch counters, reset at each tune; the Drive adds its host
-        # writes' bytes to epoch_host_bytes and tunes at a full drive write
+        # epoch counters, reset at each tune; the Drive counts its host
+        # writes in epoch_host_pages and tunes at a full logical-drive write
         self.hot_hits = self.promotions = self.demotions = 0
-        self.cold_writes = self.hot_writes = self.epoch_host_bytes = 0
+        self.cold_writes = self.hot_writes = self.epoch_host_pages = 0
         self._epoch_start = 0.0
         self._last_metric = self._last_utility = None
         self._h_dir = self._w_dir = 1
@@ -92,9 +95,7 @@ class WarmManager:
             self._refresh_cooldown()
 
     def _refresh_cooldown(self):
-        n = len(self.cold_closed)
-        self._cooldown = set(
-            self.cold_closed[i] for i in range(max(0, n - self.window), n))
+        self._cooldown = set(islice(reversed(self.cold_closed), self.window))
 
     # --- tuning -----------------------------------------------------------
 
@@ -102,7 +103,7 @@ class WarmManager:
         """Adjust hot-pool size and cooldown window from epoch statistics."""
         self.tune_count += 1
         elapsed = max(now - self._epoch_start, 1e-9)
-        hot_rate = self.hot_writes * self.geom.page_size / elapsed
+        hot_rate = self.hot_writes * PAGE_SIZE / elapsed
 
         # The hot pool must fill no faster than its retention guarantee:
         # a block written now is only guaranteed readable for
@@ -111,7 +112,7 @@ class WarmManager:
             h_cap = _H_MIN
         else:
             h_cap = (hot_rate * HOT_RETENTION_S
-                     / (self.geom.total_blocks * self.geom.block_size))
+                     / (self.geom.total_pages * PAGE_SIZE))
 
         metric = ((drive.pool_blocks[COLD] + len(drive.free))
                   / max(self.cold_writes, 1))
@@ -131,5 +132,5 @@ class WarmManager:
         self._refresh_cooldown()
 
         self.hot_hits = self.promotions = self.demotions = 0
-        self.cold_writes = self.hot_writes = self.epoch_host_bytes = 0
+        self.cold_writes = self.hot_writes = self.epoch_host_pages = 0
         self._epoch_start = now

@@ -318,7 +318,7 @@ def reference_replay(trace, drive, cfg):
     for a write, one host_write per page of its span, on a
     NumpyScalarDrive (the per-page path). A read event writes nothing."""
     assert isinstance(drive, NumpyScalarDrive)
-    first, count = trace.page_spans(cfg.geometry.page_size)
+    first, count = trace.page_spans(PAGE_SIZE)
     n_logical = cfg.geometry.logical_pages
     series = []
     last = dict.fromkeys(("host", "gc", "refresh"), 0)
@@ -378,8 +378,8 @@ class NumpyScalarDrive(Drive):
         """Count the write into WARM's epoch; tune after a full
         logical-drive write."""
         warm = self.warm
-        warm.epoch_host_bytes += self.page_size
-        if warm.epoch_host_bytes >= warm.geom.logical_bytes:
+        warm.epoch_host_pages += 1
+        if warm.epoch_host_pages >= warm.geom.logical_pages:
             warm.tune(self, now)
 
     def rotation_due(self):

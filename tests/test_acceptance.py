@@ -224,7 +224,8 @@ class TestHotColdSeparationBenefit:
         t0 = time.monotonic()
         geom = Geometry(self.GEOM_BYTES)
         fast = synth_hot(3000.0, 100.0, 0.01, 0.95,
-                         footprint_bytes=int(0.9 * geom.logical_bytes), seed=9)
+                         footprint_bytes=int(0.9 * geom.logical_pages
+                                             * trace_mod.PAGE_SIZE), seed=9)
         base = self._run(fast, warm=False, refresh=RefreshConfig(mode="none"))
         warm = self._run(fast, warm=True, refresh=RefreshConfig(mode="none"))
         assert warm.lifetime_days >= 1.5 * base.lifetime_days

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from unittest.mock import patch
 
@@ -13,9 +15,11 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import flashlab
 from flashlab import cli
 from flashlab.cli import main
-from flashlab.controller import THREE_YEARS_S, endurance_at
+from flashlab.controller import THREE_YEARS_S, Drive, endurance_at
+from flashlab.controller import warm as warm_mod
 from flashlab.controller.geometry import THREE_DAYS_S
 from flashlab.degradation import RetentionModel3D
 from flashlab.grid import CellState
@@ -543,6 +547,26 @@ class TestManifest:
         assert set(doc["versions"]) == {"flashlab", "numpy", "python",
                                         "scipy"}
 
+    def test_layout_config_hash_is_the_same_in_fresh_interpreters(
+            self, tmp_path):
+        # the hashed options leave out the subcommand function, whose str()
+        # carries its address, and the output directory
+        src = os.path.dirname(os.path.dirname(flashlab.__file__))
+        shas = []
+        for tag in ("a", "a", "b"):
+            out = tmp_path / tag
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from flashlab.cli import main;"
+                 " sys.exit(main(sys.argv[1:]))",
+                 "--out", str(out), "layout", "--chips", "4",
+                 "--wordlines", "8"],
+                check=True, capture_output=True,
+                env=dict(os.environ, PYTHONPATH=src))
+            doc = json.loads((out / "manifest.json").read_text())
+            shas.append(doc["config_sha256"])
+        assert len(set(shas)) == 1
+
     @pytest.mark.parametrize("argv, error", [
         (empty_state_fit, "empty histogram for state P3"),
         (heatwatch_run({"temp": {"mean_c": -300}}, "".join(
@@ -786,6 +810,36 @@ class TestSimulate:
                                         "op_fraction": op_fraction}, write_trace)
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_hot_pool_rotation_runs_through_simulate(self, tmp_path):
+        # at ROTATION_PEC 1 a rotation is due after one hot erase per hot
+        # budget block; some rotations move live pages, and the report's
+        # write counts still balance
+        events = synth_hot(1800, 40, 0.05, 0.9, footprint_bytes=48 << 20,
+                           seed=1)
+        policy = {"name": "run", "capacity_bytes": 64 << 20, "warm": True}
+        moved = []
+        rotate = Drive.rotate_hot_pool
+
+        def counted(drive):
+            before = drive.writes["gc"]
+            rotate(drive)
+            moved.append(drive.writes["gc"] - before)
+
+        reports = []
+        for tag in ("a", "b"):
+            (tmp_path / tag).mkdir()
+            with patch.object(warm_mod, "ROTATION_PEC", 1), \
+                    patch.object(Drive, "rotate_hot_pool", counted):
+                rc = self.run_policy(tmp_path / tag, policy,
+                                     lambda path: write_canonical(events,
+                                                                  str(path)))
+            assert rc == 0
+            reports.append((tmp_path / tag / "out" / "run.json").read_bytes())
+        assert max(moved) > 0
+        assert reports[0] == reports[1]
+        rep = json.loads(reports[0])
+        assert sum(rep["writes"].values()) == sum(rep["pool_writes"].values())
 
     def test_multi_page_writes_count_every_page_they_touch(self, tmp_path):
         # 12 KiB at lba 0 touches 8 KiB pages 0-1; 8 KiB at lba 40 (byte

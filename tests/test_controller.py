@@ -12,7 +12,8 @@ from flashlab.controller import (ADAPTIVE_TIERS_S, COLD, HOT, THREE_YEARS_S,
                                  RefreshConfig, WarmManager, adaptive_period,
                                  endurance_at, in_refresh_phase, replay,
                                  run_lifetime, run_refresh)
-from flashlab.controller import (heatwatch as heatwatch_mod,
+from flashlab.controller import (geometry as geometry_mod,
+                                 heatwatch as heatwatch_mod,
                                  lifetime as lifetime_mod, warm as warm_mod)
 from flashlab.controller.ftl import CLOSED
 from flashlab.controller.heatwatch import (FIXED_REFS_AGE_S,
@@ -62,22 +63,16 @@ class TestGeometry:
         assert g.pages_per_block == 128
         assert g.total_pages == 2048
         assert g.logical_pages == int(2048 / 1.25)
-        assert g.logical_bytes == g.logical_pages * 8192
+        # the counts read BLOCK_SIZE when called, so a patch reshapes g
+        with patch.object(geometry_mod, "BLOCK_SIZE", 1 << 16):
+            assert g.pages_per_block == 8
+            assert g.total_blocks == 256
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Geometry(capacity_bytes=1 << 20)  # one block
         with pytest.raises(ValueError):
-            Geometry(capacity_bytes=1 << 26, page_size=3000)
-        with pytest.raises(ValueError):
             Geometry(capacity_bytes=1 << 26, op_fraction=0.0)
-
-    @pytest.mark.parametrize("page_size", [1000, 0, -512])
-    def test_page_size_must_be_whole_sectors(self, page_size):
-        # 1000 divides the block, but a page must be whole 512-byte sectors
-        with pytest.raises(ValueError, match="multiple of 512"):
-            Geometry(capacity_bytes=1 << 26, page_size=page_size,
-                     block_size=128000)
 
 
 class TestEnduranceMap:
@@ -246,8 +241,8 @@ class TestWarm:
         base = Drive(small_geom(mb=32))
         d, w = self.warm_drive(mb=32)
         events = synth_hot(2000, 300, 0.01, 0.95,
-                           footprint_bytes=int(0.9 * base.geom.logical_bytes),
-                           seed=1)
+                           footprint_bytes=int(0.9 * base.geom.logical_pages
+                                               * PAGE_SIZE), seed=1)
         spp = 8192 // 512
         for drv in (base, d):
             drv.host_writes((events.lba // spp) % drv.geom.logical_pages,
@@ -380,7 +375,7 @@ def drive_state(d):
         scalars += (list(w.hot_closed), list(w.cold_closed), w.h, w.window,
                     w.demotions, w.promotions, w.hot_erases_since_rotation,
                     w.hot_hits, w.hot_writes, w.cold_writes, w.tune_count,
-                    w.epoch_host_bytes, w._epoch_start, sorted(w._cooldown),
+                    w.epoch_host_pages, w._epoch_start, sorted(w._cooldown),
                     w._last_metric, w._last_utility, w._h_dir, w._w_dir)
     return arrays, scalars
 
@@ -404,6 +399,7 @@ class TestRefreshPassProperty:
     reference_refresh (one sweep per due block) on a PerPageMigrationDrive,
     fed identical steps."""
 
+    @patch.object(geometry_mod, "BLOCK_SIZE", 1 << 16)
     @settings(max_examples=200)
     @given(n_blocks=hst.integers(4, 24),
            op=hst.sampled_from([0.1, 0.25, 0.5, 0.9]),
@@ -417,8 +413,7 @@ class TestRefreshPassProperty:
     def test_one_sweep_matches_per_block_reference(
             self, n_blocks, op, footprint, warm, mode, period_days,
             include_hot, initial_pec, steps):
-        geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
-                        op_fraction=op)
+        geom = Geometry(capacity_bytes=n_blocks << 16, op_fraction=op)
         cfg = RefreshConfig(mode=mode, period_s=period_days * DAY,
                             include_hot=include_hot)
         drives = [cls(geom, warm=WarmManager(geom) if warm else None,
@@ -493,6 +488,7 @@ class TestBatchedMigrationProperty:
     PerPageMigrationDrive on identical drives fed identical host writes,
     refresh sweeps and hot-pool rotations."""
 
+    @patch.object(geometry_mod, "BLOCK_SIZE", 1 << 16)
     @settings(max_examples=200)
     # a sweep of three due blocks that over-commits part-way: no block is
     # free, and the first block's pages overflow the open block
@@ -510,8 +506,7 @@ class TestBatchedMigrationProperty:
                                       rotation_pec, include_hot, steps):
         # the hot pool's rotation wear, drawn down to 1 so rotations happen
         with patch.object(warm_mod, "ROTATION_PEC", rotation_pec):
-            geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
-                            op_fraction=op)
+            geom = Geometry(capacity_bytes=n_blocks << 16, op_fraction=op)
             drives = [cls(geom, warm=WarmManager(geom) if warm else None)
                       for cls in (Drive, PerPageMigrationDrive)]
             assert all(d.warm is None or d.warm.rotation_threshold
@@ -588,6 +583,7 @@ class TestHostRequestsProperty:
     and the rotation wear drawn down to 1 or 2 P/E, so that tunes and
     hot-pool rotations fire inside windows."""
 
+    @patch.object(geometry_mod, "BLOCK_SIZE", 1 << 16)
     @settings(max_examples=120)
     # three cases random windows seldom reach: a rotation made due between
     # windows (a sweep of hot blocks) fires after the next window's first
@@ -619,8 +615,7 @@ class TestHostRequestsProperty:
                                               rotation_pec, include_hot,
                                               steps):
         with patch.object(warm_mod, "ROTATION_PEC", rotation_pec):
-            geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
-                            op_fraction=op)
+            geom = Geometry(capacity_bytes=n_blocks << 16, op_fraction=op)
             drive = Drive(geom, warm=WarmManager(geom))
             ref = NumpyScalarDrive(geom, warm=NumpyScalarWarm(geom))
             # whether each of the reference's tunes lowered the rotation
@@ -725,6 +720,7 @@ class TestScalarViewProperty:
             assert np.shares_memory(np.asarray(view), arr), name
             assert view.tolist() == arr.tolist(), name
 
+    @patch.object(geometry_mod, "BLOCK_SIZE", 1 << 16)
     @settings(max_examples=200)
     @given(n_blocks=hst.integers(4, 24),
            op=hst.sampled_from([0.1, 0.25, 0.5, 0.9]),
@@ -736,8 +732,7 @@ class TestScalarViewProperty:
                                                 warm, rotation_pec, steps):
         # the hot pool's rotation wear, drawn down to 1 so rotations happen
         with patch.object(warm_mod, "ROTATION_PEC", rotation_pec):
-            geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
-                            op_fraction=op)
+            geom = Geometry(capacity_bytes=n_blocks << 16, op_fraction=op)
             drives = [drive_cls(geom, warm=warm_cls(geom) if warm else None)
                       for drive_cls, warm_cls in (
                           (Drive, WarmManager),
@@ -797,6 +792,7 @@ class TestBatchedHostWriteProperty:
     against reference_replay (one host_write per written page of a
     NumpyScalarDrive) on WARM-free drives fed identical traces."""
 
+    @patch.object(geometry_mod, "BLOCK_SIZE", 1 << 16)
     @settings(max_examples=200)
     @given(n_blocks=hst.integers(4, 16),
            op=hst.sampled_from([0.1, 0.25, 0.5, 0.9]),
@@ -810,8 +806,7 @@ class TestBatchedHostWriteProperty:
     def test_runs_match_per_page_reference(self, n_blocks, op, mode,
                                            period_days, initial_pec, prefill,
                                            events):
-        geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
-                        op_fraction=op)
+        geom = Geometry(capacity_bytes=n_blocks << 16, op_fraction=op)
         cfg = LifetimeConfig(geometry=geom, initial_pec=initial_pec,
                              refresh=RefreshConfig(mode=mode,
                                                    period_s=period_days * DAY))
@@ -893,6 +888,7 @@ class TestReplayWindowProperty:
     trace: windows then end inside spans and inside runs of host
     writes."""
 
+    @patch.object(geometry_mod, "BLOCK_SIZE", 1 << 16)
     @settings(max_examples=200)
     @given(window=hst.sampled_from([1, 3, 7]),
            warm=hst.booleans(),
@@ -908,8 +904,7 @@ class TestReplayWindowProperty:
     def test_windows_match_per_page_reference(self, window, warm, n_blocks,
                                               op, mode, period_days,
                                               initial_pec, prefill, events):
-        geom = Geometry(capacity_bytes=n_blocks << 16, block_size=1 << 16,
-                        op_fraction=op)
+        geom = Geometry(capacity_bytes=n_blocks << 16, op_fraction=op)
         cfg = LifetimeConfig(geometry=geom, warm=warm, initial_pec=initial_pec,
                              refresh=RefreshConfig(mode=mode,
                                                    period_s=period_days * DAY))
@@ -1211,6 +1206,7 @@ AGE_S = hst.floats(0.0, math.log10(10 * 365 * DAY)).map(lambda e: 10.0 ** e)
 
 class TestBatchedScoringProperty:
     PACK = calibration_pack_from_retention()
+    FIXED = fixed_refs(PACK)
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -1228,7 +1224,8 @@ class TestBatchedScoringProperty:
         event(f"reads with crossed predicted means: "
               f"{'some' if 0 < crossed < n else 'all' if crossed else 'none'}")
         for policy in HEATWATCH_POLICIES:
-            got = policy_worst_rber(policy, batches, self.PACK, RET, pec)
+            got = policy_worst_rber(policy, batches, self.PACK, RET, pec,
+                                    self.FIXED)
             assert got == reference_worst_rber(policy, samples, self.PACK, pec), policy
 
     def test_remar_reads_each_read_at_its_own_age(self):
@@ -1241,9 +1238,10 @@ class TestBatchedScoringProperty:
         assert len(batches) == 2
         for batch in batches:
             for pec in (0.0, 5000.0, 30000.0):
-                assert (policy_worst_rber("remar", [batch], self.PACK, RET, pec)
+                assert (policy_worst_rber("remar", [batch], self.PACK, RET,
+                                          pec, self.FIXED)
                         == policy_worst_rber("retention_only", [batch],
-                                             self.PACK, RET, pec))
+                                             self.PACK, RET, pec, self.FIXED))
 
     def test_state_models_take_each_log_with_math_log(self):
         # at 1 + t for these ages, numpy 2.4's vectorized log (AVX-512)
@@ -1252,7 +1250,8 @@ class TestBatchedScoringProperty:
                    for t in (113.66969242639748, 54.805012589350255)]
         batches = sample_batches(samples, self.PACK)
         for policy in HEATWATCH_POLICIES:
-            got = policy_worst_rber(policy, batches, self.PACK, RET, 3000.0)
+            got = policy_worst_rber(policy, batches, self.PACK, RET, 3000.0,
+                                    self.FIXED)
             assert got == reference_worst_rber(policy, samples, self.PACK, 3000.0)
 
     def test_scoring_memory_does_not_grow_with_the_sample_count(self):
@@ -1266,7 +1265,8 @@ class TestBatchedScoringProperty:
         tracemalloc.start()
         try:
             for policy in HEATWATCH_POLICIES:
-                policy_worst_rber(policy, batches, self.PACK, RET, 45000.0)
+                policy_worst_rber(policy, batches, self.PACK, RET, 45000.0,
+                                  self.FIXED)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1278,7 +1278,8 @@ class TestLifetimeReplay:
     def run_once():
         geom = small_geom(mb=32)
         events = synth_hot(1000, 200, 0.02, 0.9,
-                           footprint_bytes=geom.logical_bytes, seed=3)
+                           footprint_bytes=geom.logical_pages * PAGE_SIZE,
+                           seed=3)
         cfg = LifetimeConfig(geometry=geom, warm=True, mode="analytic",
                              refresh=RefreshConfig(mode="fcr", period_s=3 * DAY))
         return run_lifetime(events, cfg)
@@ -1305,8 +1306,8 @@ class TestLifetimeReplay:
         # refresh passes at a wear past the 3-year gate
         geom = small_geom(mb=16)
         trace = synth_hot(2.5 * DAY, 0.05, 0.05, 0.9,
-                          footprint_bytes=geom.logical_bytes, seed=5,
-                          read_fraction=0.3)
+                          footprint_bytes=geom.logical_pages * PAGE_SIZE,
+                          seed=5, read_fraction=0.3)
         reads = ~trace.is_write
         rng = np.random.default_rng(6)
         redrawn = Trace(trace.timestamp_us, trace.is_write,
@@ -1345,7 +1346,8 @@ class TestLifetimeReplay:
         # every written block is still at the initial wear
         geom = small_geom(mb=32)
         events = synth_hot(10, 100, 0.02, 0.9,
-                           footprint_bytes=geom.logical_bytes, seed=3)
+                           footprint_bytes=geom.logical_pages * PAGE_SIZE,
+                           seed=3)
         cfg = LifetimeConfig(geometry=geom, mode="direct", ecc_limit=2e-3,
                              initial_pec=3000, refresh=refresh)
         assert refresh.retention_s == age_s
@@ -1371,7 +1373,7 @@ class TestLifetimeReplay:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert drive.writes["host"] == (gib << 30) // geom.page_size
+            assert drive.writes["host"] == (gib << 30) // PAGE_SIZE
         assert peaks[1] < 8 << 20
         assert abs(peaks[1] - peaks[0]) < 1 << 20
 
@@ -1385,6 +1387,7 @@ def reference_write_count(rows, page_size):
 
 
 class TestReplayPageSpansProperty:
+    @patch.object(geometry_mod, "BLOCK_SIZE", 1 << 16)
     @settings(max_examples=100)
     @given(rows=hst.lists(hst.tuples(hst.sampled_from("RWW"),
                                      hst.integers(0, 4000),
@@ -1392,14 +1395,13 @@ class TestReplayPageSpansProperty:
                           min_size=1, max_size=60),
            warm=hst.booleans())
     def test_host_writes_are_the_write_spans(self, rows, warm):
-        geom = Geometry(capacity_bytes=32 << 16, block_size=1 << 16,
-                        op_fraction=0.5)
+        geom = Geometry(capacity_bytes=32 << 16, op_fraction=0.5)
         trace = Trace([i * 10**6 for i in range(len(rows))],
                       [op == "W" for op, _, _ in rows],
                       [lba for _, lba, _ in rows], [size for _, _, size in rows])
         drive = Drive(geom, warm=WarmManager(geom) if warm else None)
         replay(trace, drive, LifetimeConfig(geometry=geom))
-        writes = reference_write_count(rows, geom.page_size)
+        writes = reference_write_count(rows, PAGE_SIZE)
         write_events = sum(op == "W" for op, _, _ in rows)
         event(f"multi-page writes: {writes > write_events}")
         assert drive.writes["host"] == writes

@@ -481,12 +481,6 @@ def test_unset_detector_flags_only_settings_no_call_sets(tmp_path):
 KEPT_DEFAULTS = {
     "controller.refresh.RefreshConfig.include_hot":
         "bench/tracer.py's refresh-scan hook reads it",
-    "controller.geometry.Geometry.page_size":
-        "only tests vary it; a module constant or a config key "
-        "(ROADMAP Direction 20)",
-    "controller.geometry.Geometry.block_size":
-        "only tests vary it; a module constant or a config key "
-        "(ROADMAP Direction 20)",
 }
 
 
@@ -510,6 +504,16 @@ def test_kept_defaults_name_settings_no_call_sets():
     assert set(KEPT_DEFAULTS) <= set(unset_library_settings())
     assert [q for q, why in KEPT_DEFAULTS.items()
             if not re.search(r"Direction \d+|bench/tracer\.py", why)] == []
+
+
+def test_tracer_reasons_name_what_the_tracer_reads():
+    # an entry kept because bench/tracer.py uses it must go once the
+    # tracer no longer names it
+    source = (BENCH / "tracer.py").read_text()
+    cited = [q for q, why in {**REFERENCE_ROOTS, **KEPT_DEFAULTS}.items()
+             if "bench/tracer.py" in why]
+    assert [q for q in cited if not re.search(
+        rf"\b{q.rsplit('.', 1)[1]}\b", source)] == []
 
 
 def from_imports(source, package):
